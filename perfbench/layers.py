@@ -79,19 +79,17 @@ class LayerTracer:
         return span
 
     def wrap(self, owner: object, method: str, layer: str) -> None:
-        """Shadow ``owner.method`` with a timed wrapper, if the object has it.
+        """Shadow ``owner.method`` with a timed wrapper.
 
         ``owner`` may be an instance (the wrapper becomes an instance
         attribute) or a class (every instance created afterwards is traced).
-        Missing owners or methods are skipped, so the benchmark keeps running
-        when a layer does not exist on a platform or was refactored away.
+        An owner of ``None`` is a layer the platform does not have and is
+        skipped.  A missing method raises ``AttributeError``, so a renamed
+        layer fails the run instead of silently reporting 0 calls.
         """
         if owner is None:
             return
-        original = getattr(owner, method, None)
-        if original is None:
-            return
-        setattr(owner, method, self.timed(original, layer))
+        setattr(owner, method, self.timed(getattr(owner, method), layer))
 
     def merge(self, calls: Dict[str, int], self_ns: Dict[str, int]) -> None:
         """Fold in the aggregates of a tracer that ran in another process."""
@@ -115,38 +113,46 @@ class LayerTracer:
 
 
 def instrument_platform(tracer: LayerTracer, platform: object) -> None:
-    """Wrap the public methods of every layer a built platform holds."""
+    """Wrap the public methods of every layer a built platform holds.
+
+    The layers every platform has are reached directly; the rest only on the
+    platform classes that hold them.  A renamed layer raises here.
+    """
+    from repro.platforms.gddr5 import GDDR5Platform
+    from repro.platforms.hetero import HeteroPlatform
+    from repro.platforms.hybrid_gpu import HybridGPUPlatform
+    from repro.platforms.optane_platform import OptanePlatform
+    from repro.platforms.zng import ZnGPlatform
+
     wrap = tracer.wrap
     wrap(platform, "run", "platforms.run")
     wrap(platform, "memory_access", "platforms.base")
-    gpu = getattr(platform, "gpu", None)
-    wrap(gpu, "run", "gpu.sm")
-    for sm in getattr(gpu, "sms", ()):
+    wrap(platform.gpu, "run", "gpu.sm")
+    for sm in platform.gpu.sms:
         wrap(sm.coalescer, "coalesce", "gpu.coalescer")
         for method in ("lookup", "insert", "invalidate"):
             wrap(sm.l1, method, "gpu.cache")
-    wrap(getattr(platform, "mmu", None), "translate", "gpu.mmu")
-    wrap(getattr(platform, "noc", None), "send", "gpu.interconnect")
-    l2 = getattr(platform, "l2", None)
+    wrap(platform.mmu, "translate", "gpu.mmu")
+    wrap(platform.noc, "send", "gpu.interconnect")
     for method in ("access", "fill", "fill_page"):
-        wrap(l2, method, "gpu.l2cache")
-    prefetcher = getattr(platform, "prefetcher", None)
-    wrap(prefetcher, "train", "core.prefetch_policies")
-    wrap(prefetcher, "on_miss", "core.prefetch_policies")
-    # Only ZnG's zero-overhead FTL has translate_read/allocate_write; the
-    # HybridGPU page-mapped FTL runs inside ssd.ssd_engine.
-    ftl = getattr(platform, "ftl", None)
-    wrap(ftl, "translate_read", "core.zero_overhead_ftl.read")
-    wrap(ftl, "allocate_write", "core.zero_overhead_ftl.write")
-    controllers = getattr(platform, "controllers", None)
-    wrap(controllers, "read", "ssd.flash_controller.read")
-    wrap(controllers, "program", "ssd.flash_controller.program")
-    register_cache = getattr(platform, "register_cache", None)
-    wrap(register_cache, "write", "core.register_cache")
-    wrap(register_cache, "prepare_plane_for_read", "core.register_cache")
-    wrap(getattr(platform, "engine", None), "service", "ssd.ssd_engine")
-    wrap(getattr(platform, "optane", None), "access", "ssd.optane")
-    wrap(getattr(platform, "dram", None), "access", "gpu.dram")
+        wrap(platform.l2, method, "gpu.l2cache")
+    if isinstance(platform, ZnGPlatform):
+        # ``prefetcher`` is None on the variants without the read optimisation.
+        wrap(platform.prefetcher, "train", "core.prefetch_policies")
+        wrap(platform.prefetcher, "on_miss", "core.prefetch_policies")
+        wrap(platform.ftl, "translate_read", "core.zero_overhead_ftl.read")
+        wrap(platform.ftl, "allocate_write", "core.zero_overhead_ftl.write")
+        wrap(platform.controllers, "read", "ssd.flash_controller.read")
+        wrap(platform.controllers, "program", "ssd.flash_controller.program")
+        wrap(platform.register_cache, "write", "core.register_cache")
+        wrap(platform.register_cache, "prepare_plane_for_read", "core.register_cache")
+    if isinstance(platform, HybridGPUPlatform):
+        # HybridGPU's page-mapped FTL runs inside the SSD engine.
+        wrap(platform.engine, "service", "ssd.ssd_engine")
+    if isinstance(platform, OptanePlatform):
+        wrap(platform.optane, "access", "ssd.optane")
+    if isinstance(platform, (HeteroPlatform, GDDR5Platform)):
+        wrap(platform.dram, "access", "gpu.dram")
 
 
 def instrument_runner_classes(tracer: LayerTracer) -> None:

@@ -14,33 +14,81 @@ standard output is one JSON object: ``correct``, ``attempted``, ``failed`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import resource
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Set-up is repeated and its median reported, so work moved into set-up shows.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+#: A set-up takes about a second; this only stops a hung set-up process.
+SETUP_TIMEOUT_S = 60
+#: Seconds the set-up processes' reference loop takes at the host speed that
+#: ``setup_s`` is scaled to: 150 samples on the 2-core VM the benchmark was
+#: sized on had a median of 0.103 s.  It is a fixed unit, not a tuning knob.
+REFERENCE_NOMINAL_S = 0.1
 
 
 def _metric(value: float, unit: str) -> Dict[str, float]:
     return {"value": value, "unit": unit}
 
 
-def _set_up(workload, seed: int, import_s: float):
-    """Set the workload up ``SETUP_REPEATS`` times; return (state, setup_s)."""
-    times: List[float] = []
-    state = None
+@contextlib.contextmanager
+def private_bytecode_cache():
+    """Compile into a fresh bytecode cache in the checkout; delete it on exit.
+
+    Bytecode that other tools left in ``__pycache__`` directories is never
+    read.  This process compiles what it imports once, and the set-up
+    processes, which inherit the cache, all time the same warm import.
+    Afterwards no bytecode is written, so nothing recreates the cache.
+    """
+    with tempfile.TemporaryDirectory(prefix=".perfbench-pycache-", dir=ROOT) as cache:
+        sys.dont_write_bytecode = False
+        sys.pycache_prefix = cache
+        os.environ.pop("PYTHONDONTWRITEBYTECODE", None)
+        os.environ["PYTHONPYCACHEPREFIX"] = cache
+        try:
+            yield
+        finally:
+            sys.dont_write_bytecode = True
+            sys.pycache_prefix = None
+            del os.environ["PYTHONPYCACHEPREFIX"]
+
+
+def setup_seconds(workload, seed: int) -> Tuple[float, float]:
+    """Median of ``SETUP_REPEATS`` set-ups, each in a fresh process.
+
+    A set-up is the simulator import, spec creation and the trace builds.
+    Call this after this process has set the workload up once, so that every
+    module a set-up imports is already in the bytecode cache.  Returns the
+    median scaled to the nominal host speed, then the raw median.  The host's
+    speed drifts by up to 2x over minutes, longer than a run, and a sub-second
+    set-up cannot outlast that drift, so each set-up is divided by the
+    reference loop timed around it in the same process.
+    """
+    command = [sys.executable, str(Path(__file__).with_name("setup_child.py")),
+               "--workload", workload.name, "--seed", str(seed),
+               "--scale", repr(workload.scale)]
+    scaled: List[float] = []
+    raw: List[float] = []
     for _ in range(SETUP_REPEATS):
-        state = None  # release the previous traces before rebuilding
-        started = time.perf_counter()
-        state = workload.set_up(seed)
-        times.append(time.perf_counter() - started)
-    return state, import_s + statistics.median(times)
+        completed = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
+                                   timeout=SETUP_TIMEOUT_S)
+        if completed.returncode != 0:
+            sys.stderr.write(completed.stderr)
+            raise RuntimeError(f"set-up process exited with {completed.returncode}")
+        seconds, reference = (float(x) for x in completed.stdout.split()[-2:])
+        raw.append(seconds)
+        scaled.append(seconds * REFERENCE_NOMINAL_S / reference)
+    return statistics.median(scaled), statistics.median(raw)
 
 
 def _reference_lines(workload, passes) -> List[str]:
@@ -60,11 +108,12 @@ def _reference_lines(workload, passes) -> List[str]:
     return lines
 
 
-def measure(workload, seed: int, seconds: float, import_s: float) -> dict:
+def measure(workload, seed: int, seconds: float) -> dict:
     """Untraced passes for at least ``seconds``; every end-to-end metric."""
     from perfbench import checks
 
-    state, setup_s = _set_up(workload, seed, import_s)
+    state = workload.set_up(seed)
+    setup_s, raw_setup_s = setup_seconds(workload, seed)
     passes = []
     started = time.perf_counter()
     while (len(passes) < workload.min_passes
@@ -100,6 +149,7 @@ def measure(workload, seed: int, seconds: float, import_s: float) -> dict:
     info = [f"workload {workload.name}  seed {seed}  passes {len(passes)}  "
             f"cells/pass {passes[0].attempted}",
             "host seconds per pass " + " ".join(f"{p.wall_s:.4f}" for p in passes),
+            f"set-up seconds, unscaled median {raw_setup_s:.4f}",
             f"digest {passes[0].digest}"
             + ("" if consistent else "  MISMATCH across passes or cache rerun")]
     info += _reference_lines(workload, passes)
@@ -141,21 +191,19 @@ def measure_traced(workload, seed: int) -> dict:
 
 def run(workload_name: str, seed: int, seconds: float, trace: bool,
         scale: float = None) -> dict:
-    """Import the simulator, run one workload, return the result object.
+    """Run one workload and return the result object.
 
     ``scale`` shrinks the workload (the self-test uses it); the benchmark
     command always runs at the workload's own scale.
     """
-    started = time.perf_counter()
     from perfbench.workloads import WORKLOADS
 
-    import_s = time.perf_counter() - started
     workload = WORKLOADS[workload_name]
     if scale is not None:
         workload = workload.shrunk(scale)
     if trace:
         return measure_traced(workload, seed)
-    return measure(workload, seed, seconds, import_s)
+    return measure(workload, seed, seconds)
 
 
 def main(argv=None) -> int:
@@ -172,11 +220,9 @@ def main(argv=None) -> int:
         print(f"error: simulator sources not found at {ROOT / 'src' / 'repro'}",
               file=sys.stderr)
         return 2
-    # Leave no bytecode in the checkout: every run then compiles the simulator
-    # from source, and set-up time does not depend on what earlier runs left.
-    sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    result = run(args.workload, args.seed, args.seconds, bool(args.trace))
+    with private_bytecode_cache():
+        result = run(args.workload, args.seed, args.seconds, bool(args.trace))
     for line in result.pop("info"):
         print(line)
     for name, metric in result["metrics"].items():

@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.configspace.presets import get_preset  # noqa: E402

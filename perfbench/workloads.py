@@ -208,6 +208,6 @@ WORKLOADS = {
         GridWorkload("fig10-paper", _fig10_spec, scale=1.0, min_passes=2,
                      has_reference=True),
         GridWorkload("kv-write", _kv_write_spec, scale=1.0, min_passes=3),
-        SweepWorkload("sensitivity-sweep", scale=0.25, min_passes=8),
+        SweepWorkload("sensitivity-sweep", scale=0.25, min_passes=6),
     )
 }
