@@ -18,6 +18,7 @@ import contextlib
 import json
 import os
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -31,14 +32,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SETUP_REPEATS = 5
 #: A set-up takes about a second; this only stops a hung set-up process.
 SETUP_TIMEOUT_S = 60
-#: Seconds the set-up processes' reference loop takes at the host speed that
-#: ``setup_s`` is scaled to: 150 samples on the 2-core VM the benchmark was
-#: sized on had a median of 0.103 s.  It is a fixed unit, not a tuning knob.
-REFERENCE_NOMINAL_S = 0.1
+
+Span = Tuple[float, float]
 
 
 def _metric(value: float, unit: str) -> Dict[str, float]:
     return {"value": value, "unit": unit}
+
+
+@contextlib.contextmanager
+def pinned(cores: List[int]):
+    """Run this process, and the processes it starts, only on ``cores``."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cores)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 @contextlib.contextmanager
@@ -63,32 +73,23 @@ def private_bytecode_cache():
             del os.environ["PYTHONPYCACHEPREFIX"]
 
 
-def setup_seconds(workload, seed: int) -> Tuple[float, float]:
-    """Median of ``SETUP_REPEATS`` set-ups, each in a fresh process.
+def setup_span(workload, seed: int) -> Span:
+    """One set-up in a fresh process: the simulator import, spec creation
+    and the trace builds.
 
-    A set-up is the simulator import, spec creation and the trace builds.
     Call this after this process has set the workload up once, so that every
-    module a set-up imports is already in the bytecode cache.  Returns the
-    median scaled to the nominal host speed, then the raw median.  The host's
-    speed drifts by up to 2x over minutes, longer than a run, and a sub-second
-    set-up cannot outlast that drift, so each set-up is divided by the
-    reference loop timed around it in the same process.
+    module a set-up imports is already in the bytecode cache.
     """
     command = [sys.executable, str(Path(__file__).with_name("setup_child.py")),
                "--workload", workload.name, "--seed", str(seed),
                "--scale", repr(workload.scale)]
-    scaled: List[float] = []
-    raw: List[float] = []
-    for _ in range(SETUP_REPEATS):
-        completed = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
-                                   timeout=SETUP_TIMEOUT_S)
-        if completed.returncode != 0:
-            sys.stderr.write(completed.stderr)
-            raise RuntimeError(f"set-up process exited with {completed.returncode}")
-        seconds, reference = (float(x) for x in completed.stdout.split()[-2:])
-        raw.append(seconds)
-        scaled.append(seconds * REFERENCE_NOMINAL_S / reference)
-    return statistics.median(scaled), statistics.median(raw)
+    completed = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
+                               timeout=SETUP_TIMEOUT_S)
+    if completed.returncode != 0:
+        sys.stderr.write(completed.stderr)
+        raise RuntimeError(f"set-up process exited with {completed.returncode}")
+    start, end = (float(x) for x in completed.stdout.split()[-2:])
+    return start, end
 
 
 def _reference_lines(workload, passes) -> List[str]:
@@ -111,19 +112,31 @@ def _reference_lines(workload, passes) -> List[str]:
 def measure(workload, seed: int, seconds: float) -> dict:
     """Untraced passes for at least ``seconds``; every end-to-end metric."""
     from perfbench import checks
+    from perfbench.probe import SpeedProbe
 
-    state = workload.set_up(seed)
-    setup_s, raw_setup_s = setup_seconds(workload, seed)
-    passes = []
-    started = time.perf_counter()
-    while (len(passes) < workload.min_passes
-           or time.perf_counter() - started < seconds):
-        passes.append(workload.run_pass(state))
-    # On a VM whose cores are shared with other tenants, speed drifts by tens
-    # of percent within seconds, so each unit keeps its fastest pass; the sum
-    # is the pass time with the disturbances left out.
-    wall_s = sum(min(p.unit_seconds[unit] for p in passes)
-                 for unit in passes[0].unit_seconds)
+    # Set-up and a grid's passes run on one core, a sweep's workers on all,
+    # each under a probe of the cores' speed (see probe.py).
+    cores = sorted(os.sched_getaffinity(0))
+    home = cores[:1]
+    pass_cores = cores if workload.parallel else home
+    with SpeedProbe(pass_cores) as probe:
+        with pinned(home):
+            state = workload.set_up(seed)
+            setup_spans = [setup_span(workload, seed) for _ in range(SETUP_REPEATS)]
+        with pinned(pass_cores):
+            passes = []
+            started = time.perf_counter()
+            while (len(passes) < workload.min_passes
+                   or time.perf_counter() - started < seconds):
+                passes.append(workload.run_pass(state))
+    setup_s = statistics.median(probe.scale(*span, home) for span in setup_spans)
+    raw_setup_s = statistics.median(end - start for start, end in setup_spans)
+    # Each unit at nominal host speed, the median over the passes that ran it;
+    # then summed.  A unit that failed in every pass adds nothing.
+    units = {unit for p in passes for unit in p.unit_spans}
+    wall_s = sum(statistics.median(probe.scale(*p.unit_spans[unit], pass_cores)
+                                   for p in passes if unit in p.unit_spans)
+                 for unit in sorted(units))
     attempted = sum(p.attempted for p in passes)
     failed = sum(p.failed for p in passes)
     digests = {p.digest for p in passes}
@@ -148,7 +161,8 @@ def measure(workload, seed: int, seconds: float) -> dict:
     }
     info = [f"workload {workload.name}  seed {seed}  passes {len(passes)}  "
             f"cells/pass {passes[0].attempted}",
-            "host seconds per pass " + " ".join(f"{p.wall_s:.4f}" for p in passes),
+            "host seconds per pass, unscaled "
+            + " ".join(f"{p.wall_s:.4f}" for p in passes),
             f"set-up seconds, unscaled median {raw_setup_s:.4f}",
             f"digest {passes[0].digest}"
             + ("" if consistent else "  MISMATCH across passes or cache rerun")]
@@ -221,6 +235,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    # A terminated run unwinds like a failed one: probes stopped, temporary
+    # directories deleted.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     with private_bytecode_cache():
         result = run(args.workload, args.seed, args.seconds, bool(args.trace))
     for line in result.pop("info"):

@@ -1,8 +1,9 @@
 """One timed set-up of a benchmark workload, in a fresh process.
 
-Run by ``perfbench/run.py``, which reports the median of several.  Prints two
-numbers: the seconds that the simulator import, spec creation and the trace
-builds took, and the seconds of the reference loop timed around them.
+Run by ``perfbench/run.py``, which reports the median of several.  Prints
+``time.perf_counter()`` before and after the simulator import, spec creation
+and the trace builds.  The clock is system-wide, so the caller can match the
+interval with its host-speed probe's samples.
 """
 
 from __future__ import annotations
@@ -15,20 +16,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-#: Iterations of the reference loop; about 0.1 s of pure-Python work.
-REFERENCE_ITERATIONS = 1_000_000
-
-
-def reference_seconds() -> float:
-    """Time a fixed pure-Python loop that uses nothing from the repository.
-
-    Its time tracks only how fast the host runs Python at that moment, which
-    on a VM shared with other tenants changes by up to 2x for minutes.
-    """
-    started = time.perf_counter()
-    sum(i * i for i in range(REFERENCE_ITERATIONS))
-    return time.perf_counter() - started
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -37,14 +24,11 @@ def main() -> int:
     parser.add_argument("--scale", type=float, required=True)
     args = parser.parse_args()
 
-    before = reference_seconds()
     started = time.perf_counter()
     from perfbench.workloads import WORKLOADS
 
     WORKLOADS[args.workload].shrunk(args.scale).set_up(args.seed)
-    elapsed = time.perf_counter() - started
-    # The faster of the two is the one less disturbed by short stalls.
-    print(elapsed, min(before, reference_seconds()))
+    print(repr(started), repr(time.perf_counter()))
     return 0
 
 

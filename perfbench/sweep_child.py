@@ -51,7 +51,8 @@ def main() -> int:
     cold = runner.run(spec, manifest_path=args.workdir / "manifest.json",
                       on_error="record")
     shutdown_worker_pools()
-    wall = time.perf_counter() - started
+    finished = time.perf_counter()
+    wall = finished - started
 
     warm = SweepRunner(workers=args.workers, cache=cache_dir).run(
         spec, on_error="record")
@@ -68,7 +69,7 @@ def main() -> int:
     rss_kb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
               + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     print(json.dumps({
-        "wall_s": wall,
+        "span": [started, finished],
         "requests": sum(run.result.execution.memory_requests for run in cold.runs),
         "attempted": len(spec),
         "failed": failed,

@@ -43,8 +43,10 @@ CHILD_TIMEOUT_S = 150
 class PassResult:
     """One measured pass over a workload's cells."""
 
-    #: Host seconds per timed unit: each cell of a grid, or the whole sweep.
-    unit_seconds: Dict[str, float]
+    #: ``time.perf_counter()`` at the start and end of each timed unit: each
+    #: cell of a grid, or the whole sweep.  The clock is system-wide, so a
+    #: sweep pass's child process reports its own.
+    unit_spans: Dict[str, Tuple[float, float]]
     requests: int
     attempted: int
     failed: int
@@ -58,12 +60,15 @@ class PassResult:
 
     @property
     def wall_s(self) -> float:
-        return sum(self.unit_seconds.values())
+        return sum(end - start for start, end in self.unit_spans.values())
 
 
 @dataclass(frozen=True)
 class GridWorkload:
     """A grid simulated serially in this process from prebuilt traces."""
+
+    #: A pass runs on one core.
+    parallel = False
 
     name: str
     make_spec: Callable[[int, float], SweepSpec]
@@ -90,7 +95,7 @@ class GridWorkload:
     def run_pass(self, state, tracer: Optional[LayerTracer] = None) -> PassResult:
         cells, traces = state
         build = maybe_timed(tracer, GPUSSDPlatform.build, "platforms.build")
-        unit_seconds: Dict[str, float] = {}
+        unit_spans: Dict[str, Tuple[float, float]] = {}
         requests = failed = 0
         labelled: List[Tuple[str, object]] = []
         entries = []
@@ -101,7 +106,7 @@ class GridWorkload:
                 if tracer is not None:
                     instrument_platform(tracer, platform)
                 result = platform.run(traces[cell.trace_key()])
-                unit_seconds[cell.label] = time.perf_counter() - started
+                unit_spans[cell.label] = (started, time.perf_counter())
                 probe = checks.probe_platform(platform)
                 del platform
                 problems = checks.invariant_violations(
@@ -118,7 +123,7 @@ class GridWorkload:
             requests += result.execution.memory_requests
         keyed = {(r.workload, r.platform): r for _, r in labelled}
         return PassResult(
-            unit_seconds=unit_seconds,
+            unit_spans=unit_spans,
             requests=requests,
             attempted=len(cells),
             failed=failed,
@@ -132,6 +137,9 @@ class GridWorkload:
 @dataclass(frozen=True)
 class SweepWorkload:
     """The ``table1-sensitivity`` preset through the sweep runner."""
+
+    #: A pass's workers run on every core.
+    parallel = True
 
     name: str
     scale: float
@@ -175,7 +183,7 @@ class SweepWorkload:
         if tracer is not None:
             tracer.merge(child["calls"], child["self_ns"])
         return PassResult(
-            unit_seconds={"sweep": child["wall_s"]},
+            unit_spans={"sweep": tuple(child["span"])},
             requests=child["requests"],
             attempted=child["attempted"],
             failed=child["failed"],
@@ -205,9 +213,9 @@ def _kv_write_spec(seed: int, scale: float) -> SweepSpec:
 WORKLOADS = {
     workload.name: workload
     for workload in (
-        GridWorkload("fig10-paper", _fig10_spec, scale=1.0, min_passes=2,
+        GridWorkload("fig10-paper", _fig10_spec, scale=1.0, min_passes=1,
                      has_reference=True),
-        GridWorkload("kv-write", _kv_write_spec, scale=1.0, min_passes=3),
+        GridWorkload("kv-write", _kv_write_spec, scale=1.0, min_passes=2),
         SweepWorkload("sensitivity-sweep", scale=0.25, min_passes=6),
     )
 }
