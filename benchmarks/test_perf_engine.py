@@ -23,8 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import default_config
-from repro.runner import SweepRunner, SweepSpec, apply_overrides, run_sweep
+from repro.runner import SweepRunner, SweepSpec, run_sweep
 from repro.sim.stats import Histogram
 
 #: The CI smoke-sweep shape (mirrors .github/workflows/ci.yml).
@@ -36,14 +35,6 @@ _SMOKE = dict(
 )
 _WORKERS = 2
 _REPEATS = 5
-
-#: The primary measured number comes from the vectorized event core — the
-#: backend the batch overhaul exists for; the scalar backend is measured
-#: alongside it and both must clear the speedup floor (the vectorized path
-#: must never regress below what the scalar path already delivers the floor
-#: against).
-_PRIMARY_BACKEND = "vectorized"
-_BACKENDS = ("scalar", "vectorized")
 
 #: Best-of-5 cells/sec of the identical 2-worker smoke sweep measured on the
 #: development box immediately before the hot-path overhaul landed.
@@ -57,14 +48,9 @@ def _relaxed() -> bool:
     return os.environ.get("REPRO_PERF_RELAXED", "") not in ("", "0")
 
 
-def _smoke_spec(backend: str) -> SweepSpec:
-    base = apply_overrides(default_config(), {"sim.backend": backend})
-    return SweepSpec.create(base_config=base, **_SMOKE)
-
-
-def _measure_smoke_sweep(backend: str):
+def _measure_smoke_sweep():
     """Best-of-N steady-state throughput of the 2-worker smoke sweep."""
-    spec = _smoke_spec(backend)
+    spec = SweepSpec.create(**_SMOKE)
     runner = SweepRunner(workers=_WORKERS, cache=False)
     best_elapsed, best_result = None, None
     runner.run(spec)  # warm-up: fork the shared pool, seed the trace memo
@@ -79,10 +65,7 @@ def _measure_smoke_sweep(backend: str):
 
 class TestSweepThroughput:
     def test_smoke_sweep_meets_throughput_target(self):
-        measured = {
-            backend: _measure_smoke_sweep(backend) for backend in _BACKENDS
-        }
-        cells_per_sec, best_elapsed, result = measured[_PRIMARY_BACKEND]
+        cells_per_sec, best_elapsed, result = _measure_smoke_sweep()
         speedup = cells_per_sec / _PRE_OVERHAUL_BASELINE_CELLS_PER_SEC
 
         report = result.perf_report()
@@ -95,17 +78,12 @@ class TestSweepThroughput:
                 "baseline_cells_per_sec": _PRE_OVERHAUL_BASELINE_CELLS_PER_SEC,
                 "speedup_over_baseline": speedup,
                 "measured_at_unix": time.time(),
-                "backend_cells_per_sec": {
-                    backend: rate for backend, (rate, _, _) in measured.items()
-                },
             }
         )
         with open(_REPORT_PATH, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        for backend, (rate, _, _) in measured.items():
-            marker = " (primary)" if backend == _PRIMARY_BACKEND else ""
-            print(f"\nsmoke sweep [{backend}]: {rate:.1f} cells/sec{marker}")
+        print(f"\nsmoke sweep: {cells_per_sec:.1f} cells/sec")
         print(
             f"speedup: {speedup:.2f}x over pre-overhaul baseline "
             f"(report: {_REPORT_PATH.name})"
@@ -116,14 +94,12 @@ class TestSweepThroughput:
                 f"REPRO_PERF_RELAXED set: measured {cells_per_sec:.1f} cells/sec "
                 f"({speedup:.2f}x baseline), threshold not enforced"
             )
-        for backend, (rate, _, _) in measured.items():
-            backend_speedup = rate / _PRE_OVERHAUL_BASELINE_CELLS_PER_SEC
-            assert backend_speedup >= _REQUIRED_SPEEDUP, (
-                f"{backend}: {rate:.1f} cells/sec is only {backend_speedup:.2f}x "
-                f"the pre-overhaul baseline "
-                f"({_PRE_OVERHAUL_BASELINE_CELLS_PER_SEC}); the hot path "
-                f"regressed below the {_REQUIRED_SPEEDUP}x floor"
-            )
+        assert speedup >= _REQUIRED_SPEEDUP, (
+            f"{cells_per_sec:.1f} cells/sec is only {speedup:.2f}x "
+            f"the pre-overhaul baseline "
+            f"({_PRE_OVERHAUL_BASELINE_CELLS_PER_SEC}); the hot path "
+            f"regressed below the {_REQUIRED_SPEEDUP}x floor"
+        )
 
 
 class TestThroughputDidNotChangeResults:

@@ -474,8 +474,7 @@ def _write_perf_report(result, path) -> int:
         f"cache {report['cache_seconds']:.3f}s (worker-time aggregates)"
     )
     print(
-        f"perf: backend={report['backend'] or 'n/a'} | "
-        f"{report['events_processed']} engine events "
+        f"perf: {report['events_processed']} engine events "
         f"({report['events_per_sec']:.0f} events/sec of simulate time)"
     )
     for warning in report.get("warnings", ()):

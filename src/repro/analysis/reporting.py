@@ -58,12 +58,11 @@ GOLDEN_SCALE = 0.1
 
 #: The override-axis sweep whose ``sensitivity.csv`` surface is drift-gated.
 #: The fig10 grid carries no override axis, so its artifact set never emits
-#: a sensitivity table; this companion sweep runs the ``sim.backend``
+#: a sensitivity table; this companion sweep runs the flash-network width
 #: ablation and its goldens live in the ``sensitivity/`` subdirectory (the
 #: top-level goldens stay byte-diffable against the fig10-only CI grid).
-#: Doubling as a backend-equivalence pin: both backend labels of the golden
-#: surface must carry identical metric values.
-SENSITIVITY_GOLDEN_PRESET = "backend-sweep"
+#: The width axis moves IPC at preset scale, so the surface gates the model.
+SENSITIVITY_GOLDEN_PRESET = "flash-width-sweep"
 SENSITIVITY_GOLDEN_SUBDIR = "sensitivity"
 
 #: The per-cell scalar metrics ``metrics.csv`` records, in column order.
@@ -387,8 +386,7 @@ def render_bench_html(points: Sequence[Mapping[str, object]]) -> str:
             f"stroke-width='1.5'/>{dots}</svg>")
         header = ["commit", "executed_cells_per_sec", "cells_per_sec",
                   "executed_cells", "trace_build_seconds", "simulate_seconds",
-                  "elapsed_seconds", "backend", "events_processed",
-                  "events_per_sec"]
+                  "elapsed_seconds", "events_processed", "events_per_sec"]
         rows = [[point.get(column, "") for column in header] for point in points]
         parts.append(_html_table(header, rows))
     else:

@@ -599,31 +599,6 @@ class FTLConfig:
 
 
 # ---------------------------------------------------------------------------
-# Simulation-core configuration (not a Table I knob: execution backend)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SimConfig:
-    """Execution-core knobs of the simulator itself.
-
-    These do not model hardware; they select *how* the deterministic event
-    core evaluates the same model.  Both backends are bit-identical by
-    contract — gated by the equivalence properties in ``tests/sim`` /
-    ``tests/platforms`` and the golden ``sensitivity.csv`` backend axis.
-    """
-
-    backend: str = table_field(
-        "scalar", "enum",
-        "Event-core backend: 'scalar' services every request through the "
-        "per-event path; 'vectorized' batches same-type events "
-        "(acquire_batch/transfer_batch) and schedules warps on a calendar "
-        "queue.  Results are bit-identical by contract.",
-        choices=("scalar", "vectorized"),
-        ablation=("scalar", "vectorized"))
-
-
-# ---------------------------------------------------------------------------
 # Top-level platform configuration
 # ---------------------------------------------------------------------------
 
@@ -641,7 +616,6 @@ class PlatformConfig:
     prefetch: PrefetchConfig = field(default_factory=PrefetchConfig)
     register_cache: RegisterCacheConfig = field(default_factory=RegisterCacheConfig)
     ftl: FTLConfig = field(default_factory=FTLConfig)
-    sim: SimConfig = field(default_factory=SimConfig)
 
     def copy(self, **overrides) -> "PlatformConfig":
         """Return a shallow copy with selected sub-configs replaced."""

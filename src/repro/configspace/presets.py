@@ -280,17 +280,6 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             scale=0.2,
         ),
         ExperimentPreset.create(
-            "backend-sweep",
-            "Event-core backend surface: scalar vs vectorized over the smoke "
-            "grid.  Also the sensitivity-golden drift gate — both backend "
-            "labels must carry identical metric values.",
-            platforms=("ZnG-base", "ZnG"),
-            workloads=("betw-back", "bfs1-gaus"),
-            overrides=axis_overrides("sim.backend"),
-            scale=0.1,
-            warps_per_sm=4,
-        ),
-        ExperimentPreset.create(
             "table1-sensitivity",
             "Every declared schema ablation axis, one labelled point per "
             "value, on the ZnG platform.",

@@ -9,8 +9,6 @@ latency; traffic is striped across links by destination.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.config import GPUConfig
 from repro.sim.engine import BandwidthResource, ResourcePool
 
@@ -53,36 +51,6 @@ class Interconnect:
         self.packets += 1
         self.bytes_moved += num_bytes
         return link.transfer(now, num_bytes)
-
-    def send_batch(self, destinations, byte_counts, whens) -> List[float]:
-        """Transfer a batch of packets; return the arrival cycle per packet.
-
-        Element-identical to a fold of :meth:`send` calls: packets are
-        partitioned per link (destination stripe) in submission order and
-        each link is booked with one
-        :meth:`~repro.sim.engine.BandwidthResource.transfer_batch` call —
-        links are independent resources, so the per-link grouping cannot
-        change any booking outcome.
-        """
-        count = self.num_destinations
-        by_link: Dict[int, List[int]] = {}
-        for position, destination in enumerate(destinations):
-            by_link.setdefault(destination % count, []).append(position)
-        arrivals: List[float] = [0.0] * len(destinations)
-        moved = 0
-        for link_index, positions in by_link.items():
-            link = self.links[link_index]
-            completions = link.transfer_batch(
-                [whens[p] for p in positions],
-                [byte_counts[p] for p in positions],
-            )
-            for p, completion in zip(positions, completions):
-                arrivals[p] = completion
-        for num_bytes in byte_counts:
-            moved += num_bytes
-        self.packets += len(destinations)
-        self.bytes_moved += moved
-        return arrivals
 
     def round_trip(self, destination: int, request_bytes: int, reply_bytes: int, now: float) -> float:
         """Send a request packet and account for the reply on the same link."""

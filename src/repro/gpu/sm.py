@@ -25,14 +25,11 @@ from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.mshr import MSHR
 from repro.gpu.warp import Instruction, WarpTrace
 from repro.sim.request import AccessType, MemoryRequest, RequestResult
-from repro.sim.engine import CalendarQueue, Resource
+from repro.sim.engine import Resource
 from repro.telemetry import core as _telemetry
 
 #: Signature of the platform memory hook: (request, now) -> RequestResult.
 MemoryAccessFn = Callable[[MemoryRequest, float], RequestResult]
-
-#: Batch variant: a list of same-cycle requests -> one result per request.
-MemoryAccessBatchFn = Callable[[List[MemoryRequest], float], List[RequestResult]]
 
 
 @dataclass
@@ -139,101 +136,6 @@ class StreamingMultiprocessor:
             self.l1.insert(request.address)
         return fill_cycle
 
-    def execute_instruction_batch(
-        self,
-        instruction: Instruction,
-        warp_id: int,
-        now: float,
-        memory_batch_fn: MemoryAccessBatchFn,
-    ) -> float:
-        """Batch form of :meth:`execute_instruction` (vectorized backend).
-
-        All coalesced requests of one warp instruction issue at the same
-        cycle, so the platform accesses can be submitted as one batch.  The
-        L1/MSHR probe sequence runs per request in coalescer order — the only
-        order the bit-identity contract allows, since an insert can evict a
-        line a later request would otherwise hit — and the platform batch
-        call is element-identical to the scalar fold because coalesced
-        requests never share an L1 line (``insert``/``allocate`` of one
-        request therefore cannot change another's probe; when an ablated
-        ``gpu.memory_request_bytes`` *does* put two requests on one line, the
-        earlier insert is already visible to the later probe here exactly as
-        it is in the scalar interleaving).
-        """
-        ready = now
-        if instruction.compute_ops:
-            start = self.issue_port.acquire(ready, float(instruction.compute_ops))
-            ready = start + instruction.compute_ops
-            self.stats.instructions += instruction.compute_ops
-
-        if not instruction.is_memory:
-            return ready
-
-        start = self.issue_port.acquire(ready, 1.0)
-        ready = start + 1.0
-        stats = self.stats
-        stats.instructions += 1
-        stats.memory_instructions += 1
-
-        requests = self.coalescer.coalesce(
-            instruction.addresses,
-            instruction.access,
-            warp_id=warp_id,
-            sm_id=self.sm_id,
-            pc=instruction.pc,
-            issue_cycle=ready,
-            segments=instruction.segments,
-        )
-        l1 = self.l1
-        mshr = self.mshr
-        l1_latency = float(self.config.l1_latency_cycles)
-        fill_time = ready + l1_latency
-        completion = ready
-        to_memory: List[MemoryRequest] = []
-        memory_lines: List[int] = []
-        for request in requests:
-            stats.memory_requests += 1
-            is_read = request.is_read
-            if is_read and l1.lookup(request.address):
-                stats.l1_hits += 1
-                if fill_time > completion:
-                    completion = fill_time
-                continue
-            line_address = l1.line_address(request.address)
-            if is_read:
-                stats.l1_misses += 1
-            else:
-                l1.invalidate(request.address)
-            inflight = mshr.lookup(line_address, ready)
-            if inflight is not None and is_read:
-                mshr.allocate(line_address, ready, inflight.fill_cycle)
-                finish = inflight.fill_cycle
-                if finish < fill_time:
-                    finish = fill_time
-                if finish > completion:
-                    completion = finish
-                continue
-            if is_read:
-                # The scalar path inserts after the platform access returns;
-                # inserting here is equivalent (the insert does not depend on
-                # the access result) and keeps the L1 state seen by the next
-                # request's probe identical to the scalar interleaving.
-                l1.insert(request.address)
-                memory_lines.append(line_address)
-            else:
-                memory_lines.append(-1)
-            to_memory.append(request)
-
-        if to_memory:
-            results = memory_batch_fn(to_memory, fill_time)
-            for line_address, result in zip(memory_lines, results):
-                fill_cycle = result.completion_cycle
-                if line_address >= 0:
-                    mshr.allocate(line_address, ready, fill_cycle)
-                if fill_cycle > completion:
-                    completion = fill_cycle
-        return completion
-
     def reset(self) -> None:
         self.issue_port.reset()
         self.l1.clear()
@@ -251,10 +153,9 @@ class GPUExecutionResult:
     memory_requests: int
     ipc: float
     per_sm: Dict[int, SMStatistics] = field(default_factory=dict)
-    #: Scheduler events processed (warp wake-ups, including completions).
-    #: Identical across backends — the calendar queue replays the heap's
-    #: exact pop order — and surfaced in the perf report as
-    #: ``events_processed`` / ``events_per_sec``.
+    #: Scheduler events processed (warp wake-ups, including completions),
+    #: surfaced in the perf report as ``events_processed`` /
+    #: ``events_per_sec``.
     events: int = 0
 
     def normalized_to(self, baseline: "GPUExecutionResult") -> float:
@@ -265,19 +166,10 @@ class GPUExecutionResult:
 
 
 class GPUCore:
-    """The full GPU: a set of SMs sharing one memory subsystem hook.
+    """The full GPU: a set of SMs sharing one memory subsystem hook."""
 
-    ``backend`` selects the execution core (``sim.backend`` config axis):
-    ``"scalar"`` schedules warp events on a global binary heap and services
-    memory requests one at a time; ``"vectorized"`` schedules on a
-    :class:`~repro.sim.engine.CalendarQueue` and submits each warp
-    instruction's coalesced requests as one platform batch.  Both produce
-    bit-identical results by contract.
-    """
-
-    def __init__(self, config: GPUConfig, backend: str = "scalar") -> None:
+    def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self.backend = backend
         self.sms = [StreamingMultiprocessor(i, config) for i in range(config.num_sms)]
         #: Deepest the event queue got during the last :meth:`run` (telemetry
         #: only — sampled when tracing is enabled, 0 otherwise; never enters
@@ -292,27 +184,18 @@ class GPUCore:
         traces: Sequence[WarpTrace],
         memory_fn: MemoryAccessFn,
         max_resident_warps: Optional[int] = None,
-        memory_batch_fn: Optional[MemoryAccessBatchFn] = None,
     ) -> GPUExecutionResult:
         """Execute the warp traces to completion and report timing."""
         if not traces:
             return GPUExecutionResult(cycles=0.0, instructions=0, memory_requests=0, ipc=0.0)
         resident_limit = max_resident_warps or self.config.max_warps_per_sm
-        vectorized = self.backend == "vectorized" and memory_batch_fn is not None
 
-        # Warp events are (ready_cycle, sequence, trace, position) tuples.
-        # Warps beyond the residency limit of an SM start only when an earlier
-        # warp on that SM finishes, which approximates thread-block
-        # scheduling.  The calendar queue pops in the heap's exact order, so
-        # the two backends replay the same event sequence.
-        if vectorized:
-            calendar = CalendarQueue()
-            push, pop, size = calendar.push, calendar.pop, calendar.__len__
-        else:
-            heap: List = []
-            push = lambda event: heapq.heappush(heap, event)  # noqa: E731
-            pop = lambda: heapq.heappop(heap)  # noqa: E731
-            size = heap.__len__
+        # Warp events are (ready_cycle, sequence, trace, position) tuples on
+        # one heap.  Warps beyond the residency limit of an SM start only
+        # when an earlier warp on that SM finishes, which approximates
+        # thread-block scheduling.
+        heap: List = []
+        push, pop = heapq.heappush, heapq.heappop
         sequence = 0
         pending: Dict[int, List[WarpTrace]] = {}
         resident_count: Dict[int, int] = {}
@@ -322,7 +205,7 @@ class GPUCore:
         for sm_index, sm_traces in pending.items():
             resident_count[sm_index] = 0
             for trace in sm_traces[:resident_limit]:
-                push((0.0, sequence, trace, 0))
+                push(heap, (0.0, sequence, trace, 0))
                 sequence += 1
                 resident_count[sm_index] += 1
             del sm_traces[: resident_count[sm_index]]
@@ -334,12 +217,12 @@ class GPUCore:
         # per event and the numbers themselves are identical either way.
         trace_depth = _telemetry.enabled()
         max_depth = 0
-        while size():
+        while heap:
             if trace_depth:
-                depth = size()
+                depth = len(heap)
                 if depth > max_depth:
                     max_depth = depth
-            ready, _, trace, position = pop()
+            ready, _, trace, position = pop(heap)
             events += 1
             sm = self.sm(trace.sm_id)
             if position >= len(trace.instructions):
@@ -348,21 +231,16 @@ class GPUCore:
                 waiting = pending.get(sm_index)
                 if waiting:
                     next_trace = waiting.pop(0)
-                    push((ready, sequence, next_trace, 0))
+                    push(heap, (ready, sequence, next_trace, 0))
                     sequence += 1
                 final_cycle = max(final_cycle, ready)
                 sm.stats.completion_cycle = max(sm.stats.completion_cycle, ready)
                 continue
             instruction = trace.instructions[position]
-            if vectorized:
-                next_ready = sm.execute_instruction_batch(
-                    instruction, trace.warp_id, ready, memory_batch_fn
-                )
-            else:
-                next_ready = sm.execute_instruction(
-                    instruction, trace.warp_id, ready, memory_fn
-                )
-            push((next_ready, sequence, trace, position + 1))
+            next_ready = sm.execute_instruction(
+                instruction, trace.warp_id, ready, memory_fn
+            )
+            push(heap, (next_ready, sequence, trace, position + 1))
             sequence += 1
 
         self.last_max_queue_depth = max_depth

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.config import GPU_FREQ_HZ, PlatformConfig
 from repro.gpu.interconnect import Interconnect
@@ -221,7 +221,7 @@ class GPUSSDPlatform(ABC):
         resolved = resolve_platform_config(self.name, config)
         self.config = resolved.config
         self.config_resolution = resolved
-        self.gpu = GPUCore(self.config.gpu, backend=self.config.sim.backend)
+        self.gpu = GPUCore(self.config.gpu)
         self.mmu = MMU(self.config.gpu)
         self.l2 = self._build_l2()
         self.noc = Interconnect(self.config.gpu, num_destinations=self.l2.banks)
@@ -327,115 +327,19 @@ class GPUSSDPlatform(ABC):
         self._memory_bytes_served += request.size
         return result
 
-    def memory_access_batch(
-        self, requests: Sequence[MemoryRequest], now: float
-    ) -> Sequence[RequestResult]:
-        """Service a batch of same-cycle coalesced requests (vectorized backend).
-
-        Element-identical to a fold of :meth:`memory_access` calls in request
-        order.  Translation runs per request (TLB/walk-cache state is
-        sequential) and the interconnect hop is submitted as one per-bank
-        batch — both are safe to hoist ahead of the memory side because the
-        MMU walker and the GPU NoC are booked nowhere else.  Everything from
-        the L2 down stays request-major: an earlier request's fill, eviction
-        or prefetch can change a later request's L2 outcome, so that
-        interleaving is part of the contract.  Platforms whose page-fault
-        handler books memory-side resources during translation (Hetero) fall
-        back to the literal fold.
-        """
-        if self.mmu._fault_handler is not None:
-            # A fault inside translate() books memory-side resources; hoisting
-            # the translation stage would reorder them against earlier misses.
-            return [self.memory_access(request, now) for request in requests]
-
-        ctr_requests = self._ctr_requests
-        ctr_reads = self._ctr_reads
-        ctr_writes = self._ctr_writes
-        ctr_l2_hits = self._ctr_l2_hits
-        ctr_l2_misses = self._ctr_l2_misses
-        ctr_writes_below = self._ctr_writes_below_l2
-        hist_latency = self._hist_latency
-        stats = self.stats
-        mmu_translate = self.mmu.translate
-        l2 = self.l2
-        l2_access = l2.access
-        bank_of = l2.bank_of
-
-        # Stage 1: virtual-address translation, per request in order.
-        results: List[RequestResult] = []
-        times: List[float] = []
-        banks: List[int] = []
-        sizes: List[int] = []
-        for request in requests:
-            ctr_requests.value += 1
-            if request.is_write:
-                ctr_writes.value += 1
-            else:
-                ctr_reads.value += 1
-            result = RequestResult(request=request, start_cycle=now, completion_cycle=now)
-            translation = mmu_translate(request.address, now)
-            component = "tlb" if translation.tlb_hit else "mmu"
-            result.add_latency(component, translation.latency_cycles)
-            request.translated(translation.physical_address)
-            results.append(result)
-            times.append(now + translation.latency_cycles)
-            banks.append(bank_of(request.address))
-            sizes.append(request.size)
-
-        # Stage 2: one interconnect batch (per-bank grouping, order kept).
-        arrivals = self.noc.send_batch(banks, sizes, times)
-
-        # Stage 3: shared L2 and the platform memory side, request-major.
-        for request, result, time, arrival in zip(requests, results, times, arrivals):
-            result.add_latency("l1_l2_net", arrival - time)
-            time = arrival
-            is_write = request.is_write
-            outcome = l2_access(request.address, is_write, time)
-            result.add_latency("l2_cache", outcome.ready_cycle - time)
-            time = outcome.ready_cycle
-            if is_write:
-                completion = self._service_write(request, time, result)
-                ctr_writes_below.value += 1
-            else:
-                self._observe_read(request, outcome.hit)
-                if outcome.hit:
-                    ctr_l2_hits.value += 1
-                    result.hit_level = "l2"
-                    completion = time
-                else:
-                    ctr_l2_misses.value += 1
-                    completion = self._service_l2_miss(request, time, result)
-            if completion < time:
-                completion = time
-            result.completion_cycle = completion
-            hist_latency.add(completion - now)
-            stats.add_breakdown(result.breakdown)
-            self._memory_bytes_served += request.size
-        return results
-
     # ------------------------------------------------------------------
     # Execution driver
     # ------------------------------------------------------------------
     def run(self, workload: WorkloadTrace) -> PlatformResult:
         """Run a workload trace to completion and collect the result record."""
         self.prepare(workload)
-        execution = self.gpu.run(
-            workload.warps, self.memory_access, memory_batch_fn=self._memory_batch_fn()
-        )
+        execution = self.gpu.run(workload.warps, self.memory_access)
         return self._build_result(workload, execution)
 
     def run_warps(self, warps: Sequence[WarpTrace], label: str = "custom") -> PlatformResult:
         """Run raw warp traces (used by micro-benchmarks)."""
-        execution = self.gpu.run(
-            warps, self.memory_access, memory_batch_fn=self._memory_batch_fn()
-        )
+        execution = self.gpu.run(warps, self.memory_access)
         return self._build_result_common(label, execution)
-
-    def _memory_batch_fn(self):
-        """The batch memory hook, when the vectorized backend is selected."""
-        if self.gpu.backend == "vectorized":
-            return self.memory_access_batch
-        return None
 
     def _build_result(self, workload: WorkloadTrace, execution: GPUExecutionResult) -> PlatformResult:
         return self._build_result_common(workload.name, execution)

@@ -46,7 +46,9 @@ from repro.platforms.base import PlatformResult
 #:     (family parameters / trace-file content hash from
 #:     repro.workloads.registry), so workload-definition changes can never
 #:     alias pre-registry entries.
-CACHE_VERSION = 4
+#: v5: the ``sim`` config group is gone, so every config fingerprint
+#:     changed; v4 entries are recomputed.
+CACHE_VERSION = 5
 
 #: A ``*.tmp`` file older than this is an orphan from an interrupted ``put``
 #: (killed between ``mkstemp`` and ``os.replace``) and safe to delete; younger

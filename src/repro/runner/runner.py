@@ -489,13 +489,6 @@ class SweepResult:
         simulate = self.simulate_seconds
         return self.events_processed / simulate if simulate else 0.0
 
-    @property
-    def backends(self) -> List[str]:
-        """Distinct ``sim.backend`` values across the sweep's cells, sorted."""
-        return sorted(
-            {run.cell.resolved_config().sim.backend for run in self.runs}
-        )
-
     def perf_report(self) -> Dict[str, object]:
         """The ``BENCH_sweep.json`` payload: throughput and where time went.
 
@@ -518,7 +511,6 @@ class SweepResult:
             "trace_build_seconds": self.trace_build_seconds,
             "simulate_seconds": self.simulate_seconds,
             "cache_seconds": self.cache_seconds,
-            "backend": ",".join(self.backends),
             "events_processed": self.events_processed,
             "events_per_sec": self.events_per_sec,
         }

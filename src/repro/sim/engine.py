@@ -17,7 +17,7 @@ the latency/bandwidth/ordering behaviour the paper's figures depend on.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 
 class SimClock:
@@ -93,66 +93,6 @@ class Resource:
             self.last_completion = completion
         return start
 
-    def acquire_batch(self, when, durations):
-        """Book one port per event for a batch of same-type events.
-
-        ``when`` and ``durations`` are equal-length sequences (lists or numpy
-        arrays); the return value is a list of start cycles, element ``i``
-        equal to what ``acquire(when[i], durations[i])`` would have returned
-        in a fold.  The single-port recurrence
-        ``start_i = max(when_i, free); free = start_i + d_i`` is evaluated in
-        exact element order rather than as a closed-form cumulative-max over
-        prefix sums: the closed form re-associates the float additions and is
-        therefore *not* bit-identical to the scalar fold.  The win is the
-        amortised call: one method activation, locals bound once, statistics
-        folded in a single pass.
-        """
-        if hasattr(when, "tolist"):
-            when = when.tolist()
-        if hasattr(durations, "tolist"):
-            durations = durations.tolist()
-        free_at = self._free_at
-        starts: List[float] = []
-        append = starts.append
-        # busy_cycles folds one += per event in order — float addition is not
-        # associative, so no sum() shortcut; same for the max over completions
-        # and the queueing-wait accumulator.
-        busy = self.busy_cycles
-        wait = self.wait_cycles
-        last = self.last_completion
-        if len(free_at) == 1:
-            free = free_at[0]
-            for w, d in zip(when, durations):
-                if d < 0:
-                    raise ValueError("duration must be non-negative")
-                start = w if w > free else free
-                free = start + d
-                busy = busy + d
-                wait = wait + (start - w)
-                if free > last:
-                    last = free
-                append(start)
-            free_at[0] = free
-        else:
-            heappop, heappush = heapq.heappop, heapq.heappush
-            for w, d in zip(when, durations):
-                if d < 0:
-                    raise ValueError("duration must be non-negative")
-                earliest_free = heappop(free_at)
-                start = w if w > earliest_free else earliest_free
-                completion = start + d
-                heappush(free_at, completion)
-                busy = busy + d
-                wait = wait + (start - w)
-                if completion > last:
-                    last = completion
-                append(start)
-        self.busy_cycles = busy
-        self.wait_cycles = wait
-        self.requests_served += len(starts)
-        self.last_completion = last
-        return starts
-
     def next_free(self) -> float:
         """Earliest cycle at which at least one port is idle."""
         return self._free_at[0]
@@ -214,29 +154,6 @@ class BandwidthResource(Resource):
         start = self.acquire(when, duration)
         self.bytes_transferred += num_bytes
         return start + duration
-
-    def transfer_batch(self, when, byte_counts):
-        """Book a batch of transfers; return the list of completion cycles.
-
-        Element ``i`` equals ``transfer(when[i], byte_counts[i])`` in a fold.
-        Durations are computed with the exact scalar expression
-        (``fixed_latency + bytes / bytes_per_cycle``) per element — IEEE-754
-        division is elementwise, so no rounding drift — and the port booking
-        reuses :meth:`Resource.acquire_batch`.
-        """
-        if hasattr(when, "tolist"):
-            when = when.tolist()
-        if hasattr(byte_counts, "tolist"):
-            byte_counts = byte_counts.tolist()
-        fixed = self.fixed_latency
-        per_cycle = self.bytes_per_cycle
-        durations = [fixed + b / per_cycle for b in byte_counts]
-        starts = self.acquire_batch(when, durations)
-        moved = self.bytes_transferred
-        for b in byte_counts:
-            moved += b
-        self.bytes_transferred = moved
-        return [s + d for s, d in zip(starts, durations)]
 
     def achieved_bandwidth(self, horizon: float) -> float:
         """Bytes per cycle actually moved up to ``horizon``."""
@@ -339,106 +256,3 @@ class ResourcePool:
         index = self.least_loaded_index()
         start = self.resources[index].acquire(when, duration)
         return index, start
-
-    def acquire_batch(self, indices, when, durations) -> List[float]:
-        """Book a batch of address-striped events; return start cycles.
-
-        ``indices[i]`` routes event ``i`` to ``resources[indices[i] % n]``
-        exactly as ``self[indices[i]].acquire(...)`` would.  Events are
-        partitioned per stripe and each stripe is serviced with one
-        :meth:`Resource.acquire_batch` call.  Different stripes are
-        independent resources, and each stripe sees its events in original
-        submission order, so the result is element-identical to the
-        interleaved scalar fold.
-        """
-        if hasattr(indices, "tolist"):
-            indices = indices.tolist()
-        if hasattr(when, "tolist"):
-            when = when.tolist()
-        if hasattr(durations, "tolist"):
-            durations = durations.tolist()
-        resources = self.resources
-        count = len(resources)
-        if self._free_heap is not None:
-            # Keep the least-loaded heap's lazy-repair invariant observable:
-            # batch acquires move next_free() forward just like scalar ones,
-            # which pop-time validation already handles; nothing to do.
-            pass
-        # Group event positions by stripe, preserving submission order.
-        by_stripe: Dict[int, List[int]] = {}
-        for position, index in enumerate(indices):
-            by_stripe.setdefault(index % count, []).append(position)
-        starts: List[float] = [0.0] * len(indices)
-        for stripe, positions in by_stripe.items():
-            stripe_starts = resources[stripe].acquire_batch(
-                [when[p] for p in positions],
-                [durations[p] for p in positions],
-            )
-            for p, start in zip(positions, stripe_starts):
-                starts[p] = start
-        return starts
-
-
-class CalendarQueue:
-    """A bucketed event calendar for the warp scheduler.
-
-    Events are keyed ``(ready, sequence, ...payload)`` and popped in exactly
-    the order ``heapq`` would produce over the same tuples — ``sequence`` is
-    unique, so ordering never falls through to the payload.  That exactness
-    is load-bearing: the scalar backend schedules warps on a global binary
-    heap, and the vectorized backend must replay the identical event order
-    for the bit-identity contract to hold.
-
-    Structure: events hash into fixed-width time buckets (``bucket_width``
-    cycles); each bucket is a small local heap, and a second heap orders the
-    *active bucket indices*.  Sift costs are paid against O(bucket
-    population) instead of O(total events), which is where the global heap
-    spends its time once thousands of warp events are in flight.  Buckets
-    drain to the dict/heap lazily, so pushing into the past (an admitted warp
-    re-entering at the current cycle) stays correct.
-    """
-
-    __slots__ = ("_width", "_buckets", "_active", "_len")
-
-    def __init__(self, bucket_width: float = 256.0) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        self._width = bucket_width
-        self._buckets: Dict[int, List[Tuple]] = {}
-        self._active: List[int] = []
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, event: Tuple) -> None:
-        """Insert an event tuple whose first element is its ready cycle."""
-        index = int(event[0] / self._width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [event]
-            heapq.heappush(self._active, index)
-        else:
-            heapq.heappush(bucket, event)
-        self._len += 1
-
-    def pop(self) -> Tuple:
-        """Remove and return the earliest event (ties broken by sequence)."""
-        if self._len == 0:
-            raise IndexError("pop from an empty CalendarQueue")
-        active = self._active
-        buckets = self._buckets
-        while True:
-            index = active[0]
-            bucket = buckets.get(index)
-            if not bucket:
-                # Bucket drained earlier (or never refilled): retire the slot.
-                heapq.heappop(active)
-                buckets.pop(index, None)
-                continue
-            event = heapq.heappop(bucket)
-            if not bucket:
-                heapq.heappop(active)
-                del buckets[index]
-            self._len -= 1
-            return event

@@ -10,7 +10,7 @@ per-controller dispatcher removes the single HybridGPU dispatcher bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.config import ZNANDConfig
 from repro.sim.engine import Resource
@@ -60,32 +60,6 @@ class FlashController:
             command.ppn, issue_time, command.transfer_bytes, location=command.location
         )
 
-    def read_batch(
-        self, items: List[Tuple[int, float, Optional[int]]]
-    ) -> List[FlashOperationResult]:
-        """Dispatch a batch of reads on this channel in submission order.
-
-        ``items`` are ``(ppn, now, transfer_bytes)`` tuples.  Element-identical
-        to a fold of :meth:`read` calls: the dispatcher is booked with one
-        :meth:`~repro.sim.engine.Resource.acquire_batch` (it is touched by no
-        other stage, so hoisting the whole dispatch stage preserves every
-        booking), then the array services the reads through
-        :meth:`~repro.ssd.znand.ZNANDArray.read_pages`.
-        """
-        locations = [self.geometry.decompose(ppn) for ppn, _, _ in items]
-        starts = self.dispatcher.acquire_batch(
-            [now for _, now, _ in items],
-            [self.DISPATCH_OCCUPANCY_CYCLES] * len(items),
-        )
-        issue_times = [start + self.DECODE_LATENCY_CYCLES for start in starts]
-        self.commands_issued += len(items)
-        return self.array.read_pages(
-            [ppn for ppn, _, _ in items],
-            issue_times,
-            transfer_bytes=[wanted for _, _, wanted in items],
-            locations=locations,
-        )
-
     def read(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
         return self.submit(self.decode(ppn, is_program=False, transfer_bytes=transfer_bytes), now)
 
@@ -117,32 +91,6 @@ class FlashControllerArray:
 
     def program(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
         return self.controller_for_ppn(ppn).program(ppn, now, transfer_bytes)
-
-    def read_batch(
-        self, items: List[Tuple[int, float, Optional[int]]]
-    ) -> List[FlashOperationResult]:
-        """Batch reads routed to their channels; results in submission order.
-
-        Items are dispatched as maximal *runs* of consecutive same-channel
-        reads rather than a full per-channel partition: a mesh flash network
-        shares links between channels, so only the global submission order is
-        guaranteed element-identical to the scalar fold on every topology.
-        """
-        channel_of_ppn = self.array.geometry.channel_of_ppn
-        controllers = self.controllers
-        results: List[FlashOperationResult] = []
-        run: List[Tuple[int, float, Optional[int]]] = []
-        run_channel = -1
-        for item in items:
-            channel = channel_of_ppn(item[0])
-            if channel != run_channel and run:
-                results.extend(controllers[run_channel].read_batch(run))
-                run = []
-            run_channel = channel
-            run.append(item)
-        if run:
-            results.extend(controllers[run_channel].read_batch(run))
-        return results
 
     @property
     def commands_issued(self) -> int:

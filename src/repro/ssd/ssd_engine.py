@@ -13,7 +13,7 @@ This models the controller of a commercial SSD and of HybridGPU (Fig. 1a):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.config import SSDEngineConfig, ZNANDConfig, bandwidth_to_bytes_per_cycle, ns_to_cycles
 from repro.gpu.cache import SetAssociativeCache
@@ -143,85 +143,6 @@ class SSDEngine:
             buffer_hit=buffer_hit,
             flash_bytes_read=flash_bytes,
         )
-
-    def service_batch(
-        self, operations: List[Tuple[int, int, bool, float]]
-    ) -> List[EngineServiceResult]:
-        """Service a batch of ``(byte_address, size, is_write, now)`` operations.
-
-        Element-identical to a fold of :meth:`service` calls in submission
-        order.  The dispatcher and embedded-core stages are hoisted into one
-        :meth:`~repro.sim.engine.Resource.acquire_batch` each — those two
-        resources are booked by no later stage, and each operation's engine
-        start depends only on its own dispatch completion, so the hoist
-        cannot change any booking.  The DRAM buffer and flash stage stays
-        request-major: one operation's buffer fill or dirty eviction changes
-        what the next operation hits.
-        """
-        dispatch_cycles = self.dispatcher_service_cycles
-        engine_cycles = self.engine_service_cycles
-        ftl_cycles = self.ftl_lookup_cycles
-        count = len(operations)
-        self.requests_serviced += count
-
-        dispatch_starts = self.dispatcher.acquire_batch(
-            [now for _, _, _, now in operations], [dispatch_cycles] * count
-        )
-        dispatch_done = [start + dispatch_cycles for start in dispatch_starts]
-        engine_starts = self.engine_cores.acquire_batch(
-            dispatch_done, [engine_cycles] * count
-        )
-
-        dram_buffer = self.dram_buffer
-        dram_bus_transfer = self.dram_bus.transfer
-        page_size = self.page_size
-        results: List[EngineServiceResult] = []
-        for (byte_address, size, is_write, now), dispatched, engine_start in zip(
-            operations, dispatch_done, engine_starts
-        ):
-            breakdown: Dict[str, float] = {"ssd_dispatcher": dispatched - now}
-            engine_done = engine_start + engine_cycles + ftl_cycles
-            breakdown["ssd_engine"] = engine_done - dispatched
-            time = engine_done
-
-            lpn = byte_address // page_size
-            page_address = lpn * page_size
-            buffer_hit = dram_buffer.lookup(page_address)
-            flash_bytes = 0
-            if buffer_hit:
-                self.buffer_hits += 1
-                done = dram_bus_transfer(time, size)
-                breakdown["dram_buffer"] = done - time
-                time = done
-                if is_write:
-                    dram_buffer.mark_dirty(page_address)
-            else:
-                if is_write:
-                    result = self.ftl.write(lpn, time)
-                else:
-                    result = self.ftl.read(lpn, time)
-                    flash_bytes = page_size
-                breakdown["flash_array"] = result.array_cycles
-                breakdown["flash_channel"] = result.transfer_cycles
-                time = result.completion_cycle
-                insert = dram_buffer.insert(page_address, dirty=is_write)
-                if insert.evicted is not None and insert.evicted.dirty:
-                    evict_lpn = insert.evicted.address // page_size
-                    # Background eviction: occupies the backbone, does not
-                    # delay this request (same contract as the scalar path).
-                    self.ftl.write(evict_lpn, time)
-                done = dram_bus_transfer(time, size)
-                breakdown["dram_buffer"] = done - time
-                time = done
-            results.append(
-                EngineServiceResult(
-                    completion_cycle=time,
-                    breakdown=breakdown,
-                    buffer_hit=buffer_hit,
-                    flash_bytes_read=flash_bytes,
-                )
-            )
-        return results
 
     @property
     def buffer_hit_rate(self) -> float:

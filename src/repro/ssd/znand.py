@@ -17,7 +17,7 @@ benches can report write asymmetry and WAF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -199,50 +199,6 @@ class ZNANDArray:
             transfer_cycles=completion - sensed,
             location=location,
         )
-
-    def read_pages(
-        self,
-        ppns: List[int],
-        whens: List[float],
-        transfer_bytes: Optional[List[Optional[int]]] = None,
-        locations: Optional[List[FlashLocation]] = None,
-    ) -> List[FlashOperationResult]:
-        """Batch read: element-identical to a fold of :meth:`read_page` calls.
-
-        Each read chains plane sensing into its network transfer, so the
-        per-page chain stays sequential; the batch form books the whole run
-        of channel/plane events in one call with the geometry, plane pool and
-        network bound once.
-        """
-        geometry = self.geometry
-        planes = self.planes
-        network_transfer = self.network.transfer
-        read_latency = self.config.read_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
-        page_bytes = self.config.page_size_bytes
-        plane_id_of = geometry.plane_id
-        reads_per_plane = self.reads_per_plane
-        results: List[FlashOperationResult] = []
-        for index, (ppn, now) in enumerate(zip(ppns, whens)):
-            location = locations[index] if locations is not None else geometry.decompose(ppn)
-            plane_id = plane_id_of(location)
-            start = planes[plane_id].acquire(now, read_latency)
-            sensed = start + read_latency
-            wanted = transfer_bytes[index] if transfer_bytes is not None else None
-            bytes_to_move = wanted or page_bytes
-            completion = network_transfer(location.channel, bytes_to_move, sensed)
-            reads_per_plane[plane_id] += 1
-            self.bytes_read_from_array += page_bytes
-            results.append(
-                FlashOperationResult(
-                    start_cycle=start,
-                    completion_cycle=completion,
-                    array_cycles=read_latency,
-                    transfer_cycles=completion - sensed,
-                    location=location,
-                )
-            )
-        self.page_reads += len(results)
-        return results
 
     def program_page(
         self, ppn: int, now: float, transfer_bytes: Optional[int] = None

@@ -33,6 +33,7 @@ from repro.analysis.reporting import (
     write_csv,
     write_report,
 )
+from repro.configspace import ablation_axes
 
 
 class TestCanonicalFormatting:
@@ -144,20 +145,21 @@ class TestSensitivityGoldenGate:
         committed = {p.name for p in default_sensitivity_golden_dir().glob("*.csv")}
         assert "sensitivity.csv" in committed
 
-    def test_golden_surface_spans_both_backends(self):
+    def test_golden_surface_spans_the_flash_width_axis(self):
         spec = sensitivity_golden_spec()
-        labels = {override.label for override in spec.overrides}
-        assert labels == {"backend=scalar", "backend=vectorized"}
+        labels = [override.label for override in spec.overrides]
+        widths = ablation_axes()["znand.flash_network_bus_bytes"]
+        assert labels == [f"flash_network_bus_bytes={w}" for w in widths]
 
-    def test_backend_labels_carry_identical_metrics(self, sensitivity_sweep):
-        """The equivalence pin: scalar and vectorized rows are value-equal."""
-        tables = report_tables(sensitivity_sweep)
-        header, rows = tables["sensitivity"]
-        by_backend = {}
+    def test_surface_ipc_moves_across_the_axis(self, sensitivity_sweep):
+        """A flat surface gates nothing: the axis must move IPC."""
+        header, rows = report_tables(sensitivity_sweep)["sensitivity"]
+        ipc = header.index("ipc")
+        by_cell = {}
         for row in rows:
-            label, rest = row[0], tuple(row[1:])
-            by_backend.setdefault(label, []).append(rest)
-        assert by_backend["backend=scalar"] == by_backend["backend=vectorized"]
+            by_cell.setdefault(tuple(row[1:ipc]), set()).add(row[ipc])
+        assert by_cell
+        assert all(len(values) > 1 for values in by_cell.values())
 
 
 class TestShardedReportEquality:

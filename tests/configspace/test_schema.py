@@ -46,9 +46,13 @@ class TestEnumeration:
 
 
 class TestPathErrors:
-    def test_unknown_group(self):
-        with pytest.raises(ConfigPathError, match="no field 'nonsense'"):
-            SCHEMA.get("nonsense.field")
+    @pytest.mark.parametrize("path, group", [
+        ("nonsense.field", "nonsense"),
+        ("sim.backend", "sim"),
+    ])
+    def test_unknown_group(self, path, group):
+        with pytest.raises(ConfigPathError, match=f"no field '{group}'"):
+            SCHEMA.get(path)
 
     def test_unknown_field_names_owner(self):
         with pytest.raises(ConfigPathError, match="ZNANDConfig has no field"):

@@ -107,7 +107,6 @@ class TestSweepResultAccessors:
         assert set(table["bfs1"]) == {"ZnG-base", "ZnG"}
 
 
-@pytest.mark.skipif(os.cpu_count() == 1, reason="needs >1 core for wall-clock speedup")
 class TestParallelSpeedup:
     def test_four_workers_beat_serial(self):
         import time
@@ -125,7 +124,9 @@ class TestParallelSpeedup:
         parallel = run_sweep(spec, workers=4)
         parallel_elapsed = time.perf_counter() - start
         assert serial.stats_dicts() == parallel.stats_dicts()
-        assert parallel_elapsed <= 0.6 * serial_elapsed
+        # The wall-clock bound needs a core per worker to mean anything.
+        if (os.cpu_count() or 1) >= 4:
+            assert parallel_elapsed <= 0.6 * serial_elapsed
 
 
 class TestCellFailureDiscardsPool:
