@@ -11,6 +11,7 @@ slows the platform down exactly as it would in hardware.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from typing import Dict, List, Tuple, TYPE_CHECKING
 
@@ -27,7 +28,10 @@ class HelperThreadGC:
     LAUNCH_OVERHEAD_CYCLES = 200.0
 
     def __init__(self, ftl: "ZeroOverheadFTL", array: ZNANDArray) -> None:
-        self.ftl = ftl
+        # The FTL owns its helper (``ftl.helper_gc``); a weak back-reference
+        # keeps the pair out of a reference cycle, so a finished platform's
+        # flash state is freed at once instead of at the next full collection.
+        self.ftl = weakref.proxy(ftl)
         self.array = array
         self.merges = 0
         self.pages_copied = 0

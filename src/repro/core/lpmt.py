@@ -104,9 +104,10 @@ class ProgrammableRowDecoder:
         self._tables: Dict[int, LogPageMappingTable] = {}
 
     def table_for(self, plbn: int) -> LogPageMappingTable:
-        if plbn not in self._tables:
-            self._tables[plbn] = LogPageMappingTable(plbn, self.pages_per_block)
-        return self._tables[plbn]
+        table = self._tables.get(plbn)
+        if table is None:
+            table = self._tables[plbn] = LogPageMappingTable(plbn, self.pages_per_block)
+        return table
 
     def search(self, plbn: int, pdbn: int, page_index: int) -> Optional[int]:
         return self.table_for(plbn).search(pdbn, page_index)

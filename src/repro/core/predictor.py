@@ -16,7 +16,7 @@ from typing import Dict, Optional
 from repro.config import PrefetchConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictorEntry:
     """One predictor-table entry for a PC address."""
 
@@ -33,6 +33,8 @@ class PredictorTable:
         self.config = config or PrefetchConfig()
         self.entries: Dict[int, PredictorEntry] = {}
         self.max_counter = (1 << self.config.counter_bits) - 1
+        self._num_entries = self.config.predictor_entries
+        self._warps_tracked = self.config.warps_tracked_per_entry
         self.updates = 0
         self.evictions = 0
 
@@ -44,16 +46,6 @@ class PredictorTable:
         hashed = ((pc >> 2) * 2654435761) & 0xFFFFFFFF
         return (hashed * self.config.predictor_entries) >> 32
 
-    def _entry_for(self, pc: int) -> PredictorEntry:
-        index = self._entry_index(pc)
-        entry = self.entries.get(index)
-        if entry is None or entry.pc != pc:
-            if entry is not None:
-                self.evictions += 1
-            entry = PredictorEntry(pc=pc)
-            self.entries[index] = entry
-        return entry
-
     def update(self, pc: int, warp_id: int, logical_page: int) -> int:
         """Record an access and return the entry's counter after the update.
 
@@ -62,32 +54,37 @@ class PredictorTable:
         recorded (Section IV-B).
         """
         self.updates += 1
-        entry = self._entry_for(pc)
+        # The entry lookup, with _entry_index() inlined: one update per L2 read.
+        index = (((pc >> 2) * 2654435761) & 0xFFFFFFFF) * self._num_entries >> 32
+        entry = self.entries.get(index)
+        if entry is None or entry.pc != pc:
+            if entry is not None:
+                self.evictions += 1
+            entry = self.entries[index] = PredictorEntry(pc)
         tracked = entry.warp_pages
-        if warp_id not in tracked:
-            if len(tracked) >= self.config.warps_tracked_per_entry:
-                # Only five *representative* warps are tracked per entry
-                # (Section IV-B); accesses from other warps train nothing but
-                # still benefit from the entry's counter at prefetch time.
-                return entry.counter
-            tracked[warp_id] = logical_page
+        previous_page = tracked.get(warp_id)
+        if previous_page is None:
+            if len(tracked) < self._warps_tracked:
+                tracked[warp_id] = logical_page
+            # Only five *representative* warps are tracked per entry
+            # (Section IV-B); accesses from other warps train nothing but
+            # still benefit from the entry's counter at prefetch time.
             return entry.counter
-        previous_page = tracked[warp_id]
         # The paper rewards a PC that keeps accessing *continuous data blocks*:
         # the counter rises both when the same page is re-accessed and when the
         # access continues to the next sequential page; unpredictable jumps
         # lower it.  This captures the streaming/CSR-scan locality the prefetch
         # is meant to exploit.
-        if logical_page in (previous_page, previous_page + 1):
-            entry.counter = min(self.max_counter, entry.counter + 1)
-        else:
-            entry.counter = max(0, entry.counter - 1)
+        if logical_page == previous_page or logical_page == previous_page + 1:
+            if entry.counter < self.max_counter:
+                entry.counter += 1
+        elif entry.counter > 0:
+            entry.counter -= 1
         tracked[warp_id] = logical_page
         return entry.counter
 
     def counter(self, pc: int) -> int:
-        index = self._entry_index(pc)
-        entry = self.entries.get(index)
+        entry = self.entries.get(self._entry_index(pc))
         if entry is None or entry.pc != pc:
             return 0
         return entry.counter

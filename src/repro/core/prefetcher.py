@@ -20,7 +20,7 @@ from repro.gpu.cache import EvictionRecord
 from repro.sim.request import MemoryRequest
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PrefetchDecision:
     """What to fetch from flash for one missing read."""
 
@@ -45,28 +45,28 @@ class DynamicReadPrefetcher:
         self.monitor = AccessMonitor(self.config)
         self.prefetches_issued = 0
         self.demand_fetches = 0
+        # Decisions are immutable; the two that fetch one line are shared.
+        self._write_decision = PrefetchDecision(False, line_bytes, "write")
+        self._demand_decision = PrefetchDecision(False, line_bytes, "cutoff_fail")
 
     # -- training -------------------------------------------------------------
     def train(self, request: MemoryRequest) -> None:
         """Train the predictor with a read request seen at the L2."""
-        if not request.is_read:
-            return
-        logical_page = request.address // self.page_size_bytes
-        self.predictor.update(request.pc, request.warp_id, logical_page)
+        if request.is_read:
+            self.predictor.update(
+                request.pc, request.warp_id, request.address // self.page_size_bytes)
 
     # -- miss handling ----------------------------------------------------------
     def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
         """Decide how many bytes to pull from the flash page for a missing read."""
         if not request.is_read:
-            return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="write")
+            return self._write_decision
         if self.predictor.should_prefetch(request.pc):
             fetch = max(self.line_bytes, min(self.monitor.granularity_bytes, self.page_size_bytes))
             self.prefetches_issued += 1
-            return PrefetchDecision(prefetch=True, fetch_bytes=fetch, reason="cutoff_pass")
+            return PrefetchDecision(True, fetch, "cutoff_pass")
         self.demand_fetches += 1
-        return PrefetchDecision(
-            prefetch=False, fetch_bytes=self.line_bytes, reason="cutoff_fail"
-        )
+        return self._demand_decision
 
     # -- eviction feedback --------------------------------------------------------
     def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:

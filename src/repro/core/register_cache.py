@@ -25,7 +25,7 @@ from repro.ssd.znand import ZNANDArray
 ProgramFn = Callable[[int, float], float]
 
 
-@dataclass
+@dataclass(slots=True)
 class RegisterEntry:
     """One register holding (part of) a dirty page."""
 
@@ -35,7 +35,7 @@ class RegisterEntry:
     writes_merged: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteOutcome:
     """Result of absorbing one write request into the register cache."""
 
@@ -121,12 +121,6 @@ class FlashRegisterCache:
             return self.package_of_plane(plane_id)
         return plane_id
 
-    def _group(self, group: int) -> "OrderedDict[int, RegisterEntry]":
-        registers = self._packages.get(group)
-        if registers is None:
-            registers = self._packages[group] = OrderedDict()
-        return registers
-
     def occupancy(self, group: int) -> int:
         registers = self._packages.get(group)
         return len(registers) if registers is not None else 0
@@ -153,8 +147,11 @@ class FlashRegisterCache:
         hatch: when provided and thrashing is detected, the victim page is
         pinned into the L2 instead of being programmed.
         """
-        group = self.group_of_plane(target_plane)
-        registers = self._group(group)
+        package_scope = self.scope == "package"
+        group = target_plane // self.planes_per_package if package_scope else target_plane
+        registers = self._packages.get(group)
+        if registers is None:
+            registers = self._packages[group] = OrderedDict()
         entry = registers.get(virtual_page)
 
         if entry is not None:
@@ -162,10 +159,8 @@ class FlashRegisterCache:
             entry.dirty_bytes = min(self.page_size_bytes, entry.dirty_bytes + write_bytes)
             entry.writes_merged += 1
             self.write_hits += 1
-            self.thrashing_checker.observe(evicted=False)
-            return WriteOutcome(
-                ready_cycle=now + self.MERGE_LATENCY_CYCLES, register_hit=True
-            )
+            self.thrashing_checker.observe(False)
+            return WriteOutcome(now + self.MERGE_LATENCY_CYCLES, True)
 
         self.write_misses += 1
         time = now + self.MERGE_LATENCY_CYCLES
@@ -178,25 +173,15 @@ class FlashRegisterCache:
         # Allocate a register; in package scope its physical home plane rotates
         # round-robin so asymmetric write patterns still spread over the
         # package's registers, in plane scope it is the target plane itself.
-        if self.scope == "package":
+        if package_scope:
             rotor = self._allocation_rotor.get(group, 0)
             home_plane = rotor % self.planes_per_package
             self._allocation_rotor[group] = rotor + 1
         else:
             home_plane = self.plane_within_package(target_plane)
-        registers[virtual_page] = RegisterEntry(
-            virtual_page=virtual_page,
-            home_plane=home_plane,
-            dirty_bytes=write_bytes,
-            writes_merged=1,
-        )
-        self.thrashing_checker.observe(evicted=evicted_page is not None)
-        return WriteOutcome(
-            ready_cycle=time,
-            register_hit=False,
-            evicted_page=evicted_page,
-            spilled_to_l2=spilled,
-        )
+        registers[virtual_page] = RegisterEntry(virtual_page, home_plane, write_bytes, 1)
+        self.thrashing_checker.observe(evicted_page is not None)
+        return WriteOutcome(time, False, evicted_page, spilled)
 
     def _evict(
         self,

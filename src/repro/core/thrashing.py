@@ -15,7 +15,7 @@ from typing import Optional
 from repro.config import RegisterCacheConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class ThrashingState:
     """Current decision of the thrashing checker."""
 
@@ -37,15 +37,12 @@ class ThrashingChecker:
 
     def observe(self, evicted: bool) -> ThrashingState:
         """Account one register-cache access; flip the thrashing flag at window ends."""
-        self.window_accesses += 1
+        accesses = self.window_accesses = self.window_accesses + 1
         if evicted:
             self.window_evictions += 1
-        if self.window_accesses < self.config.thrashing_window:
+        if accesses < self.config.thrashing_window:
             return ThrashingState(
-                thrashing=self.thrashing,
-                eviction_ratio=self._ratio(),
-                window_accesses=self.window_accesses,
-            )
+                self.thrashing, self.window_evictions / accesses, accesses)
         ratio = self._ratio()
         was_thrashing = self.thrashing
         self.thrashing = ratio > self.config.thrashing_eviction_ratio

@@ -27,7 +27,7 @@ from repro.ssd.geometry import FlashGeometry
 from repro.ssd.znand import ZNANDArray
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadTranslation:
     """Where a virtual page's latest data lives in flash."""
 
@@ -37,7 +37,7 @@ class ReadTranslation:
     from_log_block: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteAllocation:
     """A log-page allocation for one written virtual page."""
 
@@ -153,9 +153,8 @@ class ZeroOverheadFTL:
         return flat_block_id % self.geometry.blocks_per_plane
 
     def ppn_in_block(self, flat_block_id: int, page_index: int) -> int:
-        return self.geometry.ppn_of(
-            self.block_plane(flat_block_id), self.block_in_plane(flat_block_id), page_index
-        )
+        plane, block = divmod(flat_block_id, self.geometry.blocks_per_plane)
+        return self.geometry.ppn_of(plane, block, page_index)
 
     def row_decoder(self, plane: int) -> ProgrammableRowDecoder:
         """The (lazily created) programmable row decoder of one plane."""
@@ -201,7 +200,7 @@ class ZeroOverheadFTL:
         return virtual_page // pages_per_block, virtual_page % pages_per_block
 
     def entry_for_page(self, virtual_page: int) -> DBMTEntry:
-        vbn, _ = self._split(virtual_page)
+        vbn = virtual_page // self.geometry.pages_per_block
         entry = self.dbmt.lookup(vbn)
         if entry is None:
             entry = self.map_virtual_block(vbn)
@@ -210,24 +209,24 @@ class ZeroOverheadFTL:
     def translate_read(self, virtual_page: int) -> ReadTranslation:
         """Find the flash page holding the latest copy of a virtual page."""
         self.reads_translated += 1
-        vbn, page_index = self._split(virtual_page)
-        entry = self.entry_for_page(virtual_page)
-        decoder = self.decoder_of_block(entry.plbn)
-        log_page = decoder.search(entry.plbn, entry.pdbn, page_index)
+        geometry = self.geometry
+        vbn, page_index = divmod(virtual_page, geometry.pages_per_block)
+        entry = self.dbmt.lookup(vbn)
+        if entry is None:
+            entry = self.map_virtual_block(vbn)
+        # The log block's row decoder: row_decoder(block_plane(plbn)).
+        plbn = entry.plbn
+        plane, block = divmod(plbn, geometry.blocks_per_plane)
+        decoder = self.row_decoders.get(plane)
+        if decoder is None:
+            decoder = self.row_decoder(plane)
+        log_page = decoder.search(plbn, entry.pdbn, page_index)
         if log_page is not None:
             self.reads_from_log += 1
             return ReadTranslation(
-                ppn=self.ppn_in_block(entry.plbn, log_page),
-                vbn=vbn,
-                page_index=page_index,
-                from_log_block=True,
-            )
+                geometry.ppn_of(plane, block, log_page), vbn, page_index, True)
         return ReadTranslation(
-            ppn=self.ppn_in_block(entry.pdbn, page_index),
-            vbn=vbn,
-            page_index=page_index,
-            from_log_block=False,
-        )
+            self.ppn_in_block(entry.pdbn, page_index), vbn, page_index, False)
 
     def allocate_write(self, virtual_page: int, now: float) -> WriteAllocation:
         """Reserve a log page for a write; run the helper GC if the log block is full.
@@ -254,12 +253,8 @@ class ZeroOverheadFTL:
             table = decoder.table_for(entry.plbn)
         log_page = decoder.program(entry.plbn, entry.pdbn, page_index)
         return WriteAllocation(
-            ppn=self.ppn_in_block(entry.plbn, log_page),
-            vbn=vbn,
-            page_index=page_index,
-            plbn=entry.plbn,
-            ready_cycle=time,
-            gc_performed=gc_performed,
+            self.ppn_in_block(entry.plbn, log_page),
+            vbn, page_index, entry.plbn, time, gc_performed,
         )
 
     # ------------------------------------------------------------------

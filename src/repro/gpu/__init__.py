@@ -1,6 +1,6 @@
 """GPU substrate: SMs, caches, MMU/TLB, interconnect and DRAM models."""
 
-from repro.gpu.cache import CacheLine, SetAssociativeCache
+from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.mshr import MSHR
 from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.tlb import TLB
@@ -18,10 +18,8 @@ from repro.gpu.scheduler import (
     TwoLevel,
     build_scheduler,
 )
-from repro.gpu.replacement import ReplacementPolicy, build_policy
 
 __all__ = [
-    "CacheLine",
     "SetAssociativeCache",
     "MSHR",
     "CoalescingUnit",
@@ -42,6 +40,4 @@ __all__ = [
     "GreedyThenOldest",
     "TwoLevel",
     "build_scheduler",
-    "ReplacementPolicy",
-    "build_policy",
 ]

@@ -3,33 +3,28 @@
 Used for the private L1D caches, the banked shared L2 (SRAM and STT-MRAM
 variants), the HybridGPU DRAM read/write buffer and the page-walk cache.  ZnG
 extends the L2 tag array with *prefetch* and *accessed* bits (Section IV-B);
-those bits live on :class:`CacheLine` so the prefetcher's access monitor can
-inspect them on eviction.
+evictions report those bits so the prefetcher's access monitor can inspect
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
+
+# A tag-array entry is an int of state bits, not an object: the L2 holds
+# hundreds of thousands of lines, and ints cost neither an allocation per
+# insert nor garbage-collector traversal.
+DIRTY = 1
+#: ZnG tag-array extension (Section IV-B).
+PREFETCHED = 2
+ACCESSED = 4
+#: Pinned lines hold dirty flash-register spill data (Section IV-C) and are
+#: excluded from normal replacement while pinned.
+PINNED = 8
 
 
 @dataclass(slots=True)
-class CacheLine:
-    """One tag-array entry."""
-
-    tag: int
-    valid: bool = True
-    dirty: bool = False
-    last_use: int = 0
-    # ZnG tag-array extension (Section IV-B).
-    prefetched: bool = False
-    accessed: bool = False
-    # Pinned lines hold dirty flash-register spill data (Section IV-C) and are
-    # excluded from normal replacement while pinned.
-    pinned: bool = False
-
-
-@dataclass
 class EvictionRecord:
     """Information about an evicted line, consumed by the access monitor."""
 
@@ -39,13 +34,20 @@ class EvictionRecord:
     accessed: bool
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CacheAccessResult:
     """Outcome of a cache lookup/insert."""
 
     hit: bool
     evicted: Optional[EvictionRecord] = None
     bypassed: bool = False
+
+
+# Outcomes that carry no eviction are immutable, so one instance of each serves
+# every insert; only an eviction builds a new result.
+_HIT = CacheAccessResult(True)
+_ALLOCATED = CacheAccessResult(False)
+_BYPASSED = CacheAccessResult(False, None, True)
 
 
 class SetAssociativeCache:
@@ -76,9 +78,10 @@ class SetAssociativeCache:
         # Sets are allocated on first touch: a large L2 has thousands of sets
         # and eagerly building one dict per set dominates platform
         # construction at smoke scales, while most sweeps touch a fraction
-        # of them.  Keyed by set index -> {tag: line}.
-        self._sets: Dict[int, Dict[int, CacheLine]] = {}
-        self._use_clock = 0
+        # of them.  Keyed by set index -> {tag: state bits}, each set kept in
+        # LRU order: every touch moves its line to the end, so the first
+        # unpinned line is the least recently used one.
+        self._sets: Dict[int, Dict[int, int]] = {}
         # Statistics.
         self.hits = 0
         self.misses = 0
@@ -88,8 +91,8 @@ class SetAssociativeCache:
 
     # -- address helpers ----------------------------------------------------
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        # NOTE: lookup() inlines these two expressions (it is the hottest
-        # probe path); change the indexing scheme in both places together.
+        # NOTE: lookup() and insert() inline these two expressions (they are
+        # the hottest paths); change the indexing scheme in all three places.
         line_number = address // self.line_bytes
         return line_number % self.num_sets, line_number // self.num_sets
 
@@ -98,28 +101,25 @@ class SetAssociativeCache:
 
     # -- core operations ----------------------------------------------------
     def lookup(self, address: int, mark_accessed: bool = True) -> bool:
-        """Probe the cache; update LRU state on a hit."""
-        # Inlined _index_and_tag (keep in lockstep with it): one probe per
-        # L1/L2 access makes the call + tuple overhead measurable.
+        """Probe the cache; on a hit the line becomes most recently used."""
         line_number = address // self.line_bytes
-        cache_set = self._sets.get(line_number % self.num_sets)
-        line = cache_set.get(line_number // self.num_sets) if cache_set else None
-        if line is None or not line.valid:
-            self.misses += 1
-            return False
-        self._use_clock += 1
-        line.last_use = self._use_clock
-        if mark_accessed:
-            line.accessed = True
-        self.hits += 1
-        return True
+        num_sets = self.num_sets
+        cache_set = self._sets.get(line_number % num_sets)
+        if cache_set:
+            tag = line_number // num_sets
+            state = cache_set.pop(tag, None)
+            if state is not None:
+                cache_set[tag] = state | ACCESSED if mark_accessed else state
+                self.hits += 1
+                return True
+        self.misses += 1
+        return False
 
     def probe(self, address: int) -> bool:
         """Check residency without perturbing LRU state or statistics."""
         set_index, tag = self._index_and_tag(address)
         cache_set = self._sets.get(set_index)
-        line = cache_set.get(tag) if cache_set else None
-        return line is not None and line.valid
+        return cache_set is not None and tag in cache_set
 
     def insert(
         self,
@@ -129,60 +129,45 @@ class SetAssociativeCache:
         pinned: bool = False,
     ) -> CacheAccessResult:
         """Allocate a line for ``address``; evict LRU if the set is full."""
-        set_index, tag = self._index_and_tag(address)
+        line_number = address // self.line_bytes
+        num_sets = self.num_sets
+        set_index = line_number % num_sets
+        tag = line_number // num_sets
+        state = PREFETCHED if prefetched else ACCESSED
+        if dirty:
+            state |= DIRTY
+        if pinned:
+            state |= PINNED
         cache_set = self._sets.get(set_index)
         if cache_set is None:
             cache_set = self._sets[set_index] = {}
-        self._use_clock += 1
-        existing = cache_set.get(tag)
-        if existing is not None and existing.valid:
-            existing.last_use = self._use_clock
-            existing.dirty = existing.dirty or dirty
-            existing.pinned = existing.pinned or pinned
-            if not prefetched:
-                existing.accessed = True
-            return CacheAccessResult(hit=True)
+        else:
+            existing = cache_set.pop(tag, None)
+            if existing is not None:
+                # A re-insert keeps the line's bits and ORs in the new ones;
+                # a prefetch does not count as an access.
+                cache_set[tag] = existing | (state & ~PREFETCHED)
+                return _HIT
 
-        evicted: Optional[EvictionRecord] = None
+        outcome = _ALLOCATED
         if len(cache_set) >= self.assoc:
-            evicted = self._evict_lru(set_index)
-            if evicted is None:
+            for victim_tag, victim in cache_set.items():
+                if not victim & PINNED:
+                    break
+            else:
                 # Every line in the set is pinned: bypass the allocation.
-                return CacheAccessResult(hit=False, bypassed=True)
-        cache_set[tag] = CacheLine(
-            tag=tag,
-            dirty=dirty,
-            last_use=self._use_clock,
-            prefetched=prefetched,
-            accessed=not prefetched,
-            pinned=pinned,
-        )
+                return _BYPASSED
+            del cache_set[victim_tag]
+            self.evictions += 1
+            victim_dirty = victim & DIRTY != 0
+            if victim_dirty:
+                self.dirty_evictions += 1
+            outcome = CacheAccessResult(False, EvictionRecord(
+                (victim_tag * num_sets + set_index) * self.line_bytes,
+                victim_dirty, victim & PREFETCHED != 0, victim & ACCESSED != 0))
+        cache_set[tag] = state
         self.insertions += 1
-        return CacheAccessResult(hit=False, evicted=evicted)
-
-    def _evict_lru(self, set_index: int) -> Optional[EvictionRecord]:
-        cache_set = self._sets[set_index]
-        victim_tag: Optional[int] = None
-        victim_use = None
-        for tag, line in cache_set.items():
-            if line.pinned:
-                continue
-            if victim_use is None or line.last_use < victim_use:
-                victim_use = line.last_use
-                victim_tag = tag
-        if victim_tag is None:
-            return None
-        line = cache_set.pop(victim_tag)
-        self.evictions += 1
-        if line.dirty:
-            self.dirty_evictions += 1
-        address = (line.tag * self.num_sets + set_index) * self.line_bytes
-        return EvictionRecord(
-            address=address,
-            dirty=line.dirty,
-            prefetched=line.prefetched,
-            accessed=line.accessed,
-        )
+        return outcome
 
     def invalidate(self, address: int) -> bool:
         set_index, tag = self._index_and_tag(address)
@@ -192,27 +177,20 @@ class SetAssociativeCache:
     def mark_dirty(self, address: int) -> bool:
         set_index, tag = self._index_and_tag(address)
         cache_set = self._sets.get(set_index)
-        line = cache_set.get(tag) if cache_set else None
-        if line is None:
+        if not cache_set or tag not in cache_set:
             return False
-        line.dirty = True
+        cache_set[tag] |= DIRTY  # an update in place keeps the LRU position
         return True
 
     def unpin_all(self) -> int:
         """Release every pinned line (used when register thrashing subsides)."""
         released = 0
         for cache_set in self._sets.values():
-            for line in cache_set.values():
-                if line.pinned:
-                    line.pinned = False
+            for tag, state in cache_set.items():
+                if state & PINNED:
+                    cache_set[tag] = state & ~PINNED
                     released += 1
         return released
-
-    def for_each_line(self, callback: Callable[[int, CacheLine], None]) -> None:
-        for set_index in sorted(self._sets):
-            for line in self._sets[set_index].values():
-                address = (line.tag * self.num_sets + set_index) * self.line_bytes
-                callback(address, line)
 
     # -- statistics ---------------------------------------------------------
     @property

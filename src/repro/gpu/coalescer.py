@@ -63,16 +63,9 @@ class CoalescingUnit:
         elif not segments:
             return []
         self.instructions_coalesced += 1
+        size = self.request_bytes
         requests = [
-            MemoryRequest(
-                address=segment,
-                size=self.request_bytes,
-                access=access,
-                warp_id=warp_id,
-                sm_id=sm_id,
-                pc=pc,
-                issue_cycle=issue_cycle,
-            )
+            MemoryRequest(segment, size, access, warp_id, sm_id, pc, issue_cycle)
             for segment in segments
         ]
         self.requests_generated += len(requests)

@@ -83,7 +83,7 @@ class DRAMSubsystem:
 
     def access(self, address: int, num_bytes: int, now: float) -> float:
         """Serve an access; return the completion cycle."""
-        channel = self.channels[address % self.controllers]
+        channel = self.channels.resources[address % self.controllers]
         return channel.transfer(now, num_bytes)  # type: ignore[union-attr]
 
     def achieved_bandwidth_bytes_per_s(self, horizon_cycles: float) -> float:

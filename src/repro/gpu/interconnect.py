@@ -47,10 +47,15 @@ class Interconnect:
 
     def send(self, destination: int, num_bytes: int, now: float) -> float:
         """Transfer ``num_bytes`` to ``destination``; return the arrival cycle."""
-        link = self.route(destination)
+        # route() and BandwidthResource.transfer() inlined: one send per
+        # request.  Keep the arithmetic identical to transfer().
+        link = self.links.resources[destination % self.num_destinations]
         self.packets += 1
         self.bytes_moved += num_bytes
-        return link.transfer(now, num_bytes)
+        duration = link.fixed_latency + num_bytes / link.bytes_per_cycle
+        start = link.acquire(now, duration)
+        link.bytes_transferred += num_bytes
+        return start + duration
 
     def round_trip(self, destination: int, request_bytes: int, reply_bytes: int, now: float) -> float:
         """Send a request packet and account for the reply on the same link."""

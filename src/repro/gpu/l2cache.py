@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.config import GPUConfig, STTMRAMConfig
-from repro.gpu.cache import CacheAccessResult, EvictionRecord, SetAssociativeCache
+from repro.gpu.cache import EvictionRecord, SetAssociativeCache
 from repro.gpu.mshr import MSHR
 from repro.sim.engine import Resource
 
 
-@dataclass
+@dataclass(slots=True)
 class L2AccessOutcome:
     """Result of probing the shared L2 for one memory request."""
 
@@ -71,7 +71,6 @@ class SharedL2Cache:
         ]
         self.write_bypasses = 0
         self.prefetch_insertions = 0
-        self.evicted_records: List[EvictionRecord] = []
 
     # -- helpers ------------------------------------------------------------
     def bank_of(self, address: int) -> int:
@@ -117,24 +116,21 @@ class SharedL2Cache:
         A *read-only* L2 (STT-MRAM) never allocates lines for writes and
         invalidates any stale copy instead, matching Section III-C.
         """
-        bank = self.bank_of(address)
+        bank = (address // self.line_bytes) % self.banks
         array = self._bank_arrays[bank]
-        port = self._bank_ports[bank]
         latency = self.write_latency_cycles if is_write else self.read_latency_cycles
-        start = port.acquire(now, latency)
-        ready = start + latency
+        ready = self._bank_ports[bank].acquire(now, latency) + latency
 
         if is_write and self.read_only:
             # Writes bypass the read-only L2; keep it coherent by invalidating.
             array.invalidate(address)
             self.write_bypasses += 1
-            return L2AccessOutcome(hit=False, ready_cycle=ready, bank=bank)
+            return L2AccessOutcome(False, ready, bank)
 
         hit = array.lookup(address)
-        evicted: Optional[EvictionRecord] = None
         if hit and is_write:
             array.mark_dirty(address)
-        return L2AccessOutcome(hit=hit, ready_cycle=ready, bank=bank, evicted=evicted)
+        return L2AccessOutcome(hit, ready, bank)
 
     def fill(
         self,
@@ -150,23 +146,14 @@ class SharedL2Cache:
         with the demand-access port: they complete ``write_latency`` cycles
         after the data arrives.  (Booking the single demand port at the fill's
         future completion time would falsely delay earlier demand accesses.)
+        The evicted line, if any, is reported in the outcome.
         """
-        bank = self.bank_of(address)
-        array = self._bank_arrays[bank]
-        latency = self.write_latency_cycles
-        result: CacheAccessResult = array.insert(
-            address, dirty=dirty, prefetched=prefetched, pinned=pinned
-        )
+        bank = (address // self.line_bytes) % self.banks
+        result = self._bank_arrays[bank].insert(address, dirty, prefetched, pinned)
         if prefetched:
             self.prefetch_insertions += 1
-        if result.evicted is not None:
-            self.evicted_records.append(result.evicted)
         return L2AccessOutcome(
-            hit=result.hit,
-            ready_cycle=now + latency,
-            bank=bank,
-            evicted=result.evicted,
-        )
+            result.hit, now + self.write_latency_cycles, bank, result.evicted)
 
     def fill_page(
         self,
@@ -180,38 +167,38 @@ class SharedL2Cache:
 
         Inserts straight into the bank arrays (one insert per 128 B line)
         without materialising a per-line :class:`L2AccessOutcome`; page fills
-        happen on every prefetched miss, so this loop is hot.
+        happen on every prefetched miss, so this loop is hot.  Returns the
+        evicted lines in eviction order.
         """
         evictions: List[EvictionRecord] = []
         span = min(page_bytes, limit_bytes) if limit_bytes else page_bytes
         bank_arrays = self._bank_arrays
-        evicted_records = self.evicted_records
         line_bytes = self.line_bytes
         num_banks = self.banks
-        for offset in range(0, span, line_bytes):
-            address = page_address + offset
-            result = bank_arrays[(address // line_bytes) % num_banks].insert(
-                address, prefetched=prefetched
-            )
-            if prefetched:
-                self.prefetch_insertions += 1
-            if result.evicted is not None:
-                evictions.append(result.evicted)
-                evicted_records.append(result.evicted)
+        lines = range(page_address, page_address + span, line_bytes)
+        for address in lines:
+            evicted = bank_arrays[(address // line_bytes) % num_banks].insert(
+                address, False, prefetched).evicted
+            if evicted is not None:
+                evictions.append(evicted)
+        if prefetched:
+            self.prefetch_insertions += len(lines)
         return evictions
 
     def probe(self, address: int) -> bool:
         return self._bank_arrays[self.bank_of(address)].probe(address)
 
-    def drain_evictions(self) -> List[EvictionRecord]:
-        records = self.evicted_records
-        self.evicted_records = []
-        return records
+    def pin_lines(self, addresses: List[int], now: float) -> List[EvictionRecord]:
+        """Pin L2 lines to hold spilled dirty register data (Section IV-C).
 
-    def pin_lines(self, addresses: List[int], now: float) -> None:
-        """Pin L2 lines to hold spilled dirty register data (Section IV-C)."""
+        Returns the lines the pinning evicted, in eviction order.
+        """
+        evictions: List[EvictionRecord] = []
         for address in addresses:
-            self.fill(address, now, dirty=True, pinned=True)
+            evicted = self.fill(address, now, dirty=True, pinned=True).evicted
+            if evicted is not None:
+                evictions.append(evicted)
+        return evictions
 
     def unpin_all(self) -> int:
         return sum(array.unpin_all() for array in self._bank_arrays)
@@ -241,4 +228,3 @@ class SharedL2Cache:
             mshr.reset()
         self.write_bypasses = 0
         self.prefetch_insertions = 0
-        self.evicted_records.clear()

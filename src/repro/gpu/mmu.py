@@ -18,7 +18,7 @@ from repro.gpu.tlb import TLB
 from repro.sim.engine import Resource
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationResult:
     """Outcome of translating one virtual address."""
 
@@ -72,6 +72,7 @@ class MMU:
         fault_handler: Optional[Callable[[int, float], Tuple[int, float]]] = None,
     ) -> None:
         self.config = config
+        self.page_size_bytes = config.page_size_bytes
         self.page_table = page_table or PageTable(config.page_size_bytes)
         self.tlb = TLB(config.tlb_entries, config.page_size_bytes)
         self.walk_cache = SetAssociativeCache(
@@ -99,21 +100,26 @@ class MMU:
         self._fault_handler = handler
 
     def _physical_address(self, frame: int, virtual_address: int) -> int:
-        offset = virtual_address % self.config.page_size_bytes
-        return frame * self.config.page_size_bytes + offset
+        page_size = self.page_size_bytes
+        return frame * page_size + virtual_address % page_size
 
     def translate(self, virtual_address: int, now: float) -> TranslationResult:
         """Translate a virtual address, charging TLB/walk/fault latency."""
         self.translations += 1
-        vpn = virtual_address // self.config.page_size_bytes
+        page_size = self.page_size_bytes
+        vpn = virtual_address // page_size
 
-        cached_frame = self.tlb.lookup(virtual_address)
+        # TLB hit: the body of TLB.lookup, inlined because nearly every
+        # request takes this path (keep the two in lockstep).
+        tlb = self.tlb
+        tlb_entries = tlb._entries
+        cached_frame = tlb_entries.get(vpn)
         if cached_frame is not None:
+            tlb_entries.move_to_end(vpn)
+            tlb.hits += 1
             return TranslationResult(
-                physical_address=self._physical_address(cached_frame, virtual_address),
-                latency_cycles=1.0,
-                tlb_hit=True,
-            )
+                cached_frame * page_size + virtual_address % page_size, 1.0, True)
+        tlb.misses += 1
 
         # TLB miss: a walk thread is allocated (Section II-A).
         walk_cache_hit = self.walk_cache.lookup(vpn * 8)
@@ -141,13 +147,13 @@ class MMU:
                 self.page_table.map_page(vpn, frame)
                 completion = max(completion, fault_done)
 
-        self.tlb.insert(virtual_address, frame)
+        tlb.insert(virtual_address, frame)
         return TranslationResult(
-            physical_address=self._physical_address(frame, virtual_address),
-            latency_cycles=completion - now,
-            tlb_hit=False,
-            walk_cache_hit=walk_cache_hit,
-            page_fault=page_fault,
+            self._physical_address(frame, virtual_address),
+            completion - now,
+            False,
+            walk_cache_hit,
+            page_fault,
         )
 
     def preload(self, virtual_pages: Dict[int, int]) -> None:

@@ -56,7 +56,9 @@ class MSHR:
 
     def lookup(self, line_address: int, now: float) -> Optional[MSHREntry]:
         """Return an in-flight entry covering ``line_address``, if any."""
-        self._expire(now)
+        heap = self._fill_heap
+        if heap and heap[0][0] <= now:
+            self._expire(now)
         return self._entries.get(line_address)
 
     def allocate(
@@ -68,7 +70,9 @@ class MSHR:
         could be made (later than ``now`` if the MSHR was full) and whether
         the miss was merged into an existing entry.
         """
-        self._expire(now)
+        heap = self._fill_heap
+        if heap and heap[0][0] <= now:
+            self._expire(now)
         entry = self._entries.get(line_address)
         if entry is not None:
             entry.merged_requests += 1
@@ -78,16 +82,12 @@ class MSHR:
         stall_until = now
         if len(self._entries) >= self.num_entries:
             # Structural hazard: wait until the earliest fill returns.
-            stall_until = self._fill_heap[0][0]
+            stall_until = heap[0][0]
             self.stalls += 1
             self._expire(stall_until)
         fill = max(fill_cycle, stall_until)
-        self._entries[line_address] = MSHREntry(
-            line_address=line_address,
-            issue_cycle=stall_until,
-            fill_cycle=fill,
-        )
-        heapq.heappush(self._fill_heap, (fill, line_address))
+        self._entries[line_address] = MSHREntry(line_address, stall_until, fill)
+        heapq.heappush(heap, (fill, line_address))
         self.primary_misses += 1
         return stall_until, False
 

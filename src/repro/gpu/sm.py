@@ -63,6 +63,8 @@ class StreamingMultiprocessor:
         )
         self.mshr = MSHR(f"sm{sm_id}_mshr", config.l1_mshr_entries)
         self.stats = SMStatistics()
+        self._l1_latency = float(config.l1_latency_cycles)
+        self._l1_line_bytes = self.l1.line_bytes
 
     # ------------------------------------------------------------------
     def execute_instruction(
@@ -73,67 +75,74 @@ class StreamingMultiprocessor:
         memory_fn: MemoryAccessFn,
     ) -> float:
         """Execute one trace record for a warp; return the warp's next ready cycle."""
-        ready = now
-        # Arithmetic portion: occupies the issue port for one cycle per op.
-        if instruction.compute_ops:
-            start = self.issue_port.acquire(ready, float(instruction.compute_ops))
-            ready = start + instruction.compute_ops
-            self.stats.instructions += instruction.compute_ops
+        compute_ops = instruction.compute_ops
+        stats = self.stats
+        if not instruction.addresses:
+            # Arithmetic only: occupies the issue port for one cycle per op.
+            if not compute_ops:
+                return now
+            stats.instructions += compute_ops
+            return self.issue_port.acquire(now, float(compute_ops)) + compute_ops
 
-        if not instruction.is_memory:
-            return ready
+        # The arithmetic ops and the memory instruction's issue slot are back
+        # to back on the issue port, so they are booked as one span.  The
+        # ready cycle adds them in the order they issue.
+        start = self.issue_port.acquire(now, compute_ops + 1.0)
+        ready = start + compute_ops + 1.0
+        stats.instructions += compute_ops + 1
+        stats.memory_instructions += 1
 
-        # Memory instruction: one issue slot, then coalescing and the cache path.
-        start = self.issue_port.acquire(ready, 1.0)
-        ready = start + 1.0
-        self.stats.instructions += 1
-        self.stats.memory_instructions += 1
-
-        requests = self.coalescer.coalesce(
+        # Coalescing, then the cache path for each 128 B request.
+        completion = ready
+        for request in self.coalescer.coalesce(
             instruction.addresses,
             instruction.access,
-            warp_id=warp_id,
-            sm_id=self.sm_id,
-            pc=instruction.pc,
-            issue_cycle=ready,
-            segments=instruction.segments,
-        )
-        completion = ready
-        for request in requests:
+            warp_id,
+            self.sm_id,
+            instruction.pc,
+            ready,
+            instruction.segments,
+        ):
             finish = self._access_memory(request, ready, memory_fn)
-            completion = max(completion, finish)
+            if finish > completion:
+                completion = finish
         return completion
 
     def _access_memory(
         self, request: MemoryRequest, now: float, memory_fn: MemoryAccessFn
     ) -> float:
         """L1 probe, MSHR merge and (on miss) platform memory access."""
-        self.stats.memory_requests += 1
-        line_address = self.l1.line_address(request.address)
-        l1_latency = float(self.config.l1_latency_cycles)
+        stats = self.stats
+        stats.memory_requests += 1
+        address = request.address
+        l1 = self.l1
+        line_bytes = self._l1_line_bytes
+        line_address = address // line_bytes * line_bytes
+        l1_ready = now + self._l1_latency
+        is_read = request.is_read
 
-        if request.is_read and self.l1.lookup(request.address):
-            self.stats.l1_hits += 1
-            return now + l1_latency
-
-        if request.is_write:
+        if is_read:
+            if l1.lookup(address):
+                stats.l1_hits += 1
+                return l1_ready
+            stats.l1_misses += 1
+        else:
             # Write-through, no-allocate L1 (typical for GPU L1D): the write
             # always goes below; a stale copy is invalidated.
-            self.l1.invalidate(request.address)
-        else:
-            self.stats.l1_misses += 1
+            l1.invalidate(address)
 
-        inflight = self.mshr.lookup(line_address, now)
-        if inflight is not None and request.is_read:
+        mshr = self.mshr
+        inflight = mshr.lookup(line_address, now)
+        if inflight is not None and is_read:
             # Secondary miss: piggyback on the outstanding fill.
-            self.mshr.allocate(line_address, now, inflight.fill_cycle)
-            return max(inflight.fill_cycle, now + l1_latency)
+            fill_cycle = inflight.fill_cycle
+            mshr.allocate(line_address, now, fill_cycle)
+            return fill_cycle if fill_cycle > l1_ready else l1_ready
 
-        result = memory_fn(request, now + l1_latency)
-        fill_cycle = result.completion_cycle
-        if request.is_read:
-            self.mshr.allocate(line_address, now, fill_cycle)
-            self.l1.insert(request.address)
+        fill_cycle = memory_fn(request, l1_ready).completion_cycle
+        if is_read:
+            mshr.allocate(line_address, now, fill_cycle)
+            l1.insert(address)
         return fill_cycle
 
     def reset(self) -> None:
@@ -176,9 +185,6 @@ class GPUCore:
         #: the result record).
         self.last_max_queue_depth = 0
 
-    def sm(self, index: int) -> StreamingMultiprocessor:
-        return self.sms[index % len(self.sms)]
-
     def run(
         self,
         traces: Sequence[WarpTrace],
@@ -194,13 +200,15 @@ class GPUCore:
         # one heap.  Warps beyond the residency limit of an SM start only
         # when an earlier warp on that SM finishes, which approximates
         # thread-block scheduling.
+        sms = self.sms
+        num_sms = len(sms)
         heap: List = []
         push, pop = heapq.heappush, heapq.heappop
         sequence = 0
         pending: Dict[int, List[WarpTrace]] = {}
         resident_count: Dict[int, int] = {}
         for trace in traces:
-            sm_index = trace.sm_id % len(self.sms)
+            sm_index = trace.sm_id % num_sms
             pending.setdefault(sm_index, []).append(trace)
         for sm_index, sm_traces in pending.items():
             resident_count[sm_index] = 0
@@ -224,10 +232,11 @@ class GPUCore:
                     max_depth = depth
             ready, _, trace, position = pop(heap)
             events += 1
-            sm = self.sm(trace.sm_id)
-            if position >= len(trace.instructions):
+            sm_index = trace.sm_id % num_sms
+            sm = sms[sm_index]
+            instructions = trace.instructions
+            if position >= len(instructions):
                 # Warp finished: admit the next pending warp on this SM.
-                sm_index = trace.sm_id % len(self.sms)
                 waiting = pending.get(sm_index)
                 if waiting:
                     next_trace = waiting.pop(0)
@@ -236,9 +245,8 @@ class GPUCore:
                 final_cycle = max(final_cycle, ready)
                 sm.stats.completion_cycle = max(sm.stats.completion_cycle, ready)
                 continue
-            instruction = trace.instructions[position]
             next_ready = sm.execute_instruction(
-                instruction, trace.warp_id, ready, memory_fn
+                instructions[position], trace.warp_id, ready, memory_fn
             )
             push(heap, (next_ready, sequence, trace, position + 1))
             sequence += 1

@@ -278,7 +278,9 @@ class GPUSSDPlatform(ABC):
     # ------------------------------------------------------------------
     def memory_access(self, request: MemoryRequest, now: float) -> RequestResult:
         """The callback handed to the GPU core for every coalesced request."""
-        result = RequestResult(request=request, start_cycle=now, completion_cycle=now)
+        breakdown: Dict[str, float] = {}
+        result = RequestResult(request, now, now, "memory", "memory", breakdown)
+        address = request.address
         is_write = request.is_write
         self._ctr_requests.value += 1
         if is_write:
@@ -286,23 +288,33 @@ class GPUSSDPlatform(ABC):
         else:
             self._ctr_reads.value += 1
 
+        # Steps 1-3 each charge a breakdown component the request has not
+        # charged yet, so a plain store (of a positive latency) stands in for
+        # RequestResult.add_latency.
+
         # 1. Virtual-address translation through the shared TLB/MMU.
-        translation = self.mmu.translate(request.address, now)
-        component = "tlb" if translation.tlb_hit else "mmu"
-        result.add_latency(component, translation.latency_cycles)
-        time = now + translation.latency_cycles
-        request.translated(translation.physical_address)
+        translation = self.mmu.translate(address, now)
+        latency = translation.latency_cycles
+        if latency > 0:
+            breakdown["tlb" if translation.tlb_hit else "mmu"] = latency
+        time = now + latency
+        request.physical_address = translation.physical_address
 
         # 2. Interconnect hop from the SM to the target L2 bank.
-        bank = self.l2.bank_of(request.address)
-        arrival = self.noc.send(bank, request.size, time)
-        result.add_latency("l1_l2_net", arrival - time)
+        l2 = self.l2
+        arrival = self.noc.send((address // l2.line_bytes) % l2.banks, request.size, time)
+        latency = arrival - time
+        if latency > 0:
+            breakdown["l1_l2_net"] = latency
         time = arrival
 
         # 3. Shared L2 access.
-        outcome = self.l2.access(request.address, is_write, time)
-        result.add_latency("l2_cache", outcome.ready_cycle - time)
-        time = outcome.ready_cycle
+        outcome = l2.access(address, is_write, time)
+        ready = outcome.ready_cycle
+        latency = ready - time
+        if latency > 0:
+            breakdown["l2_cache"] = latency
+        time = ready
 
         if is_write:
             completion = self._service_write(request, time, result)
@@ -310,8 +322,9 @@ class GPUSSDPlatform(ABC):
         else:
             # Let the platform observe the full read stream (e.g. to train a
             # prefetch predictor) regardless of L2 hit/miss.
-            self._observe_read(request, outcome.hit)
-            if outcome.hit:
+            hit = outcome.hit
+            self._observe_read(request, hit)
+            if hit:
                 self._ctr_l2_hits.value += 1
                 result.hit_level = "l2"
                 completion = time
@@ -323,7 +336,9 @@ class GPUSSDPlatform(ABC):
             completion = time
         result.completion_cycle = completion
         self._hist_latency.add(completion - now)
-        self.stats.add_breakdown(result.breakdown)
+        totals = self.stats.breakdown
+        for component, cycles in breakdown.items():
+            totals[component] += cycles
         self._memory_bytes_served += request.size
         return result
 

@@ -10,6 +10,7 @@ this platform is the fault path, not steady-state bandwidth.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Tuple
 
 from repro.config import (
@@ -55,7 +56,12 @@ class HeteroPlatform(GPUSSDPlatform):
         )
         self.host_cpu = Resource("host_fault_handler", ports=1)
         self.page_faults_serviced = 0
-        self.mmu.set_fault_handler(self._service_page_fault)
+        # The MMU holds the fault handler; calling it through a weak method
+        # keeps the platform out of a reference cycle with its own MMU, so a
+        # finished platform is freed at once instead of at the next full
+        # collection.
+        service_page_fault = weakref.WeakMethod(self._service_page_fault)
+        self.mmu.set_fault_handler(lambda vpn, now: service_page_fault()(vpn, now))
 
     def prepare(self, workload: WorkloadTrace) -> None:
         """Nothing is resident: every first touch will fault."""

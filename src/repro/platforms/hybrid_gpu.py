@@ -17,7 +17,7 @@ from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.sim.request import MemoryRequest, RequestResult
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.ftl_firmware import PageMappedFTL
-from repro.ssd.ssd_engine import SSDEngine
+from repro.ssd.ssd_engine import EngineServiceResult, SSDEngine
 from repro.ssd.znand import ZNANDArray
 from repro.workloads.trace import WorkloadTrace
 
@@ -48,14 +48,25 @@ class HybridGPUPlatform(GPUSSDPlatform):
         self.engine.reset_statistics()
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _charge(result: RequestResult, service: EngineServiceResult) -> None:
+        """Copy the engine's positive component latencies into the request.
+
+        The engine's components are disjoint from the GPU-side ones the
+        request has charged, so each is a first write of its key.
+        """
+        breakdown = result.breakdown
+        for component, cycles in service.breakdown.items():
+            if cycles > 0:
+                breakdown[component] = cycles
+
     def _service_l2_miss(
         self, request: MemoryRequest, now: float, result: RequestResult
     ) -> float:
         service = self.engine.service(
             request.address, request.size, is_write=False, now=now
         )
-        for component, cycles in service.breakdown.items():
-            result.add_latency(component, cycles)
+        self._charge(result, service)
         result.serviced_by = "ssd_engine"
         result.bytes_moved_from_flash = service.flash_bytes_read
         self.l2.fill(request.address, service.completion_cycle)
@@ -67,8 +78,7 @@ class HybridGPUPlatform(GPUSSDPlatform):
         service = self.engine.service(
             request.address, request.size, is_write=True, now=now
         )
-        for component, cycles in service.breakdown.items():
-            result.add_latency(component, cycles)
+        self._charge(result, service)
         result.serviced_by = "ssd_engine"
         self.l2.fill(request.address, service.completion_cycle, dirty=True)
         return service.completion_cycle

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum
-from typing import Dict, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from repro.config import PlatformConfig
 from repro.core.helper_gc import HelperThreadGC
 from repro.core.register_cache import FlashRegisterCache
 from repro.core.register_network import build_register_network
 from repro.core.zero_overhead_ftl import ZeroOverheadFTL
+from repro.gpu.cache import EvictionRecord
 from repro.gpu.l2cache import SharedL2Cache
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.sim.request import MemoryRequest, RequestResult
@@ -110,6 +111,8 @@ class ZnGPlatform(GPUSSDPlatform):
 
         self.page_size_flash = znand.page_size_bytes
         self.line_bytes = self.config.gpu.l2_line_bytes
+        # L2 evictions caused by thrashing spills since the last read miss.
+        self._spill_evictions: List[EvictionRecord] = []
 
     # ------------------------------------------------------------------
     def _build_l2(self) -> SharedL2Cache:
@@ -139,68 +142,87 @@ class ZnGPlatform(GPUSSDPlatform):
     def _service_l2_miss(
         self, request: MemoryRequest, now: float, result: RequestResult
     ) -> float:
-        virtual_page = request.address // self.page_size
-        translation = self.ftl.translate_read(virtual_page)
+        address = request.address
+        virtual_page = address // self.page_size
+        ppn = self.ftl.translate_read(virtual_page).ppn
+        geometry = self.array.geometry
+        plane = geometry.plane_of_ppn(ppn)
+        register_cache = self.register_cache
         time = now
 
         # If the latest copy of the page is still dirty in a flash register,
         # serve it from the register over the flash network.
-        if self.register_cache is not None:
-            plane = self.array.geometry.plane_of_ppn(translation.ppn)
-            group = self.register_cache.group_of_plane(plane)
-            if self.register_cache.holds(group, virtual_page):
-                channel = self.array.geometry.channel_of_ppn(translation.ppn)
-                completion = self.flash_network.transfer(channel, request.size, time)
-                result.add_latency("flash_register", completion - time)
-                result.serviced_by = "flash_register"
-                self.stats.add("register_read_hits")
-                return completion
+        if register_cache.holds(register_cache.group_of_plane(plane), virtual_page):
+            channel = geometry.channel_of_ppn(ppn)
+            completion = self.flash_network.transfer(channel, request.size, time)
+            result.add_latency("flash_register", completion - time)
+            result.serviced_by = "flash_register"
+            self.stats.add("register_read_hits")
+            return completion
+
+        # The rest of the read charges breakdown components this request has
+        # not charged yet, so a plain store of each positive latency stands
+        # in for RequestResult.add_latency.
+        breakdown = result.breakdown
 
         # Plane-private registers (base/rdopt) must be drained before the plane
         # can sense a read; the package-wide write cache does not block reads.
-        plane = self.array.geometry.plane_of_ppn(translation.ppn)
-        drained = self.register_cache.prepare_plane_for_read(
+        drained = register_cache.prepare_plane_for_read(
             plane, time, self._program_log_page
         )
         if drained > time:
-            result.add_latency("register_flush", drained - time)
+            breakdown["register_flush"] = drained - time
             self.stats.add("forced_register_flushes")
             time = drained
 
         # Decide how much of the flash page to pull into the L2.  (Training
         # happens on every read via _observe_read, not only on misses.)
+        prefetcher = self.prefetcher
         fetch_bytes = request.size
         prefetched = False
-        if self.prefetcher is not None:
-            decision = self.prefetcher.on_miss(request)
+        if prefetcher is not None:
+            decision = prefetcher.on_miss(request)
             fetch_bytes = decision.fetch_bytes
             prefetched = decision.prefetch
 
-        operation = self.controllers.read(translation.ppn, time, transfer_bytes=fetch_bytes)
-        result.add_latency("flash_array", operation.array_cycles)
-        result.add_latency("flash_network", operation.transfer_cycles)
-        result.add_latency(
-            "flash_controller",
-            max(0.0, (operation.completion_cycle - time) - operation.array_cycles - operation.transfer_cycles),
-        )
+        operation = self.controllers.read(ppn, time, transfer_bytes=fetch_bytes)
+        array_cycles = operation.array_cycles
+        transfer_cycles = operation.transfer_cycles
+        completion = operation.completion_cycle
+        if array_cycles > 0:
+            breakdown["flash_array"] = array_cycles
+        if transfer_cycles > 0:
+            breakdown["flash_network"] = transfer_cycles
+        controller_cycles = (completion - time) - array_cycles - transfer_cycles
+        if controller_cycles > 0:
+            breakdown["flash_controller"] = controller_cycles
         result.serviced_by = "znand"
         result.bytes_moved_from_flash = fetch_bytes
-        completion = operation.completion_cycle
         self.stats.add("flash_page_reads")
 
         # Fill the L2: the demand line plus (for prefetches) the neighbouring
         # lines of the page up to the chosen granularity.
-        page_base = (request.address // self.page_size_flash) * self.page_size_flash
+        l2 = self.l2
         if prefetched and fetch_bytes > self.line_bytes:
-            line_offset = request.address - page_base
-            start = page_base + (line_offset // fetch_bytes) * fetch_bytes
-            self.l2.fill_page(
-                start, self.page_size_flash, completion,
+            page_size = self.page_size_flash
+            page_base = (address // page_size) * page_size
+            start = page_base + ((address - page_base) // fetch_bytes) * fetch_bytes
+            evictions = l2.fill_page(
+                start, page_size, completion,
                 prefetched=True, limit_bytes=fetch_bytes,
             )
-        self.l2.fill(request.address, completion, prefetched=False)
-        if self.prefetcher is not None:
-            self.prefetcher.observe_evictions(self.l2.drain_evictions())
+        else:
+            evictions = []
+        evicted = l2.fill(address, completion, prefetched=False).evicted
+        if prefetcher is not None:
+            # The access monitor sees every L2 eviction in the order it
+            # happened: those of earlier thrashing spills, then this fill's.
+            if self._spill_evictions:
+                evictions = self._spill_evictions + evictions
+                self._spill_evictions = []
+            if evicted is not None:
+                evictions.append(evicted)
+            prefetcher.observe_evictions(evictions)
         return completion
 
     # ------------------------------------------------------------------
@@ -223,7 +245,11 @@ class ZnGPlatform(GPUSSDPlatform):
             page_base + offset
             for offset in range(0, self.page_size_flash, self.line_bytes)
         ]
-        self.l2.pin_lines(addresses[: self.config.register_cache.l2_pinned_lines], now)
+        evictions = self.l2.pin_lines(
+            addresses[: self.config.register_cache.l2_pinned_lines], now)
+        # Spills happen only on read-optimised variants, whose access monitor
+        # learns of these evictions at the next L2 read miss.
+        self._spill_evictions.extend(evictions)
         self.stats.add("l2_spills")
         return now + self.l2.write_latency_cycles * len(addresses)
 
@@ -236,26 +262,29 @@ class ZnGPlatform(GPUSSDPlatform):
         # Writes are absorbed by flash registers: the plane's own registers in
         # ZnG-base/rdopt, the package-wide fully-associative cache in
         # ZnG-wropt/ZnG.  Register evictions program a log page.
-        entry = self.ftl.entry_for_page(virtual_page)
-        target_plane = self.ftl.block_plane(entry.plbn)
-        spill_fn = self._spill_to_l2 if self.variant.has_read_optimization else None
+        ftl = self.ftl
+        target_plane = ftl.block_plane(ftl.entry_for_page(virtual_page).plbn)
         outcome = self.register_cache.write(
             virtual_page,
             target_plane,
             request.size,
             now,
-            program_fn=self._program_log_page,
-            l2_spill_fn=spill_fn,
+            self._program_log_page,
+            self._spill_to_l2 if self.variant.has_read_optimization else None,
         )
-        result.add_latency("flash_register", outcome.ready_cycle - now)
+        ready = outcome.ready_cycle
+        # The first component this write charges: a plain store.
+        if ready > now:
+            result.breakdown["flash_register"] = ready - now
         result.serviced_by = "flash_register"
+        stats = self.stats
         if outcome.register_hit:
-            self.stats.add("register_write_hits")
+            stats.add("register_write_hits")
         else:
-            self.stats.add("register_write_misses")
+            stats.add("register_write_misses")
         if outcome.evicted_page is not None:
-            self.stats.add("register_evictions")
-        return outcome.ready_cycle
+            stats.add("register_evictions")
+        return ready
 
     # ------------------------------------------------------------------
     # Reporting

@@ -150,7 +150,7 @@ class BandwidthResource(Resource):
 
     def transfer(self, when: float, num_bytes: int) -> float:
         """Book the link for a transfer; return the completion cycle."""
-        duration = self.transfer_time(num_bytes)
+        duration = self.fixed_latency + num_bytes / self.bytes_per_cycle
         start = self.acquire(when, duration)
         self.bytes_transferred += num_bytes
         return start + duration

@@ -22,7 +22,7 @@ class AccessType(Enum):
         return self is AccessType.READ
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class MemoryRequest:
     """A coalesced memory request as seen below the L1 cache.
 
@@ -52,12 +52,33 @@ class MemoryRequest:
     pc: int = 0
     issue_cycle: float = 0.0
     physical_address: Optional[int] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
+    # Direction flags derived from ``access``: the request path consults them
+    # many times per request, so the enum is dereferenced exactly once.
+    is_write: bool = field(init=False, repr=False, compare=False)
+    is_read: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # Precomputed direction flags: the request path consults these many
-        # times per request, so pay the enum dereference exactly once.
-        is_write = self.access is AccessType.WRITE
+    # Written out rather than generated so that the direction flags are set
+    # without a __post_init__ call: one request is built per coalesced access.
+    def __init__(
+        self,
+        address: int,
+        size: int = 128,
+        access: AccessType = AccessType.READ,
+        warp_id: int = 0,
+        sm_id: int = 0,
+        pc: int = 0,
+        issue_cycle: float = 0.0,
+        physical_address: Optional[int] = None,
+    ) -> None:
+        self.address = address
+        self.size = size
+        self.access = access
+        self.warp_id = warp_id
+        self.sm_id = sm_id
+        self.pc = pc
+        self.issue_cycle = issue_cycle
+        self.physical_address = physical_address
+        is_write = access is AccessType.WRITE
         self.is_write = is_write
         self.is_read = not is_write
 
@@ -69,13 +90,8 @@ class MemoryRequest:
         """Cache-line-aligned address of the request."""
         return (self.address // line_size) * line_size
 
-    def translated(self, physical_address: int) -> "MemoryRequest":
-        """Record the device-physical address produced by translation."""
-        self.physical_address = physical_address
-        return self
 
-
-@dataclass
+@dataclass(slots=True)
 class RequestResult:
     """Completion record returned by a platform for one memory request.
 

@@ -298,10 +298,11 @@ class StatsCollector:
         return counter
 
     def add(self, name: str, amount: float = 1.0) -> None:
-        counter = self.counters.get(name)
-        if counter is None:
+        try:
+            self.counters[name].value += amount
+        except KeyError:
             counter = self.counters[name] = Counter(name)
-        counter.value += amount
+            counter.value += amount
 
     def get(self, name: str, default: float = 0.0) -> float:
         counter = self.counters.get(name)

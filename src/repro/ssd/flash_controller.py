@@ -9,23 +9,12 @@ per-controller dispatcher removes the single HybridGPU dispatcher bottleneck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.config import ZNANDConfig
 from repro.sim.engine import Resource
-from repro.ssd.geometry import FlashGeometry, FlashLocation
+from repro.ssd.geometry import FlashGeometry
 from repro.ssd.znand import FlashOperationResult, ZNANDArray
-
-
-@dataclass
-class FlashCommand:
-    """A decoded flash command ready to issue to the array."""
-
-    ppn: int
-    is_program: bool
-    location: FlashLocation
-    transfer_bytes: Optional[int] = None
 
 
 class FlashController:
@@ -43,28 +32,21 @@ class FlashController:
         self.dispatcher = Resource(f"flash_ctrl{channel}_dispatch", ports=1)
         self.commands_issued = 0
 
-    def decode(self, ppn: int, is_program: bool, transfer_bytes: Optional[int] = None) -> FlashCommand:
-        location = self.geometry.decompose(ppn)
-        return FlashCommand(
-            ppn=ppn, is_program=is_program, location=location, transfer_bytes=transfer_bytes
-        )
-
-    def submit(self, command: FlashCommand, now: float) -> FlashOperationResult:
-        """Dispatch one command to the array; returns the array's timing record."""
-        start = self.dispatcher.acquire(now, self.DISPATCH_OCCUPANCY_CYCLES)
-        issue_time = start + self.DECODE_LATENCY_CYCLES
-        self.commands_issued += 1
-        if command.is_program:
-            return self.array.program_page(command.ppn, issue_time, command.transfer_bytes)
-        return self.array.read_page(
-            command.ppn, issue_time, command.transfer_bytes, location=command.location
-        )
-
     def read(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
-        return self.submit(self.decode(ppn, is_program=False, transfer_bytes=transfer_bytes), now)
+        """Dispatch one page read: decode the address, then sense the page."""
+        start = self.dispatcher.acquire(now, self.DISPATCH_OCCUPANCY_CYCLES)
+        self.commands_issued += 1
+        return self.array.read_page(
+            ppn, start + self.DECODE_LATENCY_CYCLES, transfer_bytes,
+            location=self.geometry.decompose(ppn),
+        )
 
     def program(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
-        return self.submit(self.decode(ppn, is_program=True, transfer_bytes=transfer_bytes), now)
+        """Dispatch one page program (the array decodes the address itself)."""
+        start = self.dispatcher.acquire(now, self.DISPATCH_OCCUPANCY_CYCLES)
+        self.commands_issued += 1
+        return self.array.program_page(
+            ppn, start + self.DECODE_LATENCY_CYCLES, transfer_bytes)
 
     def reset(self) -> None:
         self.dispatcher.reset()
@@ -86,11 +68,15 @@ class FlashControllerArray:
     def controller_for_ppn(self, ppn: int) -> FlashController:
         return self.controllers[self.array.geometry.channel_of_ppn(ppn)]
 
+    # read() and program() inline controller_for_ppn(): PPNs stripe
+    # channel-first, so the channel is ``ppn % channels``.
     def read(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
-        return self.controller_for_ppn(ppn).read(ppn, now, transfer_bytes)
+        controllers = self.controllers
+        return controllers[ppn % len(controllers)].read(ppn, now, transfer_bytes)
 
     def program(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
-        return self.controller_for_ppn(ppn).program(ppn, now, transfer_bytes)
+        controllers = self.controllers
+        return controllers[ppn % len(controllers)].program(ppn, now, transfer_bytes)
 
     @property
     def commands_issued(self) -> int:

@@ -48,6 +48,7 @@ class FlashGeometry:
         self.pages_per_block = config.pages_per_block
         self.page_size_bytes = config.page_size_bytes
         self._decompose_cache: "dict[int, FlashLocation]" = {}
+        self._total_pages = self.total_pages
 
     # -- capacity -----------------------------------------------------------
     @property
@@ -84,7 +85,7 @@ class FlashGeometry:
         location = self._decompose_cache.get(ppn)
         if location is not None:
             return location
-        if not 0 <= ppn < self.total_pages:
+        if not 0 <= ppn < self._total_pages:
             raise ValueError(f"PPN {ppn} out of range (total {self.total_pages})")
         channel = ppn % self.channels
         remainder = ppn // self.channels
@@ -116,21 +117,29 @@ class FlashGeometry:
         ) * self.planes_per_die + location.plane
 
     def plane_of_ppn(self, ppn: int) -> int:
-        return self.plane_id(self.decompose(ppn))
+        # plane_id(decompose(ppn)) without building the location: the
+        # channel, die and plane digits of the PPN, as decompose() reads them.
+        if not 0 <= ppn < self._total_pages:
+            raise ValueError(f"PPN {ppn} out of range (total {self.total_pages})")
+        dies = self.dies_per_channel
+        rest, channel = divmod(ppn, self.channels)
+        rest, die = divmod(rest, dies)
+        planes = self.planes_per_die
+        return (channel * dies + die) * planes + rest % planes
 
     def block_id(self, location: FlashLocation) -> int:
         """Flat block index (0 .. total_blocks-1)."""
         return self.plane_id(location) * self.blocks_per_plane + location.block
 
     def ppn_of(self, plane_id: int, block: int, page: int) -> int:
-        """Build a PPN from a flat plane index, block and page."""
-        channel = plane_id // (self.dies_per_channel * self.planes_per_die)
-        rest = plane_id % (self.dies_per_channel * self.planes_per_die)
-        die = rest // self.planes_per_die
-        plane = rest % self.planes_per_die
-        return self.compose(
-            FlashLocation(channel=channel, die=die, plane=plane, block=block, page=page)
-        )
+        """Build a PPN from a flat plane index, block and page.
+
+        Same digits as ``compose(FlashLocation(...))``, without the location.
+        """
+        channel, rest = divmod(plane_id, self.dies_per_channel * self.planes_per_die)
+        die, plane = divmod(rest, self.planes_per_die)
+        remainder = (block * self.pages_per_block + page) * self.planes_per_die + plane
+        return (remainder * self.dies_per_channel + die) * self.channels + channel
 
     def byte_address_to_ppn(self, byte_address: int) -> int:
         """PPN that holds ``byte_address`` under the linear striped layout."""

@@ -22,7 +22,7 @@ from repro.ssd.ftl_firmware import PageMappedFTL
 from repro.ssd.znand import ZNANDArray
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineServiceResult:
     """Timing record of one request serviced by the SSD engine."""
 
@@ -65,6 +65,11 @@ class SSDEngine:
         )
         self.requests_serviced = 0
         self.buffer_hits = 0
+        # The component latencies below are fixed by the config; service()
+        # runs once per HybridGPU request, so it reads them precomputed.
+        self._dispatcher_cycles = self.dispatcher_service_cycles
+        self._engine_cycles = self.engine_service_cycles
+        self._ftl_lookup_cycles = self.ftl_lookup_cycles
 
     # -- component latencies ----------------------------------------------------
     @property
@@ -90,15 +95,16 @@ class SSDEngine:
         self.requests_serviced += 1
 
         # 1. Request dispatcher (single queue between GPU network and SSD).
-        dispatch_start = self.dispatcher.acquire(now, self.dispatcher_service_cycles)
-        time = dispatch_start + self.dispatcher_service_cycles
+        dispatcher_cycles = self._dispatcher_cycles
+        time = self.dispatcher.acquire(now, dispatcher_cycles) + dispatcher_cycles
         breakdown["ssd_dispatcher"] = time - now
 
         # 2. Embedded cores execute the FTL for this request: the core is
         # occupied for the throughput-limiting service time and the (pipelined)
         # mapping-table lookup adds latency on top.
-        engine_start = self.engine_cores.acquire(time, self.engine_service_cycles)
-        engine_done = engine_start + self.engine_service_cycles + self.ftl_lookup_cycles
+        engine_cycles = self._engine_cycles
+        engine_done = (self.engine_cores.acquire(time, engine_cycles) + engine_cycles
+                       + self._ftl_lookup_cycles)
         breakdown["ssd_engine"] = engine_done - time
         time = engine_done
 
@@ -137,12 +143,7 @@ class SSDEngine:
             breakdown["dram_buffer"] = done - time
             time = done
 
-        return EngineServiceResult(
-            completion_cycle=time,
-            breakdown=breakdown,
-            buffer_hit=buffer_hit,
-            flash_bytes_read=flash_bytes,
-        )
+        return EngineServiceResult(time, breakdown, buffer_hit, flash_bytes)
 
     @property
     def buffer_hit_rate(self) -> float:

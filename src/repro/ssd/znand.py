@@ -27,7 +27,7 @@ from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.geometry import FlashGeometry, FlashLocation
 
 
-@dataclass
+@dataclass(slots=True)
 class FlashOperationResult:
     """Timing record of one flash array operation."""
 
@@ -183,22 +183,22 @@ class ZNANDArray:
         """
         if location is None:
             location = self.geometry.decompose(ppn)
-        plane_id, plane = self._plane_resource(location)
-        array_latency = self.config.read_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
+        plane_id = self.geometry.plane_id(location)
+        plane = self.planes._resources.get(plane_id)
+        if plane is None:
+            plane = self.planes[plane_id]
+        config = self.config
+        array_latency = config.read_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
         start = plane.acquire(now, array_latency)
         sensed = start + array_latency
-        bytes_to_move = transfer_bytes or self.config.page_size_bytes
-        completion = self.network.transfer(location.channel, bytes_to_move, sensed)
+        page_size = config.page_size_bytes
+        completion = self.network.transfer(
+            location.channel, transfer_bytes or page_size, sensed)
         self.page_reads += 1
         self.reads_per_plane[plane_id] += 1
-        self.bytes_read_from_array += self.config.page_size_bytes
+        self.bytes_read_from_array += page_size
         return FlashOperationResult(
-            start_cycle=start,
-            completion_cycle=completion,
-            array_cycles=array_latency,
-            transfer_cycles=completion - sensed,
-            location=location,
-        )
+            start, completion, array_latency, completion - sensed, location)
 
     def program_page(
         self, ppn: int, now: float, transfer_bytes: Optional[int] = None

@@ -175,3 +175,123 @@ class TestProperties:
             cache.lookup(address)
             cache.insert(address)
         assert cache.hits + cache.misses == len(addresses)
+
+
+class ReferenceLRU:
+    """The replaced tag array: a per-line use clock and a min-scan victim.
+
+    Kept here as the executable specification the dict-order LRU must match.
+    """
+
+    def __init__(self, num_sets, assoc, line_bytes):
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self.line_bytes = line_bytes
+        self.sets = {}
+        self.clock = 0
+        self.hits = self.misses = self.evictions = 0
+        self.dirty_evictions = self.insertions = 0
+
+    def _locate(self, address):
+        line_number = address // self.line_bytes
+        return (self.sets.setdefault(line_number % self.num_sets, {}),
+                line_number % self.num_sets, line_number // self.num_sets)
+
+    def lookup(self, address, mark_accessed=True):
+        lines, _, tag = self._locate(address)
+        line = lines.get(tag)
+        if line is None:
+            self.misses += 1
+            return False
+        self.clock += 1
+        line["last_use"] = self.clock
+        if mark_accessed:
+            line["accessed"] = True
+        self.hits += 1
+        return True
+
+    def insert(self, address, dirty, prefetched, pinned):
+        lines, set_index, tag = self._locate(address)
+        self.clock += 1
+        line = lines.get(tag)
+        if line is not None:
+            line["last_use"] = self.clock
+            line["dirty"] = line["dirty"] or dirty
+            line["pinned"] = line["pinned"] or pinned
+            if not prefetched:
+                line["accessed"] = True
+            return (True, None, False)
+        evicted = None
+        if len(lines) >= self.assoc:
+            unpinned = [(old["last_use"], old_tag) for old_tag, old in lines.items()
+                        if not old["pinned"]]
+            if not unpinned:
+                return (False, None, True)
+            victim_tag = min(unpinned)[1]
+            victim = lines.pop(victim_tag)
+            self.evictions += 1
+            self.dirty_evictions += victim["dirty"]
+            evicted = ((victim_tag * self.num_sets + set_index) * self.line_bytes,
+                       victim["dirty"], victim["prefetched"], victim["accessed"])
+        lines[tag] = {"last_use": self.clock, "dirty": dirty, "prefetched": prefetched,
+                      "accessed": not prefetched, "pinned": pinned}
+        self.insertions += 1
+        return (False, evicted, False)
+
+    def invalidate(self, address):
+        lines, _, tag = self._locate(address)
+        return lines.pop(tag, None) is not None
+
+    def mark_dirty(self, address):
+        lines, _, tag = self._locate(address)
+        if tag not in lines:
+            return False
+        lines[tag]["dirty"] = True
+        return True
+
+    def unpin_all(self):
+        released = 0
+        for lines in self.sets.values():
+            for line in lines.values():
+                released += line["pinned"]
+                line["pinned"] = False
+        return released
+
+
+# Sixteen distinct lines (plus an in-line offset) over two 4-way sets, so
+# sets overflow, lines get re-touched and pinned sets fill up.  Inserts and
+# lookups dominate, and one insert in five pins, so most full sets still
+# hold several unpinned lines to choose a victim from.
+_addresses = st.builds(lambda line, offset: line * 128 + offset,
+                       st.integers(0, 15), st.sampled_from([0, 64]))
+_insert = st.tuples(st.just("insert"), _addresses, st.booleans(), st.booleans(),
+                    st.sampled_from([False, False, False, False, True]))
+_lookup = st.tuples(st.just("lookup"), _addresses, st.booleans())
+_operations = st.one_of(
+    _insert, _insert, _insert, _lookup, _lookup,
+    st.tuples(st.just("invalidate"), _addresses),
+    st.tuples(st.just("mark_dirty"), _addresses),
+    st.tuples(st.just("unpin_all")),
+)
+
+
+class TestLRUMatchesUseClockModel:
+    @given(operations=st.lists(_operations, min_size=40, max_size=160))
+    @settings(max_examples=100, deadline=None)
+    def test_same_outcomes_as_reference(self, operations):
+        cache = make_cache(size=1024, assoc=4, line=128)
+        model = ReferenceLRU(cache.num_sets, cache.assoc, cache.line_bytes)
+        for name, *args in operations:
+            if name == "insert":
+                result = cache.insert(*args)
+                evicted = result.evicted
+                got = (result.hit,
+                       None if evicted is None else (evicted.address, evicted.dirty,
+                                                     evicted.prefetched, evicted.accessed),
+                       result.bypassed)
+                assert got == model.insert(*args)
+            else:
+                assert getattr(cache, name)(*args) == getattr(model, name)(*args)
+        for counter in ("hits", "misses", "evictions", "dirty_evictions", "insertions"):
+            assert getattr(cache, counter) == getattr(model, counter), counter
+        assert cache.occupancy == sum(len(lines) for lines in model.sets.values())

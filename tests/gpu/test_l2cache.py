@@ -91,22 +91,41 @@ class TestFills:
         outcome = l2.access(0x5000 + 128 * 6, is_write=False, now=5.0)  # same bank
         assert outcome.ready_cycle < 1_000.0
 
-    def test_eviction_records_drained(self):
-        l2 = SharedL2Cache(
+    @staticmethod
+    def make_tiny_l2():
+        """One-way banks where line i and line i + 6 share a bank and a set."""
+        return SharedL2Cache(
             name="tiny", size_bytes=6 * 2 * 128, assoc=1, line_bytes=128,
             banks=6, read_latency_cycles=1, write_latency_cycles=1,
         )
-        for i in range(64):
-            l2.fill(i * 128, now=0.0, prefetched=True)
-        records = l2.drain_evictions()
-        assert records
-        assert l2.drain_evictions() == []
+
+    def test_fill_reports_its_eviction(self):
+        l2 = self.make_tiny_l2()
+        assert l2.fill(0, now=0.0, prefetched=True).evicted is None
+        evicted = l2.fill(6 * 128, now=0.0).evicted
+        assert evicted.address == 0
+        assert evicted.prefetched and not evicted.accessed
+
+    def test_fill_page_returns_evictions_in_order(self):
+        l2 = self.make_tiny_l2()
+        assert l2.fill_page(0, 6 * 128, now=0.0) == []
+        evictions = l2.fill_page(6 * 128, 6 * 128, now=0.0)
+        assert [record.address for record in evictions] == [
+            line * 128 for line in range(6)]
 
     def test_pin_lines_and_unpin(self):
         l2 = make_stt_l2()
-        l2.pin_lines([0x0, 0x80], now=0.0)
+        assert l2.pin_lines([0x0, 0x80], now=0.0) == []
         assert l2.probe(0x0)
         assert l2.unpin_all() == 2
+
+    def test_pin_lines_returns_evictions(self):
+        l2 = self.make_tiny_l2()
+        l2.fill(0, now=0.0)
+        evictions = l2.pin_lines([6 * 128, 12 * 128], now=0.0)
+        # The second pin finds its set's only way pinned and bypasses.
+        assert [record.address for record in evictions] == [0]
+        assert l2.probe(6 * 128) and not l2.probe(12 * 128)
 
 
 class TestStatistics:

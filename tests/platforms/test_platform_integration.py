@@ -5,10 +5,15 @@ behaves sensibly: reads complete, writes complete, statistics are consistent,
 and the ZnG optimisations engage on the patterns that motivate them.
 """
 
+import gc
+
 import pytest
 
+from repro.config import default_config
+from repro.gpu.cache import EvictionRecord
 from repro.platforms import build_platform
 from repro.platforms.zng import PLATFORM_NAMES, ZnGPlatform, ZnGVariant
+from repro.runner.spec import apply_overrides
 from repro.workloads import microbench
 
 ALL = ["GDDR5"] + PLATFORM_NAMES
@@ -74,3 +79,31 @@ class TestDeterminism:
         b = build_platform(name).run(trace)
         assert a.ipc == pytest.approx(b.ipc)
         assert a.cycles == pytest.approx(b.cycles)
+
+
+class TestL2EvictionState:
+    def test_hybridgpu_keeps_no_per_eviction_state_on_the_l2(self):
+        """Evictions are reported to the caller, never logged on the L2."""
+        config = apply_overrides(default_config(), {"gpu.l2_size_bytes": 98304})
+        platform = build_platform("HybridGPU", config)
+        platform.run(microbench.streaming(num_warps=16, accesses_per_warp=64))
+        l2 = platform.l2
+        assert sum(l2.array(bank).evictions for bank in range(l2.banks)) > 0
+        for name, value in vars(l2).items():
+            if isinstance(value, (list, tuple, dict, set)):
+                assert not any(isinstance(item, EvictionRecord) for item in value), name
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("name", ALL)
+    def test_finished_platform_leaves_no_cyclic_garbage(self, name):
+        """Refcounting alone frees a finished platform, so memory does not
+        pile up across the cells of a grid until a full collection runs."""
+        trace = microbench.streaming(num_warps=8, accesses_per_warp=16)
+        gc.collect()
+        gc.disable()
+        try:
+            build_platform(name).run(trace)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -31,12 +31,6 @@ class TestMemoryRequest:
         request = MemoryRequest(address=1000)
         assert request.line_address(128) == 896
 
-    def test_translated_records_physical(self):
-        request = MemoryRequest(address=0x2000)
-        returned = request.translated(0xdead000)
-        assert returned is request
-        assert request.physical_address == 0xdead000
-
     def test_write_request(self):
         request = MemoryRequest(address=0, access=AccessType.WRITE)
         assert request.is_write

@@ -31,12 +31,6 @@ class TestFlashController:
         assert array.page_programs == 1
         assert result.completion_cycle > 0.0
 
-    def test_decode(self):
-        array = small_array()
-        controller = FlashController(channel=0, array=array)
-        command = controller.decode(5, is_program=False)
-        assert command.location == array.geometry.decompose(5)
-
     def test_dispatcher_serializes(self):
         array = small_array()
         controller = FlashController(channel=0, array=array)
