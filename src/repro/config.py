@@ -136,8 +136,6 @@ class GPUConfig:
         1, "cycles", "Table I: 1-cycle SRAM L2 read.", minimum=0)
     l2_write_latency_cycles: int = table_field(
         1, "cycles", "Table I: 1-cycle SRAM L2 write.", minimum=0)
-    l2_mshr_entries_per_bank: int = table_field(
-        64, "count", "MSHRs per L2 bank (outstanding-miss limit).", minimum=1)
 
     # Interconnect between SMs and L2 banks.
     noc_latency_cycles: int = table_field(

@@ -13,23 +13,11 @@ bank conflicts and the extra STT-MRAM write occupancy show up as queueing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.config import GPUConfig, STTMRAMConfig
 from repro.gpu.cache import EvictionRecord, SetAssociativeCache
-from repro.gpu.mshr import MSHR
 from repro.sim.engine import Resource
-
-
-@dataclass(slots=True)
-class L2AccessOutcome:
-    """Result of probing the shared L2 for one memory request."""
-
-    hit: bool
-    ready_cycle: float
-    bank: int
-    evicted: Optional[EvictionRecord] = None
 
 
 class SharedL2Cache:
@@ -44,7 +32,6 @@ class SharedL2Cache:
         banks: int,
         read_latency_cycles: float,
         write_latency_cycles: float,
-        mshr_entries_per_bank: int = 64,
         read_only: bool = False,
     ) -> None:
         self.name = name
@@ -66,9 +53,6 @@ class SharedL2Cache:
         self._bank_ports: List[Resource] = [
             Resource(f"{name}_bank{i}_port", ports=1) for i in range(banks)
         ]
-        self.mshrs: List[MSHR] = [
-            MSHR(f"{name}_bank{i}_mshr", mshr_entries_per_bank) for i in range(banks)
-        ]
         self.write_bypasses = 0
         self.prefetch_insertions = 0
 
@@ -89,7 +73,6 @@ class SharedL2Cache:
             banks=config.l2_banks,
             read_latency_cycles=config.l2_read_latency_cycles,
             write_latency_cycles=config.l2_write_latency_cycles,
-            mshr_entries_per_bank=config.l2_mshr_entries_per_bank,
             read_only=False,
         )
 
@@ -105,15 +88,15 @@ class SharedL2Cache:
             banks=config.banks,
             read_latency_cycles=config.read_latency_cycles,
             write_latency_cycles=config.write_latency_cycles,
-            mshr_entries_per_bank=64,
             read_only=True,
         )
 
     # -- access path --------------------------------------------------------
-    def access(self, address: int, is_write: bool, now: float) -> L2AccessOutcome:
-        """Probe the L2 for a 128 B request; allocate on write hits only.
+    def access(self, address: int, is_write: bool, now: float) -> Tuple[bool, float]:
+        """Probe the L2 for a 128 B request; return ``(hit, ready_cycle)``.
 
-        A *read-only* L2 (STT-MRAM) never allocates lines for writes and
+        Write hits mark the line dirty; misses allocate nothing.  A
+        *read-only* L2 (STT-MRAM) never allocates lines for writes and
         invalidates any stale copy instead, matching Section III-C.
         """
         bank = (address // self.line_bytes) % self.banks
@@ -125,12 +108,12 @@ class SharedL2Cache:
             # Writes bypass the read-only L2; keep it coherent by invalidating.
             array.invalidate(address)
             self.write_bypasses += 1
-            return L2AccessOutcome(False, ready, bank)
+            return False, ready
 
         hit = array.lookup(address)
         if hit and is_write:
             array.mark_dirty(address)
-        return L2AccessOutcome(hit, ready, bank)
+        return hit, ready
 
     def fill(
         self,
@@ -139,21 +122,19 @@ class SharedL2Cache:
         dirty: bool = False,
         prefetched: bool = False,
         pinned: bool = False,
-    ) -> L2AccessOutcome:
+    ) -> Optional[EvictionRecord]:
         """Install one line (e.g. after a flash/DRAM fill or a prefetch).
 
         Fills are performed by the fill path of the bank and do not contend
-        with the demand-access port: they complete ``write_latency`` cycles
-        after the data arrives.  (Booking the single demand port at the fill's
-        future completion time would falsely delay earlier demand accesses.)
-        The evicted line, if any, is reported in the outcome.
+        with the demand-access port.  (Booking the single demand port at the
+        fill's future completion time would falsely delay earlier demand
+        accesses.)  Returns the evicted line, if any.
         """
-        bank = (address // self.line_bytes) % self.banks
-        result = self._bank_arrays[bank].insert(address, dirty, prefetched, pinned)
+        evicted = self._bank_arrays[(address // self.line_bytes) % self.banks].insert(
+            address, dirty, prefetched, pinned).evicted
         if prefetched:
             self.prefetch_insertions += 1
-        return L2AccessOutcome(
-            result.hit, now + self.write_latency_cycles, bank, result.evicted)
+        return evicted
 
     def fill_page(
         self,
@@ -166,9 +147,9 @@ class SharedL2Cache:
         """Install the lines of a fetched flash page (or a prefix of it).
 
         Inserts straight into the bank arrays (one insert per 128 B line)
-        without materialising a per-line :class:`L2AccessOutcome`; page fills
-        happen on every prefetched miss, so this loop is hot.  Returns the
-        evicted lines in eviction order.
+        rather than through :meth:`fill`; page fills happen on every
+        prefetched miss, so this loop is hot.  Returns the evicted lines in
+        eviction order.
         """
         evictions: List[EvictionRecord] = []
         span = min(page_bytes, limit_bytes) if limit_bytes else page_bytes
@@ -195,7 +176,7 @@ class SharedL2Cache:
         """
         evictions: List[EvictionRecord] = []
         for address in addresses:
-            evicted = self.fill(address, now, dirty=True, pinned=True).evicted
+            evicted = self.fill(address, now, dirty=True, pinned=True)
             if evicted is not None:
                 evictions.append(evicted)
         return evictions
@@ -224,7 +205,5 @@ class SharedL2Cache:
     def reset_statistics(self) -> None:
         for array in self._bank_arrays:
             array.reset_statistics()
-        for mshr in self.mshrs:
-            mshr.reset()
         self.write_bypasses = 0
         self.prefetch_insertions = 0

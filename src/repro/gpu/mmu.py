@@ -9,24 +9,12 @@ entries; the MMU mechanics (TLB miss -> walk cache -> page walk) are shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import GPUConfig
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.tlb import TLB
 from repro.sim.engine import Resource
-
-
-@dataclass(slots=True)
-class TranslationResult:
-    """Outcome of translating one virtual address."""
-
-    physical_address: int
-    latency_cycles: float
-    tlb_hit: bool
-    walk_cache_hit: bool = False
-    page_fault: bool = False
 
 
 class PageTable:
@@ -103,8 +91,12 @@ class MMU:
         page_size = self.page_size_bytes
         return frame * page_size + virtual_address % page_size
 
-    def translate(self, virtual_address: int, now: float) -> TranslationResult:
-        """Translate a virtual address, charging TLB/walk/fault latency."""
+    def translate(self, virtual_address: int, now: float) -> Tuple[int, float, bool]:
+        """Translate a virtual address, charging TLB/walk/fault latency.
+
+        Returns ``(physical_address, latency_cycles, tlb_hit)``; walk-cache
+        hits and page faults are counted in ``walk_cache`` and ``page_faults``.
+        """
         self.translations += 1
         page_size = self.page_size_bytes
         vpn = virtual_address // page_size
@@ -117,8 +109,7 @@ class MMU:
         if cached_frame is not None:
             tlb_entries.move_to_end(vpn)
             tlb.hits += 1
-            return TranslationResult(
-                cached_frame * page_size + virtual_address % page_size, 1.0, True)
+            return cached_frame * page_size + virtual_address % page_size, 1.0, True
         tlb.misses += 1
 
         # TLB miss: a walk thread is allocated (Section II-A).
@@ -135,9 +126,7 @@ class MMU:
             self.walk_cache.insert(vpn * 8)
 
         frame = self.page_table.lookup(vpn)
-        page_fault = False
         if frame is None:
-            page_fault = True
             self.page_faults += 1
             if self._fault_handler is None:
                 # Demand-zero mapping with no extra cost beyond the walk.
@@ -148,13 +137,7 @@ class MMU:
                 completion = max(completion, fault_done)
 
         tlb.insert(virtual_address, frame)
-        return TranslationResult(
-            self._physical_address(frame, virtual_address),
-            completion - now,
-            False,
-            walk_cache_hit,
-            page_fault,
-        )
+        return self._physical_address(frame, virtual_address), completion - now, False
 
     def preload(self, virtual_pages: Dict[int, int]) -> None:
         """Bulk-install translations (used to set up read-only DBMT mappings)."""

@@ -8,18 +8,7 @@ by returning the time at which an entry frees up.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-
-@dataclass(slots=True)
-class MSHREntry:
-    """One outstanding miss."""
-
-    line_address: int
-    issue_cycle: float
-    fill_cycle: float
-    merged_requests: int = 1
 
 
 class MSHR:
@@ -35,10 +24,11 @@ class MSHR:
             raise ValueError("MSHR needs at least one entry")
         self.name = name
         self.num_entries = num_entries
-        self._entries: Dict[int, MSHREntry] = {}
+        # Line address -> fill cycle of each outstanding miss.
+        self._entries: Dict[int, float] = {}
         # (fill_cycle, line_address) heap with exactly one tuple per live
         # entry: allocate() pushes only on the primary-miss path (the merge
-        # path returns before the push, and merges never change fill_cycle),
+        # path returns before the push, and merges never change the fill),
         # and an entry only leaves _entries when _expire pops its tuple, so
         # the heap and the dict cannot drift apart.
         self._fill_heap: List[Tuple[float, int]] = []
@@ -54,8 +44,8 @@ class MSHR:
             _, address = heapq.heappop(heap)
             entries.pop(address, None)
 
-    def lookup(self, line_address: int, now: float) -> Optional[MSHREntry]:
-        """Return an in-flight entry covering ``line_address``, if any."""
+    def lookup(self, line_address: int, now: float) -> Optional[float]:
+        """Return the fill cycle of an in-flight miss to ``line_address``, if any."""
         heap = self._fill_heap
         if heap and heap[0][0] <= now:
             self._expire(now)
@@ -73,9 +63,7 @@ class MSHR:
         heap = self._fill_heap
         if heap and heap[0][0] <= now:
             self._expire(now)
-        entry = self._entries.get(line_address)
-        if entry is not None:
-            entry.merged_requests += 1
+        if line_address in self._entries:
             self.secondary_misses += 1
             return now, True
 
@@ -86,7 +74,7 @@ class MSHR:
             self.stalls += 1
             self._expire(stall_until)
         fill = max(fill_cycle, stall_until)
-        self._entries[line_address] = MSHREntry(line_address, stall_until, fill)
+        self._entries[line_address] = fill
         heapq.heappush(heap, (fill, line_address))
         self.primary_misses += 1
         return stall_until, False

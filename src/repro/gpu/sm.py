@@ -24,12 +24,12 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.mshr import MSHR
 from repro.gpu.warp import Instruction, WarpTrace
-from repro.sim.request import AccessType, MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.sim.engine import Resource
 from repro.telemetry import core as _telemetry
 
-#: Signature of the platform memory hook: (request, now) -> RequestResult.
-MemoryAccessFn = Callable[[MemoryRequest, float], RequestResult]
+#: Signature of the platform memory hook: (request, now) -> completion cycle.
+MemoryAccessFn = Callable[[MemoryRequest, float], float]
 
 
 @dataclass
@@ -92,9 +92,9 @@ class StreamingMultiprocessor:
         stats.instructions += compute_ops + 1
         stats.memory_instructions += 1
 
-        # Coalescing, then the cache path for each 128 B request.
-        completion = ready
-        for request in self.coalescer.coalesce(
+        # Coalescing, then the cache path for each 128 B request: L1 probe,
+        # MSHR merge and (on a miss) the platform memory access.
+        requests = self.coalescer.coalesce(
             instruction.addresses,
             instruction.access,
             warp_id,
@@ -102,48 +102,40 @@ class StreamingMultiprocessor:
             instruction.pc,
             ready,
             instruction.segments,
-        ):
-            finish = self._access_memory(request, ready, memory_fn)
+        )
+        stats.memory_requests += len(requests)
+        l1 = self.l1
+        mshr = self.mshr
+        line_bytes = self._l1_line_bytes
+        l1_ready = ready + self._l1_latency
+        completion = ready
+        for request in requests:
+            address = request.address
+            if request.is_read:
+                if l1.lookup(address):
+                    stats.l1_hits += 1
+                    finish = l1_ready
+                else:
+                    stats.l1_misses += 1
+                    line_address = address // line_bytes * line_bytes
+                    finish = mshr.lookup(line_address, ready)
+                    if finish is not None:
+                        # Secondary miss: piggyback on the outstanding fill.
+                        mshr.allocate(line_address, ready, finish)
+                        if finish < l1_ready:
+                            finish = l1_ready
+                    else:
+                        finish = memory_fn(request, l1_ready)
+                        mshr.allocate(line_address, ready, finish)
+                        l1.insert(address)
+            else:
+                # Write-through, no-allocate L1 (typical for GPU L1D): the
+                # write always goes below; a stale copy is invalidated.
+                l1.invalidate(address)
+                finish = memory_fn(request, l1_ready)
             if finish > completion:
                 completion = finish
         return completion
-
-    def _access_memory(
-        self, request: MemoryRequest, now: float, memory_fn: MemoryAccessFn
-    ) -> float:
-        """L1 probe, MSHR merge and (on miss) platform memory access."""
-        stats = self.stats
-        stats.memory_requests += 1
-        address = request.address
-        l1 = self.l1
-        line_bytes = self._l1_line_bytes
-        line_address = address // line_bytes * line_bytes
-        l1_ready = now + self._l1_latency
-        is_read = request.is_read
-
-        if is_read:
-            if l1.lookup(address):
-                stats.l1_hits += 1
-                return l1_ready
-            stats.l1_misses += 1
-        else:
-            # Write-through, no-allocate L1 (typical for GPU L1D): the write
-            # always goes below; a stale copy is invalidated.
-            l1.invalidate(address)
-
-        mshr = self.mshr
-        inflight = mshr.lookup(line_address, now)
-        if inflight is not None and is_read:
-            # Secondary miss: piggyback on the outstanding fill.
-            fill_cycle = inflight.fill_cycle
-            mshr.allocate(line_address, now, fill_cycle)
-            return fill_cycle if fill_cycle > l1_ready else l1_ready
-
-        fill_cycle = memory_fn(request, l1_ready).completion_cycle
-        if is_read:
-            mshr.allocate(line_address, now, fill_cycle)
-            l1.insert(address)
-        return fill_cycle
 
     def reset(self) -> None:
         self.issue_port.reset()

@@ -19,7 +19,7 @@ from repro.gpu.l2cache import SharedL2Cache
 from repro.gpu.mmu import MMU
 from repro.gpu.sm import GPUCore, GPUExecutionResult, SMStatistics
 from repro.gpu.warp import WarpTrace
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.sim.stats import StatsCollector
 from repro.telemetry import core as _telemetry
 from repro.workloads.trace import WorkloadTrace
@@ -248,19 +248,21 @@ class GPUSSDPlatform(ABC):
 
     @abstractmethod
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         """Serve a read that missed the shared L2; return its completion cycle.
 
-        Implementations must add per-component latencies to ``result`` and are
-        responsible for filling the L2 if their fill policy says so.
+        ``breakdown`` is the cell's running latency breakdown (a
+        ``defaultdict(float)``).  Implementations add each positive
+        per-component latency to it and are responsible for filling the L2 if
+        their fill policy says so.
         """
 
     def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         """Serve a write below the L2.  Default: same path as a read miss."""
-        return self._service_l2_miss(request, now, result)
+        return self._service_l2_miss(request, now, breakdown)
 
     def _observe_read(self, request: MemoryRequest, hit: bool) -> None:
         """Hook called for every L2 read access (hit or miss).  Default no-op."""
@@ -276,10 +278,13 @@ class GPUSSDPlatform(ABC):
     # ------------------------------------------------------------------
     # The shared request path
     # ------------------------------------------------------------------
-    def memory_access(self, request: MemoryRequest, now: float) -> RequestResult:
-        """The callback handed to the GPU core for every coalesced request."""
-        breakdown: Dict[str, float] = {}
-        result = RequestResult(request, now, now, "memory", "memory", breakdown)
+    def memory_access(self, request: MemoryRequest, now: float) -> float:
+        """The callback handed to the GPU core for every coalesced request.
+
+        Returns the request's completion cycle.  Each step charges its
+        positive latency straight into the cell's breakdown totals.
+        """
+        breakdown = self.stats.breakdown
         address = request.address
         is_write = request.is_write
         self._ctr_requests.value += 1
@@ -288,59 +293,47 @@ class GPUSSDPlatform(ABC):
         else:
             self._ctr_reads.value += 1
 
-        # Steps 1-3 each charge a breakdown component the request has not
-        # charged yet, so a plain store (of a positive latency) stands in for
-        # RequestResult.add_latency.
-
         # 1. Virtual-address translation through the shared TLB/MMU.
-        translation = self.mmu.translate(address, now)
-        latency = translation.latency_cycles
+        physical_address, latency, tlb_hit = self.mmu.translate(address, now)
         if latency > 0:
-            breakdown["tlb" if translation.tlb_hit else "mmu"] = latency
+            breakdown["tlb" if tlb_hit else "mmu"] += latency
         time = now + latency
-        request.physical_address = translation.physical_address
+        request.physical_address = physical_address
 
         # 2. Interconnect hop from the SM to the target L2 bank.
         l2 = self.l2
         arrival = self.noc.send((address // l2.line_bytes) % l2.banks, request.size, time)
         latency = arrival - time
         if latency > 0:
-            breakdown["l1_l2_net"] = latency
+            breakdown["l1_l2_net"] += latency
         time = arrival
 
         # 3. Shared L2 access.
-        outcome = l2.access(address, is_write, time)
-        ready = outcome.ready_cycle
+        hit, ready = l2.access(address, is_write, time)
         latency = ready - time
         if latency > 0:
-            breakdown["l2_cache"] = latency
+            breakdown["l2_cache"] += latency
         time = ready
 
         if is_write:
-            completion = self._service_write(request, time, result)
+            completion = self._service_write(request, time, breakdown)
             self._ctr_writes_below_l2.value += 1
         else:
             # Let the platform observe the full read stream (e.g. to train a
             # prefetch predictor) regardless of L2 hit/miss.
-            hit = outcome.hit
             self._observe_read(request, hit)
             if hit:
                 self._ctr_l2_hits.value += 1
-                result.hit_level = "l2"
                 completion = time
             else:
                 self._ctr_l2_misses.value += 1
-                completion = self._service_l2_miss(request, time, result)
+                completion = self._service_l2_miss(request, time, breakdown)
 
         if completion < time:
             completion = time
-        result.completion_cycle = completion
         self._hist_latency.add(completion - now)
-        totals = self.stats.breakdown
-        for component, cycles in breakdown.items():
-            totals[component] += cycles
         self._memory_bytes_served += request.size
-        return result
+        return completion
 
     # ------------------------------------------------------------------
     # Execution driver
@@ -390,7 +383,7 @@ class GPUSSDPlatform(ABC):
         """
         sms = self.gpu.sms
         l2 = self.l2
-        mshrs = list(l2.mshrs) + [sm.mshr for sm in sms]
+        mshrs = [sm.mshr for sm in sms]
         values = {
             "engine.events": float(execution.events),
             "engine.queue_depth_max": float(self.gpu.last_max_queue_depth),

@@ -7,12 +7,12 @@ raw Z-NAND.  Data is assumed resident in GDDR5 (no page faults).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.config import GPU_FREQ_HZ, PlatformConfig
 from repro.gpu.dram import DRAMSubsystem, build_gddr5_subsystem
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.workloads.trace import WorkloadTrace
 
 
@@ -30,23 +30,23 @@ class GDDR5Platform(GPUSSDPlatform):
         self.mmu.preload({vpn: vpn for vpn in self.resident_pages(workload)})
 
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         address = request.physical_address or request.address
         completion = self.dram.access(address, request.size, now)
-        result.add_latency("dram", completion - now)
-        result.serviced_by = "gddr5"
+        if completion > now:
+            breakdown["dram"] += completion - now
         # Fill the missing line into the L2 for future reuse.
         self.l2.fill(request.address, completion)
         return completion
 
     def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         address = request.physical_address or request.address
         completion = self.dram.access(address, request.size, now)
-        result.add_latency("dram", completion - now)
-        result.serviced_by = "gddr5"
+        if completion > now:
+            breakdown["dram"] += completion - now
         self.l2.fill(request.address, completion, dirty=True)
         return completion
 

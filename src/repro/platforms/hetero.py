@@ -11,7 +11,7 @@ this platform is the fault path, not steady-state bandwidth.
 from __future__ import annotations
 
 import weakref
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import (
     GPU_FREQ_HZ,
@@ -23,7 +23,7 @@ from repro.config import (
 from repro.gpu.dram import DRAMSubsystem, build_gddr5_subsystem
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.sim.engine import BandwidthResource, Resource
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.workloads.trace import WorkloadTrace
 
 
@@ -87,23 +87,24 @@ class HeteroPlatform(GPUSSDPlatform):
 
     # ------------------------------------------------------------------
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         # The fault (if any) already happened during translation; what is left
         # is a plain GDDR5 access.
         address = request.physical_address or request.address
         completion = self.dram.access(address, request.size, now)
-        result.add_latency("dram", completion - now)
-        result.serviced_by = "gddr5_after_fault"
+        if completion > now:
+            breakdown["dram"] += completion - now
         self.l2.fill(request.address, completion)
         return completion
 
     def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         address = request.physical_address or request.address
         completion = self.dram.access(address, request.size, now)
-        result.add_latency("dram", completion - now)
+        if completion > now:
+            breakdown["dram"] += completion - now
         self.l2.fill(request.address, completion, dirty=True)
         return completion
 

@@ -10,11 +10,11 @@ large network share of the latency to.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.config import GPU_FREQ_HZ, PlatformConfig
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.ftl_firmware import PageMappedFTL
 from repro.ssd.ssd_engine import EngineServiceResult, SSDEngine
@@ -49,37 +49,29 @@ class HybridGPUPlatform(GPUSSDPlatform):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _charge(result: RequestResult, service: EngineServiceResult) -> None:
-        """Copy the engine's positive component latencies into the request.
-
-        The engine's components are disjoint from the GPU-side ones the
-        request has charged, so each is a first write of its key.
-        """
-        breakdown = result.breakdown
+    def _charge(breakdown: Dict[str, float], service: EngineServiceResult) -> None:
+        """Add the engine's positive component latencies to the breakdown."""
         for component, cycles in service.breakdown.items():
             if cycles > 0:
-                breakdown[component] = cycles
+                breakdown[component] += cycles
 
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         service = self.engine.service(
             request.address, request.size, is_write=False, now=now
         )
-        self._charge(result, service)
-        result.serviced_by = "ssd_engine"
-        result.bytes_moved_from_flash = service.flash_bytes_read
+        self._charge(breakdown, service)
         self.l2.fill(request.address, service.completion_cycle)
         return service.completion_cycle
 
     def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         service = self.engine.service(
             request.address, request.size, is_write=True, now=now
         )
-        self._charge(result, service)
-        result.serviced_by = "ssd_engine"
+        self._charge(breakdown, service)
         self.l2.fill(request.address, service.completion_cycle, dirty=True)
         return service.completion_cycle
 

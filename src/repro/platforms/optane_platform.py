@@ -8,11 +8,11 @@ from the accumulated flash arrays (Section V-B).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.config import PlatformConfig
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.ssd.optane import OptaneMemory
 from repro.workloads.trace import WorkloadTrace
 
@@ -30,22 +30,22 @@ class OptanePlatform(GPUSSDPlatform):
         self.mmu.preload({vpn: vpn for vpn in self.resident_pages(workload)})
 
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         address = request.physical_address or request.address
         completion = self.optane.access(address, request.size, is_write=False, now=now)
-        result.add_latency("optane", completion - now)
-        result.serviced_by = "optane"
+        if completion > now:
+            breakdown["optane"] += completion - now
         self.l2.fill(request.address, completion)
         return completion
 
     def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         address = request.physical_address or request.address
         completion = self.optane.access(address, request.size, is_write=True, now=now)
-        result.add_latency("optane", completion - now)
-        result.serviced_by = "optane"
+        if completion > now:
+            breakdown["optane"] += completion - now
         self.l2.fill(request.address, completion, dirty=True)
         return completion
 

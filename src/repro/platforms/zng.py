@@ -26,7 +26,7 @@ from repro.core.zero_overhead_ftl import ZeroOverheadFTL
 from repro.gpu.cache import EvictionRecord
 from repro.gpu.l2cache import SharedL2Cache
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.ssd.endurance import EnduranceModel
 from repro.ssd.flash_controller import FlashControllerArray
 from repro.ssd.flash_network import FlashNetwork
@@ -140,7 +140,7 @@ class ZnGPlatform(GPUSSDPlatform):
             self.prefetcher.train(request)
 
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         address = request.address
         virtual_page = address // self.page_size
@@ -155,15 +155,10 @@ class ZnGPlatform(GPUSSDPlatform):
         if register_cache.holds(register_cache.group_of_plane(plane), virtual_page):
             channel = geometry.channel_of_ppn(ppn)
             completion = self.flash_network.transfer(channel, request.size, time)
-            result.add_latency("flash_register", completion - time)
-            result.serviced_by = "flash_register"
+            if completion > time:
+                breakdown["flash_register"] += completion - time
             self.stats.add("register_read_hits")
             return completion
-
-        # The rest of the read charges breakdown components this request has
-        # not charged yet, so a plain store of each positive latency stands
-        # in for RequestResult.add_latency.
-        breakdown = result.breakdown
 
         # Plane-private registers (base/rdopt) must be drained before the plane
         # can sense a read; the package-wide write cache does not block reads.
@@ -171,7 +166,7 @@ class ZnGPlatform(GPUSSDPlatform):
             plane, time, self._program_log_page
         )
         if drained > time:
-            breakdown["register_flush"] = drained - time
+            breakdown["register_flush"] += drained - time
             self.stats.add("forced_register_flushes")
             time = drained
 
@@ -190,14 +185,12 @@ class ZnGPlatform(GPUSSDPlatform):
         transfer_cycles = operation.transfer_cycles
         completion = operation.completion_cycle
         if array_cycles > 0:
-            breakdown["flash_array"] = array_cycles
+            breakdown["flash_array"] += array_cycles
         if transfer_cycles > 0:
-            breakdown["flash_network"] = transfer_cycles
+            breakdown["flash_network"] += transfer_cycles
         controller_cycles = (completion - time) - array_cycles - transfer_cycles
         if controller_cycles > 0:
-            breakdown["flash_controller"] = controller_cycles
-        result.serviced_by = "znand"
-        result.bytes_moved_from_flash = fetch_bytes
+            breakdown["flash_controller"] += controller_cycles
         self.stats.add("flash_page_reads")
 
         # Fill the L2: the demand line plus (for prefetches) the neighbouring
@@ -213,7 +206,7 @@ class ZnGPlatform(GPUSSDPlatform):
             )
         else:
             evictions = []
-        evicted = l2.fill(address, completion, prefetched=False).evicted
+        evicted = l2.fill(address, completion, prefetched=False)
         if prefetcher is not None:
             # The access monitor sees every L2 eviction in the order it
             # happened: those of earlier thrashing spills, then this fill's.
@@ -254,7 +247,7 @@ class ZnGPlatform(GPUSSDPlatform):
         return now + self.l2.write_latency_cycles * len(addresses)
 
     def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
+        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
     ) -> float:
         virtual_page = request.address // self.page_size
         self.endurance.record_host_writes(1)
@@ -273,10 +266,8 @@ class ZnGPlatform(GPUSSDPlatform):
             self._spill_to_l2 if self.variant.has_read_optimization else None,
         )
         ready = outcome.ready_cycle
-        # The first component this write charges: a plain store.
         if ready > now:
-            result.breakdown["flash_register"] = ready - now
-        result.serviced_by = "flash_register"
+            breakdown["flash_register"] += ready - now
         stats = self.stats
         if outcome.register_hit:
             stats.add("register_write_hits")

@@ -559,7 +559,9 @@ class SweepRunner:
         Memoization is opt-in so programmatic callers never write to disk
         unless they asked to; the CLI opts in by default.
         """
-        self.workers = max(1, int(workers))
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise ValueError(f"workers must be an int >= 1, got {workers!r}")
+        self.workers = workers
         self.cache: Optional[ResultCacheBackend] = open_cache(cache)
 
     # ------------------------------------------------------------------

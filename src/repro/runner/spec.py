@@ -15,12 +15,13 @@ canonical plain-data descriptor used for three things at once:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import PlatformConfig, default_config
 from repro.configspace.fingerprint import canonical_json
-from repro.configspace.schema import SCHEMA
+from repro.configspace.schema import SCHEMA, FieldSpec, coerce_value
 from repro.workloads.registry import (
     parse_workload_token,
     resolve_workload_tokens,
@@ -65,6 +66,21 @@ class OverrideSet:
         return dict(self.overrides)
 
 
+def _run_knob(name: str, unit: str, doc: str) -> FieldSpec:
+    return FieldSpec(path=name, group="run", name=name, owner="SweepSpec",
+                     type=int, default=None, unit=unit, doc=doc, minimum=1)
+
+
+#: The integer trace-generation knobs of ``SweepSpec.create``, checked by the
+#: engine that checks config overrides and workload parameters.
+_RUN_KNOBS = (
+    _run_knob("num_sms", "SMs", "SMs the trace is generated for."),
+    _run_knob("warps_per_sm", "warps", "Warps per SM in the trace."),
+    _run_knob("memory_instructions_per_warp", "instructions",
+              "Memory instructions per warp in the trace."),
+)
+
+
 #: What callers may pass as the ``overrides`` argument of ``SweepSpec.create``.
 OverridesInput = Union[None, OverrideMapping, Sequence[OverrideSet], Mapping[str, OverrideMapping]]
 
@@ -107,7 +123,15 @@ class SweepSpec:
         and bad paths/values raise before any cell runs.  ``workloads``
         accepts single applications (``"betw"``), mixes (``"betw-back"``)
         and group tokens (``"mixes"``, ``"graph"``, ``"scientific"``).
+        The run knobs are checked too: ``scale`` must be a finite number
+        > 0, and the SM, warp and memory-instruction counts ints >= 1.
         """
+        if isinstance(scale, bool) or not (
+                isinstance(scale, (int, float)) and 0 < scale < math.inf):
+            raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+        num_sms, warps_per_sm, memory_instructions_per_warp = (
+            coerce_value(knob, value) for knob, value in zip(
+                _RUN_KNOBS, (num_sms, warps_per_sm, memory_instructions_per_warp)))
         if overrides is None:
             override_sets: Tuple[OverrideSet, ...] = (OverrideSet("default"),)
         elif isinstance(overrides, Mapping):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional
+from typing import Optional
 
 
 class AccessType(Enum):
@@ -90,29 +90,3 @@ class MemoryRequest:
         """Cache-line-aligned address of the request."""
         return (self.address // line_size) * line_size
 
-
-@dataclass(slots=True)
-class RequestResult:
-    """Completion record returned by a platform for one memory request.
-
-    ``breakdown`` maps component names (``"l1"``, ``"tlb"``, ``"l2"``,
-    ``"flash_array"``, ``"ssd_engine"`` ...) to the latency in cycles charged
-    by that component, which is what the latency-breakdown figures consume.
-    """
-
-    request: MemoryRequest
-    start_cycle: float
-    completion_cycle: float
-    serviced_by: str = "memory"
-    hit_level: str = "memory"
-    breakdown: Dict[str, float] = field(default_factory=dict)
-    bytes_moved_from_flash: int = 0
-
-    @property
-    def latency(self) -> float:
-        return self.completion_cycle - self.start_cycle
-
-    def add_latency(self, component: str, cycles: float) -> None:
-        if cycles <= 0:
-            return
-        self.breakdown[component] = self.breakdown.get(component, 0.0) + cycles

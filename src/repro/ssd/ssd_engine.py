@@ -29,7 +29,6 @@ class EngineServiceResult:
     completion_cycle: float
     breakdown: Dict[str, float]
     buffer_hit: bool
-    flash_bytes_read: int = 0
 
 
 class SSDEngine:
@@ -113,7 +112,6 @@ class SSDEngine:
 
         # 3. DRAM buffer lookup.
         buffer_hit = self.dram_buffer.lookup(page_address)
-        flash_bytes = 0
         if buffer_hit:
             self.buffer_hits += 1
             done = self.dram_bus.transfer(time, size)
@@ -127,7 +125,6 @@ class SSDEngine:
                 result = self.ftl.write(lpn, time)
             else:
                 result = self.ftl.read(lpn, time)
-                flash_bytes = self.page_size
             breakdown["flash_array"] = result.array_cycles
             breakdown["flash_channel"] = result.transfer_cycles
             time = result.completion_cycle
@@ -143,7 +140,7 @@ class SSDEngine:
             breakdown["dram_buffer"] = done - time
             time = done
 
-        return EngineServiceResult(time, breakdown, buffer_hit, flash_bytes)
+        return EngineServiceResult(time, breakdown, buffer_hit)
 
     @property
     def buffer_hit_rate(self) -> float:

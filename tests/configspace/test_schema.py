@@ -58,6 +58,12 @@ class TestPathErrors:
         with pytest.raises(ConfigPathError, match="ZNANDConfig has no field"):
             SCHEMA.get("znand.bogus")
 
+    def test_deleted_field_is_unknown(self):
+        # gpu.l2_mshr_entries_per_bank sized L2 MSHRs that nothing used.
+        with pytest.raises(ConfigPathError,
+                           match="GPUConfig has no field 'l2_mshr_entries_per_bank'"):
+            SCHEMA.get("gpu.l2_mshr_entries_per_bank")
+
     def test_group_path_is_not_a_leaf(self):
         with pytest.raises(ConfigPathError, match="whole ZNANDConfig group"):
             SCHEMA.get("znand")

@@ -25,9 +25,7 @@ class TestMSHR:
     def test_lookup_finds_inflight(self):
         mshr = MSHR("m", 4)
         mshr.allocate(0x1000, 0.0, 100.0)
-        entry = mshr.lookup(0x1000, now=50.0)
-        assert entry is not None
-        assert entry.fill_cycle == 100.0
+        assert mshr.lookup(0x1000, now=50.0) == 100.0
 
     def test_entries_expire_after_fill(self):
         mshr = MSHR("m", 4)

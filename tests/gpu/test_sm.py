@@ -5,16 +5,14 @@ import pytest
 from repro.config import GPUConfig
 from repro.gpu.sm import GPUCore, StreamingMultiprocessor
 from repro.gpu.warp import Instruction, WarpTrace
-from repro.sim.request import AccessType, MemoryRequest, RequestResult
+from repro.sim.request import AccessType, MemoryRequest
 
 
 def constant_memory(latency=100.0):
     """A memory hook that completes every request after a fixed latency."""
 
-    def hook(request: MemoryRequest, now: float) -> RequestResult:
-        return RequestResult(
-            request=request, start_cycle=now, completion_cycle=now + latency
-        )
+    def hook(request: MemoryRequest, now: float) -> float:
+        return now + latency
 
     return hook
 
@@ -40,7 +38,7 @@ class TestStreamingMultiprocessor:
 
         def hook(request, now):
             calls.append(request.address)
-            return RequestResult(request=request, start_cycle=now, completion_cycle=now + 100)
+            return now + 100
 
         instr = Instruction(pc=0, addresses=[0x1000], access=AccessType.READ)
         sm.execute_instruction(instr, 0, 0.0, hook)

@@ -97,6 +97,16 @@ class TestMemoization:
         assert third.cache_hit_rate == 1.0
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_rejects_a_bad_worker_count(self, workers):
+        with pytest.raises(ValueError, match="workers must be an int >= 1"):
+            SweepRunner(workers=workers)
+
+    def test_keeps_a_valid_worker_count(self):
+        assert SweepRunner(workers=3).workers == 3
+
+
 class TestSweepResultAccessors:
     def test_get_and_table(self):
         result = run_sweep(_small_spec())

@@ -125,6 +125,30 @@ class TestSweepSpec:
                 overrides={"bad": {"znand.total_planes": 1}},
             )
 
+    @pytest.mark.parametrize("knobs, message", [
+        ({"scale": -1.0}, "scale must be a finite number > 0"),
+        ({"scale": 0.0}, "scale must be a finite number > 0"),
+        ({"scale": float("nan")}, "scale must be a finite number > 0"),
+        ({"scale": float("inf")}, "scale must be a finite number > 0"),
+        ({"scale": "0.2"}, "scale must be a finite number > 0"),
+        ({"warps_per_sm": 0}, "warps_per_sm must be >= 1"),
+        ({"memory_instructions_per_warp": 0},
+         "memory_instructions_per_warp must be >= 1"),
+        ({"num_sms": 0}, "num_sms must be >= 1"),
+        ({"warps_per_sm": 2.5}, "warps_per_sm expects an int"),
+    ])
+    def test_create_rejects_bad_run_knobs(self, knobs, message):
+        with pytest.raises(ValueError, match=message) as raised:
+            SweepSpec.create(platforms=["ZnG"], workloads=["betw-back"], **knobs)
+        assert "\n" not in str(raised.value)
+
+    def test_create_accepts_the_smallest_run_knobs(self):
+        spec = SweepSpec.create(
+            platforms=["ZnG"], workloads=["betw-back"], scale=1e-3,
+            num_sms=1, warps_per_sm=1, memory_instructions_per_warp=1)
+        assert (spec.scale, spec.num_sms, spec.warps_per_sm,
+                spec.memory_instructions_per_warp) == (1e-3, 1, 1, 1)
+
 
 class TestCacheKey:
     def _cell(self, **kwargs):

@@ -1,8 +1,6 @@
-"""Unit tests for memory request / result records."""
+"""Unit tests for memory request records."""
 
-import pytest
-
-from repro.sim.request import AccessType, MemoryRequest, RequestResult
+from repro.sim.request import AccessType, MemoryRequest
 
 
 class TestAccessType:
@@ -35,24 +33,3 @@ class TestMemoryRequest:
         request = MemoryRequest(address=0, access=AccessType.WRITE)
         assert request.is_write
 
-
-class TestRequestResult:
-    def test_latency(self):
-        request = MemoryRequest(address=0)
-        result = RequestResult(request=request, start_cycle=10.0, completion_cycle=35.0)
-        assert result.latency == 25.0
-
-    def test_breakdown_accumulates(self):
-        request = MemoryRequest(address=0)
-        result = RequestResult(request=request, start_cycle=0.0, completion_cycle=0.0)
-        result.add_latency("l2", 5.0)
-        result.add_latency("l2", 3.0)
-        result.add_latency("flash", 100.0)
-        assert result.breakdown == {"l2": 8.0, "flash": 100.0}
-
-    def test_breakdown_ignores_nonpositive(self):
-        request = MemoryRequest(address=0)
-        result = RequestResult(request=request, start_cycle=0.0, completion_cycle=0.0)
-        result.add_latency("noop", 0.0)
-        result.add_latency("negative", -5.0)
-        assert result.breakdown == {}

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -138,6 +143,35 @@ class TestSweepCommand:
         assert main(self.ARGS + [
             "--no-cache", "--config-file", str(tmp_path / "absent.json"),
         ]) == 2
+
+    BAD_RUN_KNOBS = [
+        (["--scale", "-1"], "scale must be a finite number > 0"),
+        (["--scale", "nan"], "scale must be a finite number > 0"),
+        (["--scale", "0"], "scale must be a finite number > 0"),
+        (["--workers", "0"], "workers must be an int >= 1"),
+        (["--warps", "0"], "warps_per_sm must be >= 1"),
+    ]
+
+    @pytest.mark.parametrize("flags, message", BAD_RUN_KNOBS)
+    def test_sweep_rejects_bad_run_knobs(self, capsys, flags, message):
+        assert main(["sweep", "--platforms", "ZnG", "--workloads", "betw-back",
+                     "--no-cache"] + flags) == 2
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_sweep_bad_run_knob_exits_cleanly_in_a_process(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--platforms", "ZnG",
+             "--workloads", "betw-back", "--no-cache", "--scale", "nan"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stdout + completed.stderr
+        assert (completed.stdout + completed.stderr).strip().splitlines() == [
+            "scale must be a finite number > 0, got nan"]
 
 
 class TestShardedSweepCLI:
