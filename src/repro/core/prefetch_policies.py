@@ -20,7 +20,6 @@ from typing import Dict, Iterable, Optional
 from repro.config import PrefetchConfig
 from repro.core.prefetcher import PrefetchDecision
 from repro.gpu.cache import EvictionRecord
-from repro.sim.request import MemoryRequest
 
 
 class NoPrefetch:
@@ -32,10 +31,10 @@ class NoPrefetch:
         self.line_bytes = line_bytes
         self.current_granularity = line_bytes
 
-    def train(self, request: MemoryRequest) -> None:  # noqa: D401 - no-op
+    def train(self, pc: int, warp_id: int, address: int) -> None:  # noqa: D401 - no-op
         return None
 
-    def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
+    def on_miss(self, pc: int) -> PrefetchDecision:
         return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="disabled")
 
     def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
@@ -60,15 +59,11 @@ class NextLinePrefetch:
         self.page_size_bytes = page_size_bytes
         self.current_granularity = window_bytes
         self.prefetches = 0
-        self.demands = 0
 
-    def train(self, request: MemoryRequest) -> None:
+    def train(self, pc: int, warp_id: int, address: int) -> None:
         return None
 
-    def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
-        if not request.is_read:
-            self.demands += 1
-            return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="write")
+    def on_miss(self, pc: int) -> PrefetchDecision:
         self.prefetches += 1
         fetch = min(self.window_bytes, self.page_size_bytes)
         return PrefetchDecision(prefetch=True, fetch_bytes=fetch, reason="fixed_window")
@@ -78,12 +73,11 @@ class NextLinePrefetch:
 
     @property
     def prefetch_rate(self) -> float:
-        total = self.prefetches + self.demands
-        return self.prefetches / total if total else 0.0
+        # Every miss prefetches.
+        return 1.0 if self.prefetches else 0.0
 
     def reset(self) -> None:
         self.prefetches = 0
-        self.demands = 0
 
 
 @dataclass
@@ -112,13 +106,11 @@ class StridePrefetch:
         self.prefetches = 0
         self.demands = 0
 
-    def train(self, request: MemoryRequest) -> None:
-        if not request.is_read:
-            return
-        page = request.address // self.page_size_bytes
-        entry = self._table.get(request.pc)
+    def train(self, pc: int, warp_id: int, address: int) -> None:
+        page = address // self.page_size_bytes
+        entry = self._table.get(pc)
         if entry is None:
-            self._table[request.pc] = _StrideEntry(last_page=page, stride=0, confidence=0)
+            self._table[pc] = _StrideEntry(last_page=page, stride=0, confidence=0)
             return
         stride = page - entry.last_page
         if stride == entry.stride and stride != 0:
@@ -128,11 +120,8 @@ class StridePrefetch:
             entry.confidence = 0
         entry.last_page = page
 
-    def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
-        if not request.is_read:
-            self.demands += 1
-            return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="write")
-        entry = self._table.get(request.pc)
+    def on_miss(self, pc: int) -> PrefetchDecision:
+        entry = self._table.get(pc)
         if entry is not None and entry.confidence >= self.confidence_threshold and entry.stride != 0:
             self.prefetches += 1
             return PrefetchDecision(prefetch=True, fetch_bytes=self.page_size_bytes,

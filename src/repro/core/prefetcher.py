@@ -17,7 +17,6 @@ from repro.config import PrefetchConfig
 from repro.core.access_monitor import AccessMonitor
 from repro.core.predictor import PredictorTable
 from repro.gpu.cache import EvictionRecord
-from repro.sim.request import MemoryRequest
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,23 +44,18 @@ class DynamicReadPrefetcher:
         self.monitor = AccessMonitor(self.config)
         self.prefetches_issued = 0
         self.demand_fetches = 0
-        # Decisions are immutable; the two that fetch one line are shared.
-        self._write_decision = PrefetchDecision(False, line_bytes, "write")
+        # Decisions are immutable; the one that fetches one line is shared.
         self._demand_decision = PrefetchDecision(False, line_bytes, "cutoff_fail")
 
     # -- training -------------------------------------------------------------
-    def train(self, request: MemoryRequest) -> None:
+    def train(self, pc: int, warp_id: int, address: int) -> None:
         """Train the predictor with a read request seen at the L2."""
-        if request.is_read:
-            self.predictor.update(
-                request.pc, request.warp_id, request.address // self.page_size_bytes)
+        self.predictor.update(pc, warp_id, address // self.page_size_bytes)
 
     # -- miss handling ----------------------------------------------------------
-    def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
+    def on_miss(self, pc: int) -> PrefetchDecision:
         """Decide how many bytes to pull from the flash page for a missing read."""
-        if not request.is_read:
-            return self._write_decision
-        if self.predictor.should_prefetch(request.pc):
+        if self.predictor.should_prefetch(pc):
             fetch = max(self.line_bytes, min(self.monitor.granularity_bytes, self.page_size_bytes))
             self.prefetches_issued += 1
             return PrefetchDecision(True, fetch, "cutoff_pass")

@@ -34,22 +34,6 @@ class EvictionRecord:
     accessed: bool
 
 
-@dataclass(frozen=True, slots=True)
-class CacheAccessResult:
-    """Outcome of a cache lookup/insert."""
-
-    hit: bool
-    evicted: Optional[EvictionRecord] = None
-    bypassed: bool = False
-
-
-# Outcomes that carry no eviction are immutable, so one instance of each serves
-# every insert; only an eviction builds a new result.
-_HIT = CacheAccessResult(True)
-_ALLOCATED = CacheAccessResult(False)
-_BYPASSED = CacheAccessResult(False, None, True)
-
-
 class SetAssociativeCache:
     """An LRU set-associative cache indexed by byte address.
 
@@ -127,8 +111,13 @@ class SetAssociativeCache:
         dirty: bool = False,
         prefetched: bool = False,
         pinned: bool = False,
-    ) -> CacheAccessResult:
-        """Allocate a line for ``address``; evict LRU if the set is full."""
+    ) -> Optional[EvictionRecord]:
+        """Allocate a line for ``address``; evict LRU if the set is full.
+
+        Returns the evicted line, or ``None`` when nothing was evicted: the
+        line was already resident, the set had room, or every line of the
+        set was pinned and the allocation was bypassed.
+        """
         line_number = address // self.line_bytes
         num_sets = self.num_sets
         set_index = line_number % num_sets
@@ -147,27 +136,27 @@ class SetAssociativeCache:
                 # A re-insert keeps the line's bits and ORs in the new ones;
                 # a prefetch does not count as an access.
                 cache_set[tag] = existing | (state & ~PREFETCHED)
-                return _HIT
+                return None
 
-        outcome = _ALLOCATED
+        evicted = None
         if len(cache_set) >= self.assoc:
             for victim_tag, victim in cache_set.items():
                 if not victim & PINNED:
                     break
             else:
                 # Every line in the set is pinned: bypass the allocation.
-                return _BYPASSED
+                return None
             del cache_set[victim_tag]
             self.evictions += 1
             victim_dirty = victim & DIRTY != 0
             if victim_dirty:
                 self.dirty_evictions += 1
-            outcome = CacheAccessResult(False, EvictionRecord(
+            evicted = EvictionRecord(
                 (victim_tag * num_sets + set_index) * self.line_bytes,
-                victim_dirty, victim & PREFETCHED != 0, victim & ACCESSED != 0))
+                victim_dirty, victim & PREFETCHED != 0, victim & ACCESSED != 0)
         cache_set[tag] = state
         self.insertions += 1
-        return outcome
+        return evicted
 
     def invalidate(self, address: int) -> bool:
         set_index, tag = self._index_and_tag(address)

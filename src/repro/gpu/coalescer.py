@@ -6,9 +6,7 @@ unit merges them into as few 128 B memory requests as possible (Section II-A).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
-
-from repro.sim.request import AccessType, MemoryRequest
+from typing import List, Optional, Sequence
 
 #: Segment granularity trace generators precompute ``Instruction.segments``
 #: at.  A coalescer configured with any other ``request_bytes`` (e.g. a
@@ -18,7 +16,7 @@ PRECOMPUTED_SEGMENT_BYTES = 128
 
 
 class CoalescingUnit:
-    """Merges per-thread addresses of one warp instruction into 128 B requests."""
+    """Merges per-thread addresses of one warp instruction into 128 B segments."""
 
     def __init__(self, request_bytes: int = 128, threads_per_warp: int = 32) -> None:
         if request_bytes <= 0:
@@ -36,23 +34,18 @@ class CoalescingUnit:
         return segments
 
     def coalesce(
-        self,
-        addresses: Sequence[int],
-        access: AccessType,
-        warp_id: int = 0,
-        sm_id: int = 0,
-        pc: int = 0,
-        issue_cycle: float = 0.0,
-        segments: Optional[Sequence[int]] = None,
-    ) -> List[MemoryRequest]:
-        """Build coalesced :class:`MemoryRequest` objects for one warp instruction.
+        self, addresses: Sequence[int], segments: Optional[Sequence[int]] = None
+    ) -> Sequence[int]:
+        """Return the coalesced segment addresses of one warp instruction.
 
-        ``segments`` short-circuits the address collapse with segment
-        addresses precomputed at trace-generation time (see
-        :class:`~repro.gpu.warp.Instruction`).  They are honoured only when
-        this unit's ``request_bytes`` matches the granularity they were
-        precomputed at (:data:`PRECOMPUTED_SEGMENT_BYTES`); an ablated
-        request size falls back to deriving segments from the live config.
+        Each segment is one ``request_bytes`` memory request.  ``segments``
+        short-circuits the address collapse with segment addresses
+        precomputed at trace-generation time (see
+        :class:`~repro.gpu.warp.Instruction`) and is returned as given.  They
+        are honoured only when this unit's ``request_bytes`` matches the
+        granularity they were precomputed at
+        (:data:`PRECOMPUTED_SEGMENT_BYTES`); an ablated request size falls
+        back to deriving segments from the live config.
         """
         if segments is not None and self.request_bytes != PRECOMPUTED_SEGMENT_BYTES:
             segments = None
@@ -63,13 +56,8 @@ class CoalescingUnit:
         elif not segments:
             return []
         self.instructions_coalesced += 1
-        size = self.request_bytes
-        requests = [
-            MemoryRequest(segment, size, access, warp_id, sm_id, pc, issue_cycle)
-            for segment in segments
-        ]
-        self.requests_generated += len(requests)
-        return requests
+        self.requests_generated += len(segments)
+        return segments
 
     def coalescing_efficiency(self) -> float:
         """Average number of requests per coalesced warp instruction."""

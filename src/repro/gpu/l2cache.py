@@ -131,7 +131,7 @@ class SharedL2Cache:
         accesses.)  Returns the evicted line, if any.
         """
         evicted = self._bank_arrays[(address // self.line_bytes) % self.banks].insert(
-            address, dirty, prefetched, pinned).evicted
+            address, dirty, prefetched, pinned)
         if prefetched:
             self.prefetch_insertions += 1
         return evicted
@@ -159,7 +159,7 @@ class SharedL2Cache:
         lines = range(page_address, page_address + span, line_bytes)
         for address in lines:
             evicted = bank_arrays[(address // line_bytes) % num_banks].insert(
-                address, False, prefetched).evicted
+                address, False, prefetched)
             if evicted is not None:
                 evictions.append(evicted)
         if prefetched:

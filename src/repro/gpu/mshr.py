@@ -45,11 +45,18 @@ class MSHR:
             entries.pop(address, None)
 
     def lookup(self, line_address: int, now: float) -> Optional[float]:
-        """Return the fill cycle of an in-flight miss to ``line_address``, if any."""
+        """Return the fill cycle of an in-flight miss to ``line_address``, if any.
+
+        Finding the line merges the miss into its entry: it counts as a
+        secondary miss, and the caller needs no :meth:`allocate`.
+        """
         heap = self._fill_heap
         if heap and heap[0][0] <= now:
             self._expire(now)
-        return self._entries.get(line_address)
+        fill = self._entries.get(line_address)
+        if fill is not None:
+            self.secondary_misses += 1
+        return fill
 
     def allocate(
         self, line_address: int, now: float, fill_cycle: float

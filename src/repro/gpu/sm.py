@@ -24,12 +24,15 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.mshr import MSHR
 from repro.gpu.warp import Instruction, WarpTrace
-from repro.sim.request import MemoryRequest
 from repro.sim.engine import Resource
+from repro.sim.request import AccessType
 from repro.telemetry import core as _telemetry
 
-#: Signature of the platform memory hook: (request, now) -> completion cycle.
-MemoryAccessFn = Callable[[MemoryRequest, float], float]
+#: Signature of the platform memory hook: (address, is_write, warp_id, pc,
+#: now) -> completion cycle, called once per coalesced 128 B segment.
+MemoryAccessFn = Callable[[int, bool, int, int, float], float]
+
+_WRITE = AccessType.WRITE
 
 
 @dataclass
@@ -92,47 +95,44 @@ class StreamingMultiprocessor:
         stats.instructions += compute_ops + 1
         stats.memory_instructions += 1
 
-        # Coalescing, then the cache path for each 128 B request: L1 probe,
-        # MSHR merge and (on a miss) the platform memory access.
-        requests = self.coalescer.coalesce(
-            instruction.addresses,
-            instruction.access,
-            warp_id,
-            self.sm_id,
-            instruction.pc,
-            ready,
-            instruction.segments,
-        )
-        stats.memory_requests += len(requests)
+        # Coalescing, then the cache path for each 128 B segment.  Every
+        # segment of an instruction shares its direction.
+        segments = self.coalescer.coalesce(instruction.addresses, instruction.segments)
+        stats.memory_requests += len(segments)
         l1 = self.l1
-        mshr = self.mshr
-        line_bytes = self._l1_line_bytes
+        pc = instruction.pc
         l1_ready = ready + self._l1_latency
         completion = ready
-        for request in requests:
-            address = request.address
-            if request.is_read:
-                if l1.lookup(address):
-                    stats.l1_hits += 1
-                    finish = l1_ready
-                else:
-                    stats.l1_misses += 1
-                    line_address = address // line_bytes * line_bytes
-                    finish = mshr.lookup(line_address, ready)
-                    if finish is not None:
-                        # Secondary miss: piggyback on the outstanding fill.
-                        mshr.allocate(line_address, ready, finish)
-                        if finish < l1_ready:
-                            finish = l1_ready
-                    else:
-                        finish = memory_fn(request, l1_ready)
-                        mshr.allocate(line_address, ready, finish)
-                        l1.insert(address)
-            else:
-                # Write-through, no-allocate L1 (typical for GPU L1D): the
-                # write always goes below; a stale copy is invalidated.
+        if instruction.access is _WRITE:
+            # Write-through, no-allocate L1 (typical for GPU L1D): the write
+            # always goes below; a stale copy is invalidated.
+            for address in segments:
                 l1.invalidate(address)
-                finish = memory_fn(request, l1_ready)
+                finish = memory_fn(address, True, warp_id, pc, l1_ready)
+                if finish > completion:
+                    completion = finish
+            return completion
+
+        # Reads: L1 probe, MSHR merge and (on a primary miss) the platform
+        # memory access.
+        mshr = self.mshr
+        line_bytes = self._l1_line_bytes
+        for address in segments:
+            if l1.lookup(address):
+                stats.l1_hits += 1
+                finish = l1_ready
+            else:
+                stats.l1_misses += 1
+                line_address = address // line_bytes * line_bytes
+                finish = mshr.lookup(line_address, ready)
+                if finish is not None:
+                    # Secondary miss: piggyback on the outstanding fill.
+                    if finish < l1_ready:
+                        finish = l1_ready
+                else:
+                    finish = memory_fn(address, False, warp_id, pc, l1_ready)
+                    mshr.allocate(line_address, ready, finish)
+                    l1.insert(address)
             if finish > completion:
                 completion = finish
         return completion
@@ -188,8 +188,10 @@ class GPUCore:
             return GPUExecutionResult(cycles=0.0, instructions=0, memory_requests=0, ipc=0.0)
         resident_limit = max_resident_warps or self.config.max_warps_per_sm
 
-        # Warp events are (ready_cycle, sequence, trace, position) tuples on
-        # one heap.  Warps beyond the residency limit of an SM start only
+        # Warp events are (ready_cycle, sequence, warp, position) tuples on
+        # one heap.  ``warp`` is built once per trace and holds everything an
+        # event needs: (sm_index, sm, execute, instructions, length,
+        # warp_id).  Warps beyond the residency limit of an SM start only
         # when an earlier warp on that SM finishes, which approximates
         # thread-block scheduling.
         sms = self.sms
@@ -197,18 +199,22 @@ class GPUCore:
         heap: List = []
         push, pop = heapq.heappush, heapq.heappop
         sequence = 0
-        pending: Dict[int, List[WarpTrace]] = {}
+        pending: Dict[int, List[tuple]] = {}
         resident_count: Dict[int, int] = {}
         for trace in traces:
             sm_index = trace.sm_id % num_sms
-            pending.setdefault(sm_index, []).append(trace)
-        for sm_index, sm_traces in pending.items():
+            sm = sms[sm_index]
+            instructions = trace.instructions
+            pending.setdefault(sm_index, []).append((
+                sm_index, sm, sm.execute_instruction, instructions,
+                len(instructions), trace.warp_id))
+        for sm_index, sm_warps in pending.items():
             resident_count[sm_index] = 0
-            for trace in sm_traces[:resident_limit]:
-                push(heap, (0.0, sequence, trace, 0))
+            for warp in sm_warps[:resident_limit]:
+                push(heap, (0.0, sequence, warp, 0))
                 sequence += 1
                 resident_count[sm_index] += 1
-            del sm_traces[: resident_count[sm_index]]
+            del sm_warps[: resident_count[sm_index]]
 
         final_cycle = 0.0
         events = 0
@@ -222,25 +228,20 @@ class GPUCore:
                 depth = len(heap)
                 if depth > max_depth:
                     max_depth = depth
-            ready, _, trace, position = pop(heap)
+            ready, _, warp, position = pop(heap)
             events += 1
-            sm_index = trace.sm_id % num_sms
-            sm = sms[sm_index]
-            instructions = trace.instructions
-            if position >= len(instructions):
+            sm_index, sm, execute, instructions, length, warp_id = warp
+            if position >= length:
                 # Warp finished: admit the next pending warp on this SM.
                 waiting = pending.get(sm_index)
                 if waiting:
-                    next_trace = waiting.pop(0)
-                    push(heap, (ready, sequence, next_trace, 0))
+                    push(heap, (ready, sequence, waiting.pop(0), 0))
                     sequence += 1
                 final_cycle = max(final_cycle, ready)
                 sm.stats.completion_cycle = max(sm.stats.completion_cycle, ready)
                 continue
-            next_ready = sm.execute_instruction(
-                instructions[position], trace.warp_id, ready, memory_fn
-            )
-            push(heap, (next_ready, sequence, trace, position + 1))
+            next_ready = execute(instructions[position], warp_id, ready, memory_fn)
+            push(heap, (next_ready, sequence, warp, position + 1))
             sequence += 1
 
         self.last_max_queue_depth = max_depth

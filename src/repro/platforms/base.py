@@ -2,8 +2,8 @@
 
 Every evaluated platform shares the GPU-side path (Fig. 2): SM -> coalescer ->
 L1D -> TLB/MMU -> interconnect -> shared L2 -> *memory side*.  Subclasses
-implement :meth:`_service_l2_miss` (and optionally :meth:`_service_write`) to
-describe their memory side: GDDR5, host-attached SSD, HybridGPU's embedded
+implement :meth:`_service_l2_miss` and :meth:`_service_write` to describe
+their memory side: GDDR5, host-attached SSD, HybridGPU's embedded
 SSD, Optane, or ZnG's flash controllers.
 """
 
@@ -19,7 +19,6 @@ from repro.gpu.l2cache import SharedL2Cache
 from repro.gpu.mmu import MMU
 from repro.gpu.sm import GPUCore, GPUExecutionResult, SMStatistics
 from repro.gpu.warp import WarpTrace
-from repro.sim.request import MemoryRequest
 from repro.sim.stats import StatsCollector
 from repro.telemetry import core as _telemetry
 from repro.workloads.trace import WorkloadTrace
@@ -227,6 +226,8 @@ class GPUSSDPlatform(ABC):
         self.noc = Interconnect(self.config.gpu, num_destinations=self.l2.banks)
         self.stats = StatsCollector()
         self.page_size = self.config.gpu.page_size_bytes
+        # Every coalesced access moves one request of the coalescer's size.
+        self.request_bytes = self.config.gpu.memory_request_bytes
         self._memory_bytes_served = 0
         # The request path runs once per coalesced access; bind its counters
         # and the latency histogram once instead of a dict lookup per event.
@@ -248,23 +249,33 @@ class GPUSSDPlatform(ABC):
 
     @abstractmethod
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
+        self,
+        address: int,
+        physical_address: int,
+        pc: int,
+        now: float,
+        breakdown: Dict[str, float],
     ) -> float:
         """Serve a read that missed the shared L2; return its completion cycle.
 
-        ``breakdown`` is the cell's running latency breakdown (a
-        ``defaultdict(float)``).  Implementations add each positive
-        per-component latency to it and are responsible for filling the L2 if
-        their fill policy says so.
+        ``address`` is the request's virtual address and ``physical_address``
+        the MMU's translation of it.  ``breakdown`` is the cell's running
+        latency breakdown (a ``defaultdict(float)``).  Implementations add
+        each positive per-component latency to it and are responsible for
+        filling the L2 if their fill policy says so.
         """
 
+    @abstractmethod
     def _service_write(
-        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
+        self,
+        address: int,
+        physical_address: int,
+        now: float,
+        breakdown: Dict[str, float],
     ) -> float:
-        """Serve a write below the L2.  Default: same path as a read miss."""
-        return self._service_l2_miss(request, now, breakdown)
+        """Serve a write below the L2; return its completion cycle."""
 
-    def _observe_read(self, request: MemoryRequest, hit: bool) -> None:
+    def _observe_read(self, address: int, warp_id: int, pc: int) -> None:
         """Hook called for every L2 read access (hit or miss).  Default no-op."""
 
     def prepare(self, workload: WorkloadTrace) -> None:
@@ -278,15 +289,17 @@ class GPUSSDPlatform(ABC):
     # ------------------------------------------------------------------
     # The shared request path
     # ------------------------------------------------------------------
-    def memory_access(self, request: MemoryRequest, now: float) -> float:
+    def memory_access(
+        self, address: int, is_write: bool, warp_id: int, pc: int, now: float
+    ) -> float:
         """The callback handed to the GPU core for every coalesced request.
 
-        Returns the request's completion cycle.  Each step charges its
-        positive latency straight into the cell's breakdown totals.
+        ``address`` is the virtual address of one ``request_bytes`` segment
+        issued by warp ``warp_id`` at instruction ``pc``.  Returns the
+        request's completion cycle.  Each step charges its positive latency
+        straight into the cell's breakdown totals.
         """
         breakdown = self.stats.breakdown
-        address = request.address
-        is_write = request.is_write
         self._ctr_requests.value += 1
         if is_write:
             self._ctr_writes.value += 1
@@ -298,11 +311,11 @@ class GPUSSDPlatform(ABC):
         if latency > 0:
             breakdown["tlb" if tlb_hit else "mmu"] += latency
         time = now + latency
-        request.physical_address = physical_address
 
         # 2. Interconnect hop from the SM to the target L2 bank.
         l2 = self.l2
-        arrival = self.noc.send((address // l2.line_bytes) % l2.banks, request.size, time)
+        request_bytes = self.request_bytes
+        arrival = self.noc.send((address // l2.line_bytes) % l2.banks, request_bytes, time)
         latency = arrival - time
         if latency > 0:
             breakdown["l1_l2_net"] += latency
@@ -316,23 +329,24 @@ class GPUSSDPlatform(ABC):
         time = ready
 
         if is_write:
-            completion = self._service_write(request, time, breakdown)
+            completion = self._service_write(address, physical_address, time, breakdown)
             self._ctr_writes_below_l2.value += 1
         else:
             # Let the platform observe the full read stream (e.g. to train a
             # prefetch predictor) regardless of L2 hit/miss.
-            self._observe_read(request, hit)
+            self._observe_read(address, warp_id, pc)
             if hit:
                 self._ctr_l2_hits.value += 1
                 completion = time
             else:
                 self._ctr_l2_misses.value += 1
-                completion = self._service_l2_miss(request, time, breakdown)
+                completion = self._service_l2_miss(
+                    address, physical_address, pc, time, breakdown)
 
         if completion < time:
             completion = time
         self._hist_latency.add(completion - now)
-        self._memory_bytes_served += request.size
+        self._memory_bytes_served += request_bytes
         return completion
 
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.config import (
 from repro.gpu.dram import DRAMSubsystem, build_gddr5_subsystem
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.sim.engine import BandwidthResource, Resource
-from repro.sim.request import MemoryRequest
 from repro.workloads.trace import WorkloadTrace
 
 
@@ -87,25 +86,28 @@ class HeteroPlatform(GPUSSDPlatform):
 
     # ------------------------------------------------------------------
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
+        self,
+        address: int,
+        physical_address: int,
+        pc: int,
+        now: float,
+        breakdown: Dict[str, float],
     ) -> float:
         # The fault (if any) already happened during translation; what is left
         # is a plain GDDR5 access.
-        address = request.physical_address or request.address
-        completion = self.dram.access(address, request.size, now)
+        completion = self.dram.access(physical_address, self.request_bytes, now)
         if completion > now:
             breakdown["dram"] += completion - now
-        self.l2.fill(request.address, completion)
+        self.l2.fill(address, completion)
         return completion
 
     def _service_write(
-        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
+        self, address: int, physical_address: int, now: float, breakdown: Dict[str, float]
     ) -> float:
-        address = request.physical_address or request.address
-        completion = self.dram.access(address, request.size, now)
+        completion = self.dram.access(physical_address, self.request_bytes, now)
         if completion > now:
             breakdown["dram"] += completion - now
-        self.l2.fill(request.address, completion, dirty=True)
+        self.l2.fill(address, completion, dirty=True)
         return completion
 
     def _annotate_result(self, result: PlatformResult) -> None:

@@ -14,10 +14,9 @@ from typing import Dict, Optional
 
 from repro.config import GPU_FREQ_HZ, PlatformConfig
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.ftl_firmware import PageMappedFTL
-from repro.ssd.ssd_engine import EngineServiceResult, SSDEngine
+from repro.ssd.ssd_engine import SSDEngine
 from repro.ssd.znand import ZNANDArray
 from repro.workloads.trace import WorkloadTrace
 
@@ -48,32 +47,24 @@ class HybridGPUPlatform(GPUSSDPlatform):
         self.engine.reset_statistics()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _charge(breakdown: Dict[str, float], service: EngineServiceResult) -> None:
-        """Add the engine's positive component latencies to the breakdown."""
-        for component, cycles in service.breakdown.items():
-            if cycles > 0:
-                breakdown[component] += cycles
-
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
+        self,
+        address: int,
+        physical_address: int,
+        pc: int,
+        now: float,
+        breakdown: Dict[str, float],
     ) -> float:
-        service = self.engine.service(
-            request.address, request.size, is_write=False, now=now
-        )
-        self._charge(breakdown, service)
-        self.l2.fill(request.address, service.completion_cycle)
-        return service.completion_cycle
+        completion = self.engine.service(address, self.request_bytes, False, now, breakdown)
+        self.l2.fill(address, completion)
+        return completion
 
     def _service_write(
-        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
+        self, address: int, physical_address: int, now: float, breakdown: Dict[str, float]
     ) -> float:
-        service = self.engine.service(
-            request.address, request.size, is_write=True, now=now
-        )
-        self._charge(breakdown, service)
-        self.l2.fill(request.address, service.completion_cycle, dirty=True)
-        return service.completion_cycle
+        completion = self.engine.service(address, self.request_bytes, True, now, breakdown)
+        self.l2.fill(address, completion, dirty=True)
+        return completion
 
     # ------------------------------------------------------------------
     def _flash_read_bandwidth_gbps(self, cycles: float) -> float:

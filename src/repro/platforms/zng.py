@@ -26,7 +26,6 @@ from repro.core.zero_overhead_ftl import ZeroOverheadFTL
 from repro.gpu.cache import EvictionRecord
 from repro.gpu.l2cache import SharedL2Cache
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest
 from repro.ssd.endurance import EnduranceModel
 from repro.ssd.flash_controller import FlashControllerArray
 from repro.ssd.flash_network import FlashNetwork
@@ -134,15 +133,19 @@ class ZnGPlatform(GPUSSDPlatform):
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _observe_read(self, request: MemoryRequest, hit: bool) -> None:
+    def _observe_read(self, address: int, warp_id: int, pc: int) -> None:
         """Train the read predictor on the full read stream (Section IV-B)."""
         if self.prefetcher is not None:
-            self.prefetcher.train(request)
+            self.prefetcher.train(pc, warp_id, address)
 
     def _service_l2_miss(
-        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
+        self,
+        address: int,
+        physical_address: int,
+        pc: int,
+        now: float,
+        breakdown: Dict[str, float],
     ) -> float:
-        address = request.address
         virtual_page = address // self.page_size
         ppn = self.ftl.translate_read(virtual_page).ppn
         geometry = self.array.geometry
@@ -154,7 +157,7 @@ class ZnGPlatform(GPUSSDPlatform):
         # serve it from the register over the flash network.
         if register_cache.holds(register_cache.group_of_plane(plane), virtual_page):
             channel = geometry.channel_of_ppn(ppn)
-            completion = self.flash_network.transfer(channel, request.size, time)
+            completion = self.flash_network.transfer(channel, self.request_bytes, time)
             if completion > time:
                 breakdown["flash_register"] += completion - time
             self.stats.add("register_read_hits")
@@ -173,10 +176,10 @@ class ZnGPlatform(GPUSSDPlatform):
         # Decide how much of the flash page to pull into the L2.  (Training
         # happens on every read via _observe_read, not only on misses.)
         prefetcher = self.prefetcher
-        fetch_bytes = request.size
+        fetch_bytes = self.request_bytes
         prefetched = False
         if prefetcher is not None:
-            decision = prefetcher.on_miss(request)
+            decision = prefetcher.on_miss(pc)
             fetch_bytes = decision.fetch_bytes
             prefetched = decision.prefetch
 
@@ -247,9 +250,9 @@ class ZnGPlatform(GPUSSDPlatform):
         return now + self.l2.write_latency_cycles * len(addresses)
 
     def _service_write(
-        self, request: MemoryRequest, now: float, breakdown: Dict[str, float]
+        self, address: int, physical_address: int, now: float, breakdown: Dict[str, float]
     ) -> float:
-        virtual_page = request.address // self.page_size
+        virtual_page = address // self.page_size
         self.endurance.record_host_writes(1)
 
         # Writes are absorbed by flash registers: the plane's own registers in
@@ -260,7 +263,7 @@ class ZnGPlatform(GPUSSDPlatform):
         outcome = self.register_cache.write(
             virtual_page,
             target_plane,
-            request.size,
+            self.request_bytes,
             now,
             self._program_log_page,
             self._spill_to_l2 if self.variant.has_read_optimization else None,

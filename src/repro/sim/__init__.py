@@ -7,13 +7,12 @@ occupies resources, and the engine keeps per-resource availability so that
 contention and bandwidth limits emerge naturally.
 """
 
-from repro.sim.request import AccessType, MemoryRequest
+from repro.sim.request import AccessType
 from repro.sim.engine import Resource, BandwidthResource, SimClock
 from repro.sim.stats import Counter, Histogram, StatsCollector
 
 __all__ = [
     "AccessType",
-    "MemoryRequest",
     "Resource",
     "BandwidthResource",
     "SimClock",

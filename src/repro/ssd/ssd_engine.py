@@ -12,7 +12,6 @@ This models the controller of a commercial SSD and of HybridGPU (Fig. 1a):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.config import SSDEngineConfig, ZNANDConfig, bandwidth_to_bytes_per_cycle, ns_to_cycles
@@ -20,15 +19,6 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.sim.engine import BandwidthResource, Resource
 from repro.ssd.ftl_firmware import PageMappedFTL
 from repro.ssd.znand import ZNANDArray
-
-
-@dataclass(slots=True)
-class EngineServiceResult:
-    """Timing record of one request serviced by the SSD engine."""
-
-    completion_cycle: float
-    breakdown: Dict[str, float]
-    buffer_hit: bool
 
 
 class SSDEngine:
@@ -87,16 +77,25 @@ class SSDEngine:
 
     # -- request service ----------------------------------------------------------
     def service(
-        self, byte_address: int, size: int, is_write: bool, now: float
-    ) -> EngineServiceResult:
-        """Run one memory request through dispatcher -> engine -> buffer -> flash."""
-        breakdown: Dict[str, float] = {}
+        self,
+        byte_address: int,
+        size: int,
+        is_write: bool,
+        now: float,
+        breakdown: Dict[str, float],
+    ) -> float:
+        """Run one memory request through dispatcher -> engine -> buffer -> flash.
+
+        Returns the completion cycle.  Each positive component latency is
+        added to ``breakdown`` (a ``defaultdict(float)``), in path order.
+        """
         self.requests_serviced += 1
 
         # 1. Request dispatcher (single queue between GPU network and SSD).
         dispatcher_cycles = self._dispatcher_cycles
         time = self.dispatcher.acquire(now, dispatcher_cycles) + dispatcher_cycles
-        breakdown["ssd_dispatcher"] = time - now
+        if time > now:
+            breakdown["ssd_dispatcher"] += time - now
 
         # 2. Embedded cores execute the FTL for this request: the core is
         # occupied for the throughput-limiting service time and the (pipelined)
@@ -104,19 +103,16 @@ class SSDEngine:
         engine_cycles = self._engine_cycles
         engine_done = (self.engine_cores.acquire(time, engine_cycles) + engine_cycles
                        + self._ftl_lookup_cycles)
-        breakdown["ssd_engine"] = engine_done - time
+        if engine_done > time:
+            breakdown["ssd_engine"] += engine_done - time
         time = engine_done
 
         lpn = byte_address // self.page_size
         page_address = lpn * self.page_size
 
         # 3. DRAM buffer lookup.
-        buffer_hit = self.dram_buffer.lookup(page_address)
-        if buffer_hit:
+        if self.dram_buffer.lookup(page_address):
             self.buffer_hits += 1
-            done = self.dram_bus.transfer(time, size)
-            breakdown["dram_buffer"] = done - time
-            time = done
             if is_write:
                 self.dram_buffer.mark_dirty(page_address)
         else:
@@ -125,22 +121,21 @@ class SSDEngine:
                 result = self.ftl.write(lpn, time)
             else:
                 result = self.ftl.read(lpn, time)
-            breakdown["flash_array"] = result.array_cycles
-            breakdown["flash_channel"] = result.transfer_cycles
+            if result.array_cycles > 0:
+                breakdown["flash_array"] += result.array_cycles
+            if result.transfer_cycles > 0:
+                breakdown["flash_channel"] += result.transfer_cycles
             time = result.completion_cycle
             # Fill the DRAM buffer with the page, evicting dirty pages to flash.
-            insert = self.dram_buffer.insert(page_address, dirty=is_write)
-            if insert.evicted is not None and insert.evicted.dirty:
-                evict_lpn = insert.evicted.address // self.page_size
-                evict_result = self.ftl.write(evict_lpn, time)
-                # The eviction happens in the background; it occupies the flash
-                # backbone but does not delay this request's completion.
-                _ = evict_result
-            done = self.dram_bus.transfer(time, size)
-            breakdown["dram_buffer"] = done - time
-            time = done
-
-        return EngineServiceResult(time, breakdown, buffer_hit)
+            evicted = self.dram_buffer.insert(page_address, dirty=is_write)
+            if evicted is not None and evicted.dirty:
+                # The eviction happens in the background; it occupies the
+                # flash backbone but does not delay this request's completion.
+                self.ftl.write(evicted.address // self.page_size, time)
+        done = self.dram_bus.transfer(time, size)
+        if done > time:
+            breakdown["dram_buffer"] += done - time
+        return done
 
     @property
     def buffer_hit_rate(self) -> float:

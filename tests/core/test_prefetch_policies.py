@@ -9,11 +9,11 @@ from repro.core.prefetch_policies import (
     build_prefetcher,
 )
 from repro.core.prefetcher import DynamicReadPrefetcher
-from repro.sim.request import AccessType, MemoryRequest
 
 
 def read(pc=0x1000, page=0):
-    return MemoryRequest(address=page * 4096, access=AccessType.READ, pc=pc)
+    """The ``(pc, warp_id, address)`` of a read of ``page``, as ``train`` takes them."""
+    return pc, 0, page * 4096
 
 
 class TestFactory:
@@ -34,7 +34,8 @@ class TestFactory:
 class TestNoPrefetch:
     def test_never_prefetches(self):
         pf = NoPrefetch()
-        decision = pf.on_miss(read())
+        pf.train(*read())
+        decision = pf.on_miss(0x1000)
         assert not decision.prefetch
         assert decision.fetch_bytes == 128
         assert pf.prefetch_rate == 0.0
@@ -43,14 +44,10 @@ class TestNoPrefetch:
 class TestNextLine:
     def test_always_fetches_window(self):
         pf = NextLinePrefetch(window_bytes=1024)
-        decision = pf.on_miss(read())
+        decision = pf.on_miss(0x1000)
         assert decision.prefetch
         assert decision.fetch_bytes == 1024
-
-    def test_write_not_prefetched(self):
-        pf = NextLinePrefetch()
-        decision = pf.on_miss(MemoryRequest(address=0, access=AccessType.WRITE, pc=1))
-        assert not decision.prefetch
+        assert pf.prefetch_rate == 1.0
 
 
 class TestStride:
@@ -58,8 +55,8 @@ class TestStride:
         pf = StridePrefetch(confidence_threshold=2)
         # Train a stride of +1 page at a fixed PC.
         for page in range(5):
-            pf.train(read(pc=0x10, page=page))
-        decision = pf.on_miss(read(pc=0x10, page=5))
+            pf.train(*read(pc=0x10, page=page))
+        decision = pf.on_miss(0x10)
         assert decision.prefetch
         assert decision.reason == "stride_confirmed"
 
@@ -67,16 +64,16 @@ class TestStride:
         pf = StridePrefetch(confidence_threshold=2)
         # Random pages -> no consistent stride.
         for page in [3, 17, 1, 42, 8]:
-            pf.train(read(pc=0x10, page=page))
-        decision = pf.on_miss(read(pc=0x10, page=99))
+            pf.train(*read(pc=0x10, page=page))
+        decision = pf.on_miss(0x10)
         assert not decision.prefetch
 
     def test_different_pcs_independent(self):
         pf = StridePrefetch(confidence_threshold=2)
         for page in range(5):
-            pf.train(read(pc=0x10, page=page))
+            pf.train(*read(pc=0x10, page=page))
         # A different PC has no history -> no prefetch.
-        assert not pf.on_miss(read(pc=0x20, page=0)).prefetch
+        assert not pf.on_miss(0x20).prefetch
 
 
 class TestOnPlatform:

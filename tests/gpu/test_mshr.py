@@ -27,6 +27,16 @@ class TestMSHR:
         mshr.allocate(0x1000, 0.0, 100.0)
         assert mshr.lookup(0x1000, now=50.0) == 100.0
 
+    def test_lookup_hit_counts_merge(self):
+        mshr = MSHR("m", 4)
+        mshr.allocate(0x1000, 0.0, 100.0)
+        assert mshr.lookup(0x2000, now=10.0) is None
+        assert mshr.secondary_misses == 0
+        assert mshr.lookup(0x1000, now=10.0) == 100.0
+        assert mshr.secondary_misses == 1
+        assert mshr.primary_misses == 1
+        assert mshr.outstanding == 1
+
     def test_entries_expire_after_fill(self):
         mshr = MSHR("m", 4)
         mshr.allocate(0x1000, 0.0, 100.0)

@@ -5,13 +5,23 @@ import pytest
 from repro.config import GPUConfig
 from repro.gpu.sm import GPUCore, StreamingMultiprocessor
 from repro.gpu.warp import Instruction, WarpTrace
-from repro.sim.request import AccessType, MemoryRequest
+from repro.sim.request import AccessType
 
 
 def constant_memory(latency=100.0):
     """A memory hook that completes every request after a fixed latency."""
 
-    def hook(request: MemoryRequest, now: float) -> float:
+    def hook(address: int, is_write: bool, warp_id: int, pc: int, now: float) -> float:
+        return now + latency
+
+    return hook
+
+
+def recording_memory(calls, latency=100.0):
+    """A fixed-latency memory hook that records the arguments of every call."""
+
+    def hook(address: int, is_write: bool, warp_id: int, pc: int, now: float) -> float:
+        calls.append((address, is_write, warp_id, pc, now))
         return now + latency
 
     return hook
@@ -36,8 +46,8 @@ class TestStreamingMultiprocessor:
         sm = StreamingMultiprocessor(0, GPUConfig())
         calls = []
 
-        def hook(request, now):
-            calls.append(request.address)
+        def hook(address, is_write, warp_id, pc, now):
+            calls.append(address)
             return now + 100
 
         instr = Instruction(pc=0, addresses=[0x1000], access=AccessType.READ)
@@ -60,6 +70,92 @@ class TestStreamingMultiprocessor:
         sm.execute_instruction(Instruction(pc=0, compute_ops=2), 0, 0.0, constant_memory())
         sm.reset()
         assert sm.stats.instructions == 0
+
+
+class TestMemoryHookContract:
+    """What the SM hands the platform's memory hook, segment by segment."""
+
+    def test_one_call_per_segment_in_order(self):
+        config = GPUConfig()
+        sm = StreamingMultiprocessor(0, config)
+        calls = []
+        hook = recording_memory(calls, latency=500.0)
+        l1_latency = config.l1_latency_cycles
+
+        # Three 128 B segments, given out of order: 0x1000 (32 threads),
+        # 0x3000 and 0x2080.  Issued at cycle 0, the access leaves the issue
+        # port at cycle 1 and the L1 at 1 + l1_latency.
+        read = Instruction(pc=0x40, addresses=[0x1000 + 4 * t for t in range(32)]
+                           + [0x3000, 0x2080], access=AccessType.READ)
+        sm.execute_instruction(read, 7, 0.0, hook)
+        l1_ready = 1.0 + l1_latency
+        assert calls == [(0x1000, False, 7, 0x40, l1_ready),
+                         (0x2080, False, 7, 0x40, l1_ready),
+                         (0x3000, False, 7, 0x40, l1_ready)]
+        assert sm.stats.memory_requests == 3
+
+        # An L1 hit does not reach the hook.
+        calls.clear()
+        sm.execute_instruction(Instruction(pc=0x44, addresses=[0x1000]), 7, 10.0, hook)
+        assert calls == []
+        assert sm.stats.l1_hits == 1
+
+        # A write goes below with its own direction and invalidates the line.
+        write = Instruction(pc=0x48, addresses=[0x2080 + 4 * t for t in range(32)],
+                            access=AccessType.WRITE)
+        sm.execute_instruction(write, 9, 20.0, hook)
+        assert calls == [(0x2080, True, 9, 0x48, 21.0 + l1_latency)]
+        assert not sm.l1.probe(0x2080)
+
+        # The invalidated line's fill is still in flight: the next read of it
+        # misses the L1 and merges into the MSHR entry instead of calling
+        # the hook, and completes with the fill.
+        calls.clear()
+        merges = sm.mshr.secondary_misses
+        ready = sm.execute_instruction(
+            Instruction(pc=0x4c, addresses=[0x2080]), 9, 30.0, hook)
+        assert calls == []
+        assert sm.mshr.secondary_misses == merges + 1
+        assert sm.mshr.primary_misses == 3
+        assert ready == l1_ready + 500.0
+
+    def test_metadata_propagated(self):
+        """The hook receives the issuing warp's id and the instruction's PC."""
+        calls = []
+        core = GPUCore(GPUConfig(num_sms=4))
+        trace = WarpTrace(warp_id=7, sm_id=3)
+        trace.append(Instruction(pc=0xcafe, addresses=[0x100], access=AccessType.READ))
+        core.run([trace], recording_memory(calls))
+        assert [call[:4] for call in calls] == [(0x100, False, 7, 0xcafe)]
+
+
+class TestInFlightMisses:
+    """Known timing-model defects of the L1/MSHR path, pinned until fixed."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "hit-under-miss: the SM inserts the L1 line when a primary miss "
+        "issues, so a read of a line still in flight is an L1 hit at L1 "
+        "latency instead of an MSHR merge that waits for the fill"))
+    def test_read_of_inflight_line_waits_for_fill(self):
+        sm = StreamingMultiprocessor(0, GPUConfig())
+        hook = constant_memory(1000.0)
+        fill = sm.execute_instruction(Instruction(pc=0, addresses=[0x1000]), 0, 0.0, hook)
+        second = sm.execute_instruction(Instruction(pc=0, addresses=[0x1000]), 1, 5.0, hook)
+        assert second >= fill
+        assert sm.mshr.secondary_misses == 1
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "MSHR stalls are ignored: MSHR.allocate returns the cycle an entry "
+        "frees up when all entries are busy, and the SM drops it, so a full "
+        "MSHR delays nothing"))
+    def test_full_mshr_delays_next_primary_miss(self):
+        sm = StreamingMultiprocessor(0, GPUConfig(l1_mshr_entries=1))
+        calls = []
+        hook = recording_memory(calls, latency=1000.0)
+        fill = sm.execute_instruction(Instruction(pc=0, addresses=[0x1000]), 0, 0.0, hook)
+        sm.execute_instruction(Instruction(pc=0, addresses=[0x5000]), 1, 5.0, hook)
+        assert sm.mshr.stalls == 1
+        assert calls[1][4] >= fill
 
 
 class TestGPUCore:

@@ -51,6 +51,30 @@ class TestExecution:
         assert description["l2_read_only"]
 
 
+class TestPhysicalAddressRouting:
+    """GDDR5, Hetero and Optane route an L2 miss by the MMU's translation."""
+
+    @pytest.mark.parametrize("name,device", [("GDDR5", "dram"), ("Optane", "optane")])
+    def test_miss_reaches_device_at_translated_address(self, name, device):
+        platform = build_platform(name)
+        platform.mmu.preload({3: 5})
+        seen = []
+        target = getattr(platform, device)
+        access = target.access
+
+        def recording_access(address, num_bytes, *args, **kwargs):
+            seen.append((address, num_bytes))
+            return access(address, num_bytes, *args, **kwargs)
+
+        target.access = recording_access
+        platform.memory_access(3 * 4096 + 256, False, 0, 0x10, 0.0)
+        platform.memory_access(3 * 4096 + 384, True, 0, 0x14, 0.0)
+        assert seen == [(5 * 4096 + 256, platform.request_bytes),
+                        (5 * 4096 + 384, platform.request_bytes)]
+        # The L2 is indexed by the virtual address.
+        assert platform.l2.probe(3 * 4096 + 256)
+
+
 class TestL2Configuration:
     def test_read_optimization_uses_stt_mram(self):
         base = ZnGPlatform(ZnGVariant.BASE)
