@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from repro.config import PrefetchConfig
 from repro.core.access_monitor import AccessMonitor
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import ACCESSED, PREFETCHED
 from benchmarks.harness import run_once
 
 
@@ -40,8 +40,7 @@ def _simulate_waste(high, low, useful_fraction=0.7, window=64, steps=4000, seed=
         # locality the workload actually has.
         waste_prob = min(1.0, grain_factor * (1.0 - useful_fraction) + 0.05)
         wasted = (rng_state / 0x7FFFFFFF) < waste_prob
-        record = EvictionRecord(address=0, dirty=False, prefetched=True, accessed=not wasted)
-        monitor.observe_eviction(record)
+        monitor.observe_eviction(PREFETCHED if wasted else PREFETCHED | ACCESSED)
         total += 1
         total_unused += int(wasted)
     return total_unused / total

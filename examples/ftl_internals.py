@@ -43,23 +43,25 @@ def main() -> None:
     print(f"   fits in MMU: {ftl.dbmt.fits_in_mmu()}")
 
     print("\n2. Read a clean page — served from the physical data block")
-    read = ftl.translate_read(3)
-    print(f"   virtual page 3 -> PPN {read.ppn}, from_log_block={read.from_log_block}")
+    log_reads = ftl.reads_from_log
+    ppn = ftl.translate_read(3)
+    print(f"   virtual page 3 -> PPN {ppn}, from_log_block={ftl.reads_from_log > log_reads}")
 
     print("\n3. Write virtual page 3 — redirected to a log page by the row decoder")
-    allocation = ftl.allocate_write(3, now=0.0)
-    print(f"   wrote to log block {allocation.plbn}, PPN {allocation.ppn}")
-    read = ftl.translate_read(3)
-    print(f"   re-reading virtual page 3 -> PPN {read.ppn}, "
-          f"from_log_block={read.from_log_block}")
+    ppn, ready, _ = ftl.allocate_write(3, now=0.0)
+    print(f"   wrote to log block {ftl.entry_for_page(3).plbn}, PPN {ppn}")
+    log_reads = ftl.reads_from_log
+    ppn = ftl.translate_read(3)
+    print(f"   re-reading virtual page 3 -> PPN {ppn}, "
+          f"from_log_block={ftl.reads_from_log > log_reads}")
 
     print("\n4. Fill the log block to trigger a helper-thread GC merge")
     merges_before = ftl.gc_merges
-    time = allocation.ready_cycle
+    time = ready
     for i in range(40):
-        result = ftl.allocate_write(i % 8, now=time)
-        time = result.ready_cycle + 1
-        if result.gc_performed:
+        _, ready, gc_performed = ftl.allocate_write(i % 8, now=time)
+        time = ready + 1
+        if gc_performed:
             print(f"   GC merge triggered after write #{i}")
             break
     print(f"   total GC merges: {ftl.gc_merges} (was {merges_before})")

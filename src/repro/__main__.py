@@ -196,6 +196,17 @@ from repro.analysis.tables import table_1_configuration, table_2_workloads
 from repro.analysis.validation import validate_all
 
 
+def _usage(command: str, section: str) -> str:
+    """``command``'s usage line and its options section of the module docstring."""
+    lines = __doc__.splitlines()
+    start = lines.index(f"{section}::")
+    end = start + 1
+    while end < len(lines) and not (lines[end][:1].strip() and lines[end].endswith("::")):
+        end += 1
+    body = "\n".join(lines[start:end]).rstrip()
+    return f"usage: python -m repro {command} [options]\n\n{body}"
+
+
 def _is_float(text: str) -> bool:
     try:
         float(text)
@@ -526,6 +537,9 @@ def _cmd_sweep(args: List[str]) -> int:
     try:
         while index < len(args):
             flag = args[index]
+            if flag in ("-h", "--help"):
+                print(_usage("sweep", "Sweep options"))
+                return 0
             if flag == "--no-cache":
                 cache = False
                 cache_flagged = True
@@ -748,6 +762,9 @@ def _cmd_dispatch(args: List[str]) -> int:
     try:
         while index < len(args):
             flag = args[index]
+            if flag in ("-h", "--help"):
+                print(_usage("dispatch", "Dispatch options"))
+                return 0
             if flag.startswith("--") and index + 1 >= len(args):
                 print(f"missing value for {flag}")
                 return 2

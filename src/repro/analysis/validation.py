@@ -98,7 +98,7 @@ def measure_single_plane_bandwidth(num_reads: int = 100) -> float:
     completion = 0.0
     for page in range(num_reads):
         ppn = geom.ppn_of(0, 0, page % geom.pages_per_block)
-        completion = max(completion, array.read_page(ppn, now=0.0).completion_cycle)
+        completion = max(completion, array.read_page(ppn, now=0.0)[1])
     seconds = completion / GPU_FREQ_HZ
     return (num_reads * config.page_size_bytes) / seconds if seconds else 0.0
 

@@ -3,11 +3,11 @@
 from repro.core.dbmt import DataBlockMappingTable, DBMTEntry
 from repro.core.lpmt import LogPageMappingTable, ProgrammableRowDecoder
 from repro.core.lbmt import LogBlockMappingTable
-from repro.core.zero_overhead_ftl import ZeroOverheadFTL, ReadTranslation, WriteAllocation
+from repro.core.zero_overhead_ftl import ZeroOverheadFTL
 from repro.core.helper_gc import HelperThreadGC
 from repro.core.predictor import PredictorTable
 from repro.core.access_monitor import AccessMonitor
-from repro.core.prefetcher import DynamicReadPrefetcher, PrefetchDecision
+from repro.core.prefetcher import DynamicReadPrefetcher
 from repro.core.register_cache import FlashRegisterCache, RegisterEntry
 from repro.core.register_network import RegisterNetwork, build_register_network
 from repro.core.thrashing import ThrashingChecker
@@ -28,13 +28,10 @@ __all__ = [
     "ProgrammableRowDecoder",
     "LogBlockMappingTable",
     "ZeroOverheadFTL",
-    "ReadTranslation",
-    "WriteAllocation",
     "HelperThreadGC",
     "PredictorTable",
     "AccessMonitor",
     "DynamicReadPrefetcher",
-    "PrefetchDecision",
     "FlashRegisterCache",
     "RegisterEntry",
     "RegisterNetwork",

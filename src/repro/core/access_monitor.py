@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import PrefetchConfig
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import ACCESSED, PREFETCHED
 
 
 @dataclass
@@ -41,11 +41,14 @@ class AccessMonitor:
         self.adjustments_up = 0
         self.history: list[MonitorSnapshot] = []
 
-    def observe_eviction(self, record: EvictionRecord) -> Optional[MonitorSnapshot]:
-        """Account one L2 eviction; maybe adjust the prefetch granularity."""
+    def observe_eviction(self, state: int) -> Optional[MonitorSnapshot]:
+        """Account one L2 eviction of a line with tag ``state`` bits.
+
+        Maybe adjusts the prefetch granularity.
+        """
         self.evict_counter += 1
         self.total_evictions += 1
-        if record.prefetched and not record.accessed:
+        if state & (PREFETCHED | ACCESSED) == PREFETCHED:
             self.unused_counter += 1
             self.total_unused += 1
         if self.evict_counter < self.config.monitor_window_evictions:

@@ -71,19 +71,15 @@ class HelperThreadGC:
                     # merge proportional to real data.
                     if self.array.page_state(source_ppn) == 0:  # PageState.FREE
                         continue
-                read = self.array.read_page(source_ppn, time)
-                program = self.array.program_page(
-                    self.ftl.ppn_in_block(new_pdbn, page_index), read.completion_cycle
-                )
-                time = program.completion_cycle
+                _, read = self.array.read_page(source_ppn, time)
+                _, time = self.array.program_page(
+                    self.ftl.ppn_in_block(new_pdbn, page_index), read)
                 self.pages_copied += 1
 
             # Erase the stale data block, return it to the free pool and
             # repoint the DBMT entries at the freshly merged block.
-            erase = self.array.erase_block(
-                self.ftl.block_plane(pdbn), self.ftl.block_in_plane(pdbn), time
-            )
-            time = erase.completion_cycle
+            time = self.array.erase_block(
+                self.ftl.block_plane(pdbn), self.ftl.block_in_plane(pdbn), time)
             self.blocks_erased += 1
             self.ftl.release_data_block(pdbn)
             for entry in self.ftl.dbmt:
@@ -95,10 +91,8 @@ class HelperThreadGC:
             group.data_blocks.append(new_pdbn)
 
         # Erase the log block, return it to the free pool and allocate a new one.
-        erase = self.array.erase_block(
-            self.ftl.block_plane(plbn), self.ftl.block_in_plane(plbn), time
-        )
-        time = erase.completion_cycle
+        time = self.array.erase_block(
+            self.ftl.block_plane(plbn), self.ftl.block_in_plane(plbn), time)
         self.blocks_erased += 1
         decoder.release(plbn)
         self.ftl.release_log_block(plbn)

@@ -32,15 +32,15 @@ class IntegrityModel:
 
     def write(self, virtual_page: int, value: int, now: float = 0.0) -> None:
         """Write ``value`` to a virtual page through the FTL."""
-        allocation = self.ftl.allocate_write(virtual_page, now)
-        self._ppn_values[allocation.ppn] = value
+        ppn, _, _ = self.ftl.allocate_write(virtual_page, now)
+        self._ppn_values[ppn] = value
         self.writes += 1
 
     def read(self, virtual_page: int) -> Optional[int]:
         """Read the latest value of a virtual page through the FTL."""
-        translation = self.ftl.translate_read(virtual_page)
+        ppn = self.ftl.translate_read(virtual_page)
         self.reads += 1
-        return self._ppn_values.get(translation.ppn)
+        return self._ppn_values.get(ppn)
 
     def relocate(self, old_ppn: int, new_ppn: int) -> None:
         """Move a value when GC migrates a page (called by the hooked helper GC)."""

@@ -3,8 +3,9 @@
 ZnG's dynamic read prefetcher (``repro.core.prefetcher``) adapts its fetch
 granularity from observed waste.  To show that adaptivity matters, this module
 provides simpler fixed policies with the same interface as the dynamic one's
-``on_miss``/``train`` methods, so a platform can be parameterised with any of
-them and an ablation can compare:
+``on_miss``/``train`` methods (``on_miss`` returns the fetch size in bytes),
+so a platform can be parameterised with any of them and an ablation can
+compare:
 
 * ``NoPrefetch``       — always fetch a single 128 B line (the ZnG-base policy),
 * ``NextLinePrefetch`` — always fetch a fixed window around the miss,
@@ -15,11 +16,9 @@ them and an ablation can compare:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.config import PrefetchConfig
-from repro.core.prefetcher import PrefetchDecision
-from repro.gpu.cache import EvictionRecord
 
 
 class NoPrefetch:
@@ -34,10 +33,10 @@ class NoPrefetch:
     def train(self, pc: int, warp_id: int, address: int) -> None:  # noqa: D401 - no-op
         return None
 
-    def on_miss(self, pc: int) -> PrefetchDecision:
-        return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="disabled")
+    def on_miss(self, pc: int) -> int:
+        return self.line_bytes
 
-    def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
+    def observe_evictions(self, evictions: Iterable[Tuple[int, int]]) -> None:
         return None
 
     @property
@@ -63,12 +62,11 @@ class NextLinePrefetch:
     def train(self, pc: int, warp_id: int, address: int) -> None:
         return None
 
-    def on_miss(self, pc: int) -> PrefetchDecision:
+    def on_miss(self, pc: int) -> int:
         self.prefetches += 1
-        fetch = min(self.window_bytes, self.page_size_bytes)
-        return PrefetchDecision(prefetch=True, fetch_bytes=fetch, reason="fixed_window")
+        return min(self.window_bytes, self.page_size_bytes)
 
-    def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
+    def observe_evictions(self, evictions: Iterable[Tuple[int, int]]) -> None:
         return None
 
     @property
@@ -120,16 +118,15 @@ class StridePrefetch:
             entry.confidence = 0
         entry.last_page = page
 
-    def on_miss(self, pc: int) -> PrefetchDecision:
+    def on_miss(self, pc: int) -> int:
         entry = self._table.get(pc)
         if entry is not None and entry.confidence >= self.confidence_threshold and entry.stride != 0:
             self.prefetches += 1
-            return PrefetchDecision(prefetch=True, fetch_bytes=self.page_size_bytes,
-                                    reason="stride_confirmed")
+            return self.page_size_bytes
         self.demands += 1
-        return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="no_stride")
+        return self.line_bytes
 
-    def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
+    def observe_evictions(self, evictions: Iterable[Tuple[int, int]]) -> None:
         return None
 
     @property

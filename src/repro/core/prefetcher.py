@@ -4,28 +4,18 @@ On every L2 read access the predictor is trained with (PC, warp, logical
 page).  On an L2 miss the cutoff test consults the predictor; if the counter
 passes the threshold the prefetcher asks for ``granularity`` bytes of the
 faulting flash page to be brought into the L2 instead of a single 128 B
-block.  Evictions reported by the L2 feed the access monitor, which tunes the
-granularity between 128 B and the full 4 KB page.
+block.  ``on_miss`` returns that fetch size in bytes; a size above one line
+is a prefetch.  Evictions reported by the L2 feed the access monitor, which
+tunes the granularity between 128 B and the full 4 KB page.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.config import PrefetchConfig
 from repro.core.access_monitor import AccessMonitor
 from repro.core.predictor import PredictorTable
-from repro.gpu.cache import EvictionRecord
-
-
-@dataclass(frozen=True, slots=True)
-class PrefetchDecision:
-    """What to fetch from flash for one missing read."""
-
-    prefetch: bool
-    fetch_bytes: int
-    reason: str = ""
 
 
 class DynamicReadPrefetcher:
@@ -44,8 +34,6 @@ class DynamicReadPrefetcher:
         self.monitor = AccessMonitor(self.config)
         self.prefetches_issued = 0
         self.demand_fetches = 0
-        # Decisions are immutable; the one that fetches one line is shared.
-        self._demand_decision = PrefetchDecision(False, line_bytes, "cutoff_fail")
 
     # -- training -------------------------------------------------------------
     def train(self, pc: int, warp_id: int, address: int) -> None:
@@ -53,19 +41,20 @@ class DynamicReadPrefetcher:
         self.predictor.update(pc, warp_id, address // self.page_size_bytes)
 
     # -- miss handling ----------------------------------------------------------
-    def on_miss(self, pc: int) -> PrefetchDecision:
-        """Decide how many bytes to pull from the flash page for a missing read."""
+    def on_miss(self, pc: int) -> int:
+        """Bytes to pull from the flash page for a missing read."""
         if self.predictor.should_prefetch(pc):
-            fetch = max(self.line_bytes, min(self.monitor.granularity_bytes, self.page_size_bytes))
             self.prefetches_issued += 1
-            return PrefetchDecision(True, fetch, "cutoff_pass")
+            return max(self.line_bytes, min(self.monitor.granularity_bytes, self.page_size_bytes))
         self.demand_fetches += 1
-        return self._demand_decision
+        return self.line_bytes
 
     # -- eviction feedback --------------------------------------------------------
-    def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
-        for record in records:
-            self.monitor.observe_eviction(record)
+    def observe_evictions(self, evictions: Iterable[Tuple[int, int]]) -> None:
+        """Feed ``(line_address, state_bits)`` L2 evictions to the monitor."""
+        observe = self.monitor.observe_eviction
+        for _, state in evictions:
+            observe(state)
 
     # -- reporting ----------------------------------------------------------------
     @property

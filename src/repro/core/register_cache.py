@@ -35,16 +35,6 @@ class RegisterEntry:
     writes_merged: int = 0
 
 
-@dataclass(slots=True)
-class WriteOutcome:
-    """Result of absorbing one write request into the register cache."""
-
-    ready_cycle: float
-    register_hit: bool
-    evicted_page: Optional[int] = None
-    spilled_to_l2: bool = False
-
-
 class FlashRegisterCache:
     """Write cache built from the Z-NAND plane registers.
 
@@ -138,8 +128,11 @@ class FlashRegisterCache:
         now: float,
         program_fn: ProgramFn,
         l2_spill_fn: Optional[Callable[[int, float], float]] = None,
-    ) -> WriteOutcome:
+    ) -> Tuple[float, bool, Optional[int]]:
         """Absorb one write request destined for ``target_plane``.
+
+        Returns ``(ready_cycle, register_hit, evicted_page)``; the evicted
+        page is ``None`` when no register was evicted.
 
         ``program_fn`` is invoked when a victim register must be flushed; it
         performs the log-block program (through the zero-overhead FTL) and
@@ -160,16 +153,13 @@ class FlashRegisterCache:
             entry.writes_merged += 1
             self.write_hits += 1
             self.thrashing_checker.observe(False)
-            return WriteOutcome(now + self.MERGE_LATENCY_CYCLES, True)
+            return now + self.MERGE_LATENCY_CYCLES, True, None
 
         self.write_misses += 1
         time = now + self.MERGE_LATENCY_CYCLES
         evicted_page: Optional[int] = None
-        spilled = False
         if len(registers) >= self._group_capacity:
-            evicted_page, time, spilled = self._evict(
-                group, time, program_fn, l2_spill_fn
-            )
+            evicted_page, time = self._evict(group, time, program_fn, l2_spill_fn)
         # Allocate a register; in package scope its physical home plane rotates
         # round-robin so asymmetric write patterns still spread over the
         # package's registers, in plane scope it is the target plane itself.
@@ -181,7 +171,7 @@ class FlashRegisterCache:
             home_plane = self.plane_within_package(target_plane)
         registers[virtual_page] = RegisterEntry(virtual_page, home_plane, write_bytes, 1)
         self.thrashing_checker.observe(evicted_page is not None)
-        return WriteOutcome(time, False, evicted_page, spilled)
+        return time, False, evicted_page
 
     def _evict(
         self,
@@ -189,16 +179,15 @@ class FlashRegisterCache:
         now: float,
         program_fn: ProgramFn,
         l2_spill_fn: Optional[Callable[[int, float], float]],
-    ) -> Tuple[int, float, bool]:
-        """Evict the LRU register of a group; returns (page, time, spilled)."""
+    ) -> Tuple[int, float]:
+        """Evict the LRU register of a group; returns ``(page, time)``."""
         registers = self._packages[group]
         victim_page, victim = registers.popitem(last=False)
         self.evictions += 1
         if self.thrashing_checker.thrashing and l2_spill_fn is not None:
             # Pin the dirty page into the L2 instead of programming flash.
             self.l2_spills += 1
-            completion = l2_spill_fn(victim_page, now)
-            return victim_page, completion, True
+            return victim_page, l2_spill_fn(victim_page, now)
         # Move the register's data to its destination plane (possibly remote)
         # over the register interconnect, then program the log page.
         package = group if self.scope == "package" else self.package_of_plane(group)
@@ -209,7 +198,7 @@ class FlashRegisterCache:
         )
         completion = program_fn(victim_page, moved)
         self.programs_issued += 1
-        return victim_page, completion, False
+        return victim_page, completion
 
     def _destination_plane_local(self, virtual_page: int, group: int) -> int:
         """Plane (within its package) that receives the programmed page.

@@ -9,19 +9,9 @@ programming them to flash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import RegisterCacheConfig
-
-
-@dataclass(slots=True)
-class ThrashingState:
-    """Current decision of the thrashing checker."""
-
-    thrashing: bool
-    eviction_ratio: float
-    window_accesses: int
 
 
 class ThrashingChecker:
@@ -35,14 +25,13 @@ class ThrashingChecker:
         self.activations = 0
         self.deactivations = 0
 
-    def observe(self, evicted: bool) -> ThrashingState:
-        """Account one register-cache access; flip the thrashing flag at window ends."""
+    def observe(self, evicted: bool) -> None:
+        """Account one register-cache access; flip ``thrashing`` at window ends."""
         accesses = self.window_accesses = self.window_accesses + 1
         if evicted:
             self.window_evictions += 1
         if accesses < self.config.thrashing_window:
-            return ThrashingState(
-                self.thrashing, self.window_evictions / accesses, accesses)
+            return
         ratio = self._ratio()
         was_thrashing = self.thrashing
         self.thrashing = ratio > self.config.thrashing_eviction_ratio
@@ -50,12 +39,8 @@ class ThrashingChecker:
             self.activations += 1
         if was_thrashing and not self.thrashing:
             self.deactivations += 1
-        state = ThrashingState(
-            thrashing=self.thrashing, eviction_ratio=ratio, window_accesses=self.window_accesses
-        )
         self.window_accesses = 0
         self.window_evictions = 0
-        return state
 
     def _ratio(self) -> float:
         if self.window_accesses == 0:

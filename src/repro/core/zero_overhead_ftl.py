@@ -16,7 +16,6 @@ the group's log block.  Neither path involves an SSD controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import FTLConfig, ZNANDConfig
@@ -25,28 +24,6 @@ from repro.core.lbmt import LogBlockMappingTable
 from repro.core.lpmt import ProgrammableRowDecoder
 from repro.ssd.geometry import FlashGeometry
 from repro.ssd.znand import ZNANDArray
-
-
-@dataclass(slots=True)
-class ReadTranslation:
-    """Where a virtual page's latest data lives in flash."""
-
-    ppn: int
-    vbn: int
-    page_index: int
-    from_log_block: bool
-
-
-@dataclass(slots=True)
-class WriteAllocation:
-    """A log-page allocation for one written virtual page."""
-
-    ppn: int
-    vbn: int
-    page_index: int
-    plbn: int
-    ready_cycle: float
-    gc_performed: bool = False
 
 
 class ZeroOverheadFTL:
@@ -195,10 +172,6 @@ class ZeroOverheadFTL:
     # ------------------------------------------------------------------
     # Address translation
     # ------------------------------------------------------------------
-    def _split(self, virtual_page: int) -> Tuple[int, int]:
-        pages_per_block = self.pages_per_block()
-        return virtual_page // pages_per_block, virtual_page % pages_per_block
-
     def entry_for_page(self, virtual_page: int) -> DBMTEntry:
         vbn = virtual_page // self.geometry.pages_per_block
         entry = self.dbmt.lookup(vbn)
@@ -206,8 +179,11 @@ class ZeroOverheadFTL:
             entry = self.map_virtual_block(vbn)
         return entry
 
-    def translate_read(self, virtual_page: int) -> ReadTranslation:
-        """Find the flash page holding the latest copy of a virtual page."""
+    def translate_read(self, virtual_page: int) -> int:
+        """The PPN holding the latest copy of a virtual page.
+
+        ``reads_from_log`` counts the translations the log block served.
+        """
         self.reads_translated += 1
         geometry = self.geometry
         vbn, page_index = divmod(virtual_page, geometry.pages_per_block)
@@ -223,19 +199,19 @@ class ZeroOverheadFTL:
         log_page = decoder.search(plbn, entry.pdbn, page_index)
         if log_page is not None:
             self.reads_from_log += 1
-            return ReadTranslation(
-                geometry.ppn_of(plane, block, log_page), vbn, page_index, True)
-        return ReadTranslation(
-            self.ppn_in_block(entry.pdbn, page_index), vbn, page_index, False)
+            return geometry.ppn_of(plane, block, log_page)
+        return self.ppn_in_block(entry.pdbn, page_index)
 
-    def allocate_write(self, virtual_page: int, now: float) -> WriteAllocation:
+    def allocate_write(self, virtual_page: int, now: float) -> Tuple[int, float, bool]:
         """Reserve a log page for a write; run the helper GC if the log block is full.
 
-        The caller is responsible for charging the actual flash program (either
+        Returns ``(ppn, ready_cycle, gc_performed)``: the log page, the cycle
+        after any merge, and whether the helper GC merged the log block.  The
+        caller is responsible for charging the actual flash program (either
         immediately, for ZnG-base, or lazily when a flash register evicts).
         """
         self.writes_allocated += 1
-        vbn, page_index = self._split(virtual_page)
+        page_index = virtual_page % self.geometry.pages_per_block
         entry = self.entry_for_page(virtual_page)
         decoder = self.decoder_of_block(entry.plbn)
         table = decoder.table_for(entry.plbn)
@@ -252,10 +228,7 @@ class ZeroOverheadFTL:
             decoder = self.decoder_of_block(entry.plbn)
             table = decoder.table_for(entry.plbn)
         log_page = decoder.program(entry.plbn, entry.pdbn, page_index)
-        return WriteAllocation(
-            self.ppn_in_block(entry.plbn, log_page),
-            vbn, page_index, entry.plbn, time, gc_performed,
-        )
+        return self.ppn_in_block(entry.plbn, log_page), time, gc_performed
 
     # ------------------------------------------------------------------
     # Reporting

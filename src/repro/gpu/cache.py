@@ -4,12 +4,11 @@ Used for the private L1D caches, the banked shared L2 (SRAM and STT-MRAM
 variants), the HybridGPU DRAM read/write buffer and the page-walk cache.  ZnG
 extends the L2 tag array with *prefetch* and *accessed* bits (Section IV-B);
 evictions report those bits so the prefetcher's access monitor can inspect
-them.
+them.  An eviction is a plain ``(line_address, state_bits)`` tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 # A tag-array entry is an int of state bits, not an object: the L2 holds
@@ -22,16 +21,6 @@ ACCESSED = 4
 #: Pinned lines hold dirty flash-register spill data (Section IV-C) and are
 #: excluded from normal replacement while pinned.
 PINNED = 8
-
-
-@dataclass(slots=True)
-class EvictionRecord:
-    """Information about an evicted line, consumed by the access monitor."""
-
-    address: int
-    dirty: bool
-    prefetched: bool
-    accessed: bool
 
 
 class SetAssociativeCache:
@@ -111,12 +100,13 @@ class SetAssociativeCache:
         dirty: bool = False,
         prefetched: bool = False,
         pinned: bool = False,
-    ) -> Optional[EvictionRecord]:
+    ) -> Optional[Tuple[int, int]]:
         """Allocate a line for ``address``; evict LRU if the set is full.
 
-        Returns the evicted line, or ``None`` when nothing was evicted: the
-        line was already resident, the set had room, or every line of the
-        set was pinned and the allocation was bypassed.
+        Returns the evicted line as ``(line_address, state_bits)``, or
+        ``None`` when nothing was evicted: the line was already resident,
+        the set had room, or every line of the set was pinned and the
+        allocation was bypassed.
         """
         line_number = address // self.line_bytes
         num_sets = self.num_sets
@@ -148,12 +138,9 @@ class SetAssociativeCache:
                 return None
             del cache_set[victim_tag]
             self.evictions += 1
-            victim_dirty = victim & DIRTY != 0
-            if victim_dirty:
+            if victim & DIRTY:
                 self.dirty_evictions += 1
-            evicted = EvictionRecord(
-                (victim_tag * num_sets + set_index) * self.line_bytes,
-                victim_dirty, victim & PREFETCHED != 0, victim & ACCESSED != 0)
+            evicted = ((victim_tag * num_sets + set_index) * self.line_bytes, victim)
         cache_set[tag] = state
         self.insertions += 1
         return evicted

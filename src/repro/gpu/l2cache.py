@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.config import GPUConfig, STTMRAMConfig
-from repro.gpu.cache import EvictionRecord, SetAssociativeCache
+from repro.gpu.cache import SetAssociativeCache
 from repro.sim.engine import Resource
 
 
@@ -122,13 +122,13 @@ class SharedL2Cache:
         dirty: bool = False,
         prefetched: bool = False,
         pinned: bool = False,
-    ) -> Optional[EvictionRecord]:
+    ) -> Optional[Tuple[int, int]]:
         """Install one line (e.g. after a flash/DRAM fill or a prefetch).
 
         Fills are performed by the fill path of the bank and do not contend
         with the demand-access port.  (Booking the single demand port at the
         fill's future completion time would falsely delay earlier demand
-        accesses.)  Returns the evicted line, if any.
+        accesses.)  Returns the evicted ``(line_address, state_bits)``, if any.
         """
         evicted = self._bank_arrays[(address // self.line_bytes) % self.banks].insert(
             address, dirty, prefetched, pinned)
@@ -143,7 +143,7 @@ class SharedL2Cache:
         now: float,
         prefetched: bool = True,
         limit_bytes: Optional[int] = None,
-    ) -> List[EvictionRecord]:
+    ) -> List[Tuple[int, int]]:
         """Install the lines of a fetched flash page (or a prefix of it).
 
         Inserts straight into the bank arrays (one insert per 128 B line)
@@ -151,7 +151,7 @@ class SharedL2Cache:
         prefetched miss, so this loop is hot.  Returns the evicted lines in
         eviction order.
         """
-        evictions: List[EvictionRecord] = []
+        evictions: List[Tuple[int, int]] = []
         span = min(page_bytes, limit_bytes) if limit_bytes else page_bytes
         bank_arrays = self._bank_arrays
         line_bytes = self.line_bytes
@@ -169,12 +169,12 @@ class SharedL2Cache:
     def probe(self, address: int) -> bool:
         return self._bank_arrays[self.bank_of(address)].probe(address)
 
-    def pin_lines(self, addresses: List[int], now: float) -> List[EvictionRecord]:
+    def pin_lines(self, addresses: List[int], now: float) -> List[Tuple[int, int]]:
         """Pin L2 lines to hold spilled dirty register data (Section IV-C).
 
         Returns the lines the pinning evicted, in eviction order.
         """
-        evictions: List[EvictionRecord] = []
+        evictions: List[Tuple[int, int]] = []
         for address in addresses:
             evicted = self.fill(address, now, dirty=True, pinned=True)
             if evicted is not None:

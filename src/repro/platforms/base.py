@@ -239,6 +239,8 @@ class GPUSSDPlatform(ABC):
         self._ctr_l2_misses = stats.counter("l2_misses")
         self._ctr_writes_below_l2 = stats.counter("writes_below_l2")
         self._hist_latency = stats.histogram("request_latency")
+        # The read predictor trained on every L2 read, if the platform has one.
+        self.prefetcher = None
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -274,9 +276,6 @@ class GPUSSDPlatform(ABC):
         breakdown: Dict[str, float],
     ) -> float:
         """Serve a write below the L2; return its completion cycle."""
-
-    def _observe_read(self, address: int, warp_id: int, pc: int) -> None:
-        """Hook called for every L2 read access (hit or miss).  Default no-op."""
 
     def prepare(self, workload: WorkloadTrace) -> None:
         """Load the data set / set up mappings before execution (optional)."""
@@ -332,9 +331,11 @@ class GPUSSDPlatform(ABC):
             completion = self._service_write(address, physical_address, time, breakdown)
             self._ctr_writes_below_l2.value += 1
         else:
-            # Let the platform observe the full read stream (e.g. to train a
-            # prefetch predictor) regardless of L2 hit/miss.
-            self._observe_read(address, warp_id, pc)
+            # A prefetch predictor trains on the full read stream, L2 hits
+            # and misses alike.
+            prefetcher = self.prefetcher
+            if prefetcher is not None:
+                prefetcher.train(pc, warp_id, address)
             if hit:
                 self._ctr_l2_hits.value += 1
                 completion = time

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum
-from typing import Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.config import PlatformConfig
 from repro.core.helper_gc import HelperThreadGC
 from repro.core.register_cache import FlashRegisterCache
 from repro.core.register_network import build_register_network
 from repro.core.zero_overhead_ftl import ZeroOverheadFTL
-from repro.gpu.cache import EvictionRecord
 from repro.gpu.l2cache import SharedL2Cache
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.ssd.endurance import EnduranceModel
@@ -76,7 +75,6 @@ class ZnGPlatform(GPUSSDPlatform):
         self.ftl.helper_gc = self.helper_gc
         self.endurance = EnduranceModel(self.array, znand)
 
-        self.prefetcher = None
         if variant.has_read_optimization:
             from repro.core.prefetch_policies import build_prefetcher
 
@@ -111,7 +109,9 @@ class ZnGPlatform(GPUSSDPlatform):
         self.page_size_flash = znand.page_size_bytes
         self.line_bytes = self.config.gpu.l2_line_bytes
         # L2 evictions caused by thrashing spills since the last read miss.
-        self._spill_evictions: List[EvictionRecord] = []
+        self._spill_evictions: List[Tuple[int, int]] = []
+        # Only read-optimised variants spill thrashing registers into the L2.
+        self._spill_fn = self._l2_spiller() if variant.has_read_optimization else None
 
     # ------------------------------------------------------------------
     def _build_l2(self) -> SharedL2Cache:
@@ -131,13 +131,8 @@ class ZnGPlatform(GPUSSDPlatform):
         self.mmu.preload({vpn: vpn for vpn in resident})
 
     # ------------------------------------------------------------------
-    # Read path
+    # Read path (the base request path trains the predictor, Section IV-B)
     # ------------------------------------------------------------------
-    def _observe_read(self, address: int, warp_id: int, pc: int) -> None:
-        """Train the read predictor on the full read stream (Section IV-B)."""
-        if self.prefetcher is not None:
-            self.prefetcher.train(pc, warp_id, address)
-
     def _service_l2_miss(
         self,
         address: int,
@@ -147,8 +142,9 @@ class ZnGPlatform(GPUSSDPlatform):
         breakdown: Dict[str, float],
     ) -> float:
         virtual_page = address // self.page_size
-        ppn = self.ftl.translate_read(virtual_page).ppn
-        geometry = self.array.geometry
+        ppn = self.ftl.translate_read(virtual_page)
+        array = self.array
+        geometry = array.geometry
         plane = geometry.plane_of_ppn(ppn)
         register_cache = self.register_cache
         time = now
@@ -173,20 +169,16 @@ class ZnGPlatform(GPUSSDPlatform):
             self.stats.add("forced_register_flushes")
             time = drained
 
-        # Decide how much of the flash page to pull into the L2.  (Training
-        # happens on every read via _observe_read, not only on misses.)
+        # Decide how much of the flash page to pull into the L2.
         prefetcher = self.prefetcher
-        fetch_bytes = self.request_bytes
-        prefetched = False
-        if prefetcher is not None:
-            decision = prefetcher.on_miss(pc)
-            fetch_bytes = decision.fetch_bytes
-            prefetched = decision.prefetch
+        if prefetcher is None:
+            fetch_bytes = self.request_bytes
+        else:
+            fetch_bytes = prefetcher.on_miss(pc)
 
-        operation = self.controllers.read(ppn, time, transfer_bytes=fetch_bytes)
-        array_cycles = operation.array_cycles
-        transfer_cycles = operation.transfer_cycles
-        completion = operation.completion_cycle
+        sensed, completion = self.controllers.read(ppn, time, transfer_bytes=fetch_bytes)
+        array_cycles = array.read_array_cycles
+        transfer_cycles = completion - sensed
         if array_cycles > 0:
             breakdown["flash_array"] += array_cycles
         if transfer_cycles > 0:
@@ -196,10 +188,14 @@ class ZnGPlatform(GPUSSDPlatform):
             breakdown["flash_controller"] += controller_cycles
         self.stats.add("flash_page_reads")
 
-        # Fill the L2: the demand line plus (for prefetches) the neighbouring
-        # lines of the page up to the chosen granularity.
+        # Fill the L2: the demand line plus (for prefetches, which fetch more
+        # than a line) the neighbouring lines of the page up to the chosen
+        # granularity.
         l2 = self.l2
-        if prefetched and fetch_bytes > self.line_bytes:
+        if prefetcher is None:
+            l2.fill(address, completion, prefetched=False)
+            return completion
+        if fetch_bytes > self.line_bytes:
             page_size = self.page_size_flash
             page_base = (address // page_size) * page_size
             start = page_base + ((address - page_base) // fetch_bytes) * fetch_bytes
@@ -210,15 +206,15 @@ class ZnGPlatform(GPUSSDPlatform):
         else:
             evictions = []
         evicted = l2.fill(address, completion, prefetched=False)
-        if prefetcher is not None:
-            # The access monitor sees every L2 eviction in the order it
-            # happened: those of earlier thrashing spills, then this fill's.
-            if self._spill_evictions:
-                evictions = self._spill_evictions + evictions
-                self._spill_evictions = []
-            if evicted is not None:
-                evictions.append(evicted)
-            prefetcher.observe_evictions(evictions)
+        # The access monitor sees every L2 eviction in the order it happened:
+        # those of earlier thrashing spills, then this fill's.
+        spilled = self._spill_evictions
+        if spilled:
+            evictions = spilled + evictions
+            spilled.clear()
+        if evicted is not None:
+            evictions.append(evicted)
+        prefetcher.observe_evictions(evictions)
         return completion
 
     # ------------------------------------------------------------------
@@ -226,28 +222,35 @@ class ZnGPlatform(GPUSSDPlatform):
     # ------------------------------------------------------------------
     def _program_log_page(self, virtual_page: int, now: float, transfer_bytes: Optional[int] = None) -> float:
         """Allocate a log page for the virtual page and program it."""
-        allocation = self.ftl.allocate_write(virtual_page, now)
-        if allocation.gc_performed:
+        ppn, ready, gc_performed = self.ftl.allocate_write(virtual_page, now)
+        if gc_performed:
             self.stats.add("helper_gc_merges")
-        operation = self.controllers.program(
-            allocation.ppn, allocation.ready_cycle, transfer_bytes=transfer_bytes
-        )
-        return operation.completion_cycle
+        _, completion = self.controllers.program(ppn, ready, transfer_bytes=transfer_bytes)
+        return completion
 
-    def _spill_to_l2(self, virtual_page: int, now: float) -> float:
-        """Thrashing escape hatch: pin the dirty page's lines in the L2."""
-        page_base = virtual_page * self.page_size_flash
-        addresses = [
-            page_base + offset
-            for offset in range(0, self.page_size_flash, self.line_bytes)
-        ]
-        evictions = self.l2.pin_lines(
-            addresses[: self.config.register_cache.l2_pinned_lines], now)
-        # Spills happen only on read-optimised variants, whose access monitor
-        # learns of these evictions at the next L2 read miss.
-        self._spill_evictions.extend(evictions)
-        self.stats.add("l2_spills")
-        return now + self.l2.write_latency_cycles * len(addresses)
+    def _l2_spiller(self) -> Callable[[int, float], float]:
+        """The thrashing escape hatch: pin a dirty page's lines in the L2.
+
+        A closure over what it needs rather than a bound method: the platform
+        keeps it, and a bound method would put the platform in a reference
+        cycle, so it would outlive its last use until a full collection.
+        """
+        l2 = self.l2
+        stats = self.stats
+        page_size = self.page_size_flash
+        line_bytes = self.line_bytes
+        pinned_lines = self.config.register_cache.l2_pinned_lines
+        # The access monitor learns of these evictions at the next L2 read miss.
+        spill_evictions = self._spill_evictions
+
+        def spill_to_l2(virtual_page: int, now: float) -> float:
+            page_base = virtual_page * page_size
+            addresses = [page_base + offset for offset in range(0, page_size, line_bytes)]
+            spill_evictions.extend(l2.pin_lines(addresses[:pinned_lines], now))
+            stats.add("l2_spills")
+            return now + l2.write_latency_cycles * len(addresses)
+
+        return spill_to_l2
 
     def _service_write(
         self, address: int, physical_address: int, now: float, breakdown: Dict[str, float]
@@ -260,23 +263,22 @@ class ZnGPlatform(GPUSSDPlatform):
         # ZnG-wropt/ZnG.  Register evictions program a log page.
         ftl = self.ftl
         target_plane = ftl.block_plane(ftl.entry_for_page(virtual_page).plbn)
-        outcome = self.register_cache.write(
+        ready, register_hit, evicted_page = self.register_cache.write(
             virtual_page,
             target_plane,
             self.request_bytes,
             now,
             self._program_log_page,
-            self._spill_to_l2 if self.variant.has_read_optimization else None,
+            self._spill_fn,
         )
-        ready = outcome.ready_cycle
         if ready > now:
             breakdown["flash_register"] += ready - now
         stats = self.stats
-        if outcome.register_hit:
+        if register_hit:
             stats.add("register_write_hits")
         else:
             stats.add("register_write_misses")
-        if outcome.evicted_page is not None:
+        if evicted_page is not None:
             stats.add("register_evictions")
         return ready
 

@@ -58,10 +58,12 @@ class Resource:
             raise ValueError(f"resource {name!r} needs at least one port")
         self.name = name
         self.ports = ports
-        # Min-heap of the times at which each port becomes free.  A list of
+        # Min-heap of the times at which each port becomes free, for
+        # multi-port resources only.  A single port is free at
+        # ``last_completion``: its completions only move forward.  A list of
         # identical values is already a valid heap, so no heapify is needed —
         # platforms construct thousands of these per sweep cell.
-        self._free_at: List[float] = [0.0] * ports
+        self._free_at: Optional[List[float]] = [0.0] * ports if ports > 1 else None
         self.busy_cycles: float = 0.0
         self.requests_served: int = 0
         self.last_completion: float = 0.0
@@ -75,27 +77,28 @@ class Resource:
         if duration < 0:
             raise ValueError("duration must be non-negative")
         free_at = self._free_at
-        if len(free_at) == 1:
-            # Single-port fast path (issue ports, banks, planes): no heap ops.
-            earliest_free = free_at[0]
-            start = when if when > earliest_free else earliest_free
-            completion = start + duration
-            free_at[0] = completion
+        if free_at is None:
+            # Single port (issue ports, banks, planes): no heap.  The port
+            # frees at the last completion, and this one cannot be earlier.
+            last = self.last_completion
+            start = when if when > last else last
+            self.last_completion = start + duration
         else:
             earliest_free = heapq.heappop(free_at)
             start = when if when > earliest_free else earliest_free
             completion = start + duration
             heapq.heappush(free_at, completion)
+            if completion > self.last_completion:
+                self.last_completion = completion
         self.busy_cycles += duration
         self.wait_cycles += start - when
         self.requests_served += 1
-        if completion > self.last_completion:
-            self.last_completion = completion
         return start
 
     def next_free(self) -> float:
         """Earliest cycle at which at least one port is idle."""
-        return self._free_at[0]
+        free_at = self._free_at
+        return self.last_completion if free_at is None else free_at[0]
 
     def utilization(self, horizon: float) -> float:
         """Fraction of port-cycles spent busy up to ``horizon``.
@@ -111,7 +114,7 @@ class Resource:
         return self.busy_cycles / (horizon * self.ports)
 
     def reset(self) -> None:
-        self._free_at = [0.0] * self.ports
+        self._free_at = [0.0] * self.ports if self.ports > 1 else None
         self.busy_cycles = 0.0
         self.requests_served = 0
         self.last_completion = 0.0

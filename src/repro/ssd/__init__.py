@@ -1,7 +1,7 @@
 """SSD substrate: Z-NAND flash backbone, flash network, FTL firmware and SSD engine."""
 
 from repro.ssd.geometry import FlashGeometry, FlashLocation
-from repro.ssd.znand import ZNANDArray, FlashOperationResult
+from repro.ssd.znand import ZNANDArray
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.flash_controller import FlashController, FlashControllerArray
 from repro.ssd.ftl_firmware import PageMappedFTL
@@ -15,7 +15,6 @@ __all__ = [
     "FlashGeometry",
     "FlashLocation",
     "ZNANDArray",
-    "FlashOperationResult",
     "FlashNetwork",
     "FlashController",
     "FlashControllerArray",

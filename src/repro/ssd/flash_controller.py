@@ -9,12 +9,10 @@ per-controller dispatcher removes the single HybridGPU dispatcher bottleneck.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.config import ZNANDConfig
 from repro.sim.engine import Resource
-from repro.ssd.geometry import FlashGeometry
-from repro.ssd.znand import FlashOperationResult, ZNANDArray
+from repro.ssd.znand import ZNANDArray
 
 
 class FlashController:
@@ -28,21 +26,24 @@ class FlashController:
     def __init__(self, channel: int, array: ZNANDArray) -> None:
         self.channel = channel
         self.array = array
-        self.geometry: FlashGeometry = array.geometry
         self.dispatcher = Resource(f"flash_ctrl{channel}_dispatch", ports=1)
         self.commands_issued = 0
 
-    def read(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
-        """Dispatch one page read: decode the address, then sense the page."""
+    def read(
+        self, ppn: int, now: float, transfer_bytes: Optional[int] = None
+    ) -> Tuple[float, float]:
+        """Dispatch one page read: decode the address, then sense the page.
+
+        Returns :meth:`ZNANDArray.read_page`'s ``(sensed, completion)``.
+        """
         start = self.dispatcher.acquire(now, self.DISPATCH_OCCUPANCY_CYCLES)
         self.commands_issued += 1
-        return self.array.read_page(
-            ppn, start + self.DECODE_LATENCY_CYCLES, transfer_bytes,
-            location=self.geometry.decompose(ppn),
-        )
+        return self.array.read_page(ppn, start + self.DECODE_LATENCY_CYCLES, transfer_bytes)
 
-    def program(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
-        """Dispatch one page program (the array decodes the address itself)."""
+    def program(
+        self, ppn: int, now: float, transfer_bytes: Optional[int] = None
+    ) -> Tuple[float, float]:
+        """Dispatch one page program; returns ``(transferred, completion)``."""
         start = self.dispatcher.acquire(now, self.DISPATCH_OCCUPANCY_CYCLES)
         self.commands_issued += 1
         return self.array.program_page(
@@ -70,11 +71,15 @@ class FlashControllerArray:
 
     # read() and program() inline controller_for_ppn(): PPNs stripe
     # channel-first, so the channel is ``ppn % channels``.
-    def read(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
+    def read(
+        self, ppn: int, now: float, transfer_bytes: Optional[int] = None
+    ) -> Tuple[float, float]:
         controllers = self.controllers
         return controllers[ppn % len(controllers)].read(ppn, now, transfer_bytes)
 
-    def program(self, ppn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
+    def program(
+        self, ppn: int, now: float, transfer_bytes: Optional[int] = None
+    ) -> Tuple[float, float]:
         controllers = self.controllers
         return controllers[ppn % len(controllers)].program(ppn, now, transfer_bytes)
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import ZNANDConfig
 from repro.ssd.gc import GarbageCollector
-from repro.ssd.znand import FlashOperationResult, ZNANDArray
+from repro.ssd.znand import ZNANDArray
 
 
 @dataclass
@@ -113,10 +113,10 @@ class PageMappedFTL:
         def relocate(old_ppn: int, time: float) -> Tuple[int, float]:
             lpn = self.reverse_mapping.pop(old_ppn)
             new_ppn, time = self._allocate_ppn(plane_id, time)
-            result = self.array.program_page(new_ppn, time)
+            _, completion = self.array.program_page(new_ppn, time)
             self.mapping[lpn] = new_ppn
             self.reverse_mapping[new_ppn] = lpn
-            return new_ppn, result.completion_cycle
+            return new_ppn, completion
 
         gc_result = self.gc.collect(plane_id, victim, valid_ppns, relocate, now)
         allocator.free_blocks.append(victim)
@@ -127,14 +127,20 @@ class PageMappedFTL:
     def translate(self, lpn: int) -> Optional[int]:
         return self.mapping.get(lpn)
 
-    def read(self, lpn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
-        """Read a logical page; unmapped pages read as if freshly allocated."""
+    def read(
+        self, lpn: int, now: float, transfer_bytes: Optional[int] = None
+    ) -> Tuple[float, float, float]:
+        """Read a logical page; unmapped pages read as if freshly allocated.
+
+        Returns ``(array_cycles, transfer_cycles, completion)``.
+        """
         ppn = self.mapping.get(lpn)
         if ppn is None:
             # Cold read of unwritten data: allocate a backing page lazily so the
             # access still exercises a real plane.
             ppn, now = self.write_mapping_only(lpn, now)
-        return self.array.read_page(ppn, now, transfer_bytes)
+        sensed, completion = self.array.read_page(ppn, now, transfer_bytes)
+        return self.array.read_array_cycles, completion - sensed, completion
 
     def write_mapping_only(self, lpn: int, now: float) -> Tuple[int, float]:
         """Allocate a PPN for ``lpn`` without charging a program (initial load)."""
@@ -149,8 +155,13 @@ class PageMappedFTL:
         self.array.mark_valid(ppn)
         return ppn, time
 
-    def write(self, lpn: int, now: float, transfer_bytes: Optional[int] = None) -> FlashOperationResult:
-        """Write a logical page out-of-place and update the mapping."""
+    def write(
+        self, lpn: int, now: float, transfer_bytes: Optional[int] = None
+    ) -> Tuple[float, float, float]:
+        """Write a logical page out-of-place and update the mapping.
+
+        Returns ``(array_cycles, transfer_cycles, completion)``.
+        """
         self.host_writes += 1
         plane_id = self._pick_plane(lpn)
         ppn, time = self._allocate_ppn(plane_id, now)
@@ -158,10 +169,10 @@ class PageMappedFTL:
         if old is not None:
             self.array.mark_invalid(old)
             self.reverse_mapping.pop(old, None)
-        result = self.array.program_page(ppn, time, transfer_bytes)
+        transferred, completion = self.array.program_page(ppn, time, transfer_bytes)
         self.mapping[lpn] = ppn
         self.reverse_mapping[ppn] = lpn
-        return result
+        return self.array.program_array_cycles, transferred - time, completion
 
     # -- metrics ----------------------------------------------------------------
     @property

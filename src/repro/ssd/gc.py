@@ -71,13 +71,11 @@ class GarbageCollector:
         time = now
         migrated = 0
         for ppn in valid_ppns:
-            read_result = self.array.read_page(ppn, time)
-            time = read_result.completion_cycle
+            _, time = self.array.read_page(ppn, time)
             _, time = relocate(ppn, time)
             self.array.mark_invalid(ppn)
             migrated += 1
-        erase_result = self.array.erase_block(plane_id, victim_block, time)
-        time = erase_result.completion_cycle
+        time = self.array.erase_block(plane_id, victim_block, time)
         self.total_blocks_erased += 1
         self.total_pages_migrated += migrated
         return GCResult(blocks_erased=1, pages_migrated=migrated, completion_cycle=time)

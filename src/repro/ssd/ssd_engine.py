@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.config import SSDEngineConfig, ZNANDConfig, bandwidth_to_bytes_per_cycle, ns_to_cycles
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import DIRTY, SetAssociativeCache
 from repro.sim.engine import BandwidthResource, Resource
 from repro.ssd.ftl_firmware import PageMappedFTL
 from repro.ssd.znand import ZNANDArray
@@ -118,20 +118,20 @@ class SSDEngine:
         else:
             # 4. Flash access through the firmware FTL (whole 4 KB page).
             if is_write:
-                result = self.ftl.write(lpn, time)
+                array_cycles, transfer_cycles, completion = self.ftl.write(lpn, time)
             else:
-                result = self.ftl.read(lpn, time)
-            if result.array_cycles > 0:
-                breakdown["flash_array"] += result.array_cycles
-            if result.transfer_cycles > 0:
-                breakdown["flash_channel"] += result.transfer_cycles
-            time = result.completion_cycle
+                array_cycles, transfer_cycles, completion = self.ftl.read(lpn, time)
+            if array_cycles > 0:
+                breakdown["flash_array"] += array_cycles
+            if transfer_cycles > 0:
+                breakdown["flash_channel"] += transfer_cycles
+            time = completion
             # Fill the DRAM buffer with the page, evicting dirty pages to flash.
             evicted = self.dram_buffer.insert(page_address, dirty=is_write)
-            if evicted is not None and evicted.dirty:
+            if evicted is not None and evicted[1] & DIRTY:
                 # The eviction happens in the background; it occupies the
                 # flash backbone but does not delay this request's completion.
-                self.ftl.write(evicted.address // self.page_size, time)
+                self.ftl.write(evicted[0] // self.page_size, time)
         done = self.dram_bus.transfer(time, size)
         if done > time:
             breakdown["dram_buffer"] += done - time

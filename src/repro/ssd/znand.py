@@ -16,7 +16,7 @@ benches can report write asymmetry and WAF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -24,22 +24,7 @@ import numpy as np
 from repro.config import GPU_FREQ_HZ, ZNANDConfig
 from repro.sim.engine import Resource
 from repro.ssd.flash_network import FlashNetwork
-from repro.ssd.geometry import FlashGeometry, FlashLocation
-
-
-@dataclass(slots=True)
-class FlashOperationResult:
-    """Timing record of one flash array operation."""
-
-    start_cycle: float
-    completion_cycle: float
-    array_cycles: float
-    transfer_cycles: float
-    location: Optional[FlashLocation] = None
-
-    @property
-    def latency(self) -> float:
-        return self.completion_cycle - self.start_cycle
+from repro.ssd.geometry import FlashGeometry
 
 
 class PageState:
@@ -118,6 +103,12 @@ class ZNANDArray:
         # cache (repro.core.register_cache), the array only limits concurrency
         # of register <-> array transfers per plane.
         self.registers_per_plane = config.registers_per_plane
+        # Plane occupancy of one array operation, command overhead included.
+        # The config is fixed, so these are computed once, not per operation.
+        self.read_array_cycles = config.read_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
+        self.program_array_cycles = (
+            config.program_latency_cycles + self.COMMAND_OVERHEAD_CYCLES)
+        self.erase_array_cycles = config.erase_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
         # State tracking.
         self._block_state: Dict[int, BlockState] = {}
         self._page_state: Dict[int, int] = {}
@@ -125,8 +116,10 @@ class ZNANDArray:
         self.page_reads = 0
         self.page_programs = 0
         self.block_erases = 0
-        self.reads_per_plane = np.zeros(self.geometry.total_planes, dtype=np.int64)
-        self.writes_per_plane = np.zeros(self.geometry.total_planes, dtype=np.int64)
+        # Int lists, not numpy arrays: a list element's ``+= 1`` is ~4x
+        # cheaper than a numpy scalar's, and both run on every operation.
+        self.reads_per_plane = [0] * self.geometry.total_planes
+        self.writes_per_plane = [0] * self.geometry.total_planes
         self.bytes_read_from_array = 0
         self.bytes_programmed = 0
 
@@ -161,56 +154,47 @@ class ZNANDArray:
         self._page_state[ppn] = PageState.INVALID
 
     # -- timing primitives ----------------------------------------------------
-    def _plane_resource(self, location: FlashLocation) -> Tuple[int, Resource]:
-        plane_id = self.geometry.plane_id(location)
-        return plane_id, self.planes[plane_id]
-
     def read_page(
-        self,
-        ppn: int,
-        now: float,
-        transfer_bytes: Optional[int] = None,
-        location: Optional[FlashLocation] = None,
-    ) -> FlashOperationResult:
+        self, ppn: int, now: float, transfer_bytes: Optional[int] = None
+    ) -> Tuple[float, float]:
         """Sense a page from the array and ship it over the flash network.
 
-        ``transfer_bytes`` allows the caller to move only part of the page
-        (e.g. a reduced prefetch granularity); the array sensing time is paid
-        in full regardless, which is exactly the granularity mismatch the
-        paper highlights.  ``location`` lets a controller that already
-        decoded the address skip the second decompose (pure function, so the
-        timing is unchanged).
+        Returns ``(sensed, completion)``: the cycle the plane finished
+        sensing (it held the plane for :attr:`read_array_cycles`) and the
+        cycle the data left the flash network.  ``transfer_bytes`` allows the
+        caller to move only part of the page (e.g. a reduced prefetch
+        granularity); the array sensing time is paid in full regardless,
+        which is exactly the granularity mismatch the paper highlights.
         """
-        if location is None:
-            location = self.geometry.decompose(ppn)
-        plane_id = self.geometry.plane_id(location)
+        plane_id = self.geometry.plane_of_ppn(ppn)
         plane = self.planes._resources.get(plane_id)
         if plane is None:
             plane = self.planes[plane_id]
-        config = self.config
-        array_latency = config.read_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
-        start = plane.acquire(now, array_latency)
-        sensed = start + array_latency
-        page_size = config.page_size_bytes
+        array_cycles = self.read_array_cycles
+        sensed = plane.acquire(now, array_cycles) + array_cycles
+        page_size = self.config.page_size_bytes
         completion = self.network.transfer(
-            location.channel, transfer_bytes or page_size, sensed)
+            ppn % self.config.channels, transfer_bytes or page_size, sensed)
         self.page_reads += 1
         self.reads_per_plane[plane_id] += 1
         self.bytes_read_from_array += page_size
-        return FlashOperationResult(
-            start, completion, array_latency, completion - sensed, location)
+        return sensed, completion
 
     def program_page(
         self, ppn: int, now: float, transfer_bytes: Optional[int] = None
-    ) -> FlashOperationResult:
-        """Transfer data to the plane register and program it into the array."""
+    ) -> Tuple[float, float]:
+        """Transfer data to the plane register and program it into the array.
+
+        Returns ``(transferred, completion)``: the cycle the data reached the
+        plane register and the cycle the program finished (it held the plane
+        for :attr:`program_array_cycles`).
+        """
         location = self.geometry.decompose(ppn)
-        plane_id, plane = self._plane_resource(location)
+        plane_id = self.geometry.plane_id(location)
         bytes_to_move = transfer_bytes or self.config.page_size_bytes
         transferred = self.network.transfer(location.channel, bytes_to_move, now)
-        array_latency = self.config.program_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
-        start = plane.acquire(transferred, array_latency)
-        completion = start + array_latency
+        array_cycles = self.program_array_cycles
+        completion = self.planes[plane_id].acquire(transferred, array_cycles) + array_cycles
         # Bookkeeping: in-order programming within the block.
         state = self.block_state(plane_id, location.block)
         state.next_free_page = max(state.next_free_page, location.page + 1)
@@ -218,37 +202,25 @@ class ZNANDArray:
         self.page_programs += 1
         self.writes_per_plane[plane_id] += 1
         self.bytes_programmed += self.config.page_size_bytes
-        return FlashOperationResult(
-            start_cycle=now,
-            completion_cycle=completion,
-            array_cycles=array_latency,
-            transfer_cycles=transferred - now,
-            location=location,
-        )
+        return transferred, completion
 
-    def erase_block(self, plane_id: int, block: int, now: float) -> FlashOperationResult:
-        """Erase a block, resetting its in-order programming pointer."""
-        plane = self.planes[plane_id]
-        latency = self.config.erase_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
-        start = plane.acquire(now, latency)
-        completion = start + latency
+    def erase_block(self, plane_id: int, block: int, now: float) -> float:
+        """Erase a block, resetting its in-order programming pointer.
+
+        Returns the completion cycle.
+        """
+        latency = self.erase_array_cycles
+        completion = self.planes[plane_id].acquire(now, latency) + latency
         state = self.block_state(plane_id, block)
         state.next_free_page = 0
         state.valid_pages = 0
         state.erase_count += 1
         # Invalidate residual page state of this block.
-        base_page = 0
         for page in range(self.geometry.pages_per_block):
             ppn = self.geometry.ppn_of(plane_id, block, page)
             self._page_state.pop(ppn, None)
-        _ = base_page
         self.block_erases += 1
-        return FlashOperationResult(
-            start_cycle=start,
-            completion_cycle=completion,
-            array_cycles=latency,
-            transfer_cycles=0.0,
-        )
+        return completion
 
     def register_to_register_copy(
         self, src_channel: int, dst_channel: int, num_bytes: int, now: float
@@ -297,8 +269,8 @@ class ZNANDArray:
         self.page_reads = 0
         self.page_programs = 0
         self.block_erases = 0
-        self.reads_per_plane[:] = 0
-        self.writes_per_plane[:] = 0
+        self.reads_per_plane = [0] * self.geometry.total_planes
+        self.writes_per_plane = [0] * self.geometry.total_planes
         self.bytes_read_from_array = 0
         self.bytes_programmed = 0
         for plane in self.planes:

@@ -4,15 +4,16 @@ import pytest
 
 from repro.config import PrefetchConfig
 from repro.core.access_monitor import AccessMonitor
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import ACCESSED, DIRTY, PINNED, PREFETCHED
 
 
 def wasted_record():
-    return EvictionRecord(address=0, dirty=False, prefetched=True, accessed=False)
+    """Tag bits of a line that was prefetched and never accessed."""
+    return PREFETCHED
 
 
 def useful_record():
-    return EvictionRecord(address=0, dirty=False, prefetched=True, accessed=True)
+    return PREFETCHED | ACCESSED
 
 
 class TestAccessMonitor:
@@ -77,9 +78,15 @@ class TestAccessMonitor:
 
     def test_non_prefetched_eviction_not_wasteful(self):
         monitor = AccessMonitor(PrefetchConfig(monitor_window_evictions=1000))
-        record = EvictionRecord(address=0, dirty=False, prefetched=False, accessed=False)
-        monitor.observe_eviction(record)
+        monitor.observe_eviction(0)
         assert monitor.overall_waste_ratio == 0.0
+
+    def test_dirty_and_pinned_bits_do_not_change_waste(self):
+        monitor = AccessMonitor(PrefetchConfig(monitor_window_evictions=1000))
+        monitor.observe_eviction(PREFETCHED | DIRTY | PINNED)
+        monitor.observe_eviction(PREFETCHED | ACCESSED | DIRTY)
+        monitor.observe_eviction(DIRTY | PINNED)
+        assert monitor.total_unused == 1
 
     def test_reset(self):
         monitor = AccessMonitor()

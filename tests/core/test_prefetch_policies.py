@@ -35,18 +35,14 @@ class TestNoPrefetch:
     def test_never_prefetches(self):
         pf = NoPrefetch()
         pf.train(*read())
-        decision = pf.on_miss(0x1000)
-        assert not decision.prefetch
-        assert decision.fetch_bytes == 128
+        assert pf.on_miss(0x1000) == 128
         assert pf.prefetch_rate == 0.0
 
 
 class TestNextLine:
     def test_always_fetches_window(self):
         pf = NextLinePrefetch(window_bytes=1024)
-        decision = pf.on_miss(0x1000)
-        assert decision.prefetch
-        assert decision.fetch_bytes == 1024
+        assert pf.on_miss(0x1000) == 1024
         assert pf.prefetch_rate == 1.0
 
 
@@ -56,24 +52,23 @@ class TestStride:
         # Train a stride of +1 page at a fixed PC.
         for page in range(5):
             pf.train(*read(pc=0x10, page=page))
-        decision = pf.on_miss(0x10)
-        assert decision.prefetch
-        assert decision.reason == "stride_confirmed"
+        assert pf.on_miss(0x10) == pf.page_size_bytes
+        assert pf.prefetches == 1 and pf.demands == 0
 
     def test_no_prefetch_without_stride(self):
         pf = StridePrefetch(confidence_threshold=2)
         # Random pages -> no consistent stride.
         for page in [3, 17, 1, 42, 8]:
             pf.train(*read(pc=0x10, page=page))
-        decision = pf.on_miss(0x10)
-        assert not decision.prefetch
+        assert pf.on_miss(0x10) == pf.line_bytes
+        assert pf.prefetches == 0
 
     def test_different_pcs_independent(self):
         pf = StridePrefetch(confidence_threshold=2)
         for page in range(5):
             pf.train(*read(pc=0x10, page=page))
         # A different PC has no history -> no prefetch.
-        assert not pf.on_miss(0x20).prefetch
+        assert pf.on_miss(0x20) == pf.line_bytes
 
 
 class TestOnPlatform:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PrefetchConfig
 from repro.core.prefetcher import DynamicReadPrefetcher
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import PREFETCHED
 
 
 def read(pc=0x1000, page=0, warp=0):
@@ -15,18 +15,16 @@ def read(pc=0x1000, page=0, warp=0):
 class TestPrefetcher:
     def test_no_prefetch_before_training(self):
         prefetcher = DynamicReadPrefetcher()
-        decision = prefetcher.on_miss(0x1000)
-        assert not decision.prefetch
-        assert decision.fetch_bytes == prefetcher.line_bytes
+        assert prefetcher.on_miss(0x1000) == prefetcher.line_bytes
+        assert prefetcher.demand_fetches == 1
 
     def test_prefetch_after_training(self):
         config = PrefetchConfig(prefetch_threshold=3)
         prefetcher = DynamicReadPrefetcher(config)
         for _ in range(5):
             prefetcher.train(*read(page=5))
-        decision = prefetcher.on_miss(0x1000)
-        assert decision.prefetch
-        assert decision.fetch_bytes > prefetcher.line_bytes
+        assert prefetcher.on_miss(0x1000) > prefetcher.line_bytes
+        assert prefetcher.prefetches_issued == 1
 
     def test_train_updates_predictor_with_page(self):
         prefetcher = DynamicReadPrefetcher()
@@ -37,10 +35,7 @@ class TestPrefetcher:
         config = PrefetchConfig(monitor_window_evictions=8, high_waste_threshold=0.3)
         prefetcher = DynamicReadPrefetcher(config)
         start = prefetcher.current_granularity
-        wasted = [
-            EvictionRecord(address=i, dirty=False, prefetched=True, accessed=False)
-            for i in range(8)
-        ]
+        wasted = [(i * 128, PREFETCHED) for i in range(8)]
         prefetcher.observe_evictions(wasted)
         assert prefetcher.current_granularity < start
 
@@ -58,8 +53,7 @@ class TestPrefetcher:
         prefetcher = DynamicReadPrefetcher(config, page_size_bytes=4096)
         prefetcher.train(*read())
         prefetcher.train(*read())
-        decision = prefetcher.on_miss(0x1000)
-        assert decision.fetch_bytes <= 4096
+        assert prefetcher.on_miss(0x1000) <= 4096
 
     def test_reset(self):
         prefetcher = DynamicReadPrefetcher()

@@ -26,14 +26,17 @@ def noop_program(virtual_page, now):
 class TestWriteAbsorption:
     def test_first_write_is_miss(self):
         cache = make_cache()
-        outcome = cache.write(0, target_plane=0, write_bytes=128, now=0.0, program_fn=noop_program)
-        assert not outcome.register_hit
+        ready, register_hit, evicted_page = cache.write(
+            0, target_plane=0, write_bytes=128, now=0.0, program_fn=noop_program)
+        assert not register_hit
+        assert evicted_page is None
+        assert ready == cache.MERGE_LATENCY_CYCLES
 
     def test_repeated_write_is_hit(self):
         cache = make_cache()
         cache.write(0, 0, 128, 0.0, noop_program)
-        outcome = cache.write(0, 0, 128, 10.0, noop_program)
-        assert outcome.register_hit
+        _, register_hit, _ = cache.write(0, 0, 128, 10.0, noop_program)
+        assert register_hit
         assert cache.write_hits == 1
 
     def test_merge_accumulates_dirty_bytes(self):

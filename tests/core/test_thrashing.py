@@ -1,7 +1,5 @@
 """Unit tests for the register-cache thrashing checker."""
 
-import pytest
-
 from repro.config import RegisterCacheConfig
 from repro.core.thrashing import ThrashingChecker
 
@@ -11,15 +9,15 @@ class TestThrashingChecker:
         config = RegisterCacheConfig(thrashing_window=10, thrashing_eviction_ratio=0.5)
         checker = ThrashingChecker(config)
         for _ in range(10):
-            state = checker.observe(evicted=False)
-        assert not state.thrashing
+            checker.observe(evicted=False)
+        assert not checker.thrashing
 
     def test_thrashing_detected_above_threshold(self):
         config = RegisterCacheConfig(thrashing_window=10, thrashing_eviction_ratio=0.5)
         checker = ThrashingChecker(config)
         for _ in range(10):
-            state = checker.observe(evicted=True)
-        assert state.thrashing
+            checker.observe(evicted=True)
+        assert checker.thrashing
         assert checker.activations == 1
 
     def test_deactivation(self):
@@ -28,18 +26,21 @@ class TestThrashingChecker:
         for _ in range(4):
             checker.observe(evicted=True)       # thrashing on
         for _ in range(4):
-            state = checker.observe(evicted=False)  # thrashing off
-        assert not state.thrashing
+            checker.observe(evicted=False)  # thrashing off
+        assert not checker.thrashing
         assert checker.deactivations == 1
 
     def test_eviction_ratio(self):
-        config = RegisterCacheConfig(thrashing_window=4)
-        checker = ThrashingChecker(config)
-        checker.observe(evicted=True)
-        checker.observe(evicted=False)
-        checker.observe(evicted=True)
-        state = checker.observe(evicted=False)
-        assert state.eviction_ratio == pytest.approx(0.5)
+        """A window of 2 evictions in 4 accesses has ratio 0.5, and thrashing
+        needs a ratio strictly above the threshold."""
+        for threshold, thrashing in ((0.49, True), (0.5, False)):
+            config = RegisterCacheConfig(thrashing_window=4, thrashing_eviction_ratio=threshold)
+            checker = ThrashingChecker(config)
+            checker.observe(evicted=True)
+            checker.observe(evicted=False)
+            checker.observe(evicted=True)
+            checker.observe(evicted=False)
+            assert checker.thrashing is thrashing, threshold
 
     def test_window_resets(self):
         config = RegisterCacheConfig(thrashing_window=2)

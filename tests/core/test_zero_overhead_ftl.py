@@ -21,6 +21,13 @@ def make_ftl(pages_per_block=8, blocks=32):
     return ftl, array
 
 
+def read_from_log(ftl, virtual_page):
+    """Translate a read; return ``(ppn, whether the log block served it)``."""
+    before = ftl.reads_from_log
+    ppn = ftl.translate_read(virtual_page)
+    return ppn, ftl.reads_from_log - before == 1
+
+
 class TestMappingSetup:
     def test_map_virtual_block(self):
         ftl, _ = make_ftl()
@@ -50,50 +57,51 @@ class TestReadTranslation:
     def test_read_of_clean_page_uses_data_block(self):
         ftl, _ = make_ftl()
         ftl.map_virtual_block(0)
-        translation = ftl.translate_read(0)
-        assert not translation.from_log_block
+        _, from_log_block = read_from_log(ftl, 0)
+        assert not from_log_block
 
     def test_read_after_write_uses_log_block(self):
         ftl, _ = make_ftl()
         ftl.map_virtual_block(0)
         ftl.allocate_write(0, now=0.0)
-        translation = ftl.translate_read(0)
-        assert translation.from_log_block
+        _, from_log_block = read_from_log(ftl, 0)
+        assert from_log_block
 
     def test_page_index_preserved(self):
-        ftl, _ = make_ftl(pages_per_block=8)
+        ftl, array = make_ftl(pages_per_block=8)
         ftl.map_virtual_block(0)
-        translation = ftl.translate_read(5)
-        assert translation.page_index == 5
+        ppn = ftl.translate_read(5)
+        assert array.geometry.decompose(ppn).page == 5
 
     def test_translate_maps_on_demand(self):
         ftl, _ = make_ftl()
         # No explicit mapping: the FTL maps the block lazily.
-        translation = ftl.translate_read(10)
-        assert translation.ppn >= 0
+        assert ftl.translate_read(10) >= 0
 
 
 class TestWriteAllocation:
     def test_write_allocates_log_page(self):
-        ftl, _ = make_ftl()
+        ftl, array = make_ftl()
         ftl.map_virtual_block(0)
-        allocation = ftl.allocate_write(0, now=0.0)
-        assert allocation.plbn == ftl.dbmt.lookup(0).plbn
+        ppn, ready, gc_performed = ftl.allocate_write(0, now=0.0)
+        geometry = array.geometry
+        assert geometry.block_id(geometry.decompose(ppn)) == ftl.dbmt.lookup(0).plbn
+        assert ready == 0.0 and not gc_performed
 
     def test_rewrites_allocate_distinct_log_pages(self):
         ftl, _ = make_ftl()
         ftl.map_virtual_block(0)
-        first = ftl.allocate_write(0, now=0.0)
-        second = ftl.allocate_write(0, now=10.0)
-        assert first.ppn != second.ppn
+        first, _, _ = ftl.allocate_write(0, now=0.0)
+        second, _, _ = ftl.allocate_write(0, now=10.0)
+        assert first != second
 
     def test_log_block_fill_triggers_gc(self):
         ftl, _ = make_ftl(pages_per_block=4)
         ftl.map_virtual_block(0)
         gc_seen = False
         for i in range(12):
-            allocation = ftl.allocate_write(i % 4, now=float(i))
-            gc_seen = gc_seen or allocation.gc_performed
+            _, _, gc_performed = ftl.allocate_write(i % 4, now=float(i))
+            gc_seen = gc_seen or gc_performed
         assert gc_seen
         assert ftl.gc_merges >= 1
 
@@ -118,12 +126,12 @@ class TestProperties:
         ftl.setup_mapping(16)
         time = 0.0
         for page in writes:
-            allocation = ftl.allocate_write(page, now=time)
-            time = allocation.ready_cycle + 1
+            _, ready, _ = ftl.allocate_write(page, now=time)
+            time = ready + 1
         assert ftl.gc_merges == 0
         for page in set(writes):
-            translation = ftl.translate_read(page)
-            assert translation.from_log_block
+            _, from_log_block = read_from_log(ftl, page)
+            assert from_log_block
 
     @given(pages=st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=20))
     @settings(max_examples=30, deadline=None)
@@ -131,5 +139,5 @@ class TestProperties:
         ftl, _ = make_ftl(pages_per_block=8, blocks=64)
         ftl.setup_mapping(32)
         for page in pages:
-            translation = ftl.translate_read(page)
-            assert not translation.from_log_block
+            _, from_log_block = read_from_log(ftl, page)
+            assert not from_log_block

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import ACCESSED, DIRTY, PREFETCHED, SetAssociativeCache
 
 
 def make_cache(size=4096, assoc=4, line=128):
@@ -63,7 +63,7 @@ class TestLookupInsert:
         cache.lookup(base)                     # make way 0 MRU
         evicted = cache.insert(base + 2 * way_stride)
         assert evicted is not None
-        assert evicted.address == base + way_stride
+        assert evicted[0] == base + way_stride
 
     def test_eviction_reports_dirty(self):
         cache = make_cache(size=1024, assoc=1, line=128)
@@ -71,7 +71,7 @@ class TestLookupInsert:
         cache.insert(0, dirty=True)
         evicted = cache.insert(stride)
         assert evicted is not None
-        assert evicted.dirty
+        assert evicted[1] & DIRTY
         assert cache.dirty_evictions == 1
 
     def test_mark_dirty(self):
@@ -94,8 +94,7 @@ class TestZnGTagExtensions:
         stride = cache.num_sets * cache.line_bytes
         cache.insert(0, prefetched=True)
         evicted = cache.insert(stride)
-        assert evicted.prefetched
-        assert not evicted.accessed
+        assert evicted == (0, PREFETCHED)
 
     def test_access_clears_waste_signal(self):
         cache = make_cache(size=1024, assoc=1, line=128)
@@ -103,8 +102,7 @@ class TestZnGTagExtensions:
         cache.insert(0, prefetched=True)
         cache.lookup(0)
         evicted = cache.insert(stride)
-        assert evicted.prefetched
-        assert evicted.accessed
+        assert evicted == (0, PREFETCHED | ACCESSED)
 
     def test_pinned_lines_survive_eviction(self):
         cache = make_cache(size=1024, assoc=2, line=128)
@@ -113,7 +111,7 @@ class TestZnGTagExtensions:
         cache.insert(stride)
         evicted = cache.insert(2 * stride)
         # The pinned line must not be the victim.
-        assert evicted.address == stride
+        assert evicted[0] == stride
 
     def test_fully_pinned_set_bypasses(self):
         cache = make_cache(size=1024, assoc=1, line=128)
@@ -292,8 +290,9 @@ class TestLRUMatchesUseClockModel:
                 allocated = cache.insertions != insertions
                 resident = cache.probe(args[0])
                 got = (resident and not allocated,
-                       None if evicted is None else (evicted.address, evicted.dirty,
-                                                     evicted.prefetched, evicted.accessed),
+                       None if evicted is None else (
+                           evicted[0], bool(evicted[1] & DIRTY),
+                           bool(evicted[1] & PREFETCHED), bool(evicted[1] & ACCESSED)),
                        not resident)
                 assert got == model.insert(*args)
             else:

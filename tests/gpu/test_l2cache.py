@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import GPUConfig, STTMRAMConfig
+from repro.gpu.cache import ACCESSED, PREFETCHED
 from repro.gpu.l2cache import SharedL2Cache
 
 
@@ -102,15 +103,13 @@ class TestFills:
     def test_fill_reports_its_eviction(self):
         l2 = self.make_tiny_l2()
         assert l2.fill(0, now=0.0, prefetched=True) is None
-        evicted = l2.fill(6 * 128, now=0.0)
-        assert evicted.address == 0
-        assert evicted.prefetched and not evicted.accessed
+        assert l2.fill(6 * 128, now=0.0) == (0, PREFETCHED)
 
     def test_fill_page_returns_evictions_in_order(self):
         l2 = self.make_tiny_l2()
         assert l2.fill_page(0, 6 * 128, now=0.0) == []
         evictions = l2.fill_page(6 * 128, 6 * 128, now=0.0)
-        assert [record.address for record in evictions] == [
+        assert [address for address, _ in evictions] == [
             line * 128 for line in range(6)]
 
     def test_pin_lines_and_unpin(self):
@@ -124,7 +123,7 @@ class TestFills:
         l2.fill(0, now=0.0)
         evictions = l2.pin_lines([6 * 128, 12 * 128], now=0.0)
         # The second pin finds its set's only way pinned and bypasses.
-        assert [record.address for record in evictions] == [0]
+        assert evictions == [(0, ACCESSED)]
         assert l2.probe(6 * 128) and not l2.probe(12 * 128)
 
 

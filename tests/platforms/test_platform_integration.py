@@ -10,7 +10,6 @@ import gc
 import pytest
 
 from repro.config import default_config
-from repro.gpu.cache import EvictionRecord
 from repro.platforms import build_platform
 from repro.platforms.zng import PLATFORM_NAMES, ZnGPlatform, ZnGVariant
 from repro.runner.spec import apply_overrides
@@ -83,7 +82,11 @@ class TestDeterminism:
 
 class TestL2EvictionState:
     def test_hybridgpu_keeps_no_per_eviction_state_on_the_l2(self):
-        """Evictions are reported to the caller, never logged on the L2."""
+        """Evictions are reported to the caller, never logged on the L2.
+
+        An eviction is a ``(line_address, state_bits)`` tuple, so a log of
+        them is a container holding tuples.
+        """
         config = apply_overrides(default_config(), {"gpu.l2_size_bytes": 98304})
         platform = build_platform("HybridGPU", config)
         platform.run(microbench.streaming(num_warps=16, accesses_per_warp=64))
@@ -91,7 +94,7 @@ class TestL2EvictionState:
         assert sum(l2.array(bank).evictions for bank in range(l2.banks)) > 0
         for name, value in vars(l2).items():
             if isinstance(value, (list, tuple, dict, set)):
-                assert not any(isinstance(item, EvictionRecord) for item in value), name
+                assert not any(isinstance(item, tuple) for item in value), name
 
 
 class TestNoReferenceCycles:

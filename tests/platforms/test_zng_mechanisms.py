@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.platforms.zng import ZnGPlatform, ZnGVariant
+from repro.config import default_config, us_to_cycles
+from repro.configspace import SCHEMA
+from repro.platforms.zng import ZnGPlatform, ZnGVariant, build_platform
+from repro.ssd.znand import ZNANDArray
 from repro.workloads.multiapp import build_mix
 
 
@@ -79,3 +82,21 @@ class TestWriteHeatmap:
         platform.run(mix.combined)
         heatmap = platform.array.write_heatmap()
         assert heatmap.sum() > 0
+
+
+class TestFlashLatenciesFollowConfig:
+    """The array's per-operation latencies are computed once, at construction,
+    from the platform's own config, not from a default."""
+
+    @pytest.mark.parametrize("name", ["ZnG-base", "ZnG"])
+    def test_read_miss_charges_the_overridden_latencies(self, name):
+        config = SCHEMA.apply(default_config(), {"znand.read_latency_us": 7.0,
+                                                 "znand.program_latency_us": 250.0})
+        platform = build_platform(name, config)
+        overhead = ZNANDArray.COMMAND_OVERHEAD_CYCLES
+        platform.memory_access(0x10000, False, 0, 0, 0.0)
+        assert platform.stats.get("l2_misses") == 1
+        assert platform.stats.breakdown["flash_array"] == us_to_cycles(7.0) + overhead
+        # A program on an idle plane holds it for the overridden program latency.
+        transferred, completion = platform.controllers.program(1, 0.0)
+        assert completion - transferred == us_to_cycles(250.0) + overhead

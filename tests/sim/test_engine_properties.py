@@ -1,5 +1,7 @@
 """Additional property-based tests for the queueing-network engine invariants."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +114,70 @@ class TestResourceInvariants:
         assert all(s == 0.0 for s in starts)
         # The (ports+1)-th must wait.
         assert resource.acquire(0.0, 10.0) == pytest.approx(10.0)
+
+
+class HeapBookedPort:
+    """Reference model: a one-port resource booked through a heap of port
+    free times, as multi-port resources are."""
+
+    def __init__(self):
+        self.free_at = [0.0]
+        self.busy_cycles = 0.0
+        self.wait_cycles = 0.0
+        self.requests_served = 0
+        self.last_completion = 0.0
+
+    def acquire(self, when, duration):
+        earliest_free = heapq.heappop(self.free_at)
+        start = when if when > earliest_free else earliest_free
+        completion = start + duration
+        heapq.heappush(self.free_at, completion)
+        self.busy_cycles += duration
+        self.wait_cycles += start - when
+        self.requests_served += 1
+        if completion > self.last_completion:
+            self.last_completion = completion
+        return start
+
+    def next_free(self):
+        return self.free_at[0]
+
+
+_bookings = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=1e5),
+              st.floats(min_value=0.0, max_value=1e3)),
+    min_size=1, max_size=60)
+
+
+class TestSinglePortMatchesHeapBooking:
+    FIELDS = ("busy_cycles", "wait_cycles", "requests_served", "last_completion")
+
+    def _replay(self, resource, bookings):
+        model = HeapBookedPort()
+        for when, duration in bookings:
+            assert resource.acquire(when, duration) == model.acquire(when, duration)
+            assert resource.next_free() == model.next_free()
+            for field in self.FIELDS:
+                assert getattr(resource, field) == getattr(model, field), field
+
+    @given(bookings=_bookings, after_reset=_bookings)
+    @settings(max_examples=100, deadline=None)
+    def test_same_bookings_and_counters_before_and_after_reset(self, bookings, after_reset):
+        resource = Resource("r", ports=1)
+        self._replay(resource, bookings)
+        resource.reset()
+        assert resource.next_free() == 0.0
+        for field in self.FIELDS:
+            assert getattr(resource, field) == 0, field
+        self._replay(resource, after_reset)
+
+    def test_negative_duration_still_raises(self):
+        resource = Resource("r", ports=1)
+        resource.acquire(5.0, 2.0)
+        with pytest.raises(ValueError):
+            resource.acquire(10.0, -1.0)
+        assert resource.requests_served == 1
+        assert resource.next_free() == 7.0
 
 
 class TestBandwidthInvariants:

@@ -36,8 +36,9 @@ class TestMapping:
 
     def test_read_unmapped_allocates(self):
         ftl = make_ftl()
-        result = ftl.read(42, now=0.0)
-        assert result.completion_cycle > 0.0
+        array_cycles, transfer_cycles, completion = ftl.read(42, now=0.0)
+        assert array_cycles == ftl.array.read_array_cycles
+        assert completion >= array_cycles + transfer_cycles > 0.0
         assert ftl.translate(42) is not None
 
     def test_write_mapping_only_no_program(self):
@@ -55,8 +56,7 @@ class TestGarbageCollection:
         time = 0.0
         for _ in range(40):
             for lpn in range(16):
-                result = ftl.write(lpn, now=time)
-                time = result.completion_cycle
+                _, _, time = ftl.write(lpn, now=time)
         assert ftl.gc_invocations >= 1
 
     def test_write_amplification_at_least_one(self):
@@ -81,8 +81,7 @@ class TestProperties:
         ftl = make_ftl(gc_threshold=0.1)
         time = 0.0
         for lpn in writes:
-            result = ftl.write(lpn, now=time)
-            time = result.completion_cycle
+            _, _, time = ftl.write(lpn, now=time)
         # Every written logical page must resolve to a valid physical page.
         for lpn in set(writes):
             ppn = ftl.translate(lpn)

@@ -77,6 +77,16 @@ class TestSweepCommand:
     def test_sweep_missing_value(self, capsys):
         assert main(["sweep", "--platforms"]) == 2
 
+    @pytest.mark.parametrize("command, option", [("sweep", "--workers"),
+                                                 ("dispatch", "--lease-ttl")])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_usage(self, capsys, command, option, flag):
+        assert main([command, "--scale", "0.1", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: python -m repro {command} [options]")
+        assert option in captured.out
+        assert captured.err == ""
+
     def test_sweep_unknown_platform(self, capsys):
         assert main(["sweep", "--platforms", "NoSuch", "--no-cache"]) == 2
         assert "unknown platform" in capsys.readouterr().out
