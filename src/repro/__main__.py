@@ -48,15 +48,11 @@ Sweep options::
                           rewritten atomically after every finished cell
     --resume FILE         re-run only the failed/missing cells recorded in a
                           manifest (grid flags come from the manifest)
-    --perf-report         print cells/sec plus the trace-build / simulate /
-                          cache time split and write it to BENCH_sweep.json
-    --perf-report-path F  where to write the perf report (default: the repo
-                          root's BENCH_sweep.json, wherever you run from)
     --profile             cProfile the worker hot path (forces --workers 1 —
                           pool workers cannot be profiled from the parent)
                           and write per-phase top-N cumulative tables
-                          (trace-build vs simulate) next to the perf report
-                          as <perf-report-path>.profile.txt
+                          (trace-build vs simulate) to sweep.profile.txt
+                          in the current directory
 
 Dispatch options::
 
@@ -71,11 +67,9 @@ Dispatch options::
 
     --cache-dir DIR       result cache AND queue location (default:
                           .repro-cache); the queue lives under
-                          <cache-dir>/dispatch/<spec-fingerprint[:16]>/
-    --remote-cache URL    share results fleet-wide through an http(s) cache
-                          server (reference server:
-                          python -m repro.runner.cache_server); --cache-dir
-                          becomes the local read-through layer
+                          <cache-dir>/dispatch/<spec-fingerprint[:16]>/;
+                          hosts share results through one directory on a
+                          shared filesystem
     --owner NAME          worker identity in lease records
                           (default: <hostname>-<pid>)
     --lease-ttl S         seconds without a heartbeat before a lease is
@@ -137,8 +131,6 @@ Report options (after one or more manifest paths)::
     --no-plots            skip matplotlib plots (they are skipped with a
                           note automatically when matplotlib is missing)
     --no-html             emit only the CSVs
-    --bench-history FILE  bench-trajectory source (default: the repo root's
-                          BENCH_sweep.json and its git history)
     --golden              instead of reading manifests, re-run the canonical
                           fixed-seed golden sweep (the CI fig10 grid) and
                           rewrite the CSV goldens under tests/data/report/
@@ -151,8 +143,6 @@ one over the same sweep run serially — that is what --check gates.
 Merge options (after one or more manifest paths)::
 
     --metric NAME         table metric to print     (default: ipc)
-    --perf-report         write the merged, shard-aware perf report
-    --perf-report-path F  as for sweep
 
 ``merge`` verifies completeness — identical spec fingerprints, every cell of
 the spec accounted for exactly once with status ok, every result loadable —
@@ -237,7 +227,6 @@ def _cmd_report(args: List[str]) -> int:
     check = False
     plots = True
     html_report = True
-    bench_path = None
     workers = 1
     index = 0
     while index < len(args):
@@ -258,9 +247,6 @@ def _cmd_report(args: List[str]) -> int:
             return 2
         if flag == "--out":
             out_dir = args[index + 1]
-            index += 2
-        elif flag == "--bench-history":
-            bench_path = args[index + 1]
             index += 2
         elif flag == "--workers":
             try:
@@ -290,7 +276,7 @@ def _cmd_report(args: List[str]) -> int:
 
     if not manifest_paths:
         print("usage: python -m repro report <manifest.json>... [--out DIR] "
-              "[--check] [--no-plots] [--no-html] [--bench-history FILE]\n"
+              "[--check] [--no-plots] [--no-html]\n"
               "       python -m repro report --golden   (rewrite CSV goldens)\n"
               "       python -m repro report [scale]    (textual report)")
         return 2
@@ -299,8 +285,7 @@ def _cmd_report(args: List[str]) -> int:
 
     try:
         written = reporting.report_from_manifests(
-            manifest_paths, out_dir, plots=plots, html_report=html_report,
-            bench_path=bench_path)
+            manifest_paths, out_dir, plots=plots, html_report=html_report)
     except ManifestError as error:
         print(f"report failed: {error.args[0] if error.args else error}")
         return 1
@@ -436,22 +421,6 @@ def _parse_shard_flag(text: str):
     return index - 1, count
 
 
-def _default_perf_report_path():
-    """Anchor ``BENCH_sweep.json`` at the repo root, like the bench does.
-
-    The CLI used to write into the current working directory, silently
-    scattering trajectory points wherever a sweep happened to be launched
-    from (the ROADMAP flagged this footgun).  Falls back to the CWD only
-    when the source tree is not recognisable (e.g. an installed package).
-    """
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[2]
-    if (root / "setup.py").exists() or (root / "pytest.ini").exists():
-        return root / "BENCH_sweep.json"
-    return Path.cwd() / "BENCH_sweep.json"
-
-
 def _print_sweep_table(result) -> None:
     """The shared per-cell table of ``sweep`` and ``merge``."""
     spec = result.spec
@@ -469,43 +438,6 @@ def _print_sweep_table(result) -> None:
             f" {'yes' if run.from_cache else 'no':>7s}"
         )
         print(line)
-
-
-def _write_perf_report(result, path) -> int:
-    """Print the perf summary and persist the report; shared by sweep/merge."""
-    import json
-    from pathlib import Path
-
-    report = result.perf_report()
-    print(
-        f"perf: {report['executed_cells_per_sec']:.1f} simulated cells/sec "
-        f"({report['cells_per_sec']:.1f} incl. cache-served) | "
-        f"trace-build {report['trace_build_seconds']:.3f}s, "
-        f"simulate {report['simulate_seconds']:.3f}s, "
-        f"cache {report['cache_seconds']:.3f}s (worker-time aggregates)"
-    )
-    print(
-        f"perf: {report['events_processed']} engine events "
-        f"({report['events_per_sec']:.0f} events/sec of simulate time)"
-    )
-    for warning in report.get("warnings", ()):
-        print(f"perf: WARNING: {warning}")
-    if report["executed_cells"] == 0:
-        # Don't overwrite the perf trajectory with a cache-read number.
-        # Merged results carry the shard runs' real executed counts, so a
-        # merge of cold shard runs writes; a merge of warm reruns does not.
-        print(
-            "perf: every cell came from the result cache — this measures "
-            "cache reads, not the simulator; perf report left "
-            "untouched (rerun with --no-cache for a hot-path number)"
-        )
-        return 0
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"perf report written to {path}")
-    return 0
 
 
 def _cmd_sweep(args: List[str]) -> int:
@@ -527,8 +459,6 @@ def _cmd_sweep(args: List[str]) -> int:
     memory_instructions = 64
     cache: object = True  # memoize in the default cache location
     cache_flagged = False  # did the user say --cache-dir/--no-cache explicitly?
-    perf_report = False
-    perf_report_path = None
     profile = False
     shard_coords = None
     manifest_arg = None
@@ -543,10 +473,6 @@ def _cmd_sweep(args: List[str]) -> int:
             if flag == "--no-cache":
                 cache = False
                 cache_flagged = True
-                index += 1
-                continue
-            if flag == "--perf-report":
-                perf_report = True
                 index += 1
                 continue
             if flag == "--profile":
@@ -598,8 +524,6 @@ def _cmd_sweep(args: List[str]) -> int:
                 manifest_arg = args[index + 1]
             elif flag == "--resume":
                 resume_arg = args[index + 1]
-            elif flag == "--perf-report-path":
-                perf_report_path = args[index + 1]
             else:
                 print(f"unknown sweep option {flag!r}")
                 return 2
@@ -612,7 +536,6 @@ def _cmd_sweep(args: List[str]) -> int:
         return 2
 
     profile_text = None
-    profile_forced_workers = None
     if profile:
         from repro.runner import enable_profiling
 
@@ -622,7 +545,6 @@ def _cmd_sweep(args: List[str]) -> int:
             print(f"note: --profile forces --workers 1 (was {workers}); pool "
                   f"workers cannot be profiled from the parent process",
                   file=sys.stderr)
-            profile_forced_workers = workers
             workers = 1
         enable_profiling()
 
@@ -668,7 +590,7 @@ def _cmd_sweep(args: List[str]) -> int:
             # worker's per-process event file lands in the same place.
             from repro.telemetry import ensure_sink_env
 
-            # `is not None`: an empty LocalResultCache is falsy (__len__).
+            # `is not None`: an empty ResultCache is falsy (__len__).
             ensure_sink_env(
                 runner.cache.root if runner.cache is not None else None)
             manifest_path = None
@@ -702,13 +624,6 @@ def _cmd_sweep(args: List[str]) -> int:
             profile_text = profile_tables()
             disable_profiling()
 
-    if profile_forced_workers is not None:
-        # Persist the override in the perf report: a profiled run's
-        # throughput is serial, and the trajectory must say so.
-        result.runtime_notes.append(
-            f"profile_forced_workers=1: --profile forced --workers 1 "
-            f"(requested {profile_forced_workers}); throughput numbers "
-            f"measure a serial run.")
     _print_sweep_table(result)
     shard_note = ""
     if result.shard_count is not None:
@@ -727,14 +642,10 @@ def _cmd_sweep(args: List[str]) -> int:
         print(f"{len(result.failed)} cell(s) failed; re-run them with "
               f"--resume <manifest>")
         return 1
-    if perf_report:
-        _write_perf_report(result, perf_report_path or _default_perf_report_path())
-    if profile and profile_text is not None:
+    if profile_text is not None:
         from pathlib import Path
 
-        report_path = Path(perf_report_path or _default_perf_report_path())
-        profile_path = report_path.with_suffix(".profile.txt")
-        profile_path.parent.mkdir(parents=True, exist_ok=True)
+        profile_path = Path.cwd() / "sweep.profile.txt"
         profile_path.write_text(profile_text)
         print(f"profile written to {profile_path}")
     return 0
@@ -743,7 +654,7 @@ def _cmd_sweep(args: List[str]) -> int:
 def _cmd_dispatch(args: List[str]) -> int:
     """One lease-queue worker over the sweep grid; see the module docstring."""
     from repro.configspace import get_preset
-    from repro.runner import DispatchError, DispatchWorker, SweepSpec, open_cache
+    from repro.runner import DispatchError, DispatchWorker, SweepSpec
 
     platforms = ["ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"]
     workloads = ["betw-back", "bfs1-gaus", "pr-gaus"]
@@ -752,7 +663,6 @@ def _cmd_dispatch(args: List[str]) -> int:
     scale, seed, warps = 0.2, 1, 8
     memory_instructions = 64
     cache_dir = None
-    remote_cache = None
     owner = None
     lease_ttl = None
     poll_interval = None
@@ -811,8 +721,6 @@ def _cmd_dispatch(args: List[str]) -> int:
                     stall_after_claim = value
             elif flag == "--cache-dir":
                 cache_dir = args[index + 1]
-            elif flag == "--remote-cache":
-                remote_cache = args[index + 1]
             elif flag == "--owner":
                 owner = args[index + 1]
             else:
@@ -843,12 +751,8 @@ def _cmd_dispatch(args: List[str]) -> int:
             memory_instructions_per_warp=memory_instructions,
             base_config=base_config,
         )
-        if remote_cache is not None:
-            cache = open_cache(remote_cache, local_root=cache_dir)
-        else:
-            cache = cache_dir if cache_dir is not None else True
         worker_kwargs = dict(
-            cache=cache,
+            cache=cache_dir if cache_dir is not None else True,
             owner=owner,
             stall_after_claim_seconds=stall_after_claim,
             max_cells=max_cells,
@@ -874,7 +778,7 @@ def _cmd_dispatch(args: List[str]) -> int:
         f"{report.cache_served} from cache, {report.stolen} stolen, "
         f"{report.wasted} wasted, {len(report.failed)} failed "
         f"in {report.elapsed_seconds:.2f}s "
-        f"[cache {worker.cache.describe()}]"
+        f"[cache {worker.cache.root}]"
     )
     if report.complete and report.manifest_path is not None:
         print(f"grid complete; manifest at {report.manifest_path}")
@@ -1012,23 +916,14 @@ def _cmd_merge(args: List[str]) -> int:
 
     manifest_paths: List[str] = []
     metric = "ipc"
-    perf_report = False
-    perf_report_path = None
     index = 0
     while index < len(args):
         flag = args[index]
-        if flag == "--perf-report":
-            perf_report = True
-            index += 1
-            continue
         if flag.startswith("--") and index + 1 >= len(args):
             print(f"missing value for {flag}")
             return 2
         if flag == "--metric":
             metric = args[index + 1]
-            index += 2
-        elif flag == "--perf-report-path":
-            perf_report_path = args[index + 1]
             index += 2
         elif flag.startswith("--"):
             print(f"unknown merge option {flag!r}")
@@ -1038,7 +933,7 @@ def _cmd_merge(args: List[str]) -> int:
             index += 1
     if not manifest_paths:
         print("usage: python -m repro merge <manifest.json>... "
-              "[--metric NAME] [--perf-report]")
+              "[--metric NAME]")
         return 2
 
     try:
@@ -1067,8 +962,6 @@ def _cmd_merge(args: List[str]) -> int:
               + " ".join(f"{row.get(p, float('nan')):>12.4f}" for p in platforms))
     print(f"total shard time: {result.elapsed_seconds:.2f}s across "
           f"{result.merged_shards} shard run(s)")
-    if perf_report:
-        _write_perf_report(result, perf_report_path or _default_perf_report_path())
     return 0
 
 

@@ -18,10 +18,9 @@ into one output directory:
 ``scenarios.csv``
     The workload-family grouping
     (:func:`repro.analysis.figures.scenario_suite_from_result`).
-``report.html`` / ``bench.html``
-    A static HTML report embedding the tables, the spec
-    fingerprint/provenance header, and a bench-trajectory page rendered
-    from the history of ``BENCH_sweep.json``.
+``report.html``
+    A static HTML report embedding the tables and the spec
+    fingerprint/provenance header.
 ``*.png``
     Optional matplotlib plots; generation degrades gracefully (a note in
     the HTML, no error) when matplotlib is not installed.
@@ -39,10 +38,8 @@ any numeric drift.
 from __future__ import annotations
 
 import html
-import json
 import math
 import os
-import subprocess
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -211,60 +208,6 @@ def report_tables(
     return tables
 
 
-# ---------------------------------------------------------------------------
-# Bench trajectory (the history of BENCH_sweep.json)
-# ---------------------------------------------------------------------------
-
-
-def bench_trajectory(
-    bench_path: Union[os.PathLike, str, None] = None,
-) -> List[Dict[str, object]]:
-    """The committed history of ``BENCH_sweep.json``, oldest first.
-
-    Each point is the bench payload plus ``commit`` (12-hex, or
-    ``working-tree`` for the current uncommitted file).  History comes from
-    ``git log`` over the file; outside a git checkout (or with git missing)
-    the list degrades to just the current file — and to empty when even
-    that is absent.  Never raises: the trajectory is a page, not a gate.
-    """
-    path = Path(bench_path) if bench_path is not None else _repo_root() / "BENCH_sweep.json"
-    points: List[Dict[str, object]] = []
-    try:
-        revisions = subprocess.run(
-            ["git", "log", "--reverse", "--format=%H", "--", path.name],
-            cwd=path.parent, capture_output=True, text=True, timeout=10,
-        ).stdout.split()
-    except (OSError, subprocess.SubprocessError):
-        revisions = []
-    for revision in revisions:
-        try:
-            shown = subprocess.run(
-                ["git", "show", f"{revision}:{path.name}"],
-                cwd=path.parent, capture_output=True, text=True, timeout=10,
-            )
-            if shown.returncode != 0:
-                continue
-            payload = json.loads(shown.stdout)
-        except (OSError, subprocess.SubprocessError, ValueError):
-            continue
-        if isinstance(payload, dict):
-            payload = dict(payload)
-            payload["commit"] = revision[:12]
-            points.append(payload)
-    try:
-        current = json.loads(path.read_text())
-        if isinstance(current, dict):
-            if not points or current != {
-                k: v for k, v in points[-1].items() if k != "commit"
-            }:
-                current = dict(current)
-                current["commit"] = "working-tree"
-                points.append(current)
-    except (OSError, ValueError):
-        pass
-    return points
-
-
 def _repo_root() -> Path:
     root = Path(__file__).resolve().parents[3]
     return root
@@ -348,51 +291,6 @@ def render_html_report(
         parts.append(f"<h2>{html.escape(_TABLE_TITLES.get(name, name))}</h2>")
         parts.append(f"<p class='note'>canonical CSV: <code>{name}.csv</code></p>")
         parts.append(_html_table(header, rows))
-    parts.append("<p><a href='bench.html'>Bench trajectory</a></p>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
-
-
-def render_bench_html(points: Sequence[Mapping[str, object]]) -> str:
-    """The bench-trajectory page: executed cells/sec over the file's history."""
-    parts = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        "<title>bench trajectory</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        "<h1>Bench trajectory</h1>",
-        "<p>History of <code>BENCH_sweep.json</code> (oldest first): the "
-        "executed-cells-per-second hot-path number and its phase split.</p>",
-    ]
-    series = [
-        float(point.get("executed_cells_per_sec", 0.0) or 0.0) for point in points
-    ]
-    if series:
-        peak = max(series) or 1.0
-        width, height, pad = 640, 160, 8
-        step = (width - 2 * pad) / max(1, len(series) - 1)
-        coords = [
-            (pad + i * step,
-             height - pad - (value / peak) * (height - 2 * pad))
-            for i, value in enumerate(series)
-        ]
-        polyline = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-        dots = "".join(
-            f"<circle cx='{x:.1f}' cy='{y:.1f}' r='3' fill='#335'/>"
-            for x, y in coords)
-        parts.append(
-            f"<svg width='{width}' height='{height}' role='img' "
-            f"aria-label='executed cells per second over history'>"
-            f"<polyline points='{polyline}' fill='none' stroke='#335' "
-            f"stroke-width='1.5'/>{dots}</svg>")
-        header = ["commit", "executed_cells_per_sec", "cells_per_sec",
-                  "executed_cells", "trace_build_seconds", "simulate_seconds",
-                  "elapsed_seconds", "events_processed", "events_per_sec"]
-        rows = [[point.get(column, "") for column in header] for point in points]
-        parts.append(_html_table(header, rows))
-    else:
-        parts.append("<p class='note'>No BENCH_sweep.json history available "
-                     "(not a git checkout, or the bench has never run).</p>")
-    parts.append("<p><a href='report.html'>Back to report</a></p>")
     parts.append("</body></html>")
     return "\n".join(parts)
 
@@ -483,24 +381,6 @@ def result_provenance(result, manifests=None) -> Dict[str, object]:
                 f"{dispatch.get('executed', 0)} executed, "
                 f"{dispatch.get('cache_served', 0)} from cache, "
                 f"{dispatch.get('stolen_leases', 0)} stolen lease(s)")
-            remote = dispatch.get("remote_cache")
-            if isinstance(remote, dict):
-                health = ("DEGRADED" if remote.get("degraded")
-                          else "healthy")
-                provenance[f"remote-cache[{summary['shard']}]"] = (
-                    f"{remote.get('url', '?')} {health}: "
-                    f"{remote.get('remote_hits', 0)} remote hit(s), "
-                    f"{remote.get('remote_stores', 0)} upload(s), "
-                    f"{remote.get('remote_errors', 0)} error(s) "
-                    f"(reported by {remote.get('reported_by', '?')})")
-    cache_stats = getattr(result, "cache_stats", None) or {}
-    if "remote_errors" in cache_stats:
-        health = "DEGRADED" if cache_stats.get("degraded") else "healthy"
-        provenance["remote-cache"] = (
-            f"{cache_stats.get('url', '?')} {health}: "
-            f"{cache_stats.get('remote_hits', 0)} remote hit(s), "
-            f"{cache_stats.get('remote_stores', 0)} upload(s), "
-            f"{cache_stats.get('remote_errors', 0)} error(s)")
     return provenance
 
 
@@ -510,7 +390,6 @@ def write_report(
     manifests=None,
     plots: bool = True,
     html_report: bool = True,
-    bench_path: Union[os.PathLike, str, None] = None,
     normalize_to: str = "ZnG",
     telemetry_dirs: Optional[Sequence[Union[os.PathLike, str]]] = None,
 ) -> Dict[str, Path]:
@@ -548,10 +427,6 @@ def write_report(
         report_path.write_text(
             render_html_report(tables, provenance, plot_files, plot_note))
         written["report.html"] = report_path
-        bench_points = bench_trajectory(bench_path)
-        bench_file = out / "bench.html"
-        bench_file.write_text(render_bench_html(bench_points))
-        written["bench.html"] = bench_file
     return written
 
 

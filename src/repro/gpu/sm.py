@@ -154,9 +154,9 @@ class GPUExecutionResult:
     memory_requests: int
     ipc: float
     per_sm: Dict[int, SMStatistics] = field(default_factory=dict)
-    #: Scheduler events processed (warp wake-ups, including completions),
-    #: surfaced in the perf report as ``events_processed`` /
-    #: ``events_per_sec``.
+    #: Scheduler events processed (warp wake-ups, including completions);
+    #: kept in the result record and emitted as the ``engine.events``
+    #: telemetry counter.
     events: int = 0
 
     def normalized_to(self, baseline: "GPUExecutionResult") -> float:

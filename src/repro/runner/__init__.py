@@ -64,15 +64,6 @@ same run manifest a sweep writes, so merge/report/goldens are oblivious::
 
 CLI front end: ``python -m repro dispatch``.
 
-Cache backends
---------------
-The result cache is pluggable (:class:`~repro.runner.cache.
-ResultCacheBackend`): :class:`LocalResultCache` is the on-disk store below,
-:class:`~repro.runner.cache_remote.RemoteResultCache` shares the same
-content-addressed keys fleet-wide over HTTP with a local read-through layer
-(reference server: ``python -m repro.runner.cache_server``).  Anywhere a
-cache directory is accepted, an ``http(s)://`` URL works too.
-
 Cache layout
 ------------
 Finished cells are memoized under ``.repro-cache/`` (override with
@@ -90,13 +81,10 @@ The CLI front end is ``python -m repro sweep``.
 
 from repro.runner.cache import (
     CACHE_VERSION,
-    LocalResultCache,
     ResultCache,
-    ResultCacheBackend,
     default_cache_dir,
     open_cache,
 )
-from repro.runner.cache_remote import RemoteResultCache
 from repro.runner.dispatch import (
     DispatchError,
     DispatchReport,
@@ -148,15 +136,12 @@ __all__ = [
     "DispatchReport",
     "DispatchWorker",
     "LeaseQueue",
-    "LocalResultCache",
     "MANIFEST_SCHEMA",
     "ManifestCell",
     "ManifestError",
     "MergeError",
     "OverrideSet",
-    "RemoteResultCache",
     "ResultCache",
-    "ResultCacheBackend",
     "RunManifest",
     "SharedTraceStore",
     "SweepCell",

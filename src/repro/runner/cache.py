@@ -1,27 +1,20 @@
-"""Memoization backends for finished sweep cells.
+"""The on-disk memoization store for finished sweep cells.
 
-The cache is *pluggable*: every backend stores the same content-addressed
+:class:`ResultCache` stores content-addressed
 ``{"version", "key", "cell", "result"}`` JSON records keyed by a cell's
-sha256 content hash (see ``SweepCell.cache_key``), and exposes the same
-``get``/``put`` surface with hit/miss accounting.
+sha256 content hash (see ``SweepCell.cache_key``), with hit/miss
+accounting::
 
-* :class:`LocalResultCache` (the historical ``ResultCache``, which remains
-  an alias) — the on-disk store::
+    <root>/
+      <key[:2]>/<key>.json    one finished cell per file
 
-      <root>/
-        <key[:2]>/<key>.json    one finished cell per file
+Entries are written atomically (tmp file + rename).  A corrupted or
+stale-versioned entry is treated as a miss: it is deleted and the cell is
+recomputed, so a torn write can never poison a sweep.  Point several
+processes or hosts at one directory (a shared filesystem) and they share
+hits through the same keys.
 
-  Entries are written atomically (tmp file + rename).  A corrupted or
-  stale-versioned entry is treated as a miss: it is deleted and the cell is
-  recomputed, so a torn write can never poison a sweep.
-
-* :class:`~repro.runner.cache_remote.RemoteResultCache` — an HTTP/S3-style
-  shared backend with a local read-through layer, so a fleet of dispatch
-  workers shares hits through the same content-addressed keys.  The in-repo
-  reference server lives in :mod:`repro.runner.cache_server`.
-
-:func:`open_cache` turns a user-supplied location (directory path or
-``http(s)://`` URL) into the right backend.
+:func:`open_cache` turns a user-supplied location into a cache (or ``None``).
 """
 
 from __future__ import annotations
@@ -68,53 +61,7 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
-class ResultCacheBackend:
-    """The contract every result-cache backend implements.
-
-    Backends are content-addressed key/value stores of finished-cell records
-    with hit/miss accounting.  ``root`` is the backend's *local* materialisation
-    directory — remote backends read through a local layer, so merge/report
-    always find results on disk next to the manifest that produced them.
-    """
-
-    root: Path
-    hits: int
-    misses: int
-    stores: int
-
-    def get(self, key: str) -> Optional[PlatformResult]:
-        raise NotImplementedError
-
-    def put(self, key: str, result: PlatformResult, cell_descriptor: Dict[str, object]) -> None:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """One-line human description (CLI summaries, provenance headers)."""
-        return str(self.root)
-
-    def stats(self) -> Dict[str, object]:
-        """Counter snapshot for perf reports / provenance (plain JSON data).
-
-        Backends extend this with their own counters; consumers must treat
-        unknown keys as additive (the perf-report schema stays v1).
-        """
-        return {
-            "backend": type(self).__name__,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-        }
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-
-class LocalResultCache(ResultCacheBackend):
+class ResultCache:
     """A content-addressed on-disk store of finished cells."""
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
@@ -125,12 +72,6 @@ class LocalResultCache(ResultCacheBackend):
         self.corrupt_dropped = 0
         self.tmp_collected = 0
         self._tmp_gc_done = False
-
-    def stats(self) -> Dict[str, object]:
-        snapshot = super().stats()
-        snapshot["corrupt_dropped"] = self.corrupt_dropped
-        snapshot["tmp_collected"] = self.tmp_collected
-        return snapshot
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
@@ -230,43 +171,6 @@ class LocalResultCache(ResultCacheBackend):
             raise
         self.stores += 1
 
-    # -- raw-bytes transport (what remote backends ship over the wire) --
-    def load_raw(self, key: str) -> Optional[bytes]:
-        """The entry's exact on-disk bytes, or ``None`` when absent.
-
-        No validation happens here — this is the upload path of the remote
-        backend, which ships whatever :meth:`put` persisted.
-        """
-        try:
-            return self._path(key).read_bytes()
-        except OSError:
-            return None
-
-    def store_raw(self, key: str, data: bytes) -> bool:
-        """Atomically persist pre-validated entry bytes under ``key``.
-
-        The download path of the remote backend: the payload must already
-        have passed :func:`validate_entry_bytes`.  Returns ``False`` (and
-        stores nothing) when the payload does not validate — a misbehaving
-        remote can cost a cache miss, never a poisoned entry.
-        """
-        if validate_entry_bytes(key, data) is None:
-            return False
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return True
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         if not self.root.exists():
@@ -299,60 +203,25 @@ class LocalResultCache(ResultCacheBackend):
         return removed
 
 
-#: Backwards-compatible name: the local backend was simply ``ResultCache``
-#: before the backend split, and everything that only ever wants the on-disk
-#: store still says so.
-ResultCache = LocalResultCache
-
-
-def validate_entry_bytes(key: str, data: bytes) -> Optional[Dict[str, object]]:
-    """Parse + validate raw entry bytes; the payload dict, or ``None``.
-
-    The single gate both remote transport directions share: a record is only
-    acceptable when it is a JSON object carrying the current schema version,
-    the expected key, and a loadable ``PlatformResult`` record.
-    """
-    try:
-        payload = json.loads(data.decode("utf-8"))
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != CACHE_VERSION or payload.get("key") != key:
-            return None
-        PlatformResult.from_record(payload["result"])
-    except (ValueError, KeyError, TypeError):
-        return None
-    return payload
-
-
 def open_cache(
-    location: Union[ResultCacheBackend, os.PathLike, str, None, bool],
-    local_root: Union[os.PathLike, str, None] = None,
-) -> Optional[ResultCacheBackend]:
-    """Turn a user-supplied cache location into a backend (or ``None``).
+    location: Union[ResultCache, os.PathLike, str, None, bool],
+) -> Optional[ResultCache]:
+    """Turn a user-supplied cache location into a cache (or ``None``).
 
     * ``False``/``None`` — caching disabled.
-    * ``True`` — the default local directory (``.repro-cache`` or
+    * ``True`` — the default directory (``.repro-cache`` or
       ``$REPRO_CACHE_DIR``).
-    * a backend instance — used as-is.
-    * an ``http(s)://`` URL — a :class:`~repro.runner.cache_remote.\
-RemoteResultCache` reading through ``local_root`` (or the default local
-      directory).
-    * anything else — a directory path for :class:`LocalResultCache`.
+    * a :class:`ResultCache` — used as-is.
+    * anything else — a directory path.
     """
     if location is False or location is None:
         return None
-    if isinstance(location, ResultCacheBackend):
+    if isinstance(location, ResultCache):
         return location
     if location is True:
-        return LocalResultCache(local_root)
-    if isinstance(location, str) and location.startswith(("http://", "https://")):
-        from repro.runner.cache_remote import RemoteResultCache
-
-        return RemoteResultCache(location, local_root=local_root)
+        return ResultCache()
     if isinstance(location, str) and "://" in location:
-        # A URL in an unsupported scheme must not silently become a local
-        # directory literally named "ftp:/..." — that hides a fleet misconfig.
+        # A URL must not silently become a local directory named "http:/...".
         raise ValueError(
-            f"unsupported cache URL scheme in {location!r}; only http:// and "
-            f"https:// remote caches are supported (or pass a directory path)")
-    return LocalResultCache(location)
+            f"cache location must be a directory path, got the URL {location!r}")
+    return ResultCache(location)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import socket
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.runner.cache import ResultCacheBackend, open_cache
+from repro.runner.cache import ResultCache, open_cache
 from repro.runner.runner import _execute_cell_timed
 from repro.runner.spec import SweepCell, SweepSpec
 from repro.telemetry import core as _telemetry
@@ -76,6 +77,21 @@ _LEASE_NAME = re.compile(r"^(?P<key>[0-9a-f]{64})\.gen-(?P<gen>[1-9][0-9]*)\.jso
 
 class DispatchError(RuntimeError):
     """The dispatch queue is unusable (wrong spec, wrong schema, bad state)."""
+
+
+def _check_seconds(name: str, value: float, allow_zero: bool = False) -> None:
+    """Reject a duration a worker cannot sleep or wait on.
+
+    NaN, infinities and anything above ``threading.TIMEOUT_MAX`` would
+    otherwise pass a plain ``<= 0`` test and fail later, inside the
+    heartbeat thread or after a lease file is already on disk.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value > threading.TIMEOUT_MAX
+            or value < 0 or (value == 0 and not allow_zero)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be a finite number of seconds {bound}, "
+                         f"got {value!r}")
 
 
 def default_owner() -> str:
@@ -135,9 +151,7 @@ class LeaseQueue:
         lease_ttl_seconds: float = DEFAULT_LEASE_TTL_SECONDS,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if lease_ttl_seconds <= 0:
-            raise ValueError(
-                f"lease TTL must be positive, got {lease_ttl_seconds}")
+        _check_seconds("lease TTL", lease_ttl_seconds)
         self.root = Path(root)
         self.lease_ttl_seconds = float(lease_ttl_seconds)
         self.clock = clock
@@ -440,7 +454,7 @@ class DispatchWorker:
     def __init__(
         self,
         spec: SweepSpec,
-        cache: Union[ResultCacheBackend, os.PathLike, str, bool, None] = True,
+        cache: Union[ResultCache, os.PathLike, str, bool, None] = True,
         owner: Optional[str] = None,
         lease_ttl_seconds: float = DEFAULT_LEASE_TTL_SECONDS,
         poll_interval_seconds: Optional[float] = None,
@@ -448,15 +462,25 @@ class DispatchWorker:
         max_cells: Optional[int] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
+        # Every knob is checked before the queue is touched (LeaseQueue checks
+        # the TTL): a bad value must not surface only after a lease is claimed.
+        if poll_interval_seconds is not None:
+            _check_seconds("poll interval", poll_interval_seconds)
+        _check_seconds("stall after claim", stall_after_claim_seconds,
+                       allow_zero=True)
+        if max_cells is not None and (
+                isinstance(max_cells, bool) or not isinstance(max_cells, int)
+                or max_cells < 1):
+            raise ValueError(f"max cells must be an int >= 1, got {max_cells!r}")
         self.spec = spec
-        backend = open_cache(cache)
-        if backend is None:
+        cache = open_cache(cache)
+        if cache is None:
             raise DispatchError(
                 "dispatch requires a result cache — it is the channel results "
-                "travel through; pass a directory, URL or backend")
-        self.cache = backend
+                "travel through; pass a directory or a ResultCache")
+        self.cache = cache
         self.owner = owner or default_owner()
-        queue_root = Path(backend.root) / "dispatch" / spec.fingerprint()[:16]
+        queue_root = Path(cache.root) / "dispatch" / spec.fingerprint()[:16]
         self.queue = LeaseQueue(queue_root, lease_ttl_seconds, clock=clock)
         self.poll_interval_seconds = (
             poll_interval_seconds if poll_interval_seconds is not None
@@ -610,24 +634,14 @@ class DispatchWorker:
             )
             elapsed += sum(timings.values())
         manifest.elapsed_seconds = elapsed
-        summary = self.queue.summary(
+        manifest.dispatch = self.queue.summary(
             [cell.cache_key() for cell in spec_cells])
-        cache_stats = self.cache.stats()
-        if "remote_errors" in cache_stats:
-            # Deliberate exception to the block's "pure function of done
-            # markers" rule: remote-cache health counters are the finalizing
-            # worker's local view, so they carry ``reported_by``.  Whoever
-            # writes last wins the atomic replace; every other manifest field
-            # stays byte-deterministic.
-            summary["remote_cache"] = dict(
-                cache_stats, reported_by=self.owner)
-        manifest.dispatch = summary
         return manifest.write(Path(self.cache.root) / default_manifest_name())
 
 
 def run_dispatch_worker(
     spec: SweepSpec,
-    cache: Union[ResultCacheBackend, os.PathLike, str, bool, None] = True,
+    cache: Union[ResultCache, os.PathLike, str, bool, None] = True,
     **kwargs,
 ) -> DispatchReport:
     """One-call programmatic entry: run a single worker until the grid closes."""

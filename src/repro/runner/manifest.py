@@ -469,22 +469,19 @@ def merge_manifests(
                 f"missing or corrupt in the cache(s) next to manifest "
                 f"{manifest.path}")
         # Preserve how the shard run obtained the cell (executed vs cache
-        # hit) and its worker-side timings, so the merged perf report
-        # aggregates real executed-cell numbers instead of reading as a
-        # sweep of pure cache hits.
+        # hit) and its worker-side timings, so the merged result counts
+        # real executed cells instead of reading as a sweep of cache hits.
         record = manifest._by_key[key]
         runs.append(CellRun(cell=cell, result=result,
                             from_cache=record.from_cache,
                             timings=dict(record.timings)))
 
-    shard_elapsed = [manifest.elapsed_seconds for manifest in manifests]
     hits = sum(1 for run in runs if run.from_cache)
     return SweepResult(
         spec=spec,
         runs=runs,
-        elapsed_seconds=sum(shard_elapsed),
+        elapsed_seconds=sum(manifest.elapsed_seconds for manifest in manifests),
         cache_hits=hits,
         cache_misses=len(runs) - hits,
         merged_shards=len(manifests),
-        shard_elapsed_seconds=shard_elapsed,
     )

@@ -29,7 +29,7 @@ from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.runner.cache import ResultCache, ResultCacheBackend, open_cache
+from repro.runner.cache import ResultCache, open_cache
 from repro.runner.spec import SweepCell, SweepShard, SweepSpec, build_cell_trace
 from repro.telemetry import core as _telemetry
 
@@ -221,7 +221,7 @@ def profile_tables(top: int = 25) -> str:
 
 
 def _execute_cell_timed(cell: SweepCell) -> Tuple[PlatformResult, Dict[str, float]]:
-    """Run one cell, reporting where its wall time went (for --perf-report).
+    """Run one cell, reporting where its wall time went.
 
     With ``REPRO_TELEMETRY=1`` the run is additionally wrapped in a ``cell``
     span with ``trace_build``/``simulate`` child spans; the attrs dict is
@@ -374,9 +374,8 @@ class SweepResult:
 
     A sharded run carries its shard coordinates (``shard_index`` 0-based /
     ``shard_count``); a result folded together by ``repro merge`` carries
-    ``merged_shards`` and the per-shard elapsed times instead.  Cells that
-    raised under ``on_error="record"`` are listed in ``failed`` and absent
-    from ``runs``.
+    ``merged_shards`` instead.  Cells that raised under ``on_error="record"``
+    are listed in ``failed`` and absent from ``runs``.
     """
 
     spec: SweepSpec
@@ -384,20 +383,10 @@ class SweepResult:
     elapsed_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Runner-side wall time spent probing/storing the on-disk result cache.
-    cache_seconds: float = 0.0
     failed: List[CellFailure] = field(default_factory=list)
     shard_index: Optional[int] = None
     shard_count: Optional[int] = None
     merged_shards: Optional[int] = None
-    shard_elapsed_seconds: List[float] = field(default_factory=list)
-    #: Snapshot of the cache backend's counters (``backend.stats()``) taken
-    #: when the sweep finished — surfaces remote-degradation counters that
-    #: were previously counted but invisible.  Empty when caching is off.
-    cache_stats: Dict[str, object] = field(default_factory=dict)
-    #: Runtime notes the CLI wants persisted in the perf report (e.g. the
-    #: ``--profile`` forcing ``--workers 1``).  Appended to ``warnings``.
-    runtime_notes: List[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -455,94 +444,6 @@ class SweepResult:
         """Aggregate worker time spent simulating cells (sums across workers)."""
         return sum(run.timings.get("simulate_seconds", 0.0) for run in self.runs)
 
-    @property
-    def cells_per_sec(self) -> float:
-        """Overall throughput, cache-served cells included."""
-        return len(self.runs) / self.elapsed_seconds if self.elapsed_seconds else 0.0
-
-    @property
-    def executed_cells_per_sec(self) -> float:
-        """Throughput of the cells that were actually *simulated* this run.
-
-        This is the hot-path trajectory number: a warm cache makes
-        :attr:`cells_per_sec` measure disk reads, not the simulator.
-        """
-        executed = sum(1 for run in self.runs if not run.from_cache)
-        return executed / self.elapsed_seconds if self.elapsed_seconds else 0.0
-
-    @property
-    def events_processed(self) -> int:
-        """Scheduler events serviced by the cells executed this run.
-
-        Cached cells are excluded — their engine work happened in some
-        earlier run — so the count pairs with :attr:`simulate_seconds`.
-        """
-        return sum(
-            int(run.result.execution.events)
-            for run in self.runs
-            if not run.from_cache
-        )
-
-    @property
-    def events_per_sec(self) -> float:
-        """Engine event throughput over the worker-side simulate time."""
-        simulate = self.simulate_seconds
-        return self.events_processed / simulate if simulate else 0.0
-
-    def perf_report(self) -> Dict[str, object]:
-        """The ``BENCH_sweep.json`` payload: throughput and where time went.
-
-        Worker-side phase times are *aggregates across workers*, so with N
-        workers they may legitimately sum to more than ``elapsed_seconds``.
-        Sharded runs add ``shard_index``/``shard_count``; merged results add
-        ``merged_shards`` plus the per-shard elapsed list (additive fields,
-        schema stays v1).
-        """
-        report: Dict[str, object] = {
-            "schema": "repro-bench-sweep-v1",
-            "cells": len(self.runs),
-            "executed_cells": sum(1 for run in self.runs if not run.from_cache),
-            "failed_cells": len(self.failed),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "elapsed_seconds": self.elapsed_seconds,
-            "cells_per_sec": self.cells_per_sec,
-            "executed_cells_per_sec": self.executed_cells_per_sec,
-            "trace_build_seconds": self.trace_build_seconds,
-            "simulate_seconds": self.simulate_seconds,
-            "cache_seconds": self.cache_seconds,
-            "events_processed": self.events_processed,
-            "events_per_sec": self.events_per_sec,
-        }
-        warnings: List[str] = []
-        if self.cache_hits > 0:
-            # Loud and machine-readable: a warm cache means the throughput
-            # numbers above measure disk reads, not the simulator hot path.
-            warnings.append(
-                f"cache_hits={self.cache_hits}: cells_per_sec includes "
-                "cache-served cells; rerun with --no-cache (or a cold cache "
-                "dir) for a clean hot-path measurement."
-            )
-        if self.cache_stats:
-            report["cache_backend"] = dict(self.cache_stats)
-            remote_errors = int(self.cache_stats.get("remote_errors", 0) or 0)
-            if remote_errors:
-                warnings.append(
-                    f"remote_errors={remote_errors}: the remote result cache "
-                    "degraded to the local layer for some operations; results "
-                    "are correct but were not shared with the fleet."
-                )
-        warnings.extend(self.runtime_notes)
-        if warnings:
-            report["warnings"] = warnings
-        if self.shard_count is not None:
-            report["shard_index"] = self.shard_index
-            report["shard_count"] = self.shard_count
-        if self.merged_shards is not None:
-            report["merged_shards"] = self.merged_shards
-            report["shard_elapsed_seconds"] = list(self.shard_elapsed_seconds)
-        return report
-
 
 class SweepRunner:
     """Runs :class:`SweepSpec` grids across a worker pool with memoization."""
@@ -550,11 +451,11 @@ class SweepRunner:
     def __init__(
         self,
         workers: int = 1,
-        cache: Union[ResultCacheBackend, os.PathLike, str, None, bool] = False,
+        cache: Union[ResultCache, os.PathLike, str, None, bool] = False,
     ) -> None:
-        """``cache`` may be any :class:`ResultCacheBackend` (local or
-        remote), a directory path, an ``http(s)://`` URL, ``True`` for the
-        default local location, or ``False``/``None`` (default) to disable.
+        """``cache`` may be a :class:`ResultCache`, a directory path,
+        ``True`` for the default location, or ``False``/``None`` (default)
+        to disable.
 
         Memoization is opt-in so programmatic callers never write to disk
         unless they asked to; the CLI opts in by default.
@@ -562,7 +463,7 @@ class SweepRunner:
         if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
             raise ValueError(f"workers must be an int >= 1, got {workers!r}")
         self.workers = workers
-        self.cache: Optional[ResultCacheBackend] = open_cache(cache)
+        self.cache: Optional[ResultCache] = open_cache(cache)
 
     # ------------------------------------------------------------------
     def run(
@@ -621,7 +522,6 @@ class SweepRunner:
         cells = spec.cells()
         runs: List[Optional[CellRun]] = [None] * len(cells)
         failed: List[CellFailure] = []
-        cache_seconds = 0.0
 
         keys: List[Optional[str]] = [None] * len(cells)
         if self.cache is not None or manifest_path is not None:
@@ -642,9 +542,7 @@ class SweepRunner:
         pending: List[Tuple[int, SweepCell]] = []
         for index, cell in enumerate(cells):
             if self.cache is not None:
-                probe_started = time.perf_counter()
                 cached = self.cache.get(keys[index])
-                cache_seconds += time.perf_counter() - probe_started
                 if cached is not None:
                     runs[index] = CellRun(cell=cell, result=cached, from_cache=True)
                     if manifest is not None:
@@ -675,9 +573,7 @@ class SweepRunner:
                     cell=cell, result=result, from_cache=False, timings=timings
                 )
                 if self.cache is not None:
-                    store_started = time.perf_counter()
                     self.cache.put(keys[index], result, cell.descriptor())
-                    cache_seconds += time.perf_counter() - store_started
                 if manifest is not None:
                     manifest.mark(keys[index], "ok", timings=timings)
                     manifest.write(manifest_path)
@@ -700,11 +596,9 @@ class SweepRunner:
             elapsed_seconds=elapsed,
             cache_hits=hits,
             cache_misses=len(cells) - hits,
-            cache_seconds=cache_seconds,
             failed=failed,
             shard_index=shard_index,
             shard_count=shard_count,
-            cache_stats=self.cache.stats() if self.cache is not None else {},
         )
 
     # ------------------------------------------------------------------
@@ -733,7 +627,7 @@ class SweepRunner:
 def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
-    cache: Union[ResultCacheBackend, os.PathLike, str, None, bool] = False,
+    cache: Union[ResultCache, os.PathLike, str, None, bool] = False,
 ) -> SweepResult:
     """One-call programmatic entry point (cache disabled unless requested)."""
     return SweepRunner(workers=workers, cache=cache).run(spec)
@@ -749,7 +643,7 @@ def run_grid(
     memory_instructions_per_warp: int = 64,
     base_config=None,
     workers: int = 1,
-    cache: Union[ResultCacheBackend, os.PathLike, str, None, bool] = False,
+    cache: Union[ResultCache, os.PathLike, str, None, bool] = False,
 ) -> Dict[str, Dict[str, PlatformResult]]:
     """Run a platform x workload grid, pivoted to ``{workload: {platform: result}}``.
 

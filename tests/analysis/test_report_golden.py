@@ -194,8 +194,6 @@ class TestReportArtifacts:
         assert golden_sweep.spec.fingerprint() in html_text
         for name in report_tables(golden_sweep):
             assert f"{name}.csv" in html_text
-        assert "bench.html" in html_text
-        assert written["bench.html"].exists()
 
     def test_report_generates_without_matplotlib(self, golden_sweep, tmp_path,
                                                  monkeypatch):
@@ -228,13 +226,3 @@ class TestReportArtifacts:
         header, rows = tables["sensitivity"]
         assert header[0] == "override"
         assert {row[0] for row in rows} == {"lo", "hi"}
-
-    def test_bench_trajectory_degrades_outside_git(self, tmp_path):
-        from repro.analysis.reporting import bench_trajectory
-
-        assert bench_trajectory(tmp_path / "missing.json") == []
-        payload = tmp_path / "BENCH_sweep.json"
-        payload.write_text('{"executed_cells_per_sec": 42.0}')
-        points = bench_trajectory(payload)
-        assert points and points[-1]["commit"] == "working-tree"
-        assert points[-1]["executed_cells_per_sec"] == 42.0

@@ -5,7 +5,14 @@ import json
 import pytest
 
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.runner import CACHE_VERSION, ResultCache, SweepSpec, execute_cell
+from repro.runner import (
+    CACHE_VERSION,
+    ResultCache,
+    SweepSpec,
+    default_cache_dir,
+    execute_cell,
+    open_cache,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,23 @@ class TestHitMiss:
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0
+
+
+class TestOpenCache:
+    def test_locations(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert open_cache(False) is None and open_cache(None) is None
+        assert open_cache(cache) is cache
+        assert open_cache(str(tmp_path)).root == tmp_path
+        assert open_cache(True).root == default_cache_dir()
+
+    @pytest.mark.parametrize("url", ["http://host:8080/cache", "s3://bucket"])
+    def test_url_is_rejected_not_made_a_directory(self, tmp_path, url,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="must be a directory path"):
+            open_cache(url)
+        assert not list(tmp_path.iterdir())
 
 
 class TestCorruptionRecovery:

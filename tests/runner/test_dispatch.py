@@ -134,6 +134,29 @@ class TestDispatchWorker:
         with pytest.raises(DispatchError):
             DispatchWorker(_small_spec(), cache=False)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("lease_ttl_seconds", float("inf")),
+        ("lease_ttl_seconds", float("nan")),
+        ("lease_ttl_seconds", 0.0),
+        ("lease_ttl_seconds", 1e300),
+        ("poll_interval_seconds", -1.0),
+        ("poll_interval_seconds", 0.0),
+        ("poll_interval_seconds", float("nan")),
+        ("stall_after_claim_seconds", -5.0),
+        ("stall_after_claim_seconds", float("nan")),
+        ("stall_after_claim_seconds", float("inf")),
+        ("max_cells", 0),
+        ("max_cells", -3),
+        ("max_cells", 1.5),
+        ("max_cells", True),
+    ])
+    def test_bad_knob_raises_before_any_lease_is_claimed(
+            self, tmp_path, knob, value):
+        with pytest.raises(ValueError, match="must be a"):
+            run_dispatch_worker(_small_spec(), cache=tmp_path, owner="w1",
+                                **{knob: value})
+        assert not list(tmp_path.rglob("leases/*"))
+
     def test_queue_rejects_a_different_spec(self, tmp_path):
         queue = LeaseQueue(tmp_path / "q", lease_ttl_seconds=5)
         queue.ensure(_small_spec())

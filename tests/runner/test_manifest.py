@@ -259,20 +259,19 @@ class TestMergeVerification:
         with pytest.raises(MergeError):
             merge_manifests([])
 
-    def test_merged_perf_report_aggregates_shards(self, tmp_path):
+    def test_merged_result_aggregates_shards(self, tmp_path):
         spec, paths = self._sharded_run(tmp_path)
         merged = merge_manifests(paths)
-        report = merged.perf_report()
-        assert report["merged_shards"] == 3
-        assert len(report["shard_elapsed_seconds"]) == 3
-        assert report["elapsed_seconds"] == pytest.approx(
-            sum(report["shard_elapsed_seconds"]))
+        assert merged.merged_shards == 3
+        assert merged.shard_count is None
+        assert merged.elapsed_seconds == pytest.approx(
+            sum(RunManifest.load(path).elapsed_seconds for path in paths))
         # Cold shard runs executed every cell: the merge must report the
         # shards' real executed counts and timings, not read as a sweep of
-        # cache hits (which would zero the perf trajectory).
-        assert report["executed_cells"] == len(spec)
-        assert report["executed_cells_per_sec"] > 0.0
-        assert report["simulate_seconds"] > 0.0
+        # cache hits.
+        assert not any(run.from_cache for run in merged)
+        assert merged.cache_hits == 0 and merged.cache_misses == len(spec)
+        assert merged.simulate_seconds > 0.0
 
     def test_merge_preserves_shard_cache_accounting(self, tmp_path):
         """Re-running a shard warm then merging reports those cells as
@@ -283,7 +282,8 @@ class TestMergeVerification:
         merged = merge_manifests(paths)
         warm = len(spec.shard(0, 2))
         assert merged.cache_hits == warm
-        assert merged.perf_report()["executed_cells"] == len(spec) - warm
+        executed = sum(1 for run in merged if not run.from_cache)
+        assert executed == len(spec) - warm
 
 
 class TestManifestIsWrittenIncrementally:

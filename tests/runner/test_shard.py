@@ -117,10 +117,10 @@ class TestShardedRunEquivalence:
         expected = {cell.cache_key() for cell in shard.cells()}
         assert {run.cell.cache_key() for run in result} == expected
 
-    def test_shard_perf_report_carries_coordinates(self):
+    def test_shard_result_carries_coordinates(self):
         result = run_sweep(_small_spec().shard(1, 2), workers=1)
-        report = result.perf_report()
-        assert report["shard_index"] == 1 and report["shard_count"] == 2
+        assert result.shard_index == 1 and result.shard_count == 2
+        assert result.merged_shards is None
 
     def test_shard_runs_share_the_cell_cache_keys(self, tmp_path):
         """A cell computed by a shard run is a cache hit for the full sweep."""

@@ -163,6 +163,22 @@ class TestStreamingHistogram:
         assert len(histogram.samples) <= 128
         assert histogram.count == 50_000
 
+    def test_no_unbounded_sample_lists_in_results(self):
+        """Every histogram of a real simulated result stays within its
+        reservoir, on the platforms with and without the read path."""
+        from repro.runner import SweepSpec, run_sweep
+
+        spec = SweepSpec.create(platforms=["ZnG-base", "ZnG"],
+                                workloads=["betw-back", "bfs1-gaus"],
+                                scale=0.08, warps_per_sm=2)
+        result = run_sweep(spec, workers=1)
+        assert len(result) == 4
+        for run in result:
+            histograms = run.result.stats.histograms.values()
+            assert histograms
+            for histogram in histograms:
+                assert len(histogram.samples) <= histogram.reservoir_size
+
     def test_aggregates_exact_beyond_capacity(self):
         histogram = Histogram("h", reservoir_size=64)
         values = [float((7 * i) % 1000) for i in range(10_000)]

@@ -79,32 +79,11 @@ class TestBitIdentity:
         assert stolen["attrs"]["thief_owner"] == "thief"
         assert stolen["attrs"]["generation"] == 2
 
-    def test_dispatch_provenance_surfaces_remote_cache_stats(self, tmp_path):
-        from repro.analysis.reporting import result_provenance
-        from repro.runner import merge_manifests
-        from repro.runner.cache_remote import RemoteResultCache
-
-        spec = _small_spec()
-        cache = RemoteResultCache("http://127.0.0.1:1",  # nothing listens
-                                  local_root=tmp_path,
-                                  timeout_seconds=0.05)
-        report = run_dispatch_worker(spec, cache=cache, owner="w1")
-        assert report.complete
-        manifest = RunManifest.load(report.manifest_path)
-        remote = manifest.dispatch["remote_cache"]
-        assert remote["reported_by"] == "w1"
-        assert remote["remote_errors"] > 0 and remote["degraded"]
-        provenance = result_provenance(
-            merge_manifests([report.manifest_path]), [manifest])
-        (line,) = [v for k, v in provenance.items()
-                   if k.startswith("remote-cache")]
-        assert "DEGRADED" in line and "http://127.0.0.1:1" in line
-
 
 class TestSweepCliTelemetry:
     def test_sweep_pins_the_sink_to_a_fresh_cache_dir(
             self, tmp_path, monkeypatch, capsys):
-        """Regression: an empty LocalResultCache is falsy (``__len__``), so
+        """Regression: an empty ResultCache is falsy (``__len__``), so
         a truthiness check on ``runner.cache`` used to skip the sink pin and
         the events silently landed in the cwd default instead."""
         from repro.__main__ import main

@@ -183,6 +183,44 @@ class TestSweepCommand:
         assert (completed.stdout + completed.stderr).strip().splitlines() == [
             "scale must be a finite number > 0, got nan"]
 
+    def test_profile_writes_both_phases_and_disarms(self, capsys, tmp_path,
+                                                    monkeypatch):
+        from repro.runner import profile_tables
+
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGS + ["--no-cache", "--workers", "2",
+                                 "--profile"]) == 0
+        captured = capsys.readouterr()
+        assert "--profile forces --workers 1 (was 2)" in captured.err
+        profile_path = tmp_path / "sweep.profile.txt"
+        assert f"profile written to {profile_path}" in captured.out
+        text = profile_path.read_text()
+        assert "== phase: trace_build" in text
+        assert "== phase: simulate" in text
+        assert profile_tables() == ""  # disarmed: later sweeps run unprofiled
+
+
+class TestDispatchCommand:
+    ARGS = ["dispatch", "--platforms", "ZnG", "--workloads", "betw-back",
+            "--scale", "0.05", "--warps", "2"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lease-ttl", "inf"], "lease TTL must be a finite number"),
+        (["--lease-ttl", "nan"], "lease TTL must be a finite number"),
+        (["--poll-interval", "-1"], "poll interval must be a finite number"),
+        (["--stall-after-claim", "-5"], "stall after claim must be a finite"),
+        (["--max-cells", "0"], "max cells must be an int >= 1"),
+        (["--max-cells", "-3"], "max cells must be an int >= 1"),
+    ])
+    def test_bad_knobs_exit_2_before_touching_the_queue(
+            self, capsys, tmp_path, flags, message):
+        assert main(self.ARGS + ["--cache-dir", str(tmp_path)] + flags) == 2
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+        assert not list(tmp_path.rglob("leases"))
+
 
 class TestShardedSweepCLI:
     SMOKE = ["sweep", "--preset", "smoke", "--workers", "1", "--scale", "0.05"]
@@ -278,24 +316,6 @@ class TestShardedSweepCLI:
             "sweep", "--resume", str(tmp_path / "absent.json"),
         ]) == 2
 
-    def test_perf_report_path_override(self, capsys, tmp_path):
-        target = tmp_path / "bench" / "report.json"
-        assert main(self.SMOKE + [
-            "--no-cache", "--workloads", "bfs1",
-            "--perf-report", "--perf-report-path", str(target),
-        ]) == 0
-        assert target.exists()
-        assert "perf report written to" in capsys.readouterr().out
-
-    def test_default_perf_report_path_is_repo_root_not_cwd(self, tmp_path, monkeypatch):
-        from repro.__main__ import _default_perf_report_path
-
-        monkeypatch.chdir(tmp_path)
-        default = _default_perf_report_path()
-        assert default.name == "BENCH_sweep.json"
-        assert default.parent != tmp_path
-        assert (default.parent / "pytest.ini").exists()
-
 
 class TestReportCommand:
     SMOKE = ["sweep", "--preset", "smoke", "--workers", "1", "--scale", "0.05"]
@@ -316,7 +336,7 @@ class TestReportCommand:
         assert main(["report", manifest, "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
         for name in ("metrics.csv", "fig10.csv", "fig11.csv",
-                     "scenarios.csv", "report.html", "bench.html"):
+                     "scenarios.csv", "report.html"):
             assert (out_dir / name).exists(), name
             assert name in out
 
