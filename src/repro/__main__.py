@@ -18,102 +18,9 @@ Usage::
     python -m repro config [options]    # inspect the configuration space
     python -m repro workloads [options] # inspect the workload-family registry
 
-Sweep options::
-
-    --preset NAME         start from a named experiment preset (fig10,
-                          reg-sweep, table1-sensitivity, ...; list them with
-                          `config --presets`); later flags override it
-    --platforms A,B,...   platform names            (default: the 4 ZnG variants)
-    --workloads W,...     workload tokens: a family (app) name, a read-write
-                          mix, a parameterised instance
-                          (kv-lookup:zipf=1.1,get_ratio=0.9), a recorded
-                          trace (trace:file.json), or a group token
-                          (mixes/graph/scientific/scenarios); tokens are
-                          validated against the registry before any cell runs
-                          (default: betw-back,bfs1-gaus,pr-gaus)
-    --set path=value,...  labelled config overrides may repeat: --set label:a.b=1,c.d=2
-                          values are coerced/validated against the schema
-    --config-file FILE    JSON {path: value} overrides applied to every cell
-                          (a base layer below presets and --set axes)
-    --workers N           worker processes          (default: 4)
-    --scale S             trace scale               (default: 0.2)
-    --seed N              sweep seed                (default: 1)
-    --warps N             warps per SM              (default: 8)
-    --cache-dir DIR       result cache location     (default: .repro-cache)
-    --no-cache            disable the result cache
-    --shard I/N           run only the I-th of N deterministic grid shards
-                          (1-based; shard union == the full grid, exactly)
-    --manifest FILE       run-manifest location (default: <cache-dir>/
-                          manifest.json, or manifest.shard-I-of-N.json);
-                          rewritten atomically after every finished cell
-    --resume FILE         re-run only the failed/missing cells recorded in a
-                          manifest (grid flags come from the manifest)
-    --profile             cProfile the worker hot path (forces --workers 1 —
-                          pool workers cannot be profiled from the parent)
-                          and write per-phase top-N cumulative tables
-                          (trace-build vs simulate) to sweep.profile.txt
-                          in the current directory
-
-Dispatch options::
-
-    Each ``dispatch`` invocation is ONE worker leasing cells from a
-    file-backed queue in the cache root; start any number of them (processes
-    or hosts sharing the cache) and they cooperate — no daemon, no shards.
-    A worker that dies mid-cell only delays its in-flight cells by the lease
-    TTL: survivors steal the expired lease and the grid still completes.
-    The grid flags --preset/--platforms/--workloads/--set/--config-file/
-    --scale/--seed/--warps mean exactly what they do for sweep (every worker
-    must declare the identical grid; the queue rejects mismatches), plus:
-
-    --cache-dir DIR       result cache AND queue location (default:
-                          .repro-cache); the queue lives under
-                          <cache-dir>/dispatch/<spec-fingerprint[:16]>/;
-                          hosts share results through one directory on a
-                          shared filesystem
-    --owner NAME          worker identity in lease records
-                          (default: <hostname>-<pid>)
-    --lease-ttl S         seconds without a heartbeat before a lease is
-                          stealable (default: 30); set it well above the
-                          slowest single cell
-    --poll-interval S     idle sleep between queue scans (default: TTL/4,
-                          clamped to [0.05, 1])
-    --max-cells N         commit at most N cells then exit (smoke runs)
-    --stall-after-claim S fault injection: claim one lease, then stall S
-                          seconds WITHOUT heartbeating — the lease expires
-                          and peers must steal it (CI kill-a-worker drills)
-
-    Whichever worker commits the last cell writes <cache-dir>/manifest.json
-    — the same schema-versioned manifest a serial `sweep` writes, plus a
-    `dispatch` provenance block — so merge/report/goldens work unchanged::
-
-        python -m repro dispatch --preset fig10 &   # worker 1
-        python -m repro dispatch --preset fig10 &   # worker 2
-        wait
-        python -m repro merge .repro-cache/manifest.json
-
-Status options::
-
-    Renders the live state of every dispatch queue under the cache root —
-    committed/pending cells, active leases with heartbeat ages, per-worker
-    tallies, an ETA from the completed-cell rate — purely by reading the
-    on-disk coordination files (never perturbs a running fleet)::
-
-        python -m repro status                    # one snapshot, default cache
-        python -m repro status --watch            # refresh until complete/^C
-
-    --cache-dir DIR       cache root to scan (default: .repro-cache or
-                          $REPRO_CACHE_DIR); queues live under
-                          <cache-dir>/dispatch/
-    --queue DIR           inspect one specific queue directory (repeatable)
-    --manifest FILE       also summarise a sweep run manifest (repeatable;
-                          default: every manifest*.json in the cache root)
-    --watch               refresh every --interval seconds until every queue
-                          completes (or Ctrl-C)
-    --interval S          --watch refresh period (default: 2)
-    --json                machine-readable snapshot instead of text
-    --validate            additionally validate every telemetry record under
-                          <cache-dir>/telemetry against repro-telemetry-v1;
-                          exit 1 on any violation (the CI telemetry gate)
+``python -m repro <command> -h`` lists a command's options.  Bad input exits
+2 with one line on stderr; results, and the exit-1 verdicts (a failed merge,
+report or cell, golden drift), go to stdout.
 
 Telemetry (REPRO_TELEMETRY=1)::
 
@@ -122,182 +29,96 @@ Telemetry (REPRO_TELEMETRY=1)::
     dispatch events (e.g. ``lease.stolen``) to per-worker JSONL files under
     ``<cache-dir>/telemetry/`` (schema ``repro-telemetry-v1``).  Disabled by
     default and bit-identical when off — see ``repro.telemetry``.
-
-Report options (after one or more manifest paths)::
-
-    --out DIR             artifact directory        (default: report-out)
-    --check               diff the emitted CSVs byte-for-byte against the
-                          goldens in tests/data/report/; exit 1 on any drift
-    --no-plots            skip matplotlib plots (they are skipped with a
-                          note automatically when matplotlib is missing)
-    --no-html             emit only the CSVs
-    --golden              instead of reading manifests, re-run the canonical
-                          fixed-seed golden sweep (the CI fig10 grid) and
-                          rewrite the CSV goldens under tests/data/report/
-    --workers N           worker processes for --golden (default: 1)
-
-The emitted CSVs are canonical (shortest round-trip float repr, LF
-newlines), so a report over merged shard manifests is byte-identical to
-one over the same sweep run serially — that is what --check gates.
-
-Merge options (after one or more manifest paths)::
-
-    --metric NAME         table metric to print     (default: ipc)
-
-``merge`` verifies completeness — identical spec fingerprints, every cell of
-the spec accounted for exactly once with status ok, every result loadable —
-and exits 1 on any missing, duplicated or failed cell.
-
-Config options::
-
-    --list-paths          every dotted override path with type/default/unit
-    --explain PATH        full field card: doc, bounds, axis, platform pins
-    --diff A B            resolved-config diff between two platforms
-    --presets             list the named experiment presets
-    --golden              schema-drift golden lines (tests/data regeneration)
-
-Workloads options::
-
-    --list                every registered workload family with suite/params
-    --explain NAME        family card: description, typed parameter schema
-    --golden              catalogue drift-gate lines (regenerate
-                          tests/data/workload_catalog.txt)
-    --record TOKEN        generate TOKEN's trace and persist it as a
-                          content-hashed repro-trace-v1 file (--out FILE;
-                          knob flags --scale/--seed/--sms/--warps/--mem-insts
-                          mirror the sweep defaults, and the trace seed is
-                          derived exactly like a sweep cell's, so replaying
-                          the file reproduces the generating sweep)
-    --replay FILE         load + hash-verify a trace file and print its
-                          provenance; --verify additionally regenerates the
-                          trace from the recorded token/knobs and asserts
-                          the payload is bit-identical
 """
 
 from __future__ import annotations
 
+import argparse
+import math
 import sys
 from typing import List
 
 from repro.analysis import figures
 from repro.analysis.fullreport import generate_report
-from repro.analysis.report import format_figure_table
+from repro.analysis.report import format_figure_table, format_records_table
 from repro.analysis.tables import table_1_configuration, table_2_workloads
 from repro.analysis.validation import validate_all
 
 
-def _usage(command: str, section: str) -> str:
-    """``command``'s usage line and its options section of the module docstring."""
-    lines = __doc__.splitlines()
-    start = lines.index(f"{section}::")
-    end = start + 1
-    while end < len(lines) and not (lines[end][:1].strip() and lines[end].endswith("::")):
-        end += 1
-    body = "\n".join(lines[start:end]).rstrip()
-    return f"usage: python -m repro {command} [options]\n\n{body}"
+class _Parser(argparse.ArgumentParser):
+    """One command's parser; a parse error is a single stderr line, exit 2."""
 
+    def __init__(self, command: str, **kwargs) -> None:
+        super().__init__(prog=f"python -m repro {command}", allow_abbrev=False,
+                         **kwargs)
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+    def error(self, message: str):
+        # argparse prints the usage on a line of its own; scripts and CI
+        # expect exactly one line, so the usage goes at the end of it.
+        usage = " ".join(self.format_usage().split())
+        self.exit(2, f"{self.prog}: error: {message}; {usage}\n")
 
 
 def _cmd_report(args: List[str]) -> int:
-    """Textual report (legacy), or the full artifact set from manifests.
+    if len(args) <= 1:  # ``report`` or ``report <scale>``: the textual report
+        try:
+            scale = float(args[0]) if args else 0.15
+        except ValueError:
+            pass  # one manifest path, or an option
+        else:
+            print(generate_report(scale=scale,
+                                  mixes=[("betw", "back"), ("bfs1", "gaus")]))
+            return 0
 
-    ``report`` / ``report 0.2`` keep printing the textual reproduction
-    report.  With manifest paths (or ``--golden``) the command becomes the
-    artifact generator: CSVs + HTML (+ optional plots) into ``--out``,
-    golden regeneration, and the drift gate (``--check``).
-    """
-    if not args or (len(args) == 1 and _is_float(args[0])):
-        scale = float(args[0]) if args else 0.15
-        print(generate_report(scale=scale,
-                              mixes=[("betw", "back"), ("bfs1", "gaus")]))
-        return 0
+    parser = _Parser(
+        "report", usage="%(prog)s [scale] | <manifest.json>... [options] | --golden",
+        description="With no argument or a trace scale (default 0.15), print the "
+        "textual report; with run manifests, write canonical CSVs, HTML and plots.")
+    parser.add_argument("manifests", nargs="*", metavar="manifest.json")
+    parser.add_argument("--out", default="report-out", metavar="DIR",
+                        help="artifact directory (default: %(default)s)")
+    parser.add_argument("--check", action="store_true",
+                        help="diff the CSVs byte-for-byte against the goldens in "
+                        "tests/data/report/; exit 1 on any drift")
+    parser.add_argument("--no-plots", dest="plots", action="store_false",
+                        help="skip matplotlib plots (skipped anyway without it)")
+    parser.add_argument("--no-html", dest="html", action="store_false",
+                        help="emit only the CSVs")
+    parser.add_argument("--golden", action="store_true",
+                        help="re-run the canonical golden sweep (the CI fig10 "
+                        "grid) and rewrite the CSV goldens")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="worker processes for --golden (default: %(default)s)")
+    ns = parser.parse_intermixed_args(args)
 
     from repro.analysis import reporting
 
-    manifest_paths: List[str] = []
-    out_dir = "report-out"
-    golden = False
-    check = False
-    plots = True
-    html_report = True
-    workers = 1
-    index = 0
-    while index < len(args):
-        flag = args[index]
-        if flag in ("--golden", "--check", "--no-plots", "--no-html"):
-            if flag == "--golden":
-                golden = True
-            elif flag == "--check":
-                check = True
-            elif flag == "--no-plots":
-                plots = False
-            else:
-                html_report = False
-            index += 1
-            continue
-        if flag.startswith("--") and index + 1 >= len(args):
-            print(f"missing value for {flag}")
-            return 2
-        if flag == "--out":
-            out_dir = args[index + 1]
-            index += 2
-        elif flag == "--workers":
-            try:
-                workers = int(args[index + 1])
-            except ValueError:
-                print(f"--workers expects a number, got {args[index + 1]!r}")
-                return 2
-            index += 2
-        elif flag.startswith("--"):
-            print(f"unknown report option {flag!r}")
-            return 2
-        else:
-            manifest_paths.append(flag)
-            index += 1
-
-    if golden:
-        # Re-derive the canonical fixed-seed sweep and rewrite the goldens.
-        if manifest_paths:
-            print("--golden re-runs the canonical golden sweep; "
-                  "drop the manifest paths")
-            return 2
-        written = reporting.write_goldens(workers=workers)
+    if ns.golden:
+        if ns.manifests:
+            parser.error("--golden re-runs the canonical golden sweep; "
+                         "drop the manifest paths")
+        written = reporting.write_goldens(workers=ns.workers)
         for name in sorted(written):
             print(f"golden written: {written[name]}")
         print("commit the refreshed goldens under tests/data/report/")
         return 0
-
-    if not manifest_paths:
-        print("usage: python -m repro report <manifest.json>... [--out DIR] "
-              "[--check] [--no-plots] [--no-html]\n"
-              "       python -m repro report --golden   (rewrite CSV goldens)\n"
-              "       python -m repro report [scale]    (textual report)")
-        return 2
+    if not ns.manifests:
+        parser.error("no manifest given")
 
     from repro.runner import ManifestError
 
     try:
         written = reporting.report_from_manifests(
-            manifest_paths, out_dir, plots=plots, html_report=html_report)
-    except ManifestError as error:
+            ns.manifests, ns.out, plots=ns.plots, html_report=ns.html)
+    except (ManifestError, reporting.ReportError) as error:
         print(f"report failed: {error.args[0] if error.args else error}")
-        return 1
-    except reporting.ReportError as error:
-        print(f"report failed: {error.args[0]}")
         return 1
     for name in sorted(written):
         print(f"wrote {written[name]}")
 
-    if check:
+    if ns.check:
         golden_dir = reporting.default_golden_dir()
-        drift = reporting.compare_csv_dirs(out_dir, golden_dir)
+        drift = reporting.compare_csv_dirs(ns.out, golden_dir)
         if drift:
             for message in drift:
                 print(f"GOLDEN DRIFT: {message}")
@@ -309,21 +130,29 @@ def _cmd_report(args: List[str]) -> int:
     return 0
 
 
-def _cmd_fig10(args: List[str]) -> int:
-    scale = float(args[0]) if args else 0.2
-    data = figures.figure_10(scale=scale, mixes=[("betw", "back"), ("bfs1", "gaus")])
-    print(format_figure_table("Figure 10 — Normalised IPC (to ZnG)", data, "{:.3f}"))
+def _print_figure(command: str, args: List[str], figure, title: str, fmt: str) -> int:
+    parser = _Parser(command, description="The figure over two read-write mixes.")
+    # No %(default)s here: parse_intermixed_args hides positional defaults.
+    parser.add_argument("scale", nargs="?", type=float, default=0.2,
+                        help="trace scale (default: 0.2)")
+    scale = parser.parse_intermixed_args(args).scale
+    data = figure(scale=scale, mixes=[("betw", "back"), ("bfs1", "gaus")])
+    print(format_figure_table(title, data, fmt))
     return 0
+
+
+def _cmd_fig10(args: List[str]) -> int:
+    return _print_figure("fig10", args, figures.figure_10,
+                         "Figure 10 — Normalised IPC (to ZnG)", "{:.3f}")
 
 
 def _cmd_fig11(args: List[str]) -> int:
-    scale = float(args[0]) if args else 0.2
-    data = figures.figure_11(scale=scale, mixes=[("betw", "back"), ("bfs1", "gaus")])
-    print(format_figure_table("Figure 11 — Flash-array bandwidth (GB/s)", data, "{:.2f}"))
-    return 0
+    return _print_figure("fig11", args, figures.figure_11,
+                         "Figure 11 — Flash-array bandwidth (GB/s)", "{:.2f}")
 
 
 def _cmd_table1(args: List[str]) -> int:
+    _Parser("table1", description="Table I.").parse_intermixed_args(args)
     for subsystem, values in table_1_configuration().items():
         print(f"[{subsystem}]")
         for key, value in values.items():
@@ -332,8 +161,7 @@ def _cmd_table1(args: List[str]) -> int:
 
 
 def _cmd_table2(args: List[str]) -> int:
-    from repro.analysis.report import format_records_table
-
+    _Parser("table2", description="Table II.").parse_intermixed_args(args)
     print(format_records_table(
         "Table II — workload families",
         ["workload", "suite", "read_ratio", "kernels", "params"],
@@ -344,6 +172,8 @@ def _cmd_table2(args: List[str]) -> int:
 
 
 def _cmd_validate(args: List[str]) -> int:
+    _Parser("validate", description="Analytic vs measured bandwidths "
+            "and latencies.").parse_intermixed_args(args)
     print(f"{'check':26s} {'analytic':>14s} {'measured':>14s} {'rel.err':>8s}")
     for result in validate_all().values():
         print(f"{result.name:26s} {result.analytic:>14.3e} "
@@ -352,17 +182,19 @@ def _cmd_validate(args: List[str]) -> int:
 
 
 def _cmd_run(args: List[str]) -> int:
-    if len(args) < 3:
-        print("usage: python -m repro run <platform> <read_app> <write_app>")
-        return 2
+    parser = _Parser("run", description="One platform on one read-write mix "
+                     "(scale 0.3, 12 warps/SM, 96 memory instructions/warp).")
+    for name in ("platform", "read_app", "write_app"):
+        parser.add_argument(name)
+    ns = parser.parse_intermixed_args(args)
     from repro.platforms import build_platform
     from repro.workloads import build_mix
 
-    platform_name, read_app, write_app = args[0], args[1], args[2]
-    mix = build_mix(read_app, write_app, scale=0.3, warps_per_sm=12,
+    platform = build_platform(ns.platform)  # an unknown name fails fast
+    mix = build_mix(ns.read_app, ns.write_app, scale=0.3, warps_per_sm=12,
                     memory_instructions_per_warp=96)
-    result = build_platform(platform_name).run(mix.combined)
-    print(f"{platform_name} on {read_app}-{write_app}:")
+    result = platform.run(mix.combined)
+    print(f"{ns.platform} on {ns.read_app}-{ns.write_app}:")
     print(f"  IPC:                  {result.ipc:.4f}")
     print(f"  cycles:               {result.cycles:.0f}")
     print(f"  L2 hit rate:          {result.l2_hit_rate:.3f}")
@@ -414,11 +246,82 @@ def _parse_shard_flag(text: str):
             raise ValueError
         index, count = int(index_text), int(count_text)
     except ValueError:
-        raise ValueError(f"--shard expects I/N (e.g. 2/3), got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"--shard expects I/N (e.g. 2/3), got {text!r}")
     if count < 1 or not 1 <= index <= count:
-        raise ValueError(
-            f"--shard expects 1 <= I <= N, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--shard expects 1 <= I <= N, got {text!r}")
     return index - 1, count
+
+
+def _grid_parser() -> argparse.ArgumentParser:
+    """The grid flags of ``sweep`` and ``dispatch``, read by :func:`_spec_from_args`."""
+    grid = argparse.ArgumentParser(add_help=False)
+    group = grid.add_argument_group("grid options")
+    group.add_argument("--preset", metavar="NAME",
+                       help="start from a named experiment preset (list them "
+                       "with `config --presets`); the other grid flags override it")
+    group.add_argument("--platforms", metavar="A,B,...",
+                       help="platform names (default: the 4 ZnG variants)")
+    group.add_argument("--workloads", metavar="W,...",
+                       help="workload tokens: an app, a read-write mix, "
+                       "kv-lookup:zipf=1.1, trace:file.json or a group "
+                       "(mixes/graph/scientific/scenarios); checked before any "
+                       "cell runs (default: betw-back,bfs1-gaus,pr-gaus)")
+    group.add_argument("--set", action="append", metavar="LABEL:PATH=VALUE,...",
+                       help="a labelled point of schema-checked config "
+                       "overrides, added to the preset's axis; repeatable")
+    group.add_argument("--config-file", action="append", metavar="FILE",
+                       help="JSON {path: value} overrides for every cell, below "
+                       "presets and --set; repeatable")
+    group.add_argument("--scale", type=float, metavar="S",
+                       help="trace scale (default: 0.2)")
+    group.add_argument("--seed", type=int, metavar="N", help="sweep seed (default: 1)")
+    group.add_argument("--warps", type=int, metavar="N",
+                       help="warps per SM (default: 8)")
+    return grid
+
+
+def _spec_from_args(ns):
+    """The ``SweepSpec`` the grid flags declare.
+
+    Defaults, then the ``--preset``, then each grid flag given, so a flag
+    overrides the preset wherever it stands on the command line.
+    """
+    from repro.configspace import get_preset
+    from repro.runner import SweepSpec
+
+    platforms = ["ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"]
+    workloads = ["betw-back", "bfs1-gaus", "pr-gaus"]
+    axis = {}
+    knobs = dict(scale=0.2, seed=1, warps_per_sm=8, memory_instructions_per_warp=64)
+    if ns.preset is not None:
+        preset = get_preset(ns.preset)
+        platforms, workloads = list(preset.platforms), list(preset.workloads)
+        axis = preset.override_axis() or {}
+        knobs = dict(scale=preset.scale, seed=preset.seed,
+                     warps_per_sm=preset.warps_per_sm,
+                     memory_instructions_per_warp=preset.memory_instructions_per_warp)
+    if ns.platforms is not None:
+        platforms = [p for p in ns.platforms.split(",") if p]
+    if ns.workloads is not None:
+        workloads = [w for w in ns.workloads.split(",") if w]
+    axis.update(_parse_override_flag(text) for text in ns.set or ())
+    for name, value in (("scale", ns.scale), ("seed", ns.seed),
+                        ("warps_per_sm", ns.warps)):
+        if value is not None:
+            knobs[name] = value
+    base_config = None
+    if ns.config_file:
+        from repro.config import default_config
+        from repro.runner import apply_overrides
+
+        file_overrides = {}
+        for path in ns.config_file:
+            file_overrides.update(_load_config_file(path))
+        base_config = apply_overrides(default_config(), file_overrides)
+    return SweepSpec.create(platforms=platforms, workloads=workloads,
+                            overrides=axis or None, base_config=base_config,
+                            **knobs)
 
 
 def _print_sweep_table(result) -> None:
@@ -441,102 +344,47 @@ def _print_sweep_table(result) -> None:
 
 
 def _cmd_sweep(args: List[str]) -> int:
-    from repro.configspace import get_preset
+    parser = _Parser("sweep", usage="%(prog)s [options]", parents=[_grid_parser()],
+                     description="Run a platform x workload x override grid in "
+                     "worker processes, cached on disk and resumable.")
+    parser.add_argument("--workers", type=int, default=4, metavar="N",
+                        help="worker processes (default: %(default)s)")
+    parser.add_argument("--cache-dir", dest="cache", default=True, metavar="DIR",
+                        help="result cache location (default: .repro-cache)")
+    parser.add_argument("--no-cache", dest="cache", action="store_false",
+                        help="disable the result cache")
+    parser.add_argument("--shard", type=_parse_shard_flag, metavar="I/N",
+                        help="run only the I-th of N deterministic grid shards "
+                        "(1-based; the shards' union is the grid, exactly)")
+    parser.add_argument("--manifest", metavar="FILE",
+                        help="run manifest, rewritten after every cell (default: "
+                        "<cache-dir>/manifest.json or manifest.shard-I-of-N.json)")
+    parser.add_argument("--resume", metavar="FILE",
+                        help="re-run only the failed/missing cells of a manifest "
+                        "(the grid comes from the manifest)")
+    parser.add_argument("--profile", action="store_true",
+                        help="cProfile trace-build and simulate in one worker and "
+                        "write the tables to ./sweep.profile.txt")
+    ns = parser.parse_intermixed_args(args)
+    if ns.resume is not None and ns.cache is False:
+        parser.error("--resume needs the result cache the manifest records; "
+                     "drop --no-cache")
+    if ns.resume is not None and (ns.manifest is not None or ns.shard is not None):
+        # Both are recorded in the manifest being resumed; silently ignoring
+        # a conflicting value would mislead.
+        parser.error("--resume takes its manifest path and shard coordinates "
+                     "from the manifest; drop --manifest/--shard")
+
     from repro.runner import (
         SweepExecutionError,
         SweepRunner,
-        SweepSpec,
         default_manifest_name,
         resume_sweep,
     )
 
-    # Defaults; a --preset replaces them wholesale, later flags override.
-    platforms = ["ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"]
-    workloads = ["betw-back", "bfs1-gaus", "pr-gaus"]
-    override_axis = {}
-    file_overrides = {}
-    workers, scale, seed, warps = 4, 0.2, 1, 8
-    memory_instructions = 64
-    cache: object = True  # memoize in the default cache location
-    cache_flagged = False  # did the user say --cache-dir/--no-cache explicitly?
-    profile = False
-    shard_coords = None
-    manifest_arg = None
-    resume_arg = None
-    index = 0
-    try:
-        while index < len(args):
-            flag = args[index]
-            if flag in ("-h", "--help"):
-                print(_usage("sweep", "Sweep options"))
-                return 0
-            if flag == "--no-cache":
-                cache = False
-                cache_flagged = True
-                index += 1
-                continue
-            if flag == "--profile":
-                profile = True
-                index += 1
-                continue
-            if flag.startswith("--") and index + 1 >= len(args):
-                print(f"missing value for {flag}")
-                return 2
-            if flag == "--preset":
-                preset = get_preset(args[index + 1])
-                platforms = list(preset.platforms)
-                workloads = list(preset.workloads)
-                override_axis = preset.override_axis() or {}
-                scale = preset.scale
-                seed = preset.seed
-                warps = preset.warps_per_sm
-                memory_instructions = preset.memory_instructions_per_warp
-            elif flag == "--platforms":
-                platforms = [p for p in args[index + 1].split(",") if p]
-            elif flag == "--workloads":
-                workloads = [w for w in args[index + 1].split(",") if w]
-            elif flag == "--set":
-                label, overrides = _parse_override_flag(args[index + 1])
-                override_axis[label] = overrides
-            elif flag == "--config-file":
-                file_overrides.update(_load_config_file(args[index + 1]))
-            elif flag in ("--workers", "--scale", "--seed", "--warps"):
-                kind = float if flag == "--scale" else int
-                try:
-                    value = kind(args[index + 1])
-                except ValueError:
-                    print(f"{flag} expects a number, got {args[index + 1]!r}")
-                    return 2
-                if flag == "--workers":
-                    workers = value
-                elif flag == "--scale":
-                    scale = value
-                elif flag == "--seed":
-                    seed = value
-                else:
-                    warps = value
-            elif flag == "--cache-dir":
-                cache = args[index + 1]
-                cache_flagged = True
-            elif flag == "--shard":
-                shard_coords = _parse_shard_flag(args[index + 1])
-            elif flag == "--manifest":
-                manifest_arg = args[index + 1]
-            elif flag == "--resume":
-                resume_arg = args[index + 1]
-            else:
-                print(f"unknown sweep option {flag!r}")
-                return 2
-            index += 2
-    except OSError as error:
-        print(error)
-        return 2
-    except (ValueError, KeyError) as error:
-        print(error.args[0] if error.args else error)
-        return 2
-
+    workers = ns.workers
     profile_text = None
-    if profile:
+    if ns.profile:
         from repro.runner import enable_profiling
 
         if workers != 1:
@@ -549,76 +397,34 @@ def _cmd_sweep(args: List[str]) -> int:
         enable_profiling()
 
     try:
-        if resume_arg is not None:
-            # The grid comes from the manifest; only execution knobs apply.
-            if cache is False:
-                print("--resume needs the result cache the manifest records; "
-                      "drop --no-cache")
-                return 2
-            if manifest_arg is not None or shard_coords is not None:
-                # Both are recorded in the manifest being resumed; silently
-                # ignoring a conflicting value would mislead.
-                print("--resume takes its manifest path and shard "
-                      "coordinates from the manifest; drop --manifest/--shard")
-                return 2
-            result = resume_sweep(
-                resume_arg,
-                workers=workers,
-                cache=cache if (cache_flagged and cache is not True) else None,
-            )
+        if ns.resume is not None:
+            result = resume_sweep(ns.resume, workers=workers,
+                                  cache=None if ns.cache is True else ns.cache)
             runner_cache_root = None
         else:
-            base_config = None
-            if file_overrides:
-                from repro.config import default_config
-                from repro.runner import apply_overrides
-
-                base_config = apply_overrides(default_config(), file_overrides)
-            spec = SweepSpec.create(
-                platforms=platforms,
-                workloads=workloads,
-                overrides=override_axis or None,
-                scale=scale,
-                seed=seed,
-                warps_per_sm=warps,
-                memory_instructions_per_warp=memory_instructions,
-                base_config=base_config,
-            )
-            job = spec if shard_coords is None else spec.shard(*shard_coords)
-            runner = SweepRunner(workers=workers, cache=cache)
+            spec = _spec_from_args(ns)
+            job = spec if ns.shard is None else spec.shard(*ns.shard)
+            runner = SweepRunner(workers=workers, cache=ns.cache)
             # Pin the telemetry sink dir before any pool forks, so every
             # worker's per-process event file lands in the same place.
             from repro.telemetry import ensure_sink_env
 
             # `is not None`: an empty ResultCache is falsy (__len__).
-            ensure_sink_env(
-                runner.cache.root if runner.cache is not None else None)
-            manifest_path = None
-            if manifest_arg is not None:
-                manifest_path = manifest_arg
-            elif runner.cache is not None:
-                shard_index, shard_count = shard_coords or (0, 1)
+            ensure_sink_env(runner.cache.root if runner.cache is not None else None)
+            manifest_path = ns.manifest
+            if manifest_path is None and runner.cache is not None:
                 manifest_path = runner.cache.root / default_manifest_name(
-                    shard_index, shard_count)
-            result = runner.run(
-                job,
-                manifest_path=manifest_path,
-                on_error="record" if manifest_path is not None else "raise",
-            )
+                    *(ns.shard or (0, 1)))
+            result = runner.run(job, manifest_path=manifest_path, on_error=(
+                "record" if manifest_path is not None else "raise"))
             runner_cache_root = runner.cache.root if runner.cache else None
     except SweepExecutionError as error:
         print(error.args[0] if error.args else error)
         return 1
-    except (ValueError, KeyError) as error:
-        # Unknown platform/workload/preset or a bad override: report cleanly.
-        message = error.args[0] if error.args else error
-        print(message)
-        return 2
     finally:
-        if profile:
-            # Harvest before disarming so the tables survive the reset; the
-            # finally also disarms on the error returns above, keeping later
-            # in-process sweeps (tests, figure layers) unprofiled.
+        if ns.profile:
+            # Harvest, then disarm even on an error: later in-process sweeps
+            # (tests, figure layers) must run unprofiled.
             from repro.runner import disable_profiling, profile_tables
 
             profile_text = profile_tables()
@@ -652,125 +458,51 @@ def _cmd_sweep(args: List[str]) -> int:
 
 
 def _cmd_dispatch(args: List[str]) -> int:
-    """One lease-queue worker over the sweep grid; see the module docstring."""
-    from repro.configspace import get_preset
-    from repro.runner import DispatchError, DispatchWorker, SweepSpec
+    from repro.runner import DispatchError, DispatchWorker
+    from repro.runner.dispatch import DEFAULT_LEASE_TTL_SECONDS
 
-    platforms = ["ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"]
-    workloads = ["betw-back", "bfs1-gaus", "pr-gaus"]
-    override_axis = {}
-    file_overrides = {}
-    scale, seed, warps = 0.2, 1, 8
-    memory_instructions = 64
-    cache_dir = None
-    owner = None
-    lease_ttl = None
-    poll_interval = None
-    max_cells = None
-    stall_after_claim = 0.0
-    index = 0
+    parser = _Parser(
+        "dispatch", usage="%(prog)s [options]", parents=[_grid_parser()],
+        description="One worker leasing cells from a file-backed queue in the "
+        "cache root; start any number against a shared cache.  Survivors steal "
+        "a dead worker's expired leases, and whichever worker commits the last "
+        "cell writes <cache-dir>/manifest.json.  Every worker must declare the "
+        "same grid.")
+    parser.add_argument("--cache-dir", dest="cache", default=True, metavar="DIR",
+                        help="result cache and queue location, shareable across "
+                        "hosts (default: .repro-cache)")
+    parser.add_argument("--owner", metavar="NAME",
+                        help="worker identity in lease records "
+                        "(default: <hostname>-<pid>)")
+    parser.add_argument("--lease-ttl", type=float, metavar="S",
+                        default=DEFAULT_LEASE_TTL_SECONDS,
+                        help="seconds without a heartbeat before a lease is "
+                        "stealable; well above the slowest cell (default: "
+                        "%(default)s)")
+    parser.add_argument("--poll-interval", type=float, metavar="S",
+                        help="idle sleep between queue scans (default: TTL/4, "
+                        "clamped to [0.05, 1])")
+    parser.add_argument("--max-cells", type=int, metavar="N",
+                        help="commit at most N cells then exit (smoke runs)")
+    parser.add_argument("--stall-after-claim", type=float, default=0.0, metavar="S",
+                        help="fault injection: claim one lease, then stall S "
+                        "seconds without heartbeating so peers must steal it")
+    ns = parser.parse_intermixed_args(args)
+
+    spec = _spec_from_args(ns)
     try:
-        while index < len(args):
-            flag = args[index]
-            if flag in ("-h", "--help"):
-                print(_usage("dispatch", "Dispatch options"))
-                return 0
-            if flag.startswith("--") and index + 1 >= len(args):
-                print(f"missing value for {flag}")
-                return 2
-            if flag == "--preset":
-                preset = get_preset(args[index + 1])
-                platforms = list(preset.platforms)
-                workloads = list(preset.workloads)
-                override_axis = preset.override_axis() or {}
-                scale = preset.scale
-                seed = preset.seed
-                warps = preset.warps_per_sm
-                memory_instructions = preset.memory_instructions_per_warp
-            elif flag == "--platforms":
-                platforms = [p for p in args[index + 1].split(",") if p]
-            elif flag == "--workloads":
-                workloads = [w for w in args[index + 1].split(",") if w]
-            elif flag == "--set":
-                label, overrides = _parse_override_flag(args[index + 1])
-                override_axis[label] = overrides
-            elif flag == "--config-file":
-                file_overrides.update(_load_config_file(args[index + 1]))
-            elif flag in ("--scale", "--seed", "--warps", "--lease-ttl",
-                          "--poll-interval", "--max-cells",
-                          "--stall-after-claim"):
-                kind = int if flag in ("--seed", "--warps", "--max-cells") else float
-                try:
-                    value = kind(args[index + 1])
-                except ValueError:
-                    print(f"{flag} expects a number, got {args[index + 1]!r}")
-                    return 2
-                if flag == "--scale":
-                    scale = value
-                elif flag == "--seed":
-                    seed = value
-                elif flag == "--warps":
-                    warps = value
-                elif flag == "--lease-ttl":
-                    lease_ttl = value
-                elif flag == "--poll-interval":
-                    poll_interval = value
-                elif flag == "--max-cells":
-                    max_cells = value
-                else:
-                    stall_after_claim = value
-            elif flag == "--cache-dir":
-                cache_dir = args[index + 1]
-            elif flag == "--owner":
-                owner = args[index + 1]
-            else:
-                print(f"unknown dispatch option {flag!r}")
-                return 2
-            index += 2
-    except OSError as error:
-        print(error)
-        return 2
-    except (ValueError, KeyError) as error:
-        print(error.args[0] if error.args else error)
-        return 2
-
-    try:
-        base_config = None
-        if file_overrides:
-            from repro.config import default_config
-            from repro.runner import apply_overrides
-
-            base_config = apply_overrides(default_config(), file_overrides)
-        spec = SweepSpec.create(
-            platforms=platforms,
-            workloads=workloads,
-            overrides=override_axis or None,
-            scale=scale,
-            seed=seed,
-            warps_per_sm=warps,
-            memory_instructions_per_warp=memory_instructions,
-            base_config=base_config,
-        )
-        worker_kwargs = dict(
-            cache=cache_dir if cache_dir is not None else True,
-            owner=owner,
-            stall_after_claim_seconds=stall_after_claim,
-            max_cells=max_cells,
-        )
-        if lease_ttl is not None:
-            worker_kwargs["lease_ttl_seconds"] = lease_ttl
-        if poll_interval is not None:
-            worker_kwargs["poll_interval_seconds"] = poll_interval
-        worker = DispatchWorker(spec, **worker_kwargs)
+        worker = DispatchWorker(
+            spec, cache=ns.cache, owner=ns.owner, lease_ttl_seconds=ns.lease_ttl,
+            poll_interval_seconds=ns.poll_interval, max_cells=ns.max_cells,
+            stall_after_claim_seconds=ns.stall_after_claim)
         from repro.telemetry import ensure_sink_env
 
         ensure_sink_env(worker.cache.root)
         report = worker.run()
     except DispatchError as error:
-        print(error.args[0] if error.args else error)
-        return 2
-    except (ValueError, KeyError) as error:
-        print(error.args[0] if error.args else error)
+        # A queue that refuses this worker (another grid, an unreadable
+        # registration) is bad input, not a result.
+        print(error, file=sys.stderr)
         return 2
 
     print(
@@ -798,7 +530,31 @@ def _cmd_dispatch(args: List[str]) -> int:
 
 
 def _cmd_status(args: List[str]) -> int:
-    """Live dispatch-fleet / sweep status from the on-disk coordination files."""
+    parser = _Parser(
+        "status", description="Dispatch-queue and manifest state, read from the "
+        "on-disk coordination files without perturbing a running fleet.")
+    parser.add_argument("--cache-dir", metavar="DIR",
+                        help="cache root to scan (default: .repro-cache or "
+                        "$REPRO_CACHE_DIR)")
+    parser.add_argument("--queue", action="append", default=[], metavar="DIR",
+                        help="inspect one queue directory (repeatable)")
+    parser.add_argument("--manifest", action="append", default=[], metavar="FILE",
+                        help="summarise a run manifest (repeatable; default: "
+                        "every manifest*.json in the cache root)")
+    parser.add_argument("--watch", action="store_true",
+                        help="refresh until every queue completes (or Ctrl-C)")
+    parser.add_argument("--interval", type=float, default=2.0, metavar="S",
+                        help="--watch refresh period (default: %(default)s)")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable snapshot instead of text")
+    parser.add_argument("--validate", action="store_true",
+                        help="also check every record under <cache-dir>/telemetry "
+                        "against repro-telemetry-v1; exit 1 on any violation")
+    ns = parser.parse_intermixed_args(args)
+    if not 0 < ns.interval < math.inf:
+        raise ValueError(f"interval must be a finite number of seconds > 0, "
+                         f"got {ns.interval!r}")
+
     import json as json_module
     import time as time_module
     from pathlib import Path
@@ -812,58 +568,16 @@ def _cmd_status(args: List[str]) -> int:
         render_queue_status,
     )
 
-    cache_dir = None
-    queue_args: List[str] = []
-    manifest_args: List[str] = []
-    watch = False
-    interval = 2.0
-    validate = False
-    as_json = False
-    index = 0
-    while index < len(args):
-        flag = args[index]
-        if flag in ("--watch", "--validate", "--json"):
-            watch = watch or flag == "--watch"
-            validate = validate or flag == "--validate"
-            as_json = as_json or flag == "--json"
-            index += 1
-            continue
-        if flag.startswith("--") and index + 1 >= len(args):
-            print(f"missing value for {flag}")
-            return 2
-        if flag == "--cache-dir":
-            cache_dir = args[index + 1]
-            index += 2
-        elif flag == "--queue":
-            queue_args.append(args[index + 1])
-            index += 2
-        elif flag == "--manifest":
-            manifest_args.append(args[index + 1])
-            index += 2
-        elif flag == "--interval":
-            try:
-                interval = float(args[index + 1])
-            except ValueError:
-                print(f"--interval expects a number, got {args[index + 1]!r}")
-                return 2
-            index += 2
-        elif flag.startswith("--"):
-            print(f"unknown status option {flag!r}")
-            return 2
-        else:
-            print(f"unexpected argument {flag!r} (use --queue/--manifest)")
-            return 2
-
-    root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    root = Path(ns.cache_dir) if ns.cache_dir is not None else default_cache_dir()
 
     def snapshot() -> int:
         """Render one status pass; exit 0 iff everything found is complete."""
-        queue_dirs = [Path(q) for q in queue_args] or discover_queue_dirs(root)
+        queue_dirs = [Path(q) for q in ns.queue] or discover_queue_dirs(root)
         statuses = [queue_status(directory) for directory in queue_dirs]
-        manifest_paths = [Path(m) for m in manifest_args] or sorted(
+        manifest_paths = [Path(m) for m in ns.manifest] or sorted(
             root.glob("manifest*.json"))
         manifests = [manifest_status(path) for path in manifest_paths]
-        if as_json:
+        if ns.json:
             print(json_module.dumps(
                 {"queues": statuses,
                  "manifests": [m for m in manifests if m is not None]},
@@ -882,19 +596,17 @@ def _cmd_status(args: List[str]) -> int:
             status is not None and status["complete"] for status in manifests)
         return 0 if (statuses or manifests) and done else 1
 
-    if watch:
+    if ns.watch:
         try:
-            while True:
-                code = snapshot()
-                if code == 0:
-                    return 0
-                time_module.sleep(interval)
+            while snapshot() != 0:
+                time_module.sleep(ns.interval)
                 print()
+            return 0
         except KeyboardInterrupt:
             return 130
-    code = snapshot()
+    snapshot()
 
-    if validate:
+    if ns.validate:
         from repro.telemetry import ENV_DIR, validate_events_dir
         import os
 
@@ -907,55 +619,37 @@ def _cmd_status(args: List[str]) -> int:
         if problems:
             return 1
     # One-shot status is informational: report, don't fail, on incomplete.
-    return 0 if code in (0, 1) else code
+    return 0
 
 
 def _cmd_merge(args: List[str]) -> int:
-    """Fold N shard manifests + caches into one verified sweep result."""
+    parser = _Parser(
+        "merge", description="Fold shard manifests into one result, verified "
+        "complete: exit 1 on any missing, duplicated or failed cell.")
+    parser.add_argument("manifests", nargs="+", metavar="manifest.json")
+    parser.add_argument("--metric", default="ipc", metavar="NAME",
+                        help="table metric to print (default: %(default)s)")
+    ns = parser.parse_intermixed_args(args)
+
     from repro.runner import ManifestError, merge_manifests
 
-    manifest_paths: List[str] = []
-    metric = "ipc"
-    index = 0
-    while index < len(args):
-        flag = args[index]
-        if flag.startswith("--") and index + 1 >= len(args):
-            print(f"missing value for {flag}")
-            return 2
-        if flag == "--metric":
-            metric = args[index + 1]
-            index += 2
-        elif flag.startswith("--"):
-            print(f"unknown merge option {flag!r}")
-            return 2
-        else:
-            manifest_paths.append(flag)
-            index += 1
-    if not manifest_paths:
-        print("usage: python -m repro merge <manifest.json>... "
-              "[--metric NAME]")
-        return 2
-
     try:
-        result = merge_manifests(manifest_paths)
+        result = merge_manifests(ns.manifests)
     except ManifestError as error:
         print(f"merge failed: {error.args[0] if error.args else error}")
         return 1
-
-    print(
-        f"merged {result.merged_shards} manifest(s): {len(result)} cells, "
-        f"complete and unique (spec {result.spec.fingerprint()[:12]})"
-    )
-    _print_sweep_table(result)
     try:
-        table = result.table(metric)
+        table = result.table(ns.metric)
     except (AttributeError, TypeError, ValueError):
         # Missing attribute, or one that exists but is not a number
         # (platform, stats, ...) — either way not a table metric.
-        print(f"unknown metric {metric!r}")
-        return 2
+        parser.error(f"unknown metric {ns.metric!r}")
+
+    print(f"merged {result.merged_shards} manifest(s): {len(result)} cells, "
+          f"complete and unique (spec {result.spec.fingerprint()[:12]})")
+    _print_sweep_table(result)
     platforms = list(result.spec.platforms)
-    print(f"\n{metric} table:")
+    print(f"\n{ns.metric} table:")
     print(f"{'workload':12s} " + " ".join(f"{p:>12s}" for p in platforms))
     for workload, row in table.items():
         print(f"{workload:12s} "
@@ -966,47 +660,43 @@ def _cmd_merge(args: List[str]) -> int:
 
 
 def _cmd_config(args: List[str]) -> int:
-    """Inspect the configuration space: paths, field cards, diffs, presets."""
+    parser = _Parser("config", usage="%(prog)s (--list-paths | --explain PATH | "
+                     "--diff A B | --presets | --golden)",
+                     description="Inspect the configuration space.")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--list-paths", action="store_true",
+                        help="every dotted override path with type/default/unit")
+    action.add_argument("--explain", metavar="PATH",
+                        help="full field card: doc, bounds, axis, platform pins")
+    action.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="resolved-config diff between two platforms")
+    action.add_argument("--presets", action="store_true",
+                        help="list the named experiment presets")
+    action.add_argument("--golden", action="store_true",
+                        help="schema-drift golden lines (tests/data regeneration)")
+    ns = parser.parse_intermixed_args(args)
+
     from repro.configspace import (
         EXPERIMENT_PRESETS,
         PLATFORM_LAYERS,
         SCHEMA,
-        ConfigPathError,
         FieldRef,
         config_fingerprint,
         resolve_platform_config,
     )
 
-    if not args or args[0] in ("-h", "--help"):
-        print("usage: python -m repro config "
-              "(--list-paths | --explain PATH | --diff A B | --presets | --golden)")
-        return 0 if args else 2
-
-    flag = args[0]
-    if flag == "--list-paths":
+    if ns.list_paths:
         print(f"{'path':44s} {'type':6s} {'default':>14s} {'unit':12s}")
         for spec in SCHEMA.fields():
             print(f"{spec.path:44s} {spec.type.__name__:6s} "
                   f"{str(spec.default):>14s} {spec.unit:12s}")
         print(f"{len(SCHEMA)} overridable paths")
-        return 0
-
-    if flag == "--golden":
+    elif ns.golden:
         for line in SCHEMA.golden_lines():
             print(line)
-        return 0
-
-    if flag == "--explain":
-        if len(args) < 2:
-            print("usage: python -m repro config --explain <dotted.path>")
-            return 2
-        path = args[1]
-        try:
-            spec = SCHEMA.get(path)
-        except ConfigPathError as error:
-            print(error.args[0])
-            return 2
-        print(spec.describe())
+    elif ns.explain is not None:
+        path = ns.explain
+        print(SCHEMA.get(path).describe())
         # Which platform layers touch this path (pins win over --set).
         pinned_by = []
         for platform, layer in sorted(PLATFORM_LAYERS.items()):
@@ -1018,20 +708,14 @@ def _cmd_config(args: List[str]) -> int:
                     pinned_by.append(f"{platform} {kind} {source}")
         if pinned_by:
             print("platforms: " + "; ".join(pinned_by))
-        return 0
-
-    if flag == "--diff":
-        if len(args) < 3:
-            print("usage: python -m repro config --diff <platformA> <platformB>")
-            return 2
-        name_a, name_b = args[1], args[2]
+    elif ns.diff is not None:
+        name_a, name_b = ns.diff
         from repro.platforms.zng import PLATFORM_NAMES
 
         known = ["GDDR5"] + PLATFORM_NAMES
         for name in (name_a, name_b):
             if name not in known:
-                print(f"unknown platform {name!r}; known: {known}")
-                return 2
+                raise ValueError(f"unknown platform {name!r}; known: {known}")
         resolved_a = resolve_platform_config(name_a)
         resolved_b = resolve_platform_config(name_b)
         differences = SCHEMA.diff(resolved_a.config, resolved_b.config)
@@ -1044,34 +728,66 @@ def _cmd_config(args: List[str]) -> int:
             print("(identical resolved configurations)")
         print(f"fingerprints: {name_a}={config_fingerprint(resolved_a.config)[:12]} "
               f"{name_b}={config_fingerprint(resolved_b.config)[:12]}")
-        return 0
-
-    if flag == "--presets":
+    else:
         for name in sorted(EXPERIMENT_PRESETS):
             preset = EXPERIMENT_PRESETS[name]
             cells = (len(preset.platforms) * len(preset.workloads)
                      * max(1, len(preset.overrides)))
             print(f"{name:20s} {cells:>5d} cells  {preset.description}")
         print("run one with: python -m repro sweep --preset <name>")
-        return 0
+    return 0
 
-    print(f"unknown config option {flag!r}")
-    return 2
+
+#: ``workloads --record`` knobs, named as ``tracefile.record_trace`` takes them.
+_RECORD_KNOBS = ("scale", "seed", "num_sms", "warps_per_sm",
+                 "memory_instructions_per_warp")
 
 
 def _cmd_workloads(args: List[str]) -> int:
-    """Inspect the workload-family registry; record/replay trace files."""
+    parser = _Parser(
+        "workloads", usage="%(prog)s (--list | --explain NAME | --golden | "
+        "--record TOKEN --out FILE [knobs] | --replay FILE [--verify])",
+        description="Inspect the workload-family registry; record and replay "
+        "trace files.")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--list", action="store_true",
+                        help="every registered workload family with suite/params")
+    action.add_argument("--explain", metavar="NAME",
+                        help="family card: description, typed parameter schema")
+    action.add_argument("--golden", action="store_true",
+                        help="catalogue drift-gate lines "
+                        "(tests/data/workload_catalog.txt)")
+    action.add_argument("--record", metavar="TOKEN",
+                        help="write TOKEN's trace as a content-hashed trace file, "
+                        "seeded like a sweep cell so it replays that sweep")
+    action.add_argument("--replay", metavar="FILE",
+                        help="hash-verify a trace file and print its provenance")
+    record = parser.add_argument_group(
+        "--record options", "Knobs default to the sweep defaults and are checked "
+        "as a sweep checks them.")
+    record.add_argument("--out", metavar="FILE", help="trace file to write")
+    record.add_argument("--scale", type=float, metavar="S", help="default: 0.2")
+    record.add_argument("--seed", type=int, metavar="N", help="default: 1")
+    record.add_argument("--sms", dest="num_sms", type=int, metavar="N",
+                        help="default: 16")
+    record.add_argument("--warps", dest="warps_per_sm", type=int, metavar="N",
+                        help="default: 8")
+    record.add_argument("--mem-insts", dest="memory_instructions_per_warp",
+                        type=int, metavar="N", help="default: 64")
+    parser.add_argument("--verify", action="store_true",
+                        help="with --replay: regenerate the trace from its "
+                        "recorded token/knobs and require it bit-identical")
+    ns = parser.parse_intermixed_args(args)
+    knobs = {name: getattr(ns, name) for name in _RECORD_KNOBS
+             if getattr(ns, name) is not None}
+    if ns.record is None and (ns.out is not None or knobs):
+        parser.error("--out and the knob flags only apply to --record")
+    if ns.verify and ns.replay is None:
+        parser.error("--verify only applies to --replay")
+
     from repro.workloads import registry, tracefile
 
-    usage = ("usage: python -m repro workloads (--list | --explain NAME | "
-             "--golden | --record TOKEN --out FILE [knobs] | "
-             "--replay FILE [--verify])")
-    if not args or args[0] in ("-h", "--help"):
-        print(usage)
-        return 0 if args else 2
-
-    flag = args[0]
-    if flag == "--list":
+    if ns.list:
         print(f"{'family':22s} {'suite':12s} {'params':>6s}  description")
         for name in registry.family_names():
             family = registry.WORKLOAD_FAMILIES[name]
@@ -1081,127 +797,58 @@ def _cmd_workloads(args: List[str]) -> int:
               f"{', '.join(registry.GROUP_TOKENS)}; parameterised instances "
               f"as family:param=value,...; replay via trace:<file>")
         return 0
-
-    if flag == "--golden":
+    if ns.golden:
         for line in registry.catalog_lines():
             print(line)
         return 0
-
-    if flag == "--explain":
-        if len(args) < 2:
-            print("usage: python -m repro workloads --explain <family>")
-            return 2
-        try:
-            family = registry.family_by_name(args[1])
-        except KeyError as error:
-            print(error.args[0])
-            return 2
-        print(family.describe())
+    if ns.explain is not None:
+        print(registry.family_by_name(ns.explain).describe())
         return 0
-
-    if flag == "--record":
-        if len(args) < 2:
-            print("usage: python -m repro workloads --record TOKEN --out FILE "
-                  "[--scale S] [--seed N] [--sms N] [--warps N] [--mem-insts N]")
-            return 2
-        token = args[1]
-        out_path = None
-        # Sweep-default knobs, so a recorded file replays the default sweep.
-        knob_values = {"scale": 0.2, "seed": 1, "sms": 16, "warps": 8,
-                       "mem-insts": 64}
-        index = 2
-        while index < len(args):
-            option = args[index]
-            if index + 1 >= len(args):
-                print(f"missing value for {option}")
-                return 2
-            if option == "--out":
-                out_path = args[index + 1]
-            elif option.startswith("--") and option[2:] in knob_values:
-                name = option[2:]
-                kind = float if name == "scale" else int
-                try:
-                    knob_values[name] = kind(args[index + 1])
-                except ValueError:
-                    print(f"{option} expects a number, got {args[index + 1]!r}")
-                    return 2
-            else:
-                print(f"unknown record option {option!r}")
-                return 2
-            index += 2
-        if out_path is None:
-            print("--record needs --out FILE")
-            return 2
-        try:
-            recorded = tracefile.record_trace(
-                token,
-                out_path,
-                scale=knob_values["scale"],
-                seed=knob_values["seed"],
-                num_sms=knob_values["sms"],
-                warps_per_sm=knob_values["warps"],
-                memory_instructions_per_warp=knob_values["mem-insts"],
-            )
-        except (ValueError, KeyError, OSError) as error:
-            if isinstance(error, OSError):
-                print(f"cannot record trace to {out_path}: {error}")
-            else:
-                print(error.args[0] if error.args else error)
-            return 2
+    if ns.record is not None:
+        if ns.out is None:
+            parser.error("--record needs --out FILE")
+        recorded = tracefile.record_trace(ns.record, ns.out, **knobs)
         trace = recorded.trace
-        print(f"recorded {recorded.workload} -> {out_path}")
+        print(f"recorded {recorded.workload} -> {ns.out}")
         print(f"  schema:       {tracefile.TRACE_SCHEMA}")
         print(f"  content hash: {recorded.content_hash}")
         print(f"  warps:        {len(trace.warps)}")
         print(f"  instructions: {trace.total_instructions} "
               f"({trace.total_memory_instructions} memory)")
-        print(f"sweep it with: python -m repro sweep --workloads "
-              f"trace:{out_path}")
+        print(f"sweep it with: python -m repro sweep --workloads trace:{ns.out}")
         return 0
 
-    if flag == "--replay":
-        if len(args) < 2:
-            print("usage: python -m repro workloads --replay FILE [--verify]")
-            return 2
-        verify = "--verify" in args[2:]
-        unknown = [a for a in args[2:] if a != "--verify"]
-        if unknown:
-            print(f"unknown replay option {unknown[0]!r}")
-            return 2
+    try:
+        loaded = tracefile.read_trace_file(ns.replay)
+    except tracefile.TraceFileError as error:
+        print(error.args[0])
+        return 1
+    trace = loaded.trace
+    print(f"{ns.replay}: {tracefile.TRACE_SCHEMA} "
+          f"(content hash verified: {loaded.content_hash[:16]}...)")
+    print(f"  workload:     {loaded.workload or '(external trace)'}")
+    print(f"  knobs:        {loaded.knobs}")
+    print(f"  warps:        {len(trace.warps)}")
+    print(f"  instructions: {trace.total_instructions} "
+          f"({trace.total_memory_instructions} memory)")
+    if ns.verify:
+        from repro.workloads.io import trace_to_dict
+
         try:
-            loaded = tracefile.read_trace_file(args[1])
-        except tracefile.TraceFileError as error:
-            print(error.args[0])
+            regenerated = tracefile.regenerate_from_meta(loaded)
+        except (tracefile.TraceFileError, ValueError, KeyError) as error:
+            # KeyError: the recorded token names a family this build no
+            # longer registers — generator drift, the very thing
+            # --verify exists to surface.
+            print(error.args[0] if error.args else error)
             return 1
-        trace = loaded.trace
-        print(f"{args[1]}: {tracefile.TRACE_SCHEMA} "
-              f"(content hash verified: {loaded.content_hash[:16]}...)")
-        print(f"  workload:     {loaded.workload or '(external trace)'}")
-        print(f"  knobs:        {loaded.knobs}")
-        print(f"  warps:        {len(trace.warps)}")
-        print(f"  instructions: {trace.total_instructions} "
-              f"({trace.total_memory_instructions} memory)")
-        if verify:
-            from repro.workloads.io import trace_to_dict
-
-            try:
-                regenerated = tracefile.regenerate_from_meta(loaded)
-            except (tracefile.TraceFileError, ValueError, KeyError) as error:
-                # KeyError: the recorded token names a family this build no
-                # longer registers — generator drift, the very thing
-                # --verify exists to surface.
-                print(error.args[0] if error.args else error)
-                return 1
-            if trace_to_dict(regenerated) != trace_to_dict(trace):
-                print("VERIFY FAILED: regenerating from the recorded "
-                      "token/knobs does not reproduce the stored trace "
-                      "(generator drift?)")
-                return 1
-            print("  verify:       regenerated trace is bit-identical")
-        return 0
-
-    print(f"unknown workloads option {flag!r}")
-    return 2
+        if trace_to_dict(regenerated) != trace_to_dict(trace):
+            print("VERIFY FAILED: regenerating from the recorded "
+                  "token/knobs does not reproduce the stored trace "
+                  "(generator drift?)")
+            return 1
+        print("  verify:       regenerated trace is bit-identical")
+    return 0
 
 
 COMMANDS = {
@@ -1228,9 +875,21 @@ def main(argv: List[str] = None) -> int:
         return 0
     command = argv[0]
     if command not in COMMANDS:
-        print(f"unknown command {command!r}; known: {sorted(COMMANDS)}")
+        print(f"unknown command {command!r}; known: {sorted(COMMANDS)}",
+              file=sys.stderr)
         return 2
-    return COMMANDS[command](argv[1:])
+    try:
+        return COMMANDS[command](argv[1:])
+    except SystemExit as stop:  # argparse: -h/--help (0) or a parse error (2)
+        return stop.code
+    except OSError as error:
+        print(error, file=sys.stderr)
+        return 2
+    except (ValueError, KeyError) as error:
+        # Bad input found past the parser (an unknown platform, a run knob
+        # out of range, ...): one line, no traceback.
+        print(error.args[0] if error.args else error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -81,6 +81,27 @@ _RUN_KNOBS = (
 )
 
 
+def check_run_knobs(
+    scale: float,
+    num_sms: int,
+    warps_per_sm: int,
+    memory_instructions_per_warp: int,
+) -> Tuple[int, int, int]:
+    """Check the trace-generation knobs; return the three counts coerced.
+
+    ``scale`` must be a finite number > 0, and the SM, warp and
+    memory-instruction counts ints >= 1.  Sweeps and recorded traces both
+    check here, so a trace file never holds knobs a sweep would refuse.
+    """
+    if isinstance(scale, bool) or not (
+            isinstance(scale, (int, float)) and 0 < scale < math.inf):
+        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+    num_sms, warps_per_sm, memory_instructions_per_warp = (
+        coerce_value(knob, value) for knob, value in zip(
+            _RUN_KNOBS, (num_sms, warps_per_sm, memory_instructions_per_warp)))
+    return num_sms, warps_per_sm, memory_instructions_per_warp
+
+
 #: What callers may pass as the ``overrides`` argument of ``SweepSpec.create``.
 OverridesInput = Union[None, OverrideMapping, Sequence[OverrideSet], Mapping[str, OverrideMapping]]
 
@@ -123,15 +144,10 @@ class SweepSpec:
         and bad paths/values raise before any cell runs.  ``workloads``
         accepts single applications (``"betw"``), mixes (``"betw-back"``)
         and group tokens (``"mixes"``, ``"graph"``, ``"scientific"``).
-        The run knobs are checked too: ``scale`` must be a finite number
-        > 0, and the SM, warp and memory-instruction counts ints >= 1.
+        The run knobs are checked by :func:`check_run_knobs`.
         """
-        if isinstance(scale, bool) or not (
-                isinstance(scale, (int, float)) and 0 < scale < math.inf):
-            raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
-        num_sms, warps_per_sm, memory_instructions_per_warp = (
-            coerce_value(knob, value) for knob, value in zip(
-                _RUN_KNOBS, (num_sms, warps_per_sm, memory_instructions_per_warp)))
+        num_sms, warps_per_sm, memory_instructions_per_warp = check_run_knobs(
+            scale, num_sms, warps_per_sm, memory_instructions_per_warp)
         if overrides is None:
             override_sets: Tuple[OverrideSet, ...] = (OverrideSet("default"),)
         elif isinstance(overrides, Mapping):

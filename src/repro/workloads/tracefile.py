@@ -198,9 +198,10 @@ def record_trace(
     ``seed`` is the *sweep* seed: the trace seed is derived through the same
     ``cell_seed(seed, canonical_token)`` the runner uses, so replaying the
     file in a sweep with that seed reproduces the generating sweep's cells
-    bit-identically.  Mix tokens record the combined co-run trace.
+    bit-identically.  Mix tokens record the combined co-run trace.  The
+    knobs are checked as a sweep checks them.
     """
-    from repro.runner.spec import cell_seed
+    from repro.runner.spec import cell_seed, check_run_knobs
     from repro.workloads.registry import (
         TraceKnobs,
         build_trace,
@@ -208,6 +209,8 @@ def record_trace(
         parse_workload_token,
     )
 
+    num_sms, warps_per_sm, memory_instructions_per_warp = check_run_knobs(
+        scale, num_sms, warps_per_sm, memory_instructions_per_warp)
     canonical = canonicalize_token(token)
     if canonical.startswith("trace:"):
         raise TraceFileError(

@@ -10,6 +10,52 @@ import pytest
 from repro.__main__ import main
 
 
+def assert_rejected(capsys, message):
+    """An exit-2 rejection: the message on stderr, nothing on stdout."""
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+#: Bad input that must exit 2 with one stderr line, never a traceback.
+#: ``{tmp}`` stands for a fresh temporary directory.
+BOUNDARY_ERRORS = [
+    (["fig10", "abc"], "invalid float value: 'abc'"),
+    (["fig10", "nan"], "scale must be a finite number > 0, got nan"),
+    (["fig10", "-1"], "scale must be a finite number > 0, got -1.0"),
+    (["fig11", "0"], "scale must be a finite number > 0, got 0.0"),
+    (["report", "nan"], "scale must be a finite number > 0, got nan"),
+    (["report", "-1"], "scale must be a finite number > 0, got -1.0"),
+    (["run", "NoSuch", "betw", "back"], "unknown platform 'NoSuch'"),
+    (["run", "ZnG", "nosuch", "back"], "unknown workload family 'nosuch'"),
+    (["report", "--golden", "--workers", "0"], "workers must be an int >= 1"),
+    (["status", "--cache-dir", "{tmp}", "--watch", "--interval", "-1"],
+     "interval must be a finite number of seconds > 0, got -1.0"),
+    (["status", "--cache-dir", "{tmp}", "--watch", "--interval", "nan"],
+     "interval must be a finite number of seconds > 0, got nan"),
+    (["workloads", "--record", "betw", "--out", "{tmp}/x.json",
+      "--warps", "0"], "warps_per_sm must be >= 1"),
+    (["workloads", "--record", "betw", "--out", "{tmp}/x.json",
+      "--scale", "nan"], "scale must be a finite number > 0, got nan"),
+    (["run", "ZnG", "betw", "back", "extra"], "unrecognized arguments: extra"),
+    (["config", "--list-paths", "extra"], "unrecognized arguments: extra"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BOUNDARY_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in BOUNDARY_ERRORS])
+def test_boundary_errors_exit_2_with_one_stderr_line(capsys, tmp_path, argv,
+                                                     message):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCLI:
     def test_help(self, capsys):
         assert main(["help"]) == 0
@@ -20,7 +66,7 @@ class TestCLI:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
-        assert "unknown command" in capsys.readouterr().out
+        assert_rejected(capsys, "unknown command")
 
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
@@ -89,37 +135,37 @@ class TestSweepCommand:
 
     def test_sweep_unknown_platform(self, capsys):
         assert main(["sweep", "--platforms", "NoSuch", "--no-cache"]) == 2
-        assert "unknown platform" in capsys.readouterr().out
+        assert_rejected(capsys, "unknown platform")
 
     def test_sweep_unknown_workload(self, capsys):
         assert main(["sweep", "--workloads", "frobnicate", "--no-cache"]) == 2
-        assert "unknown workload" in capsys.readouterr().out
+        assert_rejected(capsys, "unknown workload")
 
     def test_sweep_bad_override_path(self, capsys):
         assert main(self.ARGS + ["--no-cache", "--set", "x:znand.bogus=1"]) == 2
-        assert "no field" in capsys.readouterr().out
+        assert_rejected(capsys, "no field")
 
     def test_sweep_malformed_override(self, capsys):
         assert main(["sweep", "--set", "junk", "--no-cache"]) == 2
-        assert "malformed override" in capsys.readouterr().out
+        assert_rejected(capsys, "malformed override")
 
     def test_sweep_type_mismatched_override_rejected(self, capsys):
         assert main(self.ARGS + [
             "--no-cache", "--set", "x:znand.channels=fast",
         ]) == 2
-        assert "expects an int" in capsys.readouterr().out
+        assert_rejected(capsys, "expects an int")
 
     def test_sweep_property_override_rejected(self, capsys):
         assert main(self.ARGS + [
             "--no-cache", "--set", "x:znand.total_planes=4",
         ]) == 2
-        assert "derived property" in capsys.readouterr().out
+        assert_rejected(capsys, "derived property")
 
     def test_sweep_out_of_range_override_rejected(self, capsys):
         assert main(self.ARGS + [
             "--no-cache", "--set", "x:znand.channels=0",
         ]) == 2
-        assert ">=" in capsys.readouterr().out
+        assert_rejected(capsys, ">=")
 
     def test_sweep_preset(self, capsys):
         assert main([
@@ -129,9 +175,24 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "ZnG-base" in out and "2 cells" in out
 
+    def test_flags_before_preset_override_it(self, capsys, tmp_path):
+        from repro.runner import RunManifest
+
+        assert main([
+            "sweep", "--platforms", "ZnG", "--scale", "0.05",
+            "--set", "wide:znand.channels=32", "--preset", "smoke",
+            "--workloads", "bfs1", "--workers", "1",
+            "--cache-dir", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "ZnG-base" not in out and "1 cells" in out
+        spec = RunManifest.load(tmp_path / "manifest.json").spec()
+        assert spec.platforms == ("ZnG",) and spec.scale == 0.05
+        assert [point.label for point in spec.overrides] == ["wide"]
+
     def test_sweep_unknown_preset(self, capsys):
         assert main(["sweep", "--preset", "nope", "--no-cache"]) == 2
-        assert "unknown experiment preset" in capsys.readouterr().out
+        assert_rejected(capsys, "unknown experiment preset")
 
     def test_sweep_config_file(self, capsys, tmp_path):
         config_file = tmp_path / "overrides.json"
@@ -147,7 +208,7 @@ class TestSweepCommand:
         assert main(self.ARGS + [
             "--no-cache", "--config-file", str(config_file),
         ]) == 2
-        assert "expects an int" in capsys.readouterr().out
+        assert_rejected(capsys, "expects an int")
 
     def test_sweep_missing_config_file(self, capsys, tmp_path):
         assert main(self.ARGS + [
@@ -253,7 +314,7 @@ class TestShardedSweepCLI:
     @pytest.mark.parametrize("bad", ["0/3", "4/3", "x/3", "2", "1/0"])
     def test_shard_flag_validation(self, capsys, bad):
         assert main(self.SMOKE + ["--no-cache", "--shard", bad]) == 2
-        assert "--shard expects" in capsys.readouterr().out
+        assert_rejected(capsys, "--shard expects")
 
     def test_merge_round_trip_and_withheld_shard(self, capsys, tmp_path):
         manifests = []
@@ -275,7 +336,7 @@ class TestShardedSweepCLI:
 
     def test_merge_requires_manifests(self, capsys):
         assert main(["merge"]) == 2
-        assert "usage" in capsys.readouterr().out
+        assert_rejected(capsys, "usage")
 
     def test_merge_unknown_option(self, capsys):
         assert main(["merge", "--bogus", "x"]) == 2
@@ -286,15 +347,15 @@ class TestShardedSweepCLI:
         manifest = str(tmp_path / "manifest.json")
         for metric in ("platform", "stats", "nope"):
             assert main(["merge", manifest, "--metric", metric]) == 2
-            assert "unknown metric" in capsys.readouterr().out
+            assert_rejected(capsys, "unknown metric")
 
     def test_resume_rejects_conflicting_flags(self, capsys, tmp_path):
         manifest = str(tmp_path / "m.json")
         assert main(["sweep", "--resume", manifest, "--shard", "1/2"]) == 2
-        assert "--resume takes" in capsys.readouterr().out
+        assert_rejected(capsys, "--resume takes")
         assert main(["sweep", "--resume", manifest,
                      "--manifest", str(tmp_path / "other.json")]) == 2
-        assert "--resume takes" in capsys.readouterr().out
+        assert_rejected(capsys, "--resume takes")
 
     def test_resume_round_trip(self, capsys, tmp_path):
         assert main(self.SMOKE + ["--cache-dir", str(tmp_path)]) == 0
@@ -309,7 +370,7 @@ class TestShardedSweepCLI:
         assert main([
             "sweep", "--resume", str(tmp_path / "m.json"), "--no-cache",
         ]) == 2
-        assert "--resume needs the result cache" in capsys.readouterr().out
+        assert_rejected(capsys, "--resume needs the result cache")
 
     def test_resume_missing_manifest(self, capsys, tmp_path):
         assert main([
@@ -364,14 +425,14 @@ class TestReportCommand:
 
     def test_report_usage_and_bad_flags(self, capsys, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
-        assert "usage" in capsys.readouterr().out
+        assert_rejected(capsys, "usage")
         assert main(["report", "--bogus", "x"]) == 2
         assert main(["report", "--out"]) == 2
         assert main(["report", "x.json", "--workers", "two"]) == 2
 
     def test_report_golden_rejects_manifest_paths(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "m.json"), "--golden"]) == 2
-        assert "--golden" in capsys.readouterr().out
+        assert_rejected(capsys, "--golden")
 
 
 class TestConfigCommand:
@@ -390,7 +451,7 @@ class TestConfigCommand:
 
     def test_explain_unknown_path(self, capsys):
         assert main(["config", "--explain", "znand.bogus"]) == 2
-        assert "no field" in capsys.readouterr().out
+        assert_rejected(capsys, "no field")
 
     def test_explain_requires_path(self, capsys):
         assert main(["config", "--explain"]) == 2
@@ -404,7 +465,7 @@ class TestConfigCommand:
 
     def test_diff_unknown_platform(self, capsys):
         assert main(["config", "--diff", "ZnG", "NoSuch"]) == 2
-        assert "unknown platform" in capsys.readouterr().out
+        assert_rejected(capsys, "unknown platform")
 
     def test_presets(self, capsys):
         assert main(["config", "--presets"]) == 0
@@ -417,7 +478,7 @@ class TestConfigCommand:
 
     def test_no_args_usage(self, capsys):
         assert main(["config"]) == 2
-        assert "usage" in capsys.readouterr().out
+        assert_rejected(capsys, "usage")
 
     def test_unknown_option(self, capsys):
         assert main(["config", "--bogus"]) == 2
@@ -438,7 +499,7 @@ class TestWorkloadsCommand:
 
     def test_explain_typo_did_you_mean(self, capsys):
         assert main(["workloads", "--explain", "kv-lokup"]) == 2
-        assert "did you mean kv-lookup" in capsys.readouterr().out
+        assert_rejected(capsys, "did you mean kv-lookup")
 
     def test_explain_requires_name(self, capsys):
         assert main(["workloads", "--explain"]) == 2
@@ -468,7 +529,7 @@ class TestWorkloadsCommand:
     def test_record_bad_token(self, capsys, tmp_path):
         assert main(["workloads", "--record", "kv-lokup",
                      "--out", str(tmp_path / "x.json")]) == 2
-        assert "did you mean" in capsys.readouterr().out
+        assert_rejected(capsys, "did you mean")
 
     def test_replay_corrupted_file_exits_1(self, capsys, tmp_path):
         import json
@@ -486,7 +547,7 @@ class TestWorkloadsCommand:
 
     def test_no_args_usage(self, capsys):
         assert main(["workloads"]) == 2
-        assert "usage" in capsys.readouterr().out
+        assert_rejected(capsys, "usage")
 
     def test_unknown_option(self, capsys):
         assert main(["workloads", "--bogus"]) == 2
@@ -519,12 +580,12 @@ class TestParametricSweepCLI:
         # The pre-sweep validation satellite: a typo must die at spec
         # creation (exit 2, no cells run), with a suggestion.
         assert main(["sweep", "--workloads", "kv-lokup", "--no-cache"]) == 2
-        assert "did you mean kv-lookup" in capsys.readouterr().out
+        assert_rejected(capsys, "did you mean kv-lookup")
 
     def test_sweep_bad_family_param_fails_fast(self, capsys):
         assert main(["sweep", "--workloads", "kv-lookup:zipf=nope",
                      "--no-cache"]) == 2
-        assert "expects a float" in capsys.readouterr().out
+        assert_rejected(capsys, "expects a float")
 
     def test_scenario_preset_listed(self, capsys):
         assert main(["config", "--presets"]) == 0
