@@ -5,9 +5,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence, Tuple
 
 from repro.analysis.report import format_figure_table
+from repro.configspace import get_preset
 from repro.platforms.base import PlatformResult
-from repro.runner import cell_seed, run_grid
+from repro.runner import SweepSpec, cell_seed, run_sweep
 from repro.workloads.multiapp import MultiAppWorkload, build_mix
+from repro.workloads.suites import mix_name
 
 # Benches run sweeps serially and uncached by default so pytest-benchmark
 # times real simulation work, not cache reads; pass workers/cache to scale.
@@ -33,16 +35,27 @@ def run_sweep_grid(
     Returns ``{mix_name: {platform: PlatformResult}}`` — the shape the figure
     benches tabulate.
     """
-    return run_grid(
-        platform_names,
-        [f"{read_app}-{write_app}" for read_app, write_app in mixes],
+    spec = SweepSpec.create(
+        platforms=platform_names,
+        workloads=[mix_name(*mix) for mix in mixes],
         scale=scale,
         seed=BENCH_SEED,
         warps_per_sm=warps_per_sm,
         memory_instructions_per_warp=memory_instructions_per_warp,
-        workers=workers,
-        cache=cache,
     )
+    return run_sweep(spec, workers=workers, cache=cache).grid()
+
+
+def run_preset(name: str, mixes: Sequence[Tuple[str, str]], scale: float, **fields):
+    """Run experiment preset ``name`` on the bench mixes at ``scale``.
+
+    ``fields`` narrow the preset further (``platforms=[...]``); the trace
+    knobs stay the preset's.  Returns the :class:`~repro.runner.SweepResult`
+    for a ``figure_*_from_result`` pivot.
+    """
+    spec = get_preset(name).spec(
+        workloads=[mix_name(*mix) for mix in mixes], scale=scale, **fields)
+    return run_sweep(spec)
 
 
 def build_bench_mix(

@@ -4,25 +4,26 @@ More registers per plane enlarge the fully-associative write cache and absorb
 more of the redundant writes (Fig. 5c), cutting flash programs.
 
 The axis values come from the ``register_cache.registers_per_plane`` ablation
-metadata in the config schema and the grid runs through the runner-backed
-sensitivity sweep, so this bench, the ``reg-sweep`` preset and
+metadata in the config schema and the grid is the ``reg-sweep`` preset, so
+this bench, ``python -m repro sweep --preset reg-sweep`` and
 ``python -m repro config --explain`` all describe the same experiment.
 """
 
 from repro.analysis import sensitivity
+from repro.configspace import axis_overrides, get_preset
+from repro.runner import run_sweep
 from benchmarks.harness import run_once
 
+PATH = "register_cache.registers_per_plane"
 #: The canonical schema axis, bounded to keep the bench quick.
 REGISTER_VALUES = tuple(
-    value for value in sensitivity.axis_values(
-        "register_cache.registers_per_plane")
-    if value <= 16
-)
+    value for value in sensitivity.axis_values(PATH) if value <= 16)
 
 
 def _compare(scale):
-    results = sensitivity.sweep_registers_per_plane(
-        values=list(REGISTER_VALUES), scale=scale)
+    spec = get_preset("reg-sweep").spec(
+        overrides=axis_overrides(PATH, REGISTER_VALUES), scale=scale)
+    results = sensitivity.axis_from_result(run_sweep(spec), PATH)
     return {
         registers: (
             result.extra.get("register_hit_rate", 0.0),

@@ -1,11 +1,15 @@
 """Bench: Figure 11 — achieved Z-NAND flash-array bandwidth per platform."""
 
-from repro.analysis.figures import figure_11
-from benchmarks.harness import run_once
+from repro.analysis.figures import figure_11_from_result
+from benchmarks.harness import run_once, run_preset
+
+
+def _figure_11(scale, mixes):
+    return figure_11_from_result(run_preset("fig11", mixes, scale))
 
 
 def test_fig11_flash_bandwidth(benchmark, bench_scale, bench_mixes):
-    data = run_once(benchmark, figure_11, scale=bench_scale, mixes=bench_mixes)
+    data = run_once(benchmark, _figure_11, bench_scale, bench_mixes)
 
     # HybridGPU's flash-array bandwidth is stuck low; ZnG extracts far more.
     for mix_name, row in data.items():

@@ -7,9 +7,11 @@ justify its default configuration (Table I).
 
 The axes are not listed here: they are enumerated from the config schema
 (``repro.configspace.ablation_axes()`` — the ``ablation`` metadata each field
-declares), so this example automatically picks up any new sensitivity axis
-added to ``repro/config.py``.  Each axis is also available as an experiment
-preset (``python -m repro sweep --preset reg-sweep`` etc.) and documented by
+declares), and the ``table1-sensitivity`` preset holds one point per axis
+value, so this example automatically picks up any new sensitivity axis added
+to ``repro/config.py``.  It runs that preset once and pivots each axis out of
+the one result.  Each axis is also available as its own experiment preset
+(``python -m repro sweep --preset reg-sweep`` etc.) and documented by
 ``python -m repro config --explain <path>``.
 
 Run with::
@@ -20,7 +22,8 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis import sensitivity
-from repro.configspace import SCHEMA, ablation_axes
+from repro.configspace import SCHEMA, ablation_axes, get_preset
+from repro.runner import run_sweep
 
 
 def _extra_metric(result) -> str:
@@ -33,15 +36,14 @@ def _extra_metric(result) -> str:
 
 
 def main() -> None:
-    scale = 0.2
     axes = ablation_axes()
     print(f"{len(axes)} sensitivity axes declared in the config schema:\n")
 
+    sweep = run_sweep(get_preset("table1-sensitivity").spec(scale=0.2))
     for path in sorted(axes):
         spec = SCHEMA.get(path)
         print(f"{path}  [{spec.unit}] — {spec.doc}")
-        results = sensitivity.sweep_schema_axis(path, scale=scale)
-        for value, result in results.items():
+        for value, result in sensitivity.axis_from_result(sweep, path).items():
             print(f"  {str(value):>10}: IPC={result.ipc:.4f}  "
                   f"{_extra_metric(result)}")
         print()

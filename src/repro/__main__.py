@@ -130,24 +130,28 @@ def _cmd_report(args: List[str]) -> int:
     return 0
 
 
-def _print_figure(command: str, args: List[str], figure, title: str, fmt: str) -> int:
+def _print_figure(command: str, args: List[str], pivot, title: str, fmt: str) -> int:
+    """Run the ``command`` preset (``fig10``/``fig11``) on two mixes and pivot it."""
+    from repro.configspace import get_preset
+    from repro.runner import run_sweep
+
     parser = _Parser(command, description="The figure over two read-write mixes.")
     # No %(default)s here: parse_intermixed_args hides positional defaults.
     parser.add_argument("scale", nargs="?", type=float, default=0.2,
                         help="trace scale (default: 0.2)")
     scale = parser.parse_intermixed_args(args).scale
-    data = figure(scale=scale, mixes=[("betw", "back"), ("bfs1", "gaus")])
-    print(format_figure_table(title, data, fmt))
+    spec = get_preset(command).spec(scale=scale, workloads=["betw-back", "bfs1-gaus"])
+    print(format_figure_table(title, pivot(run_sweep(spec)), fmt))
     return 0
 
 
 def _cmd_fig10(args: List[str]) -> int:
-    return _print_figure("fig10", args, figures.figure_10,
+    return _print_figure("fig10", args, figures.figure_10_from_result,
                          "Figure 10 — Normalised IPC (to ZnG)", "{:.3f}")
 
 
 def _cmd_fig11(args: List[str]) -> int:
-    return _print_figure("fig11", args, figures.figure_11,
+    return _print_figure("fig11", args, figures.figure_11_from_result,
                          "Figure 11 — Flash-array bandwidth (GB/s)", "{:.2f}")
 
 
@@ -284,33 +288,23 @@ def _grid_parser() -> argparse.ArgumentParser:
 def _spec_from_args(ns):
     """The ``SweepSpec`` the grid flags declare.
 
-    Defaults, then the ``--preset``, then each grid flag given, so a flag
-    overrides the preset wherever it stands on the command line.
+    The ``--preset`` (default: ``zng-ablation``), then each grid flag given,
+    so a flag overrides the preset wherever it stands on the command line.
     """
     from repro.configspace import get_preset
-    from repro.runner import SweepSpec
 
-    platforms = ["ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"]
-    workloads = ["betw-back", "bfs1-gaus", "pr-gaus"]
-    axis = {}
-    knobs = dict(scale=0.2, seed=1, warps_per_sm=8, memory_instructions_per_warp=64)
-    if ns.preset is not None:
-        preset = get_preset(ns.preset)
-        platforms, workloads = list(preset.platforms), list(preset.workloads)
-        axis = preset.override_axis() or {}
-        knobs = dict(scale=preset.scale, seed=preset.seed,
-                     warps_per_sm=preset.warps_per_sm,
-                     memory_instructions_per_warp=preset.memory_instructions_per_warp)
+    preset = get_preset("zng-ablation" if ns.preset is None else ns.preset)
+    fields = {}
     if ns.platforms is not None:
-        platforms = [p for p in ns.platforms.split(",") if p]
+        fields["platforms"] = [p for p in ns.platforms.split(",") if p]
     if ns.workloads is not None:
-        workloads = [w for w in ns.workloads.split(",") if w]
+        fields["workloads"] = [w for w in ns.workloads.split(",") if w]
+    axis = preset.override_axis() or {}
     axis.update(_parse_override_flag(text) for text in ns.set or ())
     for name, value in (("scale", ns.scale), ("seed", ns.seed),
                         ("warps_per_sm", ns.warps)):
         if value is not None:
-            knobs[name] = value
-    base_config = None
+            fields[name] = value
     if ns.config_file:
         from repro.config import default_config
         from repro.runner import apply_overrides
@@ -318,10 +312,8 @@ def _spec_from_args(ns):
         file_overrides = {}
         for path in ns.config_file:
             file_overrides.update(_load_config_file(path))
-        base_config = apply_overrides(default_config(), file_overrides)
-    return SweepSpec.create(platforms=platforms, workloads=workloads,
-                            overrides=axis or None, base_config=base_config,
-                            **knobs)
+        fields["base_config"] = apply_overrides(default_config(), file_overrides)
+    return preset.spec(overrides=axis or None, **fields)
 
 
 def _print_sweep_table(result) -> None:

@@ -11,13 +11,13 @@ from repro.analysis.figures import (
     figure_3,
     figure_4c,
     figure_4d,
-    figure_5a,
+    figure_5a_from_result,
     figure_5b,
     figure_5c,
     figure_5d,
     figure_8b,
-    figure_10,
-    figure_11,
+    figure_10_from_result,
+    figure_11_from_result,
 )
 from repro.analysis.tables import table_1_configuration, table_2_workloads
 from repro.analysis.report import (
@@ -45,13 +45,13 @@ __all__ = [
     "figure_3",
     "figure_4c",
     "figure_4d",
-    "figure_5a",
+    "figure_5a_from_result",
     "figure_5b",
     "figure_5c",
     "figure_5d",
     "figure_8b",
-    "figure_10",
-    "figure_11",
+    "figure_10_from_result",
+    "figure_11_from_result",
     "table_1_configuration",
     "table_2_workloads",
     "format_figure_table",

@@ -1,19 +1,21 @@
 """Reproduction entry points for every figure in the paper's evaluation.
 
-Each ``figure_*`` function regenerates the data behind the corresponding
-figure: it builds the workloads, runs the platforms and returns plain Python
-dictionaries/arrays with the same rows/series the paper plots.  Absolute
-numbers differ from the paper (different substrate, synthetic traces); the
-*shape* — who wins, by roughly what factor, where the bottleneck sits — is
-asserted by the benches in ``benchmarks/``.
+The simulated figures (5a, 10, 11) are pure pivots over an already-run
+:class:`repro.runner.SweepResult`: declare the grid once as an experiment
+preset (``get_preset("fig10").spec(scale=...)``), run it with
+:func:`repro.runner.run_sweep` — or merge it from shard manifests — and hand
+the result to ``figure_*_from_result``.  One sweep can feed several figures.
+The remaining ``figure_*`` functions compute their data directly: analytic
+bandwidths, workload characterisation, or a single platform run.
 
-All functions take a ``scale`` knob (trace size multiplier) and, where
-relevant, a ``mixes`` subset so callers can trade fidelity for runtime.
+Absolute numbers differ from the paper (different substrate, synthetic
+traces); the *shape* — who wins, by roughly what factor, where the
+bottleneck sits — is asserted by the benches in ``benchmarks/``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,79 +24,18 @@ from repro.config import (
     PlatformConfig,
     default_config,
 )
-from repro.platforms.base import PlatformResult
-from repro.platforms.zng import PLATFORM_NAMES, build_platform
-from repro.workloads.multiapp import MultiAppWorkload, build_all_mixes, build_mix
-from repro.workloads.suites import ALL_WORKLOADS, MULTI_APP_MIXES, mix_name
-from repro.workloads.trace import WorkloadTrace
+from repro.platforms.base import GPUSSDPlatform
+from repro.platforms.zng import build_platform
+from repro.workloads.multiapp import build_all_mixes, build_mix
+from repro.workloads.suites import ALL_WORKLOADS
 
 #: Default (small) trace scale used when a caller does not specify one.
 DEFAULT_SCALE = 0.25
-#: Default subset of mixes used by the quick figure runs.
-DEFAULT_MIXES: List[Tuple[str, str]] = [("betw", "back"), ("bfs1", "gaus"), ("pr", "gaus")]
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Pivots over an already-run sweep
 # ---------------------------------------------------------------------------
-
-
-def run_platform_on_mix(
-    platform_name: str,
-    mix: MultiAppWorkload,
-    config: Optional[PlatformConfig] = None,
-) -> PlatformResult:
-    """Run one platform on one multi-app mix (a fresh platform per run)."""
-    from repro.platforms.base import GPUSSDPlatform
-
-    return GPUSSDPlatform.execute(platform_name, mix.combined, config)
-
-
-def run_platforms(
-    platform_names: Sequence[str],
-    mix: MultiAppWorkload,
-    config: Optional[PlatformConfig] = None,
-) -> Dict[str, PlatformResult]:
-    return {name: run_platform_on_mix(name, mix, config) for name in platform_names}
-
-
-def _sweep_mixes(
-    platform_names: Sequence[str],
-    mixes: Optional[Sequence[Tuple[str, str]]],
-    scale: float,
-    config: Optional[PlatformConfig],
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[str, Dict[str, PlatformResult]]:
-    """Run a platform x mix grid through the sweep runner.
-
-    Returns ``{mix_name: {platform: PlatformResult}}``.  With ``workers > 1``
-    cells fan out across a process pool; ``cache`` accepts anything
-    :class:`repro.runner.SweepRunner` does (``False`` disables memoization).
-    """
-    from repro.runner import run_grid
-
-    tokens = [mix_name(r, w) for r, w in (mixes or DEFAULT_MIXES)]
-    return run_grid(
-        platform_names, tokens, scale=scale, base_config=config,
-        workers=workers, cache=cache,
-    )
-
-
-def _normalised_ipc(
-    grid: Mapping[str, Mapping[str, PlatformResult]],
-    platform_names: Sequence[str],
-    normalize_to: str,
-) -> Dict[str, Dict[str, float]]:
-    """Pivot ``{mix: {platform: result}}`` to per-mix IPC normalised to one
-    platform (falling back to the per-mix best when it is absent/zero)."""
-    output: Dict[str, Dict[str, float]] = {}
-    for name, results in grid.items():
-        reference = results[normalize_to].ipc if normalize_to in results else None
-        if not reference:
-            reference = max(result.ipc for result in results.values()) or 1.0
-        output[name] = {p: results[p].ipc / reference for p in platform_names}
-    return output
 
 
 def figure_10_from_result(
@@ -102,14 +43,21 @@ def figure_10_from_result(
     platforms: Optional[Sequence[str]] = None,
     normalize_to: str = "ZnG",
 ) -> Dict[str, Dict[str, float]]:
-    """Figure 10 from an already-run sweep — e.g. one folded together by
-    ``repro merge`` from N shard manifests — instead of running the grid.
+    """Figure 10: per-mix IPC normalised to ``normalize_to`` (ZnG).
 
     ``result`` is any :class:`repro.runner.SweepResult` covering the fig10
-    platforms x mixes; platforms default to the result's own spec.
+    platforms x mixes — a live run or one folded together by ``repro merge``
+    from N shard manifests; platforms default to the result's own spec.
+    Returns ``{mix_name: {platform: normalised_ipc}}``.
     """
     platform_names = list(platforms or result.spec.platforms)
-    return _normalised_ipc(result.grid(), platform_names, normalize_to)
+    output: Dict[str, Dict[str, float]] = {}
+    for name, results in result.grid().items():
+        reference = results[normalize_to].ipc if normalize_to in results else None
+        if not reference:  # absent or zero: fall back to the per-mix best
+            reference = max(run.ipc for run in results.values()) or 1.0
+        output[name] = {p: results[p].ipc / reference for p in platform_names}
+    return output
 
 
 def figure_11_from_result(
@@ -126,6 +74,21 @@ def figure_11_from_result(
         }
         for name, results in result.grid().items()
     }
+
+
+def figure_5a_from_result(result) -> Dict[str, float]:
+    """Figure 5a from an already-run sweep: per-mix slowdown of direct
+    Z-NAND accesses (ZnG-base) vs GDDR5.
+
+    ``result`` must cover both platforms.  The paper reports degradations of
+    up to ~28x because a 128 B request wastes 97 % of the 4 KB flash page it
+    senses.
+    """
+    degradation: Dict[str, float] = {}
+    for name, results in result.grid().items():
+        gddr5, raw = results["GDDR5"], results["ZnG-base"]
+        degradation[name] = gddr5.ipc / raw.ipc if raw.ipc else float("inf")
+    return degradation
 
 
 def scenario_suite_from_result(
@@ -153,20 +116,6 @@ def scenario_suite_from_result(
         out.setdefault(family, {}).setdefault(token, {})[run.cell.platform] = (
             float(getattr(run.result, metric)))
     return out
-
-
-def _mixes_for(
-    mixes: Optional[Sequence[Tuple[str, str]]],
-    scale: float,
-    warps_per_sm: int = 8,
-    memory_instructions_per_warp: int = 64,
-) -> Dict[str, MultiAppWorkload]:
-    return build_all_mixes(
-        scale=scale,
-        mixes=list(mixes or DEFAULT_MIXES),
-        warps_per_sm=warps_per_sm,
-        memory_instructions_per_warp=memory_instructions_per_warp,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,30 +206,10 @@ def figure_4d(
 ) -> Dict[str, Dict[str, float]]:
     """Latency-breakdown fractions per component for GDDR5 and HybridGPU."""
     workload = build_mix(*mix, scale=scale, warps_per_sm=2, memory_instructions_per_warp=48)
-    results = run_platforms(["GDDR5", "HybridGPU"], workload, config)
-    return {name: result.breakdown_fractions() for name, result in results.items()}
-
-
-# ---------------------------------------------------------------------------
-# Figure 5a — performance degradation of raw Z-NAND accesses
-# ---------------------------------------------------------------------------
-
-
-def figure_5a(
-    scale: float = DEFAULT_SCALE,
-    mixes: Optional[Sequence[Tuple[str, str]]] = None,
-    config: Optional[PlatformConfig] = None,
-) -> Dict[str, float]:
-    """Per-mix slowdown of direct Z-NAND accesses (ZnG-base) vs GDDR5.
-
-    The paper reports degradations of up to ~28x because a 128 B request
-    wastes 97 % of the 4 KB flash page it senses.
-    """
-    degradation: Dict[str, float] = {}
-    for name, results in _sweep_mixes(["GDDR5", "ZnG-base"], mixes, scale, config).items():
-        gddr5, raw = results["GDDR5"], results["ZnG-base"]
-        degradation[name] = gddr5.ipc / raw.ipc if raw.ipc else float("inf")
-    return degradation
+    return {
+        name: GPUSSDPlatform.execute(name, workload.combined, config).breakdown_fractions()
+        for name in ("GDDR5", "HybridGPU")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +223,7 @@ def figure_5b(
     """Average read re-accesses per Z-NAND page, per mix (paper average ~42)."""
     return {
         name: mix.combined.mean_read_reaccess
-        for name, mix in _mixes_for(mixes or MULTI_APP_MIXES, scale).items()
+        for name, mix in build_all_mixes(scale=scale, mixes=mixes, warps_per_sm=8).items()
     }
 
 
@@ -304,7 +233,7 @@ def figure_5c(
     """Average write redundancy per Z-NAND page, per mix (paper average ~65)."""
     return {
         name: mix.combined.mean_write_redundancy
-        for name, mix in _mixes_for(mixes or MULTI_APP_MIXES, scale).items()
+        for name, mix in build_all_mixes(scale=scale, mixes=mixes, warps_per_sm=8).items()
     }
 
 
@@ -337,69 +266,3 @@ def figure_8b(
     built = build_platform(platform, config)
     built.run(workload.combined)
     return built.array.write_heatmap()  # type: ignore[attr-defined]
-
-
-# ---------------------------------------------------------------------------
-# Figure 10 — normalised IPC of all platforms
-# ---------------------------------------------------------------------------
-
-
-def figure_10(
-    scale: float = DEFAULT_SCALE,
-    mixes: Optional[Sequence[Tuple[str, str]]] = None,
-    platforms: Optional[Sequence[str]] = None,
-    config: Optional[PlatformConfig] = None,
-    normalize_to: str = "ZnG",
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[str, Dict[str, float]]:
-    """Per-mix IPC of every platform, normalised to ``normalize_to`` (ZnG).
-
-    Returns ``{mix_name: {platform: normalised_ipc}}``.  The grid runs through
-    the sweep runner: pass ``workers``/``cache`` to parallelise and memoize.
-    """
-    platform_names = list(platforms or PLATFORM_NAMES)
-    grid = _sweep_mixes(platform_names, mixes, scale, config,
-                        workers=workers, cache=cache)
-    return _normalised_ipc(grid, platform_names, normalize_to)
-
-
-def figure_10_raw(
-    scale: float = DEFAULT_SCALE,
-    mixes: Optional[Sequence[Tuple[str, str]]] = None,
-    platforms: Optional[Sequence[str]] = None,
-    config: Optional[PlatformConfig] = None,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[str, Dict[str, PlatformResult]]:
-    """Same sweep as :func:`figure_10` but returning the full result records."""
-    platform_names = list(platforms or PLATFORM_NAMES)
-    return _sweep_mixes(platform_names, mixes, scale, config, workers=workers, cache=cache)
-
-
-# ---------------------------------------------------------------------------
-# Figure 11 — achieved Z-NAND flash-array bandwidth
-# ---------------------------------------------------------------------------
-
-
-def figure_11(
-    scale: float = DEFAULT_SCALE,
-    mixes: Optional[Sequence[Tuple[str, str]]] = None,
-    platforms: Optional[Sequence[str]] = None,
-    config: Optional[PlatformConfig] = None,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[str, Dict[str, float]]:
-    """Per-mix flash-array read bandwidth (GB/s) of the flash-backed platforms."""
-    platform_names = list(
-        platforms or ["HybridGPU", "ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"]
-    )
-    return {
-        name: {
-            platform: result.flash_array_read_bandwidth_gbps
-            for platform, result in results.items()
-        }
-        for name, results in _sweep_mixes(
-            platform_names, mixes, scale, config, workers=workers, cache=cache
-        ).items()
-    }

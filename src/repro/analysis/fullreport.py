@@ -15,6 +15,8 @@ from repro.analysis.report import (
     format_records_table,
     render_report,
 )
+from repro.configspace.presets import EVAL_PLATFORMS, get_preset
+from repro.workloads.suites import mix_name
 
 
 def _table1_section() -> str:
@@ -42,8 +44,19 @@ def generate_report(
     scale: float = 0.2,
     mixes: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> str:
-    """Build the full report at a given trace scale."""
+    """Build the full report at a given trace scale.
+
+    Figures 5a, 10 and 11 all pivot one sweep over GDDR5 plus the seven
+    evaluation platforms, so no cell runs twice.
+    """
+    from repro.runner import run_sweep
+
     quick_mixes = list(mixes or [("betw", "back"), ("bfs1", "gaus")])
+    result = run_sweep(get_preset("fig10").spec(
+        platforms=["GDDR5", *EVAL_PLATFORMS],
+        workloads=[mix_name(read, write) for read, write in quick_mixes],
+        scale=scale,
+    ))
     sections: List[str] = [
         _table1_section(),
         _table2_section(),
@@ -65,7 +78,7 @@ def generate_report(
         ),
         format_figure_table(
             "Figure 5a — Raw Z-NAND degradation (GDDR5/ZnG-base)",
-            figures.figure_5a(scale=scale, mixes=quick_mixes),
+            figures.figure_5a_from_result(result),
             "{:.1f}",
         ),
         format_figure_table(
@@ -79,32 +92,8 @@ def generate_report(
             "{:.1f}",
         ),
     ]
-    sections.extend(result_sections(_evaluation_result(scale, quick_mixes)))
+    sections.extend(result_sections(result))
     return render_report(sections)
-
-
-def _evaluation_result(scale: float, mixes: Sequence[Tuple[str, str]]):
-    """One sweep-runner pass over the evaluation grid (platforms x mixes).
-
-    Figures 10 and 11 used to each run their own grid; deriving both from a
-    single :class:`~repro.runner.runner.SweepResult` halves the simulation
-    work and routes the textual report through the same ``*_from_result``
-    pivots the CSV/HTML artifact reports use.
-    """
-    from repro.platforms.zng import PLATFORM_NAMES
-    from repro.runner import SweepSpec, run_sweep
-    from repro.workloads.suites import mix_name
-
-    spec = SweepSpec.create(
-        platforms=PLATFORM_NAMES,
-        workloads=[mix_name(read, write) for read, write in mixes],
-        scale=scale,
-    )
-    return run_sweep(spec, workers=1, cache=False)
-
-
-#: Figure 11 plots only the flash-backed platforms.
-_FLASH_PLATFORMS = ["HybridGPU", "ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"]
 
 
 def result_sections(result) -> List[str]:
@@ -112,18 +101,22 @@ def result_sections(result) -> List[str]:
 
     Works for a live sweep and for one folded together by ``repro merge``
     alike, so the textual report and the ``repro report`` artifacts always
-    agree on the numbers.
+    agree on the numbers.  Figure 10 plots the evaluation platforms and
+    Figure 11 the flash-backed ones (the ``fig11`` preset's) that the
+    result covers.
     """
-    flash = [p for p in _FLASH_PLATFORMS if p in result.spec.platforms] or None
+    platforms = result.spec.platforms
+    evaluated = [p for p in platforms if p in EVAL_PLATFORMS]
+    flash = [p for p in get_preset("fig11").platforms if p in platforms]
     return [
         format_figure_table(
             "Figure 10 — Normalised IPC (to ZnG)",
-            figures.figure_10_from_result(result),
+            figures.figure_10_from_result(result, platforms=evaluated or None),
             "{:.3f}",
         ),
         format_figure_table(
             "Figure 11 — Flash-array bandwidth (GB/s)",
-            figures.figure_11_from_result(result, platforms=flash),
+            figures.figure_11_from_result(result, platforms=flash or None),
             "{:.2f}",
         ),
     ]

@@ -469,18 +469,8 @@ def report_from_manifests(
 def golden_spec():
     """The golden sweep's declared grid — CI's fig10 matrix, bit for bit."""
     from repro.configspace import get_preset
-    from repro.runner import SweepSpec
 
-    preset = get_preset(GOLDEN_PRESET)
-    return SweepSpec.create(
-        platforms=list(preset.platforms),
-        workloads=list(preset.workloads),
-        overrides=preset.override_axis() or None,
-        scale=GOLDEN_SCALE,
-        seed=preset.seed,
-        warps_per_sm=preset.warps_per_sm,
-        memory_instructions_per_warp=preset.memory_instructions_per_warp,
-    )
+    return get_preset(GOLDEN_PRESET).spec(scale=GOLDEN_SCALE)
 
 
 def golden_result(workers: int = 1):

@@ -1,44 +1,30 @@
-"""Parameter sweeps over ZnG's design knobs.
+"""Sensitivity surfaces over ZnG's design knobs.
 
-Centralises the design-space exploration the paper performs informally: sweep
-one configuration parameter, hold the rest at Table I defaults, and report the
-resulting IPC / bandwidth / hit-rate.  The ablation benches use these helpers,
-and an example plots them.
+The paper explores its design space informally: vary one configuration
+parameter, hold the rest at Table I defaults, and compare IPC / bandwidth /
+hit rate.  Here each such sweep is declared once, as an experiment preset
+(``reg-sweep``, ``l2-sweep``, ``prefetch-sweep``, ``interconnect-sweep``,
+``table1-sensitivity``, ... in :mod:`repro.configspace.presets`), run through
+:mod:`repro.runner` — parallel, cached, shardable — and pivoted back into a
+``{value: PlatformResult}`` surface by the pure functions below::
 
-The axes themselves are not hard-coded here: each named sweep reads its
-canonical values from the ``ablation`` metadata the config schema
-(:mod:`repro.configspace`) carries per field, so the sensitivity surface and
-the schema can never drift apart.  :func:`axes` enumerates every declared
-axis; :func:`sweep_schema_axis` sweeps one by dotted path.
+    spec = get_preset("reg-sweep").spec(scale=0.1)
+    surface = axis_from_result(run_sweep(spec),
+                               "register_cache.registers_per_plane")
 
-Each named sweep is one labelled override axis handed to the
-:mod:`repro.runner` subsystem, so it parallelises across a worker pool and
-memoizes finished points in the on-disk result cache like any other sweep.
+:func:`axis_from_result` reads each cell's override *value* for the path,
+never its label, so a sweep merged from shard manifests by ``repro merge``
+plugs straight back in.  The axes themselves are not hard-coded: their
+canonical values come from the ``ablation`` metadata the config schema
+(:mod:`repro.configspace`) carries per field; :func:`axes` enumerates them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.config import PlatformConfig, default_config
 from repro.configspace import SCHEMA
-from repro.configspace.presets import (
-    SENSITIVITY_MEM_INSTS,
-    SENSITIVITY_WARPS_PER_SM,
-    SENSITIVITY_WORKLOAD,
-)
 from repro.platforms.base import PlatformResult
-from repro.platforms.zng import ZnGPlatform, ZnGVariant
-from repro.runner import SweepRunner, SweepSpec
-from repro.workloads.multiapp import build_mix
-
-#: The mix and trace knobs every knob sweep runs with (kept identical across
-#: axes so points are comparable and cache entries are shared).  Shared with
-#: the sensitivity presets in :mod:`repro.configspace.presets`.
-SWEEP_WORKLOAD = SENSITIVITY_WORKLOAD
-SWEEP_SEED = 1
-SWEEP_WARPS_PER_SM = SENSITIVITY_WARPS_PER_SM
-SWEEP_MEM_INSTS = SENSITIVITY_MEM_INSTS
 
 
 def axes() -> Dict[str, Tuple[object, ...]]:
@@ -54,30 +40,33 @@ def axis_values(path: str) -> List[object]:
     return list(values)
 
 
-def axis_from_result(
-    result,
-    values: Sequence[object],
-) -> Dict[object, PlatformResult]:
-    """Pivot an already-run single-axis sweep back to ``{value: result}``.
+def axis_from_result(result, path: str) -> Dict[object, PlatformResult]:
+    """Pivot an already-run config-axis sweep to ``{value: PlatformResult}``.
 
-    ``result`` is any :class:`repro.runner.SweepResult` whose override axis
-    was labelled ``str(value)`` — which is how :func:`sweep_axis` (and the
-    sensitivity presets) label their points — so a sweep merged from shard
-    manifests by ``repro merge`` plugs straight back into the sensitivity
-    surface without re-running anything.  Raises :class:`KeyError` naming
-    the first value the result does not cover.
+    Each cell is keyed by the value its override set gives the dotted
+    config ``path``, in spec order; cells whose override set does not touch
+    ``path`` are skipped, so one ``table1-sensitivity`` run pivots into
+    every one of its axes.  Two cells mapping onto the same value — e.g.
+    the same point on two platforms or two workloads — raise
+    :class:`ValueError` instead of silently overwriting each other; a
+    result with no cell overriding ``path`` raises :class:`KeyError`.
     """
-    labelled: Dict[str, PlatformResult] = {
-        run.cell.override_set.label: run.result for run in result
-    }
     out: Dict[object, PlatformResult] = {}
-    for value in values:
-        label = str(value)
-        if label not in labelled:
-            raise KeyError(
-                f"sweep result has no point labelled {label!r}; "
-                f"labels present: {sorted(labelled)}")
-        out[value] = labelled[label]
+    sources: Dict[object, str] = {}
+    for run in result:
+        overrides = run.cell.override_set.as_mapping()
+        if path not in overrides:
+            continue
+        value = overrides[path]
+        if value in out:
+            raise ValueError(
+                f"ambiguous pivot: cells {sources[value]} and {run.cell.label} "
+                f"both map to {path}={value!r}; filter the result so each "
+                f"value has exactly one cell")
+        out[value] = run.result
+        sources[value] = run.cell.label
+    if not out:
+        raise KeyError(f"sweep result has no cell overriding {path!r}")
     return out
 
 
@@ -135,171 +124,3 @@ def workload_axis_from_result(
         return dict(sorted(out.items()))
     except TypeError:  # mixed-type parameter values: fall back to text order
         return dict(sorted(out.items(), key=lambda item: str(item[0])))
-
-
-def sweep_workload_param(
-    family: str,
-    param: str,
-    values: Sequence[object],
-    platform: str = "ZnG",
-    scale: float = 0.25,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[object, PlatformResult]:
-    """Sweep one workload-family parameter over ``values`` on one platform.
-
-    The workload-side sibling of :func:`sweep_axis`: one cell per
-    ``family:param=value`` token, run through the sweep runner (parallel,
-    cached, shardable) and pivoted back by parameter value.
-    """
-    spec = SweepSpec.create(
-        platforms=[platform],
-        workloads=[f"{family}:{param}={value}" for value in values],
-        scale=scale,
-        seed=SWEEP_SEED,
-        warps_per_sm=SWEEP_WARPS_PER_SM,
-        memory_instructions_per_warp=SWEEP_MEM_INSTS,
-    )
-    sweep = SweepRunner(workers=workers, cache=cache).run(spec)
-    return workload_axis_from_result(sweep, family, param, platform=platform)
-
-
-def sweep_axis(
-    values: Sequence[object],
-    path: str,
-    scale: float = 0.25,
-    platform: str = "ZnG",
-    workload: str = SWEEP_WORKLOAD,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[object, PlatformResult]:
-    """Sweep one dotted config ``path`` over ``values`` on one platform.
-
-    Returns ``{value: PlatformResult}`` in input order.  This is the
-    runner-backed primitive behind every named sweep below.
-    """
-    spec = SweepSpec.create(
-        platforms=[platform],
-        workloads=[workload],
-        overrides={str(value): {path: value} for value in values},
-        scale=scale,
-        seed=SWEEP_SEED,
-        warps_per_sm=SWEEP_WARPS_PER_SM,
-        memory_instructions_per_warp=SWEEP_MEM_INSTS,
-    )
-    sweep = SweepRunner(workers=workers, cache=cache).run(spec)
-    return axis_from_result(sweep, values)
-
-
-def sweep_schema_axis(
-    path: str,
-    values: Optional[Sequence[object]] = None,
-    scale: float = 0.25,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[object, PlatformResult]:
-    """Sweep one declared schema axis (values default to its ablation set)."""
-    return sweep_axis(
-        list(values) if values is not None else axis_values(path),
-        path,
-        scale=scale,
-        workers=workers,
-        cache=cache,
-    )
-
-
-def sweep_registers_per_plane(
-    values: Optional[List[int]] = None,
-    scale: float = 0.25,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[int, PlatformResult]:
-    """Sweep the number of flash registers per plane (write-cache size)."""
-    return sweep_schema_axis(
-        "register_cache.registers_per_plane",
-        values=values,
-        scale=scale,
-        workers=workers,
-        cache=cache,
-    )
-
-
-def sweep_l2_size(
-    sizes_mb: Optional[List[int]] = None,
-    scale: float = 0.25,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[int, PlatformResult]:
-    """Sweep the STT-MRAM L2 capacity (axis values are stored in bytes)."""
-    if sizes_mb is None:
-        sizes_mb = [size // (1024 * 1024)
-                    for size in axis_values("stt_mram.size_bytes")]
-    by_bytes = sweep_schema_axis(
-        "stt_mram.size_bytes",
-        values=[size_mb * 1024 * 1024 for size_mb in sizes_mb],
-        scale=scale,
-        workers=workers,
-        cache=cache,
-    )
-    return {size_mb: by_bytes[size_mb * 1024 * 1024] for size_mb in sizes_mb}
-
-
-def sweep_prefetch_threshold(
-    thresholds: Optional[List[int]] = None,
-    scale: float = 0.25,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[int, PlatformResult]:
-    """Sweep the predictor cutoff threshold for issuing a prefetch."""
-    return sweep_schema_axis(
-        "prefetch.prefetch_threshold",
-        values=thresholds,
-        scale=scale,
-        workers=workers,
-        cache=cache,
-    )
-
-
-def sweep_interconnect(
-    kinds: Optional[List[str]] = None,
-    scale: float = 0.25,
-    workers: int = 1,
-    cache: object = False,
-) -> Dict[str, PlatformResult]:
-    """Compare the register interconnects (swnet / fcnet / nif)."""
-    return sweep_schema_axis(
-        "register_cache.interconnect",
-        values=kinds,
-        scale=scale,
-        workers=workers,
-        cache=cache,
-    )
-
-
-def generic_sweep(
-    apply: Callable[[PlatformConfig, object], PlatformConfig],
-    values: List[object],
-    scale: float = 0.25,
-    variant: ZnGVariant = ZnGVariant.FULL,
-) -> Dict[object, PlatformResult]:
-    """Run an arbitrary single-parameter sweep.
-
-    ``apply(base_config, value)`` returns a config with the parameter set.
-    Because the transformation is an opaque callable it cannot be content-
-    hashed or shipped to workers; this path stays serial and uncached.
-    Prefer :func:`sweep_axis` with a dotted override path where possible.
-    """
-    from repro.runner import cell_seed
-
-    read_app, write_app = SWEEP_WORKLOAD.split("-")
-    # Same derived seed the runner-backed sweeps use, so a generic_sweep
-    # point is directly comparable with a sweep_axis point.
-    mix = build_mix(read_app, write_app, scale=scale,
-                    seed=cell_seed(SWEEP_SEED, SWEEP_WORKLOAD),
-                    warps_per_sm=SWEEP_WARPS_PER_SM,
-                    memory_instructions_per_warp=SWEEP_MEM_INSTS)
-    results: Dict[object, PlatformResult] = {}
-    for value in values:
-        config = apply(default_config(), value)
-        results[value] = ZnGPlatform(variant, config).run(mix.combined)
-    return results

@@ -23,7 +23,7 @@ from repro.configspace.schema import SCHEMA, ConfigPathError
 
 #: The seven evaluation platforms of Fig. 10 (plus GDDR5 where relevant).
 #: Kept as plain data — :func:`repro.platforms.build_platform` validates the
-#: names, and ``tests/configspace`` asserts the two stay in sync.
+#: names, and ``repro.platforms.zng.PLATFORM_NAMES`` is this list.
 ZNG_VARIANTS: Tuple[str, ...] = ("ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG")
 EVAL_PLATFORMS: Tuple[str, ...] = (
     "Hetero", "HybridGPU", "Optane") + ZNG_VARIANTS

@@ -117,66 +117,6 @@ class PlatformResult:
             extra=dict(record.get("extra", {})),
         )
 
-    def merged_with(self, other: "PlatformResult") -> "PlatformResult":
-        """Aggregate two shard results (e.g. per-workload halves of a suite).
-
-        Cycles take the max (shards run concurrently on copies of the
-        platform), instruction and request counts add, IPC is recomputed, and
-        statistics/breakdowns merge component-wise.
-        """
-        stats = StatsCollector.from_dict(self.stats.to_dict())
-        stats.merge(other.stats)
-        cycles = max(self.execution.cycles, other.execution.cycles)
-        instructions = self.execution.instructions + other.execution.instructions
-        breakdown = dict(self.latency_breakdown)
-        for component, value in other.latency_breakdown.items():
-            breakdown[component] = breakdown.get(component, 0.0) + value
-        extra = dict(self.extra)
-        for key, value in other.extra.items():
-            extra[key] = extra.get(key, 0.0) + value
-        per_sm: Dict[int, SMStatistics] = {
-            sm_id: SMStatistics(**asdict(sm)) for sm_id, sm in self.execution.per_sm.items()
-        }
-        for sm_id, sm in other.execution.per_sm.items():
-            merged_sm = per_sm.setdefault(sm_id, SMStatistics())
-            merged_sm.instructions += sm.instructions
-            merged_sm.memory_instructions += sm.memory_instructions
-            merged_sm.memory_requests += sm.memory_requests
-            merged_sm.l1_hits += sm.l1_hits
-            merged_sm.l1_misses += sm.l1_misses
-            merged_sm.completion_cycle = max(merged_sm.completion_cycle, sm.completion_cycle)
-        # Weight each shard's L2 hit rate by its L2 traffic, not a plain mean.
-        own_accesses = self.stats.get("l2_hits") + self.stats.get("l2_misses")
-        other_accesses = other.stats.get("l2_hits") + other.stats.get("l2_misses")
-        total_accesses = own_accesses + other_accesses
-        if total_accesses:
-            l2_hit_rate = (
-                self.l2_hit_rate * own_accesses + other.l2_hit_rate * other_accesses
-            ) / total_accesses
-        else:
-            l2_hit_rate = (self.l2_hit_rate + other.l2_hit_rate) / 2.0
-        return PlatformResult(
-            platform=self.platform,
-            workload=f"{self.workload}+{other.workload}",
-            execution=GPUExecutionResult(
-                cycles=cycles,
-                instructions=instructions,
-                memory_requests=self.execution.memory_requests + other.execution.memory_requests,
-                ipc=instructions / cycles if cycles else 0.0,
-                events=self.execution.events + other.execution.events,
-                per_sm=per_sm,
-            ),
-            stats=stats,
-            latency_breakdown=breakdown,
-            flash_array_read_bandwidth_gbps=self.flash_array_read_bandwidth_gbps
-            + other.flash_array_read_bandwidth_gbps,
-            flash_array_total_bandwidth_gbps=self.flash_array_total_bandwidth_gbps
-            + other.flash_array_total_bandwidth_gbps,
-            memory_bandwidth_gbps=self.memory_bandwidth_gbps + other.memory_bandwidth_gbps,
-            l2_hit_rate=l2_hit_rate,
-            extra=extra,
-        )
-
 
 class GPUSSDPlatform(ABC):
     """Base class wiring the GPU front end to a platform-specific memory side."""

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.config import PlatformConfig
+from repro.configspace.presets import EVAL_PLATFORMS
 from repro.core.helper_gc import HelperThreadGC
 from repro.core.register_cache import FlashRegisterCache
 from repro.core.register_network import build_register_network
@@ -321,16 +322,9 @@ class ZnGPlatform(GPUSSDPlatform):
 # Factory used by the analysis layer and the benches
 # ---------------------------------------------------------------------------
 
-#: The seven platforms of Fig. 10 plus the GDDR5 reference.
-PLATFORM_NAMES = [
-    "Hetero",
-    "HybridGPU",
-    "Optane",
-    "ZnG-base",
-    "ZnG-rdopt",
-    "ZnG-wropt",
-    "ZnG",
-]
+#: The seven platforms of Fig. 10 (GDDR5, the reference, is not one of them).
+#: A list, not the presets' tuple, because callers concatenate it.
+PLATFORM_NAMES = list(EVAL_PLATFORMS)
 
 
 def build_platform(name: str, config: Optional[PlatformConfig] = None) -> GPUSSDPlatform:

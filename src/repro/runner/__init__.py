@@ -6,7 +6,20 @@ allows and never runs the same cell twice.
 
 Sweep spec format
 -----------------
-A sweep is declared with :meth:`SweepSpec.create`::
+The paper's grids are declared once, as named experiment presets
+(:mod:`repro.configspace.presets`); ``preset.spec(**overrides)`` expands one
+into a spec — narrowed to a scale, a platform subset, an override axis —
+and the figure and sensitivity tables are pure pivots over the result
+(``figures.figure_10_from_result``, ``sensitivity.axis_from_result``, ...)::
+
+    from repro.analysis.figures import figure_10_from_result
+    from repro.configspace import get_preset
+    from repro.runner import run_sweep
+
+    result = run_sweep(get_preset("fig10").spec(scale=0.1), workers=4)
+    figure_10_from_result(result)   # {mix: {platform: normalised IPC}}
+
+An ad-hoc grid is declared with :meth:`SweepSpec.create`::
 
     from repro.runner import SweepSpec, run_sweep
 
@@ -104,7 +117,6 @@ from repro.runner.runner import (
     enable_profiling,
     execute_cell,
     profile_tables,
-    run_grid,
     run_sweep,
     shutdown_worker_pools,
 )
@@ -164,7 +176,6 @@ __all__ = [
     "profile_tables",
     "resume_sweep",
     "run_dispatch_worker",
-    "run_grid",
     "run_sweep",
     "shutdown_worker_pools",
 ]

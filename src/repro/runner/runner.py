@@ -107,8 +107,8 @@ SharedMemory` segment, and workers attach by the deterministic name derived
     trace, exhausted ``/dev/shm``, name collision with a concurrent run)
     degrades to the worker-local build, never to an error.
 
-    Segments outlive individual sweeps on purpose: the figure layers run many
-    sweeps over the same traces per process, and content is a pure function
+    Segments outlive individual sweeps on purpose: benches, tests and the
+    report run many sweeps over the same traces per process, and content is a pure function
     of the segment name, so republishing every run would only add pickle +
     ``shm_open`` cost to the steady state.  The store evicts LRU beyond
     ``max_segments`` and unlinks everything at process exit; a leftover
@@ -292,7 +292,7 @@ def _execute_indexed(
 # Shared worker pools
 #
 # Forking a fresh pool per sweep costs tens of milliseconds — more than an
-# entire smoke sweep simulates — and the figure/sensitivity layers run many
+# entire smoke sweep simulates — and benches, tests and the report run many
 # sweeps per process.  Pools are therefore created lazily, keyed by worker
 # count, and reused for every subsequent sweep of the process; workers also
 # keep their _TRACE_MEMO warm across sweeps.  Results are unaffected: cells
@@ -631,32 +631,3 @@ def run_sweep(
 ) -> SweepResult:
     """One-call programmatic entry point (cache disabled unless requested)."""
     return SweepRunner(workers=workers, cache=cache).run(spec)
-
-
-def run_grid(
-    platforms: Sequence[str],
-    workloads: Sequence[str],
-    scale: float = 0.25,
-    seed: int = 1,
-    num_sms: int = 16,
-    warps_per_sm: int = 8,
-    memory_instructions_per_warp: int = 64,
-    base_config=None,
-    workers: int = 1,
-    cache: Union[ResultCache, os.PathLike, str, None, bool] = False,
-) -> Dict[str, Dict[str, PlatformResult]]:
-    """Run a platform x workload grid, pivoted to ``{workload: {platform: result}}``.
-
-    The shared convenience behind the figure functions and the benches.
-    """
-    spec = SweepSpec.create(
-        platforms=platforms,
-        workloads=workloads,
-        scale=scale,
-        seed=seed,
-        num_sms=num_sms,
-        warps_per_sm=warps_per_sm,
-        memory_instructions_per_warp=memory_instructions_per_warp,
-        base_config=base_config,
-    )
-    return SweepRunner(workers=workers, cache=cache).run(spec).grid()

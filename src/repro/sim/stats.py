@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 
 class Counter:
@@ -187,92 +187,6 @@ class Histogram:
         self.reservoir_size = int(state.get("reservoir_size", self.RESERVOIR_SIZE))
         self._rng_state = int(state.get("rng_state", self._seed_from_name(self.name)))
 
-    # -- aggregation --------------------------------------------------------
-    @staticmethod
-    def _weighted_downsample(
-        weighted: Sequence[Tuple[float, float]], total_weight: float, size: int
-    ) -> List[float]:
-        """Deterministic weighted downsample: walk the cumulative weight and
-        keep the value at each of ``size`` evenly spaced weighted ranks.
-
-        ``weighted`` must be sorted ``(value, weight)`` pairs.  The output is
-        a pure function of its inputs, so two histograms with equal logical
-        state — however they were built (streamed, restored via
-        :meth:`load_state`, merged) — downsample bit-identically.
-        """
-        reservoir: List[float] = []
-        cursor = 0
-        cumulative = weighted[0][1]
-        for slot in range(size):
-            target = (slot + 0.5) * total_weight / size
-            while cumulative < target and cursor < len(weighted) - 1:
-                cursor += 1
-                cumulative += weighted[cursor][1]
-            reservoir.append(weighted[cursor][0])
-        return reservoir
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in (used when shard results are combined).
-
-        When either reservoir subsampled its stream, each retained value
-        stands for ``count / len(reservoir)`` original samples; the merged
-        reservoir is rebuilt from the *weighted* quantiles of the union so a
-        tiny shard cannot skew the percentiles of a huge one.
-
-        The merged reservoir is a deterministic function of the two
-        operands' logical state alone: merging a freshly-built histogram and
-        one restored via :meth:`load_state` gives bit-identical reservoirs,
-        and this histogram keeps its own identity — ``reservoir_size`` and
-        RNG stream are never adopted from ``other`` (the old behaviour when
-        ``self`` was empty, which made merge results depend on the order and
-        emptiness of the operands).
-        """
-        if other._count == 0:
-            return
-        merged_count = self._count + other._count
-        if self._count == 0:
-            # Adopt the samples, not the identity: keep our reservoir_size
-            # and RNG state so later adds and merges behave exactly as if
-            # the samples had streamed through this histogram's capacity.
-            if (len(other._reservoir) == other._count
-                    and other._count <= self.reservoir_size):
-                self._reservoir = list(other._reservoir)
-            else:
-                weighted = sorted(
-                    (v, other._count / len(other._reservoir))
-                    for v in other._reservoir
-                )
-                self._reservoir = self._weighted_downsample(
-                    weighted, float(merged_count),
-                    min(self.reservoir_size, merged_count))
-            self._count = merged_count
-            self._total = other._total
-            self._min = other._min
-            self._max = other._max
-            return
-        exact = (
-            len(self._reservoir) == self._count
-            and len(other._reservoir) == other._count
-            and merged_count <= self.reservoir_size
-        )
-        if exact:
-            self._reservoir = self._reservoir + list(other._reservoir)
-        else:
-            weighted = sorted(
-                [(v, self._count / len(self._reservoir)) for v in self._reservoir]
-                + [(v, other._count / len(other._reservoir)) for v in other._reservoir]
-            )
-            # Never build a reservoir longer than the sample count: ``add``
-            # relies on ``len == min(count, reservoir_size)`` to decide
-            # between appending and algorithm-R replacement.
-            self._reservoir = self._weighted_downsample(
-                weighted, float(merged_count),
-                min(self.reservoir_size, merged_count))
-        self._count = merged_count
-        self._total += other._total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-
     def reset(self) -> None:
         self._count = 0
         self._total = 0.0
@@ -364,14 +278,6 @@ class StatsCollector:
                     histogram.add(float(sample))
         collector.add_breakdown(dict(payload.get("breakdown", {})))
         return collector
-
-    # -- aggregation --------------------------------------------------------
-    def merge(self, other: "StatsCollector") -> None:
-        for name, counter in other.counters.items():
-            self.counter(name).add(counter.value)
-        for name, histogram in other.histograms.items():
-            self.histogram(name).merge(histogram)
-        self.add_breakdown(other.breakdown)
 
     def as_dict(self) -> Dict[str, float]:
         summary: Dict[str, float] = {name: c.value for name, c in self.counters.items()}

@@ -8,9 +8,28 @@ import numpy as np
 import pytest
 
 from repro.analysis import figures
+from repro.configspace import get_preset
+from repro.runner import run_sweep
 
 QUICK = dict(scale=0.08)
 QUICK_MIXES = [("betw", "back"), ("bfs1", "gaus")]
+QUICK_TOKENS = ["betw-back", "bfs1-gaus"]
+
+
+def _quick_result(preset, **fields):
+    """Run ``preset`` on the quick mixes at scale 0.08."""
+    return run_sweep(get_preset(preset).spec(
+        scale=0.08, workloads=QUICK_TOKENS, **fields))
+
+
+@pytest.fixture(scope="module")
+def fig10_result():
+    return _quick_result("fig10")
+
+
+@pytest.fixture(scope="module")
+def fig11_result():
+    return _quick_result("fig11")
 
 
 class TestFigure1b:
@@ -65,11 +84,27 @@ class TestFigure4d:
         assert ssd_share > 0.5
 
 
+@pytest.fixture(scope="module")
+def fig5a_result():
+    return _quick_result("fig10", platforms=["GDDR5", "ZnG-base"])
+
+
 class TestFigure5a:
-    def test_degradation_above_one(self):
-        data = figures.figure_5a(scale=0.08, mixes=QUICK_MIXES)
+    def test_degradation_above_one(self, fig5a_result):
+        data = figures.figure_5a_from_result(fig5a_result)
         for value in data.values():
             assert value > 1.0
+
+    def test_one_gddr5_over_raw_znand_ratio_per_mix(self, fig5a_result):
+        data = figures.figure_5a_from_result(fig5a_result)
+        grid = fig5a_result.grid()
+        assert list(data) == list(grid)
+        for name, results in grid.items():
+            assert data[name] == results["GDDR5"].ipc / results["ZnG-base"].ipc
+
+    def test_result_without_gddr5_raises(self, fig10_result):
+        with pytest.raises(KeyError, match="GDDR5"):
+            figures.figure_5a_from_result(fig10_result)
 
 
 class TestFigure5bc:
@@ -106,22 +141,30 @@ class TestFigure8b:
 
 
 class TestFigure10:
-    def test_normalized_to_zng(self):
-        data = figures.figure_10(scale=0.08, mixes=QUICK_MIXES)
+    def test_normalized_to_zng(self, fig10_result):
+        data = figures.figure_10_from_result(fig10_result)
         for row in data.values():
             assert row["ZnG"] == pytest.approx(1.0)
 
-    def test_zng_beats_hybrid_and_hetero(self):
+    def test_zng_beats_hybrid_and_hetero(self, fig10_result):
         """Robust at any scale: ZnG beats the prior-work integrated SSD."""
-        data = figures.figure_10(scale=0.08, mixes=QUICK_MIXES)
+        data = figures.figure_10_from_result(fig10_result)
         for row in data.values():
             assert row["ZnG"] > row["HybridGPU"]
             assert row["ZnG"] > row["Hetero"]
 
-    def test_optimizations_beat_base(self):
-        data = figures.figure_10(scale=0.08, mixes=QUICK_MIXES)
+    def test_optimizations_beat_base(self, fig10_result):
+        data = figures.figure_10_from_result(fig10_result)
         for row in data.values():
             assert row["ZnG"] >= row["ZnG-base"]
+
+    def test_platforms_argument_selects_columns(self, fig10_result):
+        full = figures.figure_10_from_result(fig10_result)
+        subset = figures.figure_10_from_result(
+            fig10_result, platforms=["HybridGPU", "ZnG"])
+        assert list(subset) == list(full)
+        for name, row in subset.items():
+            assert row == {p: full[name][p] for p in ["HybridGPU", "ZnG"]}
 
     def test_zng_best_at_scale(self):
         """The headline ordering (ZnG fastest) emerges under the paper's regime
@@ -139,43 +182,51 @@ class TestFigure10:
 
 
 class TestFigure11:
-    def test_zng_highest_flash_bandwidth(self):
-        data = figures.figure_11(scale=0.08, mixes=QUICK_MIXES)
+    def test_zng_highest_flash_bandwidth(self, fig11_result):
+        data = figures.figure_11_from_result(fig11_result)
         for row in data.values():
             assert row["ZnG"] >= row["HybridGPU"]
+
+    def test_columns_are_the_fig11_preset_platforms(self, fig11_result):
+        data = figures.figure_11_from_result(fig11_result)
+        assert len(data) == len(QUICK_TOKENS)
+        for row in data.values():
+            assert list(row) == list(get_preset("fig11").platforms)
 
 
 class TestFiguresFromMergedResults:
     """figure_*_from_result plug an already-run (e.g. shard-merged) sweep in."""
 
-    def _sharded_merge(self, tmp_path, platforms):
-        from repro.runner import SweepRunner, SweepSpec, merge_manifests
+    PLATFORMS = ["HybridGPU", "ZnG-base", "ZnG"]
 
-        # Identical grid + trace knobs to figure_10/figure_11(scale=0.08,
-        # mixes=QUICK_MIXES): the trace knobs stay at the spec defaults.
-        spec = SweepSpec.create(
-            platforms=platforms,
-            workloads=["betw-back", "bfs1-gaus"],
-            scale=0.08,
-        )
+    def _sharded_merge(self, tmp_path, spec):
+        from repro.runner import SweepRunner, merge_manifests
+
         paths = []
         for index in range(2):
             root = tmp_path / f"shard{index}"
             SweepRunner(workers=1, cache=root).run(
                 spec.shard(index, 2), manifest_path=root / "manifest.json")
             paths.append(root / "manifest.json")
-        return spec, merge_manifests(paths)
+        return merge_manifests(paths)
 
     def test_figure_10_from_merged_result_matches_direct_run(self, tmp_path):
-        platforms = ["HybridGPU", "ZnG-base", "ZnG"]
-        _, merged = self._sharded_merge(tmp_path, platforms)
-        direct = figures.figure_10(scale=0.08, mixes=QUICK_MIXES,
-                                   platforms=platforms)
+        spec = get_preset("fig10").spec(
+            scale=0.08, workloads=QUICK_TOKENS, platforms=self.PLATFORMS)
+        merged = self._sharded_merge(tmp_path, spec)
+        direct = figures.figure_10_from_result(run_sweep(spec))
         assert figures.figure_10_from_result(merged) == direct
 
     def test_figure_11_from_merged_result_matches_direct_run(self, tmp_path):
-        platforms = ["HybridGPU", "ZnG-base", "ZnG"]
-        _, merged = self._sharded_merge(tmp_path, platforms)
-        direct = figures.figure_11(scale=0.08, mixes=QUICK_MIXES,
-                                   platforms=platforms)
+        spec = get_preset("fig11").spec(
+            scale=0.08, workloads=QUICK_TOKENS, platforms=self.PLATFORMS)
+        merged = self._sharded_merge(tmp_path, spec)
+        direct = figures.figure_11_from_result(run_sweep(spec))
         assert figures.figure_11_from_result(merged) == direct
+
+    def test_figure_5a_from_merged_result_matches_direct_run(self, tmp_path):
+        spec = get_preset("fig10").spec(
+            scale=0.08, workloads=QUICK_TOKENS, platforms=["GDDR5", "ZnG-base"])
+        merged = self._sharded_merge(tmp_path, spec)
+        direct = figures.figure_5a_from_result(run_sweep(spec))
+        assert figures.figure_5a_from_result(merged) == direct

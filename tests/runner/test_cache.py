@@ -213,19 +213,3 @@ class TestRecordRoundTrip:
         assert restored.execution.cycles == result.execution.cycles
         assert restored.execution.per_sm == result.execution.per_sm
         assert restored.extra == result.extra
-
-
-class TestMergedWith:
-    def test_merge_preserves_per_sm_and_weights_hit_rate(self, result):
-        clone = PlatformResult.from_record(result.to_record())
-        merged = result.merged_with(clone)
-        assert merged.execution.instructions == 2 * result.execution.instructions
-        assert merged.execution.cycles == result.execution.cycles
-        # Per-SM statistics survive the merge with counters added.
-        assert set(merged.execution.per_sm) == set(result.execution.per_sm)
-        for sm_id, sm in result.execution.per_sm.items():
-            assert merged.execution.per_sm[sm_id].instructions == 2 * sm.instructions
-            assert merged.execution.per_sm[sm_id].completion_cycle == sm.completion_cycle
-        # Merging equal shards keeps the (traffic-weighted) hit rate unchanged.
-        assert merged.l2_hit_rate == pytest.approx(result.l2_hit_rate)
-        assert merged.stats.get("requests") == 2 * result.stats.get("requests")

@@ -80,18 +80,6 @@ class TestStatsCollector:
     def test_breakdown_empty(self):
         assert StatsCollector().breakdown_fractions() == {}
 
-    def test_merge(self):
-        a = StatsCollector()
-        b = StatsCollector()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.sample("lat", 5.0)
-        b.add_breakdown({"c": 10.0})
-        a.merge(b)
-        assert a.get("x") == 3
-        assert a.histogram("lat").count == 1
-        assert a.breakdown["c"] == 10.0
-
     def test_as_dict(self):
         stats = StatsCollector()
         stats.add("x", 4)
@@ -213,178 +201,6 @@ class TestStreamingHistogram:
             a.add(float(i * 3 % 97))
             b.add(float(i * 3 % 97))
         assert a.state_dict() == b.state_dict()
-
-    def test_merge_keeps_aggregates_exact(self):
-        a, b = Histogram("m", reservoir_size=32), Histogram("m", reservoir_size=32)
-        for i in range(200):
-            a.add(float(i))
-        for i in range(300):
-            b.add(float(1000 + i))
-        a.merge(b)
-        assert a.count == 500
-        assert a.total == pytest.approx(sum(range(200)) + sum(1000 + i for i in range(300)))
-        assert a.minimum == 0.0 and a.maximum == 1299.0
-        assert len(a.samples) <= 32
-
-    def test_merge_weights_subsampled_reservoirs(self):
-        """A 50-sample shard must not drag the percentiles of a 100k shard.
-
-        Unweighted reservoir concatenation gives the small shard
-        len(small)/len(merged) of the slots instead of its true
-        count-proportional weight, visibly skewing p50.
-        """
-        import random
-
-        big = Histogram("m", reservoir_size=256)
-        rng = random.Random(11)
-        for _ in range(100_000):
-            big.add(rng.random() * 1000.0)  # uniform 0..1000, true p50 ~500
-        small = Histogram("m", reservoir_size=256)
-        for _ in range(50):
-            small.add(1e6)
-        big.merge(small)
-        assert big.count == 100_050
-        assert big.maximum == 1e6
-        # Weighted merge keeps p50 where 100k of the 100 050 samples put it;
-        # the unweighted concat shifted it to ~595 in this construction.
-        assert 440.0 <= big.percentile(0.5) <= 560.0
-
-    def test_merge_into_empty_copies_state(self):
-        a, b = Histogram("m"), Histogram("m")
-        for value in [3.0, 1.0, 2.0]:
-            b.add(value)
-        a.merge(b)
-        assert a.state_dict() == b.state_dict()
-
-    def test_merge_into_empty_keeps_own_identity(self):
-        """An empty merge target keeps its reservoir capacity and RNG stream.
-
-        The old path ``load_state(other.state_dict())`` silently adopted the
-        *other* histogram's ``reservoir_size`` and RNG state, so the merged
-        result depended on which operand happened to be empty.
-        """
-        small_source = Histogram("src", reservoir_size=8)
-        for i in range(100):
-            small_source.add(float(i))
-        target = Histogram("dst", reservoir_size=64)
-        own_rng = target.state_dict()["rng_state"]
-        target.merge(small_source)
-        assert target.reservoir_size == 64
-        assert target.state_dict()["rng_state"] == own_rng
-        assert target.count == 100
-        assert target.minimum == 0.0 and target.maximum == 99.0
-        # add() relies on len(reservoir) == min(count, reservoir_size).
-        assert len(target.samples) == min(target.count, target.reservoir_size)
-        for i in range(200):
-            target.add(float(i))  # must not raise or overflow the reservoir
-        assert len(target.samples) <= target.reservoir_size
-
-    def test_merge_fresh_vs_restored_bit_identical(self):
-        """Merging a restored histogram must equal merging the original."""
-        import json
-
-        source = Histogram("a", reservoir_size=16)
-        for i in range(500):
-            source.add(float((i * 13) % 271))
-        other = Histogram("b", reservoir_size=16)
-        for i in range(120):
-            other.add(float(i) * 2.5)
-
-        fresh = Histogram("a", reservoir_size=16)
-        for i in range(500):
-            fresh.add(float((i * 13) % 271))
-        restored = Histogram("a", reservoir_size=16)
-        restored.load_state(json.loads(json.dumps(source.state_dict())))
-
-        fresh.merge(other)
-        restored.merge(other)
-        assert fresh.state_dict() == restored.state_dict()
-
-    def test_merge_never_overfills_reservoir(self):
-        """len(reservoir) stays min(count, size) even for lopsided merges."""
-        subsampled = Histogram("s", reservoir_size=4)
-        for i in range(10):
-            subsampled.add(float(i))
-        target = Histogram("t", reservoir_size=64)
-        target.add(1.0)
-        target.add(2.0)
-        target.merge(subsampled)
-        assert target.count == 12
-        assert len(target.samples) == min(target.count, target.reservoir_size)
-        for i in range(100):
-            target.add(float(i))
-        assert len(target.samples) <= target.reservoir_size
-        assert target.count == 112
-
-    @given(
-        streams=st.lists(
-            st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                     min_size=0, max_size=60),
-            min_size=2, max_size=3,
-        ),
-        size=st.sampled_from([4, 16, 2048]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_commutes_and_associates_on_retained_aggregates(
-        self, streams, size
-    ):
-        """count/total/min/max agree for any merge order; reservoirs agree
-        as multisets for commuted operands."""
-
-        def build(stream):
-            histogram = Histogram("p", reservoir_size=size)
-            for value in stream:
-                histogram.add(value)
-            return histogram
-
-        def aggregates(histogram):
-            return (histogram.count, histogram.minimum, histogram.maximum,
-                    pytest.approx(histogram.total, rel=1e-9, abs=1e-6))
-
-        left = build(streams[0])
-        for stream in streams[1:]:
-            left.merge(build(stream))
-        right_tail = build(streams[-1])
-        for stream in reversed(streams[:-1]):
-            tail_owner = build(stream)
-            tail_owner.merge(right_tail)
-            right_tail = tail_owner
-        assert aggregates(left) == aggregates(right_tail)
-
-        ab, ba = build(streams[0]), build(streams[1])
-        ab.merge(build(streams[1]))
-        ba.merge(build(streams[0]))
-        assert aggregates(ab) == aggregates(ba)
-        assert sorted(ab.samples) == sorted(ba.samples)
-
-    @given(
-        stream_a=st.lists(st.floats(min_value=0, max_value=1e6),
-                          min_size=1, max_size=80),
-        stream_b=st.lists(st.floats(min_value=0, max_value=1e6),
-                          min_size=0, max_size=80),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_deterministic_across_state_roundtrip(self, stream_a, stream_b):
-        """merge(load(save(A)), load(save(B))) == merge(A, B), bit for bit."""
-        import json
-
-        def build(name, stream):
-            histogram = Histogram(name, reservoir_size=8)
-            for value in stream:
-                histogram.add(value)
-            return histogram
-
-        direct = build("a", stream_a)
-        direct.merge(build("b", stream_b))
-
-        via_roundtrip = Histogram("a", reservoir_size=8)
-        via_roundtrip.load_state(
-            json.loads(json.dumps(build("a", stream_a).state_dict())))
-        other = Histogram("b", reservoir_size=8)
-        other.load_state(
-            json.loads(json.dumps(build("b", stream_b).state_dict())))
-        via_roundtrip.merge(other)
-        assert via_roundtrip.state_dict() == direct.state_dict()
 
     def test_percentile_extremes_exact_on_subsampled_reservoir(self):
         import random

@@ -190,6 +190,25 @@ class TestSweepCommand:
         assert spec.platforms == ("ZnG",) and spec.scale == 0.05
         assert [point.label for point in spec.overrides] == ["wide"]
 
+    def test_default_grid_is_the_zng_ablation_preset(self):
+        from repro.__main__ import _grid_parser, _spec_from_args
+        from repro.configspace import get_preset
+
+        spec = _spec_from_args(_grid_parser().parse_args([]))
+        assert spec.fingerprint() == get_preset("zng-ablation").spec().fingerprint()
+
+    def test_grid_flags_narrow_the_preset(self):
+        from repro.__main__ import _grid_parser, _spec_from_args
+        from repro.configspace import get_preset
+
+        spec = _spec_from_args(_grid_parser().parse_args([
+            "--preset", "reg-sweep", "--platforms", "ZnG-base",
+            "--scale", "0.05", "--warps", "2"]))
+        expected = get_preset("reg-sweep").spec(
+            platforms=["ZnG-base"], scale=0.05, warps_per_sm=2)
+        assert spec.fingerprint() == expected.fingerprint()
+        assert len(spec) == len(get_preset("reg-sweep").override_axis())
+
     def test_sweep_unknown_preset(self, capsys):
         assert main(["sweep", "--preset", "nope", "--no-cache"]) == 2
         assert_rejected(capsys, "unknown experiment preset")
