@@ -23,6 +23,7 @@ re-deriving it.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -321,16 +322,25 @@ class ConfigSchema:
                 f"{spec.path} expects an int ({spec.unit or 'no unit'}), "
                 f"got {value!r}")
         if kind is float:
-            if isinstance(value, (int, float)):
-                return float(value)
-            if isinstance(value, str):
-                try:
-                    return float(value.strip())
-                except ValueError:
-                    pass
-            raise ConfigValueError(
-                f"{spec.path} expects a float ({spec.unit or 'no unit'}), "
-                f"got {value!r}")
+            coerced = None
+            try:
+                if isinstance(value, (int, float)):
+                    coerced = float(value)
+                elif isinstance(value, str):
+                    coerced = float(value.strip())
+            except (ValueError, OverflowError):
+                pass
+            if coerced is None:
+                raise ConfigValueError(
+                    f"{spec.path} expects a float ({spec.unit or 'no unit'}), "
+                    f"got {value!r}")
+            # NaN and inf parse as floats but no field means them: NaN slips
+            # past every bound, and either one poisons the timing model.
+            if not math.isfinite(coerced):
+                raise ConfigValueError(
+                    f"{spec.path} expects a finite float ({spec.unit or 'no unit'}), "
+                    f"got {value!r}")
+            return coerced
         if kind is str:
             if isinstance(value, str):
                 return value

@@ -64,8 +64,12 @@ class SetAssociativeCache:
 
     # -- address helpers ----------------------------------------------------
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        # NOTE: lookup() and insert() inline these two expressions (they are
-        # the hottest paths); change the indexing scheme in all three places.
+        # NOTE: the hottest paths inline these two expressions.  Change the
+        # indexing scheme in every copy: here (probe, invalidate, mark_dirty),
+        # lookup(), insert() (and the evicted line's address it rebuilds), and
+        # SharedL2Cache.access in gpu/l2cache.py.  The L2 picks a bank from
+        # the same line number (SharedL2Cache.bank_of, access, fill,
+        # fill_page, and the NoC destination in GPUSSDPlatform.memory_access).
         line_number = address // self.line_bytes
         return line_number % self.num_sets, line_number // self.num_sets
 
@@ -74,7 +78,10 @@ class SetAssociativeCache:
 
     # -- core operations ----------------------------------------------------
     def lookup(self, address: int, mark_accessed: bool = True) -> bool:
-        """Probe the cache; on a hit the line becomes most recently used."""
+        """Probe the cache; on a hit the line becomes most recently used.
+
+        Inlined in SharedL2Cache.access.
+        """
         line_number = address // self.line_bytes
         num_sets = self.num_sets
         cache_set = self._sets.get(line_number % num_sets)

@@ -47,13 +47,22 @@ class Interconnect:
 
     def send(self, destination: int, num_bytes: int, now: float) -> float:
         """Transfer ``num_bytes`` to ``destination``; return the arrival cycle."""
-        # route() and BandwidthResource.transfer() inlined: one send per
-        # request.  Keep the arithmetic identical to transfer().
+        # route() and BandwidthResource.transfer() on a single-port link,
+        # inlined: one send per request.  Keep in lockstep with
+        # BandwidthResource.transfer and Resource.acquire.  The link's latency
+        # and bandwidth are checked when it is built; ``num_bytes`` is not.
         link = self.links.resources[destination % self.num_destinations]
+        duration = link.fixed_latency + num_bytes / link.bytes_per_cycle
+        if not duration >= 0:
+            raise ValueError(f"duration must be non-negative, got {duration!r}")
         self.packets += 1
         self.bytes_moved += num_bytes
-        duration = link.fixed_latency + num_bytes / link.bytes_per_cycle
-        start = link.acquire(now, duration)
+        last = link.last_completion
+        start = now if now > last else last
+        link.last_completion = start + duration
+        link.busy_cycles += duration
+        link.wait_cycles += start - now
+        link.requests_served += 1
         link.bytes_transferred += num_bytes
         return start + duration
 

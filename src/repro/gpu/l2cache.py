@@ -13,10 +13,11 @@ bank conflicts and the extra STT-MRAM write occupancy show up as queueing.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from repro.config import GPUConfig, STTMRAMConfig
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import ACCESSED, DIRTY, SetAssociativeCache
 from repro.sim.engine import Resource
 
 
@@ -34,6 +35,12 @@ class SharedL2Cache:
         write_latency_cycles: float,
         read_only: bool = False,
     ) -> None:
+        # access() books its bank port in place, so the check Resource.acquire
+        # makes on every duration is made once here.
+        for latency in (read_latency_cycles, write_latency_cycles):
+            if not 0 <= latency < math.inf:
+                raise ValueError(
+                    f"L2 {name!r} needs finite non-negative latencies, got {latency!r}")
         self.name = name
         self.line_bytes = line_bytes
         self.banks = banks
@@ -99,10 +106,20 @@ class SharedL2Cache:
         *read-only* L2 (STT-MRAM) never allocates lines for writes and
         invalidates any stale copy instead, matching Section III-C.
         """
-        bank = (address // self.line_bytes) % self.banks
+        line_number = address // self.line_bytes
+        bank = line_number % self.banks
         array = self._bank_arrays[bank]
         latency = self.write_latency_cycles if is_write else self.read_latency_cycles
-        ready = self._bank_ports[bank].acquire(now, latency) + latency
+        # Resource.acquire on the single-port bank, inlined (one access per
+        # request); keep in lockstep with Resource.acquire.
+        port = self._bank_ports[bank]
+        last = port.last_completion
+        start = now if now > last else last
+        port.last_completion = start + latency
+        port.busy_cycles += latency
+        port.wait_cycles += start - now
+        port.requests_served += 1
+        ready = start + latency
 
         if is_write and self.read_only:
             # Writes bypass the read-only L2; keep it coherent by invalidating.
@@ -110,10 +127,19 @@ class SharedL2Cache:
             self.write_bypasses += 1
             return False, ready
 
-        hit = array.lookup(address)
-        if hit and is_write:
-            array.mark_dirty(address)
-        return hit, ready
+        # SetAssociativeCache.lookup, plus mark_dirty on a write hit, inlined;
+        # keep in lockstep with SetAssociativeCache.lookup.
+        num_sets = array.num_sets
+        cache_set = array._sets.get(line_number % num_sets)
+        if cache_set:
+            tag = line_number // num_sets
+            state = cache_set.pop(tag, None)
+            if state is not None:
+                cache_set[tag] = state | (ACCESSED | DIRTY if is_write else ACCESSED)
+                array.hits += 1
+                return True, ready
+        array.misses += 1
+        return False, ready
 
     def fill(
         self,

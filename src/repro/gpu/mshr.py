@@ -44,7 +44,8 @@ class MSHR:
         """Return the fill cycle of an in-flight miss to ``line_address``, if any.
 
         Finding the line merges the miss into its entry: it counts as a
-        secondary miss, and the caller needs no :meth:`allocate`.
+        secondary miss, and the caller needs no :meth:`allocate`.  Inlined in
+        StreamingMultiprocessor.execute_instruction.
         """
         self._now = now
         self._filled_at_now = False
@@ -61,7 +62,8 @@ class MSHR:
 
         Returns ``(ready_cycle, merged)``: the cycle at which the allocation
         could be made (later than ``now`` if the MSHR was full) and whether
-        the miss was merged into an existing entry.
+        the miss was merged into an existing entry.  The branch for a pool
+        with a free entry is inlined in StreamingMultiprocessor.execute_instruction.
         """
         self._now = now
         entries = self._entries

@@ -80,24 +80,39 @@ class StreamingMultiprocessor:
         """Execute one trace record for a warp; return the warp's next ready cycle."""
         compute_ops = instruction.compute_ops
         stats = self.stats
-        if not instruction.addresses:
+        addresses = instruction.addresses
+        if addresses:
+            # The arithmetic ops and the memory instruction's issue slot are
+            # back to back on the issue port, so they are booked as one span.
+            duration = compute_ops + 1.0
+        elif compute_ops:
             # Arithmetic only: occupies the issue port for one cycle per op.
-            if not compute_ops:
-                return now
+            duration = float(compute_ops)
+        else:
+            return now
+        # Resource.acquire on the single issue port, inlined (one booking per
+        # instruction); keep in lockstep with Resource.acquire.
+        if not duration >= 0:
+            raise ValueError(f"duration must be non-negative, got {duration!r}")
+        port = self.issue_port
+        last = port.last_completion
+        start = now if now > last else last
+        port.last_completion = start + duration
+        port.busy_cycles += duration
+        port.wait_cycles += start - now
+        port.requests_served += 1
+        if not addresses:
             stats.instructions += compute_ops
-            return self.issue_port.acquire(now, float(compute_ops)) + compute_ops
+            return start + compute_ops
 
-        # The arithmetic ops and the memory instruction's issue slot are back
-        # to back on the issue port, so they are booked as one span.  The
-        # ready cycle adds them in the order they issue.
-        start = self.issue_port.acquire(now, compute_ops + 1.0)
+        # The ready cycle adds the ops and the issue slot in the order they issue.
         ready = start + compute_ops + 1.0
         stats.instructions += compute_ops + 1
         stats.memory_instructions += 1
 
         # Coalescing, then the cache path for each 128 B segment.  Every
         # segment of an instruction shares its direction.
-        segments = self.coalescer.coalesce(instruction.addresses, instruction.segments)
+        segments = self.coalescer.coalesce(addresses, instruction.segments)
         stats.memory_requests += len(segments)
         l1 = self.l1
         pc = instruction.pc
@@ -114,8 +129,13 @@ class StreamingMultiprocessor:
             return completion
 
         # Reads: L1 probe, MSHR merge and (on a primary miss) the platform
-        # memory access.
+        # memory access.  MSHR.lookup, and MSHR.allocate while the table has
+        # a free entry, are inlined; keep in lockstep with both.  A table that
+        # looks full goes through MSHR.allocate, which purges dead entries and
+        # stalls; the stall cycle it returns is not applied.
         mshr = self.mshr
+        entries = mshr._entries
+        num_entries = mshr.num_entries
         line_bytes = self._l1_line_bytes
         for address in segments:
             if l1.lookup(address):
@@ -124,14 +144,21 @@ class StreamingMultiprocessor:
             else:
                 stats.l1_misses += 1
                 line_address = address // line_bytes * line_bytes
-                finish = mshr.lookup(line_address, ready)
-                if finish is not None:
+                mshr._now = ready
+                mshr._filled_at_now = False
+                fill = entries.get(line_address)
+                if fill is not None and fill > ready:
                     # Secondary miss: piggyback on the outstanding fill.
-                    if finish < l1_ready:
-                        finish = l1_ready
+                    mshr.secondary_misses += 1
+                    finish = fill if fill > l1_ready else l1_ready
                 else:
                     finish = memory_fn(address, False, warp_id, pc, l1_ready)
-                    mshr.allocate(line_address, ready, finish)
+                    if len(entries) >= num_entries:
+                        mshr.allocate(line_address, ready, finish)
+                    else:
+                        fill = entries[line_address] = ready if ready > finish else finish
+                        mshr._filled_at_now = fill == ready
+                        mshr.primary_misses += 1
                     l1.insert(address)
             if finish > completion:
                 completion = finish

@@ -17,6 +17,7 @@ the latency/bandwidth/ordering behaviour the paper's figures depend on.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import List, Optional
 
 
@@ -73,9 +74,15 @@ class Resource:
         self.wait_cycles: float = 0.0
 
     def acquire(self, when: float, duration: float) -> float:
-        """Book a port; return the start time of service."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
+        """Book a port; return the start time of service.
+
+        The single-port branch is inlined in SharedL2Cache.access,
+        Interconnect.send and StreamingMultiprocessor.execute_instruction.
+        """
+        # ``not >=`` rather than ``<`` also rejects a NaN duration, which
+        # would otherwise poison ``last_completion`` for every later booking.
+        if not duration >= 0:
+            raise ValueError(f"duration must be non-negative, got {duration!r}")
         free_at = self._free_at
         if free_at is None:
             # Single port (issue ports, banks, planes): no heap.  The port
@@ -141,8 +148,12 @@ class BandwidthResource(Resource):
         fixed_latency: float = 0.0,
     ) -> None:
         super().__init__(name, ports)
-        if bytes_per_cycle <= 0:
-            raise ValueError(f"link {name!r} needs positive bandwidth")
+        if not 0 < bytes_per_cycle < math.inf:
+            raise ValueError(
+                f"link {name!r} needs a finite positive bandwidth, got {bytes_per_cycle!r}")
+        if not 0 <= fixed_latency < math.inf:
+            raise ValueError(
+                f"link {name!r} needs a finite non-negative latency, got {fixed_latency!r}")
         self.bytes_per_cycle = bytes_per_cycle
         self.fixed_latency = fixed_latency
         self.bytes_transferred: int = 0

@@ -1,6 +1,7 @@
 """Unit tests for the banked shared L2 cache (SRAM and STT-MRAM variants)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import GPUConfig, STTMRAMConfig
 from repro.gpu.cache import ACCESSED, PREFETCHED
@@ -159,3 +160,89 @@ class TestStatistics:
         l2.reset_statistics()
         assert l2.hits == 0
         assert l2.misses == 0
+
+
+class TestConstructionChecks:
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("which", ["read_latency_cycles", "write_latency_cycles"])
+    def test_latencies_must_be_finite_and_non_negative(self, which, latency):
+        params = dict(name="bad", size_bytes=6 * 2 * 128, assoc=1, line_bytes=128,
+                      banks=6, read_latency_cycles=1, write_latency_cycles=1)
+        params[which] = latency
+        with pytest.raises(ValueError, match="finite non-negative latencies"):
+            SharedL2Cache(**params)
+
+
+class TestSetIndexing:
+    """Every copy of the set-index arithmetic must agree (see the NOTE on
+    ``SetAssociativeCache._index_and_tag``)."""
+
+    @pytest.mark.parametrize("make_l2", [make_sram_l2, make_stt_l2],
+                             ids=["sram", "stt_mram"])
+    @given(lines=st.lists(st.integers(0, 2**34), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_filled_line_hits_and_probes(self, make_l2, lines):
+        l2 = make_l2()
+        for line in lines:
+            address = line * l2.line_bytes + line % l2.line_bytes
+            l2.fill(address, now=0.0)
+            assert l2.probe(address)
+            hit, _ = l2.access(address, is_write=False, now=0.0)
+            assert hit
+
+
+def reference_access(l2, address, is_write, now):
+    """``SharedL2Cache.access`` built from the helpers its inline code copies."""
+    bank = l2.bank_of(address)
+    array = l2.array(bank)
+    latency = l2.write_latency_cycles if is_write else l2.read_latency_cycles
+    ready = l2._bank_ports[bank].acquire(now, latency) + latency
+    if is_write and l2.read_only:
+        array.invalidate(address)
+        l2.write_bypasses += 1
+        return False, ready
+    hit = array.lookup(address)
+    if hit and is_write:
+        array.mark_dirty(address)
+    return hit, ready
+
+
+def l2_state(l2):
+    """Every counter and the full tag state, LRU order included."""
+    ports = [(p.busy_cycles, p.wait_cycles, p.requests_served, p.last_completion)
+             for p in l2._bank_ports]
+    arrays = [(a.hits, a.misses, a.evictions, a.dirty_evictions, a.insertions,
+               {index: list(tags.items()) for index, tags in a._sets.items()})
+              for a in l2._bank_arrays]
+    return ports, arrays, l2.write_bypasses, l2.prefetch_insertions
+
+
+# One operation: (fill?, line, write or prefetch flag, cycles to advance ``now``).
+_l2_ops = st.lists(st.tuples(st.booleans(), st.integers(0, 40), st.booleans(),
+                             st.sampled_from([0.0, 0.0, 0.5, 3.0, 20.0, -4.0])),
+                   min_size=1, max_size=150)
+
+
+class TestInlineAccessMatchesHelpers:
+    @pytest.mark.parametrize("read_only", [False, True])
+    @given(ops=_l2_ops)
+    @settings(max_examples=120, deadline=None)
+    def test_same_answers_and_counters(self, read_only, ops):
+        def build():
+            return SharedL2Cache(
+                name="small", size_bytes=6 * 4 * 128, assoc=2, line_bytes=128,
+                banks=6, read_latency_cycles=2, write_latency_cycles=5,
+                read_only=read_only)
+
+        inline, reference = build(), build()
+        now = 0.0
+        for is_fill, line, flag, advance in ops:
+            now += advance
+            address = line * 128 + 7
+            if is_fill:
+                assert (inline.fill(address, now, prefetched=flag)
+                        == reference.fill(address, now, prefetched=flag))
+            else:
+                assert (inline.access(address, flag, now)
+                        == reference_access(reference, address, flag, now))
+            assert l2_state(inline) == l2_state(reference)

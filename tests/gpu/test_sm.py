@@ -1,6 +1,7 @@
 """Unit tests for the SM and whole-GPU execution model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import GPUConfig
 from repro.gpu.sm import GPUCore, StreamingMultiprocessor
@@ -223,3 +224,116 @@ class TestGPUCore:
             trace.append(Instruction(pc=0, compute_ops=3))
         result = core.run(traces, constant_memory())
         assert result.instructions == 12
+
+
+def reference_execute(sm, instruction, warp_id, now, memory_fn):
+    """``execute_instruction`` built from ``Resource.acquire`` and
+    ``MSHR.lookup``/``allocate``, the helpers its inline code copies."""
+    compute_ops = instruction.compute_ops
+    stats = sm.stats
+    if not instruction.addresses:
+        if not compute_ops:
+            return now
+        stats.instructions += compute_ops
+        return sm.issue_port.acquire(now, float(compute_ops)) + compute_ops
+    start = sm.issue_port.acquire(now, compute_ops + 1.0)
+    ready = start + compute_ops + 1.0
+    stats.instructions += compute_ops + 1
+    stats.memory_instructions += 1
+    segments = sm.coalescer.coalesce(instruction.addresses, instruction.segments)
+    stats.memory_requests += len(segments)
+    l1_ready = ready + sm.config.l1_latency_cycles
+    completion = ready
+    if instruction.access is AccessType.WRITE:
+        for address in segments:
+            sm.l1.invalidate(address)
+            completion = max(completion, memory_fn(address, True, warp_id,
+                                                   instruction.pc, l1_ready))
+        return completion
+    for address in segments:
+        if sm.l1.lookup(address):
+            stats.l1_hits += 1
+            finish = l1_ready
+        else:
+            stats.l1_misses += 1
+            line_address = address // sm.l1.line_bytes * sm.l1.line_bytes
+            finish = sm.mshr.lookup(line_address, ready)
+            if finish is not None:
+                finish = max(finish, l1_ready)
+            else:
+                finish = memory_fn(address, False, warp_id, instruction.pc, l1_ready)
+                sm.mshr.allocate(line_address, ready, finish)
+                sm.l1.insert(address)
+        completion = max(completion, finish)
+    return completion
+
+
+def sm_state(sm):
+    port, mshr, l1 = sm.issue_port, sm.mshr, sm.l1
+    return (vars(sm.stats),
+            (port.busy_cycles, port.wait_cycles, port.requests_served,
+             port.last_completion),
+            (mshr.primary_misses, mshr.secondary_misses, mshr.stalls,
+             mshr.outstanding, mshr._now, mshr._filled_at_now,
+             list(mshr._entries.items())),
+            (l1.hits, l1.misses, l1.evictions, l1.insertions,
+             {index: list(tags.items()) for index, tags in l1._sets.items()}),
+            (sm.coalescer.instructions_coalesced, sm.coalescer.requests_generated))
+
+
+def line_latency_memory(latencies):
+    """A memory hook whose latency depends only on the requested line."""
+
+    def hook(address, is_write, warp_id, pc, now):
+        return now + latencies[address // 128 % len(latencies)]
+
+    return hook
+
+
+# One instruction: (compute ops, lines touched, write?, cycles to advance ``now``).
+_instructions = st.lists(
+    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 11), max_size=4),
+              st.booleans(), st.sampled_from([0.0, 1.0, 2.5, 40.0])),
+    min_size=1, max_size=100)
+
+
+class TestInlineIssueAndMSHRMatchHelpers:
+    @given(instructions=_instructions, mshr_entries=st.integers(1, 4),
+           latencies=st.lists(st.sampled_from([0.0, 5.0, 60.0, 400.0]),
+                              min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_same_ready_cycles_and_counters(self, instructions, mshr_entries,
+                                            latencies):
+        # A 4-line L1, so lines are evicted and re-missed; few MSHR entries,
+        # so the table fills and the allocate fallback runs.
+        config = GPUConfig(l1_size_bytes=512, l1_assoc=2, l1_mshr_entries=mshr_entries)
+        inline = StreamingMultiprocessor(0, config)
+        reference = StreamingMultiprocessor(0, config)
+        memory = line_latency_memory(latencies)
+        now = 0.0
+        for pc, (compute_ops, lines, is_write, advance) in enumerate(instructions):
+            now += advance
+            instruction = Instruction(
+                pc=pc, compute_ops=compute_ops,
+                addresses=[line * 128 + 4 * thread for thread, line in enumerate(lines)],
+                access=AccessType.WRITE if is_write else AccessType.READ)
+            assert (inline.execute_instruction(instruction, 0, now, memory)
+                    == reference_execute(reference, instruction, 0, now, memory))
+            assert sm_state(inline) == sm_state(reference)
+
+    def test_fallback_allocate_runs_when_the_table_is_full(self):
+        sm = StreamingMultiprocessor(0, GPUConfig(l1_mshr_entries=1))
+        hook = constant_memory(1000.0)
+        sm.execute_instruction(Instruction(pc=0, addresses=[0x1000]), 0, 0.0, hook)
+        sm.execute_instruction(Instruction(pc=0, addresses=[0x5000]), 1, 5.0, hook)
+        assert sm.mshr.stalls == 1
+        assert sm.mshr.primary_misses == 2
+
+    @pytest.mark.parametrize("compute_ops", [-2, -5])
+    def test_negative_issue_span_rejected(self, compute_ops):
+        sm = StreamingMultiprocessor(0, GPUConfig())
+        for instruction in (Instruction(pc=0, compute_ops=compute_ops),
+                            Instruction(pc=0, compute_ops=compute_ops, addresses=[0])):
+            with pytest.raises(ValueError):
+                sm.execute_instruction(instruction, 0, 0.0, constant_memory())
+        assert sm.issue_port.requests_served == 0

@@ -32,9 +32,20 @@ BREAKDOWN_XFAIL = {
 CELLS = SPEC.cells()
 
 
+def _front_end_resources(platform):
+    """The single-port resources of the shared front end, by kind; port and
+    link statistics are in no result record."""
+    return {
+        "issue_ports": [sm.issue_port for sm in platform.gpu.sms],
+        "noc_links": list(platform.noc.links),
+        "l2_bank_ports": list(platform.l2._bank_ports),
+    }
+
+
 @pytest.fixture(scope="module")
 def run_cell():
-    """Runs each cell once per module: ``cell_id -> (result, SM MSHR merges)``."""
+    """Runs each cell once per module: ``cell_id -> (result, SM MSHR merges,
+    front-end resources, NoC bytes moved)``."""
     runs = {}
 
     def run(cell_id: str):
@@ -42,8 +53,12 @@ def run_cell():
             cell = next(c for c in CELLS if _cell_id(c) == cell_id)
             platform = GPUSSDPlatform.build(cell.platform, cell.resolved_config())
             result = platform.run(build_cell_trace(cell))
-            runs[cell_id] = result, sum(
-                sm.mshr.secondary_misses for sm in platform.gpu.sms)
+            runs[cell_id] = (
+                result,
+                sum(sm.mshr.secondary_misses for sm in platform.gpu.sms),
+                _front_end_resources(platform),
+                platform.noc.bytes_moved,
+            )
         return runs[cell_id]
 
     return run
@@ -59,7 +74,7 @@ def _breakdown_param(cell):
 
 @pytest.mark.parametrize("cell_id", [_cell_id(cell) for cell in CELLS])
 def test_request_counters_conserve(run_cell, cell_id):
-    result, mshr_merges = run_cell(cell_id)
+    result, mshr_merges, _, _ = run_cell(cell_id)
     stats = result.stats
     requests = stats.get("requests")
     reads = stats.get("read_requests")
@@ -75,7 +90,7 @@ def test_request_counters_conserve(run_cell, cell_id):
 
 @pytest.mark.parametrize("cell_id", [_breakdown_param(cell) for cell in CELLS])
 def test_breakdown_sums_to_request_latency(run_cell, cell_id):
-    result, _ = run_cell(cell_id)
+    result, _, _, _ = run_cell(cell_id)
     total = result.stats.histograms["request_latency"].total
     attributed = sum(result.latency_breakdown.values())
     assert total > 0
@@ -84,3 +99,20 @@ def test_breakdown_sums_to_request_latency(run_cell, cell_id):
         assert attributed >= total * (1.0 - HYBRIDGPU_SHORTFALL - ROUNDING)
     else:
         assert attributed == pytest.approx(total, rel=ROUNDING, abs=0.0)
+
+
+@pytest.mark.parametrize("cell_id", [_cell_id(cell) for cell in CELLS])
+def test_front_end_resources_conserve(run_cell, cell_id):
+    result, _, resources, noc_bytes = run_cell(cell_id)
+    requests = result.stats.get("requests")
+    links, ports = resources["noc_links"], resources["l2_bank_ports"]
+    # Every request crosses one NoC link and books one L2 bank port.
+    assert sum(link.requests_served for link in links) == requests
+    assert sum(port.requests_served for port in ports) == requests
+    assert sum(link.bytes_transferred for link in links) == noc_bytes
+    # Utilisation <= 1 at each single-port resource's last completion.
+    for kind, members in resources.items():
+        for resource in members:
+            assert resource.ports == 1, (kind, resource.name)
+            assert resource.wait_cycles >= 0, (kind, resource.name)
+            assert resource.busy_cycles <= resource.last_completion, (kind, resource.name)

@@ -21,6 +21,7 @@ import json
 
 import pytest
 
+from repro.configspace.presets import get_preset
 from repro.platforms.base import GPUSSDPlatform
 from repro.runner.spec import SweepSpec, build_cell_trace
 
@@ -117,6 +118,18 @@ EXPECTED = {
 }
 
 
+#: One paper-scale cell: ``ZnG|betw-back`` of the ``fig10`` preset at scale
+#: 1.0, seed 1.  It draws 23,447 ``request_latency`` samples, far past the
+#: 2,048-sample reservoir, so Algorithm R's replacement step is pinned too;
+#: the grid above stays below the reservoir.
+PAPER_SCALE_SPEC = get_preset("fig10").spec(
+    platforms=["ZnG"], workloads=["betw-back"], scale=1.0, seed=1)
+PAPER_SCALE_EXPECTED = {
+    'ZnG|betw-back|default':
+        '87d83f79a65f4918abcf1bf06f5d71f3c8add726254dba52646aff39857dadcb',
+}
+
+
 def _cell_id(cell) -> str:
     return f"{cell.platform}|{cell.workload}|{cell.override_set.label}"
 
@@ -137,6 +150,12 @@ def test_every_cell_is_pinned():
     assert sorted(EXPECTED) == sorted(_cell_id(cell) for cell in SPEC.cells())
 
 
+@pytest.mark.parametrize("cell", PAPER_SCALE_SPEC.cells(), ids=_cell_id)
+def test_paper_scale_record_digest_is_pinned(cell):
+    assert record_digest(cell) == PAPER_SCALE_EXPECTED[_cell_id(cell)]
+
+
 if __name__ == "__main__":
-    for cell in SPEC.cells():
-        print(f"    {_cell_id(cell)!r}:\n        {record_digest(cell)!r},")
+    for spec in (SPEC, PAPER_SCALE_SPEC):
+        for cell in spec.cells():
+            print(f"    {_cell_id(cell)!r}:\n        {record_digest(cell)!r},")

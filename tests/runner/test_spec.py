@@ -7,6 +7,7 @@ from repro.configspace import (
     CanonicalEncodingError,
     ConfigPathError,
     ConfigValueError,
+    canonical_json,
 )
 from repro.runner import OverrideSet, SweepSpec, apply_overrides, cell_seed
 
@@ -213,14 +214,24 @@ class TestCacheKey:
 
     def test_unencodable_override_value_raises(self):
         # The v3 canonical encoder must raise instead of stringifying a
-        # value without an exact encoding into a potentially aliasing key.
-        # NaN passes float coercion but json.dumps would happily emit the
-        # non-canonical literal "NaN" — exactly the silent-aliasing class the
-        # strict encoder closes.
-        cell = self._cell(
-            overrides={"znand.read_latency_us": float("nan")})
+        # value without an exact encoding into a potentially aliasing key:
+        # json.dumps would happily emit the non-canonical literal "NaN".
+        # Float coercion now rejects NaN before a cell exists, and a NaN
+        # smuggled past create() dies when the cell resolves its config;
+        # the encoder stays the last guard for any descriptor.
+        with pytest.raises(ConfigValueError, match="finite float"):
+            self._cell(overrides={"znand.read_latency_us": float("nan")})
+        from dataclasses import replace as dc_replace
+
+        poisoned = dc_replace(
+            self._cell(),
+            override_set=OverrideSet(
+                "bad", (("znand.read_latency_us", float("nan")),)),
+        )
+        with pytest.raises(ConfigValueError, match="finite float"):
+            poisoned.cache_key()
         with pytest.raises(CanonicalEncodingError, match="non-finite"):
-            cell.cache_key()
+            canonical_json({"znand": {"read_latency_us": float("nan")}})
 
     def test_arbitrary_object_override_raises(self):
         # An object smuggled past create() dies at schema validation when the

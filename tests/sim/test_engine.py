@@ -73,6 +73,17 @@ class TestResource:
         with pytest.raises(ValueError):
             resource.acquire(0.0, -1.0)
 
+    @pytest.mark.parametrize("ports", [1, 3])
+    def test_nan_duration_rejected_and_leaves_the_resource_intact(self, ports):
+        resource = Resource("r", ports=ports)
+        resource.acquire(0.0, 5.0)
+        with pytest.raises(ValueError):
+            resource.acquire(0.0, float("nan"))
+        assert resource.last_completion == 5.0
+        assert resource.busy_cycles == 5.0
+        assert resource.requests_served == 1
+        assert resource.acquire(0.0, 1.0) == (5.0 if ports == 1 else 0.0)
+
     def test_reset_clears_bookings(self):
         resource = Resource("r", ports=1)
         resource.acquire(0.0, 100.0)
@@ -142,6 +153,16 @@ class TestBandwidthResource:
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             BandwidthResource("bad", bytes_per_cycle=0.0)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="finite positive bandwidth"):
+            BandwidthResource("bad", bytes_per_cycle=bandwidth)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_fixed_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="finite non-negative latency"):
+            BandwidthResource("bad", bytes_per_cycle=4.0, fixed_latency=latency)
 
     @given(
         nbytes=st.integers(min_value=1, max_value=10_000),

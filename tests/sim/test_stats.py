@@ -1,5 +1,7 @@
 """Unit tests for the statistics collector."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,6 +243,119 @@ class TestStreamingHistogram:
         assert clone.histogram("lat").percentile(0.5) == collector.histogram(
             "lat"
         ).percentile(0.5)
+
+
+class PerSampleHistogram:
+    """Reference model: Algorithm R folded one sample per ``add``, with the
+    histogram's own LCG, seed and state layout."""
+
+    MULTIPLIER = 6364136223846793005
+    INCREMENT = 1442695040888963407
+    MASK = (1 << 64) - 1
+
+    def __init__(self, name, reservoir_size):
+        self.histogram = Histogram(name, reservoir_size)  # for the seed only
+        self.load_state(self.histogram.state_dict())
+
+    def add(self, value):
+        count = self.count
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if count < self.reservoir_size:
+            self.reservoir.append(value)
+            return
+        self.rng_state = (self.rng_state * self.MULTIPLIER + self.INCREMENT) & self.MASK
+        slot = (self.rng_state >> 33) % (count + 1)
+        if slot < self.reservoir_size:
+            self.reservoir[slot] = value
+
+    def state_dict(self):
+        return {"count": self.count, "total": self.total,
+                "min": self.min if self.count else None,
+                "max": self.max if self.count else None,
+                "reservoir": list(self.reservoir),
+                "reservoir_size": self.reservoir_size, "rng_state": self.rng_state}
+
+    def load_state(self, state):
+        self.count = state["count"]
+        self.total = state["total"]
+        self.min = math.inf if state["min"] is None else state["min"]
+        self.max = -math.inf if state["max"] is None else state["max"]
+        self.reservoir = list(state["reservoir"])
+        self.reservoir_size = state["reservoir_size"]
+        self.rng_state = state["rng_state"]
+
+
+#: Reservoir and LCG state of a 4-slot reservoir after the samples 0.0..11.0.
+FIXED_RESERVOIR = [5.0, 10.0, 7.0, 3.0]
+FIXED_RNG_STATE = 4784348634721014858
+
+#: Stream positions around the reservoir size and a few multiples of it.
+_EDGES = [1, 2047, 2048, 2049, 4095, 4096, 4097, 6143, 6144, 6145, 8192, 10_240]
+
+#: Reads, each checked against the reference.
+_READS = {
+    "state_dict": lambda h, ref: h.state_dict() == ref.state_dict(),
+    "count": lambda h, ref: h.count == ref.count,
+    "samples": lambda h, ref: list(h.samples) == ref.reservoir,
+    "maximum": lambda h, ref: h.percentile(1.0) == (ref.max if ref.count else 0.0),
+}
+
+
+class TestReservoirMatchesPerSampleReference:
+    """Algorithm R's replacement step under the bit-identity contract: the
+    pinned digest grid never draws past the 2,048-sample reservoir."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.one_of(st.sampled_from(_EDGES + [20_000]), st.integers(1, 20_000)),
+        reads=st.lists(st.one_of(st.sampled_from(_EDGES), st.integers(0, 20_000)),
+                       max_size=6),
+        reload_at=st.one_of(st.none(), st.sampled_from(_EDGES), st.integers(0, 20_000)),
+        reservoir_size=st.sampled_from([2048, 2048, 1, 300]),
+        read=st.sampled_from(sorted(_READS)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_state_is_bit_identical_at_every_read(self, seed, length, reads,
+                                                  reload_at, reservoir_size, read):
+        import json
+        import random
+
+        rng = random.Random(seed)
+        histogram = Histogram("request_latency", reservoir_size)
+        reference = PerSampleHistogram("request_latency", reservoir_size)
+        reads = set(reads)
+        for position in range(length):
+            if position == reload_at:
+                # Resume the stream in a fresh histogram from a JSON snapshot.
+                state = json.loads(json.dumps(histogram.state_dict()))
+                histogram = Histogram("request_latency", reservoir_size)
+                histogram.add(-2.0)
+                histogram.load_state(state)
+            if position in reads:
+                assert _READS[read](histogram, reference)
+            value = rng.choice((rng.random() * 1e4, float(rng.randrange(50)), 0.0))
+            histogram.add(value)
+            reference.add(value)
+        assert (json.dumps(histogram.state_dict(), sort_keys=True)
+                == json.dumps(reference.state_dict(), sort_keys=True))
+
+    def test_reference_pins_the_replacement_step(self):
+        """A fixed stream's reservoir, independent of both implementations."""
+        histogram = Histogram("request_latency", reservoir_size=4)
+        for i in range(12):
+            histogram.add(float(i))
+        state = histogram.state_dict()
+        assert state["reservoir"] == FIXED_RESERVOIR
+        assert state["rng_state"] == FIXED_RNG_STATE
+        reference = PerSampleHistogram("request_latency", reservoir_size=4)
+        for i in range(12):
+            reference.add(float(i))
+        assert reference.state_dict() == state
 
 
 class TestHelpers:

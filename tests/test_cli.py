@@ -39,6 +39,14 @@ BOUNDARY_ERRORS = [
       "--scale", "nan"], "scale must be a finite number > 0, got nan"),
     (["run", "ZnG", "betw", "back", "extra"], "unrecognized arguments: extra"),
     (["config", "--list-paths", "extra"], "unrecognized arguments: extra"),
+    (["sweep", "--platforms", "ZnG", "--workloads", "betw-back", "--no-cache",
+      "--scale", "0.05", "--set", "x:znand.read_latency_us=nan"],
+     "znand.read_latency_us expects a finite float (us), got 'nan'"),
+    (["sweep", "--platforms", "ZnG", "--workloads", "betw-back", "--no-cache",
+      "--scale", "0.05", "--set", "x:znand.read_latency_us=inf"],
+     "znand.read_latency_us expects a finite float (us), got 'inf'"),
+    (["sweep", "--platforms", "ZnG", "--workloads", "kv-lookup:get_ratio=nan",
+      "--no-cache", "--scale", "0.05"], "get_ratio expects a finite float"),
 ]
 
 
