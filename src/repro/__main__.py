@@ -12,29 +12,30 @@ Usage::
     python -m repro validate            # analytic-vs-measured validations
     python -m repro run <platform> <read_app> <write_app>   # one platform x mix
     python -m repro sweep [options]     # parallel, cached experiment sweep
-    python -m repro dispatch [options]  # lease-based distributed sweep worker
-    python -m repro status [options]    # live dispatch-fleet / sweep status
+    python -m repro status [options]    # sweep manifest status
     python -m repro merge <manifest>... # fold shard manifests into one result
     python -m repro config [options]    # inspect the configuration space
     python -m repro workloads [options] # inspect the workload-family registry
 
 ``python -m repro <command> -h`` lists a command's options.  Bad input exits
 2 with one line on stderr; results, and the exit-1 verdicts (a failed merge,
-report or cell, golden drift), go to stdout.
+report or cell, golden drift), go to stdout.  Ctrl-C exits 130 with one line
+on stderr; an interrupted sweep names the manifest to ``sweep --resume``.
 
 Telemetry (REPRO_TELEMETRY=1)::
 
-    Set ``REPRO_TELEMETRY=1`` to make sweep/dispatch emit structured spans
-    (sweep -> cell -> trace-build/simulate), per-cell component counters and
-    dispatch events (e.g. ``lease.stolen``) to per-worker JSONL files under
-    ``<cache-dir>/telemetry/`` (schema ``repro-telemetry-v1``).  Disabled by
-    default and bit-identical when off — see ``repro.telemetry``.
+    Set ``REPRO_TELEMETRY=1`` to make sweep emit structured spans
+    (sweep -> cell -> trace-build/simulate) and per-cell component counters
+    to per-worker JSONL files under ``<cache-dir>/telemetry/`` (schema
+    ``repro-telemetry-v1``).  Disabled by default and bit-identical when
+    off — see ``repro.telemetry``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List
 
@@ -258,7 +259,7 @@ def _parse_shard_flag(text: str):
 
 
 def _grid_parser() -> argparse.ArgumentParser:
-    """The grid flags of ``sweep`` and ``dispatch``, read by :func:`_spec_from_args`."""
+    """The grid flags of ``sweep``, read by :func:`_spec_from_args`."""
     grid = argparse.ArgumentParser(add_help=False)
     group = grid.add_argument_group("grid options")
     group.add_argument("--preset", metavar="NAME",
@@ -388,6 +389,7 @@ def _cmd_sweep(args: List[str]) -> int:
             workers = 1
         enable_profiling()
 
+    manifest_path = ns.resume
     try:
         if ns.resume is not None:
             result = resume_sweep(ns.resume, workers=workers,
@@ -413,6 +415,12 @@ def _cmd_sweep(args: List[str]) -> int:
     except SweepExecutionError as error:
         print(error.args[0] if error.args else error)
         return 1
+    except KeyboardInterrupt:
+        if manifest_path is None or not os.path.exists(manifest_path):
+            raise
+        # Every finished cell is already in the cache and the manifest.
+        raise KeyboardInterrupt(f"interrupted; finish the sweep with: python -m "
+                                f"repro sweep --resume {manifest_path}")
     finally:
         if ns.profile:
             # Harvest, then disarm even on an error: later in-process sweeps
@@ -449,92 +457,18 @@ def _cmd_sweep(args: List[str]) -> int:
     return 0
 
 
-def _cmd_dispatch(args: List[str]) -> int:
-    from repro.runner import DispatchError, DispatchWorker
-    from repro.runner.dispatch import DEFAULT_LEASE_TTL_SECONDS
-
-    parser = _Parser(
-        "dispatch", usage="%(prog)s [options]", parents=[_grid_parser()],
-        description="One worker leasing cells from a file-backed queue in the "
-        "cache root; start any number against a shared cache.  Survivors steal "
-        "a dead worker's expired leases, and whichever worker commits the last "
-        "cell writes <cache-dir>/manifest.json.  Every worker must declare the "
-        "same grid.")
-    parser.add_argument("--cache-dir", dest="cache", default=True, metavar="DIR",
-                        help="result cache and queue location, shareable across "
-                        "hosts (default: .repro-cache)")
-    parser.add_argument("--owner", metavar="NAME",
-                        help="worker identity in lease records "
-                        "(default: <hostname>-<pid>)")
-    parser.add_argument("--lease-ttl", type=float, metavar="S",
-                        default=DEFAULT_LEASE_TTL_SECONDS,
-                        help="seconds without a heartbeat before a lease is "
-                        "stealable; well above the slowest cell (default: "
-                        "%(default)s)")
-    parser.add_argument("--poll-interval", type=float, metavar="S",
-                        help="idle sleep between queue scans (default: TTL/4, "
-                        "clamped to [0.05, 1])")
-    parser.add_argument("--max-cells", type=int, metavar="N",
-                        help="commit at most N cells then exit (smoke runs)")
-    parser.add_argument("--stall-after-claim", type=float, default=0.0, metavar="S",
-                        help="fault injection: claim one lease, then stall S "
-                        "seconds without heartbeating so peers must steal it")
-    ns = parser.parse_intermixed_args(args)
-
-    spec = _spec_from_args(ns)
-    try:
-        worker = DispatchWorker(
-            spec, cache=ns.cache, owner=ns.owner, lease_ttl_seconds=ns.lease_ttl,
-            poll_interval_seconds=ns.poll_interval, max_cells=ns.max_cells,
-            stall_after_claim_seconds=ns.stall_after_claim)
-        from repro.telemetry import ensure_sink_env
-
-        ensure_sink_env(worker.cache.root)
-        report = worker.run()
-    except DispatchError as error:
-        # A queue that refuses this worker (another grid, an unreadable
-        # registration) is bad input, not a result.
-        print(error, file=sys.stderr)
-        return 2
-
-    print(
-        f"worker {report.owner}: {report.executed} executed, "
-        f"{report.cache_served} from cache, {report.stolen} stolen, "
-        f"{report.wasted} wasted, {len(report.failed)} failed "
-        f"in {report.elapsed_seconds:.2f}s "
-        f"[cache {worker.cache.root}]"
-    )
-    if report.complete and report.manifest_path is not None:
-        print(f"grid complete; manifest at {report.manifest_path}")
-    elif not report.complete:
-        pending = worker.queue.pending(
-            [cell.cache_key() for cell in spec.cells()])
-        print(f"exiting with the grid incomplete ({len(pending)} cells "
-              f"pending); more workers (or a re-run) will finish it")
-    if report.failed:
-        for label in report.failed:
-            print(f"FAILED {label}")
-        print(f"{len(report.failed)} cell(s) failed; inspect the manifest and "
-              f"re-run dispatch after fixing (committed failures are sticky "
-              f"for this queue)")
-        return 1
-    return 0
-
-
 def _cmd_status(args: List[str]) -> int:
     parser = _Parser(
-        "status", description="Dispatch-queue and manifest state, read from the "
-        "on-disk coordination files without perturbing a running fleet.")
+        "status", description="Sweep manifest state, read from the on-disk "
+        "manifests without perturbing a running sweep.")
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="cache root to scan (default: .repro-cache or "
                         "$REPRO_CACHE_DIR)")
-    parser.add_argument("--queue", action="append", default=[], metavar="DIR",
-                        help="inspect one queue directory (repeatable)")
     parser.add_argument("--manifest", action="append", default=[], metavar="FILE",
                         help="summarise a run manifest (repeatable; default: "
                         "every manifest*.json in the cache root)")
     parser.add_argument("--watch", action="store_true",
-                        help="refresh until every queue completes (or Ctrl-C)")
+                        help="refresh until every manifest completes (or Ctrl-C)")
     parser.add_argument("--interval", type=float, default=2.0, metavar="S",
                         help="--watch refresh period (default: %(default)s)")
     parser.add_argument("--json", action="store_true",
@@ -552,55 +486,39 @@ def _cmd_status(args: List[str]) -> int:
     from pathlib import Path
 
     from repro.runner.cache import default_cache_dir
-    from repro.telemetry.status import (
-        discover_queue_dirs,
-        manifest_status,
-        queue_status,
-        render_manifest_status,
-        render_queue_status,
-    )
+    from repro.telemetry.status import manifest_status, render_manifest_status
 
     root = Path(ns.cache_dir) if ns.cache_dir is not None else default_cache_dir()
 
     def snapshot() -> int:
-        """Render one status pass; exit 0 iff everything found is complete."""
-        queue_dirs = [Path(q) for q in ns.queue] or discover_queue_dirs(root)
-        statuses = [queue_status(directory) for directory in queue_dirs]
+        """Render one status pass; exit 0 iff every manifest found is complete."""
         manifest_paths = [Path(m) for m in ns.manifest] or sorted(
             root.glob("manifest*.json"))
         manifests = [manifest_status(path) for path in manifest_paths]
         if ns.json:
             print(json_module.dumps(
-                {"queues": statuses,
-                 "manifests": [m for m in manifests if m is not None]},
+                {"manifests": [m for m in manifests if m is not None]},
                 indent=2, sort_keys=True))
-        else:
-            blocks = [render_queue_status(status) for status in statuses]
-            blocks.extend(
+        elif manifest_paths:
+            print("\n\n".join(
                 render_manifest_status(status) if status is not None
                 else f"manifest {path}: unreadable"
-                for status, path in zip(manifests, manifest_paths))
-            if not blocks:
-                print(f"no dispatch queues under {root / 'dispatch'} "
-                      f"(and no --queue/--manifest given)")
-            print("\n\n".join(blocks))
-        done = all(status["complete"] for status in statuses) and all(
-            status is not None and status["complete"] for status in manifests)
-        return 0 if (statuses or manifests) and done else 1
+                for status, path in zip(manifests, manifest_paths)))
+        else:
+            print(f"no manifest*.json under {root} (and no --manifest given)")
+        done = all(status is not None and status["complete"]
+                   for status in manifests)
+        return 0 if manifests and done else 1
 
     if ns.watch:
-        try:
-            while snapshot() != 0:
-                time_module.sleep(ns.interval)
-                print()
-            return 0
-        except KeyboardInterrupt:
-            return 130
+        while snapshot() != 0:
+            time_module.sleep(ns.interval)
+            print()
+        return 0
     snapshot()
 
     if ns.validate:
         from repro.telemetry import ENV_DIR, validate_events_dir
-        import os
 
         telemetry_dir = Path(os.environ.get(ENV_DIR) or root / "telemetry")
         count, problems = validate_events_dir(telemetry_dir)
@@ -846,7 +764,6 @@ def _cmd_workloads(args: List[str]) -> int:
 COMMANDS = {
     "report": _cmd_report,
     "sweep": _cmd_sweep,
-    "dispatch": _cmd_dispatch,
     "status": _cmd_status,
     "merge": _cmd_merge,
     "config": _cmd_config,
@@ -874,6 +791,9 @@ def main(argv: List[str] = None) -> int:
         return COMMANDS[command](argv[1:])
     except SystemExit as stop:  # argparse: -h/--help (0) or a parse error (2)
         return stop.code
+    except KeyboardInterrupt as stop:  # Ctrl-C: one line, the shell's 128 + SIGINT
+        print(stop.args[0] if stop.args else "interrupted", file=sys.stderr)
+        return 130
     except OSError as error:
         print(error, file=sys.stderr)
         return 2

@@ -371,16 +371,7 @@ def result_provenance(result, manifests=None) -> Dict[str, object]:
     for manifest in manifests or ():
         summary = manifest.provenance()
         provenance.setdefault("manifest_schema", summary["schema"])
-        key = f"manifest[{summary['shard']}]"
-        provenance[key] = summary["path"]
-        dispatch = summary.get("dispatch")
-        if isinstance(dispatch, dict):
-            workers = dispatch.get("workers") or []
-            provenance[f"dispatch[{summary['shard']}]"] = (
-                f"{len(workers)} worker(s): {', '.join(workers)}; "
-                f"{dispatch.get('executed', 0)} executed, "
-                f"{dispatch.get('cache_served', 0)} from cache, "
-                f"{dispatch.get('stolen_leases', 0)} stolen lease(s)")
+        provenance[f"manifest[{summary['shard']}]"] = summary["path"]
     return provenance
 
 
@@ -439,7 +430,7 @@ def report_from_manifests(
 
     Telemetry event logs are discovered automatically: each manifest's cache
     root (or its own parent directory) is probed for a ``telemetry/``
-    directory with event files, so a dispatch fleet's report grows a
+    directory with event files, so a traced sweep's report grows a
     swimlane without any extra flag.
     """
     from repro.runner.manifest import RunManifest, merge_manifests

@@ -62,20 +62,11 @@ and :func:`merge_manifests` folds N shard manifests + caches back into one
 complete, verified ``SweepResult`` (see :mod:`repro.runner.manifest`).  The
 CLI front ends are ``sweep --shard I/N``, ``sweep --resume`` and ``merge``.
 
-Distributed dispatch
---------------------
-Where sharding pins a fixed slice per host, :mod:`repro.runner.dispatch`
-*leases* individual cells to any number of worker processes/hosts through a
-file-backed queue in the cache root — atomic claim, heartbeat mtimes,
-work-stealing of expired leases, exactly-once commit — and converges on the
-same run manifest a sweep writes, so merge/report/goldens are oblivious::
-
-    from repro.runner import SweepSpec, run_dispatch_worker
-    report = run_dispatch_worker(spec, cache=".repro-cache")   # one worker
-    # start as many workers as you like; any single one dying only delays
-    # its in-flight cells by the lease TTL
-
-CLI front end: ``python -m repro dispatch``.
+This is the one way to distribute and resume a grid: shards split it across
+hosts, and a sweep killed mid-run (SIGKILL of its whole process group, or
+Ctrl-C) resumes from its manifest to results bit-identical to an
+uninterrupted run — ``tests/runner/test_kill_resume.py`` kills a real
+``python -m repro sweep`` to prove it.
 
 Cache layout
 ------------
@@ -97,14 +88,6 @@ from repro.runner.cache import (
     ResultCache,
     default_cache_dir,
     open_cache,
-)
-from repro.runner.dispatch import (
-    DispatchError,
-    DispatchReport,
-    DispatchWorker,
-    LeaseQueue,
-    default_owner,
-    run_dispatch_worker,
 )
 from repro.runner.runner import (
     CellFailure,
@@ -144,10 +127,6 @@ __all__ = [
     "CACHE_VERSION",
     "CellFailure",
     "CellRun",
-    "DispatchError",
-    "DispatchReport",
-    "DispatchWorker",
-    "LeaseQueue",
     "MANIFEST_SCHEMA",
     "ManifestCell",
     "ManifestError",
@@ -167,7 +146,6 @@ __all__ = [
     "cell_seed",
     "default_cache_dir",
     "default_manifest_name",
-    "default_owner",
     "disable_profiling",
     "enable_profiling",
     "execute_cell",
@@ -175,7 +153,6 @@ __all__ = [
     "open_cache",
     "profile_tables",
     "resume_sweep",
-    "run_dispatch_worker",
     "run_sweep",
     "shutdown_worker_pools",
 ]

@@ -146,11 +146,6 @@ class RunManifest:
     shard_count: int = 1
     cache_dir: str = ""
     elapsed_seconds: float = 0.0
-    #: Provenance of a ``repro dispatch`` run (``repro-dispatch-v1``: queue
-    #: dir, worker ids, executed/stolen counts).  ``None`` for plain sweeps —
-    #: the field is additive, so the v1 on-disk schema is unchanged and
-    #: pre-dispatch manifests load exactly as before.
-    dispatch: Optional[Dict[str, object]] = None
     #: Where this manifest was last written/read (not serialised).
     path: Optional[Path] = field(default=None, compare=False)
 
@@ -212,7 +207,7 @@ class RunManifest:
         Purely derived from already-persisted fields — the v1 on-disk schema
         is unchanged.
         """
-        summary = {
+        return {
             "schema": MANIFEST_SCHEMA,
             "spec_fingerprint": self.spec_fingerprint,
             "shard": f"{self.shard_index + 1}/{self.shard_count}",
@@ -222,13 +217,10 @@ class RunManifest:
             "elapsed_seconds": self.elapsed_seconds,
             "path": str(self.path) if self.path is not None else "",
         }
-        if self.dispatch is not None:
-            summary["dispatch"] = dict(self.dispatch)
-        return summary
 
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, object]:
-        payload = {
+        return {
             "schema": MANIFEST_SCHEMA,
             "spec_fingerprint": self.spec_fingerprint,
             "spec": self.spec_payload,
@@ -237,9 +229,6 @@ class RunManifest:
             "elapsed_seconds": self.elapsed_seconds,
             "cells": [cell.to_payload() for cell in self.cells],
         }
-        if self.dispatch is not None:
-            payload["dispatch"] = dict(self.dispatch)
-        return payload
 
     def write(self, path: Union[os.PathLike, str, None] = None) -> Path:
         """Atomically persist the manifest (tmp file + rename)."""
@@ -264,7 +253,11 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Union[os.PathLike, str]) -> "RunManifest":
-        """Read and validate one manifest; raises :class:`ManifestError`."""
+        """Read and validate one manifest; raises :class:`ManifestError`.
+
+        Keys this code does not read are ignored, so a manifest that carries
+        the ``dispatch`` block of the retired lease queue loads unchanged.
+        """
         source = Path(path)
         try:
             payload = json.loads(source.read_text())
@@ -288,8 +281,6 @@ class RunManifest:
                 shard_count=int(shard["count"]),
                 cache_dir=str(payload.get("cache_dir", "")),
                 elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-                dispatch=(dict(payload["dispatch"])
-                          if isinstance(payload.get("dispatch"), dict) else None),
                 path=source,
             )
         except (KeyError, TypeError, ValueError) as error:

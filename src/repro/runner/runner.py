@@ -21,11 +21,12 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
@@ -60,18 +61,16 @@ def _trace_shm_name(memo_key: Tuple) -> str:
 def _attach_shared_trace(memo_key: Tuple):
     """Unpickle a parent-published trace from shared memory, or ``None``.
 
-    Attaching registers the segment with this process's resource tracker
-    (bpo-39959), which would try to unlink it again at worker exit — the
-    parent owns the segment lifetime, so the registration is undone here.
+    Attaching registers the segment with the resource tracker (bpo-39959).
+    A forked pool worker shares its parent's tracker, which already holds
+    the segment, so that registration is a no-op; undoing it here would
+    cancel the parent's and make the parent's ``unlink`` at exit fail in
+    the tracker with a ``KeyError``.
     """
     try:
         segment = shared_memory.SharedMemory(name=_trace_shm_name(memo_key))
     except (FileNotFoundError, OSError):
         return None
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
     try:
         return pickle.loads(bytes(segment.buf))
     except Exception:
@@ -301,13 +300,23 @@ def _execute_indexed(
 _POOLS: Dict[int, multiprocessing.pool.Pool] = {}
 
 
+def _ignore_sigint() -> None:
+    """Pool-worker initializer: Ctrl-C is the parent's to handle.
+
+    SIGINT reaches the terminal's whole process group; without this every
+    worker would print its own ``KeyboardInterrupt`` traceback.  The parent
+    stops the sweep and terminates the pool.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _shared_pool(workers: int) -> multiprocessing.pool.Pool:
     pool = _POOLS.get(workers)
     if pool is None:
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
-        pool = context.Pool(processes=workers)
+        pool = context.Pool(processes=workers, initializer=_ignore_sigint)
         _POOLS[workers] = pool
     return pool
 
@@ -577,11 +586,11 @@ class SweepRunner:
                 if manifest is not None:
                     manifest.mark(keys[index], "ok", timings=timings)
                     manifest.write(manifest_path)
-        except Exception:
-            # Pool-level failure *or* an on_error="raise" cell failure:
-            # either way the shared pool still holds queued cells whose
-            # results nobody will consume — terminate it so no ghost work
-            # burns the workers, and the next sweep gets a fresh fork.
+        except BaseException:
+            # A pool-level failure, an on_error="raise" cell failure or
+            # Ctrl-C: either way the shared pool still holds queued cells
+            # whose results nobody will consume — terminate it so no ghost
+            # work burns the workers, and the next sweep gets a fresh fork.
             _discard_pool(self.workers)
             raise
 

@@ -1,13 +1,13 @@
-"""Structured, schema-versioned observability for sweeps, dispatch and the engine.
+"""Structured, schema-versioned observability for sweeps and the engine.
 
 ``repro.telemetry`` is the management plane next to the execution plane: a
 process-local tracer that emits **nested spans** (sweep → cell →
 trace-build/simulate → engine sections), **counters** (cache hits, MSHR and
-coalescer totals, event-loop depth, resource-wait cycles) and **events**
-(``lease.stolen``) as append-only JSONL, one file per worker process, under
+coalescer totals, event-loop depth, resource-wait cycles) and one-shot
+**events** as append-only JSONL, one file per worker process, under
 ``<cache-root>/telemetry/``.  Every record carries the schema tag
 ``repro-telemetry-v1`` and is written with a single ``os.write`` so records
-are atomic and per-worker files never contend across a dispatch fleet.
+are atomic and per-worker files never contend across pool workers.
 
 Telemetry is **off by default and free when off**: every instrumentation
 site goes through module-level stubs that return a shared no-op span /
@@ -18,11 +18,10 @@ simulated numbers are bit-identical either way (gated by
 
 Usage
 -----
-Enable with the environment (inherited by pool/dispatch workers)::
+Enable with the environment (inherited by pool workers)::
 
-    REPRO_TELEMETRY=1 python -m repro sweep --preset fig10 --scale 0.1
-    REPRO_TELEMETRY=1 python -m repro dispatch --preset fig10 --scale 0.1 \
-        --cache-dir shared-cache --owner worker-a
+    REPRO_TELEMETRY=1 python -m repro sweep --preset fig10 --scale 0.1 \
+        --workers 2 --cache-dir traced-cache
 
 then read the log(s)::
 
@@ -36,11 +35,11 @@ or programmatically (tests, notebooks)::
         telemetry.counter("things", 3)
     telemetry.close()
 
-Watch a dispatch fleet live (one-shot or refreshing)::
+Watch a sweep's manifest (one-shot or refreshing)::
 
-    python -m repro status --cache-dir shared-cache
-    python -m repro status --cache-dir shared-cache --watch --interval 2
-    python -m repro status --cache-dir shared-cache --validate  # schema-check events
+    python -m repro status --cache-dir traced-cache
+    python -m repro status --cache-dir traced-cache --watch --interval 2
+    python -m repro status --cache-dir traced-cache --validate  # schema-check events
 
 ``repro report`` renders any telemetry found next to the manifests into
 ``<out>/telemetry/spans.csv`` (canonical CSV) and ``timeline.html`` (a
@@ -51,7 +50,7 @@ Submodules
 ----------
 * :mod:`repro.telemetry.core` — tracer, spans, counters, sinks (re-exported).
 * :mod:`repro.telemetry.schema` — record validation (re-exported).
-* :mod:`repro.telemetry.status` — queue/manifest fleet status (``repro status``).
+* :mod:`repro.telemetry.status` — manifest status (``repro status``).
 * :mod:`repro.telemetry.timeline` — ``spans.csv`` + ``timeline.html`` artifacts.
 """
 
@@ -70,7 +69,6 @@ from repro.telemetry.core import (
     ensure_sink_env,
     event,
     reset,
-    set_worker,
     sink_dir,
     span,
     worker_identity,
@@ -103,7 +101,6 @@ __all__ = [
     "iter_event_files",
     "read_events",
     "reset",
-    "set_worker",
     "sink_dir",
     "span",
     "validate_events_dir",

@@ -9,8 +9,8 @@ Design constraints (what the tests pin):
 
 * **Atomic, contention-free emission.**  Each process appends to its own
   ``events-<host>-<pid>.jsonl`` (``O_APPEND``; one ``os.write`` per record),
-  so a dispatch fleet on a shared filesystem never interleaves partial
-  lines and never takes a lock across processes.  After a ``fork`` the
+  so pool workers sharing a sink directory never interleave partial lines
+  and never take a lock across processes.  After a ``fork`` the
   child's first record transparently opens its own file (the sink fd is
   keyed by pid).
 
@@ -35,7 +35,7 @@ from repro.telemetry.schema import TELEMETRY_SCHEMA
 ENV_FLAG = "REPRO_TELEMETRY"
 #: Directory the JSONL sinks live in (the CLI points it at ``<cache>/telemetry``).
 ENV_DIR = "REPRO_TELEMETRY_DIR"
-#: Worker identity stamped on every record (dispatch sets it to ``--owner``).
+#: Worker identity stamped on every record (default: ``<host>-<pid>``).
 ENV_WORKER = "REPRO_TELEMETRY_WORKER"
 
 _TRUTHY = frozenset(("1", "true", "yes", "on"))
@@ -139,11 +139,6 @@ def ensure_sink_env(cache_root: Optional[os.PathLike]) -> Optional[Path]:
     if not os.environ.get(ENV_DIR) and cache_root is not None:
         os.environ[ENV_DIR] = str(Path(cache_root) / "telemetry")
     return sink_dir()
-
-
-def set_worker(name: str) -> None:
-    """Stamp ``name`` as this process's worker identity (dispatch owner)."""
-    _STATE.worker_override = name
 
 
 def worker_identity() -> str:
@@ -306,7 +301,7 @@ def current_span_id() -> Optional[str]:
 # Events and counters
 # ---------------------------------------------------------------------------
 def event(name: str, attrs: Optional[Dict[str, object]] = None) -> None:
-    """Emit a structured one-shot event (e.g. ``lease.stolen``)."""
+    """Emit a structured one-shot event."""
     if not enabled():
         return
     record = _base("event", name)

@@ -1,178 +1,25 @@
-"""Live fleet status for dispatch queues and sweep manifests (``repro status``).
+"""Sweep status from run manifests (``repro status``).
 
-Reads the same on-disk state the dispatch fabric coordinates through —
-``queue.json``, ``leases/`` (mtime = heartbeat), ``done/`` markers — plus
-the run manifest, and renders one compact text block per queue: committed /
-pending cell counts, active leases with per-owner heartbeat ages, per-worker
-commit tallies and an ETA extrapolated from the completed-cell rate.
-Strictly read-only: observing a queue never perturbs it.
-
-``clock`` is injectable everywhere (mirroring :class:`LeaseQueue`) so tests
-drive live/stalled/finished renderings deterministically.
+Reads a run manifest — rewritten atomically after every finished cell — and
+renders one compact text block per manifest: cell counts by status and
+whether the grid is complete.  Strictly read-only: observing a running sweep
+never perturbs it.
 """
 
 from __future__ import annotations
 
 import json
-import re
-import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
-
-_LEASE_NAME = re.compile(
-    r"^(?P<key>[0-9a-f]{64})\.gen-(?P<gen>[1-9][0-9]*)\.json$")
-_DONE_NAME = re.compile(r"^(?P<key>[0-9a-f]{64})\.json$")
-
-
-def discover_queue_dirs(cache_root) -> List[Path]:
-    """Every dispatch queue registered under ``cache_root``, sorted."""
-    dispatch_root = Path(cache_root) / "dispatch"
-    if not dispatch_root.is_dir():
-        return []
-    return sorted(
-        child for child in dispatch_root.iterdir()
-        if (child / "queue.json").is_file()
-    )
-
-
-def _read_json(path: Path) -> Optional[Dict[str, object]]:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def queue_status(
-    queue_dir, clock: Callable[[], float] = time.time
-) -> Dict[str, object]:
-    """One snapshot of a dispatch queue's fleet state, as plain data.
-
-    ``state`` is ``"complete"`` (every cell committed), ``"running"`` (at
-    least one live lease) or ``"stalled"`` (work pending but no live
-    heartbeat — crashed fleet, expired leases, or nobody started yet).
-    """
-    queue_dir = Path(queue_dir)
-    registration = _read_json(queue_dir / "queue.json") or {}
-    total_cells = int(registration.get("cells") or 0)
-    ttl = float(registration.get("lease_ttl_seconds") or 0.0)
-    now = clock()
-
-    # Done markers: the committed truth.
-    done: Dict[str, Dict[str, object]] = {}
-    done_dir = queue_dir / "done"
-    if done_dir.is_dir():
-        for path in sorted(done_dir.iterdir()):
-            match = _DONE_NAME.match(path.name)
-            record = _read_json(path) if match else None
-            if match and record is not None:
-                done[match.group("key")] = record
-
-    ok = failed = cache_served = stolen = 0
-    workers: Dict[str, Dict[str, object]] = {}
-    commit_times: List[float] = []
-    for record in done.values():
-        owner = str(record.get("owner", "?"))
-        tally = workers.setdefault(
-            owner, {"committed": 0, "last_commit_age_seconds": None})
-        tally["committed"] += 1
-        committed_at = record.get("committed_at")
-        if isinstance(committed_at, (int, float)):
-            commit_times.append(float(committed_at))
-            age = now - float(committed_at)
-            last = tally["last_commit_age_seconds"]
-            if last is None or age < last:
-                tally["last_commit_age_seconds"] = age
-        if record.get("status") == "failed":
-            failed += 1
-        elif record.get("from_cache"):
-            cache_served += 1
-        else:
-            ok += 1
-        if int(record.get("generation", 0) or 0) > 1:
-            stolen += 1
-
-    # Active leases: highest generation per not-yet-done key.
-    leases: List[Dict[str, object]] = []
-    leases_dir = queue_dir / "leases"
-    if leases_dir.is_dir():
-        top: Dict[str, tuple] = {}
-        for path in leases_dir.iterdir():
-            match = _LEASE_NAME.match(path.name)
-            if not match or match.group("key") in done:
-                continue
-            generation = int(match.group("gen"))
-            known = top.get(match.group("key"))
-            if known is None or generation > known[0]:
-                top[match.group("key")] = (generation, path)
-        for key in sorted(top):
-            generation, path = top[key]
-            try:
-                age = now - path.stat().st_mtime
-            except OSError:
-                continue  # vanished mid-scan
-            record = _read_json(path) or {}
-            owner = str(record.get("owner", "?"))
-            leases.append({
-                "key": key,
-                "owner": owner,
-                "generation": generation,
-                "age_seconds": age,
-                "expired": ttl > 0 and age > ttl,
-            })
-
-    pending = max(total_cells - len(done), 0)
-    complete = total_cells > 0 and pending == 0
-
-    # Live heartbeats per worker (freshest active lease).
-    for lease in leases:
-        if lease["expired"]:
-            continue
-        tally = workers.setdefault(
-            lease["owner"], {"committed": 0, "last_commit_age_seconds": None})
-        beat = tally.get("heartbeat_age_seconds")
-        if beat is None or lease["age_seconds"] < beat:
-            tally["heartbeat_age_seconds"] = lease["age_seconds"]
-
-    # ETA from the committed-cell rate (first-to-last commit spread).
-    eta = None
-    if pending and len(commit_times) >= 2:
-        spread = max(commit_times) - min(commit_times)
-        if spread > 0:
-            rate = (len(commit_times) - 1) / spread
-            eta = pending / rate
-
-    if complete:
-        state = "complete"
-    elif any(not lease["expired"] for lease in leases):
-        state = "running"
-    else:
-        state = "stalled"
-
-    return {
-        "queue": str(queue_dir),
-        "spec_fingerprint": str(registration.get("spec_fingerprint", "?")),
-        "schema": registration.get("schema"),
-        "lease_ttl_seconds": ttl,
-        "cells": total_cells,
-        "done": len(done),
-        "ok": ok,
-        "failed": failed,
-        "cache_served": cache_served,
-        "stolen": stolen,
-        "pending": pending,
-        "complete": complete,
-        "state": state,
-        "eta_seconds": eta,
-        "leases": leases,
-        "workers": {owner: workers[owner] for owner in sorted(workers)},
-    }
+from typing import Dict, Optional
 
 
 def manifest_status(manifest_path) -> Optional[Dict[str, object]]:
-    """Status of a plain (non-dispatch) sweep from its run manifest."""
-    payload = _read_json(Path(manifest_path))
-    if payload is None:
+    """Status of a sweep from its run manifest; ``None`` if unreadable."""
+    try:
+        payload = json.loads(Path(manifest_path).read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict):
         return None
     cells = payload.get("cells") or []
     counts: Dict[str, int] = {}
@@ -189,60 +36,6 @@ def manifest_status(manifest_path) -> Optional[Dict[str, object]]:
         "complete": len(cells) > 0 and pending == 0,
         "elapsed_seconds": payload.get("elapsed_seconds"),
     }
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-def _fmt_seconds(value: Optional[float]) -> str:
-    if value is None:
-        return "?"
-    if value >= 90:
-        return f"{value / 60:.1f}m"
-    return f"{value:.1f}s"
-
-
-def render_queue_status(status: Dict[str, object]) -> str:
-    """The human block ``repro status`` prints for one queue."""
-    lines = [
-        f"queue {status['queue']}",
-        (
-            f"  spec {status['spec_fingerprint'][:16]}  "
-            f"cells {status['cells']}  done {status['done']} "
-            f"(executed {status['ok']}, cache-served {status['cache_served']}, "
-            f"failed {status['failed']}, stolen {status['stolen']})  "
-            f"pending {status['pending']}"
-        ),
-    ]
-    state_line = f"  state: {status['state']}"
-    if status["state"] == "stalled":
-        state_line += "  (no live heartbeat holds a lease)"
-    if status["eta_seconds"] is not None and not status["complete"]:
-        state_line += f"  eta ~{_fmt_seconds(status['eta_seconds'])}"
-    lines.append(state_line)
-    leases = status["leases"]
-    if leases:
-        lines.append("  leases:")
-        for lease in leases:
-            flag = "EXPIRED" if lease["expired"] else "live"
-            lines.append(
-                f"    {lease['key'][:12]}… gen {lease['generation']}  "
-                f"owner {lease['owner']}  age {_fmt_seconds(lease['age_seconds'])}  "
-                f"{flag}"
-            )
-    workers = status["workers"]
-    if workers:
-        lines.append("  workers:")
-        for owner, tally in workers.items():
-            parts = [f"    {owner}  committed {tally['committed']}"]
-            if tally.get("last_commit_age_seconds") is not None:
-                parts.append(
-                    f"last commit {_fmt_seconds(tally['last_commit_age_seconds'])} ago")
-            if tally.get("heartbeat_age_seconds") is not None:
-                parts.append(
-                    f"heartbeat {_fmt_seconds(tally['heartbeat_age_seconds'])}")
-            lines.append("  ".join(parts))
-    return "\n".join(lines)
 
 
 def render_manifest_status(status: Dict[str, object]) -> str:

@@ -38,7 +38,7 @@ _PALETTE = (
 
 
 def collect_events(telemetry_dirs: Sequence) -> List[Dict[str, object]]:
-    """All records across several telemetry directories (dispatch fleets)."""
+    """All records across several telemetry directories (e.g. one per shard)."""
     events: List[Dict[str, object]] = []
     for directory in telemetry_dirs:
         events.extend(read_events(directory))
@@ -143,7 +143,7 @@ def render_timeline_html(events: Sequence[Dict[str, object]]) -> str:
         f"{html.escape(name)} &nbsp; " for name in names)
     parts.append(f"<p>{legend}</p>")
 
-    # Aggregate table: where the fleet's time went, by span name.
+    # Aggregate table: where the workers' time went, by span name.
     totals: Dict[str, List[float]] = {}
     for record in spans:
         entry = totals.setdefault(str(record.get("name", "?")), [0, 0.0])

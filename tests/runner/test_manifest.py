@@ -99,6 +99,33 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError):
             RunManifest.load(tmp_path / "nope.json")
 
+    def test_manifest_with_a_dispatch_block_loads_merges_and_reports(
+            self, tmp_path):
+        """Manifests written by the retired lease queue carry a ``dispatch``
+        provenance block under the same schema; they stay readable."""
+        from repro.analysis.reporting import report_from_manifests
+
+        spec, path, result = _run_with_manifest(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["dispatch"] = {
+            "schema": "repro-dispatch-v1",
+            "queue": str(tmp_path / "dispatch" / spec.fingerprint()[:16]),
+            "workers": ["survivor-1", "survivor-2"],
+            "executed": len(spec),
+            "cache_served": 0,
+            "failed": 0,
+            "stolen_leases": 1,
+        }
+        path.write_text(json.dumps(payload))
+
+        manifest = RunManifest.load(path)
+        assert manifest.counts()["ok"] == len(spec)
+        assert "dispatch" not in manifest.to_payload()
+        assert merge_manifests([path]).stats_dicts() == result.stats_dicts()
+        written = report_from_manifests([path], tmp_path / "report", plots=False)
+        assert "fig10.csv" in written
+        assert "stolen lease" not in written["report.html"].read_text()
+
 
 class TestFailureRecording:
     def _broken_execute(self, monkeypatch, broken_platform="ZnG-base"):

@@ -1,11 +1,11 @@
-"""The PR's acceptance gates: bit-identity and the two-worker telemetry drill.
+"""Telemetry acceptance: bit-identity and the two-worker traced sweep.
 
 * Telemetry may never perturb results: a sweep with tracing on produces
   ``PlatformResult`` records byte-identical to one with tracing off.
-* A two-worker ``repro dispatch`` fleet with ``REPRO_TELEMETRY=1`` leaves a
-  schema-valid event log whose span tree covers every executed cell,
-  ``repro status`` reports the queue complete, and the merged report CSVs
-  byte-match a telemetry-off serial sweep.
+* A ``repro sweep --workers 2`` of the golden grid with ``REPRO_TELEMETRY=1``
+  leaves a schema-valid event log whose span tree covers every cell,
+  ``repro status`` reports the manifest complete, and the report CSVs
+  byte-match the committed goldens, with the timeline artifacts next to them.
 """
 
 import json
@@ -14,8 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.runner import RunManifest, SweepSpec, run_sweep
-from repro.runner.dispatch import LeaseQueue, run_dispatch_worker
+from repro.runner import SweepRunner, SweepSpec, run_sweep
 from repro.telemetry import configure, reset
 from repro.telemetry.schema import (
     cell_coverage,
@@ -56,29 +55,6 @@ class TestBitIdentity:
             for cell in spec.cells()
         }
 
-    def test_lease_steal_emits_structured_event(self, tmp_path):
-        clock = [1000.0]
-        spec = _small_spec()
-        configure(enabled=True, sink_dir=tmp_path / "events", worker="thief")
-        try:
-            queue = LeaseQueue(tmp_path / "q", lease_ttl_seconds=5,
-                               clock=lambda: clock[0])
-            queue.ensure(spec)
-            key = min(cell.cache_key() for cell in spec.cells())
-            assert queue.try_claim(key, "victim") is not None
-            clock[0] += 6.0  # victim never heartbeats
-            lease = queue.try_claim(key, "thief")
-            assert lease is not None and lease.generation == 2
-        finally:
-            reset()
-        events = read_events(tmp_path / "events")
-        (stolen,) = [e for e in events if e["name"] == "lease.stolen"]
-        assert stolen["type"] == "event"
-        assert stolen["attrs"]["victim_owner"] == "victim"
-        assert stolen["attrs"]["victim_generation"] == 1
-        assert stolen["attrs"]["thief_owner"] == "thief"
-        assert stolen["attrs"]["generation"] == 2
-
 
 class TestSweepCliTelemetry:
     def test_sweep_pins_the_sink_to_a_fresh_cache_dir(
@@ -102,7 +78,7 @@ class TestSweepCliTelemetry:
         assert cell_coverage(events) == {("ZnG-base", "betw-back", "default")}
         assert not (tmp_path / ".repro-cache" / "telemetry").exists()
 
-        # With no dispatch queue, status auto-discovers manifest*.json.
+        # status auto-discovers manifest*.json in the cache root.
         capsys.readouterr()
         assert main(["status", "--cache-dir", str(cache_dir)]) == 0
         out = capsys.readouterr().out
@@ -110,27 +86,30 @@ class TestSweepCliTelemetry:
 
 
 class TestStatusCli:
-    def test_status_on_a_finished_queue(self, tmp_path, capsys):
+    def _finished_sweep(self, tmp_path):
+        spec = _small_spec()
+        SweepRunner(workers=1, cache=tmp_path).run(
+            spec, manifest_path=tmp_path / "manifest.json")
+        return spec
+
+    def test_status_on_a_finished_sweep(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        spec = _small_spec()
-        report = run_dispatch_worker(spec, cache=tmp_path, owner="w1")
-        assert report.complete
+        spec = self._finished_sweep(tmp_path)
         assert main(["status", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "state: complete" in out
-        assert f"done {len(spec)}" in out
+        assert f"cells {len(spec)} (ok {len(spec)})" in out
 
     def test_status_json_snapshot(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        spec = _small_spec()
-        run_dispatch_worker(spec, cache=tmp_path, owner="w1")
+        spec = self._finished_sweep(tmp_path)
         assert main(["status", "--cache-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        (queue,) = payload["queues"]
-        assert queue["complete"] and queue["state"] == "complete"
-        assert queue["spec_fingerprint"] == spec.fingerprint()
+        (manifest,) = payload["manifests"]
+        assert manifest["complete"] and manifest["pending"] == 0
+        assert manifest["spec_fingerprint"] == spec.fingerprint()
 
     def test_status_validate_gates_the_event_log(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -153,48 +132,24 @@ class TestStatusCli:
 
 
 class TestTwoWorkerTelemetryAcceptance:
-    """A 2-worker fleet with REPRO_TELEMETRY=1, checked end to end."""
+    """A traced 2-worker sweep of the golden grid, checked end to end."""
 
-    def test_fleet_run_is_traced_and_byte_identical(self, tmp_path, capsys):
+    def test_two_worker_sweep_is_traced_and_byte_identical(self, tmp_path, capsys):
         from repro.__main__ import main
-        from repro.analysis.reporting import (
-            compare_csv_dirs,
-            report_from_manifests,
-            write_report,
-        )
+        from repro.analysis.reporting import golden_spec
 
         cache_dir = tmp_path / "cache"
-        # Must match the CLI flags below exactly (the dispatch CLI has no
-        # --mem-insts flag, so the spec keeps the 64 default).
-        spec = _small_spec(memory_instructions_per_warp=64)
         env = dict(os.environ)
         env["PYTHONPATH"] = (str(_REPO_ROOT / "src") + os.pathsep
                              + env.get("PYTHONPATH", ""))
         env["REPRO_TELEMETRY"] = "1"
         env.pop("REPRO_TELEMETRY_DIR", None)
         env.pop("REPRO_TELEMETRY_WORKER", None)
-        argv = [
-            sys.executable, "-m", "repro", "dispatch",
-            "--platforms", "ZnG-base,ZnG",
-            "--workloads", "betw-back,bfs1",
-            "--scale", "0.06", "--warps", "2",
-            "--cache-dir", str(cache_dir),
-            "--lease-ttl", "10", "--poll-interval", "0.1",
-        ]
-        workers = [
-            subprocess.Popen(
-                argv + ["--owner", f"worker-{i}"],
-                cwd=_REPO_ROOT, env=env,
-                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-            for i in (1, 2)
-        ]
-        for proc in workers:
-            out, _ = proc.communicate(timeout=600)
-            assert proc.returncode == 0, f"worker failed:\n{out}"
-
-        # The CLI's spec must be the in-test spec (queue dir pins it).
-        queue_root = cache_dir / "dispatch" / spec.fingerprint()[:16]
-        assert queue_root.is_dir(), "CLI flags diverged from the test spec"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--preset", "fig10",
+             "--scale", "0.1", "--workers", "2", "--cache-dir", str(cache_dir)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+        assert completed.returncode == 0, completed.stdout + completed.stderr
 
         # 1. Schema-valid event log whose span tree covers every cell.
         telemetry_dir = cache_dir / "telemetry"
@@ -202,32 +157,24 @@ class TestTwoWorkerTelemetryAcceptance:
         assert problems == [], "\n".join(problems)
         assert count > 0
         events = read_events(telemetry_dir)
-        # The cells that were *executed* (not cache-served) left cell spans;
-        # with a cold cache that is every cell of the grid.
-        expected = {(c.platform, c.workload, c.override_set.label)
-                    for c in spec.cells()}
-        assert cell_coverage(events) == expected
-        workers_seen = {e["worker"] for e in events}
-        assert workers_seen <= {"worker-1", "worker-2"}
-        # Both processes wrote their own files; none interleaved.
-        assert len(list(telemetry_dir.glob("events*.jsonl"))) >= 1
+        assert cell_coverage(events) == {
+            (c.platform, c.workload, c.override_set.label)
+            for c in golden_spec().cells()}
+        # The parent's sweep span and the pool workers' cell spans.
+        assert len({e["worker"] for e in events}) >= 2
 
-        # 2. repro status reports the queue complete.
+        # 2. repro status reports the manifest complete.
         assert main(["status", "--cache-dir", str(cache_dir),
                      "--validate"]) == 0
         status_out = capsys.readouterr().out
         assert "state: complete" in status_out
         assert "0 schema violation(s)" in status_out
 
-        # 3. Report CSVs byte-identical to a telemetry-off serial sweep,
-        #    with the timeline artifacts tucked into telemetry/.
-        fleet_out = tmp_path / "fleet-report"
-        written = report_from_manifests(
-            [cache_dir / "manifest.json"], fleet_out,
-            plots=False, html_report=False)
-        assert "telemetry/timeline.html" in written
-        serial_out = tmp_path / "serial-report"
-        serial = run_sweep(spec, workers=1, cache=False)
-        write_report(serial, serial_out, plots=False, html_report=False)
-        drift = compare_csv_dirs(fleet_out, serial_out)
-        assert not drift, "\n".join(drift)
+        # 3. Report CSVs byte-identical to the goldens, with the timeline
+        #    artifacts tucked into telemetry/.
+        out_dir = tmp_path / "report"
+        assert main(["report", str(cache_dir / "manifest.json"), "--out",
+                     str(out_dir), "--check", "--no-plots", "--no-html"]) == 0
+        assert "golden gate passed" in capsys.readouterr().out
+        assert (out_dir / "telemetry" / "spans.csv").stat().st_size > 0
+        assert (out_dir / "telemetry" / "timeline.html").stat().st_size > 0

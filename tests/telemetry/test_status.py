@@ -1,127 +1,8 @@
-"""``repro status``: queue snapshots over live, finished, and stalled fleets.
-
-The fake queues here are written with the exact on-disk shapes the dispatch
-fabric produces (queue.json registration, ``leases/<key>.gen-N.json`` with
-mtime heartbeats, ``done/<key>.json`` markers), driven by an injectable
-clock so every state renders deterministically.
-"""
+"""``repro status``: manifest snapshots of finished and partial sweeps."""
 
 import json
-import os
 
-from repro.telemetry.status import (
-    discover_queue_dirs,
-    manifest_status,
-    queue_status,
-    render_manifest_status,
-    render_queue_status,
-)
-
-NOW = 1_000_000.0
-
-
-def _key(index: int) -> str:
-    return f"{index:064x}"
-
-
-def _fake_queue(root, cells=4, ttl=30.0):
-    queue = root / "dispatch" / "abcd1234abcd1234"
-    (queue / "leases").mkdir(parents=True)
-    (queue / "done").mkdir()
-    (queue / "queue.json").write_text(json.dumps({
-        "schema": "repro-dispatch-queue-v1",
-        "spec_fingerprint": "f" * 64,
-        "cells": cells,
-        "lease_ttl_seconds": ttl,
-    }))
-    return queue
-
-
-def _mark_done(queue, index, owner, committed_at, status="ok",
-               from_cache=False, generation=1):
-    (queue / "done" / f"{_key(index)}.json").write_text(json.dumps({
-        "key": _key(index), "owner": owner, "generation": generation,
-        "status": status, "from_cache": from_cache,
-        "committed_at": committed_at,
-    }))
-
-
-def _lease(queue, index, owner, heartbeat_at, generation=1):
-    path = queue / "leases" / f"{_key(index)}.gen-{generation}.json"
-    path.write_text(json.dumps({
-        "key": _key(index), "owner": owner, "generation": generation}))
-    os.utime(path, (heartbeat_at, heartbeat_at))
-    return path
-
-
-class TestQueueStatus:
-    def test_live_queue(self, tmp_path):
-        queue = _fake_queue(tmp_path)
-        _mark_done(queue, 0, "w1", NOW - 20)
-        _mark_done(queue, 1, "w2", NOW - 10)
-        _lease(queue, 2, "w1", NOW - 5)
-        status = queue_status(queue, clock=lambda: NOW)
-        assert status["state"] == "running"
-        assert status["done"] == 2 and status["pending"] == 2
-        assert not status["complete"]
-        # 2 commits 10s apart -> 0.1 cells/s -> 2 pending ~ 20s.
-        assert abs(status["eta_seconds"] - 20.0) < 1e-9
-        (lease,) = status["leases"]
-        assert lease["owner"] == "w1" and not lease["expired"]
-        assert status["workers"]["w1"]["heartbeat_age_seconds"] == 5.0
-        text = render_queue_status(status)
-        assert "state: running" in text and "eta ~20.0s" in text
-        assert "live" in text
-
-    def test_finished_queue(self, tmp_path):
-        queue = _fake_queue(tmp_path, cells=3)
-        _mark_done(queue, 0, "w1", NOW - 30)
-        _mark_done(queue, 1, "w2", NOW - 20, from_cache=True, generation=0)
-        _mark_done(queue, 2, "w2", NOW - 10, generation=2)
-        status = queue_status(queue, clock=lambda: NOW)
-        assert status["state"] == "complete" and status["complete"]
-        assert status["ok"] == 2 and status["cache_served"] == 1
-        assert status["stolen"] == 1 and status["pending"] == 0
-        text = render_queue_status(status)
-        assert "state: complete" in text
-        assert "stolen 1" in text
-
-    def test_stalled_queue(self, tmp_path):
-        queue = _fake_queue(tmp_path, ttl=30.0)
-        _mark_done(queue, 0, "w1", NOW - 200)
-        _lease(queue, 1, "w1", NOW - 100)  # heartbeat long dead
-        status = queue_status(queue, clock=lambda: NOW)
-        assert status["state"] == "stalled"
-        (lease,) = status["leases"]
-        assert lease["expired"]
-        text = render_queue_status(status)
-        assert "state: stalled" in text
-        assert "no live heartbeat" in text
-        assert "EXPIRED" in text
-
-    def test_highest_generation_wins_and_done_leases_drop(self, tmp_path):
-        queue = _fake_queue(tmp_path)
-        _lease(queue, 1, "w1", NOW - 100, generation=1)
-        _lease(queue, 1, "w2", NOW - 2, generation=2)  # the thief, alive
-        _mark_done(queue, 0, "w1", NOW - 5)
-        _lease(queue, 0, "w1", NOW - 1)  # lease of a committed cell: ignored
-        status = queue_status(queue, clock=lambda: NOW)
-        (lease,) = status["leases"]
-        assert lease["generation"] == 2 and lease["owner"] == "w2"
-        assert not lease["expired"]
-
-    def test_failed_cells_counted(self, tmp_path):
-        queue = _fake_queue(tmp_path, cells=2)
-        _mark_done(queue, 0, "w1", NOW - 5, status="failed")
-        _mark_done(queue, 1, "w1", NOW - 4)
-        status = queue_status(queue, clock=lambda: NOW)
-        assert status["failed"] == 1 and status["complete"]
-
-    def test_discover_queue_dirs(self, tmp_path):
-        assert discover_queue_dirs(tmp_path) == []
-        queue = _fake_queue(tmp_path)
-        (tmp_path / "dispatch" / "not-a-queue").mkdir()
-        assert discover_queue_dirs(tmp_path) == [queue]
+from repro.telemetry.status import manifest_status, render_manifest_status
 
 
 class TestManifestStatus:
@@ -140,3 +21,5 @@ class TestManifestStatus:
 
     def test_unreadable_manifest(self, tmp_path):
         assert manifest_status(tmp_path / "nope.json") is None
+        (tmp_path / "list.json").write_text("[]")
+        assert manifest_status(tmp_path / "list.json") is None

@@ -31,7 +31,7 @@ class TestEnabledTracer:
             with span("cell", {"platform": "ZnG", "workload": "bfs1",
                                "override": "default"}):
                 counter("l2.hits", 42.0)
-            event("lease.stolen", {"victim_owner": "w0"})
+            event("cell.retried", {"attempt": 2})
         reset()
 
         count, problems = validate_events_dir(tmp_path)
@@ -45,7 +45,7 @@ class TestEnabledTracer:
         assert cell["parent_id"] == sweep["span_id"]
         assert by_name["l2.hits"]["parent_id"] == cell["span_id"]
         # The event fired after the cell span closed, inside the sweep span.
-        assert by_name["lease.stolen"]["parent_id"] == sweep["span_id"]
+        assert by_name["cell.retried"]["parent_id"] == sweep["span_id"]
         assert all(record["worker"] == "w1" for record in events)
         assert all(record["schema"] == TELEMETRY_SCHEMA for record in events)
         assert cell_coverage(events) == {("ZnG", "bfs1", "default")}

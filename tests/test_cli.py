@@ -76,6 +76,22 @@ class TestCLI:
         assert main(["frobnicate"]) == 2
         assert_rejected(capsys, "unknown command")
 
+    def test_retired_dispatch_command_is_unknown(self, capsys):
+        assert main(["dispatch", "--preset", "fig10"]) == 2
+        assert_rejected(capsys, "unknown command 'dispatch'")
+
+    def test_ctrl_c_exits_130_with_one_stderr_line(self, capsys, tmp_path,
+                                                   monkeypatch):
+        import time
+
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", interrupt)
+        assert main(["status", "--cache-dir", str(tmp_path), "--watch",
+                     "--interval", "0.01"]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         assert "GPU" in capsys.readouterr().out
@@ -131,8 +147,7 @@ class TestSweepCommand:
     def test_sweep_missing_value(self, capsys):
         assert main(["sweep", "--platforms"]) == 2
 
-    @pytest.mark.parametrize("command, option", [("sweep", "--workers"),
-                                                 ("dispatch", "--lease-ttl")])
+    @pytest.mark.parametrize("command, option", [("sweep", "--workers")])
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_prints_usage(self, capsys, command, option, flag):
         assert main([command, "--scale", "0.1", flag]) == 0
@@ -286,28 +301,6 @@ class TestSweepCommand:
         assert "== phase: trace_build" in text
         assert "== phase: simulate" in text
         assert profile_tables() == ""  # disarmed: later sweeps run unprofiled
-
-
-class TestDispatchCommand:
-    ARGS = ["dispatch", "--platforms", "ZnG", "--workloads", "betw-back",
-            "--scale", "0.05", "--warps", "2"]
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--lease-ttl", "inf"], "lease TTL must be a finite number"),
-        (["--lease-ttl", "nan"], "lease TTL must be a finite number"),
-        (["--poll-interval", "-1"], "poll interval must be a finite number"),
-        (["--stall-after-claim", "-5"], "stall after claim must be a finite"),
-        (["--max-cells", "0"], "max cells must be an int >= 1"),
-        (["--max-cells", "-3"], "max cells must be an int >= 1"),
-    ])
-    def test_bad_knobs_exit_2_before_touching_the_queue(
-            self, capsys, tmp_path, flags, message):
-        assert main(self.ARGS + ["--cache-dir", str(tmp_path)] + flags) == 2
-        captured = capsys.readouterr()
-        lines = (captured.out + captured.err).splitlines()
-        assert len(lines) == 1 and message in lines[0]
-        assert "Traceback" not in captured.out + captured.err
-        assert not list(tmp_path.rglob("leases"))
 
 
 class TestShardedSweepCLI:
