@@ -1,8 +1,11 @@
 """Run manifests: round-trip, failure recording, resume, and merge checks."""
 
 import json
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runner import (
     MANIFEST_SCHEMA,
@@ -230,6 +233,68 @@ class TestResumeAfterKill:
         original.rename(moved)
         resumed = resume_sweep(moved / "manifest.json", workers=1)
         assert resumed.cache_hit_rate == 1.0
+
+
+class TestAnyKillPoint:
+    """The kill drill's invariants over every point a kill can land on.
+
+    A SIGKILL leaves some cells ``pending`` with no cache entry and the rest
+    ``ok`` and cached.  Whichever cells it caught: merge refuses the partial
+    manifest, resume runs exactly the lost cells (no cell is lost, no
+    finished cell runs twice), and the resumed grid equals the full run.
+    """
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("finished")
+        _, _, result = _run_with_manifest(root)
+        return root, result.stats_dicts()
+
+    @staticmethod
+    def _killed_copy(finished, tmp_path_factory, lost, drop_cache=True):
+        """A copy of the finished sweep; resume it with ``cache=`` its own
+        directory, or it would fall back to the original's cache."""
+        root = tmp_path_factory.mktemp("killed") / "cache"
+        shutil.copytree(finished[0], root)
+        path = root / "manifest.json"
+        manifest = RunManifest.load(path)
+        for index in lost:
+            manifest.cells[index].status = "pending"
+            if drop_cache:
+                ResultCache(root).path_for(
+                    manifest.cells[index].cache_key).unlink()
+        manifest.write()
+        return path
+
+    @settings(max_examples=10, deadline=None)
+    @given(lost=st.sets(st.integers(0, len(_small_spec()) - 1)))
+    def test_resume_reruns_exactly_the_lost_cells(
+            self, finished, tmp_path_factory, lost):
+        path = self._killed_copy(finished, tmp_path_factory, lost)
+        resumed = resume_sweep(path, workers=1, cache=path.parent)
+        assert resumed.cache_misses == len(lost)
+        assert resumed.stats_dicts() == finished[1]
+        counts = RunManifest.load(path).counts()
+        assert counts["ok"] == len(_small_spec()) and counts["pending"] == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(lost=st.sets(st.integers(0, len(_small_spec()) - 1), min_size=1),
+           drop_cache=st.booleans())
+    def test_merge_refuses_every_partial_manifest(
+            self, finished, tmp_path_factory, lost, drop_cache):
+        path = self._killed_copy(finished, tmp_path_factory, lost, drop_cache)
+        with pytest.raises(MergeError, match="status 'pending'"):
+            merge_manifests([path])
+
+    def test_resume_of_a_finished_sweep_runs_nothing(self, finished,
+                                                     tmp_path_factory):
+        path = self._killed_copy(finished, tmp_path_factory, lost=())
+        before = [(c.cache_key, c.status) for c in RunManifest.load(path).cells]
+        resumed = resume_sweep(path, workers=1, cache=path.parent)
+        assert resumed.cache_misses == 0
+        assert resumed.stats_dicts() == finished[1]
+        assert [(c.cache_key, c.status)
+                for c in RunManifest.load(path).cells] == before
 
 
 class TestMergeVerification:

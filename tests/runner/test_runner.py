@@ -103,6 +103,25 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match="workers must be an int >= 1"):
             SweepRunner(workers=workers)
 
+    @pytest.mark.parametrize("workers", [
+        0, -1, 1.5, True, float("nan"), float("inf"), "2", None])
+    def test_bad_worker_count_raises_before_anything_is_written(
+            self, tmp_path, workers):
+        with pytest.raises(ValueError, match="workers must be an int >= 1"):
+            SweepRunner(workers=workers, cache=tmp_path / "cache").run(
+                _small_spec(), manifest_path=tmp_path / "manifest.json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("on_error", ["ignore", "RECORD", None])
+    def test_bad_on_error_raises_before_the_manifest_is_written(
+            self, tmp_path, on_error):
+        runner = SweepRunner(workers=1, cache=tmp_path / "cache")
+        with pytest.raises(ValueError, match="on_error must be"):
+            runner.run(_small_spec(), manifest_path=tmp_path / "manifest.json",
+                       on_error=on_error)
+        assert not (tmp_path / "manifest.json").exists()
+        assert not any(runner.cache.root.rglob("*.json"))
+
     def test_keeps_a_valid_worker_count(self):
         assert SweepRunner(workers=3).workers == 3
 

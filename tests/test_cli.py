@@ -156,6 +156,19 @@ class TestSweepCommand:
         assert option in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize("command, option", [
+        ("merge", "--metric"), ("status", "--watch"), ("report", "--check"),
+        ("workloads", "--record"), ("config", "--explain"),
+    ])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_other_commands_print_their_help(self, capsys, command, option,
+                                             flag):
+        assert main([command, flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: python -m repro {command} ")
+        assert option in captured.out
+        assert captured.err == ""
+
     def test_sweep_unknown_platform(self, capsys):
         assert main(["sweep", "--platforms", "NoSuch", "--no-cache"]) == 2
         assert_rejected(capsys, "unknown platform")
@@ -273,6 +286,34 @@ class TestSweepCommand:
         lines = (captured.out + captured.err).splitlines()
         assert len(lines) == 1 and message in lines[0]
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "workers must be an int >= 1, got 0"),
+        (["--workers", "-3"], "workers must be an int >= 1, got -3"),
+        (["--workers", "1.5"], "invalid int value: '1.5'"),
+        (["--scale", "inf"], "scale must be a finite number > 0, got inf"),
+        (["--scale", "nan"], "scale must be a finite number > 0, got nan"),
+        (["--warps", "0"], "warps_per_sm must be >= 1"),
+        (["--shard", "0/3"], "--shard expects 1 <= I <= N, got '0/3'"),
+        (["--shard", "4/3"], "--shard expects 1 <= I <= N, got '4/3'"),
+        (["--set", "x:znand.read_latency_us=nan"],
+         "znand.read_latency_us expects a finite float"),
+        (["--platforms", "NoSuch"], "unknown platform 'NoSuch'"),
+        (["--workloads", "nosuch"], "unknown workload 'nosuch'"),
+        (["--preset", "nosuch"], "unknown experiment preset 'nosuch'"),
+    ])
+    def test_bad_knobs_exit_2_before_touching_the_cache(
+            self, capsys, tmp_path, flags, message):
+        """A rejected sweep leaves no cache directory and no manifest, so a
+        later ``--resume`` can never pick up a half-started grid."""
+        cache, manifest = tmp_path / "cache", tmp_path / "m.json"
+        assert main(self.ARGS + ["--cache-dir", str(cache),
+                                 "--manifest", str(manifest)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_bad_run_knob_exits_cleanly_in_a_process(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
