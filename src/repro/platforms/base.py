@@ -87,11 +87,15 @@ class PlatformResult:
 
     @classmethod
     def from_record(cls, record: Mapping[str, object]) -> "PlatformResult":
-        """Rebuild a result from a :meth:`to_record` payload."""
+        """Rebuild a result from a :meth:`to_record` payload.
+
+        Every field is required: a missing one raises ``KeyError``, which the
+        result cache treats as a corrupt entry to drop and recompute.
+        """
         execution = dict(record["execution"])
         per_sm = {
             int(sm_id): SMStatistics(**fields)
-            for sm_id, fields in dict(execution.get("per_sm", {})).items()
+            for sm_id, fields in dict(execution["per_sm"]).items()
         }
         return cls(
             platform=str(record["platform"]),
@@ -101,20 +105,18 @@ class PlatformResult:
                 instructions=int(execution["instructions"]),
                 memory_requests=int(execution["memory_requests"]),
                 ipc=float(execution["ipc"]),
-                events=int(execution.get("events", 0)),
+                events=int(execution["events"]),
                 per_sm=per_sm,
             ),
             stats=StatsCollector.from_dict(dict(record["stats"])),
-            latency_breakdown=dict(record.get("latency_breakdown", {})),
+            latency_breakdown=dict(record["latency_breakdown"]),
             flash_array_read_bandwidth_gbps=float(
-                record.get("flash_array_read_bandwidth_gbps", 0.0)
-            ),
+                record["flash_array_read_bandwidth_gbps"]),
             flash_array_total_bandwidth_gbps=float(
-                record.get("flash_array_total_bandwidth_gbps", 0.0)
-            ),
-            memory_bandwidth_gbps=float(record.get("memory_bandwidth_gbps", 0.0)),
-            l2_hit_rate=float(record.get("l2_hit_rate", 0.0)),
-            extra=dict(record.get("extra", {})),
+                record["flash_array_total_bandwidth_gbps"]),
+            memory_bandwidth_gbps=float(record["memory_bandwidth_gbps"]),
+            l2_hit_rate=float(record["l2_hit_rate"]),
+            extra=dict(record["extra"]),
         )
 
 

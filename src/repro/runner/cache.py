@@ -41,7 +41,9 @@ from repro.platforms.base import PlatformResult
 #:     alias pre-registry entries.
 #: v5: the ``sim`` config group is gone, so every config fingerprint
 #:     changed; v4 entries are recomputed.
-CACHE_VERSION = 5
+#: v6: histograms keep only count/total/min/max, no retained samples, and
+#:     records load strictly: a missing field makes a corrupt entry.
+CACHE_VERSION = 6
 
 #: A ``*.tmp`` file older than this is an orphan from an interrupted ``put``
 #: (killed between ``mkstemp`` and ``os.replace``) and safe to delete; younger

@@ -3,8 +3,8 @@
 ``repro.telemetry`` is the management plane next to the execution plane: a
 process-local tracer that emits **nested spans** (sweep → cell →
 trace-build/simulate → engine sections), **counters** (cache hits, MSHR and
-coalescer totals, event-loop depth, resource-wait cycles) and one-shot
-**events** as append-only JSONL, one file per worker process, under
+coalescer totals, event-loop depth, resource-wait cycles) as
+append-only JSONL, one file per worker process, under
 ``<cache-root>/telemetry/``.  Every record carries the schema tag
 ``repro-telemetry-v1`` and is written with a single ``os.write`` so records
 are atomic and per-worker files never contend across pool workers.
@@ -57,7 +57,6 @@ Submodules
 from repro.telemetry.core import (
     ENV_DIR,
     ENV_FLAG,
-    ENV_WORKER,
     NULL_SPAN,
     Span,
     close,
@@ -67,7 +66,6 @@ from repro.telemetry.core import (
     emit_counters,
     enabled,
     ensure_sink_env,
-    event,
     reset,
     sink_dir,
     span,
@@ -85,7 +83,6 @@ from repro.telemetry.schema import (
 __all__ = [
     "ENV_DIR",
     "ENV_FLAG",
-    "ENV_WORKER",
     "NULL_SPAN",
     "RECORD_TYPES",
     "Span",
@@ -97,7 +94,6 @@ __all__ = [
     "emit_counters",
     "enabled",
     "ensure_sink_env",
-    "event",
     "iter_event_files",
     "read_events",
     "reset",

@@ -35,8 +35,6 @@ from repro.telemetry.schema import TELEMETRY_SCHEMA
 ENV_FLAG = "REPRO_TELEMETRY"
 #: Directory the JSONL sinks live in (the CLI points it at ``<cache>/telemetry``).
 ENV_DIR = "REPRO_TELEMETRY_DIR"
-#: Worker identity stamped on every record (default: ``<host>-<pid>``).
-ENV_WORKER = "REPRO_TELEMETRY_WORKER"
 
 _TRUTHY = frozenset(("1", "true", "yes", "on"))
 _HOST = socket.gethostname()
@@ -142,12 +140,8 @@ def ensure_sink_env(cache_root: Optional[os.PathLike]) -> Optional[Path]:
 
 
 def worker_identity() -> str:
-    if _STATE.worker_override:
-        return _STATE.worker_override
-    env = os.environ.get(ENV_WORKER)
-    if env:
-        return env
-    return f"{_HOST}-{os.getpid()}"
+    """The worker stamped on every record: ``<host>-<pid>`` unless configured."""
+    return _STATE.worker_override or f"{_HOST}-{os.getpid()}"
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +292,8 @@ def current_span_id() -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Events and counters
+# Counters
 # ---------------------------------------------------------------------------
-def event(name: str, attrs: Optional[Dict[str, object]] = None) -> None:
-    """Emit a structured one-shot event."""
-    if not enabled():
-        return
-    record = _base("event", name)
-    record["parent_id"] = current_span_id()
-    record["attrs"] = dict(attrs) if attrs else {}
-    _emit(record)
-
-
 def counter(
     name: str, value, attrs: Optional[Dict[str, object]] = None
 ) -> None:

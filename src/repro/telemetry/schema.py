@@ -8,7 +8,8 @@ type-specific fields:
   (non-negative), ``status`` (``ok``/``error``), ``attrs``.  ``ts`` is the
   span's *start* wall time.
 * ``counter`` — ``value`` (finite number), ``parent_id``, ``attrs``.
-* ``event`` — ``parent_id``, ``attrs``.
+* ``event`` — ``parent_id``, ``attrs``.  The tracer no longer emits events;
+  the type stays so that logs written earlier still validate.
 
 ``attrs`` values are JSON scalars (str/int/float/bool/None) so the log
 stays greppable and schema checks stay total.  The validator returns

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.gpu.sm import GPUExecutionResult
 from repro.platforms import build_platform
+from repro.platforms.base import PlatformResult
 from repro.platforms.zng import PLATFORM_NAMES, ZnGPlatform, ZnGVariant
+from repro.sim.stats import StatsCollector
 
 ALL_PLATFORMS = ["GDDR5"] + PLATFORM_NAMES
 
@@ -49,6 +52,22 @@ class TestExecution:
         description = platform.describe()
         assert description["name"] == "ZnG"
         assert description["l2_read_only"]
+
+
+def _result_with_breakdown(breakdown):
+    execution = GPUExecutionResult(cycles=1.0, instructions=1, memory_requests=1, ipc=1.0)
+    return PlatformResult("ZnG", "w", execution, StatsCollector(),
+                          latency_breakdown=breakdown)
+
+
+class TestPlatformResult:
+    def test_breakdown_fractions_sum_to_one(self):
+        fractions = _result_with_breakdown({"a": 30.0, "b": 70.0}).breakdown_fractions()
+        assert fractions["a"] == pytest.approx(0.3)
+        assert sum(fractions.values()) == pytest.approx(1.0)
+
+    def test_breakdown_empty(self):
+        assert _result_with_breakdown({}).breakdown_fractions() == {}
 
 
 class TestPhysicalAddressRouting:

@@ -83,13 +83,42 @@ class TestOpenCache:
         assert not list(tmp_path.iterdir())
 
 
+def _delete_field(dotted):
+    """Corrupt an entry by deleting one field of its result record."""
+    def corrupt(text):
+        payload = json.loads(text)
+        *parents, leaf = dotted.split(".")
+        node = payload["result"]
+        for name in parents:
+            node = node[name]
+        del node[leaf]
+        return json.dumps(payload)
+    return corrupt
+
+
+#: Ways an entry can be corrupt; each must be dropped, never loaded.
+CORRUPTIONS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    **{field: _delete_field(field) for field in (
+        "execution.events",
+        "execution.per_sm",
+        "l2_hit_rate",
+        "extra",
+        "stats.breakdown",
+        "stats.histograms.request_latency.max",
+    )},
+}
+
+
 class TestCorruptionRecovery:
-    def test_truncated_entry_dropped_and_recomputed(self, tmp_path, cell, result):
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_entry_dropped_and_recomputed(self, tmp_path, cell, result,
+                                                  corruption):
         cache = ResultCache(tmp_path)
         key = cell.cache_key()
         cache.put(key, result, cell.descriptor())
         path = _entry_path(cache, key)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        path.write_text(CORRUPTIONS[corruption](path.read_text()))
 
         assert cache.get(key) is None
         assert cache.corrupt_dropped == 1

@@ -117,9 +117,9 @@ class TestStatusCli:
         telemetry = tmp_path / "telemetry"
         telemetry.mkdir(parents=True)
         configure(enabled=True, sink_dir=telemetry, worker="w1")
-        from repro.telemetry import event
+        from repro.telemetry import counter
 
-        event("ping")
+        counter("ping", 1)
         reset()
         assert main(["status", "--cache-dir", str(tmp_path),
                      "--validate"]) == 0
@@ -144,7 +144,6 @@ class TestTwoWorkerTelemetryAcceptance:
                              + env.get("PYTHONPATH", ""))
         env["REPRO_TELEMETRY"] = "1"
         env.pop("REPRO_TELEMETRY_DIR", None)
-        env.pop("REPRO_TELEMETRY_WORKER", None)
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "sweep", "--preset", "fig10",
              "--scale", "0.1", "--workers", "2", "--cache-dir", str(cache_dir)],

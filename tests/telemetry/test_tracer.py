@@ -10,7 +10,6 @@ from repro.telemetry import (
     counter,
     current_span_id,
     enabled,
-    event,
     reset,
     span,
 )
@@ -31,7 +30,7 @@ class TestEnabledTracer:
             with span("cell", {"platform": "ZnG", "workload": "bfs1",
                                "override": "default"}):
                 counter("l2.hits", 42.0)
-            event("cell.retried", {"attempt": 2})
+            counter("sweep.cells", 1)
         reset()
 
         count, problems = validate_events_dir(tmp_path)
@@ -44,8 +43,8 @@ class TestEnabledTracer:
         assert sweep["parent_id"] is None
         assert cell["parent_id"] == sweep["span_id"]
         assert by_name["l2.hits"]["parent_id"] == cell["span_id"]
-        # The event fired after the cell span closed, inside the sweep span.
-        assert by_name["cell.retried"]["parent_id"] == sweep["span_id"]
+        # The counter fired after the cell span closed, inside the sweep span.
+        assert by_name["sweep.cells"]["parent_id"] == sweep["span_id"]
         assert all(record["worker"] == "w1" for record in events)
         assert all(record["schema"] == TELEMETRY_SCHEMA for record in events)
         assert cell_coverage(events) == {("ZnG", "bfs1", "default")}
@@ -75,7 +74,7 @@ class TestEnabledTracer:
 
     def test_sink_file_is_per_process(self, tmp_path):
         configure(enabled=True, sink_dir=tmp_path)
-        event("ping")
+        counter("ping", 1)
         reset()
         (path,) = sorted(tmp_path.glob("events*.jsonl"))
         assert f"-{os.getpid()}.jsonl" in path.name
@@ -94,7 +93,6 @@ class TestDisabledTracer:
         configure(enabled=False, sink_dir=tmp_path)
         with span("sweep"):
             counter("c", 1.0)
-            event("e")
         assert list(tmp_path.glob("events*.jsonl")) == []
 
     def test_disabled_span_is_the_shared_singleton(self):
@@ -117,14 +115,12 @@ class TestDisabledTracer:
             with span("hot"):
                 pass
             counter("c", 1.0)
-            event("e")
         tracemalloc.start()
         try:
             for _ in range(2000):
                 with span("hot"):
                     pass
                 counter("c", 1.0)
-                event("e")
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
