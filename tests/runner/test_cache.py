@@ -140,6 +140,20 @@ class TestCorruptionRecovery:
         assert cache.get(key) is None
         assert not path.exists()
 
+    def test_previous_version_entry_is_recomputed(self, tmp_path, cell, result):
+        """A v5 entry keeps retained latency samples; it must recompute."""
+        cache = ResultCache(tmp_path)
+        key = cell.cache_key()
+        cache.put(key, result, cell.descriptor())
+        path = _entry_path(cache, key)
+        payload = json.loads(path.read_text())
+        payload["version"] = CACHE_VERSION - 1
+        latency = payload["result"]["stats"]["histograms"]["request_latency"]
+        latency["samples"] = [latency["min"], latency["max"]]
+        path.write_text(json.dumps(payload))
+        assert cache.get(key) is None
+        assert not path.exists()
+
     def test_key_mismatch_treated_as_miss(self, tmp_path, cell, result):
         cache = ResultCache(tmp_path)
         key = cell.cache_key()

@@ -1,5 +1,7 @@
 """Unit tests for the statistics collector."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,15 @@ class TestHistogram:
             histogram.add(value)
         assert histogram.minimum - 1e-6 <= histogram.mean <= histogram.maximum + 1e-6
 
+    @pytest.mark.parametrize("field", ["count", "total", "min", "max"])
+    def test_load_state_requires_every_field(self, field):
+        histogram = Histogram("h")
+        histogram.add(5.0)
+        state = histogram.state_dict()
+        del state[field]
+        with pytest.raises(KeyError):
+            Histogram("h").load_state(state)
+
 
 class TestStatsCollector:
     def test_counters(self):
@@ -62,6 +73,17 @@ class TestStatsCollector:
         assert summary["x"] == 4
         assert summary["lat.mean"] == 2.0
         assert summary["lat.count"] == 1
+
+    @pytest.mark.parametrize("field", ["counters", "histograms", "breakdown"])
+    def test_from_dict_requires_every_field(self, field):
+        stats = StatsCollector()
+        stats.add("x")
+        stats.histogram("lat").add(2.0)
+        stats.add_breakdown({"flash": 3.0})
+        payload = stats.to_dict()
+        del payload[field]
+        with pytest.raises(KeyError):
+            StatsCollector.from_dict(payload)
 
 
 class TestStreamingHistogram:
@@ -111,6 +133,24 @@ class TestStreamingHistogram:
             original.add(float(i))
             restored.add(float(i))
         assert restored.state_dict() == original.state_dict()
+
+    def test_empty_state_is_json_safe_and_roundtrips(self):
+        state = Histogram("lat").state_dict()
+        assert state == {"count": 0, "total": 0.0, "min": None, "max": None}
+        restored = Histogram("lat")
+        restored.load_state(json.loads(json.dumps(state, allow_nan=False)))
+        assert (restored.count, restored.minimum, restored.maximum) == (0, 0.0, 0.0)
+        restored.add(-2.0)
+        assert restored.minimum == restored.maximum == -2.0
+
+    def test_state_size_does_not_grow_with_the_stream(self):
+        histogram = Histogram("lat")
+        histogram.add(1.0)
+        short = histogram.state_dict()
+        for i in range(50_000):
+            histogram.add(float(i % 13))
+        assert histogram.state_dict().keys() == short.keys()
+        assert len(json.dumps(histogram.state_dict())) < 80
 
     def test_same_stream_same_name_is_deterministic(self):
         a, b = Histogram("x"), Histogram("x")
