@@ -1,0 +1,130 @@
+"""Pinned digests of what the trace knobs feed: traces, sweep keys, trace files.
+
+A refactor of how the trace knobs (``scale``, ``seed``, ``num_sms``,
+``warps_per_sm``, ``memory_instructions_per_warp``) are declared or passed
+must leave every generated trace, every sweep fingerprint and cache key and
+every recorded trace file byte-identical, so manifests, caches and trace
+files written before it still resume, merge, replay and verify.
+
+The pins go through the surfaces that outlive such a refactor: the sweep
+spec, ``build_cell_trace``, the ``workloads --record`` command and
+``read_trace_file``.  Every trace knob is passed explicitly and set off its
+default, so a knob dropped on the way to the generator moves a digest.
+Regenerate only for an intended generator or schema change::
+
+    PYTHONPATH=src python tests/workloads/test_contract_pins.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.__main__ import main
+from repro.configspace.presets import get_preset
+from repro.runner.spec import SweepSpec, build_cell_trace
+from repro.workloads.io import trace_to_dict
+from repro.workloads.tracefile import read_trace_file
+
+KNOBS = dict(scale=0.25, seed=5, num_sms=8, warps_per_sm=3,
+             memory_instructions_per_warp=40)
+
+#: The same knobs as ``workloads --record`` flags.
+RECORD_FLAGS = ["--scale", "0.25", "--seed", "5", "--sms", "8",
+                "--warps", "3", "--mem-insts", "40"]
+
+TRACE_TOKENS = ["betw", "betw-back", "kv-lookup:get_ratio=0.3",
+                "embedding-inference", "stream-join", "multi-tenant"]
+
+TRACE_DIGESTS = {
+    "betw":
+        "d741c8d103f7390f21ce04c66fd6a4e085d4700ea5936483eb8fc870466798cc",
+    "betw-back":
+        "b96320c5d32b49a51b24e8ad0ce7929ee3d9acf0b21c598bf12bbec95b889417",
+    "kv-lookup:get_ratio=0.3":
+        "1844c1e364061cca0f6e9bc3c1ffdc088dd9ed71b410ab76b3027c24ddf6935f",
+    "embedding-inference":
+        "84b9029aa300f0367ce3dccbd810e9f0290cc1fdfb4960b54971e57f76dd88c0",
+    "stream-join":
+        "93440ac9c4b0a7d186c18b00eaafd1d19a090e4f447b1779e4a714f6d1b4237b",
+    "multi-tenant":
+        "6030fd408ace6aa757ff6d9c981b7bd0889f2a098b661b0c129d8f438fa89d38",
+    "trace:":
+        "f79d31e95785615465b1bda4d79c3556301809d76d0d1a922de15e4e1ddfd703",
+}
+
+FIG10_FINGERPRINT = (
+    "99a0392866006ec02cc670d576c21af63925f7985c54df6595cefcf92794fa3f")
+FIG10_CELL = "ZnG|betw-back"
+FIG10_CELL_KEY = (
+    "801bdc59bc10a67c31a76d946a926ec7d0212e9c2960cd3337dda75569775a50")
+
+#: ``content_hash`` of ``workloads --record kv-lookup:zipf=1.1 --scale 0.1``.
+RECORDED_CONTENT_HASH = (
+    "5720485be50e2c15169c4e7d960647bc4093e4112eb6b3bf63fa1feda7cb2f4a")
+
+
+def trace_digest(trace) -> str:
+    payload = json.dumps(trace_to_dict(trace), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def token_trace(token: str):
+    spec = SweepSpec.create(platforms=["ZnG"], workloads=[token], **KNOBS)
+    return build_cell_trace(spec.cells()[0])
+
+
+def record(token: str, path, flags) -> str:
+    assert main(["workloads", "--record", token, "--out", str(path)]
+                + flags) == 0
+    return read_trace_file(path).content_hash
+
+
+def fig10_keys():
+    spec = get_preset("fig10").spec(scale=0.1)
+    cell = next(cell for cell in spec.cells()
+                if f"{cell.platform}|{cell.workload}" == FIG10_CELL)
+    return spec.fingerprint(), cell.cache_key()
+
+
+@pytest.mark.parametrize("token", TRACE_TOKENS)
+def test_generated_trace_digest_is_pinned(token):
+    assert trace_digest(token_trace(token)) == TRACE_DIGESTS[token]
+
+
+def test_replayed_trace_digest_is_pinned(tmp_path, capsys):
+    path = tmp_path / "sj.trace.json"
+    record("stream-join:phases=3", path, RECORD_FLAGS)
+    assert trace_digest(token_trace(f"trace:{path}")) == TRACE_DIGESTS["trace:"]
+
+
+def test_fig10_spec_fingerprint_and_cell_key_are_pinned():
+    assert fig10_keys() == (FIG10_FINGERPRINT, FIG10_CELL_KEY)
+
+
+def test_recorded_content_hash_is_pinned(tmp_path, capsys):
+    path = tmp_path / "kv.trace.json"
+    assert record("kv-lookup:zipf=1.1", path,
+                  ["--scale", "0.1"]) == RECORDED_CONTENT_HASH
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration helper
+    import tempfile
+    from pathlib import Path
+
+    for token in TRACE_TOKENS:
+        print(f"    {token!r}: {trace_digest(token_trace(token))!r},")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "sj.trace.json"
+        record("stream-join:phases=3", path, RECORD_FLAGS)
+        print(f"    'trace:': "
+              f"{trace_digest(token_trace(f'trace:{path}'))!r},")
+        fingerprint, key = fig10_keys()
+        print(f"FIG10_FINGERPRINT = {fingerprint!r}")
+        print(f"FIG10_CELL_KEY = {key!r}")
+        content_hash = record("kv-lookup:zipf=1.1", Path(scratch) / "kv.json",
+                              ["--scale", "0.1"])
+        print(f"RECORDED_CONTENT_HASH = {content_hash!r}")
