@@ -53,12 +53,6 @@ def analytic_accumulated_flash_bandwidth(config: PlatformConfig = None) -> float
     return cfg.znand.accumulated_read_bandwidth_bytes_per_s
 
 
-def analytic_ssd_engine_throughput(config: PlatformConfig = None) -> float:
-    """SSD-engine request-processing bandwidth at 128 B requests, bytes/s."""
-    cfg = config or default_config()
-    return cfg.ssd_engine.engine_throughput_bytes_per_s
-
-
 def analytic_mesh_link_bandwidth(config: PlatformConfig = None) -> float:
     """Per-channel mesh link bandwidth, bytes/s."""
     cfg = config or default_config()

@@ -12,7 +12,6 @@ from repro.core.register_cache import FlashRegisterCache, RegisterEntry
 from repro.core.register_network import RegisterNetwork, build_register_network
 from repro.core.thrashing import ThrashingChecker
 from repro.core.cam_decoder import ProgrammableDecoderCAM, CAMRow
-from repro.core.io_permutation import SoftwareIOPermutation, SoftwareRouter
 from repro.core.integrity import IntegrityModel, install_integrity_tracking
 from repro.core.prefetch_policies import (
     NoPrefetch,
@@ -39,8 +38,6 @@ __all__ = [
     "ThrashingChecker",
     "ProgrammableDecoderCAM",
     "CAMRow",
-    "SoftwareIOPermutation",
-    "SoftwareRouter",
     "IntegrityModel",
     "install_integrity_tracking",
     "NoPrefetch",

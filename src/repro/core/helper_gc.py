@@ -105,7 +105,3 @@ class HelperThreadGC:
 
         self.merges += 1
         return time
-
-    @property
-    def copy_overhead_pages(self) -> int:
-        return self.pages_copied

@@ -262,10 +262,6 @@ class FlashRegisterCache:
         total = self.write_hits + self.write_misses
         return self.write_hits / total if total else 0.0
 
-    @property
-    def total_capacity_pages(self) -> int:
-        return self.registers_per_package * self.packages
-
     def reset(self) -> None:
         for registers in self._packages.values():
             registers.clear()

@@ -242,6 +242,3 @@ class ZeroOverheadFTL:
         if self.reads_translated == 0:
             return 0.0
         return self.reads_from_log / self.reads_translated
-
-    def mapped_pages(self) -> int:
-        return len(self.dbmt) * self.pages_per_block()

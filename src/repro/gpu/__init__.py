@@ -11,13 +11,6 @@ from repro.gpu.dram import DRAMDevice, build_gddr5_subsystem
 from repro.gpu.memory_controller import MemoryControllerArray
 from repro.gpu.warp import Instruction, WarpTrace
 from repro.gpu.sm import StreamingMultiprocessor, GPUCore
-from repro.gpu.scheduler import (
-    WarpScheduler,
-    LooseRoundRobin,
-    GreedyThenOldest,
-    TwoLevel,
-    build_scheduler,
-)
 
 __all__ = [
     "SetAssociativeCache",
@@ -35,9 +28,4 @@ __all__ = [
     "WarpTrace",
     "StreamingMultiprocessor",
     "GPUCore",
-    "WarpScheduler",
-    "LooseRoundRobin",
-    "GreedyThenOldest",
-    "TwoLevel",
-    "build_scheduler",
 ]

@@ -31,10 +31,6 @@ class DRAMDevice:
         return int(self.technology.package_capacity_gb * (1 << 30))
 
     @property
-    def access_latency_cycles(self) -> float:
-        return ns_to_cycles(self.technology.access_latency_ns)
-
-    @property
     def power_watts(self) -> float:
         return self.technology.power_w_per_gb * self.technology.package_capacity_gb
 

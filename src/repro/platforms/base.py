@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 from repro.config import GPU_FREQ_HZ, PlatformConfig
 from repro.gpu.interconnect import Interconnect
 from repro.gpu.l2cache import SharedL2Cache
 from repro.gpu.mmu import MMU
 from repro.gpu.sm import GPUCore, GPUExecutionResult, SMStatistics
-from repro.gpu.warp import WarpTrace
 from repro.sim.stats import StatsCollector
 from repro.telemetry import core as _telemetry
 from repro.workloads.trace import WorkloadTrace
@@ -46,11 +45,6 @@ class PlatformResult:
     @property
     def cycles(self) -> float:
         return self.execution.cycles
-
-    def speedup_over(self, other: "PlatformResult") -> float:
-        if other.ipc == 0:
-            return 0.0
-        return self.ipc / other.ipc
 
     def breakdown_fractions(self) -> Dict[str, float]:
         total = sum(self.latency_breakdown.values())
@@ -299,17 +293,9 @@ class GPUSSDPlatform(ABC):
         """Run a workload trace to completion and collect the result record."""
         self.prepare(workload)
         execution = self.gpu.run(workload.warps, self.memory_access)
-        return self._build_result(workload, execution)
+        return self._build_result(workload.name, execution)
 
-    def run_warps(self, warps: Sequence[WarpTrace], label: str = "custom") -> PlatformResult:
-        """Run raw warp traces (used by micro-benchmarks)."""
-        execution = self.gpu.run(warps, self.memory_access)
-        return self._build_result_common(label, execution)
-
-    def _build_result(self, workload: WorkloadTrace, execution: GPUExecutionResult) -> PlatformResult:
-        return self._build_result_common(workload.name, execution)
-
-    def _build_result_common(self, workload_name: str, execution: GPUExecutionResult) -> PlatformResult:
+    def _build_result(self, workload_name: str, execution: GPUExecutionResult) -> PlatformResult:
         seconds = execution.cycles / GPU_FREQ_HZ if execution.cycles else 0.0
         memory_bw = (self._memory_bytes_served / seconds / 1e9) if seconds else 0.0
         result = PlatformResult(

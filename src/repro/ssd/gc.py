@@ -79,8 +79,3 @@ class GarbageCollector:
         self.total_blocks_erased += 1
         self.total_pages_migrated += migrated
         return GCResult(blocks_erased=1, pages_migrated=migrated, completion_cycle=time)
-
-    @property
-    def write_amplification_overhead(self) -> int:
-        """Extra page programs caused by GC migrations so far."""
-        return self.total_pages_migrated

@@ -24,11 +24,6 @@ class FlashLocation:
     block: int
     page: int
 
-    @property
-    def plane_index(self) -> "tuple[int, int, int]":
-        """(channel, die, plane) triple identifying the physical plane."""
-        return (self.channel, self.die, self.plane)
-
 
 class FlashGeometry:
     """Address arithmetic over the Z-NAND backbone described by a config."""

@@ -120,14 +120,6 @@ class WorkloadTrace:
             return 0.0
         return float(np.mean(list(self.page_write_counts.values())))
 
-    @property
-    def read_fraction_of_accesses(self) -> float:
-        """Read share of all page-level accesses (the Fig. 5d metric)."""
-        reads = sum(self.page_read_counts.values())
-        writes = sum(self.page_write_counts.values())
-        total = reads + writes
-        return reads / total if total else 0.0
-
     def merge(self, other: "WorkloadTrace") -> "WorkloadTrace":
         """Concatenate another workload's warps (used for multi-app mixes)."""
         merged = WorkloadTrace(spec=self.spec)
