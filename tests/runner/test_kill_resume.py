@@ -27,6 +27,8 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 _SHM = Path("/dev/shm")
 #: Fresh caches tried before giving up on catching a sweep partly done.
 _ATTEMPTS = 5
+#: Seconds one attempt's sweep may run before its process group is killed.
+_DEADLINE_S = 120
 
 
 def _env():
@@ -69,8 +71,12 @@ def _signal_mid_sweep(tmp_path, signum):
                    "--workers", "2", "--cache-dir", str(cache_dir)),
             cwd=tmp_path, env=_env(), start_new_session=True,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + _DEADLINE_S
         try:
             while proc.poll() is None:
+                if time.monotonic() > deadline:
+                    pytest.fail(f"the sweep still ran after {_DEADLINE_S} s; "
+                                f"its process group is killed")
                 counts = _counts(manifest)
                 if counts.get("ok", 0) >= 1 and counts.get("pending", 0) >= 1:
                     os.killpg(proc.pid, signum)
