@@ -10,6 +10,7 @@ from repro.platforms.base import PlatformResult
 from repro.runner import SweepSpec, cell_seed, run_sweep
 from repro.workloads.multiapp import MultiAppWorkload, build_mix
 from repro.workloads.suites import mix_name
+from repro.workloads.trace import TraceKnobs
 
 # Benches run sweeps serially and uncached by default so pytest-benchmark
 # times real simulation work, not cache reads; pass workers/cache to scale.
@@ -72,14 +73,10 @@ def build_bench_mix(
     mix bit-identical to the trace a ``run_sweep_grid`` cell runs, so numbers
     are comparable across the migrated and unmigrated benches.
     """
-    return build_mix(
-        read_app,
-        write_app,
-        scale=scale,
-        seed=cell_seed(seed, f"{read_app}-{write_app}"),
+    return build_mix(read_app, write_app, TraceKnobs(
+        scale=scale, seed=cell_seed(seed, f"{read_app}-{write_app}"),
         warps_per_sm=warps_per_sm,
-        memory_instructions_per_warp=memory_instructions_per_warp,
-    )
+        memory_instructions_per_warp=memory_instructions_per_warp))
 
 
 def print_table(title: str, rows, value_format: str = "{:.3f}") -> None:

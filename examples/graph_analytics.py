@@ -15,7 +15,7 @@ Run with::
 from __future__ import annotations
 
 from repro.platforms.zng import ZnGPlatform, ZnGVariant
-from repro.workloads import build_mix
+from repro.workloads import TraceKnobs, build_mix
 
 GRAPH_MIXES = [("betw", "back"), ("bfs1", "gaus"), ("sssp3", "gram"), ("pr", "gaus")]
 
@@ -35,10 +35,9 @@ def run_variant(variant: ZnGVariant, mix) -> dict:
 def main() -> None:
     print("Graph analytics on ZnG — contribution of each optimisation\n")
     for read_app, write_app in GRAPH_MIXES:
-        mix = build_mix(
-            read_app, write_app, scale=0.25, seed=1, warps_per_sm=12,
-            memory_instructions_per_warp=96,
-        )
+        mix = build_mix(read_app, write_app, TraceKnobs(
+            scale=0.25, seed=1, warps_per_sm=12,
+            memory_instructions_per_warp=96))
         print(f"== {read_app}-{write_app} "
               f"(read ratio {mix.first.spec.read_ratio:.2f}, "
               f"re-access {mix.combined.mean_read_reaccess:.1f}) ==")

@@ -22,7 +22,7 @@ from repro.analysis.power import (
 )
 from repro.config import GDDR5
 from repro.platforms.zng import ZnGPlatform, ZnGVariant
-from repro.workloads import build_mix
+from repro.workloads import TraceKnobs, build_mix
 
 
 def main() -> None:
@@ -35,8 +35,8 @@ def main() -> None:
         print(f"  {name:8s} {gb:10.0f} GB")
 
     print("\nRunning betw-back on ZnG (full) and ZnG-base to compare endurance...")
-    mix = build_mix("betw", "back", scale=0.3, seed=1, warps_per_sm=12,
-                    memory_instructions_per_warp=96)
+    mix = build_mix("betw", "back", TraceKnobs(
+        scale=0.3, seed=1, warps_per_sm=12, memory_instructions_per_warp=96))
 
     for variant in (ZnGVariant.BASE, ZnGVariant.FULL):
         platform = ZnGPlatform(variant)

@@ -19,6 +19,7 @@ from repro.analysis.figures import scenario_suite_from_result
 from repro.analysis.sensitivity import workload_axis_from_result
 from repro.runner import SweepSpec, run_sweep
 from repro.workloads.io import trace_to_dict
+from repro.workloads.trace import TraceKnobs
 from repro.workloads.tracefile import read_trace_file, record_trace
 
 SCALE = 0.05  # tiny traces: this is a tour, not a measurement
@@ -57,8 +58,8 @@ def main() -> None:
     print("=== Trace record -> replay (bit-identical) ===")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "multi-tenant.trace.json"
-        recorded = record_trace("multi-tenant:phases=2", path,
-                                scale=SCALE, warps_per_sm=2)
+        recorded = record_trace("multi-tenant:phases=2", path, TraceKnobs(
+            scale=SCALE, warps_per_sm=2))
         loaded = read_trace_file(path)
         identical = trace_to_dict(loaded.trace) == trace_to_dict(recorded.trace)
         print(f"  recorded {recorded.workload} "

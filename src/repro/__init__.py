@@ -14,9 +14,9 @@ ultra-low-latency Z-NAND flash.  This package provides:
 Quick start::
 
     from repro.platforms import build_platform
-    from repro.workloads import build_mix
+    from repro.workloads import TraceKnobs, build_mix
 
-    mix = build_mix("betw", "back", scale=0.25)
+    mix = build_mix("betw", "back", TraceKnobs(scale=0.25))
     zng = build_platform("ZnG")
     hybrid = build_platform("HybridGPU")
     print(zng.run(mix.combined).ipc / hybrid.run(mix.combined).ipc)

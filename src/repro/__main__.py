@@ -135,11 +135,13 @@ def _print_figure(command: str, args: List[str], pivot, title: str, fmt: str) ->
     """Run the ``command`` preset (``fig10``/``fig11``) on two mixes and pivot it."""
     from repro.configspace import get_preset
     from repro.runner import run_sweep
+    from repro.workloads import TraceKnobs
 
     parser = _Parser(command, description="The figure over two read-write mixes.")
     # No %(default)s here: parse_intermixed_args hides positional defaults.
-    parser.add_argument("scale", nargs="?", type=float, default=0.2,
-                        help="trace scale (default: 0.2)")
+    scale = TraceKnobs().scale
+    parser.add_argument("scale", nargs="?", type=float, default=scale,
+                        help=f"trace scale (default: {scale})")
     scale = parser.parse_intermixed_args(args).scale
     spec = get_preset(command).spec(scale=scale, workloads=["betw-back", "bfs1-gaus"])
     print(format_figure_table(title, pivot(run_sweep(spec)), fmt))
@@ -193,11 +195,11 @@ def _cmd_run(args: List[str]) -> int:
         parser.add_argument(name)
     ns = parser.parse_intermixed_args(args)
     from repro.platforms import build_platform
-    from repro.workloads import build_mix
+    from repro.workloads import TraceKnobs, build_mix
 
     platform = build_platform(ns.platform)  # an unknown name fails fast
-    mix = build_mix(ns.read_app, ns.write_app, scale=0.3, warps_per_sm=12,
-                    memory_instructions_per_warp=96)
+    mix = build_mix(ns.read_app, ns.write_app, TraceKnobs(
+        scale=0.3, seed=None, warps_per_sm=12, memory_instructions_per_warp=96))
     result = platform.run(mix.combined)
     print(f"{ns.platform} on {ns.read_app}-{ns.write_app}:")
     print(f"  IPC:                  {result.ipc:.4f}")
@@ -260,6 +262,9 @@ def _parse_shard_flag(text: str):
 
 def _grid_parser() -> argparse.ArgumentParser:
     """The grid flags of ``sweep``, read by :func:`_spec_from_args`."""
+    from repro.workloads import TraceKnobs
+
+    defaults = TraceKnobs()
     grid = argparse.ArgumentParser(add_help=False)
     group = grid.add_argument_group("grid options")
     group.add_argument("--preset", metavar="NAME",
@@ -279,10 +284,11 @@ def _grid_parser() -> argparse.ArgumentParser:
                        help="JSON {path: value} overrides for every cell, below "
                        "presets and --set; repeatable")
     group.add_argument("--scale", type=float, metavar="S",
-                       help="trace scale (default: 0.2)")
-    group.add_argument("--seed", type=int, metavar="N", help="sweep seed (default: 1)")
+                       help=f"trace scale (default: {defaults.scale})")
+    group.add_argument("--seed", type=int, metavar="N",
+                       help=f"sweep seed (default: {defaults.seed})")
     group.add_argument("--warps", type=int, metavar="N",
-                       help="warps per SM (default: 8)")
+                       help=f"warps per SM (default: {defaults.warps_per_sm})")
     return grid
 
 
@@ -648,12 +654,9 @@ def _cmd_config(args: List[str]) -> int:
     return 0
 
 
-#: ``workloads --record`` knobs, named as ``tracefile.record_trace`` takes them.
-_RECORD_KNOBS = ("scale", "seed", "num_sms", "warps_per_sm",
-                 "memory_instructions_per_warp")
-
-
 def _cmd_workloads(args: List[str]) -> int:
+    from repro.workloads import TraceKnobs, registry, tracefile
+
     parser = _Parser(
         "workloads", usage="%(prog)s (--list | --explain NAME | --golden | "
         "--record TOKEN --out FILE [knobs] | --replay FILE [--verify])",
@@ -676,26 +679,28 @@ def _cmd_workloads(args: List[str]) -> int:
         "--record options", "Knobs default to the sweep defaults and are checked "
         "as a sweep checks them.")
     record.add_argument("--out", metavar="FILE", help="trace file to write")
-    record.add_argument("--scale", type=float, metavar="S", help="default: 0.2")
-    record.add_argument("--seed", type=int, metavar="N", help="default: 1")
+    defaults = TraceKnobs()
+    record.add_argument("--scale", type=float, metavar="S",
+                        help=f"default: {defaults.scale}")
+    record.add_argument("--seed", type=int, metavar="N",
+                        help=f"default: {defaults.seed}")
     record.add_argument("--sms", dest="num_sms", type=int, metavar="N",
-                        help="default: 16")
+                        help=f"default: {defaults.num_sms}")
     record.add_argument("--warps", dest="warps_per_sm", type=int, metavar="N",
-                        help="default: 8")
+                        help=f"default: {defaults.warps_per_sm}")
     record.add_argument("--mem-insts", dest="memory_instructions_per_warp",
-                        type=int, metavar="N", help="default: 64")
+                        type=int, metavar="N",
+                        help=f"default: {defaults.memory_instructions_per_warp}")
     parser.add_argument("--verify", action="store_true",
                         help="with --replay: regenerate the trace from its "
                         "recorded token/knobs and require it bit-identical")
     ns = parser.parse_intermixed_args(args)
-    knobs = {name: getattr(ns, name) for name in _RECORD_KNOBS
+    knobs = {name: getattr(ns, name) for name in defaults.sweep_fields()
              if getattr(ns, name) is not None}
     if ns.record is None and (ns.out is not None or knobs):
         parser.error("--out and the knob flags only apply to --record")
     if ns.verify and ns.replay is None:
         parser.error("--verify only applies to --replay")
-
-    from repro.workloads import registry, tracefile
 
     if ns.list:
         print(f"{'family':22s} {'suite':12s} {'params':>6s}  description")
@@ -717,7 +722,7 @@ def _cmd_workloads(args: List[str]) -> int:
     if ns.record is not None:
         if ns.out is None:
             parser.error("--record needs --out FILE")
-        recorded = tracefile.record_trace(ns.record, ns.out, **knobs)
+        recorded = tracefile.record_trace(ns.record, ns.out, TraceKnobs(**knobs))
         trace = recorded.trace
         print(f"recorded {recorded.workload} -> {ns.out}")
         print(f"  schema:       {tracefile.TRACE_SCHEMA}")

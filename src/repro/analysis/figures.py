@@ -28,9 +28,17 @@ from repro.platforms.base import GPUSSDPlatform
 from repro.platforms.zng import build_platform
 from repro.workloads.multiapp import build_all_mixes, build_mix
 from repro.workloads.suites import ALL_WORKLOADS
+from repro.workloads.trace import TraceKnobs
 
 #: Default (small) trace scale used when a caller does not specify one.
 DEFAULT_SCALE = 0.25
+
+
+def _small_knobs(scale: float) -> TraceKnobs:
+    """The single-run figures' trace: 2 warps/SM, 48 memory instructions per
+    warp, seeded from the workload name."""
+    return TraceKnobs(scale=scale, seed=None, warps_per_sm=2,
+                      memory_instructions_per_warp=48)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +213,7 @@ def figure_4d(
     config: Optional[PlatformConfig] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Latency-breakdown fractions per component for GDDR5 and HybridGPU."""
-    workload = build_mix(*mix, scale=scale, warps_per_sm=2, memory_instructions_per_warp=48)
+    workload = build_mix(*mix, _small_knobs(scale))
     return {
         name: GPUSSDPlatform.execute(name, workload.combined, config).breakdown_fractions()
         for name in ("GDDR5", "HybridGPU")
@@ -223,7 +231,7 @@ def figure_5b(
     """Average read re-accesses per Z-NAND page, per mix (paper average ~42)."""
     return {
         name: mix.combined.mean_read_reaccess
-        for name, mix in build_all_mixes(scale=scale, mixes=mixes, warps_per_sm=8).items()
+        for name, mix in build_all_mixes(TraceKnobs(scale=scale, seed=None), mixes).items()
     }
 
 
@@ -233,7 +241,7 @@ def figure_5c(
     """Average write redundancy per Z-NAND page, per mix (paper average ~65)."""
     return {
         name: mix.combined.mean_write_redundancy
-        for name, mix in build_all_mixes(scale=scale, mixes=mixes, warps_per_sm=8).items()
+        for name, mix in build_all_mixes(TraceKnobs(scale=scale, seed=None), mixes).items()
     }
 
 
@@ -243,8 +251,7 @@ def figure_5d(scale: float = DEFAULT_SCALE) -> Dict[str, Dict[str, float]]:
 
     fractions: Dict[str, Dict[str, float]] = {}
     for name, spec in ALL_WORKLOADS.items():
-        trace = generate_workload(spec, scale=scale, warps_per_sm=2,
-                                  memory_instructions_per_warp=48)
+        trace = generate_workload(spec, _small_knobs(scale))
         read_fraction = trace.measured_read_ratio
         fractions[name] = {"read": read_fraction, "write": 1.0 - read_fraction}
     return fractions
@@ -262,7 +269,7 @@ def figure_8b(
     config: Optional[PlatformConfig] = None,
 ) -> np.ndarray:
     """Write-count heat map over (channel, plane) after running a mix."""
-    workload = build_mix(*mix, scale=scale, warps_per_sm=2, memory_instructions_per_warp=48)
+    workload = build_mix(*mix, _small_knobs(scale))
     built = build_platform(platform, config)
     built.run(workload.combined)
     return built.array.write_heatmap()  # type: ignore[attr-defined]

@@ -361,8 +361,8 @@ def result_provenance(result, manifests=None) -> Dict[str, object]:
         "workloads": ", ".join(spec.workloads),
         "overrides": ", ".join(o.label for o in spec.overrides),
         "cells": len(result),
-        "scale": spec.scale,
-        "seed": spec.seed,
+        "scale": spec.knobs.scale,
+        "seed": spec.knobs.seed,
     }
     if result.merged_shards is not None:
         provenance["merged_shards"] = result.merged_shards

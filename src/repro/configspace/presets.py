@@ -16,10 +16,11 @@ adds it to ``table1-sensitivity``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.configspace.schema import SCHEMA, ConfigPathError
+from repro.workloads.trace import TraceKnobs
 
 #: The seven evaluation platforms of Fig. 10 (plus GDDR5 where relevant).
 #: Kept as plain data — :func:`repro.platforms.build_platform` validates the
@@ -31,10 +32,11 @@ EVAL_PLATFORMS: Tuple[str, ...] = (
 #: The default evaluation mixes (read-app co-run with write-app).
 DEFAULT_MIX_TOKENS: Tuple[str, ...] = ("betw-back", "bfs1-gaus", "pr-gaus")
 
-#: Trace knobs the sensitivity sweeps share so points stay comparable.
+#: The workload and trace knobs the sensitivity sweeps share so points stay
+#: comparable.
 SENSITIVITY_WORKLOAD = "betw-back"
-SENSITIVITY_WARPS_PER_SM = 12
-SENSITIVITY_MEM_INSTS = 96
+SENSITIVITY_KNOBS = TraceKnobs(scale=0.25, warps_per_sm=12,
+                               memory_instructions_per_warp=96)
 
 
 def axis_overrides(
@@ -69,10 +71,7 @@ class ExperimentPreset:
     workloads: Tuple[str, ...]
     #: Labelled override axis, stored as plain data: (label, ((path, value),)).
     overrides: Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...] = ()
-    scale: float = 0.2
-    seed: int = 1
-    warps_per_sm: int = 8
-    memory_instructions_per_warp: int = 64
+    knobs: TraceKnobs = TraceKnobs()
 
     @classmethod
     def create(
@@ -82,7 +81,7 @@ class ExperimentPreset:
         platforms: Sequence[str],
         workloads: Sequence[str],
         overrides: Optional[Mapping[str, Mapping[str, object]]] = None,
-        **knobs,
+        knobs: TraceKnobs = TraceKnobs(),
     ) -> "ExperimentPreset":
         packed = tuple(
             (label, tuple(sorted(mapping.items())))
@@ -94,7 +93,7 @@ class ExperimentPreset:
             platforms=tuple(platforms),
             workloads=tuple(workloads),
             overrides=packed,
-            **knobs,
+            knobs=knobs,
         )
 
     def override_axis(self) -> Optional[Dict[str, Dict[str, object]]]:
@@ -115,10 +114,7 @@ class ExperimentPreset:
             "platforms": list(self.platforms),
             "workloads": list(self.workloads),
             "overrides": self.override_axis(),
-            "scale": self.scale,
-            "seed": self.seed,
-            "warps_per_sm": self.warps_per_sm,
-            "memory_instructions_per_warp": self.memory_instructions_per_warp,
+            **self.knobs.sweep_fields(),
         }
         arguments.update(kwargs)
         return SweepSpec.create(**arguments)
@@ -130,9 +126,9 @@ class ExperimentPreset:
             f"           {self.description}",
             f"platforms: {', '.join(self.platforms)}",
             f"workloads: {', '.join(self.workloads)}",
-            f"knobs:     scale={self.scale} seed={self.seed} "
-            f"warps_per_sm={self.warps_per_sm} "
-            f"mem_insts={self.memory_instructions_per_warp}",
+            f"knobs:     scale={self.knobs.scale} seed={self.knobs.seed} "
+            f"warps_per_sm={self.knobs.warps_per_sm} "
+            f"mem_insts={self.knobs.memory_instructions_per_warp}",
         ]
         if axis:
             lines.append(f"axis:      {len(axis)} points — "
@@ -140,16 +136,13 @@ class ExperimentPreset:
         return "\n".join(lines)
 
 
-def _sensitivity_preset(name, description, path, **kwargs):
+def _sensitivity_preset(name, description, path):
     return ExperimentPreset.create(
         name, description,
         platforms=("ZnG",),
         workloads=(SENSITIVITY_WORKLOAD,),
         overrides=axis_overrides(path),
-        scale=0.25,
-        warps_per_sm=SENSITIVITY_WARPS_PER_SM,
-        memory_instructions_per_warp=SENSITIVITY_MEM_INSTS,
-        **kwargs,
+        knobs=SENSITIVITY_KNOBS,
     )
 
 
@@ -194,9 +187,7 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             "SRAM 6 MB L2 (ZnG-base) vs STT-MRAM 24 MB + prefetch (ZnG-rdopt).",
             platforms=("ZnG-base", "ZnG-rdopt"),
             workloads=(SENSITIVITY_WORKLOAD,),
-            scale=0.25,
-            warps_per_sm=SENSITIVITY_WARPS_PER_SM,
-            memory_instructions_per_warp=SENSITIVITY_MEM_INSTS,
+            knobs=SENSITIVITY_KNOBS,
         ),
         ExperimentPreset.create(
             "quickstart",
@@ -204,17 +195,14 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             "examples/quickstart.py comparison.",
             platforms=("GDDR5",) + EVAL_PLATFORMS,
             workloads=(SENSITIVITY_WORKLOAD,),
-            scale=0.3,
-            warps_per_sm=SENSITIVITY_WARPS_PER_SM,
-            memory_instructions_per_warp=SENSITIVITY_MEM_INSTS,
+            knobs=replace(SENSITIVITY_KNOBS, scale=0.3),
         ),
         ExperimentPreset.create(
             "smoke",
             "Tiny 2x2 grid used by CI's smoke sweep and quick local checks.",
             platforms=("ZnG-base", "ZnG"),
             workloads=("betw-back", "bfs1-gaus"),
-            scale=0.08,
-            warps_per_sm=2,
+            knobs=TraceKnobs(scale=0.08, warps_per_sm=2),
         ),
         _sensitivity_preset(
             "reg-sweep",
@@ -247,9 +235,7 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             platforms=("ZnG",),
             workloads=(SENSITIVITY_WORKLOAD, "bfs3-gaus"),
             overrides=axis_overrides("prefetch.policy"),
-            scale=0.25,
-            warps_per_sm=SENSITIVITY_WARPS_PER_SM,
-            memory_instructions_per_warp=SENSITIVITY_MEM_INSTS,
+            knobs=SENSITIVITY_KNOBS,
         ),
         ExperimentPreset.create(
             "scenario-suite",
@@ -258,7 +244,7 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             "ZnG variants.",
             platforms=ZNG_VARIANTS,
             workloads=("scenarios",),
-            scale=0.15,
+            knobs=TraceKnobs(scale=0.15),
         ),
         ExperimentPreset.create(
             "kv-sweep",
@@ -268,7 +254,6 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             workloads=tuple(
                 f"kv-lookup:zipf={value}"
                 for value in (0.6, 0.8, 0.99, 1.1, 1.2)),
-            scale=0.2,
         ),
         ExperimentPreset.create(
             "multi-tenant",
@@ -277,7 +262,6 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             platforms=("ZnG-base", "ZnG"),
             workloads=("multi-tenant:phases=1", "multi-tenant:phases=2",
                        "multi-tenant", "multi-tenant:phases=8"),
-            scale=0.2,
         ),
         ExperimentPreset.create(
             "table1-sensitivity",
@@ -286,9 +270,7 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             platforms=("ZnG",),
             workloads=(SENSITIVITY_WORKLOAD,),
             overrides=_table1_sensitivity_axis(),
-            scale=0.25,
-            warps_per_sm=SENSITIVITY_WARPS_PER_SM,
-            memory_instructions_per_warp=SENSITIVITY_MEM_INSTS,
+            knobs=SENSITIVITY_KNOBS,
         ),
     )
 }

@@ -15,15 +15,15 @@ canonical plain-data descriptor used for three things at once:
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import PlatformConfig, default_config
 from repro.configspace.fingerprint import canonical_json
-from repro.configspace.schema import SCHEMA, FieldSpec, coerce_value
+from repro.configspace.schema import SCHEMA
 from repro.workloads.registry import (
-    parse_workload_token,
+    TraceKnobs,
+    build_token_trace,
     resolve_workload_tokens,
     workload_fingerprint,
 )
@@ -66,42 +66,6 @@ class OverrideSet:
         return dict(self.overrides)
 
 
-def _run_knob(name: str, unit: str, doc: str) -> FieldSpec:
-    return FieldSpec(path=name, group="run", name=name, owner="SweepSpec",
-                     type=int, default=None, unit=unit, doc=doc, minimum=1)
-
-
-#: The integer trace-generation knobs of ``SweepSpec.create``, checked by the
-#: engine that checks config overrides and workload parameters.
-_RUN_KNOBS = (
-    _run_knob("num_sms", "SMs", "SMs the trace is generated for."),
-    _run_knob("warps_per_sm", "warps", "Warps per SM in the trace."),
-    _run_knob("memory_instructions_per_warp", "instructions",
-              "Memory instructions per warp in the trace."),
-)
-
-
-def check_run_knobs(
-    scale: float,
-    num_sms: int,
-    warps_per_sm: int,
-    memory_instructions_per_warp: int,
-) -> Tuple[int, int, int]:
-    """Check the trace-generation knobs; return the three counts coerced.
-
-    ``scale`` must be a finite number > 0, and the SM, warp and
-    memory-instruction counts ints >= 1.  Sweeps and recorded traces both
-    check here, so a trace file never holds knobs a sweep would refuse.
-    """
-    if isinstance(scale, bool) or not (
-            isinstance(scale, (int, float)) and 0 < scale < math.inf):
-        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
-    num_sms, warps_per_sm, memory_instructions_per_warp = (
-        coerce_value(knob, value) for knob, value in zip(
-            _RUN_KNOBS, (num_sms, warps_per_sm, memory_instructions_per_warp)))
-    return num_sms, warps_per_sm, memory_instructions_per_warp
-
-
 #: What callers may pass as the ``overrides`` argument of ``SweepSpec.create``.
 OverridesInput = Union[None, OverrideMapping, Sequence[OverrideSet], Mapping[str, OverrideMapping]]
 
@@ -113,11 +77,8 @@ class SweepSpec:
     platforms: Tuple[str, ...]
     workloads: Tuple[str, ...]
     overrides: Tuple[OverrideSet, ...] = (OverrideSet("default"),)
-    scale: float = 0.25
-    seed: int = 1
-    num_sms: int = 16
-    warps_per_sm: int = 8
-    memory_instructions_per_warp: int = 64
+    #: The trace knobs; ``knobs.seed`` is the sweep seed.
+    knobs: TraceKnobs = TraceKnobs()
     #: Optional non-default base config the overrides are applied on top of.
     base_config: Optional[PlatformConfig] = field(default=None, compare=False)
 
@@ -127,12 +88,8 @@ class SweepSpec:
         platforms: Sequence[str],
         workloads: Sequence[str],
         overrides: OverridesInput = None,
-        scale: float = 0.25,
-        seed: int = 1,
-        num_sms: int = 16,
-        warps_per_sm: int = 8,
-        memory_instructions_per_warp: int = 64,
         base_config: Optional[PlatformConfig] = None,
+        **knobs,
     ) -> "SweepSpec":
         """Normalise user-friendly inputs into a spec.
 
@@ -144,10 +101,14 @@ class SweepSpec:
         and bad paths/values raise before any cell runs.  ``workloads``
         accepts single applications (``"betw"``), mixes (``"betw-back"``)
         and group tokens (``"mixes"``, ``"graph"``, ``"scientific"``).
-        The run knobs are checked by :func:`check_run_knobs`.
+        ``knobs`` are :class:`TraceKnobs` fields (``scale=0.1, seed=3``),
+        checked by the record.
         """
-        num_sms, warps_per_sm, memory_instructions_per_warp = check_run_knobs(
-            scale, num_sms, warps_per_sm, memory_instructions_per_warp)
+        knobs = TraceKnobs(**knobs)
+        if knobs.address_space_offset:
+            raise ValueError(
+                "a sweep generates every trace at address 0 "
+                f"(address_space_offset must be 0, got {knobs.address_space_offset})")
         if overrides is None:
             override_sets: Tuple[OverrideSet, ...] = (OverrideSet("default"),)
         elif isinstance(overrides, Mapping):
@@ -188,11 +149,7 @@ class SweepSpec:
             platforms=tuple(platforms),
             workloads=tuple(resolve_workload_tokens(workloads)),
             overrides=override_sets,
-            scale=scale,
-            seed=seed,
-            num_sms=num_sms,
-            warps_per_sm=warps_per_sm,
-            memory_instructions_per_warp=memory_instructions_per_warp,
+            knobs=knobs,
             base_config=base_config,
         )
 
@@ -212,11 +169,7 @@ class SweepSpec:
                  [[path, value] for path, value in override_set.overrides]]
                 for override_set in self.overrides
             ],
-            "scale": self.scale,
-            "seed": self.seed,
-            "num_sms": self.num_sms,
-            "warps_per_sm": self.warps_per_sm,
-            "memory_instructions_per_warp": self.memory_instructions_per_warp,
+            **self.knobs.sweep_fields(),
             "base_config": asdict(self.base_config) if self.base_config else None,
         }
 
@@ -252,12 +205,8 @@ class SweepSpec:
             platforms=list(payload["platforms"]),  # type: ignore[arg-type]
             workloads=list(payload["workloads"]),  # type: ignore[arg-type]
             overrides=override_sets,
-            scale=payload["scale"],  # type: ignore[arg-type]
-            seed=payload["seed"],  # type: ignore[arg-type]
-            num_sms=payload["num_sms"],  # type: ignore[arg-type]
-            warps_per_sm=payload["warps_per_sm"],  # type: ignore[arg-type]
-            memory_instructions_per_warp=payload["memory_instructions_per_warp"],  # type: ignore[arg-type]
             base_config=base_config,
+            **{name: payload[name] for name in TraceKnobs().sweep_fields()},
         )
 
     def cells(self) -> List["SweepCell"]:
@@ -271,11 +220,8 @@ class SweepSpec:
                             platform=platform,
                             workload=workload,
                             override_set=override_set,
-                            scale=self.scale,
-                            seed=cell_seed(self.seed, workload),
-                            num_sms=self.num_sms,
-                            warps_per_sm=self.warps_per_sm,
-                            memory_instructions_per_warp=self.memory_instructions_per_warp,
+                            knobs=replace(self.knobs, seed=cell_seed(
+                                self.knobs.seed, workload)),
                             base_config=self.base_config,
                         )
                     )
@@ -376,12 +322,13 @@ class SweepCell:
     platform: str
     workload: str
     override_set: OverrideSet
-    scale: float
-    seed: int
-    num_sms: int
-    warps_per_sm: int
-    memory_instructions_per_warp: int
+    #: The trace knobs; ``knobs.seed`` is this cell's trace seed.
+    knobs: TraceKnobs
     base_config: Optional[PlatformConfig] = field(default=None, compare=False)
+
+    @property
+    def num_sms(self) -> int:
+        return self.knobs.num_sms
 
     @property
     def label(self) -> str:
@@ -435,11 +382,7 @@ class SweepCell:
             "workload_fingerprint": self.workload_fingerprint(),
             "override_label": self.override_set.label,
             "overrides": [[path, value] for path, value in self.override_set.overrides],
-            "scale": self.scale,
-            "seed": self.seed,
-            "num_sms": self.num_sms,
-            "warps_per_sm": self.warps_per_sm,
-            "memory_instructions_per_warp": self.memory_instructions_per_warp,
+            **self.knobs.sweep_fields(),
             "config": asdict(self.platform_config()),
         }
 
@@ -466,54 +409,17 @@ class SweepCell:
         return cached
 
     def trace_key(self) -> Tuple:
-        """Key over *everything* :func:`build_cell_trace` consumes.
+        """Key over everything :func:`build_cell_trace` consumes: the token,
+        its resolved workload and the knobs record.
 
-        This is what the per-process trace memo hashes on.  It lives next to
-        :func:`build_cell_trace` so the two stay in lockstep: any new knob
-        that influences trace generation must be added to both, otherwise a
-        ``--set`` ablation changing that knob would silently replay a stale
-        memoised trace across cells.  (The platform and override set are
-        deliberately absent — every platform of a sweep runs the identical
-        trace, which is what makes cross-platform comparisons fair.)
+        This is what the per-process trace memo hashes on.  The platform and
+        override set are deliberately absent — every platform of a sweep runs
+        the identical trace, which is what makes cross-platform comparisons
+        fair.
         """
-        return (
-            self.workload,
-            self.workload_fingerprint(),
-            self.scale,
-            self.seed,
-            self.num_sms,
-            self.warps_per_sm,
-            self.memory_instructions_per_warp,
-        )
+        return (self.workload, self.workload_fingerprint(), self.knobs)
 
 
 def build_cell_trace(cell: SweepCell):
-    """Generate (or replay) the deterministic workload trace a cell runs.
-
-    Single tokens — family names, parameterised instances, ``trace:<path>``
-    replays — build one trace through the registry; ``read-write`` tokens
-    build the paper's co-run mix with the two applications in disjoint
-    address ranges.
-    """
-    from repro.workloads.multiapp import build_mix
-    from repro.workloads.registry import TraceKnobs, build_trace
-
-    read_app, write_app = parse_workload_token(cell.workload)
-    if write_app is None:
-        return build_trace(read_app, TraceKnobs(
-            scale=cell.scale,
-            seed=cell.seed,
-            num_sms=cell.num_sms,
-            warps_per_sm=cell.warps_per_sm,
-            memory_instructions_per_warp=cell.memory_instructions_per_warp,
-        ))
-    mix = build_mix(
-        read_app,
-        write_app,
-        scale=cell.scale,
-        seed=cell.seed,
-        num_sms=cell.num_sms,
-        warps_per_sm=cell.warps_per_sm,
-        memory_instructions_per_warp=cell.memory_instructions_per_warp,
-    )
-    return mix.combined
+    """Generate (or replay) the deterministic workload trace a cell runs."""
+    return build_token_trace(cell.workload, cell.knobs)

@@ -17,7 +17,7 @@ from repro.workloads.registry import (
     WORKLOAD_FAMILIES,
     TraceKnobs,
     WorkloadFamily,
-    build_trace,
+    build_token_trace,
     family_by_name,
     family_names,
     family_param,
@@ -59,7 +59,7 @@ __all__ = [
     "WORKLOAD_FAMILIES",
     "TraceKnobs",
     "WorkloadFamily",
-    "build_trace",
+    "build_token_trace",
     "family_by_name",
     "family_names",
     "family_param",

@@ -8,8 +8,9 @@ For each workload the generator synthesises per-warp instruction traces whose
 * locality mixes sequential streaming (CSR/neighbour-list scans) with
   irregular frontier accesses, controlled by ``sequential_fraction``.
 
-Traces are deterministic for a given (workload, scale, seed) so tests and
-benchmarks are reproducible.
+Traces are deterministic for a given workload and
+:class:`~repro.workloads.trace.TraceKnobs` so tests and benchmarks are
+reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from repro.gpu.coalescer import PRECOMPUTED_SEGMENT_BYTES
 from repro.gpu.warp import Instruction, WarpTrace
 from repro.sim.request import AccessType
-from repro.workloads.trace import WorkloadSpec, WorkloadTrace
+from repro.workloads.trace import TraceKnobs, WorkloadSpec, WorkloadTrace
 
 PAGE_SIZE = 4096
 LINE_SIZE = 128
@@ -42,26 +43,20 @@ class TraceGenerator:
     """Generates :class:`WorkloadTrace` objects for a workload specification."""
 
     spec: WorkloadSpec
-    scale: float = 1.0
-    num_sms: int = 16
-    warps_per_sm: int = 4
-    memory_instructions_per_warp: int = 64
-    address_space_offset: int = 0
-    seed: Optional[int] = None
+    knobs: TraceKnobs = TraceKnobs()
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        self._rng = np.random.default_rng(_seed_for(self.spec.name, self.seed))
+        self._rng = np.random.default_rng(_seed_for(self.spec.name, self.knobs.seed))
 
     # -- derived sizes --------------------------------------------------------
     @property
     def total_warps(self) -> int:
-        return max(1, int(self.num_sms * self.warps_per_sm * self.scale))
+        knobs = self.knobs
+        return max(1, int(knobs.num_sms * knobs.warps_per_sm * knobs.scale))
 
     @property
     def instructions_per_warp(self) -> int:
-        return max(4, int(self.memory_instructions_per_warp * self.scale))
+        return max(4, int(self.knobs.memory_instructions_per_warp * self.knobs.scale))
 
     @property
     def total_memory_instructions(self) -> int:
@@ -69,7 +64,7 @@ class TraceGenerator:
 
     @property
     def footprint_pages(self) -> int:
-        return max(16, int(self.spec.footprint_pages * self.scale))
+        return max(16, int(self.spec.footprint_pages * self.knobs.scale))
 
     def _hot_read_pages(self) -> int:
         """Distinct read pages sized so the mean re-access matches Fig. 5b."""
@@ -128,7 +123,7 @@ class TraceGenerator:
         hot_write_list = self._hot_page_list(
             min(self._hot_write_pages(), footprint), footprint, salt=17
         )
-        base = self.address_space_offset
+        base = self.knobs.address_space_offset
 
         # PC values: one per "static load/store site"; graph kernels have a
         # small number of hot loads, which is what makes the PC-indexed
@@ -143,9 +138,10 @@ class TraceGenerator:
 
         lines_per_page = PAGE_SIZE // LINE_SIZE
         warp_counter = 0
-        for sm in range(self.num_sms):
-            warps_here = self.total_warps // self.num_sms + (
-                1 if sm < self.total_warps % self.num_sms else 0
+        num_sms = self.knobs.num_sms
+        for sm in range(num_sms):
+            warps_here = self.total_warps // num_sms + (
+                1 if sm < self.total_warps % num_sms else 0
             )
             for _ in range(warps_here):
                 warp = WarpTrace(warp_id=warp_counter, sm_id=sm)
@@ -245,23 +241,6 @@ class TraceGenerator:
         return trace
 
 
-def generate_workload(
-    spec: WorkloadSpec,
-    scale: float = 1.0,
-    seed: Optional[int] = None,
-    address_space_offset: int = 0,
-    num_sms: int = 16,
-    warps_per_sm: int = 4,
-    memory_instructions_per_warp: int = 64,
-) -> WorkloadTrace:
+def generate_workload(spec: WorkloadSpec, knobs: TraceKnobs = TraceKnobs()) -> WorkloadTrace:
     """Convenience wrapper building a :class:`TraceGenerator` and running it."""
-    generator = TraceGenerator(
-        spec=spec,
-        scale=scale,
-        seed=seed,
-        address_space_offset=address_space_offset,
-        num_sms=num_sms,
-        warps_per_sm=warps_per_sm,
-        memory_instructions_per_warp=memory_instructions_per_warp,
-    )
-    return generator.generate()
+    return TraceGenerator(spec, knobs).generate()

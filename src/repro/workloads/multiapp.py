@@ -9,10 +9,11 @@ memory subsystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.workloads.generators import PAGE_SIZE
+from repro.workloads.registry import TraceKnobs, resolve_workload
 from repro.workloads.suites import MULTI_APP_MIXES, mix_name
 from repro.workloads.trace import WorkloadSpec, WorkloadTrace
 
@@ -35,40 +36,22 @@ class MultiAppWorkload:
         return self.first.spec, self.second.spec
 
 
-def build_mix(
-    read_app: str,
-    write_app: str,
-    scale: float = 1.0,
-    seed: Optional[int] = None,
-    num_sms: int = 16,
-    warps_per_sm: int = 4,
-    memory_instructions_per_warp: int = 64,
-) -> MultiAppWorkload:
+def build_mix(read_app: str, write_app: str,
+              knobs: TraceKnobs = TraceKnobs()) -> MultiAppWorkload:
     """Generate one co-run mix, e.g. ``build_mix("betw", "back")``.
 
     Each half is any registered workload family name — Table II applications
-    as before, parametric families too (``build_mix("kv-lookup", "gaus")``) —
-    built through :func:`repro.workloads.registry.build_trace`, which for
-    Table II names produces exactly the historical generator output.
+    as before, parametric families too (``build_mix("kv-lookup", "gaus")``).
+    The read application is generated with ``knobs``; the write application
+    with the next seed, placed just above the read application's footprint.
     """
-    from repro.workloads.registry import TraceKnobs, build_trace
-
-    first = build_trace(read_app, TraceKnobs(
-        scale=scale,
-        seed=seed,
-        num_sms=num_sms,
-        warps_per_sm=warps_per_sm,
-        memory_instructions_per_warp=memory_instructions_per_warp,
-    ))
+    first = resolve_workload(read_app).build(knobs)
     # The second application lives above the first one's footprint.
     offset_pages = first.footprint_pages
-    second = build_trace(write_app, TraceKnobs(
-        scale=scale,
-        seed=None if seed is None else seed + 1,
-        address_space_offset=offset_pages * PAGE_SIZE,
-        num_sms=num_sms,
-        warps_per_sm=warps_per_sm,
-        memory_instructions_per_warp=memory_instructions_per_warp,
+    second = resolve_workload(write_app).build(replace(
+        knobs,
+        seed=None if knobs.seed is None else knobs.seed + 1,
+        address_space_offset=knobs.address_space_offset + offset_pages * PAGE_SIZE,
     ))
     # Re-key the second app's page statistics into the global address space.
     second.page_read_counts = {
@@ -84,24 +67,12 @@ def build_mix(
 
 
 def build_all_mixes(
-    scale: float = 1.0,
-    seed: Optional[int] = None,
-    num_sms: int = 16,
-    warps_per_sm: int = 4,
-    memory_instructions_per_warp: int = 64,
+    knobs: TraceKnobs = TraceKnobs(),
     mixes: Optional[List[Tuple[str, str]]] = None,
 ) -> Dict[str, MultiAppWorkload]:
     """Build every evaluation mix (Figs 5a / 10 / 11), keyed by mix name."""
     result: Dict[str, MultiAppWorkload] = {}
     for read_app, write_app in mixes or MULTI_APP_MIXES:
-        mix = build_mix(
-            read_app,
-            write_app,
-            scale=scale,
-            seed=seed,
-            num_sms=num_sms,
-            warps_per_sm=warps_per_sm,
-            memory_instructions_per_warp=memory_instructions_per_warp,
-        )
+        mix = build_mix(read_app, write_app, knobs)
         result[mix.name] = mix
     return result

@@ -58,7 +58,7 @@ from repro.workloads.suites import (
     SCIENTIFIC_WORKLOADS,
     mix_name,
 )
-from repro.workloads.trace import WorkloadSpec, WorkloadTrace
+from repro.workloads.trace import TraceKnobs, WorkloadSpec, WorkloadTrace
 
 #: Prefix of trace-replay tokens: ``trace:<path>`` replays a recorded
 #: ``repro-trace-v1`` file (see :mod:`repro.workloads.tracefile`).
@@ -66,23 +66,6 @@ TRACE_TOKEN_PREFIX = "trace:"
 
 #: Group tokens the sweep vocabulary expands (besides family names).
 GROUP_TOKENS = ("mixes", "graph", "scientific", "scenarios")
-
-
-@dataclass(frozen=True)
-class TraceKnobs:
-    """The trace-generation knobs every family builder receives.
-
-    Mirrors the :class:`~repro.runner.spec.SweepCell` trace knobs; the sweep
-    runner fills these from the cell so registry-built traces are seeded and
-    sized exactly like the historical generator path.
-    """
-
-    scale: float = 1.0
-    seed: Optional[int] = None
-    num_sms: int = 16
-    warps_per_sm: int = 4
-    memory_instructions_per_warp: int = 64
-    address_space_offset: int = 0
 
 
 #: A family builder: fully resolved parameters + trace knobs -> trace.
@@ -262,6 +245,42 @@ class ResolvedWorkload:
     def param_mapping(self) -> Dict[str, object]:
         return dict(self.params)
 
+    def build(self, knobs: TraceKnobs) -> WorkloadTrace:
+        """This workload's trace: the family's, or the file's as recorded.
+
+        A replayed file cannot be reshaped by the trace knobs, so when it
+        carries its generation knobs they must agree with the requested ones
+        (seed excluded: the sweep derives it from the ``trace:`` token, not
+        the recorded one).  Otherwise the sweep's descriptor, cache key and
+        printed table would silently label recorded data with knobs it was
+        never generated with.
+        """
+        if self.trace_path is None:
+            return self.family.builder(self.param_mapping(), knobs)
+        from repro.workloads.tracefile import read_trace_file
+
+        if knobs.address_space_offset:
+            raise ValueError(
+                "a replayed trace file carries fixed addresses and cannot "
+                "be relocated (address_space_offset must be 0)")
+        loaded = read_trace_file(self.trace_path)
+        recorded = loaded.knobs
+        mismatched = {
+            name: (recorded[name], getattr(knobs, name))
+            for name in ("scale", "num_sms", "warps_per_sm",
+                         "memory_instructions_per_warp")
+            if name in recorded and recorded[name] != getattr(knobs, name)
+        }
+        if mismatched:
+            detail = ", ".join(
+                f"{name}: recorded {rec!r} != requested {req!r}"
+                for name, (rec, req) in sorted(mismatched.items()))
+            raise ValueError(
+                f"trace file {self.trace_path} was recorded with different "
+                f"trace knobs ({detail}); rerun the sweep with the recorded "
+                f"knobs or re-record the trace")
+        return loaded.trace
+
     def fingerprint(self) -> str:
         """Content hash over everything that determines the generated trace.
 
@@ -427,43 +446,21 @@ def workload_fingerprint(token: str) -> str:
     return result
 
 
-def build_trace(token: str, knobs: TraceKnobs) -> WorkloadTrace:
-    """Generate (or replay) the trace of one single-workload token.
+def build_token_trace(token: str, knobs: TraceKnobs) -> WorkloadTrace:
+    """Generate (or replay) the trace of any workload token.
 
-    A replayed file is returned as recorded — the trace knobs cannot reshape
-    it — so when the file carries its generation knobs they must agree with
-    the requested ones (seed excluded: the sweep derives it from the
-    ``trace:`` token, not the recorded one).  Otherwise the sweep's
-    descriptor, cache key and printed table would silently label recorded
-    data with knobs it was never generated with.
+    Family tokens run their family's builder, ``trace:`` tokens replay the
+    file (:meth:`ResolvedWorkload.build`), and ``read-write`` tokens build
+    the paper's co-run mix (:func:`repro.workloads.multiapp.build_mix`).
+    The trace is a pure function of the token's resolved workload and
+    ``knobs``, which is what the sweep's trace memo keys on.
     """
-    resolved = resolve_workload(token)
-    if resolved.trace_path is not None:
-        from repro.workloads.tracefile import read_trace_file
+    read_app, write_app = parse_workload_token(token)
+    if write_app is None:
+        return resolve_workload(token).build(knobs)
+    from repro.workloads.multiapp import build_mix
 
-        if knobs.address_space_offset:
-            raise ValueError(
-                "a replayed trace file carries fixed addresses and cannot "
-                "be relocated (address_space_offset must be 0)")
-        loaded = read_trace_file(resolved.trace_path)
-        recorded = loaded.knobs
-        if recorded:  # externally ingested traces carry no knobs
-            mismatched = {
-                name: (recorded[name], getattr(knobs, name))
-                for name in ("scale", "num_sms", "warps_per_sm",
-                             "memory_instructions_per_warp")
-                if name in recorded and recorded[name] != getattr(knobs, name)
-            }
-            if mismatched:
-                detail = ", ".join(
-                    f"{name}: recorded {rec!r} != requested {req!r}"
-                    for name, (rec, req) in sorted(mismatched.items()))
-                raise ValueError(
-                    f"trace file {resolved.trace_path} was recorded with "
-                    f"different trace knobs ({detail}); rerun the sweep "
-                    f"with the recorded knobs or re-record the trace")
-        return loaded.trace
-    return resolved.family.builder(resolved.param_mapping(), knobs)
+    return build_mix(read_app, write_app, knobs).combined
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +524,7 @@ def _catalogue_builder(spec: WorkloadSpec) -> FamilyBuilder:
     def build(params: Dict[str, object], knobs: TraceKnobs) -> WorkloadTrace:
         from repro.workloads.generators import generate_workload
 
-        return generate_workload(
-            replace(spec, **params),
-            scale=knobs.scale,
-            seed=knobs.seed,
-            address_space_offset=knobs.address_space_offset,
-            num_sms=knobs.num_sms,
-            warps_per_sm=knobs.warps_per_sm,
-            memory_instructions_per_warp=knobs.memory_instructions_per_warp,
-        )
+        return generate_workload(replace(spec, **params), knobs)
 
     return build
 
@@ -563,15 +552,7 @@ def _simple_builder(make_spec: Callable[[Dict[str, object]], WorkloadSpec]) -> F
     def build(params: Dict[str, object], knobs: TraceKnobs) -> WorkloadTrace:
         from repro.workloads.generators import generate_workload
 
-        return generate_workload(
-            make_spec(params),
-            scale=knobs.scale,
-            seed=knobs.seed,
-            address_space_offset=knobs.address_space_offset,
-            num_sms=knobs.num_sms,
-            warps_per_sm=knobs.warps_per_sm,
-            memory_instructions_per_warp=knobs.memory_instructions_per_warp,
-        )
+        return generate_workload(make_spec(params), knobs)
 
     return build
 
@@ -610,15 +591,8 @@ def _generate_phased(
         if budget == 0:
             continue
         seed = None if knobs.seed is None else knobs.seed + 101 * index + 1
-        phase_traces.append(generate_workload(
-            spec,
-            scale=knobs.scale,
-            seed=seed,
-            address_space_offset=knobs.address_space_offset,
-            num_sms=knobs.num_sms,
-            warps_per_sm=knobs.warps_per_sm,
-            memory_instructions_per_warp=budget,
-        ))
+        phase_traces.append(generate_workload(spec, replace(
+            knobs, seed=seed, memory_instructions_per_warp=budget)))
 
     summary = WorkloadSpec(
         name=name,

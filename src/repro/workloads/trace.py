@@ -5,16 +5,82 @@ statistics — read ratio, kernel count, per-page read re-access count, per-page
 write redundancy, and access locality — and that characterisation is what the
 evaluation results depend on.  :class:`WorkloadSpec` captures exactly those
 knobs; the generators synthesise warp traces that hit the published numbers.
+:class:`TraceKnobs` declares what sizes, seeds and places a generated trace;
+the workload registry, the generators, the sweep specs and the experiment
+presets all take it from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import math
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.gpu.warp import WarpTrace, total_instructions, total_memory_instructions
+
+
+def _check_int(name: str, value: object, minimum: Optional[int] = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} expects an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class TraceKnobs:
+    """The trace knobs: what sizes, seeds and places every generated trace.
+
+    The one declaration of these knobs and of their defaults, checked on
+    construction: ``scale`` a finite number > 0, the SM, warp and
+    memory-instruction counts ints >= 1, ``seed`` an int (or ``None``: seed
+    from the workload name), ``address_space_offset`` an int >= 0.
+
+    A :class:`~repro.runner.spec.SweepSpec` carries one whose ``seed`` is the
+    sweep seed; each of its cells carries one whose ``seed`` is the cell's
+    trace seed, ``cell_seed(sweep_seed, workload)``.  A trace file records
+    the knobs its trace was generated with.
+
+    :mod:`repro.workloads.registry` exports it; it is declared here because
+    the experiment presets carry one, and the registry imports the config
+    package that holds the presets.
+    """
+
+    scale: float = 0.2
+    seed: Optional[int] = 1
+    num_sms: int = 16
+    warps_per_sm: int = 8
+    memory_instructions_per_warp: int = 64
+    address_space_offset: int = 0
+
+    def __post_init__(self) -> None:
+        scale = self.scale
+        if isinstance(scale, bool) or not (
+                isinstance(scale, (int, float)) and 0 < scale < math.inf):
+            raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+        if self.seed is not None:
+            _check_int("seed", self.seed)
+        for name in ("num_sms", "warps_per_sm", "memory_instructions_per_warp"):
+            _check_int(name, getattr(self, name), minimum=1)
+        _check_int("address_space_offset", self.address_space_offset, minimum=0)
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, object]) -> "TraceKnobs":
+        """The knobs a recorded ``knobs`` mapping holds; unknown names raise."""
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"unknown trace knob {unknown[0]!r} (known: "
+                f"{', '.join(f.name for f in fields(cls))})")
+        return cls(**payload)
+
+    def sweep_fields(self) -> Dict[str, object]:
+        """The knobs a sweep declares, in descriptor order: every knob but
+        the address offset (a sweep generates each trace at address 0)."""
+        declared = asdict(self)
+        del declared["address_space_offset"]
+        return declared
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,18 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro.configspace.fingerprint import fingerprint
+from repro.configspace.fingerprint import CanonicalEncodingError, fingerprint
 from repro.workloads.io import trace_from_dict, trace_to_dict
+from repro.workloads.registry import (
+    TRACE_TOKEN_PREFIX,
+    TraceKnobs,
+    build_token_trace,
+    canonicalize_token,
+)
 from repro.workloads.trace import WorkloadTrace
 
 TRACE_SCHEMA = "repro-trace-v1"
@@ -133,8 +139,14 @@ def read_trace_file(path: Union[str, os.PathLike]) -> TraceFile:
     for field_name in ("content_hash", "workload", "knobs", "trace"):
         if field_name not in payload:
             raise TraceFileError(f"{path} is missing the {field_name!r} field")
-    recomputed = _body_hash(
-        str(payload["workload"]), dict(payload["knobs"]), payload["trace"])
+    if not isinstance(payload["knobs"], dict):
+        raise TraceFileError(f"{path} holds knobs that are not a mapping")
+    try:
+        recomputed = _body_hash(
+            str(payload["workload"]), payload["knobs"], payload["trace"])
+    except CanonicalEncodingError as error:
+        raise TraceFileError(
+            f"{path} failed content-hash verification ({error})") from error
     if recomputed != payload["content_hash"]:
         raise TraceFileError(
             f"{path} failed content-hash verification (stored "
@@ -187,57 +199,24 @@ def trace_file_fingerprint(path: Union[str, os.PathLike]) -> str:
 def record_trace(
     token: str,
     path: Union[str, os.PathLike],
-    scale: float = 0.2,
-    seed: int = 1,
-    num_sms: int = 16,
-    warps_per_sm: int = 8,
-    memory_instructions_per_warp: int = 64,
+    knobs: TraceKnobs = TraceKnobs(),
 ) -> TraceFile:
     """Generate one workload token's trace and persist it for replay.
 
-    ``seed`` is the *sweep* seed: the trace seed is derived through the same
-    ``cell_seed(seed, canonical_token)`` the runner uses, so replaying the
-    file in a sweep with that seed reproduces the generating sweep's cells
-    bit-identically.  Mix tokens record the combined co-run trace.  The
-    knobs are checked as a sweep checks them.
+    ``knobs.seed`` is the *sweep* seed: the trace seed is derived through
+    the same ``cell_seed(seed, canonical_token)`` the runner uses, so
+    replaying the file in a sweep with those knobs reproduces the generating
+    sweep's cells bit-identically.  Mix tokens record the combined co-run
+    trace.
     """
-    from repro.runner.spec import cell_seed, check_run_knobs
-    from repro.workloads.registry import (
-        TraceKnobs,
-        build_trace,
-        canonicalize_token,
-        parse_workload_token,
-    )
+    from repro.runner.spec import cell_seed
 
-    num_sms, warps_per_sm, memory_instructions_per_warp = check_run_knobs(
-        scale, num_sms, warps_per_sm, memory_instructions_per_warp)
     canonical = canonicalize_token(token)
-    if canonical.startswith("trace:"):
+    if canonical.startswith(TRACE_TOKEN_PREFIX):
         raise TraceFileError(
             f"cannot record {token!r}: it already names a trace file")
-    derived_seed = cell_seed(seed, canonical)
-    knobs = TraceKnobs(
-        scale=scale,
-        seed=derived_seed,
-        num_sms=num_sms,
-        warps_per_sm=warps_per_sm,
-        memory_instructions_per_warp=memory_instructions_per_warp,
-    )
-    read_app, write_app = parse_workload_token(canonical)
-    if write_app is None:
-        trace = build_trace(read_app, knobs)
-    else:
-        from repro.workloads.multiapp import build_mix
-
-        trace = build_mix(
-            read_app,
-            write_app,
-            scale=scale,
-            seed=derived_seed,
-            num_sms=num_sms,
-            warps_per_sm=warps_per_sm,
-            memory_instructions_per_warp=memory_instructions_per_warp,
-        ).combined
+    knobs = replace(knobs, seed=cell_seed(knobs.seed, canonical))
+    trace = build_token_trace(canonical, knobs)
     content_hash = write_trace_file(
         path, trace, workload=canonical, knobs=asdict(knobs))
     return TraceFile(
@@ -254,26 +233,11 @@ def regenerate_from_meta(meta: TraceFile) -> WorkloadTrace:
 
     Used by ``repro workloads --replay FILE --verify`` to prove the recorded
     payload is bit-identical to what the current generator produces (guards
-    against generator drift silently invalidating archived traces).
+    against generator drift silently invalidating archived traces).  Knobs
+    the current build refuses raise :class:`ValueError`.
     """
-    from repro.workloads.registry import TraceKnobs, build_trace, parse_workload_token
-
     if not meta.workload:
         raise TraceFileError(
             "trace file records no generating workload token (externally "
             "ingested); --verify only applies to recorded traces")
-    knobs = TraceKnobs(**meta.knobs)
-    read_app, write_app = parse_workload_token(meta.workload)
-    if write_app is None:
-        return build_trace(read_app, knobs)
-    from repro.workloads.multiapp import build_mix
-
-    return build_mix(
-        read_app,
-        write_app,
-        scale=knobs.scale,
-        seed=knobs.seed,
-        num_sms=knobs.num_sms,
-        warps_per_sm=knobs.warps_per_sm,
-        memory_instructions_per_warp=knobs.memory_instructions_per_warp,
-    ).combined
+    return build_token_trace(meta.workload, TraceKnobs.from_payload(meta.knobs))

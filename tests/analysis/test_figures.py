@@ -171,9 +171,11 @@ class TestFigure10:
         of large data sets and high thread-level parallelism."""
         from repro.platforms import build_platform
         from repro.workloads.multiapp import build_mix
+        from repro.workloads.trace import TraceKnobs
 
-        mix = build_mix("betw", "back", scale=0.4, seed=1,
-                        warps_per_sm=16, memory_instructions_per_warp=96)
+        mix = build_mix("betw", "back", TraceKnobs(
+            scale=0.4, seed=1, warps_per_sm=16,
+            memory_instructions_per_warp=96))
         ipc = {
             name: build_platform(name).run(mix.combined).ipc
             for name in ["HybridGPU", "Optane", "ZnG"]

@@ -99,7 +99,7 @@ class TestGoldenGate:
 
     def test_golden_spec_is_the_ci_fig10_grid(self):
         spec = golden_spec()
-        assert spec.scale == GOLDEN_SCALE
+        assert spec.knobs.scale == GOLDEN_SCALE
         assert "ZnG" in spec.platforms
         assert len(spec) == len(spec.platforms) * len(spec.workloads)
 

@@ -43,10 +43,10 @@ class TestSpecExpansion:
 
     def test_spec_kwargs_override_preset_values(self):
         spec = get_preset("smoke").spec(scale=0.01, workloads=["bfs1"])
-        assert spec.scale == 0.01
+        assert spec.knobs.scale == 0.01
         assert spec.workloads == ("bfs1",)
         # Unoverridden knobs keep the preset's values.
-        assert spec.warps_per_sm == 2
+        assert spec.knobs.warps_per_sm == 2
 
     def test_axis_preset_carries_labelled_points(self):
         spec = get_preset("reg-sweep").spec()

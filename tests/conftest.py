@@ -13,6 +13,7 @@ from repro.config import PlatformConfig, ZNANDConfig, default_config
 from repro.workloads.multiapp import MultiAppWorkload, build_mix
 from repro.workloads.generators import generate_workload
 from repro.workloads.suites import workload_by_name
+from repro.workloads.trace import TraceKnobs
 
 
 @pytest.fixture(scope="session")
@@ -36,22 +37,19 @@ def small_znand_config() -> ZNANDConfig:
 @pytest.fixture(scope="session")
 def tiny_mix() -> MultiAppWorkload:
     """A very small betw-back co-run used by platform integration tests."""
-    return build_mix(
-        "betw", "back", scale=0.2, warps_per_sm=2, memory_instructions_per_warp=24
-    )
+    return build_mix("betw", "back", TraceKnobs(
+        scale=0.2, seed=None, warps_per_sm=2, memory_instructions_per_warp=24))
 
 
 @pytest.fixture(scope="session")
 def small_mix() -> MultiAppWorkload:
     """A slightly larger mix for end-to-end ordering checks."""
-    return build_mix(
-        "betw", "back", scale=0.4, warps_per_sm=4, memory_instructions_per_warp=64
-    )
+    return build_mix("betw", "back", TraceKnobs(
+        scale=0.4, seed=None, warps_per_sm=4, memory_instructions_per_warp=64))
 
 
 @pytest.fixture(scope="session")
 def read_heavy_trace():
     """A read-only single-application trace (deg: read ratio 1.0)."""
-    return generate_workload(
-        workload_by_name("deg"), scale=0.2, warps_per_sm=2, memory_instructions_per_warp=24
-    )
+    return generate_workload(workload_by_name("deg"), TraceKnobs(
+        scale=0.2, seed=None, warps_per_sm=2, memory_instructions_per_warp=24))

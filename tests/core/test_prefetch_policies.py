@@ -79,10 +79,11 @@ class TestOnPlatform:
         from repro.config import default_config
         from repro.platforms.zng import ZnGPlatform, ZnGVariant
         from repro.workloads.multiapp import build_mix
+        from repro.workloads.trace import TraceKnobs
 
         config = default_config()
         config = config.copy(prefetch=replace(config.prefetch, policy=policy))
-        mix = build_mix("betw", "back", scale=0.1, seed=1,
-                        warps_per_sm=4, memory_instructions_per_warp=48)
+        mix = build_mix("betw", "back", TraceKnobs(
+            scale=0.1, seed=1, warps_per_sm=4, memory_instructions_per_warp=48))
         result = ZnGPlatform(ZnGVariant.FULL, config).run(mix.combined)
         assert result.ipc > 0

@@ -89,11 +89,10 @@ class TestPrecomputedSegments:
     def test_generated_traces_match_live_coalescing(self):
         from repro.workloads.generators import generate_workload
         from repro.workloads.suites import workload_by_name
+        from repro.workloads.trace import TraceKnobs
 
-        trace = generate_workload(
-            workload_by_name("bfs1"), scale=0.1, seed=3, warps_per_sm=2,
-            memory_instructions_per_warp=24,
-        )
+        trace = generate_workload(workload_by_name("bfs1"), TraceKnobs(
+            scale=0.1, seed=3, warps_per_sm=2, memory_instructions_per_warp=24))
         unit = CoalescingUnit(request_bytes=128)
         for warp in trace.warps:
             for instruction in warp.instructions:

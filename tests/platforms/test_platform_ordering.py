@@ -9,6 +9,7 @@ import pytest
 from repro.platforms import build_platform
 from repro.platforms.zng import PLATFORM_NAMES
 from repro.workloads.multiapp import build_mix
+from repro.workloads.trace import TraceKnobs
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +17,8 @@ def results():
     # Enough thread-level parallelism for the GPU to hide Z-NAND latency — the
     # regime the paper targets (up to 80 warps/SM).  ZnG's advantage over
     # Optane grows with TLP, so a too-small warp count understates it.
-    mix = build_mix("betw", "back", scale=0.4, seed=1,
-                    warps_per_sm=12, memory_instructions_per_warp=96)
+    mix = build_mix("betw", "back", TraceKnobs(
+        scale=0.4, seed=1, warps_per_sm=12, memory_instructions_per_warp=96))
     out = {}
     for name in ["GDDR5"] + PLATFORM_NAMES:
         out[name] = build_platform(name).run(mix.combined)

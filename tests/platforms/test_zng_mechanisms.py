@@ -7,12 +7,13 @@ from repro.configspace import SCHEMA
 from repro.platforms.zng import ZnGPlatform, ZnGVariant, build_platform
 from repro.ssd.znand import ZNANDArray
 from repro.workloads.multiapp import build_mix
+from repro.workloads.trace import TraceKnobs
 
 
 @pytest.fixture(scope="module")
 def mix():
-    return build_mix("betw", "back", scale=0.3, seed=1,
-                     warps_per_sm=4, memory_instructions_per_warp=64)
+    return build_mix("betw", "back", TraceKnobs(
+        scale=0.3, seed=1, warps_per_sm=4, memory_instructions_per_warp=64))
 
 
 class TestFTLIntegration:

@@ -84,7 +84,7 @@ class TestSweepSpec:
         )
         by_workload = {}
         for cell in spec.cells():
-            by_workload.setdefault(cell.workload, set()).add(cell.seed)
+            by_workload.setdefault(cell.workload, set()).add(cell.knobs.seed)
         # One seed per workload, shared by every platform...
         assert all(len(seeds) == 1 for seeds in by_workload.values())
         # ...and different workloads get different seeds.
@@ -147,8 +147,8 @@ class TestSweepSpec:
         spec = SweepSpec.create(
             platforms=["ZnG"], workloads=["betw-back"], scale=1e-3,
             num_sms=1, warps_per_sm=1, memory_instructions_per_warp=1)
-        assert (spec.scale, spec.num_sms, spec.warps_per_sm,
-                spec.memory_instructions_per_warp) == (1e-3, 1, 1, 1)
+        assert (spec.knobs.scale, spec.knobs.num_sms, spec.knobs.warps_per_sm,
+                spec.knobs.memory_instructions_per_warp) == (1e-3, 1, 1, 1)
 
 
 class TestCacheKey:

@@ -223,7 +223,7 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "ZnG-base" not in out and "1 cells" in out
         spec = RunManifest.load(tmp_path / "manifest.json").spec()
-        assert spec.platforms == ("ZnG",) and spec.scale == 0.05
+        assert spec.platforms == ("ZnG",) and spec.knobs.scale == 0.05
         assert [point.label for point in spec.overrides] == ["wide"]
 
     def test_default_grid_is_the_zng_ablation_preset(self):
@@ -657,13 +657,52 @@ class TestParametricSweepCLI:
     def test_replay_verify_unresolvable_token_exits_1(self, capsys, tmp_path):
         # A hash-valid archive whose recorded family this build no longer
         # registers must fail --verify cleanly, not with a traceback.
-        from repro.workloads.registry import TraceKnobs, build_trace
+        from repro.workloads.registry import TraceKnobs, build_token_trace
         from repro.workloads.tracefile import write_trace_file
 
-        trace = build_trace("betw", TraceKnobs(scale=0.05, warps_per_sm=2))
+        trace = build_token_trace(
+            "betw", TraceKnobs(scale=0.05, seed=None, warps_per_sm=2))
         trace_path = tmp_path / "old.trace.json"
         write_trace_file(trace_path, trace, workload="retired-family",
                          knobs={"scale": 0.05})
         assert main(["workloads", "--replay", str(trace_path),
                      "--verify"]) == 1
         assert "unknown workload" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("knob, value, message", [
+        ("num_sms", "x", "num_sms expects an int, got 'x'"),
+        ("warps_per_sm", 0, "warps_per_sm must be >= 1, got 0"),
+        ("scale", float("nan"), "non-finite float nan"),
+        ("warps", 2, "unknown trace knob 'warps'"),
+    ])
+    def test_replay_verify_bad_recorded_knob_exits_1(
+            self, capsys, tmp_path, knob, value, message):
+        # A recorded knob this build refuses fails --verify on one line, like
+        # generator drift, never with a traceback.  Every file but the NaN
+        # one is hash-consistent; a NaN has no canonical encoding, so no
+        # content hash can cover it and the file fails its hash check.
+        import json
+
+        from repro.workloads.tracefile import read_trace_file, write_trace_file
+
+        trace_path = tmp_path / "bad.trace.json"
+        assert main(["workloads", "--record", "betw", "--out", str(trace_path),
+                     "--scale", "0.05", "--warps", "2"]) == 0
+        recorded = read_trace_file(trace_path)
+        knobs = dict(recorded.knobs, **{knob: value})
+        if knob == "scale":
+            payload = json.loads(trace_path.read_text())
+            payload["knobs"] = knobs
+            trace_path.write_text(json.dumps(payload))
+        else:
+            write_trace_file(trace_path, recorded.trace,
+                             workload=recorded.workload, knobs=knobs)
+        capsys.readouterr()
+        assert main(["workloads", "--replay", str(trace_path),
+                     "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert message in lines[-1]
+        assert [line for line in lines if message in line] == [lines[-1]]
+        assert "Traceback" not in captured.out

@@ -5,49 +5,58 @@ from hypothesis import given, settings, strategies as st
 
 from repro.workloads.generators import TraceGenerator, generate_workload
 from repro.workloads.suites import ALL_WORKLOADS, workload_by_name
+from repro.workloads.trace import TraceKnobs
 
 
 class TestGeneration:
     def test_deterministic(self):
         spec = workload_by_name("betw")
-        a = generate_workload(spec, scale=0.1, seed=42)
-        b = generate_workload(spec, scale=0.1, seed=42)
+        a = generate_workload(spec, TraceKnobs(
+            scale=0.1, seed=42, warps_per_sm=4))
+        b = generate_workload(spec, TraceKnobs(
+            scale=0.1, seed=42, warps_per_sm=4))
         assert a.total_memory_instructions == b.total_memory_instructions
         assert a.page_read_counts == b.page_read_counts
 
     def test_read_ratio_approximated(self):
         for name in ["betw", "bfs1", "back", "gaus"]:
             spec = workload_by_name(name)
-            trace = generate_workload(spec, scale=0.3, seed=1,
-                                      warps_per_sm=4, memory_instructions_per_warp=64)
+            trace = generate_workload(spec, TraceKnobs(
+                scale=0.3, seed=1, warps_per_sm=4,
+                memory_instructions_per_warp=64))
             assert trace.measured_read_ratio == pytest.approx(spec.read_ratio, abs=0.08)
 
     def test_read_only_workload_has_no_writes(self):
-        trace = generate_workload(workload_by_name("deg"), scale=0.2, seed=1)
+        trace = generate_workload(workload_by_name("deg"), TraceKnobs(
+            scale=0.2, seed=1, warps_per_sm=4))
         assert sum(trace.page_write_counts.values()) == 0
 
     def test_scale_increases_work(self):
         spec = workload_by_name("betw")
-        small = generate_workload(spec, scale=0.1, seed=1)
-        large = generate_workload(spec, scale=0.4, seed=1)
+        small = generate_workload(spec, TraceKnobs(
+            scale=0.1, seed=1, warps_per_sm=4))
+        large = generate_workload(spec, TraceKnobs(
+            scale=0.4, seed=1, warps_per_sm=4))
         assert large.total_memory_instructions > small.total_memory_instructions
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
-            TraceGenerator(workload_by_name("betw"), scale=0.0)
+            TraceGenerator(workload_by_name("betw"), TraceKnobs(scale=0.0))
 
     def test_address_offset_applied(self):
         spec = workload_by_name("betw")
         offset_pages = 1000
-        trace = generate_workload(spec, scale=0.1, seed=1,
-                                  address_space_offset=offset_pages * 4096)
+        trace = generate_workload(spec, TraceKnobs(
+            scale=0.1, seed=1, warps_per_sm=4,
+            address_space_offset=offset_pages * 4096))
         for warp in trace.warps:
             for instr in warp.instructions:
                 for address in instr.addresses:
                     assert address >= offset_pages * 4096
 
     def test_sm_assignment(self):
-        trace = generate_workload(workload_by_name("betw"), scale=0.2, seed=1, num_sms=8)
+        trace = generate_workload(workload_by_name("betw"), TraceKnobs(
+            scale=0.2, seed=1, num_sms=8, warps_per_sm=4))
         sm_ids = {w.sm_id for w in trace.warps}
         assert sm_ids <= set(range(8))
 
@@ -56,16 +65,16 @@ class TestStatisticsCalibration:
     @pytest.mark.parametrize("name", ["betw", "gc1", "pr"])
     def test_read_reaccess_in_reasonable_range(self, name):
         spec = workload_by_name(name)
-        trace = generate_workload(spec, scale=0.5, seed=7,
-                                  warps_per_sm=6, memory_instructions_per_warp=96)
+        trace = generate_workload(spec, TraceKnobs(
+            scale=0.5, seed=7, warps_per_sm=6, memory_instructions_per_warp=96))
         # Calibrated toward the Fig. 5b target; allow generous tolerance since
         # it is an emergent statistic of the synthetic generator.
         assert trace.mean_read_reaccess > 1.0
 
     def test_write_redundancy_positive_for_write_workloads(self):
         spec = workload_by_name("gaus")
-        trace = generate_workload(spec, scale=0.5, seed=7,
-                                  warps_per_sm=6, memory_instructions_per_warp=96)
+        trace = generate_workload(spec, TraceKnobs(
+            scale=0.5, seed=7, warps_per_sm=6, memory_instructions_per_warp=96))
         assert trace.mean_write_redundancy > 1.0
 
 
@@ -74,7 +83,8 @@ class TestProperties:
     @settings(max_examples=15, deadline=None)
     def test_coalesced_addresses_in_footprint(self, scale):
         spec = workload_by_name("bfs1")
-        trace = generate_workload(spec, scale=scale, seed=3)
+        trace = generate_workload(spec, TraceKnobs(
+            scale=scale, seed=3, warps_per_sm=4))
         footprint_bytes = trace.footprint_pages * 4096
         for warp in trace.warps[:5]:
             for instr in warp.instructions:
@@ -84,6 +94,7 @@ class TestProperties:
     @given(name=st.sampled_from(list(ALL_WORKLOADS)))
     @settings(max_examples=16, deadline=None)
     def test_every_workload_generates(self, name):
-        trace = generate_workload(workload_by_name(name), scale=0.1, seed=1)
+        trace = generate_workload(workload_by_name(name), TraceKnobs(
+            scale=0.1, seed=1, warps_per_sm=4))
         assert trace.total_memory_instructions > 0
         assert len(trace.warps) > 0

@@ -6,11 +6,13 @@ from repro.workloads import io
 from repro.workloads.generators import generate_workload
 from repro.workloads.microbench import streaming
 from repro.workloads.suites import workload_by_name
+from repro.workloads.trace import TraceKnobs
 
 
 class TestRoundTrip:
     def test_generated_trace_round_trip(self):
-        trace = generate_workload(workload_by_name("betw"), scale=0.05, seed=1)
+        trace = generate_workload(workload_by_name("betw"),
+                                  TraceKnobs(scale=0.05, warps_per_sm=4))
         restored = io.loads(io.dumps(trace))
         assert restored.spec.name == trace.spec.name
         assert restored.total_memory_instructions == trace.total_memory_instructions
@@ -25,7 +27,8 @@ class TestRoundTrip:
             assert len(a.instructions) == len(b.instructions)
 
     def test_access_types_preserved(self):
-        trace = generate_workload(workload_by_name("back"), scale=0.05, seed=1)
+        trace = generate_workload(workload_by_name("back"),
+                                  TraceKnobs(scale=0.05, warps_per_sm=4))
         restored = io.loads(io.dumps(trace))
         original_writes = sum(w.write_instructions for w in trace.warps)
         restored_writes = sum(w.write_instructions for w in restored.warps)

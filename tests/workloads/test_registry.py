@@ -10,7 +10,7 @@ from repro.workloads.registry import (
     WORKLOAD_FAMILIES,
     TraceKnobs,
     WorkloadFamily,
-    build_trace,
+    build_token_trace,
     canonicalize_token,
     family_by_name,
     family_param,
@@ -165,33 +165,90 @@ class TestFingerprints:
             assert resolved.fingerprint() != default.fingerprint()
 
 
+class TestTraceKnobs:
+    @pytest.mark.parametrize("knobs, message", [
+        ({"scale": True}, "scale must be a finite number > 0, got True"),
+        ({"num_sms": 16.0}, "num_sms expects an int, got 16.0"),
+        ({"memory_instructions_per_warp": "64"},
+         "memory_instructions_per_warp expects an int, got '64'"),
+        ({"seed": "1"}, "seed expects an int, got '1'"),
+        ({"seed": True}, "seed expects an int, got True"),
+        ({"address_space_offset": -1},
+         "address_space_offset must be >= 0, got -1"),
+    ])
+    def test_construction_checks_every_knob(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            TraceKnobs(**knobs)
+
+    def test_seed_none_seeds_from_the_workload_name(self):
+        assert TraceKnobs(seed=None).seed is None
+
+    def test_from_payload_rejects_unknown_names(self):
+        with pytest.raises(ValueError, match="unknown trace knob 'warps'"):
+            TraceKnobs.from_payload({"scale": 0.1, "warps": 2})
+
+    def test_from_payload_fills_missing_knobs_with_defaults(self):
+        assert TraceKnobs.from_payload({"scale": 0.1}) == TraceKnobs(scale=0.1)
+
+    def test_sweep_fields_are_the_descriptor_knobs_in_order(self):
+        assert list(TINY.sweep_fields().items()) == [
+            ("scale", 0.05), ("seed", 7), ("num_sms", 4), ("warps_per_sm", 2),
+            ("memory_instructions_per_warp", 32)]
+
+    def test_a_sweep_refuses_an_address_offset(self):
+        # Descriptors and cache keys hold no offset, so a sweep at one would
+        # alias the cache entries of the same sweep at address 0.
+        from repro.runner import SweepSpec
+
+        with pytest.raises(ValueError, match="address_space_offset must be 0"):
+            SweepSpec.create(platforms=["ZnG"], workloads=["betw"],
+                             address_space_offset=4096)
+
+
 class TestBuildTrace:
+    def test_mix_tokens_build_the_co_run_mix(self):
+        from repro.workloads.io import trace_to_dict
+        from repro.workloads.multiapp import build_mix
+
+        assert (trace_to_dict(build_token_trace("betw-back", TINY))
+                == trace_to_dict(build_mix("betw", "back", TINY).combined))
+
+    def test_a_mix_at_an_offset_places_both_halves_above_it(self):
+        from dataclasses import replace
+
+        from repro.workloads.multiapp import build_mix
+
+        base = 1 << 30
+        mix = build_mix("betw", "back", replace(TINY, address_space_offset=base))
+        at_zero = build_mix("betw", "back", TINY)
+        addresses = [[a - base for i in w.instructions for a in i.addresses]
+                     for w in mix.combined.warps]
+        assert addresses == [[a for i in w.instructions for a in i.addresses]
+                             for w in at_zero.combined.warps]
+
     def test_catalogue_builds_are_bit_identical_to_the_generator(self):
         from repro.workloads.generators import generate_workload
         from repro.workloads.io import trace_to_dict
         from repro.workloads.suites import workload_by_name
 
-        direct = generate_workload(
-            workload_by_name("betw"), scale=TINY.scale, seed=TINY.seed,
-            num_sms=TINY.num_sms, warps_per_sm=TINY.warps_per_sm,
-            memory_instructions_per_warp=TINY.memory_instructions_per_warp)
-        via_registry = build_trace("betw", TINY)
+        direct = generate_workload(workload_by_name("betw"), TINY)
+        via_registry = build_token_trace("betw", TINY)
         assert trace_to_dict(via_registry) == trace_to_dict(direct)
 
     def test_kv_lookup_tracks_get_ratio(self):
-        trace = build_trace("kv-lookup:get_ratio=0.5",
-                            TraceKnobs(scale=0.3, seed=3, warps_per_sm=4))
+        trace = build_token_trace("kv-lookup:get_ratio=0.5",
+                                  TraceKnobs(scale=0.3, seed=3, warps_per_sm=4))
         assert 0.35 <= trace.measured_read_ratio <= 0.65
 
     def test_embedding_inference_is_read_only_gathers(self):
-        trace = build_trace("embedding-inference", TINY)
+        trace = build_token_trace("embedding-inference", TINY)
         assert trace.measured_read_ratio == 1.0
         assert not trace.page_write_counts
 
     def test_multi_tenant_behaviour_changes_over_the_trace(self):
         # The defining property of the phased family: the read/write mix of
         # the first half of each warp differs from the second half.
-        trace = build_trace(
+        trace = build_token_trace(
             "multi-tenant:phases=2,read_ratio_hot=1.0,read_ratio_cold=0.0",
             TraceKnobs(scale=0.5, seed=3, warps_per_sm=2,
                        memory_instructions_per_warp=64))
@@ -205,13 +262,13 @@ class TestBuildTrace:
     def test_phase_count_changes_the_trace(self):
         from repro.workloads.io import trace_to_dict
 
-        two = build_trace("multi-tenant:phases=2", TINY)
-        four = build_trace("multi-tenant:phases=4", TINY)
+        two = build_token_trace("multi-tenant:phases=2", TINY)
+        four = build_token_trace("multi-tenant:phases=4", TINY)
         assert trace_to_dict(two) != trace_to_dict(four)
 
     def test_stream_join_alternates_scan_and_probe(self):
-        seq = build_trace("stream-join:phases=1", TINY)
-        alt = build_trace("stream-join:phases=4", TINY)
+        seq = build_token_trace("stream-join:phases=1", TINY)
+        alt = build_token_trace("stream-join:phases=4", TINY)
         # Phase 0 is the scan profile; adding probe phases must reduce the
         # measured sequentiality.
         assert seq.spec.sequential_fraction > alt.spec.sequential_fraction
@@ -219,16 +276,16 @@ class TestBuildTrace:
     def test_deterministic_for_fixed_seed(self):
         from repro.workloads.io import trace_to_dict
 
-        assert (trace_to_dict(build_trace("stream-join", TINY))
-                == trace_to_dict(build_trace("stream-join", TINY)))
+        assert (trace_to_dict(build_token_trace("stream-join", TINY))
+                == trace_to_dict(build_token_trace("stream-join", TINY)))
 
     def test_high_zipf_alpha_skews_toward_hot_pages(self):
         # Regression for the alpha >= 1 regime: the old inverse-CDF shortcut
         # collapsed every draw onto the least popular page.
         knobs = TraceKnobs(scale=0.5, seed=11, warps_per_sm=4,
                            memory_instructions_per_warp=64)
-        skewed = build_trace("kv-lookup:zipf=1.5", knobs)
-        uniform = build_trace("kv-lookup:zipf=0.0", knobs)
+        skewed = build_token_trace("kv-lookup:zipf=1.5", knobs)
+        uniform = build_token_trace("kv-lookup:zipf=0.0", knobs)
         top = max(skewed.page_read_counts.values())
         assert top > max(uniform.page_read_counts.values())
 
@@ -269,8 +326,8 @@ class TestPhasedBudgetSplit:
         # max(1, ...) instructions, doubling the declared budget.
         knobs = TraceKnobs(scale=1.0, seed=5, num_sms=2, warps_per_sm=2,
                            memory_instructions_per_warp=16)
-        sixteen = build_trace("multi-tenant:phases=16", knobs)
-        thirty_two = build_trace("multi-tenant:phases=32", knobs)
+        sixteen = build_token_trace("multi-tenant:phases=16", knobs)
+        thirty_two = build_token_trace("multi-tenant:phases=32", knobs)
         assert (thirty_two.total_memory_instructions
                 == sixteen.total_memory_instructions)
 
@@ -279,6 +336,6 @@ class TestPhasedBudgetSplit:
         # elsewhere); remainder cases spread over the leading phases.
         knobs = TraceKnobs(scale=1.0, seed=5, num_sms=2, warps_per_sm=1,
                            memory_instructions_per_warp=31)
-        trace = build_trace("stream-join:phases=3", knobs)
+        trace = build_token_trace("stream-join:phases=3", knobs)
         per_warp = trace.total_memory_instructions // len(trace.warps)
         assert per_warp == 31

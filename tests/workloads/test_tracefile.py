@@ -1,13 +1,14 @@
 """Tests for repro-trace-v1 record/replay (repro.workloads.tracefile)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.runner import SweepSpec, run_sweep
 from repro.runner.spec import cell_seed
 from repro.workloads.io import trace_to_dict
-from repro.workloads.registry import TraceKnobs, build_trace
+from repro.workloads.registry import TraceKnobs, build_token_trace
 from repro.workloads.tracefile import (
     TraceFileError,
     read_trace_file,
@@ -17,14 +18,14 @@ from repro.workloads.tracefile import (
     write_trace_file,
 )
 
-KNOBS = dict(scale=0.05, seed=3, num_sms=4, warps_per_sm=2,
-             memory_instructions_per_warp=32)
+KNOBS = TraceKnobs(scale=0.05, seed=3, num_sms=4, warps_per_sm=2,
+                   memory_instructions_per_warp=32)
 
 
 class TestRoundTrip:
     def test_record_then_read_is_bit_identical(self, tmp_path):
         path = tmp_path / "kv.trace.json"
-        recorded = record_trace("kv-lookup:zipf=1.1", path, **KNOBS)
+        recorded = record_trace("kv-lookup:zipf=1.1", path, KNOBS)
         loaded = read_trace_file(path)
         assert loaded.workload == "kv-lookup:zipf=1.1"
         assert trace_to_dict(loaded.trace) == trace_to_dict(recorded.trace)
@@ -32,7 +33,7 @@ class TestRoundTrip:
 
     def test_segments_survive_the_round_trip(self, tmp_path):
         path = tmp_path / "betw.trace.json"
-        recorded = record_trace("betw", path, **KNOBS)
+        recorded = record_trace("betw", path, KNOBS)
         loaded = read_trace_file(path)
         originals = [i.segments for w in recorded.trace.warps
                      for i in w.instructions]
@@ -43,13 +44,13 @@ class TestRoundTrip:
 
     def test_mix_tokens_record_the_combined_trace(self, tmp_path):
         path = tmp_path / "mix.trace.json"
-        recorded = record_trace("betw-back", path, **KNOBS)
+        recorded = record_trace("betw-back", path, KNOBS)
         assert recorded.workload == "betw-back"
         assert read_trace_file(path).trace.total_memory_instructions > 0
 
     def test_regenerate_from_meta_matches(self, tmp_path):
         path = tmp_path / "sj.trace.json"
-        record_trace("stream-join:phases=4", path, **KNOBS)
+        record_trace("stream-join:phases=4", path, KNOBS)
         loaded = read_trace_file(path)
         assert (trace_to_dict(regenerate_from_meta(loaded))
                 == trace_to_dict(loaded.trace))
@@ -58,7 +59,7 @@ class TestRoundTrip:
 class TestVerification:
     def test_corrupted_payload_fails_hash_check(self, tmp_path):
         path = tmp_path / "kv.trace.json"
-        record_trace("kv-lookup", path, **KNOBS)
+        record_trace("kv-lookup", path, KNOBS)
         payload = json.loads(path.read_text())
         payload["trace"]["warps"][0]["instructions"][0]["pc"] += 8
         path.write_text(json.dumps(payload))
@@ -77,13 +78,22 @@ class TestVerification:
         with pytest.raises(TraceFileError, match="not a trace file"):
             read_trace_file(path)
 
+    def test_knobs_that_are_not_a_mapping_rejected(self, tmp_path):
+        path = tmp_path / "kv.trace.json"
+        record_trace("kv-lookup", path, KNOBS)
+        payload = json.loads(path.read_text())
+        payload["knobs"] = [1, 2]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TraceFileError, match="not a mapping"):
+            read_trace_file(path)
+
     def test_missing_file_raises_trace_error(self, tmp_path):
         with pytest.raises(TraceFileError, match="cannot read"):
             read_trace_file(tmp_path / "absent.json")
 
     def test_file_fingerprint_tracks_bytes(self, tmp_path):
         path = tmp_path / "kv.trace.json"
-        record_trace("kv-lookup", path, **KNOBS)
+        record_trace("kv-lookup", path, KNOBS)
         before = trace_file_fingerprint(path)
         assert trace_file_fingerprint(path) == before  # memo hit
         path.write_text(path.read_text() + " ")
@@ -96,8 +106,8 @@ class TestSweepReplay:
         # own seed derivation, then sweep the file — every platform's result
         # must equal the generating run's, bit for bit.
         path = tmp_path / "kv.trace.json"
-        record_trace("kv-lookup:zipf=1.1", path, scale=0.05, seed=1,
-                     warps_per_sm=2)
+        record_trace("kv-lookup:zipf=1.1", path,
+                     TraceKnobs(scale=0.05, seed=1, warps_per_sm=2))
         generating = run_sweep(SweepSpec.create(
             platforms=["ZnG-base", "ZnG"],
             workloads=["kv-lookup:zipf=1.1"],
@@ -113,22 +123,19 @@ class TestSweepReplay:
 
     def test_record_uses_the_runners_seed_derivation(self, tmp_path):
         path = tmp_path / "betw.trace.json"
-        recorded = record_trace("betw", path, scale=0.05, seed=9,
-                                num_sms=4, warps_per_sm=2,
-                                memory_instructions_per_warp=32)
-        direct = build_trace("betw", TraceKnobs(
-            scale=0.05, seed=cell_seed(9, "betw"), num_sms=4, warps_per_sm=2,
-            memory_instructions_per_warp=32))
+        recorded = record_trace("betw", path, replace(KNOBS, seed=9))
+        direct = build_token_trace(
+            "betw", replace(KNOBS, seed=cell_seed(9, "betw")))
         assert trace_to_dict(recorded.trace) == trace_to_dict(direct)
 
     def test_trace_cells_key_on_file_content(self, tmp_path):
         path = tmp_path / "kv.trace.json"
-        record_trace("kv-lookup", path, **KNOBS)
+        record_trace("kv-lookup", path, KNOBS)
         spec = SweepSpec.create(platforms=["ZnG"],
                                 workloads=[f"trace:{path}"], scale=0.05)
         key_before = spec.cells()[0].cache_key()
         trace_key_before = spec.cells()[0].trace_key()
-        record_trace("kv-lookup:zipf=1.3", path, **KNOBS)  # rewrite in place
+        record_trace("kv-lookup:zipf=1.3", path, KNOBS)  # rewrite in place
         fresh = SweepSpec.create(platforms=["ZnG"],
                                  workloads=[f"trace:{path}"], scale=0.05)
         assert fresh.cells()[0].cache_key() != key_before
@@ -136,14 +143,15 @@ class TestSweepReplay:
 
     def test_relocating_a_replayed_trace_is_rejected(self, tmp_path):
         path = tmp_path / "kv.trace.json"
-        record_trace("kv-lookup", path, **KNOBS)
+        record_trace("kv-lookup", path, KNOBS)
         with pytest.raises(ValueError, match="cannot be relocated"):
-            build_trace(f"trace:{path}", TraceKnobs(address_space_offset=4096))
+            build_token_trace(f"trace:{path}",
+                              replace(KNOBS, address_space_offset=4096))
 
     def test_external_trace_ingestion(self, tmp_path):
         # An externally captured trace (no generating token) is a
         # first-class workload as long as it speaks repro-trace-v1.
-        trace = build_trace("betw", TraceKnobs(**KNOBS))
+        trace = build_token_trace("betw", KNOBS)
         path = tmp_path / "external.trace.json"
         write_trace_file(path, trace)
         loaded = read_trace_file(path)
@@ -168,22 +176,15 @@ class TestReviewRegressions:
         # labeling recorded data with different knobs must raise, not
         # silently mislabel.
         path = tmp_path / "kv.trace.json"
-        record_trace("kv-lookup", path, **KNOBS)
+        record_trace("kv-lookup", path, KNOBS)
         with pytest.raises(ValueError, match="different trace knobs"):
-            build_trace(f"trace:{path}", TraceKnobs(
-                scale=0.5, num_sms=KNOBS["num_sms"],
-                warps_per_sm=KNOBS["warps_per_sm"],
-                memory_instructions_per_warp=KNOBS[
-                    "memory_instructions_per_warp"]))
+            build_token_trace(f"trace:{path}", replace(KNOBS, scale=0.5))
 
     def test_matching_trace_knobs_replay(self, tmp_path):
         path = tmp_path / "kv.trace.json"
-        recorded = record_trace("kv-lookup", path, **KNOBS)
-        replayed = build_trace(f"trace:{path}", TraceKnobs(
-            scale=KNOBS["scale"], seed=123,  # seed is derived, not checked
-            num_sms=KNOBS["num_sms"], warps_per_sm=KNOBS["warps_per_sm"],
-            memory_instructions_per_warp=KNOBS[
-                "memory_instructions_per_warp"]))
+        recorded = record_trace("kv-lookup", path, KNOBS)
+        replayed = build_token_trace(  # seed is derived, not checked
+            f"trace:{path}", replace(KNOBS, seed=123))
         assert trace_to_dict(replayed) == trace_to_dict(recorded.trace)
 
     def test_pivoting_a_result_survives_a_deleted_trace_file(self, tmp_path):
@@ -194,14 +195,11 @@ class TestReviewRegressions:
         from repro.analysis.sensitivity import workload_axis_from_result
 
         path = tmp_path / "kv.trace.json"
-        record_trace("kv-lookup", path, **KNOBS)
+        record_trace("kv-lookup", path, KNOBS)
         result = run_sweep(SweepSpec.create(
             platforms=["ZnG"],
             workloads=[f"trace:{path}", "kv-lookup:zipf=1.1"],
-            scale=KNOBS["scale"], num_sms=KNOBS["num_sms"],
-            warps_per_sm=KNOBS["warps_per_sm"],
-            memory_instructions_per_warp=KNOBS[
-                "memory_instructions_per_warp"]))
+            **replace(KNOBS, seed=1).sweep_fields()))
         path.unlink()
         table = scenario_suite_from_result(result)
         assert f"trace:{path}" in table and "kv-lookup" in table
