@@ -11,7 +11,6 @@ from repro.workloads.suites import (
 )
 from repro.workloads.multiapp import MultiAppWorkload, build_mix, build_all_mixes
 from repro.workloads.microbench import streaming, pointer_chase, stencil, hammer
-from repro.workloads.io import save_trace, load_trace, dumps, loads
 from repro.workloads.registry import (
     PARAMETRIC_FAMILIES,
     WORKLOAD_FAMILIES,
@@ -78,10 +77,6 @@ __all__ = [
     "pointer_chase",
     "stencil",
     "hammer",
-    "save_trace",
-    "load_trace",
-    "dumps",
-    "loads",
     "CSRGraph",
     "generate_power_law_graph",
     "bfs_traversal",

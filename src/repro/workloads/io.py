@@ -1,13 +1,12 @@
-"""Serialise and deserialise workload traces (JSON).
+"""Workload traces as JSON-friendly dicts.
 
-Lets a generated workload be saved to disk and replayed, so an experiment is
-reproducible without re-running the (seeded) generator, and so externally
-captured traces could be fed into the simulator in the same format.
+The ``trace`` payload of a ``repro-trace-v1`` file
+(:mod:`repro.workloads.tracefile`), which is how a trace is saved to disk and
+replayed.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
 
 from repro.gpu.warp import Instruction, WarpTrace
@@ -93,21 +92,3 @@ def trace_from_dict(data: Dict) -> WorkloadTrace:
     trace.page_read_counts = {int(k): v for k, v in data["page_read_counts"].items()}
     trace.page_write_counts = {int(k): v for k, v in data["page_write_counts"].items()}
     return trace
-
-
-def save_trace(trace: WorkloadTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace_to_dict(trace), handle)
-
-
-def load_trace(path: str) -> WorkloadTrace:
-    with open(path, "r", encoding="utf-8") as handle:
-        return trace_from_dict(json.load(handle))
-
-
-def dumps(trace: WorkloadTrace) -> str:
-    return json.dumps(trace_to_dict(trace))
-
-
-def loads(text: str) -> WorkloadTrace:
-    return trace_from_dict(json.loads(text))

@@ -9,7 +9,7 @@ the bars), and the sequential fraction reflects each kernel's access pattern
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.workloads.trace import WorkloadSpec
 
@@ -142,38 +142,3 @@ def workload_by_name(name: str) -> WorkloadSpec:
 def mix_name(read_app: str, write_app: str) -> str:
     """The paper's naming convention for co-run mixes, e.g. ``betw-back``."""
     return f"{read_app}-{write_app}"
-
-
-# ---------------------------------------------------------------------------
-# Workload tokens (the sweep runner's workload vocabulary)
-# ---------------------------------------------------------------------------
-
-#: Named suites a sweep spec can reference as a group.
-SUITES: Dict[str, Dict[str, WorkloadSpec]] = {
-    "graph": GRAPH_WORKLOADS,
-    "scientific": SCIENTIFIC_WORKLOADS,
-}
-
-
-def parse_workload_token(token: str) -> Tuple[str, Optional[str]]:
-    """Split a workload token into ``(app, co_runner)``.
-
-    Delegates to :func:`repro.workloads.registry.parse_workload_token`, which
-    validates against the full family registry (Table II apps, parametric
-    families, ``trace:`` replays) and matches mix halves longest-prefix-first
-    so family names containing dashes parse correctly.
-    """
-    from repro.workloads.registry import parse_workload_token as _parse
-
-    return _parse(token)
-
-
-def resolve_workload_tokens(tokens: Iterable[str]) -> List[str]:
-    """Expand group tokens, canonicalise and validate, preserving order.
-
-    Delegates to :func:`repro.workloads.registry.resolve_workload_tokens`;
-    see there for the full token grammar.
-    """
-    from repro.workloads.registry import resolve_workload_tokens as _resolve
-
-    return _resolve(tokens)

@@ -1,27 +1,37 @@
 """Tests for workload trace serialisation."""
 
-import pytest
+import json
 
 from repro.workloads import io
 from repro.workloads.generators import generate_workload
 from repro.workloads.microbench import streaming
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import TraceKnobs
+from repro.workloads.tracefile import read_trace_file, write_trace_file
+
+
+def round_trip(trace):
+    """Through the JSON text a trace file holds."""
+    return io.trace_from_dict(json.loads(json.dumps(io.trace_to_dict(trace))))
 
 
 class TestRoundTrip:
     def test_generated_trace_round_trip(self):
         trace = generate_workload(workload_by_name("betw"),
                                   TraceKnobs(scale=0.05, warps_per_sm=4))
-        restored = io.loads(io.dumps(trace))
+        restored = round_trip(trace)
         assert restored.spec.name == trace.spec.name
         assert restored.total_memory_instructions == trace.total_memory_instructions
         assert restored.page_read_counts == trace.page_read_counts
         assert restored.page_write_counts == trace.page_write_counts
+        segments = [i.segments for w in trace.warps for i in w.instructions]
+        assert any(s is not None for s in segments)
+        assert [i.segments for w in restored.warps
+                for i in w.instructions] == segments
 
     def test_micro_trace_round_trip(self):
         trace = streaming(num_warps=4, accesses_per_warp=8)
-        restored = io.loads(io.dumps(trace))
+        restored = round_trip(trace)
         assert len(restored.warps) == len(trace.warps)
         for a, b in zip(trace.warps, restored.warps):
             assert len(a.instructions) == len(b.instructions)
@@ -29,17 +39,18 @@ class TestRoundTrip:
     def test_access_types_preserved(self):
         trace = generate_workload(workload_by_name("back"),
                                   TraceKnobs(scale=0.05, warps_per_sm=4))
-        restored = io.loads(io.dumps(trace))
+        restored = round_trip(trace)
         original_writes = sum(w.write_instructions for w in trace.warps)
         restored_writes = sum(w.write_instructions for w in restored.warps)
         assert original_writes == restored_writes
 
-    def test_file_save_load(self, tmp_path):
+    def test_trace_file_round_trip(self, tmp_path):
         trace = streaming(num_warps=2, accesses_per_warp=4)
-        path = str(tmp_path / "trace.json")
-        io.save_trace(trace, path)
-        restored = io.load_trace(path)
+        path = tmp_path / "trace.json"
+        write_trace_file(path, trace)
+        restored = read_trace_file(path).trace
         assert restored.footprint_pages == trace.footprint_pages
+        assert io.trace_to_dict(restored) == io.trace_to_dict(trace)
 
 
 class TestSpecSerialization:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.workloads.registry import parse_workload_token, resolve_workload_tokens
 from repro.workloads.suites import (
     ALL_WORKLOADS,
     GRAPH_WORKLOADS,
@@ -76,21 +77,17 @@ class TestSpecProperties:
         assert not workload_by_name("back").is_read_intensive
 
 
-class TestTokenDelegation:
-    """suites-level token helpers delegate to the registry grammar."""
+class TestTokenGrammar:
+    """The registry's token grammar over the Table II catalogue."""
 
     def test_parse_workload_token_handles_dashed_family_names(self):
         # Regression: the historical split("-") parser broke on any family
         # name containing a dash.
-        from repro.workloads.suites import parse_workload_token
-
         assert parse_workload_token("kv-lookup") == ("kv-lookup", None)
         assert parse_workload_token("kv-lookup-back") == ("kv-lookup", "back")
         assert parse_workload_token("betw-back") == ("betw", "back")
 
     def test_resolve_workload_tokens_expands_suites(self):
-        from repro.workloads.suites import resolve_workload_tokens
-
         assert resolve_workload_tokens(["graph"]) == sorted(GRAPH_WORKLOADS)
         assert "kv-lookup" in resolve_workload_tokens(["scenarios"])
 
