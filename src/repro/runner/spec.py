@@ -410,14 +410,18 @@ class SweepCell:
 
     def trace_key(self) -> Tuple:
         """Key over everything :func:`build_cell_trace` consumes: the token,
-        its resolved workload and the knobs record.
+        its resolved workload and the knobs record's sweep fields (a cell's
+        address offset is always 0).
 
         This is what the per-process trace memo hashes on.  The platform and
         override set are deliberately absent — every platform of a sweep runs
         the identical trace, which is what makes cross-platform comparisons
-        fair.
+        fair.  The key is a flat tuple of plain values because the shared
+        trace segments are named after its ``repr``, and a resumed sweep
+        adopts the segments a killed one left only if the names match.
         """
-        return (self.workload, self.workload_fingerprint(), self.knobs)
+        return (self.workload, self.workload_fingerprint(),
+                *self.knobs.sweep_fields().values())
 
 
 def build_cell_trace(cell: SweepCell):
