@@ -7,7 +7,7 @@ replayed.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.gpu.warp import Instruction, WarpTrace
 from repro.sim.request import AccessType
