@@ -4,8 +4,8 @@ Section III-B argues the conventional bus-structured flash channel cannot carry
 the accumulated Z-NAND bandwidth, motivating the widened mesh.  This bench
 compares the per-channel bandwidth and a full ZnG run on each network.
 
-``znand.flash_network_type`` is pinned to ``mesh`` by the ZnG platform layer
-(see ``repro.configspace.PLATFORM_LAYERS``), so the bus variant is produced
+``znand.flash_network_type`` is pinned to ``mesh`` by the ZnG variants' config
+deltas (see ``repro.platforms.zng.platform_config``), so the bus variant is produced
 by swapping the constructed network objects — the one place the pin is
 deliberately bypassed; the configs themselves come from schema-validated
 overrides.

@@ -33,7 +33,6 @@ from repro.config import (
     RegisterCacheConfig,
     FTLConfig,
     default_config,
-    zng_config,
 )
 
 __version__ = "1.0.0"
@@ -49,6 +48,5 @@ __all__ = [
     "RegisterCacheConfig",
     "FTLConfig",
     "default_config",
-    "zng_config",
     "__version__",
 ]

@@ -232,7 +232,7 @@ def _parse_override_flag(argument: str):
 
 
 def _load_config_file(path: str):
-    """Read a JSON ``{dotted.path: value}`` override file (a 'file' layer)."""
+    """Read a JSON ``{dotted.path: value}`` override file."""
     import json
 
     from repro.configspace import SCHEMA
@@ -592,14 +592,18 @@ def _cmd_config(args: List[str]) -> int:
                         help="schema-drift golden lines (tests/data regeneration)")
     ns = parser.parse_intermixed_args(args)
 
-    from repro.configspace import (
-        EXPERIMENT_PRESETS,
-        PLATFORM_LAYERS,
-        SCHEMA,
-        FieldRef,
-        config_fingerprint,
-        resolve_platform_config,
-    )
+    from repro.config import default_config
+    from repro.configspace import EXPERIMENT_PRESETS, SCHEMA, config_fingerprint
+    from repro.platforms.zng import PLATFORM_NAMES, platform_config
+
+    platforms = ["GDDR5"] + PLATFORM_NAMES
+    marker = object()
+
+    def carries(platform: str, source: str, target: str) -> bool:
+        """Whether a marker planted at ``source`` of the Table I defaults
+        reaches ``target`` through ``platform``'s config deltas."""
+        planted = SCHEMA.apply(default_config(), {source: marker}, validate=False)
+        return SCHEMA.read(platform_config(platform, planted), target) is marker
 
     if ns.list_paths:
         print(f"{'path':44s} {'type':6s} {'default':>14s} {'unit':12s}")
@@ -613,37 +617,37 @@ def _cmd_config(args: List[str]) -> int:
     elif ns.explain is not None:
         path = ns.explain
         print(SCHEMA.get(path).describe())
-        # Which platform layers touch this path (pins win over --set).
+        # Which platforms' deltas set this path (they win over --set).
         pinned_by = []
-        for platform, layer in sorted(PLATFORM_LAYERS.items()):
-            for layer_path, value in layer.overrides:
-                if layer_path == path:
-                    source = (f"copied from {value.path}"
-                              if isinstance(value, FieldRef) else repr(value))
-                    kind = "pins" if layer.pinned else "sets"
-                    pinned_by.append(f"{platform} {kind} {source}")
+        for platform in sorted(platforms):
+            if carries(platform, path, path):
+                continue
+            copied = next((f"copied from {other}" for other in SCHEMA.paths()
+                           if other != path and carries(platform, other, path)),
+                          None)
+            value = SCHEMA.read(platform_config(platform, default_config()), path)
+            pinned_by.append(f"{platform} pins {copied or repr(value)}")
         if pinned_by:
             print("platforms: " + "; ".join(pinned_by))
     elif ns.diff is not None:
         name_a, name_b = ns.diff
-        from repro.platforms.zng import PLATFORM_NAMES
-
-        known = ["GDDR5"] + PLATFORM_NAMES
         for name in (name_a, name_b):
-            if name not in known:
-                raise ValueError(f"unknown platform {name!r}; known: {known}")
-        resolved_a = resolve_platform_config(name_a)
-        resolved_b = resolve_platform_config(name_b)
-        differences = SCHEMA.diff(resolved_a.config, resolved_b.config)
+            if name not in platforms:
+                raise ValueError(f"unknown platform {name!r}; known: {platforms}")
+        config_a = platform_config(name_a, default_config())
+        config_b = platform_config(name_b, default_config())
+        differences = SCHEMA.diff(config_a, config_b)
         print(f"{'path':40s} {name_a:>14s} {name_b:>14s}")
         for path, (left, right) in sorted(differences.items()):
             print(f"{path:40s} {str(left):>14s} {str(right):>14s}")
-            print(f"  {resolved_a.explain(path)}")
-            print(f"  {resolved_b.explain(path)}")
+            for name, value in ((name_a, left), (name_b, right)):
+                origin = ("defaults" if carries(name, path, path)
+                          else f"platform:{name}")
+                print(f"  {path} = {value!r}  [{origin}]")
         if not differences:
             print("(identical resolved configurations)")
-        print(f"fingerprints: {name_a}={config_fingerprint(resolved_a.config)[:12]} "
-              f"{name_b}={config_fingerprint(resolved_b.config)[:12]}")
+        print(f"fingerprints: {name_a}={config_fingerprint(config_a)[:12]} "
+              f"{name_b}={config_fingerprint(config_b)[:12]}")
     else:
         for name in sorted(EXPERIMENT_PRESETS):
             preset = EXPERIMENT_PRESETS[name]

@@ -623,14 +623,3 @@ class PlatformConfig:
 def default_config() -> PlatformConfig:
     """The Table I configuration used across the evaluation."""
     return PlatformConfig()
-
-
-def zng_config() -> PlatformConfig:
-    """The full ZnG configuration: mesh flash network, 8 registers/plane."""
-    cfg = PlatformConfig()
-    cfg.znand = replace(
-        cfg.znand,
-        registers_per_plane=8,
-        flash_network_type="mesh",
-    )
-    return cfg

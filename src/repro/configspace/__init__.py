@@ -1,4 +1,4 @@
-"""``repro.configspace`` — the typed, layered configuration subsystem.
+"""``repro.configspace`` — the typed configuration subsystem.
 
 One source of truth for the entire experiment space:
 
@@ -6,16 +6,16 @@ One source of truth for the entire experiment space:
   the :mod:`repro.config` dataclasses, typed and documented (units + Table I
   provenance), with value coercion, bounds/choice validation and cross-field
   invariants.  ``python -m repro config --list-paths / --explain`` front it.
-* **Layers** (:mod:`.layers`): composition with provenance — defaults ->
-  platform preset -> ablation axis -> file/CLI overrides — where every
-  resolved value knows which layer set it.  The ZnG variants' config deltas
-  are declarative pinned layers, not constructor branching.
 * **Fingerprints** (:mod:`.fingerprint`): strict canonical content hashes
   for configs and sweep-cell descriptors (result-cache schema v3; the
   encoder raises on un-encodable values instead of guessing).
 * **Presets** (:mod:`.presets`): the named experiment registry (``fig10``,
   ``reg-sweep``, ``table1-sensitivity``, ...) behind
   ``python -m repro sweep --preset``.
+
+The ZnG variants' config deltas (mesh flash network, register pool) are
+not part of this package: :func:`repro.platforms.zng.platform_config`
+applies them when a platform is built and when a sweep cell is keyed.
 """
 
 from repro.configspace.fingerprint import (
@@ -24,17 +24,6 @@ from repro.configspace.fingerprint import (
     canonical_payload,
     config_fingerprint,
     fingerprint,
-)
-from repro.configspace.layers import (
-    DEFAULTS_LAYER,
-    PLATFORM_LAYERS,
-    ConfigLayer,
-    FieldRef,
-    ResolvedConfig,
-    ResolvedValue,
-    platform_layer,
-    resolve,
-    resolve_platform_config,
 )
 from repro.configspace.presets import (
     EXPERIMENT_PRESETS,
@@ -61,20 +50,14 @@ def ablation_axes():
 
 __all__ = [
     "CanonicalEncodingError",
-    "ConfigLayer",
     "ConfigPathError",
     "ConfigSchema",
     "ConfigValueError",
-    "DEFAULTS_LAYER",
     "EXPERIMENT_PRESETS",
     "ExperimentPreset",
-    "FieldRef",
     "FieldSpec",
     "INVARIANTS",
     "Invariant",
-    "PLATFORM_LAYERS",
-    "ResolvedConfig",
-    "ResolvedValue",
     "SCHEMA",
     "ablation_axes",
     "axis_overrides",
@@ -83,8 +66,5 @@ __all__ = [
     "config_fingerprint",
     "fingerprint",
     "get_preset",
-    "platform_layer",
     "preset_names",
-    "resolve",
-    "resolve_platform_config",
 ]

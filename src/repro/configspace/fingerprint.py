@@ -89,8 +89,8 @@ def fingerprint(value: object) -> str:
 def config_fingerprint(config: PlatformConfig) -> str:
     """The canonical content hash of a resolved :class:`PlatformConfig`.
 
-    Equal configs — however they were composed (constructor defaults, preset
-    layers, coerced CLI strings) — fingerprint identically; any change to any
+    Equal configs — however they were composed (constructor defaults, platform
+    deltas, coerced CLI strings) — fingerprint identically; any change to any
     field changes the digest.
     """
     return fingerprint(config)

@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional
 
-from repro.config import GPU_FREQ_HZ, PlatformConfig
+from repro.config import GPU_FREQ_HZ, PlatformConfig, default_config
 from repro.gpu.interconnect import Interconnect
 from repro.gpu.l2cache import SharedL2Cache
 from repro.gpu.mmu import MMU
@@ -145,17 +145,12 @@ class GPUSSDPlatform(ABC):
         return cls.build(name, config).run(workload)
 
     def __init__(self, config: Optional[PlatformConfig] = None) -> None:
-        # Resolve the platform's declarative config deltas (its layer in
-        # repro.configspace) over the caller's base config.  Baseline
-        # platforms have empty layers; the ZnG variants pin the mesh flash
-        # network and (for write-optimised variants) the register pool —
-        # identically to the constructor branching this replaces.  The
-        # resolution is kept so callers can ask where any value came from.
-        from repro.configspace.layers import resolve_platform_config
+        # The ZnG variants run with their config deltas applied.
+        from repro.platforms.zng import platform_config
 
-        resolved = resolve_platform_config(self.name, config)
-        self.config = resolved.config
-        self.config_resolution = resolved
+        self.config = platform_config(
+            self.name, config if config is not None else default_config()
+        )
         self.gpu = GPUCore(self.config.gpu)
         self.mmu = MMU(self.config.gpu)
         self.l2 = self._build_l2()

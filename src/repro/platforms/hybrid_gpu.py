@@ -29,8 +29,9 @@ class HybridGPUPlatform(GPUSSDPlatform):
     def __init__(self, config: Optional[PlatformConfig] = None) -> None:
         super().__init__(config)
         znand = self.config.znand
-        # HybridGPU keeps the conventional bus-structured flash channels.
-        self.flash_network = FlashNetwork(znand, network_type="bus")
+        # The network follows the config; the Table I default is the
+        # conventional bus-structured flash channels.
+        self.flash_network = FlashNetwork(znand)
         self.array = ZNANDArray(znand, network=self.flash_network)
         self.ftl = PageMappedFTL(self.array, self.config.ftl.gc_free_block_threshold)
         self.engine = SSDEngine(self.config.ssd_engine, self.array, self.ftl)

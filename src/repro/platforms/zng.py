@@ -50,6 +50,30 @@ class ZnGVariant(Enum):
         return self in (ZnGVariant.WROPT, ZnGVariant.FULL)
 
 
+#: The ZnG variants by evaluation name.
+_VARIANTS = {variant.value: variant for variant in ZnGVariant}
+
+
+def platform_config(name: str, config: PlatformConfig) -> PlatformConfig:
+    """The config platform ``name`` runs with, given the caller's ``config``.
+
+    The ZnG variants replace the flash bus with the mesh network (Section
+    III-B); the write-optimised ones also size each plane's registers by the
+    write-cache knob (Section IV).  These deltas win over a direct override
+    of either ``znand`` field.  Every other platform runs ``config`` as is.
+    """
+    variant = _VARIANTS.get(name)
+    if variant is None:
+        return config
+    znand = replace(config.znand, flash_network_type="mesh")
+    if variant.has_write_optimization:
+        znand = replace(
+            znand,
+            registers_per_plane=config.register_cache.registers_per_plane,
+        )
+    return replace(config, znand=znand)
+
+
 class ZnGPlatform(GPUSSDPlatform):
     """GPU whose entire memory is Z-NAND reached through per-channel controllers."""
 
@@ -60,15 +84,12 @@ class ZnGPlatform(GPUSSDPlatform):
     ) -> None:
         self.variant = variant
         self.name = variant.value
-        # The variant's config deltas — the mesh flash network (Section
-        # III-B) and, for write-optimised variants, the enlarged register
-        # pool — live as a declarative pinned layer in
-        # ``repro.configspace.PLATFORM_LAYERS``; the base constructor
-        # resolves it over ``config`` by platform name.
+        # The base constructor applies the variant's config deltas (the
+        # mesh flash network and the register pool, see platform_config).
         super().__init__(config)
 
         znand = self.config.znand
-        self.flash_network = FlashNetwork(znand, network_type="mesh")
+        self.flash_network = FlashNetwork(znand)
         self.array = ZNANDArray(znand, network=self.flash_network)
         self.controllers = FlashControllerArray(self.array)
         self.ftl = ZeroOverheadFTL(self.array, self.config.ftl)
@@ -342,7 +363,6 @@ def build_platform(name: str, config: Optional[PlatformConfig] = None) -> GPUSSD
     }
     if name in simple:
         return simple[name](config)
-    for variant in ZnGVariant:
-        if variant.value == name:
-            return ZnGPlatform(variant, config)
+    if name in _VARIANTS:
+        return ZnGPlatform(_VARIANTS[name], config)
     raise ValueError(f"unknown platform {name!r}; known: {['GDDR5'] + PLATFORM_NAMES}")

@@ -17,6 +17,7 @@ is what makes ablation reruns incremental.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -182,6 +183,8 @@ def execute_cell(cell: SweepCell) -> PlatformResult:
 #: Profiling is inherently serial — pool workers are separate processes whose
 #: profiler state never returns — so the CLI forces ``workers=1`` with it.
 _PROFILERS: Optional[Dict[str, "object"]] = None
+#: Stands in for a phase profiler while profiling is disabled.
+_NO_PROFILE = contextlib.nullcontext()
 
 
 def enable_profiling() -> None:
@@ -226,7 +229,10 @@ def _execute_cell_timed(cell: SweepCell) -> Tuple[PlatformResult, Dict[str, floa
     span with ``trace_build``/``simulate`` child spans; the attrs dict is
     only built on that branch, so the disabled hot path allocates nothing.
     """
-    profilers = _PROFILERS
+    trace_profile = simulate_profile = _NO_PROFILE
+    if _PROFILERS is not None:
+        trace_profile = _PROFILERS["trace_build"]
+        simulate_profile = _PROFILERS["simulate"]
     cell_span = _telemetry.NULL_SPAN
     if _telemetry.enabled():
         cell_span = _telemetry.span("cell", {
@@ -236,31 +242,13 @@ def _execute_cell_timed(cell: SweepCell) -> Tuple[PlatformResult, Dict[str, floa
         })
     with cell_span:
         started = time.perf_counter()
-        with _telemetry.span("trace_build"):
-            if profilers is not None:
-                profile = profilers["trace_build"]
-                profile.enable()
-                try:
-                    trace = _trace_for(cell)
-                finally:
-                    profile.disable()
-            else:
-                trace = _trace_for(cell)
+        with _telemetry.span("trace_build"), trace_profile:
+            trace = _trace_for(cell)
         trace_done = time.perf_counter()
-        with _telemetry.span("simulate"):
-            if profilers is not None:
-                profile = profilers["simulate"]
-                profile.enable()
-                try:
-                    result = GPUSSDPlatform.execute(
-                        cell.platform, trace, cell.resolved_config()
-                    )
-                finally:
-                    profile.disable()
-            else:
-                result = GPUSSDPlatform.execute(
-                    cell.platform, trace, cell.resolved_config()
-                )
+        with _telemetry.span("simulate"), simulate_profile:
+            result = GPUSSDPlatform.execute(
+                cell.platform, trace, cell.resolved_config()
+            )
         finished = time.perf_counter()
     return result, {
         "trace_build_seconds": trace_done - started,

@@ -342,17 +342,17 @@ class SweepCell:
         return apply_overrides(base, self.override_set.as_mapping())
 
     def platform_config(self) -> PlatformConfig:
-        """The config *after* the platform's pinned layer is applied.
+        """The config *after* the platform's deltas are applied.
 
-        This is what the platform constructor actually runs with (the pin is
-        idempotent, so building from either config is equivalent) — and what
-        the cache key must hash: editing a platform's declarative delta in
-        ``PLATFORM_LAYERS`` has to miss the cache, exactly like editing a
-        Table I default.
+        This is what the platform constructor actually runs with (the deltas
+        are idempotent, so building from either config is equivalent) — and
+        what the cache key must hash: editing a ZnG variant's delta in
+        :func:`repro.platforms.zng.platform_config` has to miss the cache,
+        exactly like editing a Table I default.
         """
-        from repro.configspace.layers import resolve_platform_config
+        from repro.platforms.zng import platform_config
 
-        return resolve_platform_config(self.platform, self.resolved_config()).config
+        return platform_config(self.platform, self.resolved_config())
 
     def workload_fingerprint(self) -> str:
         """Content hash of the cell's *resolved* workload.

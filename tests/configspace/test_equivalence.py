@@ -2,9 +2,10 @@
 
 Two families of guarantees:
 
-* For every platform (and for representative override scenarios), the
-  declarative preset/layered path resolves to a :class:`PlatformConfig`
-  equal to what the pre-refactor constructors produced — the old munge is
+* For every platform (and for representative override scenarios),
+  :func:`repro.platforms.zng.platform_config` returns a
+  :class:`PlatformConfig` equal to what the pre-refactor constructors
+  produced — the old munge is
   reimplemented inline here as the golden semantics.
 * Sweep results stay bit-identical across the serial, cached and
   preset-built paths (cache v3 keys differ from v2 by design; payloads are
@@ -16,9 +17,9 @@ from dataclasses import replace
 import pytest
 
 from repro.config import default_config
-from repro.configspace import get_preset, resolve_platform_config
+from repro.configspace import get_preset
 from repro.platforms import build_platform
-from repro.platforms.zng import PLATFORM_NAMES, ZnGVariant
+from repro.platforms.zng import PLATFORM_NAMES, ZnGVariant, platform_config
 from repro.runner import SweepRunner, SweepSpec, apply_overrides
 
 ALL_PLATFORMS = ["GDDR5"] + PLATFORM_NAMES
@@ -59,7 +60,7 @@ class TestPlatformConfigEquivalence:
     def test_layered_resolution_matches_legacy_munge(self, platform, scenario):
         base = apply_overrides(default_config(), SCENARIOS[scenario])
         expected = legacy_platform_config(platform, base)
-        assert resolve_platform_config(platform, base).config == expected
+        assert platform_config(platform, base) == expected
 
     @pytest.mark.parametrize("platform", ALL_PLATFORMS)
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -10,7 +10,6 @@ from repro.configspace import (
     canonical_json,
     canonical_payload,
     config_fingerprint,
-    resolve_platform_config,
 )
 
 
@@ -62,7 +61,8 @@ class TestConfigFingerprint:
     def test_layered_and_constructor_paths_agree(self):
         # However a config was composed, equal content hashes equally.
         from repro.platforms import build_platform
+        from repro.platforms.zng import platform_config
 
-        layered = resolve_platform_config("ZnG").config
+        composed = platform_config("ZnG", default_config())
         constructed = build_platform("ZnG").config
-        assert config_fingerprint(layered) == config_fingerprint(constructed)
+        assert config_fingerprint(composed) == config_fingerprint(constructed)

@@ -176,7 +176,7 @@ class TestCacheKey:
         assert self._cell(base_config=custom).cache_key() != self._cell().cache_key()
 
     def test_descriptor_hashes_the_platform_resolved_config(self):
-        # The cache key must cover the platform's pinned layer, not just
+        # The cache key must cover the platform's config deltas, not just
         # base + overrides: ZnG pins the mesh network and copies the
         # write-cache register knob into znand before running.
         descriptor = self._cell(
@@ -185,19 +185,21 @@ class TestCacheKey:
         assert descriptor["config"]["znand"]["registers_per_plane"] == 16
 
     def test_editing_a_platform_layer_changes_the_key(self, monkeypatch):
-        # A maintainer changing a platform's declarative delta must miss the
+        # A maintainer changing a platform's config delta must miss the
         # cache, exactly like a changed Table I default.
-        from repro.configspace import ConfigLayer
-        from repro.configspace import layers as layers_module
+        from dataclasses import replace
+
+        from repro.platforms import zng
 
         before = self._cell().cache_key()
-        monkeypatch.setitem(
-            layers_module.PLATFORM_LAYERS, "ZnG",
-            ConfigLayer.create(
-                "platform:ZnG", "platform",
-                {"znand.flash_network_type": "mesh",
-                 "znand.registers_per_plane": 4}, pinned=True),
-        )
+        original = zng.platform_config
+
+        def edited(name, config):
+            config = original(name, config)
+            return replace(config, znand=replace(config.znand,
+                                                 registers_per_plane=4))
+
+        monkeypatch.setattr(zng, "platform_config", edited)
         assert self._cell().cache_key() != before
 
     def test_coerced_values_hash_bit_identically(self):

@@ -11,7 +11,6 @@ from repro.config import (
     default_config,
     ns_to_cycles,
     us_to_cycles,
-    zng_config,
 )
 
 
@@ -89,7 +88,9 @@ class TestPlatformConfig:
         assert base.znand.channels == 16  # original unchanged
 
     def test_zng_config_uses_mesh_and_more_registers(self):
-        config = zng_config()
+        from repro.platforms.zng import platform_config
+
+        config = platform_config("ZnG", default_config())
         assert config.znand.flash_network_type == "mesh"
         assert config.znand.registers_per_plane == 8
 
