@@ -1,114 +1,113 @@
-"""Tests for layered composition, provenance and the platform layers."""
+"""Tests for the layers a platform's config is composed from.
+
+A sweep cell runs with its base config (Table I defaults unless given), then
+its override set applied by ``SCHEMA.apply``, then the platform's delta from
+:func:`repro.platforms.zng.platform_config`.
+"""
 
 import pytest
 
+from repro.__main__ import main
 from repro.config import default_config
-from repro.configspace import (
-    ConfigLayer,
-    ConfigValueError,
-    FieldRef,
-    PLATFORM_LAYERS,
-    platform_layer,
-    resolve,
-    resolve_platform_config,
-)
+from repro.configspace import SCHEMA, ConfigValueError
+from repro.platforms.zng import platform_config
+from repro.runner import SweepSpec
+
+ZNG_VARIANTS = ("ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG")
 
 
-def axis(name, overrides):
-    return ConfigLayer.create(name, "axis", overrides)
+def overridden(overrides):
+    return SCHEMA.apply(default_config(), overrides)
+
+
+def cell(platform, overrides=None, base_config=None):
+    spec = SweepSpec.create(platforms=[platform], workloads=["betw-back"],
+                            overrides=overrides, base_config=base_config)
+    return spec.cells()[0]
 
 
 class TestResolve:
     def test_empty_stack_yields_defaults(self):
-        resolved = resolve([])
-        assert resolved.config == default_config()
-        assert resolved.origin("znand.channels") == "defaults"
+        assert cell("GDDR5").platform_config() == default_config()
 
     def test_later_layer_wins(self):
-        resolved = resolve([
-            axis("a", {"znand.channels": 8}),
-            axis("b", {"znand.channels": 32}),
-        ])
-        assert resolved.config.znand.channels == 32
-        assert resolved.origin("znand.channels") == "b"
+        base = overridden({"znand.channels": 8})
+        composed = cell("GDDR5", {"znand.channels": 32}, base).platform_config()
+        assert composed.znand.channels == 32
 
-    def test_provenance_tracks_setting_layer(self):
-        resolved = resolve([axis("a", {"znand.channels": 8})])
-        assert resolved.origin("znand.channels") == "a"
-        assert resolved.origin("znand.dies_per_package") == "defaults"
-        assert "[a]" in resolved.explain("znand.channels")
+    def test_provenance_tracks_setting_layer(self, capsys):
+        assert main(["config", "--diff", "GDDR5", "ZnG-base"]) == 0
+        out = capsys.readouterr().out
+        assert "znand.flash_network_type = 'bus'  [defaults]" in out
+        assert "znand.flash_network_type = 'mesh'  [platform:ZnG-base]" in out
+        assert "znand.channels" not in out
 
     def test_pinned_layer_applies_last(self):
-        pin = ConfigLayer.create(
-            "pin", "platform", {"znand.channels": 4}, pinned=True)
-        resolved = resolve([pin, axis("late", {"znand.channels": 32})])
-        assert resolved.config.znand.channels == 4
-        assert resolved.origin("znand.channels") == "pin"
-
-    def test_pin_records_shadowed_layers(self):
-        pin = ConfigLayer.create(
-            "pin", "platform", {"znand.channels": 4}, pinned=True)
-        resolved = resolve([pin, axis("late", {"znand.channels": 32})])
-        assert resolved.provenance["znand.channels"].shadowed == ("late",)
-        assert "shadows: late" in resolved.explain("znand.channels")
+        zng = cell("ZnG", {"znand.flash_network_type": "bus"})
+        assert zng.resolved_config().znand.flash_network_type == "bus"
+        assert zng.platform_config().znand.flash_network_type == "mesh"
 
     def test_field_ref_reads_composed_value(self):
-        pin = ConfigLayer.create(
-            "pin", "platform",
-            {"znand.registers_per_plane":
-                 FieldRef("register_cache.registers_per_plane")},
-            pinned=True)
-        resolved = resolve([
-            axis("a", {"register_cache.registers_per_plane": 16}), pin])
-        assert resolved.config.znand.registers_per_plane == 16
+        base = overridden({"register_cache.registers_per_plane": 16})
+        composed = cell("ZnG", base_config=base).platform_config()
+        assert composed.znand.registers_per_plane == 16
 
     def test_layer_values_are_coerced(self):
-        resolved = resolve([axis("a", {"znand.channels": "8"})])
-        assert resolved.config.znand.channels == 8
+        composed = cell("ZnG", {"znand.channels": "8",
+                                "register_cache.registers_per_plane": "16"},
+                        ).platform_config()
+        assert composed.znand.channels == 8
+        assert composed.znand.registers_per_plane == 16
+        assert type(composed.znand.registers_per_plane) is int
 
     def test_invariants_checked_on_result(self):
         with pytest.raises(ConfigValueError, match="l1-geometry"):
-            resolve([axis("a", {"gpu.l1_sets": 32})])
+            cell("ZnG", {"gpu.l1_sets": 32}).platform_config()
 
     def test_base_config_used_as_floor(self):
-        base = resolve([axis("a", {"znand.channels": 8})]).config
-        resolved = resolve([], base=base)
-        assert resolved.config.znand.channels == 8
+        base = overridden({"znand.channels": 8})
+        assert cell("ZnG", base_config=base).platform_config().znand.channels == 8
 
 
 class TestPlatformLayers:
     def test_baselines_have_empty_layers(self):
+        config = overridden({"znand.flash_network_type": "mesh"})
         for name in ("GDDR5", "Hetero", "HybridGPU", "Optane"):
-            assert not platform_layer(name)
+            assert platform_config(name, config) is config
 
     def test_unregistered_platform_gets_empty_layer(self):
-        assert not platform_layer("not-a-platform")
+        config = default_config()
+        assert platform_config("not-a-platform", config) is config
 
     def test_zng_layers_are_pinned(self):
-        for name in ("ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"):
-            assert PLATFORM_LAYERS[name].pinned
+        base = overridden({"znand.flash_network_type": "bus"})
+        for name in ZNG_VARIANTS:
+            assert platform_config(name, base).znand.flash_network_type == "mesh"
 
     def test_zng_base_pins_mesh_only(self):
-        resolved = resolve_platform_config("ZnG-base")
-        assert resolved.config.znand.flash_network_type == "mesh"
-        assert resolved.config.znand.registers_per_plane == 2
+        config = platform_config("ZnG-base", default_config())
+        assert config.znand.flash_network_type == "mesh"
+        assert config.znand.registers_per_plane == 2
 
     def test_zng_pins_mesh_and_registers(self):
-        resolved = resolve_platform_config("ZnG")
-        assert resolved.config.znand.flash_network_type == "mesh"
-        assert resolved.config.znand.registers_per_plane == 8
-        assert resolved.origin("znand.registers_per_plane") == "platform:ZnG"
+        config = platform_config("ZnG", default_config())
+        assert config.znand.flash_network_type == "mesh"
+        assert config.znand.registers_per_plane == 8
 
     def test_zng_register_pin_follows_write_cache_knob(self):
-        extra = axis("reg16", {"register_cache.registers_per_plane": 16})
-        resolved = resolve_platform_config("ZnG", extra_layers=[extra])
-        assert resolved.config.znand.registers_per_plane == 16
+        base = overridden({"register_cache.registers_per_plane": 16})
+        assert platform_config("ZnG", base).znand.registers_per_plane == 16
+        assert platform_config("ZnG-wropt", base).znand.registers_per_plane == 16
+        assert platform_config("ZnG-rdopt", base).znand.registers_per_plane == 2
 
     def test_platform_pin_beats_direct_override(self):
-        # The mesh network is part of the ZnG identity: a direct override is
-        # clobbered (and recorded as shadowed), matching the pre-refactor
-        # constructor behaviour.
-        extra = axis("bus", {"znand.flash_network_type": "bus"})
-        resolved = resolve_platform_config("ZnG", extra_layers=[extra])
-        assert resolved.config.znand.flash_network_type == "mesh"
-        assert "bus" in resolved.provenance["znand.flash_network_type"].shadowed
+        # The register pool is part of the write-optimised ZnG identity: a
+        # direct override is replaced there, and kept where no delta sets it.
+        base = overridden({"znand.registers_per_plane": 4})
+        assert platform_config("ZnG", base).znand.registers_per_plane == 8
+        assert platform_config("ZnG-base", base).znand.registers_per_plane == 4
+
+    def test_deltas_are_idempotent(self):
+        for name in ZNG_VARIANTS:
+            once = platform_config(name, default_config())
+            assert platform_config(name, once) == once

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import default_config
+from repro.configspace import SCHEMA
 from repro.gpu.sm import GPUExecutionResult
 from repro.platforms import build_platform
 from repro.platforms.base import PlatformResult
@@ -129,3 +131,13 @@ class TestZnGComponents:
         for variant in ZnGVariant:
             platform = ZnGPlatform(variant)
             assert platform.flash_network.network_type == "mesh"
+
+
+class TestFlashNetworkFollowsConfig:
+    def test_hybrid_gpu_defaults_to_bus(self):
+        assert build_platform("HybridGPU").flash_network.network_type == "bus"
+
+    def test_hybrid_gpu_honours_a_mesh_override(self):
+        config = SCHEMA.apply(default_config(), {"znand.flash_network_type": "mesh"})
+        platform = build_platform("HybridGPU", config)
+        assert platform.flash_network.network_type == "mesh"

@@ -510,6 +510,12 @@ class TestConfigCommand:
         # The ZnG write-optimised presets pin this path.
         assert "ZnG" in out and "register_cache.registers_per_plane" in out
 
+    def test_explain_lists_every_platform_that_pins_the_path(self, capsys):
+        assert main(["config", "--explain", "znand.flash_network_type"]) == 0
+        out = capsys.readouterr().out
+        assert ("platforms: ZnG pins 'mesh'; ZnG-base pins 'mesh'; "
+                "ZnG-rdopt pins 'mesh'; ZnG-wropt pins 'mesh'") in out
+
     def test_explain_unknown_path(self, capsys):
         assert main(["config", "--explain", "znand.bogus"]) == 2
         assert_rejected(capsys, "no field")
