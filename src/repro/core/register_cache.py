@@ -106,7 +106,10 @@ class FlashRegisterCache:
         return plane_id % self.planes_per_package
 
     def group_of_plane(self, plane_id: int) -> int:
-        """The register group serving writes destined for ``plane_id``."""
+        """The register group serving writes destined for ``plane_id``.
+
+        Inlined, with :meth:`holds`, in ZnGPlatform._service_l2_miss.
+        """
         if self.scope == "package":
             return self.package_of_plane(plane_id)
         return plane_id

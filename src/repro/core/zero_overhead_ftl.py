@@ -183,24 +183,49 @@ class ZeroOverheadFTL:
         """The PPN holding the latest copy of a virtual page.
 
         ``reads_from_log`` counts the translations the log block served.
+        The DBMT lookup, the row decoder's LPMT search and the PPN
+        arithmetic run inlined in this one body; keep in lockstep with
+        DataBlockMappingTable.lookup, ZeroOverheadFTL.row_decoder,
+        ProgrammableRowDecoder.search, LogPageMappingTable.search,
+        ZeroOverheadFTL.ppn_in_block and FlashGeometry.ppn_of.
         """
         self.reads_translated += 1
         geometry = self.geometry
-        vbn, page_index = divmod(virtual_page, geometry.pages_per_block)
-        entry = self.dbmt.lookup(vbn)
+        pages_per_block = geometry.pages_per_block
+        vbn, page_index = divmod(virtual_page, pages_per_block)
+        dbmt = self.dbmt
+        dbmt.lookups += 1
+        entry = dbmt._entries.get(vbn)
         if entry is None:
+            dbmt.misses += 1
             entry = self.map_virtual_block(vbn)
-        # The log block's row decoder: row_decoder(block_plane(plbn)).
+        # The log block's row decoder and its LPMT: a CAM search for a
+        # re-written copy of the page.
+        blocks_per_plane = geometry.blocks_per_plane
         plbn = entry.plbn
-        plane, block = divmod(plbn, geometry.blocks_per_plane)
+        pdbn = entry.pdbn
+        plane, block = divmod(plbn, blocks_per_plane)
         decoder = self.row_decoders.get(plane)
         if decoder is None:
             decoder = self.row_decoder(plane)
-        log_page = decoder.search(plbn, entry.pdbn, page_index)
-        if log_page is not None:
+        table = decoder._tables.get(plbn)
+        if table is None:
+            table = decoder.table_for(plbn)
+        table.searches += 1
+        remapped = table._entries.get((pdbn, page_index))
+        if remapped is not None:
+            table.hits += 1
             self.reads_from_log += 1
-            return geometry.ppn_of(plane, block, log_page)
-        return self.ppn_in_block(entry.pdbn, page_index)
+            page = remapped.log_page
+        else:
+            plane, block = divmod(pdbn, blocks_per_plane)
+            page = page_index
+        planes_per_die = geometry.planes_per_die
+        dies = geometry.dies_per_channel
+        channel, rest = divmod(plane, dies * planes_per_die)
+        die, plane_in_die = divmod(rest, planes_per_die)
+        remainder = (block * pages_per_block + page) * planes_per_die + plane_in_die
+        return (remainder * dies + die) * geometry.channels + channel
 
     def allocate_write(self, virtual_page: int, now: float) -> Tuple[int, float, bool]:
         """Reserve a log page for a write; run the helper GC if the log block is full.

@@ -66,8 +66,10 @@ class SetAssociativeCache:
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
         # NOTE: the hottest paths inline these two expressions.  Change the
         # indexing scheme in every copy: here (probe, invalidate, mark_dirty),
-        # lookup(), insert() (and the evicted line's address it rebuilds), and
-        # SharedL2Cache.access in gpu/l2cache.py.  The L2 picks a bank from
+        # lookup(), insert() (and the evicted line's address it rebuilds),
+        # SharedL2Cache.access in gpu/l2cache.py, and the L1 probe, fill and
+        # invalidate in StreamingMultiprocessor.execute_instruction in
+        # gpu/sm.py.  The L2 picks a bank from
         # the same line number (SharedL2Cache.bank_of, access, fill,
         # fill_page, and the NoC destination in GPUSSDPlatform.memory_access).
         line_number = address // self.line_bytes
@@ -80,7 +82,8 @@ class SetAssociativeCache:
     def lookup(self, address: int, mark_accessed: bool = True) -> bool:
         """Probe the cache; on a hit the line becomes most recently used.
 
-        Inlined in SharedL2Cache.access.
+        Inlined in SharedL2Cache.access and
+        StreamingMultiprocessor.execute_instruction.
         """
         line_number = address // self.line_bytes
         num_sets = self.num_sets
@@ -113,7 +116,8 @@ class SetAssociativeCache:
         Returns the evicted line as ``(line_address, state_bits)``, or
         ``None`` when nothing was evicted: the line was already resident,
         the set had room, or every line of the set was pinned and the
-        allocation was bypassed.
+        allocation was bypassed.  Inlined, for an unpinned clean line, in
+        StreamingMultiprocessor.execute_instruction.
         """
         line_number = address // self.line_bytes
         num_sets = self.num_sets

@@ -39,8 +39,6 @@ class Interconnect:
                 for i in range(num_destinations)
             ]
         )
-        self.packets = 0
-        self.bytes_moved = 0
 
     def route(self, destination: int) -> BandwidthResource:
         return self.links[destination % self.num_destinations]  # type: ignore[return-value]
@@ -55,8 +53,6 @@ class Interconnect:
         duration = link.fixed_latency + num_bytes / link.bytes_per_cycle
         if not duration >= 0:
             raise ValueError(f"duration must be non-negative, got {duration!r}")
-        self.packets += 1
-        self.bytes_moved += num_bytes
         last = link.last_completion
         start = now if now > last else last
         link.last_completion = start + duration
@@ -71,11 +67,18 @@ class Interconnect:
         arrival = self.send(destination, request_bytes, now)
         return self.send(destination, reply_bytes, arrival)
 
+    # Every packet books one link, so the traffic totals are the links'.
+    @property
+    def packets(self) -> int:
+        return sum(link.requests_served for link in self.links.resources)
+
+    @property
+    def bytes_moved(self) -> int:
+        return sum(link.bytes_transferred for link in self.links.resources)
+
     @property
     def total_busy_cycles(self) -> float:
         return self.links.busy_cycles
 
     def reset(self) -> None:
         self.links.reset()
-        self.packets = 0
-        self.bytes_moved = 0

@@ -72,8 +72,8 @@ class MMU:
         # The page-table walker has a fixed number of concurrent walk threads.
         self.walker = Resource("page_table_walker", ports=config.page_walk_threads)
         self._fault_handler = fault_handler
-        # Statistics.
-        self.translations = 0
+        # Statistics.  Every translation probes the TLB once, so
+        # ``translations`` is computed from its hits and misses.
         self.page_walks = 0
         self.page_faults = 0
 
@@ -87,6 +87,10 @@ class MMU:
         """
         self._fault_handler = handler
 
+    @property
+    def translations(self) -> int:
+        return self.tlb.hits + self.tlb.misses
+
     def _physical_address(self, frame: int, virtual_address: int) -> int:
         page_size = self.page_size_bytes
         return frame * page_size + virtual_address % page_size
@@ -97,12 +101,11 @@ class MMU:
         Returns ``(physical_address, latency_cycles, tlb_hit)``; walk-cache
         hits and page faults are counted in ``walk_cache`` and ``page_faults``.
         """
-        self.translations += 1
         page_size = self.page_size_bytes
         vpn = virtual_address // page_size
 
         # TLB hit: the body of TLB.lookup, inlined because nearly every
-        # request takes this path (keep the two in lockstep).
+        # request takes this path; keep in lockstep with TLB.lookup.
         tlb = self.tlb
         tlb_entries = tlb._entries
         cached_frame = tlb_entries.get(vpn)
@@ -145,7 +148,6 @@ class MMU:
             self.page_table.map_page(vpn, frame)
 
     def reset_statistics(self) -> None:
-        self.translations = 0
         self.page_walks = 0
         self.page_faults = 0
         self.tlb.reset_statistics()

@@ -7,6 +7,7 @@ by returning the time at which an entry frees up.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 
@@ -75,17 +76,28 @@ class MSHR:
 
         stall_until = now
         if len(entries) >= self.num_entries:
-            # The pool looks full: drop the dead entries, then check again.
-            for address in [address for address, fill in entries.items() if fill <= now]:
-                del entries[address]
-            if len(entries) >= self.num_entries:
+            # The pool looks full.  One pass finds the dead entries and the
+            # live ones with the earliest fill.
+            dead = []
+            earliest = math.inf
+            first_back = []
+            for address, fill in entries.items():
+                if fill <= now:
+                    dead.append(address)
+                elif fill < earliest:
+                    earliest = fill
+                    first_back = [address]
+                elif fill == earliest:
+                    first_back.append(address)
+            if len(entries) - len(dead) >= self.num_entries:
                 # Structural hazard: wait until the earliest fill returns,
-                # which retires every entry filled by then.
-                stall_until = min(entries.values())
+                # which retires every entry filled by then: the dead ones
+                # and the earliest live ones.
+                stall_until = earliest
                 self.stalls += 1
-                for address in [address for address, fill in entries.items()
-                                if fill <= stall_until]:
-                    del entries[address]
+                dead += first_back
+            for address in dead:
+                del entries[address]
         fill = entries[line_address] = max(fill_cycle, stall_until)
         self._filled_at_now = fill == now
         self.primary_misses += 1

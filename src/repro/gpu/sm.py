@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import GPUConfig
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import ACCESSED, SetAssociativeCache
 from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.mshr import MSHR
 from repro.gpu.warp import Instruction, WarpTrace
@@ -114,7 +114,17 @@ class StreamingMultiprocessor:
         # segment of an instruction shares its direction.
         segments = self.coalescer.coalesce(addresses, instruction.segments)
         stats.memory_requests += len(segments)
+        # The L1 is probed, filled and invalidated through its tag array
+        # directly, with each segment's set and tag computed once; keep in
+        # lockstep with SetAssociativeCache.lookup, SetAssociativeCache.insert,
+        # SetAssociativeCache.invalidate and
+        # SetAssociativeCache._index_and_tag.  Only this SM uses its L1, and
+        # it neither pins nor dirties a line, so every line's state is
+        # ACCESSED and a full set's victim is its first (LRU) line.
         l1 = self.l1
+        sets = l1._sets
+        num_sets = l1.num_sets
+        line_bytes = self._l1_line_bytes
         pc = instruction.pc
         l1_ready = ready + self._l1_latency
         completion = ready
@@ -122,44 +132,67 @@ class StreamingMultiprocessor:
             # Write-through, no-allocate L1 (typical for GPU L1D): the write
             # always goes below; a stale copy is invalidated.
             for address in segments:
-                l1.invalidate(address)
+                line_number = address // line_bytes
+                cache_set = sets.get(line_number % num_sets)
+                if cache_set is not None:
+                    cache_set.pop(line_number // num_sets, None)
                 finish = memory_fn(address, True, warp_id, pc, l1_ready)
                 if finish > completion:
                     completion = finish
             return completion
 
         # Reads: L1 probe, MSHR merge and (on a primary miss) the platform
-        # memory access.  MSHR.lookup, and MSHR.allocate while the table has
-        # a free entry, are inlined; keep in lockstep with both.  A table that
-        # looks full goes through MSHR.allocate, which purges dead entries and
-        # stalls; the stall cycle it returns is not applied.
+        # memory access and the L1 fill.  MSHR.lookup, and MSHR.allocate
+        # while the table has a free entry, are inlined; keep in lockstep
+        # with MSHR.lookup and MSHR.allocate.  A table that looks full goes
+        # through MSHR.allocate, which purges dead entries and stalls; the
+        # stall cycle it returns is not applied.
         mshr = self.mshr
         entries = mshr._entries
         num_entries = mshr.num_entries
-        line_bytes = self._l1_line_bytes
+        assoc = l1.assoc
         for address in segments:
-            if l1.lookup(address):
-                stats.l1_hits += 1
-                finish = l1_ready
+            line_number = address // line_bytes
+            set_index = line_number % num_sets
+            tag = line_number // num_sets
+            cache_set = sets.get(set_index)
+            if cache_set:
+                state = cache_set.pop(tag, None)
+                if state is not None:
+                    # A hit: the line moves to the MRU end.
+                    cache_set[tag] = state
+                    l1.hits += 1
+                    stats.l1_hits += 1
+                    if l1_ready > completion:
+                        completion = l1_ready
+                    continue
+            l1.misses += 1
+            stats.l1_misses += 1
+            line_address = line_number * line_bytes
+            mshr._now = ready
+            mshr._filled_at_now = False
+            fill = entries.get(line_address)
+            if fill is not None and fill > ready:
+                # Secondary miss: piggyback on the outstanding fill.
+                mshr.secondary_misses += 1
+                finish = fill if fill > l1_ready else l1_ready
             else:
-                stats.l1_misses += 1
-                line_address = address // line_bytes * line_bytes
-                mshr._now = ready
-                mshr._filled_at_now = False
-                fill = entries.get(line_address)
-                if fill is not None and fill > ready:
-                    # Secondary miss: piggyback on the outstanding fill.
-                    mshr.secondary_misses += 1
-                    finish = fill if fill > l1_ready else l1_ready
+                finish = memory_fn(address, False, warp_id, pc, l1_ready)
+                if len(entries) >= num_entries:
+                    mshr.allocate(line_address, ready, finish)
                 else:
-                    finish = memory_fn(address, False, warp_id, pc, l1_ready)
-                    if len(entries) >= num_entries:
-                        mshr.allocate(line_address, ready, finish)
-                    else:
-                        fill = entries[line_address] = ready if ready > finish else finish
-                        mshr._filled_at_now = fill == ready
-                        mshr.primary_misses += 1
-                    l1.insert(address)
+                    fill = entries[line_address] = ready if ready > finish else finish
+                    mshr._filled_at_now = fill == ready
+                    mshr.primary_misses += 1
+                # Fill the line the probe missed, evicting the LRU line of a
+                # full set.
+                if cache_set is None:
+                    cache_set = sets[set_index] = {}
+                elif len(cache_set) >= assoc:
+                    del cache_set[next(iter(cache_set))]
+                    l1.evictions += 1
+                cache_set[tag] = ACCESSED
+                l1.insertions += 1
             if finish > completion:
                 completion = finish
         return completion
@@ -224,7 +257,7 @@ class GPUCore:
         sms = self.sms
         num_sms = len(sms)
         heap: List = []
-        push, pop = heapq.heappush, heapq.heappop
+        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
         sequence = 0
         pending: Dict[int, List[tuple]] = {}
         resident_count: Dict[int, int] = {}
@@ -250,25 +283,31 @@ class GPUCore:
         # per event and the numbers themselves are identical either way.
         trace_depth = _telemetry.enabled()
         max_depth = 0
+        # Each event is read at the top of the heap and then replaced by its
+        # successor in one heapreplace (or popped when it has none).  The
+        # (ready, sequence) keys are unique, so the order events leave the
+        # heap is the same as with a pop and a push.
         while heap:
             if trace_depth:
                 depth = len(heap)
                 if depth > max_depth:
                     max_depth = depth
-            ready, _, warp, position = pop(heap)
+            ready, _, warp, position = heap[0]
             events += 1
             sm_index, sm, execute, instructions, length, warp_id = warp
             if position >= length:
                 # Warp finished: admit the next pending warp on this SM.
                 waiting = pending.get(sm_index)
                 if waiting:
-                    push(heap, (ready, sequence, waiting.pop(0), 0))
+                    replace(heap, (ready, sequence, waiting.pop(0), 0))
                     sequence += 1
+                else:
+                    pop(heap)
                 final_cycle = max(final_cycle, ready)
                 sm.stats.completion_cycle = max(sm.stats.completion_cycle, ready)
                 continue
             next_ready = execute(instructions[position], warp_id, ready, memory_fn)
-            push(heap, (next_ready, sequence, warp, position + 1))
+            replace(heap, (next_ready, sequence, warp, position + 1))
             sequence += 1
 
         self.last_max_queue_depth = max_depth

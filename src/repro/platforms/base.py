@@ -159,16 +159,20 @@ class GPUSSDPlatform(ABC):
         self.page_size = self.config.gpu.page_size_bytes
         # Every coalesced access moves one request of the coalescer's size.
         self.request_bytes = self.config.gpu.memory_request_bytes
-        self._memory_bytes_served = 0
         # The request path runs once per coalesced access; bind its counters
         # and the latency histogram once instead of a dict lookup per event.
+        # Every request is a read or a write, and every write is served
+        # below the L2, so ``requests`` and ``writes_below_l2`` are computed
+        # from the read and write counts when read.  ``requests`` is declared
+        # first to keep its place in the record.
         stats = self.stats
-        self._ctr_requests = stats.counter("requests")
+        stats.counter("requests")
         self._ctr_reads = stats.counter("read_requests")
         self._ctr_writes = stats.counter("write_requests")
         self._ctr_l2_hits = stats.counter("l2_hits")
         self._ctr_l2_misses = stats.counter("l2_misses")
-        self._ctr_writes_below_l2 = stats.counter("writes_below_l2")
+        stats.derived("requests", (self._ctr_reads, self._ctr_writes))
+        stats.derived("writes_below_l2", (self._ctr_writes,))
         self._hist_latency = stats.histogram("request_latency")
         # The read predictor trained on every L2 read, if the platform has one.
         self.prefetcher = None
@@ -230,7 +234,6 @@ class GPUSSDPlatform(ABC):
         straight into the cell's breakdown totals.
         """
         breakdown = self.stats.breakdown
-        self._ctr_requests.value += 1
         if is_write:
             self._ctr_writes.value += 1
         else:
@@ -260,7 +263,6 @@ class GPUSSDPlatform(ABC):
 
         if is_write:
             completion = self._service_write(address, physical_address, time, breakdown)
-            self._ctr_writes_below_l2.value += 1
         else:
             # A prefetch predictor trains on the full read stream, L2 hits
             # and misses alike.
@@ -278,7 +280,6 @@ class GPUSSDPlatform(ABC):
         if completion < time:
             completion = time
         self._hist_latency.add(completion - now)
-        self._memory_bytes_served += request_bytes
         return completion
 
     # ------------------------------------------------------------------
@@ -292,7 +293,9 @@ class GPUSSDPlatform(ABC):
 
     def _build_result(self, workload_name: str, execution: GPUExecutionResult) -> PlatformResult:
         seconds = execution.cycles / GPU_FREQ_HZ if execution.cycles else 0.0
-        memory_bw = (self._memory_bytes_served / seconds / 1e9) if seconds else 0.0
+        # Every request moves ``request_bytes``.
+        bytes_served = int(self.stats.get("requests")) * self.request_bytes
+        memory_bw = (bytes_served / seconds / 1e9) if seconds else 0.0
         result = PlatformResult(
             platform=self.name,
             workload=workload_name,

@@ -58,20 +58,26 @@ def platform_config(name: str, config: PlatformConfig) -> PlatformConfig:
     """The config platform ``name`` runs with, given the caller's ``config``.
 
     The ZnG variants replace the flash bus with the mesh network (Section
-    III-B); the write-optimised ones also size each plane's registers by the
-    write-cache knob (Section IV).  These deltas win over a direct override
-    of either ``znand`` field.  Every other platform runs ``config`` as is.
+    III-B).  The write-optimised ones also size each plane's registers by the
+    write-cache knob (Section IV); the others buffer writes in the plane's own
+    registers over SWnet, so their register cache takes the plane's register
+    count and ``swnet``.  These deltas win over a direct override of the
+    fields they set.  Every other platform runs ``config`` as is.
     """
     variant = _VARIANTS.get(name)
     if variant is None:
         return config
     znand = replace(config.znand, flash_network_type="mesh")
+    register_cache = config.register_cache
     if variant.has_write_optimization:
-        znand = replace(
-            znand,
-            registers_per_plane=config.register_cache.registers_per_plane,
+        znand = replace(znand, registers_per_plane=register_cache.registers_per_plane)
+    else:
+        register_cache = replace(
+            register_cache,
+            registers_per_plane=znand.registers_per_plane,
+            interconnect="swnet",
         )
-    return replace(config, znand=znand)
+    return replace(config, znand=znand, register_cache=register_cache)
 
 
 class ZnGPlatform(GPUSSDPlatform):
@@ -108,25 +114,17 @@ class ZnGPlatform(GPUSSDPlatform):
             )
 
         # Every Z-NAND program goes through a plane register, so even the base
-        # design buffers writes in the plane's own (2) registers.  The write
-        # optimisation turns them into a larger, package-wide fully-associative
-        # cache reached over the NiF/FCnet/SWnet interconnect.
-        if variant.has_write_optimization:
-            register_config = self.config.register_cache
-            network = build_register_network(self.array, register_config)
-            self.register_cache = FlashRegisterCache(
-                self.array, register_config, network=network, scope="package"
-            )
-        else:
-            register_config = replace(
-                self.config.register_cache,
-                registers_per_plane=self.config.znand.registers_per_plane,
-                interconnect="swnet",
-            )
-            network = build_register_network(self.array, register_config)
-            self.register_cache = FlashRegisterCache(
-                self.array, register_config, network=network, scope="plane"
-            )
+        # design buffers writes in the plane's own (2) registers over SWnet.
+        # The write optimisation turns them into a larger, package-wide
+        # fully-associative cache reached over the NiF/FCnet/SWnet
+        # interconnect.  platform_config sizes and wires both.
+        register_config = self.config.register_cache
+        self.register_cache = FlashRegisterCache(
+            self.array,
+            register_config,
+            network=build_register_network(self.array, register_config),
+            scope="package" if variant.has_write_optimization else "plane",
+        )
 
         self.page_size_flash = znand.page_size_bytes
         self.line_bytes = self.config.gpu.l2_line_bytes
@@ -172,8 +170,14 @@ class ZnGPlatform(GPUSSDPlatform):
         time = now
 
         # If the latest copy of the page is still dirty in a flash register,
-        # serve it from the register over the flash network.
-        if register_cache.holds(register_cache.group_of_plane(plane), virtual_page):
+        # serve it from the register over the flash network.  The register
+        # group is read directly; keep in lockstep with
+        # FlashRegisterCache.group_of_plane and FlashRegisterCache.holds.
+        if register_cache.scope == "package":
+            registers = register_cache._packages.get(plane // register_cache.planes_per_package)
+        else:
+            registers = register_cache._packages.get(plane)
+        if registers is not None and virtual_page in registers:
             channel = geometry.channel_of_ppn(ppn)
             completion = self.flash_network.transfer(channel, self.request_bytes, time)
             if completion > time:

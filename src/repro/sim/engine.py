@@ -77,7 +77,9 @@ class Resource:
         """Book a port; return the start time of service.
 
         The single-port branch is inlined in SharedL2Cache.access,
-        Interconnect.send and StreamingMultiprocessor.execute_instruction.
+        Interconnect.send, StreamingMultiprocessor.execute_instruction,
+        FlashController.read (the dispatcher) and ZNANDArray.read_page (the
+        plane).
         """
         # ``not >=`` rather than ``<`` also rejects a NaN duration, which
         # would otherwise poison ``last_completion`` for every later booking.

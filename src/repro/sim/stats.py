@@ -37,6 +37,27 @@ class Counter:
         )
 
 
+class DerivedCounter(Counter):
+    """A counter whose value is the sum of other counters, computed when read.
+
+    It serialises, pickles and copies as a plain :class:`Counter` holding
+    that sum.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, name: str, parts: Iterable[Counter]) -> None:
+        self.name = name
+        self._parts = tuple(parts)
+
+    @property
+    def value(self) -> float:
+        return sum((part.value for part in self._parts), 0.0)
+
+    def __reduce__(self):
+        return Counter, (self.name, self.value)
+
+
 class Histogram:
     """A constant-memory latency summary: exact count, total, min and max."""
 
@@ -108,6 +129,15 @@ class StatsCollector:
         counter = self.counters.get(name)
         if counter is None:
             counter = self.counters[name] = Counter(name)
+        return counter
+
+    def derived(self, name: str, parts: Iterable[Counter]) -> DerivedCounter:
+        """Register ``name`` as the sum of ``parts``, computed when read.
+
+        A counter already registered under ``name`` is replaced in place, so
+        it keeps its position in :meth:`to_dict`.
+        """
+        counter = self.counters[name] = DerivedCounter(name, parts)
         return counter
 
     def add(self, name: str, amount: float = 1.0) -> None:

@@ -36,7 +36,17 @@ class FlashController:
 
         Returns :meth:`ZNANDArray.read_page`'s ``(sensed, completion)``.
         """
-        start = self.dispatcher.acquire(now, self.DISPATCH_OCCUPANCY_CYCLES)
+        # Resource.acquire on the single-port dispatcher, inlined (one
+        # booking per read miss); keep in lockstep with Resource.acquire.
+        # The occupancy is a non-negative constant, so it is not checked.
+        dispatcher = self.dispatcher
+        occupancy = self.DISPATCH_OCCUPANCY_CYCLES
+        last = dispatcher.last_completion
+        start = now if now > last else last
+        dispatcher.last_completion = start + occupancy
+        dispatcher.busy_cycles += occupancy
+        dispatcher.wait_cycles += start - now
+        dispatcher.requests_served += 1
         self.commands_issued += 1
         return self.array.read_page(ppn, start + self.DECODE_LATENCY_CYCLES, transfer_bytes)
 

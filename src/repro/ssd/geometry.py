@@ -130,6 +130,7 @@ class FlashGeometry:
         """Build a PPN from a flat plane index, block and page.
 
         Same digits as ``compose(FlashLocation(...))``, without the location.
+        Inlined in ZeroOverheadFTL.translate_read.
         """
         channel, rest = divmod(plane_id, self.dies_per_channel * self.planes_per_die)
         die, plane = divmod(rest, self.planes_per_die)

@@ -112,16 +112,23 @@ class ZNANDArray:
         # State tracking.
         self._block_state: Dict[int, BlockState] = {}
         self._page_state: Dict[int, int] = {}
-        # Statistics.
-        self.page_reads = 0
+        # Statistics.  Page reads are counted per plane only; ``page_reads``
+        # and ``bytes_read_from_array`` are computed from those counts.
         self.page_programs = 0
         self.block_erases = 0
         # Int lists, not numpy arrays: a list element's ``+= 1`` is ~4x
         # cheaper than a numpy scalar's, and both run on every operation.
         self.reads_per_plane = [0] * self.geometry.total_planes
         self.writes_per_plane = [0] * self.geometry.total_planes
-        self.bytes_read_from_array = 0
         self.bytes_programmed = 0
+
+    @property
+    def page_reads(self) -> int:
+        return sum(self.reads_per_plane)
+
+    @property
+    def bytes_read_from_array(self) -> int:
+        return self.page_reads * self.config.page_size_bytes
 
     # -- block/page state helpers -------------------------------------------
     def _block_key(self, plane_id: int, block: int) -> int:
@@ -170,14 +177,20 @@ class ZNANDArray:
         plane = self.planes._resources.get(plane_id)
         if plane is None:
             plane = self.planes[plane_id]
+        # Resource.acquire on the single-port plane, inlined (one booking per
+        # page read); keep in lockstep with Resource.acquire.
         array_cycles = self.read_array_cycles
-        sensed = plane.acquire(now, array_cycles) + array_cycles
-        page_size = self.config.page_size_bytes
+        if not array_cycles >= 0:
+            raise ValueError(f"duration must be non-negative, got {array_cycles!r}")
+        last = plane.last_completion
+        start = now if now > last else last
+        sensed = plane.last_completion = start + array_cycles
+        plane.busy_cycles += array_cycles
+        plane.wait_cycles += start - now
+        plane.requests_served += 1
         completion = self.network.transfer(
-            ppn % self.config.channels, transfer_bytes or page_size, sensed)
-        self.page_reads += 1
+            ppn % self.config.channels, transfer_bytes or self.config.page_size_bytes, sensed)
         self.reads_per_plane[plane_id] += 1
-        self.bytes_read_from_array += page_size
         return sensed, completion
 
     def program_page(
@@ -266,12 +279,10 @@ class ZNANDArray:
         return max(state.erase_count for state in self._block_state.values())
 
     def reset_statistics(self) -> None:
-        self.page_reads = 0
         self.page_programs = 0
         self.block_erases = 0
         self.reads_per_plane = [0] * self.geometry.total_planes
         self.writes_per_plane = [0] * self.geometry.total_planes
-        self.bytes_read_from_array = 0
         self.bytes_programmed = 0
         for plane in self.planes:
             plane.reset()

@@ -36,20 +36,31 @@ SCENARIOS = {
 
 
 def legacy_platform_config(name, config):
-    """The pre-refactor constructor munge, frozen here as golden semantics."""
+    """The pre-refactor constructor munge, frozen here as golden semantics.
+
+    The ZnG-base and ZnG-rdopt constructors built their plane registers from
+    a register-cache config with the plane's register count and ``swnet``;
+    that config is part of what they ran, so it is part of the result here.
+    """
     for variant in ZnGVariant:
         if variant.value == name:
-            registers = (
-                config.register_cache.registers_per_plane
-                if variant.has_write_optimization
-                else config.znand.registers_per_plane
-            )
+            if variant.has_write_optimization:
+                registers = config.register_cache.registers_per_plane
+                register_cache = config.register_cache
+            else:
+                registers = config.znand.registers_per_plane
+                register_cache = replace(
+                    config.register_cache,
+                    registers_per_plane=registers,
+                    interconnect="swnet",
+                )
             return config.copy(
                 znand=replace(
                     config.znand,
                     flash_network_type="mesh",
                     registers_per_plane=registers,
-                )
+                ),
+                register_cache=register_cache,
             )
     return config  # the four baselines never touched their config
 
@@ -67,7 +78,11 @@ class TestPlatformConfigEquivalence:
     def test_built_platform_runs_the_resolved_config(self, platform, scenario):
         base = apply_overrides(default_config(), SCENARIOS[scenario])
         built = build_platform(platform, base)
-        assert built.config == legacy_platform_config(platform, base)
+        expected = legacy_platform_config(platform, base)
+        assert built.config == expected
+        register_cache = getattr(built, "register_cache", None)
+        if register_cache is not None:
+            assert register_cache.config == expected.register_cache
 
     def test_cell_resolved_config_feeds_the_same_platform_config(self):
         spec = SweepSpec.create(

@@ -84,10 +84,32 @@ class TestPlatformLayers:
         for name in ZNG_VARIANTS:
             assert platform_config(name, base).znand.flash_network_type == "mesh"
 
-    def test_zng_base_pins_mesh_only(self):
-        config = platform_config("ZnG-base", default_config())
+    @pytest.mark.parametrize("name", ["ZnG-base", "ZnG-rdopt"])
+    def test_zng_base_pins_mesh_and_its_plane_registers(self, name):
+        # The plane's own registers over SWnet: what the register cache of
+        # the variants without the write optimisation is built from.
+        config = platform_config(name, default_config())
         assert config.znand.flash_network_type == "mesh"
         assert config.znand.registers_per_plane == 2
+        assert config.register_cache.registers_per_plane == 2
+        assert config.register_cache.interconnect == "swnet"
+
+    @pytest.mark.parametrize("name", ["ZnG-base", "ZnG-rdopt"])
+    def test_zng_base_register_cache_overrides_are_replaced(self, name):
+        base = overridden({"register_cache.registers_per_plane": 16,
+                           "register_cache.interconnect": "nif"})
+        config = platform_config(name, base)
+        assert config.register_cache.registers_per_plane == 2
+        assert config.register_cache.interconnect == "swnet"
+        # The plane's register count follows the znand knob.
+        plane4 = platform_config(name, overridden({"znand.registers_per_plane": 4}))
+        assert plane4.register_cache.registers_per_plane == 4
+
+    def test_write_optimised_register_cache_is_kept(self):
+        base = overridden({"register_cache.interconnect": "fcnet"})
+        for name in ("ZnG-wropt", "ZnG"):
+            config = platform_config(name, base)
+            assert config.register_cache == base.register_cache
 
     def test_zng_pins_mesh_and_registers(self):
         config = platform_config("ZnG", default_config())

@@ -141,3 +141,50 @@ class TestProperties:
         for page in pages:
             _, from_log_block = read_from_log(ftl, page)
             assert not from_log_block
+
+
+def reference_translate(ftl, virtual_page):
+    """``translate_read`` built from the helpers its body copies:
+    ``dbmt.lookup`` -> ``decoder.search`` -> ``ppn_in_block``/``ppn_of``."""
+    ftl.reads_translated += 1
+    vbn, page_index = divmod(virtual_page, ftl.geometry.pages_per_block)
+    entry = ftl.dbmt.lookup(vbn)
+    if entry is None:
+        entry = ftl.map_virtual_block(vbn)
+    plane, block = divmod(entry.plbn, ftl.geometry.blocks_per_plane)
+    log_page = ftl.row_decoder(plane).search(entry.plbn, entry.pdbn, page_index)
+    if log_page is not None:
+        ftl.reads_from_log += 1
+        return ftl.geometry.ppn_of(plane, block, log_page)
+    return ftl.ppn_in_block(entry.pdbn, page_index)
+
+
+def translation_state(ftl):
+    """Every counter a read translation touches, per LPMT table."""
+    tables = {(plane, plbn): (table.searches, table.hits)
+              for plane, decoder in ftl.row_decoders.items()
+              for plbn, table in decoder.tables.items()}
+    return (ftl.reads_translated, ftl.reads_from_log, ftl.dbmt.lookups,
+            ftl.dbmt.misses, len(ftl.dbmt), tables)
+
+
+class TestInlineTranslateReadMatchesHelpers:
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 63)),
+                        min_size=1, max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_same_ppns_and_counters(self, ops):
+        inline, _ = make_ftl(pages_per_block=4)
+        reference, _ = make_ftl(pages_per_block=4)
+        # Twelve writes to one block fill its group's 4-page log block, so the
+        # helper GC merges it before the random stream starts.
+        prefix = [(True, page % 4) for page in range(12)]
+        for ftl in (inline, reference):
+            ftl.setup_mapping(32)
+        for step, (is_write, page) in enumerate(prefix + ops):
+            if is_write:
+                assert (inline.allocate_write(page, float(step))
+                        == reference.allocate_write(page, float(step)))
+            else:
+                assert inline.translate_read(page) == reference_translate(reference, page)
+            assert translation_state(inline) == translation_state(reference)
+        assert inline.gc_merges >= 1

@@ -1,6 +1,7 @@
 """Unit tests for the MMU: page table, TLB path, page walks and fault handling."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import GPUConfig
 from repro.gpu.mmu import MMU, PageTable
@@ -109,3 +110,41 @@ class TestMMU:
         mmu.reset_statistics()
         assert mmu.translations == 0
         assert mmu.page_walks == 0
+
+
+def reference_translate(mmu, virtual_address, now):
+    """``MMU.translate`` with its TLB hit taken through ``TLB.lookup``.
+
+    A miss runs the MMU's own miss path, which counts the TLB miss itself,
+    so the one ``TLB.lookup`` counted is taken back first.
+    """
+    frame = mmu.tlb.lookup(virtual_address)
+    if frame is not None:
+        page_size = mmu.page_size_bytes
+        return frame * page_size + virtual_address % page_size, 1.0, True
+    mmu.tlb.misses -= 1
+    return MMU.translate(mmu, virtual_address, now)
+
+
+def mmu_state(mmu):
+    walker = mmu.walker
+    return (mmu.tlb.hits, mmu.tlb.misses, mmu.tlb.evictions,
+            list(mmu.tlb._entries.items()), mmu.translations, mmu.page_walks,
+            mmu.page_faults, (walker.busy_cycles, walker.requests_served))
+
+
+class TestInlineTLBHitMatchesLookup:
+    @given(accesses=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4095)),
+                             min_size=1, max_size=100))
+    @settings(max_examples=100, deadline=None)
+    def test_same_translations_and_counters(self, accesses):
+        # A 4-entry TLB over 41 pages: hits, misses and evictions.
+        config = GPUConfig(tlb_entries=4)
+        inline, reference = MMU(config), MMU(config)
+        for step, (page, offset) in enumerate(accesses):
+            address = page * 4096 + offset
+            assert (inline.translate(address, float(step))
+                    == reference_translate(reference, address, float(step)))
+            assert mmu_state(inline) == mmu_state(reference)
+        # Every translation probes the TLB once.
+        assert inline.translations == len(accesses)

@@ -144,6 +144,16 @@ class TestLazyExpiryMatchesHeapModel:
             for counter in ("primary_misses", "secondary_misses", "stalls"):
                 assert getattr(mshr, counter) == getattr(model, counter), counter
 
+    def test_stall_retires_every_entry_tied_for_the_earliest_fill(self):
+        mshr = MSHR("m", 3)
+        mshr.allocate(0x0, 0.0, 100.0)
+        mshr.allocate(0x1000, 0.0, 200.0)
+        mshr.allocate(0x2000, 0.0, 100.0)
+        assert mshr.allocate(0x3000, 0.0, 300.0) == (100.0, False)
+        # Both entries that fill at 100 retire with the stall.
+        assert mshr.outstanding == 2
+        assert sorted(mshr._entries) == [0x1000, 0x3000]
+
     def test_stall_retires_entries_filled_by_the_stall(self):
         mshr = MSHR("m", 2)
         mshr.allocate(0x0, 0.0, 100.0)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GPUConfig
+from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.sm import GPUCore, StreamingMultiprocessor
 from repro.gpu.warp import Instruction, WarpTrace
 from repro.sim.request import AccessType
@@ -337,3 +338,48 @@ class TestInlineIssueAndMSHRMatchHelpers:
             with pytest.raises(ValueError):
                 sm.execute_instruction(instruction, 0, 0.0, constant_memory())
         assert sm.issue_port.requests_served == 0
+
+
+# One instruction of a segment stream: (lines touched, write?).
+_segment_streams = st.lists(
+    st.tuples(st.lists(st.integers(0, 23), min_size=1, max_size=4), st.booleans()),
+    min_size=1, max_size=120)
+
+
+def tag_state(cache):
+    """A cache's counters and each set's lines, in LRU order, with their bits."""
+    return ((cache.hits, cache.misses, cache.evictions, cache.dirty_evictions,
+             cache.insertions),
+            {index: list(tags.items()) for index, tags in cache._sets.items()})
+
+
+class TestFusedL1MatchesCacheHelpers:
+    """The SM's fused L1 probe, fill and invalidate against a
+    ``SetAssociativeCache`` of the same geometry driven through ``lookup``,
+    ``insert`` and ``invalidate``."""
+
+    @given(stream=_segment_streams, assoc=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_hits_evictions_and_lru_order(self, stream, assoc):
+        # 24 lines over 8 or fewer lines of L1, so sets overflow and evict.
+        config = GPUConfig(l1_size_bytes=1024, l1_assoc=assoc, l1_sets=8 // assoc)
+        sm = StreamingMultiprocessor(0, config)
+        reference = SetAssociativeCache("reference", size_bytes=1024, assoc=assoc,
+                                        line_bytes=128)
+        memory = constant_memory(100.0)
+        for pc, (lines, is_write) in enumerate(stream):
+            # Precomputed segments, unsorted, so the SM walks them in this order.
+            segments = [line * 128 for line in dict.fromkeys(lines)]
+            # Issue far apart, so every L1 miss is a primary miss and fills.
+            sm.execute_instruction(
+                Instruction(pc=pc, addresses=segments, segments=segments,
+                            access=AccessType.WRITE if is_write else AccessType.READ),
+                0, 10_000.0 * pc, memory)
+            for address in segments:
+                if is_write:
+                    reference.invalidate(address)
+                elif not reference.lookup(address):
+                    reference.insert(address)
+            assert tag_state(sm.l1) == tag_state(reference)
+        assert sm.mshr.secondary_misses == 0
+        assert (sm.stats.l1_hits, sm.stats.l1_misses) == (reference.hits, reference.misses)

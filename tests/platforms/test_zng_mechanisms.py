@@ -1,6 +1,7 @@
 """Integration tests for the ZnG mechanisms inside a running platform."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import default_config, us_to_cycles
 from repro.configspace import SCHEMA
@@ -101,3 +102,34 @@ class TestFlashLatenciesFollowConfig:
         # A program on an idle plane holds it for the overridden program latency.
         transferred, completion = platform.controllers.program(1, 0.0)
         assert completion - transferred == us_to_cycles(250.0) + overhead
+
+
+class TestDirectRegisterGroupMatchesHelpers:
+    """A read miss checks the flash registers by reading the register group
+    directly; the helpers ``group_of_plane`` and ``holds`` must agree."""
+
+    @pytest.mark.parametrize("name", ["ZnG-base", "ZnG"])  # plane, package scope
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 23), st.integers(0, 2)),
+                        min_size=1, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_register_read_hits_match(self, name, ops):
+        platform = build_platform(name)
+        registers = platform.register_cache
+        breakdown = platform.stats.breakdown
+        pages_per_block = platform.ftl.pages_per_block()
+        now = 0.0
+        # Pages of 24 blocks, which the FTL spreads over 24 planes and three
+        # packages.
+        for is_write, block, offset in ops:
+            page = block * pages_per_block + offset
+            now += 50.0
+            address = page * platform.page_size
+            if is_write:
+                platform._service_write(address, address, now, breakdown)
+                continue
+            plane = platform.array.geometry.plane_of_ppn(
+                platform.ftl.translate_read(page))
+            expected = registers.holds(registers.group_of_plane(plane), page)
+            before = platform.stats.get("register_read_hits")
+            platform._service_l2_miss(address, address, 0, now, breakdown)
+            assert (platform.stats.get("register_read_hits") - before == 1) == expected

@@ -1,6 +1,7 @@
 """Unit tests for the statistics collector."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,37 @@ class TestCounter:
         counter.add()
         counter.add(2.5)
         assert counter.value == 3.5
+
+
+class TestDerivedCounter:
+    def test_value_is_the_sum_of_its_parts_when_read(self):
+        stats = StatsCollector()
+        stats.counter("total")
+        reads, writes = stats.counter("reads"), stats.counter("writes")
+        total = stats.derived("total", (reads, writes))
+        assert total.value == 0.0 and type(total.value) is float
+        reads.add(3)
+        writes.add()
+        assert stats.get("total") == 4.0
+        # Replacing the placeholder kept its place in the record.
+        assert stats.to_dict()["counters"] == {"total": 4.0, "reads": 3.0, "writes": 1.0}
+
+    def test_pickles_and_round_trips_as_a_plain_counter(self):
+        stats = StatsCollector()
+        reads = stats.counter("reads")
+        stats.derived("total", (reads,))
+        reads.add(2)
+        copied = pickle.loads(pickle.dumps(stats))
+        assert type(copied.counters["total"]) is Counter
+        assert copied.get("total") == 2.0
+        rebuilt = StatsCollector.from_dict(stats.to_dict())
+        assert rebuilt.get("total") == 2.0
+
+    def test_cannot_be_added_to(self):
+        stats = StatsCollector()
+        stats.derived("total", (stats.counter("reads"),))
+        with pytest.raises(AttributeError):
+            stats.add("total")
 
 
 class TestHistogram:

@@ -530,6 +530,27 @@ class TestConfigCommand:
         assert "platform:ZnG" in out
         assert "fingerprints:" in out
 
+    def test_diff_reports_the_base_register_cache(self, capsys):
+        # ZnG-base runs the plane's own registers over SWnet; the diff shows
+        # the config it runs, set by its platform delta.
+        assert main(["config", "--diff", "ZnG-base", "ZnG"]) == 0
+        out = capsys.readouterr().out
+        assert ("register_cache.interconnect = 'swnet'  [platform:ZnG-base]"
+                in out)
+        assert ("register_cache.registers_per_plane = 2  [platform:ZnG-base]"
+                in out)
+        assert "register_cache.registers_per_plane = 8  [defaults]" in out
+
+    def test_explain_names_the_base_register_cache_pins(self, capsys):
+        assert main(["config", "--explain", "register_cache.interconnect"]) == 0
+        out = capsys.readouterr().out
+        assert "platforms: ZnG-base pins 'swnet'; ZnG-rdopt pins 'swnet'" in out
+        assert main(["config", "--explain",
+                     "register_cache.registers_per_plane"]) == 0
+        out = capsys.readouterr().out
+        assert ("ZnG-base pins copied from znand.registers_per_plane; "
+                "ZnG-rdopt pins copied from znand.registers_per_plane") in out
+
     def test_diff_unknown_platform(self, capsys):
         assert main(["config", "--diff", "ZnG", "NoSuch"]) == 2
         assert_rejected(capsys, "unknown platform")
