@@ -44,7 +44,7 @@ class PredictorTable:
         # plain modulo would alias hot loads onto the same entry and keep
         # resetting each other's counters.
         hashed = ((pc >> 2) * 2654435761) & 0xFFFFFFFF
-        return (hashed * self.config.predictor_entries) >> 32
+        return (hashed * self._num_entries) >> 32
 
     def update(self, pc: int, warp_id: int, logical_page: int) -> int:
         """Record an access and return the entry's counter after the update.
@@ -54,8 +54,7 @@ class PredictorTable:
         recorded (Section IV-B).
         """
         self.updates += 1
-        # The entry lookup, with _entry_index() inlined: one update per L2 read.
-        index = (((pc >> 2) * 2654435761) & 0xFFFFFFFF) * self._num_entries >> 32
+        index = self._entry_index(pc)
         entry = self.entries.get(index)
         if entry is None or entry.pc != pc:
             if entry is not None:

@@ -64,14 +64,15 @@ class SetAssociativeCache:
 
     # -- address helpers ----------------------------------------------------
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        # NOTE: the hottest paths inline these two expressions.  Change the
-        # indexing scheme in every copy: here (probe, invalidate, mark_dirty),
+        # NOTE: these two expressions are inlined in SharedL2Cache.access and
+        # StreamingMultiprocessor.execute_instruction.  Change the indexing
+        # scheme in every copy: here (probe, invalidate, mark_dirty),
         # lookup(), insert() (and the evicted line's address it rebuilds),
         # SharedL2Cache.access in gpu/l2cache.py, and the L1 probe, fill and
         # invalidate in StreamingMultiprocessor.execute_instruction in
-        # gpu/sm.py.  The L2 picks a bank from
-        # the same line number (SharedL2Cache.bank_of, access, fill,
-        # fill_page, and the NoC destination in GPUSSDPlatform.memory_access).
+        # gpu/sm.py.  The L2 picks a bank from the same line number
+        # (SharedL2Cache.bank_of, access, fill, fill_page, and the NoC
+        # destination in GPUSSDPlatform.memory_access).
         line_number = address // self.line_bytes
         return line_number % self.num_sets, line_number // self.num_sets
 

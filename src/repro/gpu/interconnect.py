@@ -40,12 +40,9 @@ class Interconnect:
             ]
         )
 
-    def route(self, destination: int) -> BandwidthResource:
-        return self.links[destination % self.num_destinations]  # type: ignore[return-value]
-
     def send(self, destination: int, num_bytes: int, now: float) -> float:
         """Transfer ``num_bytes`` to ``destination``; return the arrival cycle."""
-        # route() and BandwidthResource.transfer() on a single-port link,
+        # BandwidthResource.transfer() on the destination's single-port link,
         # inlined: one send per request.  Keep in lockstep with
         # BandwidthResource.transfer and Resource.acquire.  The link's latency
         # and bandwidth are checked when it is built; ``num_bytes`` is not.

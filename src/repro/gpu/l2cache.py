@@ -128,7 +128,8 @@ class SharedL2Cache:
             return False, ready
 
         # SetAssociativeCache.lookup, plus mark_dirty on a write hit, inlined;
-        # keep in lockstep with SetAssociativeCache.lookup.
+        # keep in lockstep with SetAssociativeCache.lookup and
+        # SetAssociativeCache._index_and_tag.
         num_sets = array.num_sets
         cache_set = array._sets.get(line_number % num_sets)
         if cache_set:

@@ -43,17 +43,11 @@ class MemoryControllerArray:
             ]
         )
 
-    def controller_for(self, address: int) -> BandwidthResource:
-        index = (address // 256) % self.controllers
-        return self.channels[index]  # type: ignore[return-value]
-
     def access(self, address: int, num_bytes: int, is_write: bool, now: float) -> float:
         """Serve one access; returns the completion cycle."""
-        # controller_for() and transfer_time() inlined: one call per access.
         controller = self.channels.resources[(address // 256) % self.controllers]
         latency = self.write_latency_cycles if is_write else self.read_latency_cycles
-        duration = latency + (controller.fixed_latency
-                              + num_bytes / controller.bytes_per_cycle)
+        duration = latency + controller.transfer_time(num_bytes)
         start = controller.acquire(now, duration)
         controller.bytes_transferred += num_bytes
         return start + duration

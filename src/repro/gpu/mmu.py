@@ -104,8 +104,7 @@ class MMU:
         page_size = self.page_size_bytes
         vpn = virtual_address // page_size
 
-        # TLB hit: the body of TLB.lookup, inlined because nearly every
-        # request takes this path; keep in lockstep with TLB.lookup.
+        # The TLB probe: a hit makes the page most recently used.
         tlb = self.tlb
         tlb_entries = tlb._entries
         cached_frame = tlb_entries.get(vpn)

@@ -8,7 +8,7 @@ by returning the time at which an entry frees up.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class MSHR:
@@ -16,8 +16,10 @@ class MSHR:
 
     Entries expire lazily: an entry is live while its fill is later than
     ``now``, and dead entries stay in the table until the pool looks full or
-    a stall retires them.  The per-request ``lookup``/``allocate`` therefore
-    do no expiry work at all.
+    a stall retires them.  A per-request probe or :meth:`allocate` therefore
+    does no expiry work at all.  The SM probes the table for an in-flight
+    miss to merge into (a secondary miss) in
+    StreamingMultiprocessor.execute_instruction.
 
     Precondition: ``now`` never decreases across calls to one MSHR.  (Each SM
     owns its MSHR and probes it at its issue cycles, which only grow.)  A
@@ -40,21 +42,6 @@ class MSHR:
         self.primary_misses = 0
         self.secondary_misses = 0
         self.stalls = 0
-
-    def lookup(self, line_address: int, now: float) -> Optional[float]:
-        """Return the fill cycle of an in-flight miss to ``line_address``, if any.
-
-        Finding the line merges the miss into its entry: it counts as a
-        secondary miss, and the caller needs no :meth:`allocate`.  Inlined in
-        StreamingMultiprocessor.execute_instruction.
-        """
-        self._now = now
-        self._filled_at_now = False
-        fill = self._entries.get(line_address)
-        if fill is not None and fill > now:
-            self.secondary_misses += 1
-            return fill
-        return None
 
     def allocate(
         self, line_address: int, now: float, fill_cycle: float

@@ -37,7 +37,11 @@ _WRITE = AccessType.WRITE
 
 @dataclass
 class SMStatistics:
-    """Per-SM execution statistics."""
+    """Per-SM execution statistics.
+
+    ``l1_hits`` and ``l1_misses`` are the L1's own counters, copied in when
+    :attr:`StreamingMultiprocessor.stats` is read.
+    """
 
     instructions: int = 0
     memory_instructions: int = 0
@@ -65,9 +69,17 @@ class StreamingMultiprocessor:
             line_bytes=config.l1_line_bytes,
         )
         self.mshr = MSHR(f"sm{sm_id}_mshr", config.l1_mshr_entries)
-        self.stats = SMStatistics()
+        self._stats = SMStatistics()
         self._l1_latency = float(config.l1_latency_cycles)
         self._l1_line_bytes = self.l1.line_bytes
+
+    @property
+    def stats(self) -> SMStatistics:
+        """This SM's statistics, with the L1's hit and miss counts."""
+        stats = self._stats
+        stats.l1_hits = self.l1.hits
+        stats.l1_misses = self.l1.misses
+        return stats
 
     # ------------------------------------------------------------------
     def execute_instruction(
@@ -79,7 +91,7 @@ class StreamingMultiprocessor:
     ) -> float:
         """Execute one trace record for a warp; return the warp's next ready cycle."""
         compute_ops = instruction.compute_ops
-        stats = self.stats
+        stats = self._stats
         addresses = instruction.addresses
         if addresses:
             # The arithmetic ops and the memory instruction's issue slot are
@@ -142,11 +154,11 @@ class StreamingMultiprocessor:
             return completion
 
         # Reads: L1 probe, MSHR merge and (on a primary miss) the platform
-        # memory access and the L1 fill.  MSHR.lookup, and MSHR.allocate
-        # while the table has a free entry, are inlined; keep in lockstep
-        # with MSHR.lookup and MSHR.allocate.  A table that looks full goes
-        # through MSHR.allocate, which purges dead entries and stalls; the
-        # stall cycle it returns is not applied.
+        # memory access and the L1 fill.  The MSHR is probed here for an
+        # in-flight miss to merge into.  MSHR.allocate, while the table has a
+        # free entry, is inlined; keep in lockstep with MSHR.allocate.  A
+        # table that looks full goes through MSHR.allocate, which purges dead
+        # entries and stalls; the stall cycle it returns is not applied.
         mshr = self.mshr
         entries = mshr._entries
         num_entries = mshr.num_entries
@@ -162,12 +174,10 @@ class StreamingMultiprocessor:
                     # A hit: the line moves to the MRU end.
                     cache_set[tag] = state
                     l1.hits += 1
-                    stats.l1_hits += 1
                     if l1_ready > completion:
                         completion = l1_ready
                     continue
             l1.misses += 1
-            stats.l1_misses += 1
             line_address = line_number * line_bytes
             mshr._now = ready
             mshr._filled_at_now = False
@@ -202,7 +212,7 @@ class StreamingMultiprocessor:
         self.l1.clear()
         self.mshr.reset()
         self.coalescer.reset()
-        self.stats = SMStatistics()
+        self._stats = SMStatistics()
 
 
 @dataclass
@@ -304,7 +314,8 @@ class GPUCore:
                 else:
                     pop(heap)
                 final_cycle = max(final_cycle, ready)
-                sm.stats.completion_cycle = max(sm.stats.completion_cycle, ready)
+                stats = sm._stats
+                stats.completion_cycle = max(stats.completion_cycle, ready)
                 continue
             next_ready = execute(instructions[position], warp_id, ready, memory_fn)
             replace(heap, (next_ready, sequence, warp, position + 1))

@@ -7,11 +7,14 @@ most requests obtain their flash physical address without a page walk.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 
 class TLB:
-    """A fully-associative LRU TLB keyed by virtual page number."""
+    """A fully-associative LRU TLB keyed by virtual page number.
+
+    :meth:`MMU.translate` probes it: a hit moves the page to the MRU end,
+    and it counts the hits and misses here.
+    """
 
     def __init__(self, entries: int, page_size_bytes: int = 4096) -> None:
         if entries <= 0:
@@ -25,16 +28,6 @@ class TLB:
 
     def virtual_page(self, address: int) -> int:
         return address // self.page_size_bytes
-
-    def lookup(self, virtual_address: int) -> Optional[int]:
-        """Return the cached translation payload for the page, or ``None``."""
-        vpn = self.virtual_page(virtual_address)
-        if vpn in self._entries:
-            self._entries.move_to_end(vpn)
-            self.hits += 1
-            return self._entries[vpn]
-        self.misses += 1
-        return None
 
     def insert(self, virtual_address: int, payload: int) -> None:
         vpn = self.virtual_page(virtual_address)

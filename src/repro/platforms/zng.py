@@ -170,14 +170,8 @@ class ZnGPlatform(GPUSSDPlatform):
         time = now
 
         # If the latest copy of the page is still dirty in a flash register,
-        # serve it from the register over the flash network.  The register
-        # group is read directly; keep in lockstep with
-        # FlashRegisterCache.group_of_plane and FlashRegisterCache.holds.
-        if register_cache.scope == "package":
-            registers = register_cache._packages.get(plane // register_cache.planes_per_package)
-        else:
-            registers = register_cache._packages.get(plane)
-        if registers is not None and virtual_page in registers:
+        # serve it from the register over the flash network.
+        if register_cache.holds(register_cache.group_of_plane(plane), virtual_page):
             channel = geometry.channel_of_ppn(ppn)
             completion = self.flash_network.transfer(channel, self.request_bytes, time)
             if completion > time:

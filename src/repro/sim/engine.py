@@ -76,10 +76,9 @@ class Resource:
     def acquire(self, when: float, duration: float) -> float:
         """Book a port; return the start time of service.
 
-        The single-port branch is inlined in SharedL2Cache.access,
-        Interconnect.send, StreamingMultiprocessor.execute_instruction,
-        FlashController.read (the dispatcher) and ZNANDArray.read_page (the
-        plane).
+        The single-port branch is inlined in SharedL2Cache.access (the
+        bank), Interconnect.send (the link) and
+        StreamingMultiprocessor.execute_instruction (the issue port).
         """
         # ``not >=`` rather than ``<`` also rejects a NaN duration, which
         # would otherwise poison ``last_completion`` for every later booking.

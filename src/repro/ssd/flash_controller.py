@@ -36,17 +36,7 @@ class FlashController:
 
         Returns :meth:`ZNANDArray.read_page`'s ``(sensed, completion)``.
         """
-        # Resource.acquire on the single-port dispatcher, inlined (one
-        # booking per read miss); keep in lockstep with Resource.acquire.
-        # The occupancy is a non-negative constant, so it is not checked.
-        dispatcher = self.dispatcher
-        occupancy = self.DISPATCH_OCCUPANCY_CYCLES
-        last = dispatcher.last_completion
-        start = now if now > last else last
-        dispatcher.last_completion = start + occupancy
-        dispatcher.busy_cycles += occupancy
-        dispatcher.wait_cycles += start - now
-        dispatcher.requests_served += 1
+        start = self.dispatcher.acquire(now, self.DISPATCH_OCCUPANCY_CYCLES)
         self.commands_issued += 1
         return self.array.read_page(ppn, start + self.DECODE_LATENCY_CYCLES, transfer_bytes)
 
@@ -76,11 +66,7 @@ class FlashControllerArray:
     def __len__(self) -> int:
         return len(self.controllers)
 
-    def controller_for_ppn(self, ppn: int) -> FlashController:
-        return self.controllers[self.array.geometry.channel_of_ppn(ppn)]
-
-    # read() and program() inline controller_for_ppn(): PPNs stripe
-    # channel-first, so the channel is ``ppn % channels``.
+    # PPNs stripe channel-first, so a page's channel is ``ppn % channels``.
     def read(
         self, ppn: int, now: float, transfer_bytes: Optional[int] = None
     ) -> Tuple[float, float]:

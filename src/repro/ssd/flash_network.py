@@ -51,19 +51,10 @@ class FlashNetwork:
             ]
         )
 
-    def link(self, channel: int) -> BandwidthResource:
-        return self.links[channel]  # type: ignore[return-value]
-
     def transfer(self, channel: int, num_bytes: int, now: float) -> float:
         """Move ``num_bytes`` over the channel's link; return completion cycle."""
-        # link() and BandwidthResource.transfer() inlined: every flash read
-        # and program crosses the network.  Same arithmetic as transfer().
         resources = self.links.resources
-        link = resources[channel % len(resources)]
-        duration = link.fixed_latency + num_bytes / link.bytes_per_cycle
-        start = link.acquire(now, duration)
-        link.bytes_transferred += num_bytes
-        return start + duration
+        return resources[channel % len(resources)].transfer(now, num_bytes)
 
     @property
     def per_channel_bandwidth_bytes_per_s(self) -> float:

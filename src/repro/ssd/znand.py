@@ -177,17 +177,8 @@ class ZNANDArray:
         plane = self.planes._resources.get(plane_id)
         if plane is None:
             plane = self.planes[plane_id]
-        # Resource.acquire on the single-port plane, inlined (one booking per
-        # page read); keep in lockstep with Resource.acquire.
         array_cycles = self.read_array_cycles
-        if not array_cycles >= 0:
-            raise ValueError(f"duration must be non-negative, got {array_cycles!r}")
-        last = plane.last_completion
-        start = now if now > last else last
-        sensed = plane.last_completion = start + array_cycles
-        plane.busy_cycles += array_cycles
-        plane.wait_cycles += start - now
-        plane.requests_served += 1
+        sensed = plane.acquire(now, array_cycles) + array_cycles
         completion = self.network.transfer(
             ppn % self.config.channels, transfer_bytes or self.config.page_size_bytes, sensed)
         self.reads_per_plane[plane_id] += 1

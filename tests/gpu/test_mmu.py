@@ -112,13 +112,26 @@ class TestMMU:
         assert mmu.page_walks == 0
 
 
+def tlb_lookup(tlb, virtual_address):
+    """Reference model of the TLB probe in ``MMU.translate``: the cached
+    payload for the page, or ``None``.  A hit makes the page most recently
+    used; hits and misses are counted."""
+    vpn = tlb.virtual_page(virtual_address)
+    if vpn in tlb._entries:
+        tlb._entries.move_to_end(vpn)
+        tlb.hits += 1
+        return tlb._entries[vpn]
+    tlb.misses += 1
+    return None
+
+
 def reference_translate(mmu, virtual_address, now):
-    """``MMU.translate`` with its TLB hit taken through ``TLB.lookup``.
+    """``MMU.translate`` with its TLB hit taken through :func:`tlb_lookup`.
 
     A miss runs the MMU's own miss path, which counts the TLB miss itself,
-    so the one ``TLB.lookup`` counted is taken back first.
+    so the one miss :func:`tlb_lookup` counted is taken back first.
     """
-    frame = mmu.tlb.lookup(virtual_address)
+    frame = tlb_lookup(mmu.tlb, virtual_address)
     if frame is not None:
         page_size = mmu.page_size_bytes
         return frame * page_size + virtual_address % page_size, 1.0, True

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.mshr import MSHR
+from tests.gpu.test_sm import mshr_lookup
 
 
 class HeapMSHR:
@@ -80,14 +81,14 @@ class TestMSHR:
     def test_lookup_finds_inflight(self):
         mshr = MSHR("m", 4)
         mshr.allocate(0x1000, 0.0, 100.0)
-        assert mshr.lookup(0x1000, now=50.0) == 100.0
+        assert mshr_lookup(mshr, 0x1000, now=50.0) == 100.0
 
     def test_lookup_hit_counts_merge(self):
         mshr = MSHR("m", 4)
         mshr.allocate(0x1000, 0.0, 100.0)
-        assert mshr.lookup(0x2000, now=10.0) is None
+        assert mshr_lookup(mshr, 0x2000, now=10.0) is None
         assert mshr.secondary_misses == 0
-        assert mshr.lookup(0x1000, now=10.0) == 100.0
+        assert mshr_lookup(mshr, 0x1000, now=10.0) == 100.0
         assert mshr.secondary_misses == 1
         assert mshr.primary_misses == 1
         assert mshr.outstanding == 1
@@ -95,7 +96,7 @@ class TestMSHR:
     def test_entries_expire_after_fill(self):
         mshr = MSHR("m", 4)
         mshr.allocate(0x1000, 0.0, 100.0)
-        assert mshr.lookup(0x1000, now=150.0) is None
+        assert mshr_lookup(mshr, 0x1000, now=150.0) is None
         assert mshr.outstanding == 0
 
     def test_full_mshr_stalls(self):
@@ -139,7 +140,7 @@ class TestLazyExpiryMatchesHeapModel:
                 assert (mshr.allocate(address, now, now + fill_offset)
                         == model.allocate(address, now, now + fill_offset))
             else:
-                assert mshr.lookup(address, now) == model.lookup(address, now)
+                assert mshr_lookup(mshr, address, now) == model.lookup(address, now)
             assert mshr.outstanding == model.outstanding
             for counter in ("primary_misses", "secondary_misses", "stalls"):
                 assert getattr(mshr, counter) == getattr(model, counter), counter
@@ -160,5 +161,5 @@ class TestLazyExpiryMatchesHeapModel:
         mshr.allocate(0x1000, 0.0, 200.0)
         assert mshr.allocate(0x2000, 0.0, 300.0) == (100.0, False)
         # Back at now=50 the entry that filled at 100 is gone, not merged.
-        assert mshr.lookup(0x0, now=50.0) is None
+        assert mshr_lookup(mshr, 0x0, now=50.0) is None
         assert mshr.outstanding == 2

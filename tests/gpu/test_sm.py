@@ -70,8 +70,10 @@ class TestStreamingMultiprocessor:
     def test_reset(self):
         sm = StreamingMultiprocessor(0, GPUConfig())
         sm.execute_instruction(Instruction(pc=0, compute_ops=2), 0, 0.0, constant_memory())
+        sm.execute_instruction(Instruction(pc=0, addresses=[0x1000]), 0, 10.0, constant_memory())
         sm.reset()
         assert sm.stats.instructions == 0
+        assert (sm.stats.l1_hits, sm.stats.l1_misses) == (0, 0)
 
 
 class TestMemoryHookContract:
@@ -227,9 +229,23 @@ class TestGPUCore:
         assert result.instructions == 12
 
 
+def mshr_lookup(mshr, line_address, now):
+    """Reference model of the SM's MSHR probe: the fill cycle of an in-flight
+    miss to ``line_address``, if any.  Finding the line merges the miss into
+    its entry: it counts as a secondary miss, and needs no ``allocate``."""
+    mshr._now = now
+    mshr._filled_at_now = False
+    fill = mshr._entries.get(line_address)
+    if fill is not None and fill > now:
+        mshr.secondary_misses += 1
+        return fill
+    return None
+
+
 def reference_execute(sm, instruction, warp_id, now, memory_fn):
-    """``execute_instruction`` built from ``Resource.acquire`` and
-    ``MSHR.lookup``/``allocate``, the helpers its inline code copies."""
+    """``execute_instruction`` built from ``Resource.acquire``,
+    :func:`mshr_lookup` and ``MSHR.allocate``, the helpers its inline code
+    copies."""
     compute_ops = instruction.compute_ops
     stats = sm.stats
     if not instruction.addresses:
@@ -253,12 +269,10 @@ def reference_execute(sm, instruction, warp_id, now, memory_fn):
         return completion
     for address in segments:
         if sm.l1.lookup(address):
-            stats.l1_hits += 1
             finish = l1_ready
         else:
-            stats.l1_misses += 1
             line_address = address // sm.l1.line_bytes * sm.l1.line_bytes
-            finish = sm.mshr.lookup(line_address, ready)
+            finish = mshr_lookup(sm.mshr, line_address, ready)
             if finish is not None:
                 finish = max(finish, l1_ready)
             else:

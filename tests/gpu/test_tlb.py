@@ -3,14 +3,15 @@
 import pytest
 
 from repro.gpu.tlb import TLB
+from tests.gpu.test_mmu import tlb_lookup
 
 
 class TestTLB:
     def test_miss_then_hit(self):
         tlb = TLB(entries=4)
-        assert tlb.lookup(0x1000) is None
+        assert tlb_lookup(tlb, 0x1000) is None
         tlb.insert(0x1000, payload=7)
-        assert tlb.lookup(0x1234) == 7  # same page
+        assert tlb_lookup(tlb, 0x1234) == 7  # same page
         assert tlb.hits == 1
         assert tlb.misses == 1
 
@@ -18,17 +19,17 @@ class TestTLB:
         tlb = TLB(entries=2)
         tlb.insert(0 * 4096, 0)
         tlb.insert(1 * 4096, 1)
-        tlb.lookup(0)              # page 0 becomes MRU
+        tlb_lookup(tlb, 0)         # page 0 becomes MRU
         tlb.insert(2 * 4096, 2)    # evicts page 1
-        assert tlb.lookup(0) == 0
-        assert tlb.lookup(1 * 4096) is None
+        assert tlb_lookup(tlb, 0) == 0
+        assert tlb_lookup(tlb, 1 * 4096) is None
         assert tlb.evictions == 1
 
     def test_update_existing_entry(self):
         tlb = TLB(entries=2)
         tlb.insert(0, 1)
         tlb.insert(0, 9)
-        assert tlb.lookup(0) == 9
+        assert tlb_lookup(tlb, 0) == 9
         assert tlb.occupancy == 1
 
     def test_invalidate_and_flush(self):
@@ -43,8 +44,8 @@ class TestTLB:
     def test_hit_rate(self):
         tlb = TLB(entries=4)
         tlb.insert(0, 1)
-        tlb.lookup(0)
-        tlb.lookup(8192)
+        tlb_lookup(tlb, 0)
+        tlb_lookup(tlb, 8192)
         assert tlb.hit_rate == pytest.approx(0.5)
 
     def test_capacity_respected(self):

@@ -104,9 +104,9 @@ class TestFlashLatenciesFollowConfig:
         assert completion - transferred == us_to_cycles(250.0) + overhead
 
 
-class TestDirectRegisterGroupMatchesHelpers:
-    """A read miss checks the flash registers by reading the register group
-    directly; the helpers ``group_of_plane`` and ``holds`` must agree."""
+class TestRegisterReadHitsMatchHolds:
+    """A read miss is served from a flash register exactly when the register
+    group of the page's plane holds the page."""
 
     @pytest.mark.parametrize("name", ["ZnG-base", "ZnG"])  # plane, package scope
     @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 23), st.integers(0, 2)),

@@ -7,17 +7,23 @@ checks the copy against those helpers.  This test fails when a note is not
 in ``NOTES``, when an entry of ``NOTES`` has no note, or when a named
 reference test is not collected.  A change to a helper must change its copies
 too; the reference tests catch the drift, and this test keeps them in place.
+
+A comment or docstring that says code is inlined must be on record too: it
+stands either in a recorded copy, naming only helpers that copy's note names,
+or in a helper, naming only the recorded copies of that helper.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -30,7 +36,7 @@ NOTES: Dict[Tuple[str, str, Tuple[str, ...]], str] = {
         "tests/gpu/test_sm.py::TestInlineIssueAndMSHRMatchHelpers"
         "::test_same_ready_cycles_and_counters",
     ("gpu/sm.py", "StreamingMultiprocessor.execute_instruction",
-     ("MSHR.lookup", "MSHR.allocate")):
+     ("MSHR.allocate",)):
         "tests/gpu/test_sm.py::TestInlineIssueAndMSHRMatchHelpers"
         "::test_same_ready_cycles_and_counters",
     ("gpu/sm.py", "StreamingMultiprocessor.execute_instruction",
@@ -45,32 +51,21 @@ NOTES: Dict[Tuple[str, str, Tuple[str, ...]], str] = {
     ("gpu/l2cache.py", "SharedL2Cache.access", ("Resource.acquire",)):
         "tests/gpu/test_l2cache.py::TestInlineAccessMatchesHelpers"
         "::test_same_answers_and_counters",
-    ("gpu/l2cache.py", "SharedL2Cache.access", ("SetAssociativeCache.lookup",)):
+    ("gpu/l2cache.py", "SharedL2Cache.access",
+     ("SetAssociativeCache.lookup", "SetAssociativeCache._index_and_tag")):
         "tests/gpu/test_l2cache.py::TestInlineAccessMatchesHelpers"
         "::test_same_answers_and_counters",
-    ("gpu/mmu.py", "MMU.translate", ("TLB.lookup",)):
-        "tests/gpu/test_mmu.py::TestInlineTLBHitMatchesLookup"
-        "::test_same_translations_and_counters",
     ("core/zero_overhead_ftl.py", "ZeroOverheadFTL.translate_read",
      ("DataBlockMappingTable.lookup", "ZeroOverheadFTL.row_decoder",
       "ProgrammableRowDecoder.search", "LogPageMappingTable.search",
       "ZeroOverheadFTL.ppn_in_block", "FlashGeometry.ppn_of")):
         "tests/core/test_zero_overhead_ftl.py::TestInlineTranslateReadMatchesHelpers"
         "::test_same_ppns_and_counters",
-    ("platforms/zng.py", "ZnGPlatform._service_l2_miss",
-     ("FlashRegisterCache.group_of_plane", "FlashRegisterCache.holds")):
-        "tests/platforms/test_zng_mechanisms.py"
-        "::TestDirectRegisterGroupMatchesHelpers::test_register_read_hits_match",
-    ("ssd/flash_controller.py", "FlashController.read", ("Resource.acquire",)):
-        "tests/ssd/test_flash_controller.py::TestInPlaceBookingsMatchAcquire"
-        "::test_same_cycles_and_resource_state",
-    ("ssd/znand.py", "ZNANDArray.read_page", ("Resource.acquire",)):
-        "tests/ssd/test_flash_controller.py::TestInPlaceBookingsMatchAcquire"
-        "::test_same_cycles_and_resource_state",
 }
 
 _HELPER = re.compile(r"\b[A-Z]\w*(?:\.\w+)+")
 _SENTENCE_END = re.compile(r"\.(?:\s|$)")
+_INLINE = re.compile(r"\binlin(?:e|ed|es|ing)\b", re.IGNORECASE)
 
 
 def _functions(tree: ast.AST) -> List[Tuple[int, int, str]]:
@@ -115,6 +110,81 @@ def lockstep_notes() -> List[Tuple[str, str, Tuple[str, ...]]]:
                           enclosing[-1] if enclosing else "<module>",
                           tuple(_HELPER.findall(sentence))))
     return notes
+
+
+def _prose(text: str) -> List[Tuple[int, str]]:
+    """Every docstring and every run of comments on consecutive lines of a
+    module, as ``(first line, text)`` with the text's own line breaks."""
+    blocks = []
+    lines: List[str] = []
+    first = previous = 0
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        number = token.start[0]
+        if lines and number != previous + 1:
+            blocks.append((first, "\n".join(lines)))
+            lines = []
+        if not lines:
+            first = number
+        lines.append(token.string.lstrip("#").strip())
+        previous = number
+    if lines:
+        blocks.append((first, "\n".join(lines)))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            docstring = node.body[0] if node.body else None
+            if (isinstance(docstring, ast.Expr)
+                    and isinstance(docstring.value, ast.Constant)
+                    and isinstance(docstring.value.value, str)):
+                blocks.append((docstring.lineno, docstring.value.value))
+    return blocks
+
+
+def inline_mentions() -> List[Tuple[str, int, str, Tuple[str, ...]]]:
+    """Every sentence of a comment or docstring under ``src/repro`` that says
+    code is inlined: its module, line, innermost enclosing function and the
+    helpers it names."""
+    mentions = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        if not _INLINE.search(text):
+            continue
+        functions = _functions(ast.parse(text))
+        for first, block in _prose(text):
+            for match in _INLINE.finditer(block):
+                ends = [end.end() for end in
+                        _SENTENCE_END.finditer(block, 0, match.start())]
+                start = ends[-1] if ends else 0
+                stop = _SENTENCE_END.search(block + " ", match.end()).start()
+                number = first + block.count("\n", 0, match.start())
+                enclosing = [name for low, high, name in functions
+                             if low <= number <= high]
+                mentions.append((path.relative_to(SRC).as_posix(), number,
+                                 enclosing[-1] if enclosing else "<module>",
+                                 tuple(_HELPER.findall(block[start:stop]))))
+    return mentions
+
+
+def test_every_inline_mention_is_on_record():
+    helpers_at: Dict[Tuple[str, str], Set[str]] = {}
+    copies_of: Dict[str, Set[str]] = {}
+    for module, function, helpers in NOTES:
+        helpers_at.setdefault((module, function), set()).update(helpers)
+        for helper in helpers:
+            copies_of.setdefault(helper, set()).add(function)
+    unrecorded = []
+    for module, number, function, named in inline_mentions():
+        if (module, function) in helpers_at:
+            recorded = set(named) <= helpers_at[(module, function)]
+        else:
+            recorded = bool(named) and set(named) <= copies_of.get(function, set())
+        if not recorded:
+            unrecorded.append(f"{module}:{number} in {function}, naming {named}")
+    assert not unrecorded, (
+        f"comments that say code is inlined, with no lockstep note on record: "
+        f"{unrecorded}")
 
 
 def test_every_note_is_on_record():
