@@ -21,14 +21,6 @@ Usage::
 2 with one line on stderr; results, and the exit-1 verdicts (a failed merge,
 report or cell, golden drift), go to stdout.  Ctrl-C exits 130 with one line
 on stderr; an interrupted sweep names the manifest to ``sweep --resume``.
-
-Telemetry (REPRO_TELEMETRY=1)::
-
-    Set ``REPRO_TELEMETRY=1`` to make sweep emit structured spans
-    (sweep -> cell -> trace-build/simulate) and per-cell component counters
-    to per-worker JSONL files under ``<cache-dir>/telemetry/`` (schema
-    ``repro-telemetry-v1``).  Disabled by default and bit-identical when
-    off — see ``repro.telemetry``.
 """
 
 from __future__ import annotations
@@ -405,12 +397,6 @@ def _cmd_sweep(args: List[str]) -> int:
             spec = _spec_from_args(ns)
             job = spec if ns.shard is None else spec.shard(*ns.shard)
             runner = SweepRunner(workers=workers, cache=ns.cache)
-            # Pin the telemetry sink dir before any pool forks, so every
-            # worker's per-process event file lands in the same place.
-            from repro.telemetry import ensure_sink_env
-
-            # `is not None`: an empty ResultCache is falsy (__len__).
-            ensure_sink_env(runner.cache.root if runner.cache is not None else None)
             manifest_path = ns.manifest
             if manifest_path is None and runner.cache is not None:
                 manifest_path = runner.cache.root / default_manifest_name(
@@ -479,9 +465,6 @@ def _cmd_status(args: List[str]) -> int:
                         help="--watch refresh period (default: %(default)s)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable snapshot instead of text")
-    parser.add_argument("--validate", action="store_true",
-                        help="also check every record under <cache-dir>/telemetry "
-                        "against repro-telemetry-v1; exit 1 on any violation")
     ns = parser.parse_intermixed_args(args)
     if not 0 < ns.interval < math.inf:
         raise ValueError(f"interval must be a finite number of seconds > 0, "
@@ -492,7 +475,7 @@ def _cmd_status(args: List[str]) -> int:
     from pathlib import Path
 
     from repro.runner.cache import default_cache_dir
-    from repro.telemetry.status import manifest_status, render_manifest_status
+    from repro.runner.manifest import manifest_status, render_manifest_status
 
     root = Path(ns.cache_dir) if ns.cache_dir is not None else default_cache_dir()
 
@@ -522,18 +505,6 @@ def _cmd_status(args: List[str]) -> int:
             print()
         return 0
     snapshot()
-
-    if ns.validate:
-        from repro.telemetry import ENV_DIR, validate_events_dir
-
-        telemetry_dir = Path(os.environ.get(ENV_DIR) or root / "telemetry")
-        count, problems = validate_events_dir(telemetry_dir)
-        for problem in problems:
-            print(f"TELEMETRY VIOLATION: {problem}")
-        print(f"telemetry: {count} records under {telemetry_dir}, "
-              f"{len(problems)} schema violation(s)")
-        if problems:
-            return 1
     # One-shot status is informational: report, don't fail, on incomplete.
     return 0
 

@@ -21,6 +21,9 @@ into one output directory:
 ``report.html``
     A static HTML report embedding the tables and the spec
     fingerprint/provenance header.
+``timeline.html``
+    When the report is built from manifests: one lane per worker process,
+    one bar per executed cell (:func:`render_timeline_html`).
 ``*.png``
     Optional matplotlib plots; generation degrades gracefully (a note in
     the HTML, no error) when matplotlib is not installed.
@@ -41,7 +44,7 @@ import html
 import math
 import os
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 #: Where the golden CSVs live, relative to the repo root.
 GOLDEN_RELDIR = Path("tests") / "data" / "report"
@@ -347,6 +350,68 @@ def write_plots(
     return written, ""
 
 
+def render_timeline_html(manifests) -> str:
+    """Where the workers' wall time went: one lane per worker, one bar per
+    executed cell.
+
+    A manifest cell that ran records its start, counted from its run's
+    start, its phase timings and its worker's pid.  The shards of a grid ran
+    apart, so each shard's lanes start at 0 and a lane is keyed by shard and
+    pid.  Cache-served cells, and cells of manifests written before those
+    fields existed, draw no bar.
+    """
+    lanes: Dict[str, list] = {}
+    for manifest in manifests:
+        shard = (f"shard {manifest.shard_index + 1}/{manifest.shard_count} "
+                 if manifest.shard_count > 1 else "")
+        for cell in manifest.cells:
+            if cell.from_cache or cell.worker_pid is None or cell.start_seconds is None:
+                continue
+            lanes.setdefault(f"{shard}pid {cell.worker_pid}", []).append(cell)
+    cells = [cell for lane in lanes.values() for cell in lane]
+    horizon = max((c.start_seconds + c.elapsed_seconds for c in cells), default=0.0)
+    horizon = horizon or 1.0
+    width, lane_height, label_width = 900, 26, 170
+    scale = (width - label_width - 10) / horizon
+    svg: List[str] = []
+    table = ["<table><tr><th>worker</th><th>cells</th><th>trace build s</th>"
+             "<th>simulate s</th></tr>"]
+    for index, lane in enumerate(sorted(lanes)):
+        y = 10 + index * lane_height
+        svg.append(f"<text class='lane' x='10' y='{y + 17}' font-size='12'>"
+                   f"{html.escape(lane)}</text>")
+        for cell in lanes[lane]:
+            build = cell.timings.get("trace_build_seconds", 0.0)
+            x = label_width + cell.start_seconds * scale
+            title = html.escape(
+                f"{cell.label}: start {cell.start_seconds:.3f} s, trace build "
+                f"{build * 1e3:.1f} ms, total {cell.elapsed_seconds * 1e3:.1f} ms")
+            svg.append(
+                f"<g class='cell'><title>{title}</title>"
+                f"<rect x='{x:.1f}' y='{y + 3}' height='{lane_height - 6}' "
+                f"width='{max(cell.elapsed_seconds * scale, 1.0):.1f}' fill='#335c81'/>"
+                f"<rect x='{x:.1f}' y='{y + 3}' height='{lane_height - 6}' "
+                f"width='{build * scale:.1f}' fill='#e09f3e'/></g>")
+        totals = [sum(c.timings.get(phase, 0.0) for c in lanes[lane])
+                  for phase in ("trace_build_seconds", "simulate_seconds")]
+        table.append(
+            f"<tr><td>{html.escape(lane)}</td><td>{len(lanes[lane])}</td>"
+            + "".join(f"<td>{total:.3f}</td>" for total in totals) + "</tr>")
+    table.append("</table>")
+    return "\n".join([
+        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
+        f"<title>sweep timeline</title><style>{_HTML_STYLE}</style></head><body>",
+        "<h1>Sweep timeline</h1>",
+        f"<p>{len(cells)} executed cells on {len(lanes)} worker lane(s) over "
+        f"{horizon:.3f} s. Orange is trace build, blue is simulation; hover a "
+        "bar for its cell.</p>",
+        f"<svg width='{width}' height='{20 + lane_height * len(lanes)}' role='img' "
+        f"aria-label='per-worker cell timeline'>{''.join(svg)}</svg>",
+        *table,
+        "<p><a href='report.html'>Back to report</a></p></body></html>",
+    ])
+
+
 # ---------------------------------------------------------------------------
 # End-to-end generation
 # ---------------------------------------------------------------------------
@@ -382,17 +447,13 @@ def write_report(
     plots: bool = True,
     html_report: bool = True,
     normalize_to: str = "ZnG",
-    telemetry_dirs: Optional[Sequence[Union[os.PathLike, str]]] = None,
 ) -> Dict[str, Path]:
     """Emit the full artifact set for a sweep result into ``out_dir``.
 
     Returns ``{artifact name: path}``.  CSV bytes are a pure function of
     the result's numbers; the HTML embeds provenance and may list
-    machine-local detail (paths, elapsed), so only the CSVs are gated.
-    ``telemetry_dirs`` adds ``telemetry/spans.csv`` + ``telemetry/
-    timeline.html`` rendered from the event logs found there (skipped when
-    empty; the golden gate only compares top-level CSVs, so span timings —
-    wall-clock, machine-local — never sit next to the gated numbers).
+    machine-local detail (paths, elapsed, the timeline), so only the CSVs
+    are gated.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -400,11 +461,6 @@ def write_report(
     written: Dict[str, Path] = {}
     for name, (header, rows) in tables.items():
         written[f"{name}.csv"] = write_csv(out / f"{name}.csv", header, rows)
-
-    if telemetry_dirs:
-        from repro.telemetry.timeline import write_timeline_artifacts
-
-        written.update(write_timeline_artifacts(telemetry_dirs, out))
 
     plot_files: List[str] = []
     plot_note = "plots disabled"
@@ -418,6 +474,10 @@ def write_report(
         report_path.write_text(
             render_html_report(tables, provenance, plot_files, plot_note))
         written["report.html"] = report_path
+        if manifests:
+            timeline_path = out / "timeline.html"
+            timeline_path.write_text(render_timeline_html(manifests))
+            written["timeline.html"] = timeline_path
     return written
 
 
@@ -426,29 +486,11 @@ def report_from_manifests(
     out_dir: Union[os.PathLike, str],
     **kwargs,
 ) -> Dict[str, Path]:
-    """Merge manifests (completeness-verified) and emit the artifact set.
-
-    Telemetry event logs are discovered automatically: each manifest's cache
-    root (or its own parent directory) is probed for a ``telemetry/``
-    directory with event files, so a traced sweep's report grows a
-    swimlane without any extra flag.
-    """
+    """Merge manifests (completeness-verified) and emit the artifact set."""
     from repro.runner.manifest import RunManifest, merge_manifests
 
     result = merge_manifests(manifest_paths)
     manifests = [RunManifest.load(path) for path in manifest_paths]
-    if "telemetry_dirs" not in kwargs:
-        discovered: List[Path] = []
-        candidates: List[Path] = []
-        for manifest, path in zip(manifests, manifest_paths):
-            cache_dir = getattr(manifest, "cache_dir", "") or ""
-            if cache_dir:
-                candidates.append(Path(cache_dir) / "telemetry")
-            candidates.append(Path(path).resolve().parent / "telemetry")
-        for candidate in candidates:
-            if candidate.is_dir() and candidate not in discovered:
-                discovered.append(candidate)
-        kwargs["telemetry_dirs"] = discovered
     return write_report(result, out_dir, manifests=manifests, **kwargs)
 
 

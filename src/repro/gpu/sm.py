@@ -26,7 +26,6 @@ from repro.gpu.mshr import MSHR
 from repro.gpu.warp import Instruction, WarpTrace
 from repro.sim.engine import Resource
 from repro.sim.request import AccessType
-from repro.telemetry import core as _telemetry
 
 #: Signature of the platform memory hook: (address, is_write, warp_id, pc,
 #: now) -> completion cycle, called once per coalesced 128 B segment.
@@ -224,9 +223,7 @@ class GPUExecutionResult:
     memory_requests: int
     ipc: float
     per_sm: Dict[int, SMStatistics] = field(default_factory=dict)
-    #: Scheduler events processed (warp wake-ups, including completions);
-    #: kept in the result record and emitted as the ``engine.events``
-    #: telemetry counter.
+    #: Scheduler events processed (warp wake-ups, including completions).
     events: int = 0
 
     def normalized_to(self, baseline: "GPUExecutionResult") -> float:
@@ -242,10 +239,6 @@ class GPUCore:
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
         self.sms = [StreamingMultiprocessor(i, config) for i in range(config.num_sms)]
-        #: Deepest the event queue got during the last :meth:`run` (telemetry
-        #: only — sampled when tracing is enabled, 0 otherwise; never enters
-        #: the result record).
-        self.last_max_queue_depth = 0
 
     def run(
         self,
@@ -288,20 +281,12 @@ class GPUCore:
 
         final_cycle = 0.0
         events = 0
-        # Event-loop depth is sampled only when telemetry is armed: the flag
-        # is hoisted out of the loop so the disabled path pays one bool test
-        # per event and the numbers themselves are identical either way.
-        trace_depth = _telemetry.enabled()
-        max_depth = 0
         # Each event is read at the top of the heap and then replaced by its
         # successor in one heapreplace (or popped when it has none).  The
         # (ready, sequence) keys are unique, so the order events leave the
-        # heap is the same as with a pop and a push.
+        # heap is the same as with a pop and a push, and the heap is never
+        # deeper than the warps resident at the start.
         while heap:
-            if trace_depth:
-                depth = len(heap)
-                if depth > max_depth:
-                    max_depth = depth
             ready, _, warp, position = heap[0]
             events += 1
             sm_index, sm, execute, instructions, length, warp_id = warp
@@ -321,7 +306,6 @@ class GPUCore:
             replace(heap, (next_ready, sequence, warp, position + 1))
             sequence += 1
 
-        self.last_max_queue_depth = max_depth
         total_instructions = sum(sm.stats.instructions for sm in self.sms)
         total_requests = sum(sm.stats.memory_requests for sm in self.sms)
         cycles = max(final_cycle, 1.0)

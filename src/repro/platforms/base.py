@@ -19,7 +19,6 @@ from repro.gpu.l2cache import SharedL2Cache
 from repro.gpu.mmu import MMU
 from repro.gpu.sm import GPUCore, GPUExecutionResult, SMStatistics
 from repro.sim.stats import StatsCollector
-from repro.telemetry import core as _telemetry
 from repro.workloads.trace import WorkloadTrace
 
 
@@ -296,6 +295,22 @@ class GPUSSDPlatform(ABC):
         # Every request moves ``request_bytes``.
         bytes_served = int(self.stats.get("requests")) * self.request_bytes
         memory_bw = (bytes_served / seconds / 1e9) if seconds else 0.0
+        sms = self.gpu.sms
+        mshrs = [sm.mshr for sm in sms]
+        l2 = self.l2
+        # Component counters the rest of the record cannot derive.  The L2's
+        # hits and misses count every access, writes included; ``stats``
+        # counts reads only.
+        extra = {
+            "mshr.secondary_misses": float(sum(m.secondary_misses for m in mshrs)),
+            "mshr.stalls": float(sum(m.stalls for m in mshrs)),
+            "l2.hits": float(l2.hits),
+            "l2.misses": float(l2.misses),
+            "l2.prefetch_insertions": float(l2.prefetch_insertions),
+            "wait.noc_links_cycles": float(self.noc.links.wait_cycles),
+            "wait.sm_issue_cycles": float(sum(sm.issue_port.wait_cycles for sm in sms)),
+            "wait.l2_ports_cycles": float(sum(port.wait_cycles for port in l2._bank_ports)),
+        }
         result = PlatformResult(
             platform=self.name,
             workload=workload_name,
@@ -303,58 +318,13 @@ class GPUSSDPlatform(ABC):
             stats=self.stats,
             latency_breakdown=dict(self.stats.breakdown),
             memory_bandwidth_gbps=memory_bw,
-            l2_hit_rate=self.l2.hit_rate,
+            l2_hit_rate=l2.hit_rate,
             flash_array_read_bandwidth_gbps=self._flash_read_bandwidth_gbps(execution.cycles),
             flash_array_total_bandwidth_gbps=self._flash_total_bandwidth_gbps(execution.cycles),
+            extra=extra,
         )
         self._annotate_result(result)
-        if _telemetry.enabled():
-            self._emit_telemetry_counters(workload_name, execution)
         return result
-
-    def _emit_telemetry_counters(
-        self, workload_name: str, execution: GPUExecutionResult
-    ) -> None:
-        """Emit per-cell component counters to the telemetry sink.
-
-        Pure observation of counters the simulation maintains anyway: nothing
-        here touches ``result`` (or anything serialized into the result
-        record), so enabling telemetry can never perturb cached results or
-        golden numbers — the bit-identity test pins exactly that.
-        """
-        sms = self.gpu.sms
-        l2 = self.l2
-        mshrs = [sm.mshr for sm in sms]
-        values = {
-            "engine.events": float(execution.events),
-            "engine.queue_depth_max": float(self.gpu.last_max_queue_depth),
-            "l2.hits": float(l2.hits),
-            "l2.misses": float(l2.misses),
-            "l2.write_bypasses": float(l2.write_bypasses),
-            "l2.prefetch_insertions": float(l2.prefetch_insertions),
-            "mshr.primary_misses": float(sum(m.primary_misses for m in mshrs)),
-            "mshr.secondary_misses": float(
-                sum(m.secondary_misses for m in mshrs)),
-            "mshr.stalls": float(sum(m.stalls for m in mshrs)),
-            "coalescer.instructions": float(
-                sum(sm.coalescer.instructions_coalesced for sm in sms)),
-            "coalescer.requests": float(
-                sum(sm.coalescer.requests_generated for sm in sms)),
-            "noc.packets": float(self.noc.packets),
-            "noc.bytes_moved": float(self.noc.bytes_moved),
-            "wait.noc_links_cycles": float(self.noc.links.wait_cycles),
-            "wait.sm_issue_cycles": float(
-                sum(sm.issue_port.wait_cycles for sm in sms)),
-            "wait.l2_ports_cycles": float(
-                sum(port.wait_cycles for port in l2._bank_ports)),
-        }
-        controllers = getattr(self, "controllers", None)
-        if controllers is not None:
-            values["ssd.flash_commands"] = float(controllers.commands_issued)
-            values["wait.flash_dispatch_cycles"] = float(
-                sum(c.dispatcher.wait_cycles for c in controllers.controllers))
-        _telemetry.emit_counters(
-            values, attrs={"platform": self.name, "workload": workload_name})
 
     def _flash_read_bandwidth_gbps(self, cycles: float) -> float:
         """Achieved Z-NAND array read bandwidth; platforms without flash return 0."""

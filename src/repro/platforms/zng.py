@@ -312,6 +312,10 @@ class ZnGPlatform(GPUSSDPlatform):
         return self.array.array_total_bandwidth_bytes_per_s(cycles) / 1e9 if cycles else 0.0
 
     def _annotate_result(self, result: PlatformResult) -> None:
+        controllers = self.controllers
+        result.extra["ssd.flash_commands"] = float(controllers.commands_issued)
+        result.extra["wait.flash_dispatch_cycles"] = float(
+            sum(c.dispatcher.wait_cycles for c in controllers.controllers))
         result.extra["log_read_fraction"] = self.ftl.log_read_fraction
         result.extra["gc_merges"] = float(self.helper_gc.merges)
         result.extra["dbmt_bytes"] = float(self.ftl.dbmt_size_bytes)

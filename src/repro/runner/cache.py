@@ -43,7 +43,9 @@ from repro.platforms.base import PlatformResult
 #:     changed; v4 entries are recomputed.
 #: v6: histograms keep only count/total/min/max, no retained samples, and
 #:     records load strictly: a missing field makes a corrupt entry.
-CACHE_VERSION = 6
+#: v7: ``extra`` carries the MSHR, L2, wait-cycle and flash-command counters,
+#:     and ``workload`` names the cell's token, not its trace's spec.
+CACHE_VERSION = 7
 
 #: A ``*.tmp`` file older than this is an orphan from an interrupted ``put``
 #: (killed between ``mkstemp`` and ``os.replace``) and safe to delete; younger

@@ -14,7 +14,8 @@ persists, schema-versioned::
       "cells": [
         {"platform": ..., "workload": ..., "override_label": ...,
          "cache_key": "<sha256>", "status": "ok|failed|pending",
-         "from_cache": false, "elapsed_seconds": 0.31, "error": null},
+         "from_cache": false, "elapsed_seconds": 0.31, "error": null,
+         "start_seconds": 0.02, "worker_pid": 4711},
         ...
       ]
     }
@@ -56,6 +57,10 @@ STATUS_FAILED = "failed"
 _STATUSES = (STATUS_PENDING, STATUS_OK, STATUS_FAILED)
 
 
+def _optional(kind, value):
+    return None if value is None else kind(value)
+
+
 class ManifestError(ValueError):
     """A manifest could not be read, or does not match the current code."""
 
@@ -80,6 +85,9 @@ class ManifestCell:
     cells — preserved so a merged result can reconstruct honest perf
     aggregates instead of pretending every cell was a cache read.
     ``elapsed_seconds`` is their sum (the human-readable number).
+    ``start_seconds`` (the cell's start, counted from the run's) and
+    ``worker_pid`` place an executed cell on the report's timeline; both are
+    ``None`` for cache-served cells and in manifests written before them.
     """
 
     platform: str
@@ -91,6 +99,8 @@ class ManifestCell:
     elapsed_seconds: float = 0.0
     timings: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
+    start_seconds: Optional[float] = None
+    worker_pid: Optional[int] = None
 
     def to_payload(self) -> Dict[str, object]:
         return {
@@ -103,6 +113,8 @@ class ManifestCell:
             "elapsed_seconds": self.elapsed_seconds,
             "timings": dict(self.timings),
             "error": self.error,
+            "start_seconds": self.start_seconds,
+            "worker_pid": self.worker_pid,
         }
 
     @classmethod
@@ -119,6 +131,8 @@ class ManifestCell:
                 timings={str(k): float(v)  # type: ignore[arg-type]
                          for k, v in dict(payload.get("timings", {})).items()},
                 error=payload.get("error"),  # type: ignore[arg-type]
+                start_seconds=_optional(float, payload.get("start_seconds")),
+                worker_pid=_optional(int, payload.get("worker_pid")),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ManifestError(f"malformed manifest cell record: {error}")
@@ -187,6 +201,8 @@ class RunManifest:
         from_cache: bool = False,
         timings: Optional[Mapping[str, float]] = None,
         error: Optional[str] = None,
+        start_seconds: Optional[float] = None,
+        worker_pid: Optional[int] = None,
     ) -> None:
         cell = self._by_key[cache_key]
         cell.status = status
@@ -194,6 +210,8 @@ class RunManifest:
         cell.timings = dict(timings or {})
         cell.elapsed_seconds = sum(cell.timings.values())
         cell.error = error
+        cell.start_seconds = start_seconds
+        cell.worker_pid = worker_pid
 
     def counts(self) -> Dict[str, int]:
         out = {status: 0 for status in _STATUSES}
@@ -475,4 +493,47 @@ def merge_manifests(
         cache_hits=hits,
         cache_misses=len(runs) - hits,
         merged_shards=len(manifests),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Status (``repro status``): read-only, so watching a running sweep never
+# perturbs it
+# ---------------------------------------------------------------------------
+
+
+def manifest_status(manifest_path) -> Optional[Dict[str, object]]:
+    """Status of a sweep from its run manifest; ``None`` if unreadable."""
+    try:
+        payload = json.loads(Path(manifest_path).read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict):
+        return None
+    cells = payload.get("cells") or []
+    counts: Dict[str, int] = {}
+    for cell in cells:
+        status = str((cell or {}).get("status", "?"))
+        counts[status] = counts.get(status, 0) + 1
+    pending = counts.get("pending", 0)
+    return {
+        "manifest": str(manifest_path),
+        "spec_fingerprint": str(payload.get("spec_fingerprint", "?")),
+        "cells": len(cells),
+        "counts": counts,
+        "pending": pending,
+        "complete": len(cells) > 0 and pending == 0,
+        "elapsed_seconds": payload.get("elapsed_seconds"),
+    }
+
+
+def render_manifest_status(status: Dict[str, object]) -> str:
+    counts = status["counts"]
+    summary = ", ".join(f"{key} {counts[key]}" for key in sorted(counts))
+    state = "complete" if status["complete"] else "incomplete"
+    return (
+        f"manifest {status['manifest']}\n"
+        f"  spec {status['spec_fingerprint'][:16]}  cells {status['cells']} "
+        f"({summary})\n"
+        f"  state: {state}"
     )

@@ -28,12 +28,11 @@ import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.runner.cache import ResultCache, open_cache
 from repro.runner.spec import SweepCell, SweepShard, SweepSpec, build_cell_trace
-from repro.telemetry import core as _telemetry
 
 
 class SweepExecutionError(RuntimeError):
@@ -223,42 +222,41 @@ def profile_tables(top: int = 25) -> str:
 
 
 def _execute_cell_timed(cell: SweepCell) -> Tuple[PlatformResult, Dict[str, float]]:
-    """Run one cell, reporting where its wall time went.
-
-    With ``REPRO_TELEMETRY=1`` the run is additionally wrapped in a ``cell``
-    span with ``trace_build``/``simulate`` child spans; the attrs dict is
-    only built on that branch, so the disabled hot path allocates nothing.
-    """
+    """Run one cell, reporting where its wall time went."""
     trace_profile = simulate_profile = _NO_PROFILE
     if _PROFILERS is not None:
         trace_profile = _PROFILERS["trace_build"]
         simulate_profile = _PROFILERS["simulate"]
-    cell_span = _telemetry.NULL_SPAN
-    if _telemetry.enabled():
-        cell_span = _telemetry.span("cell", {
-            "platform": cell.platform,
-            "workload": cell.workload,
-            "override": cell.override_set.label,
-        })
-    with cell_span:
-        started = time.perf_counter()
-        with _telemetry.span("trace_build"), trace_profile:
-            trace = _trace_for(cell)
-        trace_done = time.perf_counter()
-        with _telemetry.span("simulate"), simulate_profile:
-            result = GPUSSDPlatform.execute(
-                cell.platform, trace, cell.resolved_config()
-            )
-        finished = time.perf_counter()
+    started = time.perf_counter()
+    with trace_profile:
+        trace = _trace_for(cell)
+    trace_done = time.perf_counter()
+    with simulate_profile:
+        result = GPUSSDPlatform.execute(cell.platform, trace, cell.resolved_config())
+    finished = time.perf_counter()
     return result, {
         "trace_build_seconds": trace_done - started,
         "simulate_seconds": finished - trace_done,
     }
 
 
-def _execute_indexed(
-    item: Tuple[int, SweepCell]
-) -> Tuple[int, Optional[PlatformResult], Dict[str, float], Optional[str]]:
+class _Outcome(NamedTuple):
+    """One cell as a pool worker hands it back.
+
+    ``started`` is the worker's ``time.perf_counter()`` when the cell began.
+    That clock is system-wide, so the parent places the cell on its own
+    timeline; ``pid`` names the worker that ran it.
+    """
+
+    index: int
+    result: Optional[PlatformResult]
+    timings: Dict[str, float]
+    started: float
+    pid: int
+    error: Optional[str]
+
+
+def _execute_indexed(item: Tuple[int, SweepCell]) -> _Outcome:
     """Pool-worker entry: run one cell, trapping its failure as data.
 
     Cell exceptions are caught *inside* the worker and shipped back as a
@@ -268,11 +266,12 @@ def _execute_indexed(
     escape this function are pool-level failures (e.g. a terminated pool).
     """
     index, cell = item
+    started = time.perf_counter()
     try:
         result, timings = _execute_cell_timed(cell)
     except Exception:
-        return index, None, {}, traceback.format_exc()
-    return index, result, timings, None
+        return _Outcome(index, None, {}, started, os.getpid(), traceback.format_exc())
+    return _Outcome(index, result, timings, started, os.getpid(), None)
 
 
 # ---------------------------------------------------------------------------
@@ -481,34 +480,7 @@ class SweepRunner:
         in the manifest; ``"record"`` (what the CLI uses for manifest runs)
         lists the cell in ``result.failed`` and keeps sweeping, so one bad
         cell costs one cell, not the whole shard.
-
-        With ``REPRO_TELEMETRY=1`` the whole run is wrapped in a ``sweep``
-        span and summary counters are emitted when it finishes; none of that
-        touches the results themselves.
         """
-        if not _telemetry.enabled():
-            return self._run(spec, manifest_path, on_error)
-        base = spec.spec if isinstance(spec, SweepShard) else spec
-        with _telemetry.span("sweep", {
-            "fingerprint": base.fingerprint(),
-            "workers": self.workers,
-        }):
-            result = self._run(spec, manifest_path, on_error)
-            _telemetry.emit_counters({
-                "sweep.cells": float(len(result.runs)),
-                "sweep.cache_hits": float(result.cache_hits),
-                "sweep.cache_misses": float(result.cache_misses),
-                "sweep.failed_cells": float(len(result.failed)),
-                "sweep.elapsed_seconds": result.elapsed_seconds,
-            }, attrs={"fingerprint": base.fingerprint()})
-        return result
-
-    def _run(
-        self,
-        spec: Union[SweepSpec, SweepShard],
-        manifest_path: Union[os.PathLike, str, None] = None,
-        on_error: str = "raise",
-    ) -> SweepResult:
         if on_error not in ("raise", "record"):
             raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
         started = time.perf_counter()
@@ -555,11 +527,12 @@ class SweepRunner:
             # skip this — _TRACE_MEMO already deduplicates in-process.
             _SHARED_TRACES.publish(pending)
         try:
-            for index, result, timings, error in self._execute(pending):
+            for index, result, timings, cell_started, pid, error in self._execute(pending):
                 cell = cells[index]
+                worker = {"start_seconds": cell_started - started, "worker_pid": pid}
                 if error is not None:
                     if manifest is not None:
-                        manifest.mark(keys[index], "failed", error=error)
+                        manifest.mark(keys[index], "failed", error=error, **worker)
                         manifest.write(manifest_path)
                     if on_error == "raise":
                         raise SweepExecutionError(
@@ -572,7 +545,7 @@ class SweepRunner:
                 if self.cache is not None:
                     self.cache.put(keys[index], result, cell.descriptor())
                 if manifest is not None:
-                    manifest.mark(keys[index], "ok", timings=timings)
+                    manifest.mark(keys[index], "ok", timings=timings, **worker)
                     manifest.write(manifest_path)
         except BaseException:
             # A pool-level failure, an on_error="raise" cell failure or
@@ -599,9 +572,7 @@ class SweepRunner:
         )
 
     # ------------------------------------------------------------------
-    def _execute(
-        self, pending: Sequence[Tuple[int, SweepCell]]
-    ) -> Iterator[Tuple[int, Optional[PlatformResult], Dict[str, float], Optional[str]]]:
+    def _execute(self, pending: Sequence[Tuple[int, SweepCell]]) -> Iterator[_Outcome]:
         """Yield finished cells as they complete (unordered beyond serial).
 
         Streaming (``imap_unordered``) rather than batched (``map``) so the

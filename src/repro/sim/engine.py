@@ -69,8 +69,8 @@ class Resource:
         self.requests_served: int = 0
         self.last_completion: float = 0.0
         # Cycles requests spent queued before service started (start - when,
-        # summed).  Pure observation for telemetry/benches — like busy_cycles
-        # it never feeds back into scheduling or results.
+        # summed).  Pure observation for the record's wait counters and the
+        # benches: like busy_cycles it never feeds back into scheduling.
         self.wait_cycles: float = 0.0
 
     def acquire(self, when: float, duration: float) -> float:

@@ -66,18 +66,18 @@ class FlashControllerArray:
     def __len__(self) -> int:
         return len(self.controllers)
 
-    # PPNs stripe channel-first, so a page's channel is ``ppn % channels``.
+    # Each page goes to the controller of its channel.
     def read(
         self, ppn: int, now: float, transfer_bytes: Optional[int] = None
     ) -> Tuple[float, float]:
-        controllers = self.controllers
-        return controllers[ppn % len(controllers)].read(ppn, now, transfer_bytes)
+        controller = self.controllers[self.array.geometry.channel_of_ppn(ppn)]
+        return controller.read(ppn, now, transfer_bytes)
 
     def program(
         self, ppn: int, now: float, transfer_bytes: Optional[int] = None
     ) -> Tuple[float, float]:
-        controllers = self.controllers
-        return controllers[ppn % len(controllers)].program(ppn, now, transfer_bytes)
+        controller = self.controllers[self.array.geometry.channel_of_ppn(ppn)]
+        return controller.program(ppn, now, transfer_bytes)
 
     @property
     def commands_issued(self) -> int:

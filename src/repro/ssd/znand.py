@@ -180,7 +180,8 @@ class ZNANDArray:
         array_cycles = self.read_array_cycles
         sensed = plane.acquire(now, array_cycles) + array_cycles
         completion = self.network.transfer(
-            ppn % self.config.channels, transfer_bytes or self.config.page_size_bytes, sensed)
+            self.geometry.channel_of_ppn(ppn),
+            transfer_bytes or self.config.page_size_bytes, sensed)
         self.reads_per_plane[plane_id] += 1
         return sensed, completion
 

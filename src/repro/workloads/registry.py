@@ -453,14 +453,19 @@ def build_token_trace(token: str, knobs: TraceKnobs) -> WorkloadTrace:
     file (:meth:`ResolvedWorkload.build`), and ``read-write`` tokens build
     the paper's co-run mix (:func:`repro.workloads.multiapp.build_mix`).
     The trace is a pure function of the token's resolved workload and
-    ``knobs``, which is what the sweep's trace memo keys on.
+    ``knobs``, which is what the sweep's trace memo keys on.  It is labelled
+    with ``token``: a mix keeps its read half's spec and a parametric token
+    its family's, so the spec's name alone does not name the cell.
     """
     read_app, write_app = parse_workload_token(token)
     if write_app is None:
-        return resolve_workload(token).build(knobs)
-    from repro.workloads.multiapp import build_mix
+        trace = resolve_workload(token).build(knobs)
+    else:
+        from repro.workloads.multiapp import build_mix
 
-    return build_mix(read_app, write_app, knobs).combined
+        trace = build_mix(read_app, write_app, knobs).combined
+    trace.label = token
+    return trace
 
 
 # ---------------------------------------------------------------------------

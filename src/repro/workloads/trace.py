@@ -153,10 +153,13 @@ class WorkloadTrace:
     #: Virtual page -> number of write accesses (for Fig. 5c).
     page_write_counts: Dict[int, int] = field(default_factory=dict)
     footprint_pages: int = 0
+    #: The workload token the trace was built for (``betw-back``,
+    #: ``kv-lookup:get_ratio=0.3``); empty for a trace built from a spec.
+    label: str = ""
 
     @property
     def name(self) -> str:
-        return self.spec.name
+        return self.label or self.spec.name
 
     @property
     def total_instructions(self) -> int:

@@ -32,6 +32,13 @@ BREAKDOWN_XFAIL = {
 
 CELLS = SPEC.cells()
 
+#: The component counters every record carries in ``extra``, and the ones
+#: only platforms with flash controllers add.
+EXTRA_COUNTERS = ("mshr.secondary_misses", "mshr.stalls", "l2.hits", "l2.misses",
+                  "l2.prefetch_insertions", "wait.noc_links_cycles",
+                  "wait.sm_issue_cycles", "wait.l2_ports_cycles")
+FLASH_COUNTERS = ("ssd.flash_commands", "wait.flash_dispatch_cycles")
+
 
 def _front_end_resources(platform):
     """The single-port resources of the shared front end, by kind; port and
@@ -75,8 +82,8 @@ def _counted_run(platform, trace):
 
 @pytest.fixture(scope="module")
 def run_cell():
-    """Runs each cell once per module: ``cell_id -> (result, SM MSHR merges,
-    front-end resources, counted calls, platform)``."""
+    """Runs each cell once per module: ``cell_id -> (result, front-end
+    resources, counted calls, platform)``."""
     runs = {}
 
     def run(cell_id: str):
@@ -84,13 +91,7 @@ def run_cell():
             cell = next(c for c in CELLS if _cell_id(c) == cell_id)
             platform = GPUSSDPlatform.build(cell.platform, cell.resolved_config())
             result, counted = _counted_run(platform, build_cell_trace(cell))
-            runs[cell_id] = (
-                result,
-                sum(sm.mshr.secondary_misses for sm in platform.gpu.sms),
-                _front_end_resources(platform),
-                counted,
-                platform,
-            )
+            runs[cell_id] = (result, _front_end_resources(platform), counted, platform)
         return runs[cell_id]
 
     return run
@@ -106,7 +107,12 @@ def _breakdown_param(cell):
 
 @pytest.mark.parametrize("cell_id", [_cell_id(cell) for cell in CELLS])
 def test_request_counters_conserve(run_cell, cell_id):
-    result, mshr_merges, _, _, _ = run_cell(cell_id)
+    result, _, _, platform = run_cell(cell_id)
+    extra = result.to_record()["extra"]
+    flash = FLASH_COUNTERS if hasattr(platform, "controllers") else ()
+    assert {key for key in extra if key in EXTRA_COUNTERS + FLASH_COUNTERS} == (
+        set(EXTRA_COUNTERS + flash))
+    mshr_merges = extra["mshr.secondary_misses"]
     stats = result.stats
     requests = stats.get("requests")
     reads = stats.get("read_requests")
@@ -122,7 +128,7 @@ def test_request_counters_conserve(run_cell, cell_id):
 
 @pytest.mark.parametrize("cell_id", [_breakdown_param(cell) for cell in CELLS])
 def test_breakdown_sums_to_request_latency(run_cell, cell_id):
-    result, _, _, _, _ = run_cell(cell_id)
+    result, _, _, _ = run_cell(cell_id)
     total = result.stats.histograms["request_latency"].total
     attributed = sum(result.latency_breakdown.values())
     assert total > 0
@@ -135,7 +141,7 @@ def test_breakdown_sums_to_request_latency(run_cell, cell_id):
 
 @pytest.mark.parametrize("cell_id", [_cell_id(cell) for cell in CELLS])
 def test_front_end_resources_conserve(run_cell, cell_id):
-    result, _, resources, counted, _ = run_cell(cell_id)
+    result, resources, counted, _ = run_cell(cell_id)
     requests = result.stats.get("requests")
     links, ports = resources["noc_links"], resources["l2_bank_ports"]
     # Every request crosses one NoC link and books one L2 bank port.
@@ -154,7 +160,7 @@ def test_front_end_resources_conserve(run_cell, cell_id):
 def test_counters_computed_on_read_equal_the_increments(run_cell, cell_id):
     """Each total the model computes when read equals the per-call count it
     replaced."""
-    result, _, _, counted, platform = run_cell(cell_id)
+    result, _, counted, platform = run_cell(cell_id)
     stats = result.stats
     requests, writes = counted["memory_access"], counted["writes"]
     assert stats.get("requests") == requests

@@ -9,7 +9,7 @@ into pinned L2 lines, L2 evictions feeding the prefetch access monitor.
 Each cell's canonical ``PlatformResult.to_record()`` is hashed.  A hot-path
 change that moves any simulated number, or that adds a counter the record did
 not have before (even a zero-valued one), changes a digest.  Regenerate only
-for an intended model change::
+for an intended model change or an intended change of the record's format::
 
     PYTHONPATH=src python tests/platforms/test_record_digests.py
 """
@@ -52,69 +52,69 @@ SPEC = SweepSpec.create(
 
 EXPECTED = {
     'GDDR5|betw-back|default':
-        'e07e162d12759cab8c9abeaf652af8b351d8d8095ce09c90c897be4d4b8bd39c',
+        'fd7e8ee5c8820c38f9d943fa9b0cd59a2bcad13af61c2dc509026a7e1ee1fc34',
     'Hetero|betw-back|default':
-        '61e800a7c9dbcf29ff05b1b15713813b6c4c84c04c4d21bdd1ded7884722e76a',
+        '5fc9517fabd144012336b442e8870b2bf1a312c4e5b5484d93b7441db6951e14',
     'HybridGPU|betw-back|default':
-        'c83266e8ec04e662f0b635d7cb247d59d78d1ef54226608a312adf0d0add0064',
+        'a8f52bc6fa1dd31cf9ed47e7b1a6cd45d2cd594c17531559f9d8b98fcd97a625',
     'Optane|betw-back|default':
-        '794f0d04cf20942d805a29ee9b82e97818ca3b3d133df2edd6e7c949fd44d861',
+        '2abc93b44b410fcfcfa3fc771af8c81145d3f87df9c7a4989246c2c8ae830216',
     'ZnG-base|betw-back|default':
-        '604c696fe97ada917fd51612eff148b80792c853f39ab4a72547c4a1dd1602b6',
+        'b3c0ae0d9e80d37cb52b6323949c252cbd447c738842415db73741e63ace36a1',
     'ZnG-rdopt|betw-back|default':
-        '5e8c181e3acabb86dfd7df14f15d1bc4eee4905a1cb83d460513cda80db84192',
+        '01fd5ea3b2f4aa3c7cd4a3142df634c2c0c09b13445f3ba0e592d642cbc01766',
     'ZnG-wropt|betw-back|default':
-        'a9f6786ec53d658a5d92b201136d527a3efb5d9732c0b7afa1c92e97fb52e581',
+        'd29968f08fc11e1cd328b16c4079b892ec90965b783a32ff3812a830d399682e',
     'ZnG|betw-back|default':
-        'a34b88a21f4bb25573b5045cc5833e844b34999cec86b99fb37b10b17160b864',
+        '81421e1a12badd543a5a8d55d293e4f9ea92ffce5eb1ecdbc3c11e28b1fac624',
     'GDDR5|kv-lookup:get_ratio=0.3|default':
-        '9eb10c7ddef7c27c1107ca494dac869d35e1a82c21331374ca50effe050332fc',
+        '976e8390920b3fb8f36418d6dfb288c9ee3cbe7ede71ebb8626e17d73e8d3a01',
     'Hetero|kv-lookup:get_ratio=0.3|default':
-        '87e2b768733898d1f5ce43a2f66caa0d3d6dd16516730302f1a67fc859b8638b',
+        'ee2ae1a07582ccedc1dbbd430b0983d90edb90fa75d6896e89ac3d906903a7c0',
     'HybridGPU|kv-lookup:get_ratio=0.3|default':
-        '97b7e980195e7197765be8e09805648fa204b7616773262dbef34cc404436fa1',
+        'd0a27c1da9a04eeaa2c44707057576c2b2b6d87bea68a4f860beffdd73c385fa',
     'Optane|kv-lookup:get_ratio=0.3|default':
-        '3e242278d9c4eced0b6f805c1f2bfa30adec637a615acceb8a05e474e95ec429',
+        '706805ed9abdc809f140de039048b1b113b9b47aa2d5cb3d79cfc85846aedcbf',
     'ZnG-base|kv-lookup:get_ratio=0.3|default':
-        '033a40a73a47ad44b84604831016393236f2891a67a15f8bb3c1a192f16b290f',
+        '1db1101f22cb9a49e493a152214e7212da993c23e8f068aa34a8ef2184774cb0',
     'ZnG-rdopt|kv-lookup:get_ratio=0.3|default':
-        '2ffd490b1668b11a5a12cefc38ce752e29920f047d4e1cd45f66181da4db0821',
+        '3a19c1f364979169c88c2e7382988def1e479757cc6bf5d85d75161b1549e354',
     'ZnG-wropt|kv-lookup:get_ratio=0.3|default':
-        'e576a7c10775da9b577e05082b928f1458543fab708ca92d2ede6efae7ab335f',
+        'a58858261d2620e280fa90e3aed6911ec0293d2d59c66725b85a49f128f1d18a',
     'ZnG|kv-lookup:get_ratio=0.3|default':
-        '2ebd073f2a80d6db4daf23ba01fbb736ea2d1de5b72d04f8f73693f9932eacc0',
+        '75c443208c150d2207706d5d956b392932ce51f5ea3dabc062e9c08686fb3193',
     'GDDR5|betw-back|stress':
-        '64b6df85558c9293a593cfd2404bbc498ff3d86a91dc34e342c63ea2462bb340',
+        'adfe471a7ca4a9fe7bcc90788be1bf6bab4a526ea32255e3f18e420e2f22ae6f',
     'Hetero|betw-back|stress':
-        '6e17b5200a2ed146aebbd3cbc8892957e4930fc623b6be4e50b49b605cf68c10',
+        '0050e9e1afaba9df47d54378d1bdcfc2e97ed09e2bfe0cdb21a4926b01274cdd',
     'HybridGPU|betw-back|stress':
-        '38f498f5c1c6eb3515f961eb231376ae2217398200c19711d24dcb7379f5d0c2',
+        'bfe2bddd8410e0cfaef048a94e877ba61d0132d572e54209782966475128eea9',
     'Optane|betw-back|stress':
-        '47e7b07261b9973f9e9031521a48c92b2a1c42a6213bbe4840986a11d1ce16ab',
+        'db73f2241900970b897818d2168c55b3d2015a2f374bd2ffb041ae3b9996cefa',
     'ZnG-base|betw-back|stress':
-        '52382c82b297261816a4520d9130c54c147eecf25ad26682a0a2245fb33df498',
+        '92544faf04ea77de213b9226641885d0f7d535db1d3f141a4bfbec0559f0ef9f',
     'ZnG-rdopt|betw-back|stress':
-        '1b1f2c925d9bb19d3a86c33f317090c15ff6195ee84e74cdc202d1e57f230060',
+        '0740c21cfb906112f4beeabbddbc5862224c64e905de8245cbf84f83f287b2f6',
     'ZnG-wropt|betw-back|stress':
-        'bf8f1409b082949506bab13a7c451493ae0655fd9ebda461eeca9beb523c2ddc',
+        'b315dea2897e2e3f4654b77f95d4f475dc2345fe6c0ca201297251407a91b871',
     'ZnG|betw-back|stress':
-        '0102e2cf8d75033c4ae4175a1403da60e69ec4fb23f000fb92fdffd6c04f31e0',
+        'b1387f5964c83a1924f8f85f301911c819e3ae462c3dbf324d1592253b7224c0',
     'GDDR5|kv-lookup:get_ratio=0.3|stress':
-        '9eb10c7ddef7c27c1107ca494dac869d35e1a82c21331374ca50effe050332fc',
+        '976e8390920b3fb8f36418d6dfb288c9ee3cbe7ede71ebb8626e17d73e8d3a01',
     'Hetero|kv-lookup:get_ratio=0.3|stress':
-        '87e2b768733898d1f5ce43a2f66caa0d3d6dd16516730302f1a67fc859b8638b',
+        'ee2ae1a07582ccedc1dbbd430b0983d90edb90fa75d6896e89ac3d906903a7c0',
     'HybridGPU|kv-lookup:get_ratio=0.3|stress':
-        '11f49525c9948802396a41a3609b0c64bd520c4b921d87977d534c432fc7806a',
+        'd6e712f7bd3c04654c7a0a7c3e0e2240cccf252d501203f71f569a282fda4d04',
     'Optane|kv-lookup:get_ratio=0.3|stress':
-        '3e242278d9c4eced0b6f805c1f2bfa30adec637a615acceb8a05e474e95ec429',
+        '706805ed9abdc809f140de039048b1b113b9b47aa2d5cb3d79cfc85846aedcbf',
     'ZnG-base|kv-lookup:get_ratio=0.3|stress':
-        'ecd4d36abecc2fb0d30eb17a521a39d676a89a62d329f733618caafdf7fc9a09',
+        'd947e66b3c8fbe6319a732603c465a014978e8b387a5d7b6495d419d49a7c60a',
     'ZnG-rdopt|kv-lookup:get_ratio=0.3|stress':
-        'a37370fca7c18f6b6deee061b4e76b2c7fedbe5b007579c7a3dd1263f1e5acfd',
+        'f472a96fb266453969b41a79f50cfa59f2bc1141493540716893848ed77aaa1c',
     'ZnG-wropt|kv-lookup:get_ratio=0.3|stress':
-        'd0e62c2ab1d111a599cd300cc3373e74849924515967d73d7b83e8d2c27b3db0',
+        '51db277f07fb6bb9c91256701af0bc907c820b29f4361b9e93d0ba690db414df',
     'ZnG|kv-lookup:get_ratio=0.3|stress':
-        'b58d8ebe8432298b8e44ed73ee267d15cf2e80ad4e2059c1a21c17aa816b3d5d',
+        '23196087d46cf079b57b044c67747200fb93e71e5119d6065ebe9759e27e8d9e',
 }
 
 
@@ -125,7 +125,7 @@ PAPER_SCALE_SPEC = get_preset("fig10").spec(
     platforms=["ZnG"], workloads=["betw-back"], scale=1.0, seed=1)
 PAPER_SCALE_EXPECTED = {
     'ZnG|betw-back|default':
-        'd932cd077c3502ca28610b43768e820d4b7559289326dca2f9c967c1fb9edd8b',
+        'dbd2fe60b86c841008dab776a564cd38d2113967e63c37b8ceaad153869a73d4',
 }
 
 

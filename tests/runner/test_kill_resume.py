@@ -35,8 +35,7 @@ def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(_REPO_ROOT / "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
-    for variable in ("REPRO_TELEMETRY", "REPRO_TELEMETRY_DIR", "REPRO_CACHE_DIR"):
-        env.pop(variable, None)
+    env.pop("REPRO_CACHE_DIR", None)
     return env
 
 

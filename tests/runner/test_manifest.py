@@ -129,6 +129,27 @@ class TestManifestRoundTrip:
         assert "fig10.csv" in written
         assert "stolen lease" not in written["report.html"].read_text()
 
+    def test_manifest_without_worker_fields_loads_merges_and_reports(
+            self, tmp_path):
+        """Manifests written before cells recorded their start and worker
+        pid stay readable; their cells draw no timeline bar."""
+        from repro.analysis.reporting import report_from_manifests
+
+        spec, path, result = _run_with_manifest(tmp_path)
+        payload = json.loads(path.read_text())
+        for cell in payload["cells"]:
+            del cell["start_seconds"], cell["worker_pid"]
+        path.write_text(json.dumps(payload))
+
+        manifest = RunManifest.load(path)
+        assert manifest.counts()["ok"] == len(spec)
+        assert {(c.start_seconds, c.worker_pid) for c in manifest.cells} == {(None, None)}
+        assert merge_manifests([path]).stats_dicts() == result.stats_dicts()
+        written = report_from_manifests([path], tmp_path / "report", plots=False)
+        assert "fig10.csv" in written
+        timeline = written["timeline.html"].read_text()
+        assert "class='cell'" not in timeline and "class='lane'" not in timeline
+
 
 class TestFailureRecording:
     def _broken_execute(self, monkeypatch, broken_platform="ZnG-base"):

@@ -135,6 +135,15 @@ class TestSweepResultAccessors:
         assert set(table) == {"betw-back", "bfs1"}
         assert set(table["bfs1"]) == {"ZnG-base", "ZnG"}
 
+    def test_every_record_names_its_cell(self):
+        """A mix keeps its read half's spec and a parametric token its
+        family's; the record still carries the cell's token."""
+        spec = _small_spec(workloads=["bfs1", "betw-back", "kv-lookup:get_ratio=0.3"])
+        result = run_sweep(spec)
+        assert [run.result.workload for run in result] == [
+            run.cell.workload for run in result]
+        assert {run.result.workload for run in result} == set(spec.workloads)
+
 
 class TestParallelSpeedup:
     def test_four_workers_beat_serial(self):

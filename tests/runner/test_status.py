@@ -4,7 +4,7 @@ import json
 
 from repro.__main__ import main
 from repro.runner import ResultCache, RunManifest, SweepRunner, SweepSpec
-from repro.telemetry.status import manifest_status, render_manifest_status
+from repro.runner.manifest import manifest_status, render_manifest_status
 
 
 def _small_spec():

@@ -46,9 +46,14 @@ class TestFlashControllerArray:
         assert len(controllers) == 4
         controllers.read(1, now=0.0)
         controllers.program(6, now=0.0)
-        issued = {c.channel: c.commands_issued for c in controllers.controllers}
-        channels = (array.geometry.channel_of_ppn(1), array.geometry.channel_of_ppn(6))
-        assert issued == {channel: channels.count(channel) for channel in range(4)}
+        controllers.read(6, now=0.0)
+        # The dispatcher and the flash link of the page's channel book each
+        # command.
+        channels = [array.geometry.channel_of_ppn(ppn) for ppn in (1, 6, 6)]
+        booked = [channels.count(channel) for channel in range(4)]
+        assert [c.commands_issued for c in controllers.controllers] == booked
+        assert [c.dispatcher.requests_served for c in controllers.controllers] == booked
+        assert [link.requests_served for link in array.network.links] == booked
 
     def test_read_and_program(self):
         array = small_array()

@@ -439,6 +439,35 @@ class TestShardedSweepCLI:
         ]) == 2
 
 
+class TestStatusCLI:
+    def _finished_sweep(self, tmp_path):
+        from repro.runner import SweepRunner, SweepSpec
+
+        spec = SweepSpec.create(
+            platforms=["ZnG-base", "ZnG"], workloads=["betw-back", "bfs1"],
+            scale=0.06, warps_per_sm=2, memory_instructions_per_warp=12)
+        SweepRunner(workers=1, cache=tmp_path).run(
+            spec, manifest_path=tmp_path / "manifest.json")
+        return spec
+
+    def test_status_on_a_finished_sweep(self, tmp_path, capsys):
+        spec = self._finished_sweep(tmp_path)
+        assert main(["status", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "state: complete" in out
+        assert f"cells {len(spec)} (ok {len(spec)})" in out
+
+    def test_status_json_snapshot(self, tmp_path, capsys):
+        import json
+
+        spec = self._finished_sweep(tmp_path)
+        assert main(["status", "--cache-dir", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (manifest,) = payload["manifests"]
+        assert manifest["complete"] and manifest["pending"] == 0
+        assert manifest["spec_fingerprint"] == spec.fingerprint()
+
+
 class TestReportCommand:
     SMOKE = ["sweep", "--preset", "smoke", "--workers", "1", "--scale", "0.05"]
 
