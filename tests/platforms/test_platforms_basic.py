@@ -49,6 +49,31 @@ class TestExecution:
         writes = platform.stats.get("write_requests")
         assert requests == reads + writes
 
+    @pytest.mark.parametrize("name", ALL_PLATFORMS)
+    def test_extra_counters_read_the_components(self, name, tiny_mix):
+        """The record's component counters are the platform's own, and they
+        survive the record round trip."""
+        platform = build_platform(name)
+        result = platform.run(tiny_mix.combined)
+        extra = PlatformResult.from_record(result.to_record()).extra
+        sms, l2 = platform.gpu.sms, platform.l2
+        assert extra["mshr.secondary_misses"] == sum(sm.mshr.secondary_misses for sm in sms)
+        assert extra["mshr.stalls"] == sum(sm.mshr.stalls for sm in sms)
+        assert extra["wait.sm_issue_cycles"] == sum(sm.issue_port.wait_cycles for sm in sms)
+        assert extra["wait.noc_links_cycles"] == platform.noc.links.wait_cycles
+        assert (extra["l2.hits"], extra["l2.misses"]) == (l2.hits, l2.misses)
+        # The L2's own counters see every access; ``stats`` counts reads.
+        assert extra["l2.hits"] + extra["l2.misses"] >= (
+            result.stats.get("l2_hits") + result.stats.get("l2_misses"))
+        controllers = getattr(platform, "controllers", None)
+        if controllers is None:
+            assert "ssd.flash_commands" not in extra
+            assert "wait.flash_dispatch_cycles" not in extra
+        else:
+            assert extra["ssd.flash_commands"] == controllers.commands_issued > 0
+            assert extra["wait.flash_dispatch_cycles"] == sum(
+                c.dispatcher.wait_cycles for c in controllers.controllers)
+
     def test_describe(self, tiny_mix):
         platform = build_platform("ZnG")
         description = platform.describe()

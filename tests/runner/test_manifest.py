@@ -1,6 +1,7 @@
 """Run manifests: round-trip, failure recording, resume, and merge checks."""
 
 import json
+import os
 import shutil
 
 import pytest
@@ -129,6 +130,31 @@ class TestManifestRoundTrip:
         assert "fig10.csv" in written
         assert "stolen lease" not in written["report.html"].read_text()
 
+    def test_worker_fields_round_trip(self, tmp_path):
+        _, path, _ = _run_with_manifest(tmp_path)
+        manifest = RunManifest.load(path)
+        assert all(cell.worker_pid == os.getpid() for cell in manifest.cells)
+        assert all(0.0 <= cell.start_seconds <= manifest.elapsed_seconds
+                   for cell in manifest.cells)
+        copy = tmp_path / "copy.json"
+        manifest.write(copy)
+        assert RunManifest.load(copy).cells == manifest.cells
+
+    def test_cache_served_cells_record_no_worker(self, tmp_path):
+        spec, _, _ = _run_with_manifest(tmp_path)
+        _, path, _ = _run_with_manifest(tmp_path, spec=spec, name="again.json")
+        manifest = RunManifest.load(path)
+        assert all(cell.from_cache for cell in manifest.cells)
+        assert {(c.start_seconds, c.worker_pid) for c in manifest.cells} == {(None, None)}
+
+    def test_load_rejects_a_malformed_worker_pid(self, tmp_path):
+        _, path, _ = _run_with_manifest(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["cells"][0]["worker_pid"] = "worker-1"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ManifestError, match="malformed manifest cell"):
+            RunManifest.load(path)
+
     def test_manifest_without_worker_fields_loads_merges_and_reports(
             self, tmp_path):
         """Manifests written before cells recorded their start and worker
@@ -181,6 +207,15 @@ class TestFailureRecording:
         assert all(cell.platform == "ZnG-base" for cell in failed)
         assert all(cell.error and "injected failure" in cell.error
                    for cell in failed)
+
+    def test_a_failed_cell_records_its_worker(self, tmp_path, monkeypatch):
+        self._broken_execute(monkeypatch)
+        path = tmp_path / "manifest.json"
+        SweepRunner(workers=1, cache=tmp_path).run(
+            _small_spec(), manifest_path=path, on_error="record")
+        failed = [c for c in RunManifest.load(path).cells if c.status == "failed"]
+        assert failed and all(c.worker_pid == os.getpid() for c in failed)
+        assert all(c.start_seconds is not None and c.start_seconds >= 0.0 for c in failed)
 
     def test_raise_mode_raises_with_manifest_written(self, tmp_path, monkeypatch):
         self._broken_execute(monkeypatch)

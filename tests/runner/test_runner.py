@@ -135,6 +135,16 @@ class TestSweepResultAccessors:
         assert set(table) == {"betw-back", "bfs1"}
         assert set(table["bfs1"]) == {"ZnG-base", "ZnG"}
 
+    def test_serial_cells_run_here_one_after_another(self, tmp_path):
+        from repro.runner import RunManifest
+
+        path = tmp_path / "manifest.json"
+        SweepRunner(workers=1, cache=None).run(_small_spec(), manifest_path=path)
+        cells = sorted(RunManifest.load(path).cells, key=lambda c: c.start_seconds)
+        assert {cell.worker_pid for cell in cells} == {os.getpid()}
+        for before, after in zip(cells, cells[1:]):
+            assert before.start_seconds + before.elapsed_seconds <= after.start_seconds
+
     def test_every_record_names_its_cell(self):
         """A mix keeps its read half's spec and a parametric token its
         family's; the record still carries the cell's token."""

@@ -491,6 +491,21 @@ class TestReportCommand:
             assert (out_dir / name).exists(), name
             assert name in out
 
+    def test_report_draws_the_timeline_of_every_executed_cell(self, capsys, tmp_path):
+        import html
+
+        from repro.runner import RunManifest
+
+        manifest = self._manifest(tmp_path, capsys)
+        out_dir = tmp_path / "artifacts"
+        assert main(["report", manifest, "--out", str(out_dir), "--no-plots"]) == 0
+        assert "timeline.html" in capsys.readouterr().out
+        timeline = (out_dir / "timeline.html").read_text()
+        cells = RunManifest.load(manifest).cells
+        assert timeline.count("class='cell'") == len(cells)
+        for cell in cells:
+            assert html.escape(cell.label) in timeline
+
     def test_report_no_html_emits_only_csvs(self, capsys, tmp_path):
         manifest = self._manifest(tmp_path, capsys)
         out_dir = tmp_path / "artifacts"

@@ -206,6 +206,15 @@ class TestTraceKnobs:
 
 
 class TestBuildTrace:
+    @pytest.mark.parametrize("token", [
+        "betw", "betw-back", "kv-lookup:get_ratio=0.3", "multi-tenant:phases=2"])
+    def test_the_trace_is_named_after_its_token(self, token):
+        # A mix keeps its read half's spec and a parametric token its
+        # family's; only the label names the cell.
+        trace = build_token_trace(token, TINY)
+        assert trace.name == token
+        assert trace.spec.name == parse_workload_token(token)[0].split(":")[0]
+
     def test_mix_tokens_build_the_co_run_mix(self):
         from repro.workloads.io import trace_to_dict
         from repro.workloads.multiapp import build_mix
