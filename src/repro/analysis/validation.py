@@ -88,11 +88,10 @@ def measure_single_plane_bandwidth(num_reads: int = 100) -> float:
 
     config = ZNANDConfig()
     array = ZNANDArray(config, network=FlashNetwork(config, "mesh"))
-    geom = array.geometry
     completion = 0.0
-    for page in range(num_reads):
-        ppn = geom.ppn_of(0, 0, page % geom.pages_per_block)
-        completion = max(completion, array.read_page(ppn, now=0.0)[1])
+    for _ in range(num_reads):
+        # Plane 0 sits on channel 0.
+        completion = max(completion, array.read_page(0, 0, now=0.0)[1])
     seconds = completion / GPU_FREQ_HZ
     return (num_reads * config.page_size_bytes) / seconds if seconds else 0.0
 

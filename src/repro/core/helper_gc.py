@@ -37,6 +37,16 @@ class HelperThreadGC:
         self.pages_copied = 0
         self.blocks_erased = 0
 
+    def copy_page(self, source_ppn: int, target_ppn: int, now: float) -> float:
+        """Read one page and program it at ``target_ppn``; return the
+        program's completion cycle."""
+        geometry = self.array.geometry
+        _, read = self.array.read_page(
+            geometry.plane_of_ppn(source_ppn), geometry.channel_of_ppn(source_ppn), now)
+        _, completion = self.array.program_page(target_ppn, read)
+        self.pages_copied += 1
+        return completion
+
     def merge_group(self, plbn: int, now: float) -> float:
         """Merge the log block ``plbn`` with its group; return the completion cycle."""
         time = now + self.LAUNCH_OVERHEAD_CYCLES
@@ -71,10 +81,8 @@ class HelperThreadGC:
                     # merge proportional to real data.
                     if self.array.page_state(source_ppn) == 0:  # PageState.FREE
                         continue
-                _, read = self.array.read_page(source_ppn, time)
-                _, time = self.array.program_page(
-                    self.ftl.ppn_in_block(new_pdbn, page_index), read)
-                self.pages_copied += 1
+                time = self.copy_page(
+                    source_ppn, self.ftl.ppn_in_block(new_pdbn, page_index), time)
 
             # Erase the stale data block, return it to the free pool and
             # repoint the DBMT entries at the freshly merged block.

@@ -51,32 +51,20 @@ class IntegrityModel:
 def install_integrity_tracking(ftl: ZeroOverheadFTL) -> IntegrityModel:
     """Attach an :class:`IntegrityModel` and make GC merges preserve values.
 
-    Wraps the helper GC's array program so that when a page is migrated during
-    a merge, its shadow value follows it to the new PPN.
+    Wraps the helper GC's page copy so that when a page is migrated during a
+    merge, its shadow value follows it to the new PPN.
     """
     model = IntegrityModel(ftl)
     helper = ftl.helper_gc
     if helper is None:
         return model
 
-    array = helper.array
-    original_program = array.program_page
-    original_read = array.read_page
-    # Track the most recent PPN read during a merge so the following program
-    # can carry its value across (the helper GC reads then programs).
-    state = {"last_read_ppn": None}
+    original_copy = helper.copy_page
 
-    def traced_read(ppn, now, transfer_bytes=None):
-        state["last_read_ppn"] = ppn
-        return original_read(ppn, now, transfer_bytes)
+    def traced_copy(source_ppn, target_ppn, now):
+        if source_ppn in model._ppn_values:
+            model._ppn_values[target_ppn] = model._ppn_values[source_ppn]
+        return original_copy(source_ppn, target_ppn, now)
 
-    def traced_program(ppn, now, transfer_bytes=None):
-        source = state["last_read_ppn"]
-        if source is not None and source in model._ppn_values:
-            model._ppn_values[ppn] = model._ppn_values[source]
-        return original_program(ppn, now, transfer_bytes)
-
-    array.read_page = traced_read  # type: ignore[assignment]
-    array.program_page = traced_program  # type: ignore[assignment]
-    model._restore = (array, original_read, original_program)  # type: ignore[attr-defined]
+    helper.copy_page = traced_copy  # type: ignore[assignment]
     return model

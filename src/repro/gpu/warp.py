@@ -19,8 +19,10 @@ from repro.sim.request import AccessType
 class Instruction:
     """A run of ``compute_ops`` ALU instructions followed by one memory access.
 
-    ``addresses`` holds the per-thread byte addresses of the memory access; an
-    empty list means the record is compute-only.  ``segments`` optionally
+    ``addresses`` holds the per-thread byte addresses of the memory access, a
+    sequence of ints; an empty one means the record is compute-only.
+    Generated and replayed traces pack them into one int64 ``array('q')`` per
+    memory instruction, 8 bytes a thread address.  ``segments`` optionally
     carries the coalesced 128 B-aligned segment addresses precomputed at
     trace-generation time (sorted, unique); when present the per-SM coalescer
     skips re-deriving them from the 32 thread addresses on every execution of
@@ -30,7 +32,7 @@ class Instruction:
 
     pc: int
     compute_ops: int = 0
-    addresses: List[int] = field(default_factory=list)
+    addresses: Sequence[int] = field(default_factory=list)
     access: AccessType = AccessType.READ
     segments: Optional[Tuple[int, ...]] = None
 

@@ -165,14 +165,15 @@ class ZnGPlatform(GPUSSDPlatform):
         ppn = self.ftl.translate_read(virtual_page)
         array = self.array
         geometry = array.geometry
+        # The one decode of the PPN on this read.
         plane = geometry.plane_of_ppn(ppn)
+        channel = geometry.channel_of_ppn(ppn)
         register_cache = self.register_cache
         time = now
 
         # If the latest copy of the page is still dirty in a flash register,
         # serve it from the register over the flash network.
         if register_cache.holds(register_cache.group_of_plane(plane), virtual_page):
-            channel = geometry.channel_of_ppn(ppn)
             completion = self.flash_network.transfer(channel, self.request_bytes, time)
             if completion > time:
                 breakdown["flash_register"] += completion - time
@@ -196,7 +197,8 @@ class ZnGPlatform(GPUSSDPlatform):
         else:
             fetch_bytes = prefetcher.on_miss(pc)
 
-        sensed, completion = self.controllers.read(ppn, time, transfer_bytes=fetch_bytes)
+        sensed, completion = self.controllers.read(
+            plane, channel, time, transfer_bytes=fetch_bytes)
         array_cycles = array.read_array_cycles
         transfer_cycles = completion - sensed
         if array_cycles > 0:

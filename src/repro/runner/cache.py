@@ -165,7 +165,7 @@ class ResultCache:
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                handle.write(json.dumps(payload))
             os.replace(tmp_name, path)
         except BaseException:
             try:

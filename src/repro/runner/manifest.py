@@ -213,6 +213,24 @@ class RunManifest:
         cell.start_seconds = start_seconds
         cell.worker_pid = worker_pid
 
+    def mark_cached(
+        self, cache_key: str, resumed: Optional["RunManifest"] = None
+    ) -> None:
+        """Mark a cell the cache served ``ok``.
+
+        If ``resumed`` (the manifest of the run being resumed) records the
+        cell ``ok``, the cell keeps that record: how the earlier run got it,
+        its timings, its start offset (counted from the earlier run's start)
+        and its worker.
+        """
+        earlier = None if resumed is None else resumed._by_key.get(cache_key)
+        if earlier is None or earlier.status != STATUS_OK:
+            self.mark(cache_key, STATUS_OK, from_cache=True)
+            return
+        self.mark(cache_key, STATUS_OK, from_cache=earlier.from_cache,
+                  timings=earlier.timings, start_seconds=earlier.start_seconds,
+                  worker_pid=earlier.worker_pid)
+
     def counts(self) -> Dict[str, int]:
         out = {status: 0 for status in _STATUSES}
         for cell in self.cells:
@@ -350,7 +368,9 @@ def resume_sweep(
     against the result cache: cells whose results are already cached — i.e.
     everything that finished before the crash/kill — are served from cache,
     everything else (``pending``, ``failed``, or cache-evicted ``ok`` cells)
-    is executed.  The manifest is rewritten in place as cells complete.
+    is executed.  The manifest is rewritten in place as cells complete; a
+    cell served from the cache keeps the record the earlier run wrote, so
+    the merged timings and the timeline still cover it.
 
     ``cache`` overrides the cache root; by default the manifest's recorded
     ``cache_dir`` is used when it exists, else the manifest's own directory
@@ -367,7 +387,8 @@ def resume_sweep(
     else:
         root = Path(manifest_path).parent
     runner = SweepRunner(workers=workers, cache=root)
-    return runner.run(job, manifest_path=manifest_path, on_error=on_error)
+    return runner.run(job, manifest_path=manifest_path, on_error=on_error,
+                      resumed=manifest)
 
 
 # ---------------------------------------------------------------------------

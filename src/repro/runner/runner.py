@@ -28,11 +28,16 @@ import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.runner.cache import ResultCache, open_cache
 from repro.runner.spec import SweepCell, SweepShard, SweepSpec, build_cell_trace
+
+if TYPE_CHECKING:  # pragma: no cover - manifest imports this module
+    from repro.runner.manifest import RunManifest
 
 
 class SweepExecutionError(RuntimeError):
@@ -467,6 +472,7 @@ class SweepRunner:
         spec: Union[SweepSpec, SweepShard],
         manifest_path: Union[os.PathLike, str, None] = None,
         on_error: str = "raise",
+        resumed: Optional[RunManifest] = None,
     ) -> SweepResult:
         """Run a spec — or one deterministic shard of one — to completion.
 
@@ -480,6 +486,10 @@ class SweepRunner:
         in the manifest; ``"record"`` (what the CLI uses for manifest runs)
         lists the cell in ``result.failed`` and keeps sweeping, so one bad
         cell costs one cell, not the whole shard.
+
+        ``resumed`` is the manifest of the interrupted run this run resumes:
+        each cell it finished that the cache still holds keeps, in the new
+        manifest, the record that run wrote (timings, start, worker).
         """
         if on_error not in ("raise", "record"):
             raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
@@ -515,7 +525,7 @@ class SweepRunner:
                 if cached is not None:
                     runs[index] = CellRun(cell=cell, result=cached, from_cache=True)
                     if manifest is not None:
-                        manifest.mark(keys[index], "ok", from_cache=True)
+                        manifest.mark_cached(keys[index], resumed)
                     continue
             pending.append((index, cell))
         if manifest is not None:

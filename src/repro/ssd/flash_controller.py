@@ -30,15 +30,18 @@ class FlashController:
         self.commands_issued = 0
 
     def read(
-        self, ppn: int, now: float, transfer_bytes: Optional[int] = None
+        self, plane_id: int, now: float, transfer_bytes: Optional[int] = None
     ) -> Tuple[float, float]:
         """Dispatch one page read: decode the address, then sense the page.
 
-        Returns :meth:`ZNANDArray.read_page`'s ``(sensed, completion)``.
+        ``plane_id`` is the flat plane index of the page, one of this
+        controller's channel.  Returns :meth:`ZNANDArray.read_page`'s
+        ``(sensed, completion)``.
         """
         start = self.dispatcher.acquire(now, self.DISPATCH_OCCUPANCY_CYCLES)
         self.commands_issued += 1
-        return self.array.read_page(ppn, start + self.DECODE_LATENCY_CYCLES, transfer_bytes)
+        return self.array.read_page(
+            plane_id, self.channel, start + self.DECODE_LATENCY_CYCLES, transfer_bytes)
 
     def program(
         self, ppn: int, now: float, transfer_bytes: Optional[int] = None
@@ -68,10 +71,12 @@ class FlashControllerArray:
 
     # Each page goes to the controller of its channel.
     def read(
-        self, ppn: int, now: float, transfer_bytes: Optional[int] = None
+        self, plane_id: int, channel: int, now: float,
+        transfer_bytes: Optional[int] = None,
     ) -> Tuple[float, float]:
-        controller = self.controllers[self.array.geometry.channel_of_ppn(ppn)]
-        return controller.read(ppn, now, transfer_bytes)
+        """Read a page the caller decoded into its flat plane index and its
+        channel (:meth:`ZNANDArray.read_page`)."""
+        return self.controllers[channel].read(plane_id, now, transfer_bytes)
 
     def program(
         self, ppn: int, now: float, transfer_bytes: Optional[int] = None

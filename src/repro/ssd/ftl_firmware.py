@@ -139,7 +139,10 @@ class PageMappedFTL:
             # Cold read of unwritten data: allocate a backing page lazily so the
             # access still exercises a real plane.
             ppn, now = self.write_mapping_only(lpn, now)
-        sensed, completion = self.array.read_page(ppn, now, transfer_bytes)
+        geometry = self.geometry
+        sensed, completion = self.array.read_page(
+            geometry.plane_of_ppn(ppn), geometry.channel_of_ppn(ppn), now,
+            transfer_bytes)
         return self.array.read_array_cycles, completion - sensed, completion
 
     def write_mapping_only(self, lpn: int, now: float) -> Tuple[int, float]:

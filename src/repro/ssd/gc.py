@@ -70,8 +70,10 @@ class GarbageCollector:
         """
         time = now
         migrated = 0
+        geometry = self.array.geometry
         for ppn in valid_ppns:
-            _, time = self.array.read_page(ppn, time)
+            _, time = self.array.read_page(
+                geometry.plane_of_ppn(ppn), geometry.channel_of_ppn(ppn), time)
             _, time = relocate(ppn, time)
             self.array.mark_invalid(ppn)
             migrated += 1

@@ -162,7 +162,8 @@ class ZNANDArray:
 
     # -- timing primitives ----------------------------------------------------
     def read_page(
-        self, ppn: int, now: float, transfer_bytes: Optional[int] = None
+        self, plane_id: int, channel: int, now: float,
+        transfer_bytes: Optional[int] = None,
     ) -> Tuple[float, float]:
         """Sense a page from the array and ship it over the flash network.
 
@@ -172,16 +173,18 @@ class ZNANDArray:
         caller to move only part of the page (e.g. a reduced prefetch
         granularity); the array sensing time is paid in full regardless,
         which is exactly the granularity mismatch the paper highlights.
+
+        The caller decodes the page's PPN once: ``plane_id`` is
+        :meth:`FlashGeometry.plane_of_ppn` (which range-checks the PPN) and
+        ``channel`` is :meth:`FlashGeometry.channel_of_ppn`.
         """
-        plane_id = self.geometry.plane_of_ppn(ppn)
         plane = self.planes._resources.get(plane_id)
         if plane is None:
             plane = self.planes[plane_id]
         array_cycles = self.read_array_cycles
         sensed = plane.acquire(now, array_cycles) + array_cycles
         completion = self.network.transfer(
-            self.geometry.channel_of_ppn(ppn),
-            transfer_bytes or self.config.page_size_bytes, sensed)
+            channel, transfer_bytes or self.config.page_size_bytes, sensed)
         self.reads_per_plane[plane_id] += 1
         return sensed, completion
 

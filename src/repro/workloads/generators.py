@@ -16,6 +16,7 @@ reproducible.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -200,14 +201,16 @@ class TraceGenerator:
                 # One numpy chunk per warp: thread t of an instruction with k
                 # segments touches base + (t % k)*LINE + (t // k)*WORD, which
                 # reduces to the contiguous base + 4t pattern when k == 1.
+                # Each instruction keeps its row packed as an int64 array.
                 base_column = np.asarray(bases, dtype=np.int64)[:, None]
                 seg_column = np.asarray(strides, dtype=np.int64)[:, None]
                 threads = np.arange(32, dtype=np.int64)[None, :]
-                address_rows = (
+                rows = (
                     base_column
                     + (threads % seg_column) * LINE_SIZE
                     + (threads // seg_column) * WORD_SIZE
-                ).tolist()
+                )
+                address_rows = [array("q", row.tobytes()) for row in rows]
                 compute_ops = self.spec.compute_per_memory
                 # Precomputed segments are only valid when bases are line
                 # aligned (an unaligned address_space_offset shifts the

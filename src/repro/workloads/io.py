@@ -7,6 +7,7 @@ replayed.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict
 
 from repro.gpu.warp import Instruction, WarpTrace
@@ -46,7 +47,7 @@ def trace_to_dict(trace: WorkloadTrace) -> Dict:
                     {
                         "pc": instr.pc,
                         "compute_ops": instr.compute_ops,
-                        "addresses": instr.addresses,
+                        "addresses": list(instr.addresses),
                         "access": instr.access.value,
                         # Precomputed coalesced segments must survive the
                         # round trip: a replayed trace has to drive the
@@ -68,7 +69,12 @@ def trace_to_dict(trace: WorkloadTrace) -> Dict:
 
 
 def trace_from_dict(data: Dict) -> WorkloadTrace:
-    """Reconstruct a workload trace from its serialised form."""
+    """Reconstruct a workload trace from its serialised form.
+
+    Each instruction's addresses are packed into an int64 ``array('q')``,
+    as the generator packs them: a non-integer address raises
+    :class:`TypeError`, one outside the int64 range :class:`OverflowError`.
+    """
     trace = WorkloadTrace(spec=spec_from_dict(data["spec"]))
     trace.footprint_pages = data.get("footprint_pages", 0)
     for warp_data in data["warps"]:
@@ -78,7 +84,7 @@ def trace_from_dict(data: Dict) -> WorkloadTrace:
                 Instruction(
                     pc=instr_data["pc"],
                     compute_ops=instr_data["compute_ops"],
-                    addresses=list(instr_data["addresses"]),
+                    addresses=array("q", instr_data["addresses"]),
                     access=AccessType(instr_data["access"]),
                     # Legacy payloads predate segment serialisation; the
                     # coalescer falls back to re-deriving them.

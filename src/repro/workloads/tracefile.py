@@ -102,7 +102,7 @@ def write_trace_file(
         dir=path.parent, suffix=".tmp", prefix=path.name)
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-            json.dump(payload, tmp)
+            tmp.write(json.dumps(payload))
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -117,8 +117,9 @@ def read_trace_file(path: Union[str, os.PathLike]) -> TraceFile:
     """Load and verify a ``repro-trace-v1`` file.
 
     Raises :class:`TraceFileError` on a missing file, a non-trace JSON
-    payload, an unknown schema version, or a content hash that does not
-    match the body (corruption / hand edits).
+    payload, an unknown schema version, a content hash that does not
+    match the body (corruption / hand edits), or a body that is no trace
+    (a missing field, a non-integer address or one outside int64).
     """
     path = Path(path)
     try:
@@ -152,12 +153,19 @@ def read_trace_file(path: Union[str, os.PathLike]) -> TraceFile:
             f"{path} failed content-hash verification (stored "
             f"{payload['content_hash'][:12]}..., recomputed "
             f"{recomputed[:12]}...); the file is corrupted or was edited")
+    try:
+        trace = trace_from_dict(payload["trace"])
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as error:
+        raise TraceFileError(
+            f"{path} holds a malformed trace ({type(error).__name__}: "
+            f"{error})") from error
     return TraceFile(
         path=str(path),
         workload=str(payload["workload"]),
         knobs=dict(payload["knobs"]),
         content_hash=payload["content_hash"],
-        trace=trace_from_dict(payload["trace"]),
+        trace=trace,
     )
 
 

@@ -77,6 +77,16 @@ def _counted_run(platform, trace):
     array = getattr(platform, "array", None)
     if array is not None:
         _count_calls(counted, array, "read_page")
+    controllers = getattr(platform, "controllers", None)
+    if controllers is not None:
+        # The flash read chain's PPN decodes (ZnG), and who asks for them.
+        _count_calls(counted, array.geometry, "plane_of_ppn")
+        _count_calls(counted, array.geometry, "channel_of_ppn")
+        _count_calls(counted, platform, "_service_l2_miss")
+        _count_calls(counted, platform.helper_gc, "copy_page")
+        _count_calls(counted, controllers, "program")
+        for controller in controllers.controllers:
+            _count_calls(counted, controller, "read")
     return platform.run(trace), counted
 
 
@@ -176,3 +186,20 @@ def test_counters_computed_on_read_equal_the_increments(run_cell, cell_id):
         page_reads = counted.get("read_page", 0)
         assert array.page_reads == page_reads
         assert array.bytes_read_from_array == page_reads * array.config.page_size_bytes
+
+
+@pytest.mark.parametrize("cell_id", [
+    _cell_id(cell) for cell in CELLS if cell.platform.startswith("ZnG")])
+def test_a_flash_read_decodes_its_ppn_once(run_cell, cell_id):
+    """ZnG decodes a read miss's PPN once, and the controller read passes
+    the decoded plane and channel down: at most one ``plane_of_ppn`` call
+    per ``FlashController.read``, none inside it."""
+    result, _, counted, _ = run_cell(cell_id)
+    misses, copies = counted["_service_l2_miss"], counted.get("copy_page", 0)
+    flash_reads = counted["read"]
+    register_hits = result.stats.get("register_read_hits")
+    assert flash_reads > 0
+    assert flash_reads == misses - register_hits
+    # One decode per miss and one per helper-GC page copy, nothing else.
+    assert counted["plane_of_ppn"] == misses + copies
+    assert counted["channel_of_ppn"] == misses + copies + counted.get("program", 0)

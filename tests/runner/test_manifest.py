@@ -269,6 +269,49 @@ class TestResumeAfterKill:
         assert resumed.stats_dicts() == full.stats_dicts()
         assert RunManifest.load(path).counts()["ok"] == len(spec)
 
+    def test_resume_keeps_the_records_of_cells_finished_before_the_kill(
+            self, tmp_path):
+        """The cells a killed run finished keep that run's record across the
+        resume, so the merged timings and the timeline still cover them."""
+        from repro.analysis.reporting import report_from_manifests
+
+        spec = _small_spec()
+        path = tmp_path / "manifest.json"
+        SweepRunner(workers=1, cache=tmp_path).run(spec, manifest_path=path)
+        # Hand-build what the kill left: two cells ok with the earlier run's
+        # record, two pending with no cache entry.
+        manifest = RunManifest.load(path)
+        finished, killed = manifest.cells[:2], manifest.cells[2:]
+        for offset, cell in enumerate(finished):
+            cell.timings = {"trace_build_seconds": 0.25, "simulate_seconds": 2.0}
+            cell.elapsed_seconds = 2.25
+            cell.start_seconds = 2.25 * offset
+            cell.worker_pid = 4242
+        for cell in killed:
+            cell.status = "pending"
+            ResultCache(tmp_path).path_for(cell.cache_key).unlink()
+        manifest.write()
+        before = {cell.cache_key: cell.to_payload() for cell in finished}
+
+        resumed = resume_sweep(path, workers=1)
+        assert resumed.cache_hits == 2 and resumed.cache_misses == 2
+        after = RunManifest.load(path)
+        assert after.counts()["ok"] == len(spec)
+        for key, payload in before.items():
+            assert after._by_key[key].to_payload() == payload
+        executed = [after._by_key[cell.cache_key] for cell in killed]
+        assert all(not cell.from_cache and cell.worker_pid == os.getpid()
+                   for cell in executed)
+
+        merged = merge_manifests([path])
+        assert merged.cache_hits == 0
+        assert merged.simulate_seconds == pytest.approx(
+            4.0 + sum(cell.timings["simulate_seconds"] for cell in executed))
+        written = report_from_manifests([path], tmp_path / "report", plots=False)
+        timeline = written["timeline.html"].read_text()
+        assert timeline.count("class='cell'") == len(spec)
+        assert ">pid 4242</text>" in timeline
+
     def test_resume_respects_shard_coordinates(self, tmp_path):
         spec = _small_spec()
         path = tmp_path / "manifest.json"
@@ -425,8 +468,10 @@ class TestMergeVerification:
         """Re-running a shard warm then merging reports those cells as
         cache-served, executed ones as executed."""
         spec, paths = self._sharded_run(tmp_path, count=2)
-        # Re-run shard 0 fully warm so its manifest records cache hits.
-        resume_sweep(paths[0], workers=1)
+        # Re-run shard 0 fully warm so its manifest records cache hits (a
+        # fresh run; a resume would keep the executed records).
+        SweepRunner(workers=1, cache=paths[0].parent).run(
+            spec.shard(0, 2), manifest_path=paths[0])
         merged = merge_manifests(paths)
         warm = len(spec.shard(0, 2))
         assert merged.cache_hits == warm

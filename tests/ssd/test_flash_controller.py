@@ -14,6 +14,12 @@ def small_array():
     return ZNANDArray(config, network=FlashNetwork(config, "mesh"))
 
 
+def read(controllers, ppn, now):
+    """``controllers.read`` of one PPN, decoded into its plane and channel."""
+    geometry = controllers.array.geometry
+    return controllers.read(geometry.plane_of_ppn(ppn), geometry.channel_of_ppn(ppn), now)
+
+
 class TestFlashController:
     def test_read_issues_command(self):
         array = small_array()
@@ -33,7 +39,7 @@ class TestFlashController:
         array = small_array()
         controller = FlashController(channel=0, array=array)
         first_sensed, _ = controller.read(0, now=0.0)
-        second_sensed, _ = controller.read(array.geometry.ppn_of(1, 0, 0), now=0.0)
+        second_sensed, _ = controller.read(1, now=0.0)
         # Both go through the same per-channel dispatcher, so the second
         # (on another plane) is dispatched one occupancy later.
         assert second_sensed - first_sensed >= controller.DISPATCH_OCCUPANCY_CYCLES
@@ -44,9 +50,9 @@ class TestFlashControllerArray:
         array = small_array()
         controllers = FlashControllerArray(array)
         assert len(controllers) == 4
-        controllers.read(1, now=0.0)
+        read(controllers, 1, now=0.0)
         controllers.program(6, now=0.0)
-        controllers.read(6, now=0.0)
+        read(controllers, 6, now=0.0)
         # The dispatcher and the flash link of the page's channel book each
         # command.
         channels = [array.geometry.channel_of_ppn(ppn) for ppn in (1, 6, 6)]
@@ -58,14 +64,14 @@ class TestFlashControllerArray:
     def test_read_and_program(self):
         array = small_array()
         controllers = FlashControllerArray(array)
-        controllers.read(0, now=0.0)
+        read(controllers, 0, now=0.0)
         controllers.program(1, now=0.0)
         assert controllers.commands_issued == 2
 
     def test_reset(self):
         array = small_array()
         controllers = FlashControllerArray(array)
-        controllers.read(0, now=0.0)
+        read(controllers, 0, now=0.0)
         controllers.reset()
         assert controllers.commands_issued == 0
 

@@ -17,17 +17,24 @@ def small_array(network_type="mesh"):
     return ZNANDArray(config, network=FlashNetwork(config, network_type))
 
 
+def read(array, ppn, now, transfer_bytes=None):
+    """``array.read_page`` of one PPN, decoded into its plane and channel."""
+    geometry = array.geometry
+    return array.read_page(geometry.plane_of_ppn(ppn), geometry.channel_of_ppn(ppn),
+                           now, transfer_bytes)
+
+
 class TestTiming:
     def test_read_latency_matches_config(self):
         array = small_array()
-        sensed, _ = array.read_page(0, now=0.0)
+        sensed, _ = read(array, 0, now=0.0)
         # Array latency includes the 3 us sense plus command overhead.
         assert sensed == array.read_array_cycles
         assert array.read_array_cycles >= us_to_cycles(3.0)
 
     def test_program_slower_than_read(self):
         array = small_array()
-        sensed, _ = array.read_page(0, now=0.0)
+        sensed, _ = read(array, 0, now=0.0)
         transferred, programmed = array.program_page(1, now=0.0)
         assert programmed - transferred > sensed
         assert array.program_array_cycles > array.read_array_cycles
@@ -40,9 +47,9 @@ class TestTiming:
 
     def test_partial_transfer_still_senses_full_page(self):
         array = small_array()
-        full_sensed, full_done = array.read_page(0, now=0.0)
+        full_sensed, full_done = read(array, 0, now=0.0)
         array.reset_statistics()
-        partial_sensed, partial_done = array.read_page(0, now=0.0, transfer_bytes=128)
+        partial_sensed, partial_done = read(array, 0, now=0.0, transfer_bytes=128)
         # The array sense time is identical; only the network transfer shrinks.
         assert partial_sensed == full_sensed
         assert partial_done - partial_sensed < full_done - full_sensed
@@ -51,8 +58,8 @@ class TestTiming:
         array = small_array()
         # Two reads to the same plane (ppn 0 and ppn that maps to same plane).
         same_plane_ppn = array.geometry.ppn_of(0, 0, 1)
-        first_sensed, _ = array.read_page(0, now=0.0)
-        second_sensed, _ = array.read_page(same_plane_ppn, now=0.0)
+        first_sensed, _ = read(array, 0, now=0.0)
+        second_sensed, _ = read(array, same_plane_ppn, now=0.0)
         # The second sense starts only once the first has finished.
         assert second_sensed - array.read_array_cycles >= first_sensed
 
@@ -91,7 +98,7 @@ class TestPageState:
 class TestStatistics:
     def test_read_write_counts(self):
         array = small_array()
-        array.read_page(0, now=0.0)
+        read(array, 0, now=0.0)
         array.program_page(1, now=0.0)
         assert array.page_reads == 1
         assert array.page_programs == 1
@@ -111,12 +118,12 @@ class TestStatistics:
         array = small_array()
         completion = 0.0
         for ppn in range(8):
-            completion = max(completion, array.read_page(ppn, now=0.0)[1])
+            completion = max(completion, read(array, ppn, now=0.0)[1])
         assert array.array_read_bandwidth_bytes_per_s(completion) > 0
 
     def test_reset_statistics(self):
         array = small_array()
-        array.read_page(0, now=0.0)
+        read(array, 0, now=0.0)
         array.reset_statistics()
         assert array.page_reads == 0
         assert sum(array.reads_per_plane) == 0
@@ -142,7 +149,7 @@ class TestProperties:
     def test_bytes_read_tracks_reads(self, ppns):
         array = small_array()
         for ppn in ppns:
-            array.read_page(ppn % array.geometry.total_pages, now=0.0)
+            read(array, ppn % array.geometry.total_pages, now=0.0)
         assert array.bytes_read_from_array == len(ppns) * array.config.page_size_bytes
 
     @given(page=st.integers(min_value=0, max_value=3))

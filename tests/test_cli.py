@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from tests.workloads.test_tracefile import rewrite_first_address
 
 
 def assert_rejected(capsys, message):
@@ -676,6 +677,19 @@ class TestWorkloadsCommand:
         capsys.readouterr()
         assert main(["workloads", "--replay", str(trace_path)]) == 1
         assert "content-hash verification" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("address", [4096.0, 2 ** 63])
+    def test_replay_verify_of_a_malformed_address_exits_1(
+            self, capsys, tmp_path, address):
+        trace_path = tmp_path / "betw.trace.json"
+        assert main(["workloads", "--record", "betw", "--out", str(trace_path),
+                     "--scale", "0.05", "--warps", "2"]) == 0
+        rewrite_first_address(trace_path, address)
+        capsys.readouterr()
+        assert main(["workloads", "--replay", str(trace_path), "--verify"]) == 1
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1 and str(trace_path) in out
+        assert "malformed trace" in out and err == ""
 
     def test_no_args_usage(self, capsys):
         assert main(["workloads"]) == 2

@@ -1,9 +1,14 @@
 """Tests for the synthetic trace generators."""
 
+import pickle
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads.generators import TraceGenerator, generate_workload
+from repro.workloads.registry import build_token_trace
 from repro.workloads.suites import ALL_WORKLOADS, workload_by_name
 from repro.workloads.trace import TraceKnobs
 
@@ -59,6 +64,43 @@ class TestGeneration:
             scale=0.2, seed=1, num_sms=8, warps_per_sm=4))
         sm_ids = {w.sm_id for w in trace.warps}
         assert sm_ids <= set(range(8))
+
+
+#: Bytes a scale-1.0 ``betw-back`` trace may hold per thread address: about
+#: 19 with packed addresses, 49 with one Python int object per address.
+MAX_BYTES_PER_THREAD_ADDRESS = 28
+
+
+class TestPackedAddresses:
+    def test_memory_instructions_hold_32_packed_int64_addresses(self):
+        trace = generate_workload(workload_by_name("betw"), TraceKnobs(
+            scale=0.1, seed=1, warps_per_sm=4))
+        instructions = [i for w in trace.warps for i in w.instructions]
+        assert instructions and all(i.is_memory for i in instructions)
+        for instr in instructions:
+            assert type(instr.addresses) is array
+            assert instr.addresses.typecode == "q"
+            assert len(instr.addresses) == 32
+
+    def test_a_pickled_trace_round_trips_equal(self):
+        trace = build_token_trace("betw-back", TraceKnobs(
+            scale=0.1, seed=1, warps_per_sm=4))
+        copy = pickle.loads(pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL))
+        assert copy == trace
+        assert type(copy.warps[0].instructions[0].addresses) is array
+
+    def test_a_paper_scale_trace_stays_within_its_memory_budget(self):
+        knobs = TraceKnobs(scale=1.0, seed=1)
+        build_token_trace("betw-back", TraceKnobs(scale=0.05, seed=1))  # warm imports
+        tracemalloc.start()
+        try:
+            trace = build_token_trace("betw-back", knobs)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        addresses = sum(len(i.addresses) for w in trace.warps for i in w.instructions)
+        assert addresses == 524_288
+        assert held / addresses <= MAX_BYTES_PER_THREAD_ADDRESS
 
 
 class TestStatisticsCalibration:

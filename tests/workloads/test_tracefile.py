@@ -1,10 +1,12 @@
 """Tests for repro-trace-v1 record/replay (repro.workloads.tracefile)."""
 
 import json
+from array import array
 from dataclasses import replace
 
 import pytest
 
+from repro.configspace.fingerprint import fingerprint
 from repro.runner import SweepSpec, run_sweep
 from repro.runner.spec import cell_seed
 from repro.workloads.io import trace_to_dict
@@ -20,6 +22,17 @@ from repro.workloads.tracefile import (
 
 KNOBS = TraceKnobs(scale=0.05, seed=3, num_sms=4, warps_per_sm=2,
                    memory_instructions_per_warp=32)
+
+
+def rewrite_first_address(path, address):
+    """Replace the first thread address of a trace file and store the
+    content hash of the edited body, so only the address is wrong."""
+    payload = json.loads(path.read_text())
+    payload["trace"]["warps"][0]["instructions"][0]["addresses"][0] = address
+    payload["content_hash"] = fingerprint({
+        "workload": payload["workload"], "knobs": payload["knobs"],
+        "trace": payload["trace"]})
+    path.write_text(json.dumps(payload))
 
 
 class TestRoundTrip:
@@ -41,6 +54,17 @@ class TestRoundTrip:
                     for i in w.instructions]
         assert any(s is not None for s in originals)
         assert replayed == originals
+
+    def test_replayed_addresses_are_packed_int64(self, tmp_path):
+        path = tmp_path / "betw.trace.json"
+        record_trace("betw", path, KNOBS)
+        instructions = [i for w in read_trace_file(path).trace.warps
+                        for i in w.instructions]
+        assert instructions
+        for instr in instructions:
+            assert type(instr.addresses) is array
+            assert instr.addresses.typecode == "q"
+            assert len(instr.addresses) == 32
 
     def test_mix_tokens_record_the_combined_trace(self, tmp_path):
         path = tmp_path / "mix.trace.json"
@@ -65,6 +89,17 @@ class TestVerification:
         path.write_text(json.dumps(payload))
         with pytest.raises(TraceFileError, match="content-hash verification"):
             read_trace_file(path)
+
+    @pytest.mark.parametrize("address, error", [
+        (4096.0, "TypeError"), (2 ** 63, "OverflowError")])
+    def test_an_address_that_is_no_int64_is_rejected(self, tmp_path, address, error):
+        path = tmp_path / "betw.trace.json"
+        record_trace("betw", path, KNOBS)
+        rewrite_first_address(path, address)
+        with pytest.raises(TraceFileError, match=error) as raised:
+            read_trace_file(path)
+        message = str(raised.value)
+        assert str(path) in message and "\n" not in message
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "other.json"
