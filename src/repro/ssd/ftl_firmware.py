@@ -8,6 +8,7 @@ greedy garbage collection when clean blocks run low (Section II-B).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -18,11 +19,16 @@ from repro.ssd.znand import ZNANDArray
 
 @dataclass
 class PlaneAllocator:
-    """Per-plane write allocation state."""
+    """Per-plane write allocation state.
+
+    ``free_blocks`` is a compact ``array('l')``: a plane starts with
+    hundreds of free blocks, and a full-size data set touches hundreds of
+    planes.
+    """
 
     active_block: int = 0
     next_page: int = 0
-    free_blocks: List[int] = field(default_factory=list)
+    free_blocks: "array[int]" = field(default_factory=lambda: array("l"))
     used_blocks: List[int] = field(default_factory=list)
 
 
@@ -56,7 +62,7 @@ class PageMappedFTL:
             allocator = PlaneAllocator(
                 active_block=0,
                 next_page=0,
-                free_blocks=list(range(1, self.blocks_per_plane)),
+                free_blocks=array("l", range(1, self.blocks_per_plane)),
                 used_blocks=[],
             )
             self._allocators[plane_id] = allocator

@@ -9,7 +9,7 @@ the destination block with the lowest erase count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.ssd.znand import ZNANDArray
 
@@ -43,7 +43,9 @@ class GarbageCollector:
                 best_block = block
         return best_block
 
-    def select_destination(self, plane_id: int, free_blocks: List[int]) -> Optional[int]:
+    def select_destination(
+        self, plane_id: int, free_blocks: Sequence[int]
+    ) -> Optional[int]:
         """Wear-levelling: reuse the free block with the lowest erase count."""
         if not free_blocks:
             return None

@@ -10,7 +10,13 @@ For each workload the generator synthesises per-warp instruction traces whose
 
 Traces are deterministic for a given workload and
 :class:`~repro.workloads.trace.TraceKnobs` so tests and benchmarks are
-reproducible.
+reproducible.  The order of the random draws is the trace contract: every
+pinned trace, recorded trace file and result digest follows from it.  The
+draws are read in blocks by :class:`_Draws`, which must return exactly what
+the scalar ``random()`` and ``integers(low, high)`` of
+``np.random.default_rng(seed)`` return;
+``tests/workloads/test_generators.py::TestDraws`` checks that against
+numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -32,11 +39,71 @@ LINE_SIZE = 128
 WORD_SIZE = 4
 
 
+#: 64-bit outputs read from the bit generator at a time.
+_DRAW_BLOCK = 1024
+
+
 def _seed_for(name: str, seed: Optional[int]) -> int:
     if seed is not None:
         return seed
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
+
+
+class _Draws:
+    """The scalar draws of ``np.random.default_rng(seed)``, read in blocks.
+
+    ``random()`` and ``integers(low, high)`` return the values the
+    Generator's scalar methods return for the same call sequence, but read
+    the PCG64 outputs from ``random_raw`` blocks instead of making one numpy
+    call per draw.  A double is the top 53 bits of one output.  A bounded
+    integer uses numpy's Lemire rejection method: a span of up to 2**32
+    values draws 32-bit halves, low half first, and keeps the high half for
+    the next such draw, across ``random()`` calls too, as PCG64's own buffer
+    does; a larger span draws whole outputs; a span of one value draws
+    nothing.
+    """
+
+    __slots__ = ("_next_raw", "_half")
+
+    def __init__(self, seed: int) -> None:
+        bits = np.random.default_rng(seed).bit_generator
+        self._next_raw = chain.from_iterable(
+            iter(lambda: bits.random_raw(_DRAW_BLOCK).tolist(), None)
+        ).__next__
+        self._half: Optional[int] = None
+
+    def random(self) -> float:
+        return (self._next_raw() >> 11) * (1.0 / (1 << 53))
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        output = self._next_raw()
+        self._half = output >> 32
+        return output & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if span <= 1:
+            if span < 1:
+                raise ValueError(f"low >= high ({low} >= {high})")
+            return low
+        if span <= 1 << 32:
+            product = self._next32() * span
+            if (product & 0xFFFFFFFF) < span:
+                threshold = (1 << 32) % span
+                while (product & 0xFFFFFFFF) < threshold:
+                    product = self._next32() * span
+            return low + (product >> 32)
+        product = self._next_raw() * span
+        if (product & 0xFFFFFFFFFFFFFFFF) < span:
+            threshold = (1 << 64) % span
+            while (product & 0xFFFFFFFFFFFFFFFF) < threshold:
+                product = self._next_raw() * span
+        return low + (product >> 64)
 
 
 @dataclass
@@ -47,7 +114,7 @@ class TraceGenerator:
     knobs: TraceKnobs = TraceKnobs()
 
     def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(_seed_for(self.spec.name, self.knobs.seed))
+        self._draws = _Draws(_seed_for(self.spec.name, self.knobs.seed))
 
     # -- derived sizes --------------------------------------------------------
     @property
@@ -90,7 +157,7 @@ class TraceGenerator:
         collapse every draw onto the least popular rank.
         """
         alpha = self.spec.zipf_alpha
-        u = self._rng.random()
+        u = self._draws.random()
         if alpha < 1.0:
             # Inverse-CDF of a truncated power law: cheap and good enough.
             rank = int(num_pages * (u ** (1.0 / (1.0 - alpha + 1e-9))))
@@ -120,10 +187,10 @@ class TraceGenerator:
         footprint = self.footprint_pages
         hot_read_list = self._hot_page_list(
             min(self._hot_read_pages(), footprint), footprint, salt=3
-        )
+        ).tolist()
         hot_write_list = self._hot_page_list(
             min(self._hot_write_pages(), footprint), footprint, salt=17
-        )
+        ).tolist()
         base = self.knobs.address_space_offset
 
         # PC values: one per "static load/store site"; graph kernels have a
@@ -137,7 +204,29 @@ class TraceGenerator:
         irregular_pcs = [pc_base + 0x4000 + 8 * i for i in range(num_pcs)]
         write_pcs = [pc_base + 0x8000 + 8 * i for i in range(max(1, num_pcs // 2))]
 
+        # Loop-invariant names, bound once for the per-instruction loop.
+        random = self._draws.random
+        integers = self._draws.integers
+        zipf_rank = self._zipf_rank
+        read_ratio = self.spec.read_ratio
+        sequential_fraction = self.spec.sequential_fraction
+        instructions_per_warp = self.instructions_per_warp
+        compute_ops = self.spec.compute_per_memory
+        read_counts = trace.page_read_counts
+        write_counts = trace.page_write_counts
+        hot_reads = len(hot_read_list)
+        hot_writes = len(hot_write_list)
+        irregular_count = len(irregular_pcs)
+        write_count = len(write_pcs)
+        read, write = AccessType.READ, AccessType.WRITE
         lines_per_page = PAGE_SIZE // LINE_SIZE
+        threads = np.arange(32, dtype=np.int64)[None, :]
+        # Precomputed segments are only valid when bases are line aligned (an
+        # unaligned address_space_offset shifts the 128 B segment boundaries)
+        # and the precompute granularity is the coalescer contract; fall back
+        # to the coalescer otherwise.
+        aligned = base % LINE_SIZE == 0 and LINE_SIZE == PRECOMPUTED_SEGMENT_BYTES
+
         warp_counter = 0
         num_sms = self.knobs.num_sms
         for sm in range(num_sms):
@@ -152,7 +241,7 @@ class TraceGenerator:
                 # irregular accesses jump to hot pages.  The streaming load has
                 # one static PC per warp, which is what makes the PC-indexed
                 # predictor of Section IV-B effective.
-                stream_page = int(self._rng.integers(0, max(1, footprint - 1)))
+                stream_page = integers(0, max(1, footprint - 1))
                 stream_line = 0
                 stream_pc = read_pcs[warp_counter % len(read_pcs)]
                 # Per-instruction control decisions stay on the RNG stream in
@@ -162,9 +251,9 @@ class TraceGenerator:
                 accesses: List[AccessType] = []
                 bases: List[int] = []
                 strides: List[int] = []
-                for _ in range(self.instructions_per_warp):
-                    is_read = self._rng.random() < self.spec.read_ratio
-                    sequential = self._rng.random() < self.spec.sequential_fraction
+                for _ in range(instructions_per_warp):
+                    is_read = random() < read_ratio
+                    sequential = random() < sequential_fraction
                     if is_read:
                         if sequential:
                             page = stream_page
@@ -175,28 +264,26 @@ class TraceGenerator:
                                 stream_page = (stream_page + 1) % footprint
                             pc = stream_pc
                         else:
-                            page = int(hot_read_list[self._zipf_rank(len(hot_read_list))])
-                            line = int(self._rng.integers(0, lines_per_page))
-                            pc = irregular_pcs[int(self._rng.integers(0, len(irregular_pcs)))]
-                        access = AccessType.READ
-                        trace.page_read_counts[page] = trace.page_read_counts.get(page, 0) + 1
+                            page = hot_read_list[zipf_rank(hot_reads)]
+                            line = integers(0, lines_per_page)
+                            pc = irregular_pcs[integers(0, irregular_count)]
+                        accesses.append(read)
+                        read_counts[page] = read_counts.get(page, 0) + 1
                     else:
-                        page = int(hot_write_list[self._zipf_rank(len(hot_write_list))])
-                        line = int(self._rng.integers(0, lines_per_page))
-                        pc = write_pcs[int(self._rng.integers(0, len(write_pcs)))]
-                        access = AccessType.WRITE
-                        trace.page_write_counts[page] = trace.page_write_counts.get(page, 0) + 1
+                        page = hot_write_list[zipf_rank(hot_writes)]
+                        line = integers(0, lines_per_page)
+                        pc = write_pcs[integers(0, write_count)]
+                        accesses.append(write)
+                        write_counts[page] = write_counts.get(page, 0) + 1
                     # A coalesced access is the 1-segment case of the unified
                     # scatter pattern (thread t touches (t % k) * LINE_SIZE +
                     # (t // k) * WORD_SIZE past base); an irregular access
                     # scatters over 2-4 lines (frontier-style), drawn at this
                     # exact point of the RNG stream to stay bit-identical to
                     # the historical per-instruction builder.
-                    segments_here = 1 if sequential else int(self._rng.integers(2, 5))
                     pcs.append(pc)
-                    accesses.append(access)
                     bases.append(base + page * PAGE_SIZE + line * LINE_SIZE)
-                    strides.append(segments_here)
+                    strides.append(1 if sequential else integers(2, 5))
 
                 # One numpy chunk per warp: thread t of an instruction with k
                 # segments touches base + (t % k)*LINE + (t // k)*WORD, which
@@ -204,38 +291,23 @@ class TraceGenerator:
                 # Each instruction keeps its row packed as an int64 array.
                 base_column = np.asarray(bases, dtype=np.int64)[:, None]
                 seg_column = np.asarray(strides, dtype=np.int64)[:, None]
-                threads = np.arange(32, dtype=np.int64)[None, :]
                 rows = (
                     base_column
                     + (threads % seg_column) * LINE_SIZE
                     + (threads // seg_column) * WORD_SIZE
                 )
-                address_rows = [array("q", row.tobytes()) for row in rows]
-                compute_ops = self.spec.compute_per_memory
-                # Precomputed segments are only valid when bases are line
-                # aligned (an unaligned address_space_offset shifts the
-                # 128 B segment boundaries) and the precompute granularity is
-                # the coalescer contract; fall back to the coalescer otherwise.
-                aligned = (
-                    base % LINE_SIZE == 0
-                    and LINE_SIZE == PRECOMPUTED_SEGMENT_BYTES
-                )
-                for pc, access, base_address, segments_here, addresses in zip(
-                    pcs, accesses, bases, strides, address_rows
+                packed = array("q", rows.tobytes())
+                instructions = warp.instructions
+                for start, pc, access, first, segments_here in zip(
+                    range(0, 32 * len(pcs), 32), pcs, accesses, bases, strides
                 ):
-                    warp.append(
-                        Instruction(
-                            pc=pc,
-                            compute_ops=compute_ops,
-                            addresses=addresses,
-                            access=access,
-                            segments=tuple(
-                                base_address + s * LINE_SIZE
-                                for s in range(segments_here)
-                            )
-                            if aligned
-                            else None,
-                        )
+                    segments = (
+                        tuple(range(first, first + segments_here * LINE_SIZE, LINE_SIZE))
+                        if aligned
+                        else None
+                    )
+                    instructions.append(
+                        Instruction(pc, compute_ops, packed[start:start + 32], access, segments)
                     )
                 trace.warps.append(warp)
                 warp_counter += 1

@@ -375,12 +375,19 @@ def parse_workload_token(token: str) -> Tuple[str, Optional[str]]:
 def canonicalize_token(token: str) -> str:
     """The canonical form of a token (parameters sorted, defaults dropped).
 
-    Fully resolves the token — for ``trace:`` files that includes probing
-    the file — so spec creation fails fast on anything unrunnable.
+    Fully resolves the token — for ``trace:`` files that includes reading
+    and verifying the file — so spec creation fails fast on anything
+    unrunnable: a missing, corrupted or malformed trace file raises
+    :class:`~repro.workloads.tracefile.TraceFileError` before any cell runs.
     """
     read_app, write_app = parse_workload_token(token)
     if write_app is None:
-        return resolve_workload(read_app).token
+        resolved = resolve_workload(read_app)
+        if resolved.trace_path is not None:
+            from repro.workloads.tracefile import read_trace_file
+
+            read_trace_file(resolved.trace_path)
+        return resolved.token
     return mix_name(read_app, write_app)
 
 

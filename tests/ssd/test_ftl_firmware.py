@@ -1,12 +1,17 @@
 """Unit and property tests for the conventional page-mapped FTL firmware."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ZNANDConfig
+from repro.config import PlatformConfig, ZNANDConfig
+from repro.platforms.base import GPUSSDPlatform
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.ftl_firmware import PageMappedFTL
 from repro.ssd.znand import ZNANDArray
+from repro.workloads.registry import build_token_trace
+from repro.workloads.trace import TraceKnobs
 
 
 def make_ftl(gc_threshold=0.05):
@@ -86,3 +91,23 @@ class TestProperties:
         for lpn in set(writes):
             ppn = ftl.translate(lpn)
             assert ppn is not None
+
+
+#: What HybridGPU's ``prepare`` of a scale-1.0 ``betw-back`` trace may hold:
+#: about 4 MiB with the free-block lists as ``array('l')``, 14.6 MiB with
+#: one Python int object per free block.
+MAX_PREPARE_MIB = 6
+
+
+class TestMemory:
+    def test_a_paper_scale_prepare_stays_within_its_memory_budget(self):
+        trace = build_token_trace("betw-back", TraceKnobs(scale=1.0, seed=1))
+        platform = GPUSSDPlatform.build("HybridGPU", PlatformConfig())
+        tracemalloc.start()
+        try:
+            platform.prepare(trace)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(platform.ftl._allocators) > 400
+        assert held <= MAX_PREPARE_MIB * 2 ** 20

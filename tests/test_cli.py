@@ -722,6 +722,36 @@ class TestParametricSweepCLI:
         ]) == 0
         assert "1 cells" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("damage, message", [
+        ("hash", "failed content-hash verification"),
+        ("address", "malformed trace"),
+    ])
+    def test_sweep_over_a_damaged_trace_file_fails_fast(
+            self, capsys, tmp_path, damage, message):
+        # A file that fails verification dies at spec creation, like a
+        # missing one: exit 2 and one stderr line, not a failed cell per
+        # platform.
+        import json
+
+        trace_path = tmp_path / f"{damage}.trace.json"
+        assert main(["workloads", "--record", "betw", "--out", str(trace_path),
+                     "--scale", "0.05", "--warps", "2"]) == 0
+        if damage == "hash":
+            payload = json.loads(trace_path.read_text())
+            payload["trace"]["footprint_pages"] += 1
+            trace_path.write_text(json.dumps(payload))
+        else:
+            rewrite_first_address(trace_path, 2 ** 63)
+        capsys.readouterr()
+        assert main([
+            "sweep", "--platforms", "ZnG-base,HybridGPU",
+            "--workloads", f"trace:{trace_path}",
+            "--workers", "1", "--scale", "0.05", "--warps", "2", "--no-cache",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert str(trace_path) in err and message in err
+
     def test_sweep_workload_typo_fails_fast_with_hint(self, capsys):
         # The pre-sweep validation satellite: a typo must die at spec
         # creation (exit 2, no cells run), with a suggestion.

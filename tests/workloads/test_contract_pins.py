@@ -36,7 +36,14 @@ RECORD_FLAGS = ["--scale", "0.25", "--seed", "5", "--sms", "8",
                 "--warps", "3", "--mem-insts", "40"]
 
 TRACE_TOKENS = ["betw", "betw-back", "kv-lookup:get_ratio=0.3",
-                "embedding-inference", "stream-join", "multi-tenant"]
+                "embedding-inference", "stream-join", "multi-tenant",
+                # Zipf alpha exactly 1, the inverse CDF's middle branch.
+                "kv-lookup:zipf=1.0",
+                # Footprints past 2**32 pages: each warp's stream page is a
+                # bounded draw over more than 2**32 values, which takes
+                # whole 64-bit outputs instead of 32-bit halves.
+                "betw:footprint_pages=34359738368",
+                "kv-lookup:keyspace_pages=68719476736"]
 
 TRACE_DIGESTS = {
     "betw":
@@ -51,6 +58,12 @@ TRACE_DIGESTS = {
         "93440ac9c4b0a7d186c18b00eaafd1d19a090e4f447b1779e4a714f6d1b4237b",
     "multi-tenant":
         "6030fd408ace6aa757ff6d9c981b7bd0889f2a098b661b0c129d8f438fa89d38",
+    "kv-lookup:zipf=1.0":
+        "04ee7b4ed41736502ad2f585b4199fe17f2910f76e7e95542f290c0e08fa93ef",
+    "betw:footprint_pages=34359738368":
+        "6900c3179d11dd15d2e33f4dd1ac1919d2ef4bcb4aeebb472e5b706467471649",
+    "kv-lookup:keyspace_pages=68719476736":
+        "73ec596f23942b0c67b8c624fed1fc1c2d011b4daf5664d4e8d8b68d15786204",
     "trace:":
         "f79d31e95785615465b1bda4d79c3556301809d76d0d1a922de15e4e1ddfd703",
 }

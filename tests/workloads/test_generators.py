@@ -4,10 +4,11 @@ import pickle
 import tracemalloc
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.generators import TraceGenerator, generate_workload
+from repro.workloads.generators import TraceGenerator, _Draws, generate_workload
 from repro.workloads.registry import build_token_trace
 from repro.workloads.suites import ALL_WORKLOADS, workload_by_name
 from repro.workloads.trace import TraceKnobs
@@ -64,6 +65,44 @@ class TestGeneration:
             scale=0.2, seed=1, num_sms=8, warps_per_sm=4))
         sm_ids = {w.sm_id for w in trace.warps}
         assert sm_ids <= set(range(8))
+
+
+#: Spans of ``integers(low, low + span)``: one value (no draw), 32-bit
+#: halves with a low and a high rejection threshold, exactly 2**32 values,
+#: and whole 64-bit outputs past that.
+SPANS = [1, 2, 3, 5, 32, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40]
+
+
+class TestDraws:
+    """The block reader returns what numpy's scalar Generator calls return."""
+
+    @staticmethod
+    def assert_matches_numpy(seed, calls):
+        draws = _Draws(seed)
+        rng = np.random.default_rng(seed)
+        for low, span in calls:
+            if span is None:
+                assert draws.random() == rng.random()
+            else:
+                assert draws.integers(low, low + span) == rng.integers(
+                    low, low + span)
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+           calls=st.lists(st.tuples(st.integers(0, 3),
+                                    st.none() | st.sampled_from(SPANS)),
+                          max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_any_call_sequence_matches_numpy(self, seed, calls):
+        self.assert_matches_numpy(seed, calls)
+
+    def test_draws_match_across_raw_blocks(self):
+        calls = [(index % 3, SPANS[index % len(SPANS)] if index % 4 else None)
+                 for index in range(5000)]
+        self.assert_matches_numpy(12345, calls)
+
+    def test_an_empty_span_is_rejected(self):
+        with pytest.raises(ValueError):
+            _Draws(1).integers(3, 3)
 
 
 #: Bytes a scale-1.0 ``betw-back`` trace may hold per thread address: about
