@@ -431,6 +431,7 @@ def _cmd_sweep(args: List[str]) -> int:
         f"{len(result)} cells in {result.elapsed_seconds:.2f}s with {workers} workers; "
         f"{result.cache_hits} served from cache"
         + (f" ({runner_cache_root})" if runner_cache_root is not None else "")
+        + f"; {result.simulated} simulated"
         + shard_note
     )
     if result.failed:

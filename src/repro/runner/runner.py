@@ -8,6 +8,17 @@ and hands back a :class:`~repro.platforms.base.PlatformResult`.  Because no
 state is shared, serial and parallel execution produce bit-identical results
 and finished cells can be cached on disk across invocations.
 
+Cells with equal simulation inputs share one simulation.  Two cells whose
+:meth:`~repro.runner.spec.SweepCell.simulation_key` match — same platform,
+workload, trace knobs and platform-resolved config, differing only in the
+override label or spelling, as when an ablation axis restates its default —
+produce the same result, so only the first of them (the *lead*) is
+dispatched.  Each other cell of the group (a *follower*) gets its own copy
+of the lead's result, its own cache entry under its own cache key and its
+own manifest record, and fails with the lead if the lead fails.  A pending
+cell that shares its key with a cell the cache served is filled from that
+result without simulating.
+
 Workers are plain ``multiprocessing`` pool processes; the cell objects and
 results cross the process boundary by pickle.  Cells already present in the
 :class:`~repro.runner.cache.ResultCache` are never dispatched at all, which
@@ -436,6 +447,15 @@ class SweepResult:
 
     # -- perf accounting ------------------------------------------------
     @property
+    def simulated(self) -> int:
+        """Finished cells whose result a simulation produced.
+
+        Only a simulated cell carries timings: cache-served cells and the
+        followers that shared another cell's simulation carry none.
+        """
+        return sum(1 for run in self.runs if run.timings)
+
+    @property
     def trace_build_seconds(self) -> float:
         """Aggregate worker time spent generating traces (sums across workers)."""
         return sum(run.timings.get("trace_build_seconds", 0.0) for run in self.runs)
@@ -487,6 +507,10 @@ class SweepRunner:
         lists the cell in ``result.failed`` and keeps sweeping, so one bad
         cell costs one cell, not the whole shard.
 
+        Cells that share a :meth:`~repro.runner.spec.SweepCell.simulation_key`
+        are simulated once (see the module docstring): a follower's manifest
+        record is ``ok`` with no timings and its lead's start and worker.
+
         ``resumed`` is the manifest of the interrupted run this run resumes:
         each cell it finished that the cache still holds keeps, in the new
         manifest, the record that run wrote (timings, start, worker).
@@ -502,9 +526,7 @@ class SweepRunner:
         runs: List[Optional[CellRun]] = [None] * len(cells)
         failed: List[CellFailure] = []
 
-        keys: List[Optional[str]] = [None] * len(cells)
-        if self.cache is not None or manifest_path is not None:
-            keys = [cell.cache_key() for cell in cells]
+        keys = [cell.cache_key() for cell in cells]
 
         manifest = None
         if manifest_path is not None:
@@ -518,16 +540,40 @@ class SweepRunner:
                 cache_dir=str(self.cache.root) if self.cache is not None else "",
             )
 
-        pending: List[Tuple[int, SweepCell]] = []
-        for index, cell in enumerate(cells):
+        def fill(index: int, result: PlatformResult, from_cache: bool,
+                 **record) -> None:
+            """Give a cell its own copy of a result its group already has."""
+            cell = cells[index]
+            result = PlatformResult.from_record(result.to_record())
+            runs[index] = CellRun(cell=cell, result=result, from_cache=from_cache)
             if self.cache is not None:
-                cached = self.cache.get(keys[index])
-                if cached is not None:
-                    runs[index] = CellRun(cell=cell, result=cached, from_cache=True)
-                    if manifest is not None:
-                        manifest.mark_cached(keys[index], resumed)
-                    continue
-            pending.append((index, cell))
+                self.cache.put(keys[index], result, cell.descriptor())
+            if manifest is not None:
+                manifest.mark(keys[index], "ok", from_cache=from_cache, **record)
+
+        served: Dict[str, PlatformResult] = {}
+        missed: List[int] = []
+        for index, cell in enumerate(cells):
+            cached = None if self.cache is None else self.cache.get(keys[index])
+            if cached is None:
+                missed.append(index)
+                continue
+            runs[index] = CellRun(cell=cell, result=cached, from_cache=True)
+            served.setdefault(cell.simulation_key(), cached)
+            if manifest is not None:
+                manifest.mark_cached(keys[index], resumed)
+        followers: Dict[int, List[int]] = {}
+        leads: Dict[str, int] = {}
+        for index in missed:
+            simulation = cells[index].simulation_key()
+            if simulation in served:
+                fill(index, served[simulation], from_cache=True)
+            elif simulation in leads:
+                followers[leads[simulation]].append(index)
+            else:
+                leads[simulation] = index
+                followers[index] = []
+        pending = [(index, cells[index]) for index in leads.values()]
         if manifest is not None:
             manifest.write(manifest_path)
 
@@ -541,13 +587,16 @@ class SweepRunner:
                 cell = cells[index]
                 worker = {"start_seconds": cell_started - started, "worker_pid": pid}
                 if error is not None:
+                    group = [index, *followers[index]]
                     if manifest is not None:
-                        manifest.mark(keys[index], "failed", error=error, **worker)
+                        for member in group:
+                            manifest.mark(keys[member], "failed", error=error, **worker)
                         manifest.write(manifest_path)
                     if on_error == "raise":
                         raise SweepExecutionError(
                             f"cell {cell.label} failed:\n{error}")
-                    failed.append(CellFailure(cell=cell, error=error))
+                    failed.extend(CellFailure(cell=cells[member], error=error)
+                                  for member in group)
                     continue
                 runs[index] = CellRun(
                     cell=cell, result=result, from_cache=False, timings=timings
@@ -556,6 +605,9 @@ class SweepRunner:
                     self.cache.put(keys[index], result, cell.descriptor())
                 if manifest is not None:
                     manifest.mark(keys[index], "ok", timings=timings, **worker)
+                for member in followers[index]:
+                    fill(member, result, from_cache=False, **worker)
+                if manifest is not None:
                     manifest.write(manifest_path)
         except BaseException:
             # A pool-level failure, an on_error="raise" cell failure or

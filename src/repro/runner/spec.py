@@ -369,22 +369,30 @@ class SweepCell:
         return cached
 
     def descriptor(self) -> Dict[str, object]:
-        """Canonical plain-data form: worker payload and cache-key input.
+        """Canonical plain-data form: cache-entry payload and key input.
 
         ``workload_fingerprint`` ties the cache key to the resolved family
         parameters and trace-file content, not just the token text: a
         changed family default, an edited catalogue entry or a rewritten
         trace file all miss the cache (schema v4).
+
+        Memoized on the frozen cell, like the keys derived from it; callers
+        must not mutate the returned mapping.
         """
-        return {
-            "platform": self.platform,
-            "workload": self.workload,
-            "workload_fingerprint": self.workload_fingerprint(),
-            "override_label": self.override_set.label,
-            "overrides": [[path, value] for path, value in self.override_set.overrides],
-            **self.knobs.sweep_fields(),
-            "config": asdict(self.platform_config()),
-        }
+        cached = self.__dict__.get("_descriptor")
+        if cached is None:
+            cached = {
+                "platform": self.platform,
+                "workload": self.workload,
+                "workload_fingerprint": self.workload_fingerprint(),
+                "override_label": self.override_set.label,
+                "overrides": [[path, value]
+                              for path, value in self.override_set.overrides],
+                **self.knobs.sweep_fields(),
+                "config": asdict(self.platform_config()),
+            }
+            object.__setattr__(self, "_descriptor", cached)
+        return cached
 
     def cache_key(self) -> str:
         """Content hash of everything that determines this cell's result.
@@ -403,9 +411,26 @@ class SweepCell:
         """
         cached = self.__dict__.get("_cache_key")
         if cached is None:
-            cached = hashlib.sha256(
-                canonical_json(self.descriptor()).encode()).hexdigest()
+            cached = _sha256_json(self.descriptor())
             object.__setattr__(self, "_cache_key", cached)
+        return cached
+
+    def simulation_key(self) -> str:
+        """Content hash of everything the simulation itself consumes.
+
+        The :meth:`descriptor` without the override label and the override
+        list: platform, workload token and fingerprint, trace knobs and the
+        platform-resolved config.  Cells that differ only in how their
+        point was named or spelled — an ablation axis that restates its
+        Table I default, say — share this key, and the runner simulates
+        them once.  Their cache keys stay distinct.
+        """
+        cached = self.__dict__.get("_simulation_key")
+        if cached is None:
+            cached = _sha256_json({
+                name: value for name, value in self.descriptor().items()
+                if name not in ("override_label", "overrides")})
+            object.__setattr__(self, "_simulation_key", cached)
         return cached
 
     def trace_key(self) -> Tuple:
@@ -422,6 +447,10 @@ class SweepCell:
         """
         return (self.workload, self.workload_fingerprint(),
                 *self.knobs.sweep_fields().values())
+
+
+def _sha256_json(payload: Mapping[str, object]) -> str:
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def build_cell_trace(cell: SweepCell):

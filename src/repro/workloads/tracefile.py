@@ -113,6 +113,13 @@ def write_trace_file(
     return content_hash
 
 
+#: The last file :func:`read_trace_file` verified, under the sha256 of its
+#: raw bytes.  Spec creation verifies a ``trace:`` file and every cell build
+#: replays it, so the parse runs once per process; an edited file has other
+#: bytes, so it is parsed and verified afresh.
+_LAST_VERIFIED: Optional[Tuple[str, TraceFile]] = None
+
+
 def read_trace_file(path: Union[str, os.PathLike]) -> TraceFile:
     """Load and verify a ``repro-trace-v1`` file.
 
@@ -120,14 +127,23 @@ def read_trace_file(path: Union[str, os.PathLike]) -> TraceFile:
     payload, an unknown schema version, a content hash that does not
     match the body (corruption / hand edits), or a body that is no trace
     (a missing field, a non-integer address or one outside int64).
+
+    The bytes are read and hashed on every call; when they equal those of
+    the file verified last, that verified load is returned without a
+    second parse.
     """
+    global _LAST_VERIFIED
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        raw = path.read_bytes()
     except OSError as error:
         raise TraceFileError(f"cannot read trace file {path}: {error}") from error
-    except json.JSONDecodeError as error:
+    raw_hash = hashlib.sha256(raw).hexdigest()
+    if _LAST_VERIFIED is not None and _LAST_VERIFIED[0] == raw_hash:
+        return replace(_LAST_VERIFIED[1], path=str(path))
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TraceFileError(
             f"trace file {path} is not valid JSON ({error})") from error
     if not isinstance(payload, dict) or "schema" not in payload:
@@ -160,13 +176,15 @@ def read_trace_file(path: Union[str, os.PathLike]) -> TraceFile:
         raise TraceFileError(
             f"{path} holds a malformed trace ({type(error).__name__}: "
             f"{error})") from error
-    return TraceFile(
+    loaded = TraceFile(
         path=str(path),
         workload=str(payload["workload"]),
         knobs=dict(payload["knobs"]),
         content_hash=payload["content_hash"],
         trace=trace,
     )
+    _LAST_VERIFIED = (raw_hash, loaded)
+    return loaded
 
 
 # -- file-bytes fingerprint (cache keying) ----------------------------------

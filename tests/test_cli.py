@@ -142,6 +142,24 @@ class TestSweepCommand:
         ]) == 0
         assert "wide" in capsys.readouterr().out
 
+    def test_summary_counts_the_simulations(self, capsys, tmp_path):
+        # Both "table1" and "same" restate Table I's defaults, so the three
+        # points need two simulations.
+        args = self.ARGS + ["--set", "table1:znand.channels=16",
+                            "--set", "same:register_cache.registers_per_plane=8",
+                            "--set", "narrow:znand.channels=8"]
+        assert main(args + ["--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "3 cells in" in out
+        assert "with 1 workers; 0 served from cache; 2 simulated" in out
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(args + cache) == 0
+        out = capsys.readouterr().out
+        assert f"0 served from cache ({tmp_path}); 2 simulated" in out
+        assert main(args + cache) == 0
+        out = capsys.readouterr().out
+        assert f"3 served from cache ({tmp_path}); 0 simulated" in out
+
     def test_sweep_unknown_option(self, capsys):
         assert main(["sweep", "--bogus", "1"]) == 2
 

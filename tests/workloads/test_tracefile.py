@@ -135,6 +135,54 @@ class TestVerification:
         assert trace_file_fingerprint(path) != before
 
 
+class TestVerifiedOnce:
+    """The last verified file is kept under the hash of its bytes."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        from repro.workloads import tracefile
+
+        calls = []
+        real = tracefile.trace_from_dict
+
+        def counting(payload):
+            calls.append(1)
+            return real(payload)
+
+        monkeypatch.setattr(tracefile, "_LAST_VERIFIED", None)
+        monkeypatch.setattr(tracefile, "trace_from_dict", counting)
+        return calls
+
+    def test_a_sweep_parses_the_file_once(self, tmp_path, parses):
+        path = tmp_path / "kv.trace.json"
+        record_trace("kv-lookup", path, TraceKnobs(scale=0.05, warps_per_sm=2))
+        result = run_sweep(SweepSpec.create(
+            platforms=["ZnG-base", "ZnG"], workloads=[f"trace:{path}"],
+            scale=0.05, warps_per_sm=2))
+        assert len(result) == 2
+        assert len(parses) == 1
+
+    def test_an_edited_file_is_verified_again(self, tmp_path, parses):
+        path = tmp_path / "betw.trace.json"
+        record_trace("betw", path, KNOBS)
+        read_trace_file(path)
+        assert read_trace_file(path).path == str(path) and len(parses) == 1
+        rewrite_first_address(path, 4096 * 7)
+        edited = read_trace_file(path)
+        assert len(parses) == 2
+        assert edited.trace.warps[0].instructions[0].addresses[0] == 4096 * 7
+
+    def test_a_corrupted_edit_still_fails(self, tmp_path, parses):
+        path = tmp_path / "kv.trace.json"
+        record_trace("kv-lookup", path, KNOBS)
+        read_trace_file(path)
+        payload = json.loads(path.read_text())
+        payload["trace"]["warps"][0]["instructions"][0]["pc"] += 8
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TraceFileError, match="content-hash verification"):
+            read_trace_file(path)
+
+
 class TestSweepReplay:
     def test_replayed_sweep_is_bit_identical_to_generating_sweep(self, tmp_path):
         # The headline acceptance property: record a trace with the sweep's
