@@ -15,9 +15,7 @@ bottleneck sits — is asserted by the benches in ``benchmarks/``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.config import (
     DRAM_TECHNOLOGIES,
@@ -29,6 +27,9 @@ from repro.platforms.zng import build_platform
 from repro.workloads.multiapp import build_all_mixes, build_mix
 from repro.workloads.suites import ALL_WORKLOADS
 from repro.workloads.trace import TraceKnobs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default (small) trace scale used when a caller does not specify one.
 DEFAULT_SCALE = 0.25

@@ -358,14 +358,19 @@ def render_timeline_html(manifests) -> str:
     start, its phase timings and its worker's pid.  The shards of a grid ran
     apart, so each shard's lanes start at 0 and a lane is keyed by shard and
     pid.  Cache-served cells, and cells of manifests written before those
-    fields existed, draw no bar.
+    fields existed, draw no bar.  Nor does a cell that shared another cell's
+    simulation: it is ``ok`` with no timings.  A failed cell keeps its bar.
     """
+    from repro.runner.manifest import STATUS_OK
+
     lanes: Dict[str, list] = {}
     for manifest in manifests:
         shard = (f"shard {manifest.shard_index + 1}/{manifest.shard_count} "
                  if manifest.shard_count > 1 else "")
         for cell in manifest.cells:
             if cell.from_cache or cell.worker_pid is None or cell.start_seconds is None:
+                continue
+            if cell.status == STATUS_OK and not cell.timings:
                 continue
             lanes.setdefault(f"{shard}pid {cell.worker_pid}", []).append(cell)
     cells = [cell for lane in lanes.values() for cell in lane]

@@ -15,19 +15,21 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.sim.request import AccessType
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     """A run of ``compute_ops`` ALU instructions followed by one memory access.
 
     ``addresses`` holds the per-thread byte addresses of the memory access, a
-    sequence of ints; an empty one means the record is compute-only.
-    Generated and replayed traces pack them into one int64 ``array('q')`` per
-    memory instruction, 8 bytes a thread address.  ``segments`` optionally
-    carries the coalesced 128 B-aligned segment addresses precomputed at
-    trace-generation time (sorted, unique); when present the per-SM coalescer
-    skips re-deriving them from the 32 thread addresses on every execution of
-    the instruction, which matters because one trace is replayed by several
-    platforms per sweep.
+    sequence of ints; an empty one means the record is compute-only.  It is
+    one of three types: a generated trace keeps each instruction's pattern
+    as a :class:`~repro.workloads.generators.StridedAddresses`, a replayed
+    trace packs the addresses it read into one int64 ``array('q')``, and a
+    hand-built trace (the microbenchmarks, the graph kernels, tests) passes
+    a list.  ``segments`` optionally carries the coalesced 128 B-aligned
+    segment addresses precomputed at trace-generation time (sorted,
+    unique); when present the per-SM coalescer skips re-deriving them from
+    the 32 thread addresses on every execution of the instruction, which
+    matters because one trace is replayed by several platforms per sweep.
     """
 
     pc: int

@@ -17,14 +17,15 @@ benches can report write asymmetry and WAF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.config import GPU_FREQ_HZ, ZNANDConfig
 from repro.sim.engine import Resource
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.geometry import FlashGeometry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PageState:
@@ -246,6 +247,8 @@ class ZNANDArray:
     # -- reporting -------------------------------------------------------------
     def write_heatmap(self) -> np.ndarray:
         """Writes per (channel, plane-within-channel): the Fig. 8b heat map."""
+        import numpy as np
+
         channels = self.config.channels
         planes_per_channel = self.geometry.total_planes // channels
         heatmap = np.zeros((channels, planes_per_channel), dtype=np.int64)

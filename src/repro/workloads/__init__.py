@@ -34,12 +34,6 @@ from repro.workloads.tracefile import (
     trace_file_fingerprint,
     write_trace_file,
 )
-from repro.workloads.graphgen import (
-    CSRGraph,
-    generate_power_law_graph,
-    bfs_traversal,
-    pagerank_iteration,
-)
 
 __all__ = [
     "WorkloadSpec",
@@ -77,8 +71,4 @@ __all__ = [
     "pointer_chase",
     "stencil",
     "hammer",
-    "CSRGraph",
-    "generate_power_law_graph",
-    "bfs_traversal",
-    "pagerank_iteration",
 ]

@@ -12,22 +12,19 @@ Traces are deterministic for a given workload and
 :class:`~repro.workloads.trace.TraceKnobs` so tests and benchmarks are
 reproducible.  The order of the random draws is the trace contract: every
 pinned trace, recorded trace file and result digest follows from it.  The
-draws are read in blocks by :class:`_Draws`, which must return exactly what
-the scalar ``random()`` and ``integers(low, high)`` of
-``np.random.default_rng(seed)`` return;
-``tests/workloads/test_generators.py::TestDraws`` checks that against
-numpy.
+draws come from a pure-Python PCG64 (:class:`_Draws`), seeded as
+``np.random.default_rng(seed)`` seeds it, which must return exactly what
+that Generator's scalar ``random()`` and ``integers(low, high)`` return;
+``tests/workloads/test_generators.py::TestDraws`` holds it to numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
-from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional
-
-import numpy as np
+from typing import Iterator, List, Optional, Tuple
 
 from repro.gpu.coalescer import PRECOMPUTED_SEGMENT_BYTES
 from repro.gpu.warp import Instruction, WarpTrace
@@ -37,10 +34,68 @@ from repro.workloads.trace import TraceKnobs, WorkloadSpec, WorkloadTrace
 PAGE_SIZE = 4096
 LINE_SIZE = 128
 WORD_SIZE = 4
+_THREADS = 32
 
 
-#: 64-bit outputs read from the bit generator at a time.
+class StridedAddresses(Sequence):
+    """The 32 thread addresses of a generated memory instruction, as a pattern.
+
+    Thread ``t`` reads the word at ``base + (t % lines) * 128 +
+    (t // lines) * 4``: the warp spreads over ``lines`` consecutive 128 B
+    lines from ``base``, and ``lines == 1`` is the contiguous ``base + 4t``
+    run.  Only the two numbers are stored; an address is computed when it is
+    read.  It compares equal to any sequence of the same 32 ints (a replayed
+    trace's ``array('q')``, a list) and pickles as ``(base, lines)``.
+    """
+
+    __slots__ = ("base", "lines")
+
+    def __init__(self, base: int, lines: int) -> None:
+        self.base = base
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return _THREADS
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[t] for t in range(*index.indices(_THREADS))]
+        if index < 0:
+            index += _THREADS
+        if not 0 <= index < _THREADS:
+            raise IndexError("thread index out of range")
+        lines = self.lines
+        return self.base + (index % lines) * LINE_SIZE + (index // lines) * WORD_SIZE
+
+    def __iter__(self) -> Iterator[int]:
+        base, lines = self.base, self.lines
+        for t in range(_THREADS):
+            yield base + (t % lines) * LINE_SIZE + (t // lines) * WORD_SIZE
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StridedAddresses):
+            return self.base == other.base and self.lines == other.lines
+        if isinstance(other, Sequence):
+            return len(other) == _THREADS and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return StridedAddresses, (self.base, self.lines)
+
+    def __repr__(self) -> str:
+        return f"StridedAddresses(base={self.base}, lines={self.lines})"
+
+
+#: 64-bit outputs generated per block.
 _DRAW_BLOCK = 1024
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: The LCG multiplier of PCG64 (PCG's default 128-bit multiplier).
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _seed_for(name: str, seed: Optional[int]) -> int:
@@ -50,27 +105,99 @@ def _seed_for(name: str, seed: Optional[int]) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
+def _seed_words(seed: int) -> List[int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)``.
+
+    The seed's 32-bit words (least significant first) are hashed into a pool
+    of four words, which is hashed out into eight 32-bit words, read in
+    little-endian pairs.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _MASK32]
+    seed >>= 32
+    while seed:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for word in entropy[4:]:
+        for target in range(4):
+            pool[target] = mix(pool[target], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for index in range(8):
+        value = pool[index % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> 16))
+    return [state[2 * i] | state[2 * i + 1] << 32 for i in range(4)]
+
+
+def _pcg64_seed(seed: int) -> Tuple[int, int]:
+    """The ``(state, increment)`` of numpy's ``PCG64(seed)``.
+
+    ``pcg64_set_seed`` with the first two seed words as the initial state
+    and the last two as the stream.
+    """
+    words = _seed_words(seed)
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = (inc + (words[0] << 64 | words[1])) & _MASK128
+    return (state * _PCG64_MULTIPLIER + inc) & _MASK128, inc
+
+
+def _pcg64_blocks(state: int, inc: int) -> Iterator[List[int]]:
+    """PCG64 (XSL-RR 128/64) outputs from ``state``, ``_DRAW_BLOCK`` at a time.
+
+    Each output advances the 128-bit LCG, folds the new state's halves
+    together and rotates the fold right by the state's top six bits
+    (``x * (2**64 + 1)`` holds ``x`` twice, so a shift reads the rotation).
+    """
+    multiplier, spread = _PCG64_MULTIPLIER, (1 << 64) + 1
+    mask64, mask128 = _MASK64, _MASK128
+    while True:
+        block = []
+        append = block.append
+        for _ in range(_DRAW_BLOCK):
+            state = (state * multiplier + inc) & mask128
+            append(((state >> 64 ^ state) & mask64) * spread >> (state >> 122) & mask64)
+        yield block
+
+
 class _Draws:
-    """The scalar draws of ``np.random.default_rng(seed)``, read in blocks.
+    """The scalar draws of ``np.random.default_rng(seed)``, in pure Python.
 
     ``random()`` and ``integers(low, high)`` return the values the
-    Generator's scalar methods return for the same call sequence, but read
-    the PCG64 outputs from ``random_raw`` blocks instead of making one numpy
-    call per draw.  A double is the top 53 bits of one output.  A bounded
-    integer uses numpy's Lemire rejection method: a span of up to 2**32
-    values draws 32-bit halves, low half first, and keeps the high half for
-    the next such draw, across ``random()`` calls too, as PCG64's own buffer
-    does; a larger span draws whole outputs; a span of one value draws
-    nothing.
+    Generator's scalar methods return for the same call sequence, reading
+    the PCG64 outputs from :func:`_pcg64_blocks`.  A double is the top 53
+    bits of one output.  A bounded integer uses numpy's Lemire rejection
+    method: a span of up to 2**32 values draws 32-bit halves, low half
+    first, and keeps the high half for the next such draw, across
+    ``random()`` calls too, as PCG64's own buffer does; a larger span draws
+    whole outputs; a span of one value draws nothing.  A negative seed
+    raises :class:`ValueError`, as numpy's does.
     """
 
     __slots__ = ("_next_raw", "_half")
 
     def __init__(self, seed: int) -> None:
-        bits = np.random.default_rng(seed).bit_generator
-        self._next_raw = chain.from_iterable(
-            iter(lambda: bits.random_raw(_DRAW_BLOCK).tolist(), None)
-        ).__next__
+        self._next_raw = chain.from_iterable(_pcg64_blocks(*_pcg64_seed(seed))).__next__
         self._half: Optional[int] = None
 
     def random(self) -> float:
@@ -168,7 +295,7 @@ class TraceGenerator:
             rank = int(((num_pages ** beta - 1.0) * u + 1.0) ** (1.0 / beta)) - 1
         return min(num_pages - 1, max(0, rank))
 
-    def _hot_page_list(self, count: int, footprint: int, salt: int) -> np.ndarray:
+    def _hot_page_list(self, count: int, footprint: int, salt: int) -> List[int]:
         """Hot pages scattered uniformly over the footprint.
 
         High-degree vertices of a graph are spread across the CSR arrays, not
@@ -178,8 +305,7 @@ class TraceGenerator:
         """
         count = max(1, min(count, footprint))
         stride = max(1, footprint // count)
-        offsets = (np.arange(count) * stride + salt) % max(1, footprint)
-        return offsets.astype(np.int64)
+        return [(index * stride + salt) % max(1, footprint) for index in range(count)]
 
     # -- main entry point ---------------------------------------------------------
     def generate(self) -> WorkloadTrace:
@@ -187,10 +313,10 @@ class TraceGenerator:
         footprint = self.footprint_pages
         hot_read_list = self._hot_page_list(
             min(self._hot_read_pages(), footprint), footprint, salt=3
-        ).tolist()
+        )
         hot_write_list = self._hot_page_list(
             min(self._hot_write_pages(), footprint), footprint, salt=17
-        ).tolist()
+        )
         base = self.knobs.address_space_offset
 
         # PC values: one per "static load/store site"; graph kernels have a
@@ -220,7 +346,6 @@ class TraceGenerator:
         write_count = len(write_pcs)
         read, write = AccessType.READ, AccessType.WRITE
         lines_per_page = PAGE_SIZE // LINE_SIZE
-        threads = np.arange(32, dtype=np.int64)[None, :]
         # Precomputed segments are only valid when bases are line aligned (an
         # unaligned address_space_offset shifts the 128 B segment boundaries)
         # and the precompute granularity is the coalescer contract; fall back
@@ -244,13 +369,7 @@ class TraceGenerator:
                 stream_page = integers(0, max(1, footprint - 1))
                 stream_line = 0
                 stream_pc = read_pcs[warp_counter % len(read_pcs)]
-                # Per-instruction control decisions stay on the RNG stream in
-                # their historical order; the per-thread address expansion is
-                # deferred and done for the whole warp in one numpy chunk.
-                pcs: List[int] = []
-                accesses: List[AccessType] = []
-                bases: List[int] = []
-                strides: List[int] = []
+                instructions = warp.instructions
                 for _ in range(instructions_per_warp):
                     is_read = random() < read_ratio
                     sequential = random() < sequential_fraction
@@ -267,48 +386,28 @@ class TraceGenerator:
                             page = hot_read_list[zipf_rank(hot_reads)]
                             line = integers(0, lines_per_page)
                             pc = irregular_pcs[integers(0, irregular_count)]
-                        accesses.append(read)
+                        access = read
                         read_counts[page] = read_counts.get(page, 0) + 1
                     else:
                         page = hot_write_list[zipf_rank(hot_writes)]
                         line = integers(0, lines_per_page)
                         pc = write_pcs[integers(0, write_count)]
-                        accesses.append(write)
+                        access = write
                         write_counts[page] = write_counts.get(page, 0) + 1
-                    # A coalesced access is the 1-segment case of the unified
-                    # scatter pattern (thread t touches (t % k) * LINE_SIZE +
-                    # (t // k) * WORD_SIZE past base); an irregular access
-                    # scatters over 2-4 lines (frontier-style), drawn at this
-                    # exact point of the RNG stream to stay bit-identical to
-                    # the historical per-instruction builder.
-                    pcs.append(pc)
-                    bases.append(base + page * PAGE_SIZE + line * LINE_SIZE)
-                    strides.append(1 if sequential else integers(2, 5))
-
-                # One numpy chunk per warp: thread t of an instruction with k
-                # segments touches base + (t % k)*LINE + (t // k)*WORD, which
-                # reduces to the contiguous base + 4t pattern when k == 1.
-                # Each instruction keeps its row packed as an int64 array.
-                base_column = np.asarray(bases, dtype=np.int64)[:, None]
-                seg_column = np.asarray(strides, dtype=np.int64)[:, None]
-                rows = (
-                    base_column
-                    + (threads % seg_column) * LINE_SIZE
-                    + (threads // seg_column) * WORD_SIZE
-                )
-                packed = array("q", rows.tobytes())
-                instructions = warp.instructions
-                for start, pc, access, first, segments_here in zip(
-                    range(0, 32 * len(pcs), 32), pcs, accesses, bases, strides
-                ):
+                    # A coalesced access spreads the warp over one line; an
+                    # irregular access scatters over 2-4 lines (frontier-style),
+                    # drawn at this exact point of the RNG stream to stay
+                    # bit-identical to the historical generator.
+                    first = base + page * PAGE_SIZE + line * LINE_SIZE
+                    lines = 1 if sequential else integers(2, 5)
                     segments = (
-                        tuple(range(first, first + segments_here * LINE_SIZE, LINE_SIZE))
+                        tuple(range(first, first + lines * LINE_SIZE, LINE_SIZE))
                         if aligned
                         else None
                     )
-                    instructions.append(
-                        Instruction(pc, compute_ops, packed[start:start + 32], access, segments)
-                    )
+                    instructions.append(Instruction(
+                        pc, compute_ops, StridedAddresses(first, lines), access, segments
+                    ))
                 trace.warps.append(warp)
                 warp_counter += 1
 

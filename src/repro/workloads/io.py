@@ -72,8 +72,9 @@ def trace_from_dict(data: Dict) -> WorkloadTrace:
     """Reconstruct a workload trace from its serialised form.
 
     Each instruction's addresses are packed into an int64 ``array('q')``,
-    as the generator packs them: a non-integer address raises
-    :class:`TypeError`, one outside the int64 range :class:`OverflowError`.
+    which compares equal to the generated instruction's address pattern: a
+    non-integer address raises :class:`TypeError`, one outside the int64
+    range :class:`OverflowError`.
     """
     trace = WorkloadTrace(spec=spec_from_dict(data["spec"]))
     trace.footprint_pages = data.get("footprint_pages", 0)

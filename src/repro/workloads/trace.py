@@ -16,8 +16,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional
 
-import numpy as np
-
 from repro.gpu.warp import WarpTrace, total_instructions, total_memory_instructions
 
 
@@ -180,14 +178,14 @@ class WorkloadTrace:
         """Average reads per distinct read page (the Fig. 5b metric)."""
         if not self.page_read_counts:
             return 0.0
-        return float(np.mean(list(self.page_read_counts.values())))
+        return sum(self.page_read_counts.values()) / len(self.page_read_counts)
 
     @property
     def mean_write_redundancy(self) -> float:
         """Average writes per distinct written page (the Fig. 5c metric)."""
         if not self.page_write_counts:
             return 0.0
-        return float(np.mean(list(self.page_write_counts.values())))
+        return sum(self.page_write_counts.values()) / len(self.page_write_counts)
 
     def merge(self, other: "WorkloadTrace") -> "WorkloadTrace":
         """Concatenate another workload's warps (used for multi-app mixes)."""

@@ -98,6 +98,31 @@ def test_a_failed_cell_that_ran_draws_a_bar():
     assert "ZnG/bfs1: start 0.000 s" in timeline
 
 
+def test_a_cell_that_shared_a_simulation_draws_no_bar():
+    lead = _cell("bfs1", 11, 0.0, 0.25, 0.75)
+    follower = _cell("pr", 11, 0.0, 0.0, 0.0)
+    follower.timings, follower.elapsed_seconds = {}, 0.0
+    timeline = render_timeline_html([_manifest(lead, follower)])
+    assert timeline.count("class='cell'") == 1
+    assert "ZnG/pr" not in timeline
+    assert "<tr><td>pid 11</td><td>1</td>" in timeline
+    assert "1 executed cells on 1 worker lane(s)" in timeline
+
+
+def test_a_sweep_with_restated_defaults_draws_one_bar_per_simulation(tmp_path):
+    spec = SweepSpec.create(
+        platforms=["ZnG"], workloads=["betw-back"],
+        overrides={"default": {}, "znand.channels=16": {"znand.channels": 16},
+                   "znand.channels=8": {"znand.channels": 8}},
+        scale=0.06, warps_per_sm=2, memory_instructions_per_warp=12)
+    path = tmp_path / "manifest.json"
+    SweepRunner(workers=1, cache=tmp_path).run(spec, manifest_path=path)
+    timeline = render_timeline_html([RunManifest.load(path)])
+    assert len({cell.simulation_key() for cell in spec.cells()}) == 2
+    assert timeline.count("class='cell'") == 2
+    assert "2 executed cells on 1 worker lane(s)" in timeline
+
+
 def test_cell_labels_are_escaped():
     timeline = render_timeline_html([_manifest(_cell("trace:<a&b>.json", 11, 0.0, 0.1, 0.1))])
     assert "ZnG/trace:&lt;a&amp;b&gt;.json" in timeline

@@ -1,5 +1,7 @@
 """Unit tests for warp trace containers."""
 
+from array import array
+
 import pytest
 
 from repro.gpu.warp import (
@@ -10,6 +12,7 @@ from repro.gpu.warp import (
     total_memory_instructions,
 )
 from repro.sim.request import AccessType
+from repro.workloads.generators import StridedAddresses
 
 
 class TestInstruction:
@@ -22,6 +25,18 @@ class TestInstruction:
         instr = Instruction(pc=0, compute_ops=2, addresses=[0, 128])
         assert instr.is_memory
         assert instr.instruction_count == 3
+
+    def test_a_generated_instruction_equals_its_replayed_and_hand_built_forms(self):
+        expected = [4096 + (t % 2) * 128 + (t // 2) * 4 for t in range(32)]
+        generated, replayed, built = (
+            Instruction(pc=8, addresses=addresses, segments=(4096, 4224))
+            for addresses in (StridedAddresses(4096, 2), array("q", expected), expected))
+        assert generated == replayed and replayed == generated
+        assert generated == built and built == generated
+        assert generated.is_memory and generated.instruction_count == 1
+
+    def test_holds_no_instance_dict(self):
+        assert not hasattr(Instruction(pc=0), "__dict__")
 
 
 class TestWarpTrace:

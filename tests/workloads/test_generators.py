@@ -8,10 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.generators import TraceGenerator, _Draws, generate_workload
+from repro.gpu.coalescer import CoalescingUnit
+from repro.workloads.generators import (
+    _DRAW_BLOCK,
+    StridedAddresses,
+    TraceGenerator,
+    _Draws,
+    _pcg64_blocks,
+    _pcg64_seed,
+    generate_workload,
+)
+from repro.workloads.io import trace_to_dict
 from repro.workloads.registry import build_token_trace
 from repro.workloads.suites import ALL_WORKLOADS, workload_by_name
 from repro.workloads.trace import TraceKnobs
+from repro.workloads.tracefile import read_trace_file, record_trace
 
 
 class TestGeneration:
@@ -73,8 +84,15 @@ class TestGeneration:
 SPANS = [1, 2, 3, 5, 32, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40]
 
 
+#: Seeds at the edges of the seed sequence's 32-bit entropy words: one word
+#: (0 and its largest value), two, three and five words.  Five words take
+#: the branch that mixes entropy past the 4-word pool.
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 7, 2 ** 64 - 1, 2 ** 64 + 3,
+              2 ** 70 + 3, 2 ** 128 + 5, 2 ** 160 - 1]
+
+
 class TestDraws:
-    """The block reader returns what numpy's scalar Generator calls return."""
+    """The pure-Python draws return what numpy's scalar Generator calls return."""
 
     @staticmethod
     def assert_matches_numpy(seed, calls):
@@ -100,33 +118,111 @@ class TestDraws:
                  for index in range(5000)]
         self.assert_matches_numpy(12345, calls)
 
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_raw_outputs_match_numpy_across_blocks(self, seed):
+        blocks = _pcg64_blocks(*_pcg64_seed(seed))
+        ours = [output for _ in range(3) for output in next(blocks)]
+        bits = np.random.default_rng(seed).bit_generator
+        assert ours == bits.random_raw(3 * _DRAW_BLOCK).tolist()
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_seeds_match_numpy(self, seed):
+        self.assert_matches_numpy(seed, [(1, SPANS[i % len(SPANS)] if i % 3 else None)
+                                         for i in range(200)])
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 64)])
+    def test_a_negative_seed_is_rejected_as_numpy_rejects_it(self, seed):
+        with pytest.raises(ValueError):
+            np.random.default_rng(seed)
+        with pytest.raises(ValueError):
+            _Draws(seed)
+
     def test_an_empty_span_is_rejected(self):
         with pytest.raises(ValueError):
             _Draws(1).integers(3, 3)
 
 
 #: Bytes a scale-1.0 ``betw-back`` trace may hold per thread address: about
-#: 19 with packed addresses, 49 with one Python int object per address.
-MAX_BYTES_PER_THREAD_ADDRESS = 28
+#: 8.6 with each instruction's addresses kept as a (base, lines) pattern, 19
+#: with them packed in an int64 array, 49 with one Python int per address.
+MAX_BYTES_PER_THREAD_ADDRESS = 12
+
+KNOBS = TraceKnobs(scale=0.1, seed=1, warps_per_sm=4)
 
 
-class TestPackedAddresses:
-    def test_memory_instructions_hold_32_packed_int64_addresses(self):
-        trace = generate_workload(workload_by_name("betw"), TraceKnobs(
-            scale=0.1, seed=1, warps_per_sm=4))
+def _expanded(base, lines):
+    return [base + (t % lines) * 128 + (t // lines) * 4 for t in range(32)]
+
+
+class TestStridedAddresses:
+    @pytest.mark.parametrize("lines", [1, 2, 3, 4])
+    def test_reads_as_the_32_thread_addresses(self, lines):
+        addresses = StridedAddresses(4096, lines)
+        expected = _expanded(4096, lines)
+        assert len(addresses) == 32 and addresses
+        assert list(addresses) == expected
+        assert [addresses[t] for t in range(32)] == expected
+        assert addresses[-1] == expected[-1] and addresses[3:9] == expected[3:9]
+        with pytest.raises(IndexError):
+            addresses[32]
+
+    @pytest.mark.parametrize("lines", [1, 3])
+    def test_equals_any_sequence_of_the_same_addresses(self, lines):
+        addresses = StridedAddresses(8192, lines)
+        expected = _expanded(8192, lines)
+        for other in (expected, array("q", expected), StridedAddresses(8192, lines)):
+            assert addresses == other and other == addresses
+        for other in (expected[:-1], expected[:-1] + [0], StridedAddresses(8192, 2),
+                      StridedAddresses(8320, lines), "x" * 32, None):
+            assert addresses != other and other != addresses
+
+    def test_pickles_as_base_and_lines(self):
+        addresses = StridedAddresses(1 << 40, 3)
+        blob = pickle.dumps(addresses, protocol=pickle.HIGHEST_PROTOCOL)
+        copy = pickle.loads(blob)
+        assert type(copy) is StridedAddresses
+        assert (copy.base, copy.lines) == (1 << 40, 3)
+        assert len(blob) < 80
+
+    def test_is_unhashable_like_the_other_address_sequences(self):
+        with pytest.raises(TypeError):
+            hash(StridedAddresses(0, 1))
+
+    @pytest.mark.parametrize("lines", [1, 2, 4])
+    def test_the_coalescer_derives_its_segments(self, lines):
+        coalescer = CoalescingUnit(request_bytes=128)
+        segments = coalescer.coalesce(StridedAddresses(4096, lines))
+        assert list(segments) == [4096 + 128 * k for k in range(lines)]
+
+
+class TestGeneratedAddresses:
+    def test_addresses_follow_the_pattern_and_cover_their_segments(self):
+        trace = build_token_trace("betw-back", KNOBS)
         instructions = [i for w in trace.warps for i in w.instructions]
         assert instructions and all(i.is_memory for i in instructions)
+        assert {len(i.segments) for i in instructions} == {1, 2, 3, 4}
         for instr in instructions:
-            assert type(instr.addresses) is array
-            assert instr.addresses.typecode == "q"
-            assert len(instr.addresses) == 32
+            assert list(instr.addresses) == _expanded(
+                instr.segments[0], len(instr.segments))
+            assert sorted({a // 128 * 128 for a in instr.addresses}) == list(
+                instr.segments)
 
     def test_a_pickled_trace_round_trips_equal(self):
-        trace = build_token_trace("betw-back", TraceKnobs(
-            scale=0.1, seed=1, warps_per_sm=4))
+        trace = build_token_trace("betw-back", KNOBS)
         copy = pickle.loads(pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL))
         assert copy == trace
-        assert type(copy.warps[0].instructions[0].addresses) is array
+        assert trace_to_dict(copy) == trace_to_dict(trace)
+
+    def test_a_recorded_then_replayed_trace_equals_the_generated_one(self, tmp_path):
+        path = tmp_path / "betw-back.trace.json"
+        generated = record_trace("betw-back", path, KNOBS).trace
+        replayed = read_trace_file(path).trace
+        assert replayed.warps == generated.warps
+        assert generated.warps == replayed.warps
+        pairs = [(g.addresses, r.addresses)
+                 for gw, rw in zip(generated.warps, replayed.warps)
+                 for g, r in zip(gw.instructions, rw.instructions)]
+        assert pairs and all(g == r and r == g and g == list(r) for g, r in pairs)
 
     def test_a_paper_scale_trace_stays_within_its_memory_budget(self):
         knobs = TraceKnobs(scale=1.0, seed=1)
