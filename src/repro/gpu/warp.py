@@ -30,6 +30,10 @@ class Instruction:
     unique); when present the per-SM coalescer skips re-deriving them from
     the 32 thread addresses on every execution of the instruction, which
     matters because one trace is replayed by several platforms per sweep.
+
+    Generated and replayed traces share one record among all positions and
+    warps that issue the same access, so a record taken from a trace must
+    not be mutated.
     """
 
     pc: int

@@ -16,15 +16,21 @@ draws come from a pure-Python PCG64 (:class:`_Draws`), seeded as
 ``np.random.default_rng(seed)`` seeds it, which must return exactly what
 that Generator's scalar ``random()`` and ``integers(low, high)`` return;
 ``tests/workloads/test_generators.py::TestDraws`` holds it to numpy.
+
+A trace holds one :class:`~repro.gpu.warp.Instruction` per distinct memory
+access: a repeat, at another position or in another warp, is the same
+object, so an instruction of a generated trace must not be mutated.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.gpu.coalescer import PRECOMPUTED_SEGMENT_BYTES
 from repro.gpu.warp import Instruction, WarpTrace
@@ -88,8 +94,9 @@ class StridedAddresses(Sequence):
         return f"StridedAddresses(base={self.base}, lines={self.lines})"
 
 
-#: 64-bit outputs generated per block.
-_DRAW_BLOCK = 1024
+#: 64-bit outputs generated per block.  A block of 1,024 costs about as much
+#: per output and holds four times the memory (its lanes take 32 KiB a value).
+_DRAW_BLOCK = 256
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -162,22 +169,56 @@ def _pcg64_seed(seed: int) -> Tuple[int, int]:
     return (state * _PCG64_MULTIPLIER + inc) & _MASK128, inc
 
 
+def _jump_lanes(inc: int) -> Tuple[int, int]:
+    """``M**k`` and ``(1 + M + ... + M**(k-1)) * inc``, mod 2**128, in lane ``k - 1``.
+
+    Lane ``k - 1`` is bits ``256(k-1)`` to ``256k - 1``, for ``k`` from 1 to
+    ``_DRAW_BLOCK`` (a power of two), so ``powers * state + increments``
+    holds in lane ``k - 1`` the LCG state ``k`` steps after ``state``, plus
+    a multiple of 2**128.  Lanes ``n`` to ``2n - 1`` follow from the first
+    ``n``: with ``S(k) = 1 + ... + M**(k-1)``, ``M**(n+k) = M**n * M**k`` and
+    ``S(n+k) = S(n) + M**n * S(k)``.
+    """
+    powers, increments, ones, lanes = _PCG64_MULTIPLIER, inc, 1, 1
+    while lanes < _DRAW_BLOCK:
+        shift = 256 * lanes
+        power, total = powers >> shift - 256, increments >> shift - 256
+        mask = (ones << 128) - ones
+        powers |= (powers * power & mask) << shift
+        increments |= (increments * power + total * ones & mask) << shift
+        ones |= ones << shift
+        lanes *= 2
+    return powers, increments
+
+
+#: Each byte value's top six bits: a state's rotation is its sixteenth byte's.
+_TOP_SIX_BITS = bytes(byte >> 2 for byte in range(256))
+
+
 def _pcg64_blocks(state: int, inc: int) -> Iterator[List[int]]:
     """PCG64 (XSL-RR 128/64) outputs from ``state``, ``_DRAW_BLOCK`` at a time.
 
     Each output advances the 128-bit LCG, folds the new state's halves
-    together and rotates the fold right by the state's top six bits
-    (``x * (2**64 + 1)`` holds ``x`` twice, so a shift reads the rotation).
+    together and rotates the fold right by the state's top six bits.  All
+    of a block's states come from one big-int multiply over 256-bit lanes
+    (see :func:`_jump_lanes`); a lane cannot carry into the next, since
+    ``(2**128 - 1)**2 + 2**128 < 2**256``, and the multiple of 2**128 it
+    holds above its state is never read.  The folds are one big-int xor,
+    read back as the first word of each lane, and the rotations are the
+    lanes' sixteenth bytes.  Only the rotate runs once per output:
+    ``x * (2**64 + 1)`` holds ``x`` twice, so a shift reads the rotation.
     """
-    multiplier, spread = _PCG64_MULTIPLIER, (1 << 64) + 1
-    mask64, mask128 = _MASK64, _MASK128
+    powers, increments = _jump_lanes(inc)
+    size, last = 32 * _DRAW_BLOCK, 256 * (_DRAW_BLOCK - 1)
+    spread, mask64, mask128 = (1 << 64) + 1, _MASK64, _MASK128
     while True:
-        block = []
-        append = block.append
-        for _ in range(_DRAW_BLOCK):
-            state = (state * multiplier + inc) & mask128
-            append(((state >> 64 ^ state) & mask64) * spread >> (state >> 122) & mask64)
-        yield block
+        states = powers * state + increments
+        folds = array("Q", (states >> 64 ^ states).to_bytes(size, "little"))[0::4]
+        if sys.byteorder == "big":
+            folds.byteswap()
+        rotations = states.to_bytes(size, "little")[15::32].translate(_TOP_SIX_BITS)
+        state = states >> last & mask128
+        yield [fold * spread >> rotation & mask64 for fold, rotation in zip(folds, rotations)]
 
 
 class _Draws:
@@ -203,15 +244,6 @@ class _Draws:
     def random(self) -> float:
         return (self._next_raw() >> 11) * (1.0 / (1 << 53))
 
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        output = self._next_raw()
-        self._half = output >> 32
-        return output & 0xFFFFFFFF
-
     def integers(self, low: int, high: int) -> int:
         span = high - low
         if span <= 1:
@@ -219,12 +251,19 @@ class _Draws:
                 raise ValueError(f"low >= high ({low} >= {high})")
             return low
         if span <= 1 << 32:
-            product = self._next32() * span
-            if (product & 0xFFFFFFFF) < span:
-                threshold = (1 << 32) % span
-                while (product & 0xFFFFFFFF) < threshold:
-                    product = self._next32() * span
-            return low + (product >> 32)
+            while True:
+                half = self._half
+                if half is None:
+                    output = self._next_raw()
+                    self._half = output >> 32
+                    half = output & 0xFFFFFFFF
+                else:
+                    self._half = None
+                product = half * span
+                leftover = product & 0xFFFFFFFF
+                # Lemire: a leftover under 2**32 % span (< span) redraws.
+                if leftover >= span or leftover >= (1 << 32) % span:
+                    return low + (product >> 32)
         product = self._next_raw() * span
         if (product & 0xFFFFFFFFFFFFFFFF) < span:
             threshold = (1 << 64) % span
@@ -351,6 +390,14 @@ class TraceGenerator:
         # and the precompute granularity is the coalescer contract; fall back
         # to the coalescer otherwise.
         aligned = base % LINE_SIZE == 0 and LINE_SIZE == PRECOMPUTED_SEGMENT_BYTES
+        # One Instruction per distinct (pc, first address, lines, access): the
+        # rest of the record is the same for the whole trace, and hot pages are
+        # rewritten dozens of times (Fig. 5c), so a repeat shares the object.
+        # The key packs the four into one int (lines < 8, pc < pc_span): an
+        # int is not tracked by the cyclic GC, and a tuple per instruction
+        # adds a full collection to a paper-scale build.
+        built: Dict[int, Instruction] = {}
+        pc_span = max(read_pcs + irregular_pcs + write_pcs) + 1
 
         warp_counter = 0
         num_sms = self.knobs.num_sms
@@ -400,14 +447,19 @@ class TraceGenerator:
                     # bit-identical to the historical generator.
                     first = base + page * PAGE_SIZE + line * LINE_SIZE
                     lines = 1 if sequential else integers(2, 5)
-                    segments = (
-                        tuple(range(first, first + lines * LINE_SIZE, LINE_SIZE))
-                        if aligned
-                        else None
-                    )
-                    instructions.append(Instruction(
-                        pc, compute_ops, StridedAddresses(first, lines), access, segments
-                    ))
+                    key = ((first << 3 | lines) << 1 | is_read) * pc_span + pc
+                    instruction = built.get(key)
+                    if instruction is None:
+                        if not aligned:
+                            segments = None
+                        elif lines == 1:
+                            segments = (first,)  # the same int as the pattern's base
+                        else:
+                            segments = tuple(range(first, first + lines * LINE_SIZE, LINE_SIZE))
+                        instruction = built[key] = Instruction(
+                            pc, compute_ops, StridedAddresses(first, lines), access, segments
+                        )
+                    instructions.append(instruction)
                 trace.warps.append(warp)
                 warp_counter += 1
 

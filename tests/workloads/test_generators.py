@@ -1,5 +1,7 @@
 """Tests for the synthetic trace generators."""
 
+import hashlib
+import json
 import pickle
 import tracemalloc
 from array import array
@@ -120,10 +122,14 @@ class TestDraws:
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_raw_outputs_match_numpy_across_blocks(self, seed):
+        # 4,096 outputs, so the LCG state is handed from block to block at
+        # least three times.
+        count = 4096 // _DRAW_BLOCK
+        assert count >= 4
         blocks = _pcg64_blocks(*_pcg64_seed(seed))
-        ours = [output for _ in range(3) for output in next(blocks)]
+        ours = [output for _ in range(count) for output in next(blocks)]
         bits = np.random.default_rng(seed).bit_generator
-        assert ours == bits.random_raw(3 * _DRAW_BLOCK).tolist()
+        assert ours == bits.random_raw(count * _DRAW_BLOCK).tolist()
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_edge_seeds_match_numpy(self, seed):
@@ -143,8 +149,10 @@ class TestDraws:
 
 
 #: Bytes a scale-1.0 ``betw-back`` trace may hold per thread address: about
-#: 8.6 with each instruction's addresses kept as a (base, lines) pattern, 19
-#: with them packed in an int64 array, 49 with one Python int per address.
+#: 6.5 with repeated accesses sharing one instruction, 8.6 with one
+#: instruction per position keeping its addresses as a (base, lines)
+#: pattern, 19 with them packed in an int64 array, 49 with one Python int
+#: per address.
 MAX_BYTES_PER_THREAD_ADDRESS = 12
 
 KNOBS = TraceKnobs(scale=0.1, seed=1, warps_per_sm=4)
@@ -236,6 +244,87 @@ class TestGeneratedAddresses:
         addresses = sum(len(i.addresses) for w in trace.warps for i in w.instructions)
         assert addresses == 524_288
         assert held / addresses <= MAX_BYTES_PER_THREAD_ADDRESS
+
+
+#: Knobs under which a ``kv-lookup:get_ratio=0.3`` trace repeats accesses.
+SHARING_KNOBS = TraceKnobs(scale=0.25, seed=1, warps_per_sm=8)
+
+#: The knobs of the ``kv-write`` benchmark cells (16 warps/SM, 128 memory
+#: instructions per warp), whose trace held 9.6 MiB when every position
+#: had its own instruction and about 1.2 MiB with repeats shared.
+KV_PAPER_KNOBS = TraceKnobs(scale=1.0, seed=1, warps_per_sm=16,
+                            memory_instructions_per_warp=128)
+MAX_KV_PAPER_TRACE_BYTES = 4 * 2 ** 20
+
+#: sha256 of the ``trace_to_dict`` JSON of the ``betw`` trace at
+#: ``address_space_offset=64`` (see ``test_an_unaligned_trace_is_pinned``),
+#: computed when every position still had its own instruction.
+UNALIGNED_TRACE_DIGEST = (
+    "0791f269e36f0b44c799f3ff325a07f80c3195f49ffcbb83a39898f9cc0faea5")
+
+
+def _access_key(instr):
+    return (instr.pc, instr.addresses.base, instr.addresses.lines, instr.access)
+
+
+def _sharing(trace):
+    """For each position, the first position that holds the same object."""
+    first = {}
+    return [first.setdefault(id(instr), position)
+            for position, instr in enumerate(
+                i for w in trace.warps for i in w.instructions)]
+
+
+class TestSharedInstructions:
+    def test_a_repeat_is_the_same_object(self):
+        trace = build_token_trace("kv-lookup:get_ratio=0.3", SHARING_KNOBS)
+        first = {}
+        instructions = [i for w in trace.warps for i in w.instructions]
+        for instr in instructions:
+            assert first.setdefault(_access_key(instr), instr) is instr
+        assert len({id(i) for i in instructions}) == len(first) < len(instructions)
+
+    def test_a_pickled_trace_keeps_the_sharing(self):
+        trace = build_token_trace("kv-lookup:get_ratio=0.3", SHARING_KNOBS)
+        copy = pickle.loads(pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL))
+        assert copy == trace
+        assert _sharing(copy) == _sharing(trace) != list(range(len(_sharing(trace))))
+        assert trace_to_dict(copy) == trace_to_dict(trace)
+
+    def test_a_replayed_trace_shares_as_the_generated_one(self, tmp_path):
+        path = tmp_path / "kv.trace.json"
+        generated = record_trace("kv-lookup:get_ratio=0.3", path, SHARING_KNOBS).trace
+        replayed = read_trace_file(path).trace
+        assert replayed.warps == generated.warps
+        sharing = _sharing(generated)
+        assert _sharing(replayed) == sharing != list(range(len(sharing)))
+
+    def test_a_shared_instruction_is_serialised_once(self):
+        trace = build_token_trace("kv-lookup:get_ratio=0.3", SHARING_KNOBS)
+        records = [r for w in trace_to_dict(trace)["warps"] for r in w["instructions"]]
+        assert len({id(r) for r in records}) == len(set(_sharing(trace))) < len(records)
+
+    def test_a_paper_scale_kv_trace_stays_within_its_memory_budget(self):
+        build_token_trace("kv-lookup:get_ratio=0.3", KNOBS)  # warm imports
+        tracemalloc.start()
+        try:
+            trace = build_token_trace("kv-lookup:get_ratio=0.3", KV_PAPER_KNOBS)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.total_memory_instructions == 32_768
+        assert held <= MAX_KV_PAPER_TRACE_BYTES
+
+    def test_an_unaligned_trace_is_pinned(self):
+        # An offset that is no multiple of 128 B leaves every instruction
+        # without precomputed segments, a path no sweep reaches.
+        trace = TraceGenerator(workload_by_name("betw"), TraceKnobs(
+            scale=0.5, seed=7, warps_per_sm=8, address_space_offset=64)).generate()
+        instructions = [i for w in trace.warps for i in w.instructions]
+        assert all(i.segments is None for i in instructions)
+        assert len({id(i) for i in instructions}) < len(instructions)
+        payload = json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == UNALIGNED_TRACE_DIGEST
 
 
 class TestStatisticsCalibration:

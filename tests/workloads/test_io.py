@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.workloads import io
 from repro.workloads.generators import generate_workload
 from repro.workloads.microbench import streaming
+from repro.workloads.registry import build_token_trace
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import TraceKnobs
 from repro.workloads.tracefile import read_trace_file, write_trace_file
@@ -51,6 +54,18 @@ class TestRoundTrip:
         restored = read_trace_file(path).trace
         assert restored.footprint_pages == trace.footprint_pages
         assert io.trace_to_dict(restored) == io.trace_to_dict(trace)
+
+    def test_a_repeated_record_with_a_float_address_is_rejected(self):
+        # Equal records share one instruction, but a record that equals an
+        # earlier one only as numbers (4096.0 == 4096) is still checked.
+        trace = build_token_trace("kv-lookup:get_ratio=0.3", TraceKnobs(
+            scale=0.25, seed=1, warps_per_sm=8))
+        data = json.loads(json.dumps(io.trace_to_dict(trace)))
+        records = [r for w in data["warps"] for r in w["instructions"]]
+        repeat = next(r for i, r in enumerate(records) if r in records[:i])
+        repeat["addresses"][0] = float(repeat["addresses"][0])
+        with pytest.raises(TypeError):
+            io.trace_from_dict(data)
 
 
 class TestSpecSerialization:
