@@ -4,7 +4,7 @@ The benchmarks regenerate each table/figure of the paper.  They run at a
 reduced but still representative scale so the suite finishes in minutes while
 preserving the qualitative shape of every result.  Each bench both measures
 runtime (pytest-benchmark) and prints the reproduced rows/series so the output
-can be compared against EXPERIMENTS.md.
+can be compared against the paper's figures.
 """
 
 from __future__ import annotations

@@ -1,11 +1,5 @@
-"""Analysis layer: metrics, figure/table reproduction and reporting."""
+"""Analysis layer: figure/table reproduction and reporting."""
 
-from repro.analysis.metrics import (
-    normalized_ipc,
-    speedup,
-    bandwidth_gbps,
-    latency_breakdown_fractions,
-)
 from repro.analysis.figures import (
     figure_1b,
     figure_3,
@@ -37,10 +31,6 @@ from repro.analysis.reporting import (
 )
 
 __all__ = [
-    "normalized_ipc",
-    "speedup",
-    "bandwidth_gbps",
-    "latency_breakdown_fractions",
     "figure_1b",
     "figure_3",
     "figure_4c",

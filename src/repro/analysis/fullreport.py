@@ -1,8 +1,8 @@
 """Generate a complete textual reproduction report.
 
-Stitches together every table and figure into one report, suitable for
-``python -m repro.analysis.fullreport`` or for regenerating the narrative
-parts of EXPERIMENTS.md.
+Stitches together every table and figure into one report, printed by
+``python -m repro report`` (with no argument or a scale alone) and by
+``python -m repro.analysis.fullreport``.
 """
 
 from __future__ import annotations

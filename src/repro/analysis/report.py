@@ -1,4 +1,4 @@
-"""Plain-text rendering of figure/table data (used by the examples and EXPERIMENTS.md)."""
+"""Plain-text rendering of figure/table data (the CLI and the textual report)."""
 
 from __future__ import annotations
 

@@ -11,8 +11,6 @@ from repro.core.prefetcher import DynamicReadPrefetcher
 from repro.core.register_cache import FlashRegisterCache, RegisterEntry
 from repro.core.register_network import RegisterNetwork, build_register_network
 from repro.core.thrashing import ThrashingChecker
-from repro.core.cam_decoder import ProgrammableDecoderCAM, CAMRow
-from repro.core.integrity import IntegrityModel, install_integrity_tracking
 from repro.core.prefetch_policies import (
     NoPrefetch,
     NextLinePrefetch,
@@ -36,10 +34,6 @@ __all__ = [
     "RegisterNetwork",
     "build_register_network",
     "ThrashingChecker",
-    "ProgrammableDecoderCAM",
-    "CAMRow",
-    "IntegrityModel",
-    "install_integrity_tracking",
     "NoPrefetch",
     "NextLinePrefetch",
     "StridePrefetch",

@@ -8,7 +8,6 @@ on-board GDDR5 so that warm data is fast once it has been faulted in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.config import (
     DRAMTechnology,
@@ -96,16 +95,3 @@ class DRAMSubsystem:
 def build_gddr5_subsystem() -> DRAMSubsystem:
     """The traditional GPU memory subsystem: 6 controllers, 12 GDDR5 packages."""
     return DRAMSubsystem(GDDR5, controllers=6, packages=12, name="gddr5")
-
-
-def technology_summary(technologies: Dict[str, DRAMTechnology]) -> Dict[str, Dict[str, float]]:
-    """Density / power / bandwidth rows used by Figure 3 and Figure 4c."""
-    return {
-        name: {
-            "capacity_gb": tech.package_capacity_gb,
-            "power_w_per_gb": tech.power_w_per_gb,
-            "bandwidth_gbps": tech.peak_bandwidth_gbps,
-            "latency_ns": tech.access_latency_ns,
-        }
-        for name, tech in technologies.items()
-    }

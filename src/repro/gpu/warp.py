@@ -24,8 +24,8 @@ class Instruction:
     one of three types: a generated trace keeps each instruction's pattern
     as a :class:`~repro.workloads.generators.StridedAddresses`, a replayed
     trace packs the addresses it read into one int64 ``array('q')``, and a
-    hand-built trace (the microbenchmarks, the graph kernels, tests) passes
-    a list.  ``segments`` optionally carries the coalesced 128 B-aligned
+    hand-built trace (the microbenchmarks and the tests) passes a list.
+    ``segments`` optionally carries the coalesced 128 B-aligned
     segment addresses precomputed at trace-generation time (sorted,
     unique); when present the per-SM coalescer skips re-deriving them from
     the 32 thread addresses on every execution of the instruction, which

@@ -8,14 +8,13 @@ contention and bandwidth limits emerge naturally.
 """
 
 from repro.sim.request import AccessType
-from repro.sim.engine import Resource, BandwidthResource, SimClock
+from repro.sim.engine import Resource, BandwidthResource
 from repro.sim.stats import Counter, Histogram, StatsCollector
 
 __all__ = [
     "AccessType",
     "Resource",
     "BandwidthResource",
-    "SimClock",
     "Counter",
     "Histogram",
     "StatsCollector",

@@ -21,26 +21,6 @@ import math
 from typing import List, Optional
 
 
-class SimClock:
-    """A monotonically advancing cycle counter shared by a platform."""
-
-    def __init__(self) -> None:
-        self._now: float = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, cycle: float) -> float:
-        """Move the clock forward to ``cycle`` (never backwards)."""
-        if cycle > self._now:
-            self._now = cycle
-        return self._now
-
-    def reset(self) -> None:
-        self._now = 0.0
-
-
 class Resource:
     """A service station with ``ports`` parallel servers.
 

@@ -9,7 +9,6 @@ from repro.ssd.ssd_engine import SSDEngine
 from repro.ssd.gc import GarbageCollector
 from repro.ssd.optane import OptaneMemory
 from repro.ssd.endurance import EnduranceModel, EnduranceReport
-from repro.ssd.mesh import MeshFlashNetwork, MeshCoord
 
 __all__ = [
     "FlashGeometry",
@@ -24,6 +23,4 @@ __all__ = [
     "OptaneMemory",
     "EnduranceModel",
     "EnduranceReport",
-    "MeshFlashNetwork",
-    "MeshCoord",
 ]

@@ -4,10 +4,13 @@ These run at a small scale and check the *shape* of each figure's output,
 which is what the reproduction guarantees.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.analysis import figures
+from repro.config import DRAM_TECHNOLOGIES
 from repro.configspace import get_preset
 from repro.runner import run_sweep
 
@@ -55,6 +58,34 @@ class TestFigure3:
         data = figures.figure_3()
         powers = {k: v["power_w_per_gb"] for k, v in data.items()}
         assert powers["GDDR5"] == max(powers.values())
+
+    def test_znand_lowest_power(self):
+        data = figures.figure_3()
+        powers = {k: v["power_w_per_gb"] for k, v in data.items()}
+        assert powers["Z-NAND"] == min(powers.values())
+
+    @pytest.mark.parametrize("name", list(DRAM_TECHNOLOGIES))
+    def test_rows_are_the_technology_constants(self, name):
+        tech = DRAM_TECHNOLOGIES[name]
+        assert figures.figure_3()[name] == {
+            "density_gb": tech.package_capacity_gb,
+            "power_w_per_gb": tech.power_w_per_gb,
+        }
+
+    def test_znand_provisions_over_100x_the_capacity_per_watt(self):
+        data = figures.figure_3()
+        gb_per_watt = {k: 1.0 / v["power_w_per_gb"] for k, v in data.items()}
+        assert gb_per_watt["Z-NAND"] > 100 * gb_per_watt["GDDR5"]
+
+    def test_64gb_of_znand_draws_less_than_12gb_of_gddr5(self):
+        """Section II-B: one 64 GB Z-NAND package at 1.28 W against the
+        GPU's 12 GB of GDDR5 at 60 W."""
+        data = figures.figure_3()
+        znand = 64.0 * data["Z-NAND"]["power_w_per_gb"]
+        gddr5 = 12.0 * data["GDDR5"]["power_w_per_gb"]
+        assert znand == pytest.approx(1.28)
+        assert gddr5 == pytest.approx(60.0)
+        assert znand < gddr5
 
 
 class TestFigure4c:
@@ -194,6 +225,73 @@ class TestFigure11:
         assert len(data) == len(QUICK_TOKENS)
         for row in data.values():
             assert list(row) == list(get_preset("fig11").platforms)
+
+
+def _fake_result(grid, platforms):
+    """A stand-in for a SweepResult: ``grid`` maps mix -> platform -> fields."""
+    runs = {mix: {p: SimpleNamespace(**fields) for p, fields in row.items()}
+            for mix, row in grid.items()}
+    return SimpleNamespace(grid=lambda: runs,
+                           spec=SimpleNamespace(platforms=list(platforms)))
+
+
+class TestPivots:
+    """The figure pivots on hand-made results, one rule at a time."""
+
+    def test_figure_10_divides_by_the_zng_ipc(self):
+        result = _fake_result(
+            {"m": {"HybridGPU": {"ipc": 1.0}, "ZnG": {"ipc": 4.0}}},
+            ["HybridGPU", "ZnG"])
+        assert figures.figure_10_from_result(result) == {
+            "m": {"HybridGPU": 0.25, "ZnG": 1.0}}
+
+    def test_figure_10_zero_reference_falls_back_to_the_mix_best(self):
+        result = _fake_result(
+            {"m": {"HybridGPU": {"ipc": 2.0}, "Hetero": {"ipc": 1.0}, "ZnG": {"ipc": 0.0}}},
+            ["HybridGPU", "Hetero", "ZnG"])
+        assert figures.figure_10_from_result(result) == {
+            "m": {"HybridGPU": 1.0, "Hetero": 0.5, "ZnG": 0.0}}
+
+    def test_figure_10_absent_reference_falls_back_to_the_mix_best(self):
+        result = _fake_result(
+            {"m": {"HybridGPU": {"ipc": 2.0}, "Hetero": {"ipc": 1.0}}},
+            ["HybridGPU", "Hetero"])
+        assert figures.figure_10_from_result(result) == {
+            "m": {"HybridGPU": 1.0, "Hetero": 0.5}}
+
+    def test_figure_10_all_zero_mix_reads_zero(self):
+        result = _fake_result(
+            {"m": {"HybridGPU": {"ipc": 0.0}, "ZnG": {"ipc": 0.0}}},
+            ["HybridGPU", "ZnG"])
+        assert figures.figure_10_from_result(result) == {
+            "m": {"HybridGPU": 0.0, "ZnG": 0.0}}
+
+    def test_figure_10_normalize_to_picks_the_reference(self):
+        result = _fake_result(
+            {"m": {"GDDR5": {"ipc": 8.0}, "ZnG": {"ipc": 2.0}}}, ["GDDR5", "ZnG"])
+        assert figures.figure_10_from_result(result, normalize_to="GDDR5") == {
+            "m": {"GDDR5": 1.0, "ZnG": 0.25}}
+
+    def test_figure_10_platform_missing_from_a_mix_raises(self):
+        result = _fake_result({"m": {"ZnG": {"ipc": 1.0}}}, ["HybridGPU", "ZnG"])
+        with pytest.raises(KeyError, match="HybridGPU"):
+            figures.figure_10_from_result(result)
+
+    def test_figure_11_skips_platforms_missing_from_a_mix(self):
+        result = _fake_result(
+            {"a": {"HybridGPU": {"flash_array_read_bandwidth_gbps": 1.5},
+                   "ZnG": {"flash_array_read_bandwidth_gbps": 6.0}},
+             "b": {"ZnG": {"flash_array_read_bandwidth_gbps": 5.0}}},
+            ["HybridGPU", "ZnG"])
+        assert figures.figure_11_from_result(result) == {
+            "a": {"HybridGPU": 1.5, "ZnG": 6.0}, "b": {"ZnG": 5.0}}
+
+    def test_figure_5a_zero_raw_ipc_is_an_unbounded_slowdown(self):
+        result = _fake_result(
+            {"a": {"GDDR5": {"ipc": 3.0}, "ZnG-base": {"ipc": 0.5}},
+             "b": {"GDDR5": {"ipc": 3.0}, "ZnG-base": {"ipc": 0.0}}},
+            ["GDDR5", "ZnG-base"])
+        assert figures.figure_5a_from_result(result) == {"a": 6.0, "b": float("inf")}
 
 
 class TestFiguresFromMergedResults:

@@ -1,16 +1,50 @@
-"""End-to-end data-integrity tests for the zero-overhead FTL."""
+"""End-to-end data-integrity tests for the zero-overhead FTL.
+
+The timing model moves no bytes, so :class:`IntegrityModel` keeps a value
+per physical page beside the FTL and routes each read and write through the
+FTL's own DBMT/LPMT/helper-GC translation.  The tests check that ZnG keeps
+read-after-write semantics across log-block redirection and GC merges.
+"""
 
 import random
+from typing import Dict, Optional
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import FTLConfig, ZNANDConfig
 from repro.core.helper_gc import HelperThreadGC
-from repro.core.integrity import IntegrityModel, install_integrity_tracking
 from repro.core.zero_overhead_ftl import ZeroOverheadFTL
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.znand import ZNANDArray
+
+
+class IntegrityModel:
+    """A functional shadow of the FTL's data, keyed by physical page.
+
+    A write stores its value at the log page the FTL allocates; a read
+    fetches the value wherever the FTL says the latest copy is.  The helper
+    GC's page copy is wrapped so that a value follows its page in a merge.
+    """
+
+    def __init__(self, ftl: ZeroOverheadFTL) -> None:
+        self.ftl = ftl
+        self.ppn_values: Dict[int, int] = {}
+        helper = ftl.helper_gc
+        original_copy = helper.copy_page
+
+        def traced_copy(source_ppn, target_ppn, now):
+            if source_ppn in self.ppn_values:
+                self.ppn_values[target_ppn] = self.ppn_values[source_ppn]
+            return original_copy(source_ppn, target_ppn, now)
+
+        helper.copy_page = traced_copy
+
+    def write(self, virtual_page: int, value: int, now: float = 0.0) -> None:
+        ppn, _, _ = self.ftl.allocate_write(virtual_page, now)
+        self.ppn_values[ppn] = value
+
+    def read(self, virtual_page: int) -> Optional[int]:
+        return self.ppn_values.get(self.ftl.translate_read(virtual_page))
 
 
 def make_ftl(pages_per_block=8, blocks=16, data_blocks_per_log_block=4):
@@ -28,14 +62,14 @@ class TestBasicIntegrity:
     def test_read_after_write(self):
         ftl = make_ftl()
         ftl.setup_mapping(16)
-        model = install_integrity_tracking(ftl)
+        model = IntegrityModel(ftl)
         model.write(3, value=42)
         assert model.read(3) == 42
 
     def test_overwrite_returns_latest(self):
         ftl = make_ftl()
         ftl.setup_mapping(16)
-        model = install_integrity_tracking(ftl)
+        model = IntegrityModel(ftl)
         model.write(3, value=1)
         model.write(3, value=2)
         model.write(3, value=3)
@@ -44,7 +78,7 @@ class TestBasicIntegrity:
     def test_independent_pages(self):
         ftl = make_ftl()
         ftl.setup_mapping(16)
-        model = install_integrity_tracking(ftl)
+        model = IntegrityModel(ftl)
         model.write(0, value=100)
         model.write(1, value=200)
         assert model.read(0) == 100
@@ -53,7 +87,7 @@ class TestBasicIntegrity:
     def test_unwritten_page_reads_none(self):
         ftl = make_ftl()
         ftl.setup_mapping(16)
-        model = install_integrity_tracking(ftl)
+        model = IntegrityModel(ftl)
         assert model.read(5) is None
 
 
@@ -61,7 +95,7 @@ class TestIntegrityThroughGC:
     def test_values_survive_gc_merges(self):
         ftl = make_ftl(pages_per_block=4, blocks=32)
         ftl.setup_mapping(16)
-        model = install_integrity_tracking(ftl)
+        model = IntegrityModel(ftl)
         rng = random.Random(1)
         expected = {}
         for step in range(300):
@@ -85,7 +119,7 @@ class TestProperties:
     def test_last_write_wins(self, ops):
         ftl = make_ftl(pages_per_block=8, blocks=32)
         ftl.setup_mapping(8)
-        model = install_integrity_tracking(ftl)
+        model = IntegrityModel(ftl)
         expected = {}
         for i, (vp, value) in enumerate(ops):
             model.write(vp, value, now=i * 1000.0)

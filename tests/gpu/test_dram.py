@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import DRAM_TECHNOLOGIES, GDDR5, ZNAND_TECH
-from repro.gpu.dram import DRAMDevice, DRAMSubsystem, build_gddr5_subsystem, technology_summary
+from repro.gpu.dram import DRAMDevice, DRAMSubsystem, build_gddr5_subsystem
 
 
 class TestTechnologyConstants:
@@ -26,6 +26,10 @@ class TestTechnologyConstants:
             t.peak_bandwidth_gbps for t in DRAM_TECHNOLOGIES.values()
         )
 
+    def test_gddr5_peak_bandwidth(self):
+        """12 packages on a 384-bit bus accumulate 341.3 GB/s."""
+        assert DRAM_TECHNOLOGIES["GDDR5"].peak_bandwidth_gbps == pytest.approx(341.3)
+
 
 class TestDRAMDevice:
     def test_capacity_bytes(self):
@@ -36,6 +40,14 @@ class TestDRAMDevice:
         device = DRAMDevice(GDDR5)
         assert device.power_watts == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("name", list(DRAM_TECHNOLOGIES))
+    def test_power_is_the_rate_times_the_capacity(self, name):
+        tech = DRAM_TECHNOLOGIES[name]
+        device = DRAMDevice(tech)
+        assert device.capacity_bytes == int(tech.package_capacity_gb * (1 << 30))
+        assert device.power_watts == pytest.approx(
+            tech.power_w_per_gb * tech.package_capacity_gb)
+
 
 class TestDRAMSubsystem:
     def test_gddr5_subsystem_configuration(self):
@@ -43,6 +55,14 @@ class TestDRAMSubsystem:
         assert dram.controllers == 6
         assert len(dram.devices) == 12
         assert dram.capacity_bytes == 12 << 30
+
+    def test_gddr5_subsystem_static_power(self):
+        """12 GB of GDDR5 at 5 W/GB draws 60 W (Fig. 3b)."""
+        assert build_gddr5_subsystem().power_watts == pytest.approx(60.0)
+
+    def test_peak_bandwidth_is_the_technology_rate(self):
+        dram = DRAMSubsystem(ZNAND_TECH, controllers=2, packages=1)
+        assert dram.peak_bandwidth_bytes_per_s == pytest.approx(3.2e9)
 
     def test_access_returns_completion_after_latency(self):
         dram = build_gddr5_subsystem()
@@ -66,10 +86,3 @@ class TestDRAMSubsystem:
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             DRAMSubsystem(GDDR5, controllers=0, packages=1)
-
-
-class TestSummary:
-    def test_summary_contains_all_technologies(self):
-        summary = technology_summary(DRAM_TECHNOLOGIES)
-        assert set(summary) == set(DRAM_TECHNOLOGIES)
-        assert summary["GDDR5"]["bandwidth_gbps"] == pytest.approx(341.3)

@@ -3,29 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import BandwidthResource, Resource, ResourcePool, SimClock
-
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        assert SimClock().now == 0.0
-
-    def test_advances_forward(self):
-        clock = SimClock()
-        assert clock.advance_to(10.0) == 10.0
-        assert clock.now == 10.0
-
-    def test_never_moves_backwards(self):
-        clock = SimClock()
-        clock.advance_to(100.0)
-        clock.advance_to(50.0)
-        assert clock.now == 100.0
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance_to(42.0)
-        clock.reset()
-        assert clock.now == 0.0
+from repro.sim.engine import BandwidthResource, Resource, ResourcePool
 
 
 class TestResource:

@@ -18,7 +18,17 @@ EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
 
 
 def test_examples_directory_is_populated():
-    assert len(EXAMPLES) >= 10
+    assert [path.name for path in EXAMPLES] == [
+        "ftl_internals.py",
+        "full_report.py",
+        "graph_analytics.py",
+        "motivation_bandwidth.py",
+        "power_and_endurance.py",
+        "quickstart.py",
+        "report_artifacts.py",
+        "scenario_suite.py",
+        "sensitivity_sweep.py",
+    ]
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)

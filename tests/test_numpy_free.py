@@ -2,8 +2,8 @@
 
 numpy costs every process that loads it about 14 MB of resident memory and
 a fifth of a second of import.  The trace generator, the platforms and the
-sweep runner do not need it; the analysis heat map, the graph generator and
-the tests still import it where they use it.
+sweep runner do not need it; the Fig. 8b heat map, the pointer-chase
+microbenchmark and the tests still import it where they use it.
 """
 
 import os

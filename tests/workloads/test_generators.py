@@ -22,7 +22,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.io import trace_to_dict
 from repro.workloads.registry import build_token_trace
-from repro.workloads.suites import ALL_WORKLOADS, workload_by_name
+from repro.workloads.suites import ALL_WORKLOADS, GRAPH_WORKLOADS, workload_by_name
 from repro.workloads.trace import TraceKnobs
 from repro.workloads.tracefile import read_trace_file, record_trace
 
@@ -335,6 +335,16 @@ class TestStatisticsCalibration:
             scale=0.5, seed=7, warps_per_sm=6, memory_instructions_per_warp=96))
         # Calibrated toward the Fig. 5b target; allow generous tolerance since
         # it is an emergent statistic of the synthetic generator.
+        assert trace.mean_read_reaccess > 1.0
+
+    @pytest.mark.parametrize("name", list(GRAPH_WORKLOADS))
+    def test_graph_traces_are_read_dominated_and_reread(self, name):
+        """Table II's graph kernels: reads dominate and pages are re-read."""
+        spec = workload_by_name(name)
+        trace = generate_workload(spec, TraceKnobs(
+            scale=0.2, seed=1, warps_per_sm=4, memory_instructions_per_warp=64))
+        assert trace.measured_read_ratio > 0.75
+        assert trace.measured_read_ratio == pytest.approx(spec.read_ratio, abs=0.08)
         assert trace.mean_read_reaccess > 1.0
 
     def test_write_redundancy_positive_for_write_workloads(self):
