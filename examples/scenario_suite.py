@@ -16,9 +16,9 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis.figures import scenario_suite_from_result
-from repro.analysis.sensitivity import workload_axis_from_result
 from repro.runner import SweepSpec, run_sweep
 from repro.workloads.io import trace_to_dict
+from repro.workloads.registry import resolve_workload
 from repro.workloads.trace import TraceKnobs
 from repro.workloads.tracefile import read_trace_file, record_trace
 
@@ -41,18 +41,16 @@ def main() -> None:
 
     print()
     print("=== kv-lookup Zipf-skew axis (spans the alpha >= 1 regime) ===")
-    values = [0.6, 0.99, 1.2]
     kv_spec = SweepSpec.create(
         platforms=["ZnG"],
-        workloads=[f"kv-lookup:zipf={value}" for value in values],
+        workloads=[f"kv-lookup:zipf={value}" for value in (0.6, 0.99, 1.2)],
         scale=SCALE,
         warps_per_sm=2,
     )
-    axis = workload_axis_from_result(
-        run_sweep(kv_spec, workers=2), "kv-lookup", "zipf")
-    for value, point in axis.items():
-        print(f"  zipf={value:<5} IPC={point.ipc:.4f} "
-              f"L2 hit rate={point.l2_hit_rate:.3f}")
+    for run in run_sweep(kv_spec, workers=2):
+        zipf = resolve_workload(run.cell.workload).param_mapping()["zipf"]
+        print(f"  zipf={zipf:<5} IPC={run.result.ipc:.4f} "
+              f"L2 hit rate={run.result.l2_hit_rate:.3f}")
 
     print()
     print("=== Trace record -> replay (bit-identical) ===")

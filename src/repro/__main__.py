@@ -353,9 +353,6 @@ def _cmd_sweep(args: List[str]) -> int:
     parser.add_argument("--resume", metavar="FILE",
                         help="re-run only the failed/missing cells of a manifest "
                         "(the grid comes from the manifest)")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile trace-build and simulate in one worker and "
-                        "write the tables to ./sweep.profile.txt")
     ns = parser.parse_intermixed_args(args)
     if ns.resume is not None and ns.cache is False:
         parser.error("--resume needs the result cache the manifest records; "
@@ -374,19 +371,6 @@ def _cmd_sweep(args: List[str]) -> int:
     )
 
     workers = ns.workers
-    profile_text = None
-    if ns.profile:
-        from repro.runner import enable_profiling
-
-        if workers != 1:
-            # To stderr: this changes the run's parallelism, and stdout is
-            # the sweep table that scripts parse.
-            print(f"note: --profile forces --workers 1 (was {workers}); pool "
-                  f"workers cannot be profiled from the parent process",
-                  file=sys.stderr)
-            workers = 1
-        enable_profiling()
-
     manifest_path = ns.resume
     try:
         if ns.resume is not None:
@@ -413,14 +397,6 @@ def _cmd_sweep(args: List[str]) -> int:
         # Every finished cell is already in the cache and the manifest.
         raise KeyboardInterrupt(f"interrupted; finish the sweep with: python -m "
                                 f"repro sweep --resume {manifest_path}")
-    finally:
-        if ns.profile:
-            # Harvest, then disarm even on an error: later in-process sweeps
-            # (tests, figure layers) must run unprofiled.
-            from repro.runner import disable_profiling, profile_tables
-
-            profile_text = profile_tables()
-            disable_profiling()
 
     _print_sweep_table(result)
     shard_note = ""
@@ -441,12 +417,6 @@ def _cmd_sweep(args: List[str]) -> int:
         print(f"{len(result.failed)} cell(s) failed; re-run them with "
               f"--resume <manifest>")
         return 1
-    if profile_text is not None:
-        from pathlib import Path
-
-        profile_path = Path.cwd() / "sweep.profile.txt"
-        profile_path.write_text(profile_text)
-        print(f"profile written to {profile_path}")
     return 0
 
 

@@ -532,11 +532,6 @@ def sensitivity_golden_result(workers: int = 1):
     return run_sweep(sensitivity_golden_spec(), workers=workers, cache=False)
 
 
-def default_sensitivity_golden_dir() -> Path:
-    """Where the sensitivity-surface goldens live in this checkout."""
-    return default_golden_dir() / SENSITIVITY_GOLDEN_SUBDIR
-
-
 def write_goldens(
     out_dir: Union[os.PathLike, str, None] = None, workers: int = 1
 ) -> Dict[str, Path]:

@@ -21,7 +21,7 @@ canonical values come from the ``ablation`` metadata the config schema
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.configspace import SCHEMA
 from repro.platforms.base import PlatformResult
@@ -68,59 +68,3 @@ def axis_from_result(result, path: str) -> Dict[object, PlatformResult]:
     if not out:
         raise KeyError(f"sweep result has no cell overriding {path!r}")
     return out
-
-
-def workload_axis_from_result(
-    result,
-    family: str,
-    param: str,
-    platform: Optional[str] = None,
-) -> Dict[object, PlatformResult]:
-    """Pivot a parametric-*workload* sweep back to ``{param value: result}``.
-
-    The workload-axis analogue of :func:`axis_from_result`: tokens are
-    resolved through the workload registry, so a plain ``kv-lookup`` row
-    contributes the family's default value and ``kv-lookup:zipf=1.1`` its
-    override — which is how the ``kv-sweep`` preset (and any merged shard
-    result over parameterised tokens) plugs back into a sensitivity surface.
-    With multiple platforms in the result, pass ``platform`` to select one.
-    Two cells mapping onto the same parameter value — the same token on two
-    platforms without a ``platform`` filter, or two tokens differing in
-    *another* parameter — raise instead of silently overwriting each other.
-    """
-    from repro.workloads.registry import (
-        family_by_name,
-        parse_workload_token,
-        resolve_workload,
-    )
-
-    family_by_name(family).param(param)  # typos fail with a did-you-mean
-
-    out: Dict[object, PlatformResult] = {}
-    sources: Dict[object, Tuple[str, str]] = {}
-    for run in result:
-        if platform is not None and run.cell.platform != platform:
-            continue
-        read_app, write_app = parse_workload_token(run.cell.workload)
-        if write_app is not None or read_app.startswith("trace:"):
-            continue  # mixes and replays carry no single family parameter
-        resolved = resolve_workload(read_app)
-        if resolved.family is None or resolved.family.name != family:
-            continue
-        value = resolved.param_mapping()[param]
-        source = (run.cell.workload, run.cell.platform)
-        if value in out:
-            raise ValueError(
-                f"ambiguous pivot: cells {sources[value]} and {source} both "
-                f"map to {param}={value!r}; pass platform=... and/or filter "
-                f"the result so each {param} value has exactly one cell")
-        out[value] = run.result
-        sources[value] = source
-    if not out:
-        raise KeyError(
-            f"sweep result has no single-workload cells of family "
-            f"{family!r}" + (f" on platform {platform!r}" if platform else ""))
-    try:
-        return dict(sorted(out.items()))
-    except TypeError:  # mixed-type parameter values: fall back to text order
-        return dict(sorted(out.items(), key=lambda item: str(item[0])))

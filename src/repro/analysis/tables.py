@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.config import PlatformConfig, default_config
+from repro.config import GPU_FREQ_HZ, PlatformConfig, default_config
 
 
 def table_1_configuration(config: Optional[PlatformConfig] = None) -> Dict[str, Dict[str, object]]:
@@ -14,7 +14,7 @@ def table_1_configuration(config: Optional[PlatformConfig] = None) -> Dict[str, 
     return {
         "GPU": {
             "SMs": gpu.num_sms,
-            "frequency_ghz": gpu.frequency_hz / 1e9,
+            "frequency_ghz": GPU_FREQ_HZ / 1e9,
             "max_warps_per_sm": gpu.max_warps_per_sm,
             "l1_cache": f"{gpu.l1_size_bytes // 1024}KB, {gpu.l1_assoc}-way, {gpu.l1_sets}-set",
             "l2_cache": f"{gpu.l2_size_bytes // (1024 * 1024)}MB, {gpu.l2_banks} banks, {gpu.l2_assoc}-way",
@@ -25,7 +25,7 @@ def table_1_configuration(config: Optional[PlatformConfig] = None) -> Dict[str, 
             "planes_per_die": znand.planes_per_die,
             "blocks_per_plane": znand.blocks_per_plane,
             "pages_per_block": znand.pages_per_block,
-            "cell_type": znand.cell_type,
+            "cell_type": "SLC",  # Section II-B: one bit per cell
             "interface_mt_s": znand.interface_mt_per_s,
             "read_latency_us": znand.read_latency_us,
             "program_latency_us": znand.program_latency_us,

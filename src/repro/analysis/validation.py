@@ -47,12 +47,6 @@ def analytic_plane_read_bandwidth(config: PlatformConfig = None) -> float:
     return cfg.znand.plane_read_bandwidth_bytes_per_s
 
 
-def analytic_accumulated_flash_bandwidth(config: PlatformConfig = None) -> float:
-    """Accumulated read bandwidth of all planes, bytes/s."""
-    cfg = config or default_config()
-    return cfg.znand.accumulated_read_bandwidth_bytes_per_s
-
-
 def analytic_mesh_link_bandwidth(config: PlatformConfig = None) -> float:
     """Per-channel mesh link bandwidth, bytes/s."""
     cfg = config or default_config()

@@ -99,8 +99,6 @@ class GPUConfig:
 
     num_sms: int = table_field(
         16, "count", "Table I: 16 SMs at 1.2 GHz.", minimum=1)
-    frequency_hz: float = table_field(
-        GPU_FREQ_HZ, "Hz", "Table I: GPU core clock (1.2 GHz).", minimum=1.0)
     max_warps_per_sm: int = table_field(
         80, "count", "Table I: up to 80 resident warps per SM.", minimum=1)
     threads_per_warp: int = table_field(
@@ -111,9 +109,6 @@ class GPUConfig:
         48 * 1024, "bytes", "Table I: 48 KB private L1D per SM.", minimum=1)
     l1_assoc: int = table_field(
         6, "count", "Table I: 6-way set-associative L1D.", minimum=1)
-    l1_sets: int = table_field(
-        64, "count", "Table I: 64 L1D sets (sets x assoc x line == size).",
-        minimum=1)
     l1_line_bytes: int = table_field(
         128, "bytes", "Table I: 128 B cache lines throughout the hierarchy.",
         minimum=1)
@@ -166,8 +161,9 @@ class GPUConfig:
         4, "cycles", "Page-walk cache hit latency.", minimum=0)
 
     @property
-    def total_max_warps(self) -> int:
-        return self.num_sms * self.max_warps_per_sm
+    def l1_sets(self) -> int:
+        """Table I: 64 L1D sets, derived as ``SetAssociativeCache`` does."""
+        return self.l1_size_bytes // (self.l1_assoc * self.l1_line_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +245,6 @@ class ZNANDConfig:
         384, "count", "Table I: 384 pages per block.", minimum=1)
     page_size_bytes: int = table_field(
         4096, "bytes", "Table I: 4 KB flash page.", minimum=1)
-    cell_type: str = table_field(
-        "SLC", "enum", "Section II-B: Z-NAND stores one bit per cell (SLC).",
-        choices=("SLC", "MLC", "TLC"))
 
     # Z-NAND timing (Section II-B): read 3us, program 100us; erase is a block
     # operation in the low hundreds of microseconds for SLC.
@@ -383,8 +376,6 @@ class SSDEngineConfig:
         60.0, "ns", "Internal DRAM access latency.", minimum=0.0)
 
     # Request dispatcher between the GPU network and the SSD controller.
-    dispatcher_latency_ns: float = table_field(
-        100.0, "ns", "Request-dispatcher forwarding latency.", minimum=0.0)
     dispatcher_requests_per_us: float = table_field(
         64.0, "1/us", "Request-dispatcher throughput limit.", minimum=0.001)
 
@@ -453,9 +444,6 @@ class OptaneConfig:
         763.0, "ns", "Table I: Optane tRP 763 ns.", minimum=0.0)
     read_bandwidth_gbps_total: float = table_field(
         39.0, "GB/s", "Aggregate Optane read bandwidth (~39 GB/s).",
-        minimum=0.0)
-    write_bandwidth_gbps_total: float = table_field(
-        13.0, "GB/s", "Aggregate Optane write bandwidth (~13 GB/s).",
         minimum=0.0)
     access_granularity_bytes: int = table_field(
         256, "bytes", "Optane internal 256 B access granularity.", minimum=1)
@@ -555,8 +543,6 @@ class RegisterCacheConfig:
         "Table I: 8 registers per plane back ZnG's write cache "
         "(pinned into znand.registers_per_plane by the ZnG-wropt/ZnG presets).",
         minimum=1, ablation=(2, 4, 8, 16, 32))
-    register_bytes: int = table_field(
-        4096, "bytes", "One register holds one 4 KB flash page.", minimum=1)
     interconnect: str = table_field(
         "nif", "enum",
         "Register network: 'nif' (Section IV-C), 'fcnet' or 'swnet'.",
@@ -592,8 +578,6 @@ class FTLConfig:
         0.05, "ratio",
         "Helper-GC trigger: free-block fraction below which merges start.",
         minimum=0.0, maximum=1.0)
-    wear_leveling: bool = table_field(
-        True, "flag", "Enable wear-leveled log-block allocation.")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.configspace.presets import (
     ExperimentPreset,
     axis_overrides,
     get_preset,
-    preset_names,
 )
 from repro.configspace.schema import (
     INVARIANTS,
@@ -66,5 +65,4 @@ __all__ = [
     "config_fingerprint",
     "fingerprint",
     "get_preset",
-    "preset_names",
 ]

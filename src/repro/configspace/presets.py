@@ -17,7 +17,7 @@ adds it to ``table1-sensitivity``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.configspace.schema import SCHEMA, ConfigPathError
 from repro.workloads.trace import TraceKnobs
@@ -283,7 +283,3 @@ def get_preset(name: str) -> ExperimentPreset:
         known = ", ".join(sorted(EXPERIMENT_PRESETS))
         raise KeyError(f"unknown experiment preset {name!r}; known: {known}")
     return preset
-
-
-def preset_names() -> List[str]:
-    return sorted(EXPERIMENT_PRESETS)

@@ -100,11 +100,10 @@ class Invariant:
 INVARIANTS: Tuple[Invariant, ...] = (
     Invariant(
         name="l1-geometry",
-        doc="L1D sets x assoc x line must equal the L1D capacity.",
-        paths=("gpu.l1_sets", "gpu.l1_assoc", "gpu.l1_line_bytes",
-               "gpu.l1_size_bytes"),
-        check=lambda c: c.gpu.l1_sets * c.gpu.l1_assoc * c.gpu.l1_line_bytes
-        == c.gpu.l1_size_bytes,
+        doc="L1D capacity must divide evenly into assoc x line sets.",
+        paths=("gpu.l1_size_bytes", "gpu.l1_assoc", "gpu.l1_line_bytes"),
+        check=lambda c: c.gpu.l1_size_bytes
+        % (c.gpu.l1_assoc * c.gpu.l1_line_bytes) == 0,
     ),
     Invariant(
         name="l2-geometry",
@@ -145,13 +144,6 @@ INVARIANTS: Tuple[Invariant, ...] = (
         paths=("prefetch.prefetch_threshold", "prefetch.counter_bits"),
         check=lambda c: c.prefetch.prefetch_threshold
         < 2 ** c.prefetch.counter_bits,
-    ),
-    Invariant(
-        name="register-holds-page",
-        doc="A flash register buffers exactly one flash page.",
-        paths=("register_cache.register_bytes", "znand.page_size_bytes"),
-        check=lambda c: c.register_cache.register_bytes
-        == c.znand.page_size_bytes,
     ),
 )
 

@@ -75,19 +75,6 @@ class DataBlockMappingTable:
             self.misses += 1
         return entry
 
-    def update_data_block(self, vbn: int, new_pdbn: int) -> None:
-        """Point a virtual block at a new physical data block (after GC merge)."""
-        entry = self._entries.get(vbn)
-        if entry is None:
-            raise KeyError(f"VBN {vbn} is not mapped")
-        entry.pdbn = new_pdbn
-
-    def update_log_block(self, vbn: int, new_plbn: int) -> None:
-        entry = self._entries.get(vbn)
-        if entry is None:
-            raise KeyError(f"VBN {vbn} is not mapped")
-        entry.plbn = new_plbn
-
     def fits_in_mmu(self) -> bool:
         """The paper's design constraint: the table must fit in ~80 KB."""
         return self.overflow_entries == 0 and self.size_bytes <= self.capacity_bytes

@@ -61,9 +61,6 @@ class LogBlockMappingTable:
         group = self._groups.get(self.group_id_of(pdbn))
         return group.plbn if group is not None else None
 
-    def group_for(self, pdbn: int) -> Optional[LogBlockGroup]:
-        return self._groups.get(self.group_id_of(pdbn))
-
     def group_by_plbn(self, plbn: int) -> Optional[LogBlockGroup]:
         for group in self._groups.values():
             if group.plbn == plbn:

@@ -12,7 +12,7 @@ block is tracked with a simple register.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 
@@ -42,10 +42,6 @@ class LogPageMappingTable:
     @property
     def is_full(self) -> bool:
         return self.next_free_page >= self.pages_per_block
-
-    @property
-    def free_pages(self) -> int:
-        return self.pages_per_block - self.next_free_page
 
     def search(self, pdbn: int, page_index: int) -> Optional[int]:
         """CAM search: return the log page holding the latest copy, if any.

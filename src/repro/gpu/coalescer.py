@@ -59,12 +59,6 @@ class CoalescingUnit:
         self.requests_generated += len(segments)
         return segments
 
-    def coalescing_efficiency(self) -> float:
-        """Average number of requests per coalesced warp instruction."""
-        if self.instructions_coalesced == 0:
-            return 0.0
-        return self.requests_generated / self.instructions_coalesced
-
     def reset(self) -> None:
         self.instructions_coalesced = 0
         self.requests_generated = 0

@@ -69,10 +69,6 @@ class DRAMSubsystem:
         return sum(device.capacity_bytes for device in self.devices)
 
     @property
-    def peak_bandwidth_bytes_per_s(self) -> float:
-        return self.technology.peak_bandwidth_gbps * 1e9
-
-    @property
     def power_watts(self) -> float:
         return sum(device.power_watts for device in self.devices)
 

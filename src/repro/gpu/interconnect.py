@@ -59,11 +59,6 @@ class Interconnect:
         link.bytes_transferred += num_bytes
         return start + duration
 
-    def round_trip(self, destination: int, request_bytes: int, reply_bytes: int, now: float) -> float:
-        """Send a request packet and account for the reply on the same link."""
-        arrival = self.send(destination, request_bytes, now)
-        return self.send(destination, reply_bytes, arrival)
-
     # Every packet books one link, so the traffic totals are the links'.
     @property
     def packets(self) -> int:
@@ -72,10 +67,6 @@ class Interconnect:
     @property
     def bytes_moved(self) -> int:
         return sum(link.bytes_transferred for link in self.links.resources)
-
-    @property
-    def total_busy_cycles(self) -> float:
-        return self.links.busy_cycles
 
     def reset(self) -> None:
         self.links.reset()

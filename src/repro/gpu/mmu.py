@@ -40,12 +40,6 @@ class PageTable:
     def lookup(self, virtual_page: int) -> Optional[int]:
         return self._mapping.get(virtual_page)
 
-    def is_mapped(self, virtual_page: int) -> bool:
-        return virtual_page in self._mapping
-
-    def unmap(self, virtual_page: int) -> None:
-        self._mapping.pop(virtual_page, None)
-
     def __len__(self) -> int:
         return len(self._mapping)
 

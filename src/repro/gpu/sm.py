@@ -226,12 +226,6 @@ class GPUExecutionResult:
     #: Scheduler events processed (warp wake-ups, including completions).
     events: int = 0
 
-    def normalized_to(self, baseline: "GPUExecutionResult") -> float:
-        """IPC of this run normalised to another run (Fig. 10 style)."""
-        if baseline.ipc == 0:
-            return 0.0
-        return self.ipc / baseline.ipc
-
 
 class GPUCore:
     """The full GPU: a set of SMs sharing one memory subsystem hook."""

@@ -77,12 +77,6 @@ class WarpTrace:
             1 for instr in self.instructions if instr.is_memory and instr.access.is_read
         )
 
-    @property
-    def write_instructions(self) -> int:
-        return sum(
-            1 for instr in self.instructions if instr.is_memory and instr.access.is_write
-        )
-
     def append(self, instruction: Instruction) -> None:
         self.instructions.append(instruction)
 

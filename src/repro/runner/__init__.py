@@ -96,10 +96,6 @@ from repro.runner.runner import (
     SweepExecutionError,
     SweepResult,
     SweepRunner,
-    disable_profiling,
-    enable_profiling,
-    execute_cell,
-    profile_tables,
     run_sweep,
     shutdown_worker_pools,
 )
@@ -146,12 +142,8 @@ __all__ = [
     "cell_seed",
     "default_cache_dir",
     "default_manifest_name",
-    "disable_profiling",
-    "enable_profiling",
-    "execute_cell",
     "merge_manifests",
     "open_cache",
-    "profile_tables",
     "resume_sweep",
     "run_sweep",
     "shutdown_worker_pools",

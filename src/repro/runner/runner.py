@@ -28,7 +28,6 @@ is what makes ablation reruns incremental.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -189,66 +188,12 @@ _SHARED_TRACES = SharedTraceStore()
 atexit.register(_SHARED_TRACES.close)
 
 
-def execute_cell(cell: SweepCell) -> PlatformResult:
-    """Run one cell to completion (the function a pool worker executes)."""
-    return GPUSSDPlatform.execute(cell.platform, _trace_for(cell), cell.resolved_config())
-
-
-#: Per-phase cProfile collectors for ``sweep --profile`` (None = disabled).
-#: Profiling is inherently serial — pool workers are separate processes whose
-#: profiler state never returns — so the CLI forces ``workers=1`` with it.
-_PROFILERS: Optional[Dict[str, "object"]] = None
-#: Stands in for a phase profiler while profiling is disabled.
-_NO_PROFILE = contextlib.nullcontext()
-
-
-def enable_profiling() -> None:
-    """Arm per-phase profilers; every later executed cell accumulates into them."""
-    import cProfile
-
-    global _PROFILERS
-    _PROFILERS = {"trace_build": cProfile.Profile(), "simulate": cProfile.Profile()}
-
-
-def disable_profiling() -> None:
-    global _PROFILERS
-    _PROFILERS = None
-
-
-def profile_tables(top: int = 25) -> str:
-    """Render the armed profilers as per-phase top-N cumulative tables."""
-    import io
-    import pstats
-
-    if not _PROFILERS:
-        return ""
-    sections = []
-    for phase in ("trace_build", "simulate"):
-        profile = _PROFILERS.get(phase)
-        if profile is None:
-            continue
-        stream = io.StringIO()
-        stats = pstats.Stats(profile, stream=stream)
-        stats.sort_stats("cumulative").print_stats(top)
-        sections.append(
-            f"== phase: {phase} (top {top} by cumulative time) ==\n"
-            + stream.getvalue()
-        )
-    return "\n".join(sections)
-
-
 def _execute_cell_timed(cell: SweepCell) -> Tuple[PlatformResult, Dict[str, float]]:
     """Run one cell, reporting where its wall time went."""
-    trace_profile = simulate_profile = _NO_PROFILE
-    if _PROFILERS is not None:
-        trace_profile = _PROFILERS["trace_build"]
-        simulate_profile = _PROFILERS["simulate"]
     started = time.perf_counter()
-    with trace_profile:
-        trace = _trace_for(cell)
+    trace = _trace_for(cell)
     trace_done = time.perf_counter()
-    with simulate_profile:
-        result = GPUSSDPlatform.execute(cell.platform, trace, cell.resolved_config())
+    result = GPUSSDPlatform.execute(cell.platform, trace, cell.resolved_config())
     finished = time.perf_counter()
     return result, {
         "trace_build_seconds": trace_done - started,
@@ -439,11 +384,6 @@ class SweepResult:
     def stats_dicts(self) -> Dict[Tuple[str, str, str], Dict[str, float]]:
         """Per-cell stats summaries (the serial/parallel equivalence probe)."""
         return {run.key: run.result.stats.as_dict() for run in self.runs}
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     # -- perf accounting ------------------------------------------------
     @property

@@ -150,12 +150,6 @@ class BandwidthResource(Resource):
         self.bytes_transferred += num_bytes
         return start + duration
 
-    def achieved_bandwidth(self, horizon: float) -> float:
-        """Bytes per cycle actually moved up to ``horizon``."""
-        if horizon <= 0:
-            return 0.0
-        return self.bytes_transferred / horizon
-
     def reset(self) -> None:
         super().reset()
         self.bytes_transferred = 0

@@ -200,11 +200,3 @@ class StatsCollector:
             summary[f"{name}.mean"] = histogram.mean
             summary[f"{name}.count"] = float(histogram.count)
         return summary
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean used for cross-workload speedup summaries."""
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -13,8 +13,6 @@ Two structures are modelled (Section III-B):
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.config import GPU_FREQ_HZ, ZNANDConfig, bandwidth_to_bytes_per_cycle
 from repro.sim.engine import BandwidthResource, ResourcePool
 
@@ -62,10 +60,6 @@ class FlashNetwork:
         if self.network_type == "bus":
             return self.config.channel_bandwidth_bytes_per_s
         return self.config.flash_network_bandwidth_bytes_per_s
-
-    @property
-    def total_bandwidth_bytes_per_s(self) -> float:
-        return self.per_channel_bandwidth_bytes_per_s * self.config.channels
 
     def bytes_transferred(self) -> int:
         return sum(link.bytes_transferred for link in self.links)  # type: ignore[attr-defined]

@@ -190,8 +190,3 @@ class PageMappedFTL:
         if self.host_writes == 0:
             return 0.0
         return self.array.page_programs / self.host_writes
-
-    @property
-    def mapping_table_bytes(self) -> int:
-        """Size of a full page-mapping table for the whole device (4 B entries)."""
-        return self.geometry.total_pages * 4

@@ -26,9 +26,8 @@ class GCResult:
 class GarbageCollector:
     """Greedy victim selection + wear-levelled reallocation."""
 
-    def __init__(self, array: ZNANDArray, wear_leveling: bool = True) -> None:
+    def __init__(self, array: ZNANDArray) -> None:
         self.array = array
-        self.wear_leveling = wear_leveling
         self.total_blocks_erased = 0
         self.total_pages_migrated = 0
 
@@ -49,8 +48,6 @@ class GarbageCollector:
         """Wear-levelling: reuse the free block with the lowest erase count."""
         if not free_blocks:
             return None
-        if not self.wear_leveling:
-            return free_blocks[0]
         return min(
             free_blocks,
             key=lambda block: self.array.block_state(plane_id, block).erase_count,

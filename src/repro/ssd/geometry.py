@@ -137,9 +137,5 @@ class FlashGeometry:
         remainder = (block * self.pages_per_block + page) * self.planes_per_die + plane
         return (remainder * self.dies_per_channel + die) * self.channels + channel
 
-    def byte_address_to_ppn(self, byte_address: int) -> int:
-        """PPN that holds ``byte_address`` under the linear striped layout."""
-        return (byte_address // self.page_size_bytes) % self.total_pages
-
     def channel_of_ppn(self, ppn: int) -> int:
         return ppn % self.channels

@@ -231,19 +231,6 @@ class ZNANDArray:
         self.block_erases += 1
         return completion
 
-    def register_to_register_copy(
-        self, src_channel: int, dst_channel: int, num_bytes: int, now: float
-    ) -> float:
-        """Copy data between registers on different packages over the flash network.
-
-        This is the data movement SWnet pays for when a register's data must
-        land on a remote plane (Section IV-C).
-        """
-        after_src = self.network.transfer(src_channel, num_bytes, now)
-        if dst_channel == src_channel:
-            return after_src
-        return self.network.transfer(dst_channel, num_bytes, after_src)
-
     # -- reporting -------------------------------------------------------------
     def write_heatmap(self) -> np.ndarray:
         """Writes per (channel, plane-within-channel): the Fig. 8b heat map."""

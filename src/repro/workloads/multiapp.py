@@ -28,10 +28,6 @@ class MultiAppWorkload:
     combined: WorkloadTrace
 
     @property
-    def total_footprint_pages(self) -> int:
-        return self.combined.footprint_pages
-
-    @property
     def specs(self) -> Tuple[WorkloadSpec, WorkloadSpec]:
         return self.first.spec, self.second.spec
 

@@ -135,10 +135,6 @@ class WorkloadSpec:
     def write_ratio(self) -> float:
         return 1.0 - self.read_ratio
 
-    @property
-    def is_read_intensive(self) -> bool:
-        return self.read_ratio >= 0.9
-
 
 @dataclass
 class WorkloadTrace:

@@ -19,12 +19,12 @@ import pytest
 from repro.analysis import reporting
 from repro.analysis.reporting import (
     GOLDEN_SCALE,
+    SENSITIVITY_GOLDEN_SUBDIR,
     ReportError,
     canonical_number,
     compare_csv_dirs,
     csv_cell,
     default_golden_dir,
-    default_sensitivity_golden_dir,
     golden_result,
     golden_spec,
     report_tables,
@@ -138,11 +138,13 @@ class TestSensitivityGoldenGate:
         """The override-axis surface gate: sensitivity.csv et al. vs goldens."""
         derived = tmp_path_factory.mktemp("sensitivity_derived")
         write_report(sensitivity_sweep, derived, plots=False, html_report=False)
-        drift = compare_csv_dirs(derived, default_sensitivity_golden_dir())
+        drift = compare_csv_dirs(
+            derived, default_golden_dir() / SENSITIVITY_GOLDEN_SUBDIR)
         assert drift == [], "\n".join(drift)
 
     def test_sensitivity_goldens_include_the_sensitivity_table(self):
-        committed = {p.name for p in default_sensitivity_golden_dir().glob("*.csv")}
+        committed = {p.name for p in (
+            default_golden_dir() / SENSITIVITY_GOLDEN_SUBDIR).glob("*.csv")}
         assert "sensitivity.csv" in committed
 
     def test_golden_surface_spans_the_flash_width_axis(self):

@@ -123,43 +123,3 @@ class TestAxisFromResult:
             platforms=["ZnG-base", "ZnG"], scale=0.05, warps_per_sm=2))
         with pytest.raises(ValueError, match="ambiguous pivot"):
             sensitivity.axis_from_result(result, REGISTERS)
-
-
-class TestWorkloadAxis:
-    def _result(self, workloads, platforms=("ZnG",)):
-        from repro.runner import SweepSpec, run_sweep
-
-        return run_sweep(SweepSpec.create(
-            platforms=list(platforms), workloads=workloads,
-            scale=0.05, warps_per_sm=2))
-
-    def test_pivot_by_family_parameter(self):
-        from repro.analysis.sensitivity import workload_axis_from_result
-
-        result = self._result(["kv-lookup:zipf=0.6", "kv-lookup",
-                               "kv-lookup:zipf=1.2"])
-        axis = workload_axis_from_result(result, "kv-lookup", "zipf")
-        assert list(axis) == [0.6, 0.99, 1.2]  # defaults resolve too
-
-    def test_ambiguous_cells_raise_instead_of_overwriting(self):
-        from repro.analysis.sensitivity import workload_axis_from_result
-
-        two_platforms = self._result(["kv-lookup:zipf=1.1"],
-                                     platforms=("ZnG-base", "ZnG"))
-        with pytest.raises(ValueError, match="ambiguous pivot"):
-            workload_axis_from_result(two_platforms, "kv-lookup", "zipf")
-        axis = workload_axis_from_result(
-            two_platforms, "kv-lookup", "zipf", platform="ZnG")
-        assert list(axis) == [1.1]
-        differing_other_param = self._result(
-            ["kv-lookup:zipf=1.1", "kv-lookup:get_ratio=0.5,zipf=1.1"])
-        with pytest.raises(ValueError, match="ambiguous pivot"):
-            workload_axis_from_result(
-                differing_other_param, "kv-lookup", "zipf")
-
-    def test_typoed_param_gets_a_did_you_mean(self):
-        from repro.analysis.sensitivity import workload_axis_from_result
-
-        result = self._result(["kv-lookup"])
-        with pytest.raises(ValueError, match="did you mean zipf"):
-            workload_axis_from_result(result, "kv-lookup", "zip")

@@ -18,6 +18,15 @@ class TestTable1:
         assert gpu["frequency_ghz"] == pytest.approx(1.2)
         assert gpu["max_warps_per_sm"] == 80
 
+    def test_l1_row_follows_the_config(self):
+        from repro.config import default_config
+        from repro.configspace import SCHEMA
+
+        assert table_1_configuration()["GPU"]["l1_cache"] == "48KB, 6-way, 64-set"
+        config = SCHEMA.apply(default_config(), {"gpu.l1_size_bytes": 24 * 1024})
+        assert (table_1_configuration(config)["GPU"]["l1_cache"]
+                == "24KB, 6-way, 32-set")
+
     def test_znand_values(self):
         znand = table_1_configuration()["Z-NAND array"]
         assert znand["channels"] == 16

@@ -5,12 +5,13 @@ import math
 import pytest
 
 from repro.analysis import validation
+from repro.config import default_config
 
 
 class TestAnalyticModels:
     def test_accumulated_exceeds_single_plane(self):
         single = validation.analytic_plane_read_bandwidth()
-        accumulated = validation.analytic_accumulated_flash_bandwidth()
+        accumulated = default_config().znand.accumulated_read_bandwidth_bytes_per_s
         assert accumulated > single
 
     def test_mesh_wider_than_bus(self):

@@ -61,8 +61,8 @@ class TestResolve:
         assert type(composed.znand.registers_per_plane) is int
 
     def test_invariants_checked_on_result(self):
-        with pytest.raises(ConfigValueError, match="l1-geometry"):
-            cell("ZnG", {"gpu.l1_sets": 32}).platform_config()
+        with pytest.raises(ConfigValueError, match="prefetch-granularity"):
+            cell("ZnG", {"prefetch.min_prefetch_bytes": 8192}).platform_config()
 
     def test_base_config_used_as_floor(self):
         base = overridden({"znand.channels": 8})

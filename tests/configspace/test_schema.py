@@ -9,6 +9,7 @@ from repro.configspace import (
     ConfigValueError,
     ablation_axes,
 )
+from repro.configspace.schema import FieldSpec, coerce_value
 
 
 class TestEnumeration:
@@ -20,7 +21,7 @@ class TestEnumeration:
     def test_known_fields_present(self):
         for path in ("znand.channels", "gpu.l2_size_bytes",
                      "register_cache.registers_per_plane", "prefetch.policy",
-                     "ftl.wear_leveling", "host.pcie_bandwidth_gbps"):
+                     "ftl.data_blocks_per_log_block", "host.pcie_bandwidth_gbps"):
             assert path in SCHEMA
 
     def test_field_spec_carries_metadata(self):
@@ -64,6 +65,27 @@ class TestPathErrors:
                            match="GPUConfig has no field 'l2_mshr_entries_per_bank'"):
             SCHEMA.get("gpu.l2_mshr_entries_per_bank")
 
+    @pytest.mark.parametrize("path, owner", [
+        # Knobs that no simulator code read: accepted, they changed nothing.
+        ("gpu.frequency_hz", "GPUConfig"),
+        ("ssd_engine.dispatcher_latency_ns", "SSDEngineConfig"),
+        ("optane.write_bandwidth_gbps_total", "OptaneConfig"),
+        ("znand.cell_type", "ZNANDConfig"),
+        ("register_cache.register_bytes", "RegisterCacheConfig"),
+        ("ftl.wear_leveling", "FTLConfig"),
+    ])
+    def test_removed_knob_is_unknown(self, path, owner):
+        field = path.split(".")[-1]
+        with pytest.raises(ConfigPathError,
+                           match=f"{owner} has no field '{field}'"):
+            SCHEMA.get(path)
+        assert path not in SCHEMA.paths()
+
+    def test_l1_sets_is_derived_not_a_knob(self):
+        with pytest.raises(ConfigPathError,
+                           match="'l1_sets' is a derived property of GPUConfig"):
+            SCHEMA.get("gpu.l1_sets")
+
     def test_group_path_is_not_a_leaf(self):
         with pytest.raises(ConfigPathError, match="whole ZNANDConfig group"):
             SCHEMA.get("znand")
@@ -96,8 +118,10 @@ class TestCoercion:
         assert SCHEMA.coerce("znand.read_latency_us", 2) == 2.0
 
     def test_string_to_bool(self):
-        assert SCHEMA.coerce("ftl.wear_leveling", "false") is False
-        assert SCHEMA.coerce("ftl.wear_leveling", "true") is True
+        flag = FieldSpec(path="x.flag", group="x", name="flag", owner="X",
+                         type=bool, default=True)
+        assert coerce_value(flag, "false") is False
+        assert coerce_value(flag, "true") is True
 
     def test_typed_values_pass_through(self):
         assert SCHEMA.coerce("znand.channels", 8) == 8
@@ -161,13 +185,10 @@ class TestInvariants:
 
     def test_l1_geometry_violation_detected(self):
         with pytest.raises(ConfigValueError, match="l1-geometry"):
-            SCHEMA.apply(default_config(), {"gpu.l1_sets": 32})
+            SCHEMA.apply(default_config(), {"gpu.l1_size_bytes": 1000})
 
-    def test_l1_geometry_consistent_override_accepted(self):
-        out = SCHEMA.apply(
-            default_config(),
-            {"gpu.l1_sets": 32, "gpu.l1_size_bytes": 32 * 6 * 128},
-        )
+    def test_l1_sets_follow_a_consistent_override(self):
+        out = SCHEMA.apply(default_config(), {"gpu.l1_size_bytes": 32 * 6 * 128})
         assert out.gpu.l1_sets == 32
 
     def test_prefetch_granularity_order_enforced(self):
@@ -180,8 +201,9 @@ class TestInvariants:
 
     def test_validate_false_skips_value_checks(self):
         out = SCHEMA.apply(
-            default_config(), {"gpu.l1_sets": 32}, validate=False)
-        assert out.gpu.l1_sets == 32
+            default_config(), {"prefetch.prefetch_threshold": 200},
+            validate=False)
+        assert out.prefetch.prefetch_threshold == 200
 
     def test_validate_false_still_rejects_bad_paths(self):
         with pytest.raises(ConfigPathError):

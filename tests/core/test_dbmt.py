@@ -44,23 +44,6 @@ class TestDBMT:
         assert dbmt.overflow_entries == 2
         assert not dbmt.fits_in_mmu()
 
-    def test_update_data_block(self):
-        dbmt = DataBlockMappingTable()
-        dbmt.install(0, 0, 5, 100)
-        dbmt.update_data_block(0, new_pdbn=9)
-        assert dbmt.lookup(0).pdbn == 9
-
-    def test_update_log_block(self):
-        dbmt = DataBlockMappingTable()
-        dbmt.install(0, 0, 5, 100)
-        dbmt.update_log_block(0, new_plbn=200)
-        assert dbmt.lookup(0).plbn == 200
-
-    def test_update_unknown_raises(self):
-        dbmt = DataBlockMappingTable()
-        with pytest.raises(KeyError):
-            dbmt.update_data_block(5, 0)
-
     def test_dbmt_fits_80kb_for_realistic_device(self):
         """The paper's key claim: block-granular mapping fits in ~80 KB."""
         # 800 GB device, 2 MB blocks (384 x 4 KB pages ~= 1.5 MB) => ~500k

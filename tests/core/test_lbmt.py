@@ -10,7 +10,7 @@ class TestLBMT:
         lbmt = LogBlockMappingTable(data_blocks_per_log_block=4)
         lbmt.assign(pdbn=0, plbn=100)
         lbmt.assign(pdbn=1, plbn=100)
-        group = lbmt.group_for(0)
+        group = lbmt.group_by_plbn(100)
         assert group is not None
         assert set(group.data_blocks) == {0, 1}
 

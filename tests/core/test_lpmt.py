@@ -36,11 +36,6 @@ class TestLogPageMappingTable:
         with pytest.raises(RuntimeError):
             lpmt.program(0, 2)
 
-    def test_free_pages(self):
-        lpmt = LogPageMappingTable(plbn=0, pages_per_block=4)
-        lpmt.program(0, 0)
-        assert lpmt.free_pages == 3
-
     def test_valid_entries(self):
         lpmt = LogPageMappingTable(plbn=0, pages_per_block=8)
         lpmt.program(0, 0)

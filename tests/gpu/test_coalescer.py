@@ -33,13 +33,12 @@ class TestCoalescing:
         assert unit.coalesce([], segments=()) == []
         assert unit.instructions_coalesced == 0
 
-    def test_efficiency_statistic(self):
+    def test_counts_instructions_and_requests(self):
         unit = CoalescingUnit()
         unit.coalesce([0x0, 0x80])
         unit.coalesce([0x0], segments=(0x0,))
         assert unit.instructions_coalesced == 2
         assert unit.requests_generated == 3
-        assert unit.coalescing_efficiency() == pytest.approx(1.5)
 
     def test_requests_are_aligned(self):
         unit = CoalescingUnit()

@@ -60,10 +60,6 @@ class TestDRAMSubsystem:
         """12 GB of GDDR5 at 5 W/GB draws 60 W (Fig. 3b)."""
         assert build_gddr5_subsystem().power_watts == pytest.approx(60.0)
 
-    def test_peak_bandwidth_is_the_technology_rate(self):
-        dram = DRAMSubsystem(ZNAND_TECH, controllers=2, packages=1)
-        assert dram.peak_bandwidth_bytes_per_s == pytest.approx(3.2e9)
-
     def test_access_returns_completion_after_latency(self):
         dram = build_gddr5_subsystem()
         completion = dram.access(0x1000, 128, now=0.0)
@@ -81,7 +77,19 @@ class TestDRAMSubsystem:
         for i in range(100):
             completion = max(completion, dram.access(i * 256, 128, now=0.0))
         achieved = dram.achieved_bandwidth_bytes_per_s(completion)
-        assert 0 < achieved <= dram.peak_bandwidth_bytes_per_s * 1.01
+        assert 0 < achieved <= GDDR5.peak_bandwidth_gbps * 1e9 * 1.01
+
+    def test_controllers_share_the_technology_rate(self):
+        """Net of each access's fixed latency, a stream spread over every
+        controller moves bytes at the technology's peak bandwidth."""
+        dram = DRAMSubsystem(ZNAND_TECH, controllers=2, packages=1)
+        latency = dram.access(0, 0, now=0.0)
+        dram.reset()
+        accesses = 100
+        completion = max(dram.access(i, 4096, now=0.0) for i in range(accesses))
+        busy = completion - latency * accesses / dram.controllers
+        assert dram.achieved_bandwidth_bytes_per_s(busy) == pytest.approx(
+            ZNAND_TECH.peak_bandwidth_gbps * 1e9)
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):

@@ -52,7 +52,6 @@ class TestWarpTrace:
         assert len(trace) == 3
         assert trace.memory_instructions == 2
         assert trace.read_instructions == 1
-        assert trace.write_instructions == 1
         assert trace.total_instructions == 2 + 1 + 1
 
     def test_touched_pages(self):

@@ -9,8 +9,8 @@ from repro.runner import (
     CACHE_VERSION,
     ResultCache,
     SweepSpec,
+    build_cell_trace,
     default_cache_dir,
-    execute_cell,
     open_cache,
 )
 
@@ -27,9 +27,14 @@ def cell():
     return spec.cells()[0]
 
 
+def simulate(cell):
+    return GPUSSDPlatform.execute(
+        cell.platform, build_cell_trace(cell), cell.resolved_config())
+
+
 @pytest.fixture(scope="module")
 def result(cell):
-    return execute_cell(cell)
+    return simulate(cell)
 
 
 def _entry_path(cache, key):
@@ -125,7 +130,7 @@ class TestCorruptionRecovery:
         assert not path.exists(), "corrupt entry must be deleted"
 
         # The cell recomputes and repopulates; the fresh entry then hits.
-        recomputed = execute_cell(cell)
+        recomputed = simulate(cell)
         cache.put(key, recomputed, cell.descriptor())
         assert cache.get(key).stats.as_dict() == result.stats.as_dict()
 

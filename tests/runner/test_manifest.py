@@ -320,7 +320,7 @@ class TestResumeAfterKill:
         resumed = resume_sweep(path, workers=1)
         assert resumed.shard_index == 0 and resumed.shard_count == 2
         assert len(resumed) == len(spec.shard(0, 2))
-        assert resumed.cache_hit_rate == 1.0
+        assert resumed.cache_hits == len(resumed)
 
     def test_resume_finds_cache_next_to_manifest(self, tmp_path):
         """A manifest moved with its cache (artifact download) still resumes:
@@ -331,7 +331,7 @@ class TestResumeAfterKill:
         moved = tmp_path / "downloaded"
         original.rename(moved)
         resumed = resume_sweep(moved / "manifest.json", workers=1)
-        assert resumed.cache_hit_rate == 1.0
+        assert resumed.cache_hits == len(resumed)
 
 
 class TestAnyKillPoint:

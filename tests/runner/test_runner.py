@@ -53,7 +53,7 @@ class TestMemoization:
 
         second = SweepRunner(workers=2, cache=tmp_path).run(spec)
         assert second.cache_misses == 0
-        assert second.cache_hit_rate == 1.0
+        assert second.cache_hits == len(spec)
         assert second.stats_dicts() == first.stats_dicts()
 
     def test_ablation_rerun_is_incremental(self, tmp_path):
@@ -94,7 +94,7 @@ class TestMemoization:
         assert recovered.stats_dicts() == first.stats_dicts()
         # ...and the repaired entry hits again afterwards.
         third = SweepRunner(cache=tmp_path).run(spec)
-        assert third.cache_hit_rate == 1.0
+        assert third.cache_hits == len(spec)
 
 
 class TestWorkerCount:

@@ -53,8 +53,8 @@ class TestApplyOverrides:
         assert out.znand.channels == 8
 
     def test_invariant_violation_rejected(self, config):
-        with pytest.raises(ConfigValueError, match="l1-geometry"):
-            apply_overrides(config, {"gpu.l1_sets": 16})
+        with pytest.raises(ConfigValueError, match="prefetch-threshold"):
+            apply_overrides(config, {"prefetch.prefetch_threshold": 200})
 
 
 class TestSweepSpec:
@@ -149,6 +149,28 @@ class TestSweepSpec:
             num_sms=1, warps_per_sm=1, memory_instructions_per_warp=1)
         assert (spec.knobs.scale, spec.knobs.num_sms, spec.knobs.warps_per_sm,
                 spec.knobs.memory_instructions_per_warp) == (1e-3, 1, 1, 1)
+
+    @pytest.mark.parametrize("group, field, value", [
+        # Fields a manifest written before they were removed still carries.
+        ("gpu", "frequency_hz", 1.2e9),
+        ("gpu", "l1_sets", 64),
+        ("ssd_engine", "dispatcher_latency_ns", 100.0),
+        ("optane", "write_bandwidth_gbps_total", 13.0),
+        ("znand", "cell_type", "SLC"),
+        ("register_cache", "register_bytes", 4096),
+        ("ftl", "wear_leveling", True),
+    ])
+    def test_descriptor_with_a_removed_field_is_rejected(self, group, field,
+                                                         value):
+        spec = SweepSpec.create(platforms=["ZnG"], workloads=["betw-back"],
+                                base_config=default_config())
+        payload = spec.descriptor()
+        payload["base_config"][group][field] = value
+        with pytest.raises(ValueError) as raised:
+            SweepSpec.from_descriptor(payload)
+        assert str(raised.value) == (
+            f"base_config sub-config {group!r} does not match the current "
+            f"schema (drifted fields: [{field!r}])")
 
 
 class TestCacheKey:

@@ -123,10 +123,14 @@ class TestBandwidthResource:
         link.transfer(0.0, 28)
         assert link.bytes_transferred == 128
 
-    def test_achieved_bandwidth(self):
+    def test_back_to_back_transfers_saturate_the_link(self):
         link = BandwidthResource("link", bytes_per_cycle=4.0)
-        link.transfer(0.0, 400)
-        assert link.achieved_bandwidth(100.0) == pytest.approx(4.0)
+        completion = 0.0
+        for _ in range(4):
+            completion = link.transfer(0.0, 100)
+        assert completion == pytest.approx(100.0)
+        assert link.bytes_transferred / completion == pytest.approx(4.0)
+        assert link.utilization(completion) == pytest.approx(1.0)
 
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ValueError):

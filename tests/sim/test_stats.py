@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.stats import Counter, Histogram, StatsCollector, geometric_mean
+from repro.sim.stats import Counter, Histogram, StatsCollector
 
 
 class TestCounter:
@@ -198,9 +198,3 @@ class TestStreamingHistogram:
         clone = StatsCollector.from_dict(collector.to_dict())
         assert clone.to_dict() == collector.to_dict()
 
-
-class TestHelpers:
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        assert geometric_mean([]) == 0.0
-        assert geometric_mean([0.0, 4.0]) == pytest.approx(4.0)  # zeros are skipped

@@ -56,12 +56,6 @@ class TestFlashNetwork:
         b = network.transfer(1, 4096, 0.0)
         assert a == pytest.approx(b)
 
-    def test_total_bandwidth_scales_with_channels(self):
-        network = FlashNetwork(ZNANDConfig(), network_type="mesh")
-        assert network.total_bandwidth_bytes_per_s == pytest.approx(
-            network.per_channel_bandwidth_bytes_per_s * 16
-        )
-
     def test_invalid_type(self):
         with pytest.raises(ValueError):
             FlashNetwork(ZNANDConfig(), network_type="ring")
@@ -142,6 +136,20 @@ class TestFlashNetwork:
         network.transfer(1, 4096, 0.0)
         # GPU_FREQ_HZ cycles is one second.
         assert network.achieved_bandwidth_bytes_per_s(GPU_FREQ_HZ) == pytest.approx(8192.0)
+
+    @pytest.mark.parametrize("network_type", NETWORK_TYPES)
+    def test_aggregate_bandwidth_scales_with_channels(self, network_type):
+        """One transfer per channel all finish together, so the network
+        moves ``channels`` links' worth of bytes in one transfer time."""
+        config = ZNANDConfig()
+        network = FlashNetwork(config, network_type=network_type)
+        fixed = FlashNetwork(config, network_type=network_type).transfer(0, 0, 0.0)
+        completions = {network.transfer(channel, 4096, 0.0)
+                       for channel in range(config.channels)}
+        assert len(completions) == 1
+        busy = completions.pop() - fixed
+        assert network.achieved_bandwidth_bytes_per_s(busy) == pytest.approx(
+            config.channels * network.per_channel_bandwidth_bytes_per_s)
 
     def test_achieved_bandwidth_of_an_empty_horizon_is_zero(self):
         network = FlashNetwork(ZNANDConfig(), network_type="mesh")

@@ -71,14 +71,6 @@ class TestGarbageCollection:
         assert ftl.write_amplification_factor >= 1.0
 
 
-class TestMappingTableSize:
-    def test_full_page_table_is_large(self):
-        """A full page-mapping table is much bigger than the ZnG DBMT (80 KB)."""
-        ftl = make_ftl()
-        # 4-byte entries per page.
-        assert ftl.mapping_table_bytes == ftl.geometry.total_pages * 4
-
-
 class TestProperties:
     @given(writes=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=40))
     @settings(max_examples=30, deadline=None)

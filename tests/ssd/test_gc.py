@@ -31,18 +31,25 @@ class TestVictimSelection:
         gc = GarbageCollector(array)
         assert gc.select_victim(0, []) is None
 
+    def test_tied_victims_keep_the_first_candidate(self):
+        array = make_array()
+        gc = GarbageCollector(array)
+        for block in (4, 6):
+            array.program_page(array.geometry.ppn_of(0, block, 0), now=0.0)
+        assert gc.select_victim(0, [6, 4]) == 6
+
 
 class TestWearLeveling:
     def test_prefers_lowest_erase_count(self):
         array = make_array()
-        gc = GarbageCollector(array, wear_leveling=True)
+        gc = GarbageCollector(array)
         array.erase_block(0, 2, now=0.0)  # block 2 now has erase_count 1
         destination = gc.select_destination(0, [2, 3])
         assert destination == 3
 
-    def test_wear_leveling_disabled_picks_first(self):
+    def test_equal_wear_keeps_the_first_free_block(self):
         array = make_array()
-        gc = GarbageCollector(array, wear_leveling=False)
+        gc = GarbageCollector(array)
         assert gc.select_destination(0, [5, 3, 7]) == 5
 
     def test_no_free_blocks(self):

@@ -93,16 +93,3 @@ class TestRoundTrips:
         assert geom.plane_id(loc) == plane
         assert loc.block == block
         assert loc.page == page
-
-
-class TestByteAddressing:
-    def test_byte_address_to_ppn(self):
-        geom = small_geometry()
-        page_size = geom.page_size_bytes
-        assert geom.byte_address_to_ppn(0) == 0
-        assert geom.byte_address_to_ppn(page_size + 100) == 1
-
-    def test_byte_address_wraps(self):
-        geom = small_geometry()
-        wrapped = geom.byte_address_to_ppn(geom.total_pages * geom.page_size_bytes)
-        assert wrapped == 0

@@ -129,20 +129,6 @@ class TestStatistics:
         assert sum(array.reads_per_plane) == 0
 
 
-class TestRegisterCopy:
-    def test_same_channel_single_traversal(self):
-        array = small_array()
-        completion = array.register_to_register_copy(0, 0, 4096, now=0.0)
-        assert completion > 0.0
-
-    def test_cross_channel_two_traversals(self):
-        array = small_array()
-        same = array.register_to_register_copy(0, 0, 4096, now=0.0)
-        array.reset_statistics()
-        cross = array.register_to_register_copy(0, 1, 4096, now=0.0)
-        assert cross > same
-
-
 class TestProperties:
     @given(ppns=st.lists(st.integers(min_value=0, max_value=511), min_size=1, max_size=50))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -48,6 +49,12 @@ BOUNDARY_ERRORS = [
      "znand.read_latency_us expects a finite float (us), got 'inf'"),
     (["sweep", "--platforms", "ZnG", "--workloads", "kv-lookup:get_ratio=nan",
       "--no-cache", "--scale", "0.05"], "get_ratio expects a finite float"),
+    (["sweep", "--platforms", "ZnG", "--workloads", "betw-back", "--no-cache",
+      "--scale", "0.05", "--set", "x:gpu.frequency_hz=2.4e9"],
+     "override path 'gpu.frequency_hz': GPUConfig has no field 'frequency_hz'"),
+    (["sweep", "--platforms", "ZnG", "--workloads", "betw-back", "--no-cache",
+      "--scale", "0.05", "--set", "x:gpu.l1_sets=32"],
+     "override path 'gpu.l1_sets': 'l1_sets' is a derived property of GPUConfig"),
 ]
 
 
@@ -346,22 +353,6 @@ class TestSweepCommand:
         assert (completed.stdout + completed.stderr).strip().splitlines() == [
             "scale must be a finite number > 0, got nan"]
 
-    def test_profile_writes_both_phases_and_disarms(self, capsys, tmp_path,
-                                                    monkeypatch):
-        from repro.runner import profile_tables
-
-        monkeypatch.chdir(tmp_path)
-        assert main(self.ARGS + ["--no-cache", "--workers", "2",
-                                 "--profile"]) == 0
-        captured = capsys.readouterr()
-        assert "--profile forces --workers 1 (was 2)" in captured.err
-        profile_path = tmp_path / "sweep.profile.txt"
-        assert f"profile written to {profile_path}" in captured.out
-        text = profile_path.read_text()
-        assert "== phase: trace_build" in text
-        assert "== phase: simulate" in text
-        assert profile_tables() == ""  # disarmed: later sweeps run unprofiled
-
 
 class TestShardedSweepCLI:
     SMOKE = ["sweep", "--preset", "smoke", "--workers", "1", "--scale", "0.05"]
@@ -445,6 +436,30 @@ class TestShardedSweepCLI:
             "--workers", "1",
         ]) == 0
         assert "4 served from cache" in capsys.readouterr().out
+
+    def test_resume_names_a_removed_config_field(self, capsys, tmp_path):
+        """A manifest whose base config still carries a field the schema
+        dropped fails in one line naming it, instead of resuming a config
+        that differs from the recorded one."""
+        from repro.config import default_config
+        from repro.runner import SweepRunner, SweepSpec
+
+        manifest = tmp_path / "manifest.json"
+        SweepRunner(workers=1, cache=tmp_path).run(
+            SweepSpec.create(platforms=["ZnG"], workloads=["bfs1"], scale=0.05,
+                             warps_per_sm=2, base_config=default_config()),
+            manifest_path=manifest)
+        payload = json.loads(manifest.read_text())
+        payload["spec"]["base_config"]["gpu"]["frequency_hz"] = 1.2e9
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["sweep", "--resume", str(manifest), "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "manifest spec cannot be reconstructed: base_config sub-config "
+            "'gpu' does not match the current schema (drifted fields: "
+            "['frequency_hz'])"]
 
     def test_resume_rejects_no_cache(self, capsys, tmp_path):
         assert main([

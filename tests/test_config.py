@@ -101,11 +101,10 @@ class TestPlatformConfig:
 
 class TestTableIConsistency:
     def test_gpu_frequency(self):
-        assert default_config().gpu.frequency_hz == 1.2e9
+        assert GPU_FREQ_HZ == 1.2e9
 
     def test_l2_banks(self):
         assert default_config().gpu.l2_banks == 6
 
-    def test_total_max_warps(self):
-        config = default_config()
-        assert config.gpu.total_max_warps == 16 * 80
+    def test_l1_sets_derive_from_size_assoc_and_line(self):
+        assert default_config().gpu.l1_sets == 64

@@ -1,10 +1,19 @@
-"""Every module under ``src/repro`` has a caller outside the tests.
+"""Every module, top-level name and config path under ``src/repro`` has a
+reader outside the tests.
 
-A module that only its tests, the examples or its package ``__init__``
-import runs in no sweep, report golden or bench, so it cannot move a number
-the repo publishes.  Each module must be imported by another ``src/`` module
-that is not a package ``__init__``, or by ``benchmarks/`` or ``perfbench/``.
-A helper that only a test needs lives in that test, as a reference model.
+A module or function that only its tests, the examples or its package
+``__init__`` reach runs in no sweep, report golden or bench, so it cannot
+move a number the repo publishes.  Each module must be imported, and each
+module-level function or class referenced, by ``src/`` code that is not a
+package ``__init__``, or by ``benchmarks/`` or ``perfbench/``.  A helper
+that only a test needs lives in that test, as a reference model.
+
+Each config path must be read by the simulator (``gpu/``, ``core/``,
+``ssd/``, ``sim/``, ``platforms/`` or ``workloads/``), directly or through a
+``config.py`` property the simulator reads; a knob nothing reads is
+accepted, cached and recorded, yet changes no simulated number.  Both name
+checks match names, not bindings, so a reader of a same-named attribute
+elsewhere hides an unread field from them.
 """
 
 import ast
@@ -13,6 +22,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CALLER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "perfbench")
+SIMULATOR_PACKAGES = ("gpu", "core", "ssd", "sim", "platforms", "workloads")
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def caller_files():
+    """``(root, path)`` of every file that counts as a caller."""
+    for root in CALLER_DIRS:
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "__init__.py" and root == SRC:
+                continue
+            yield root, path
 
 
 def module_name(path):
@@ -32,7 +55,7 @@ def imported_modules(path):
         if path.name != "__init__.py":
             package = package[:-1]
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -55,14 +78,72 @@ def test_every_src_module_has_a_caller():
         if path.name not in ("__init__.py", "__main__.py")
     }
     called = set()
-    for root in CALLER_DIRS:
-        for path in root.rglob("*.py"):
-            if path.name == "__init__.py" and root == SRC:
-                continue
-            caller = module_name(path) if root == SRC else None
-            called.update(name for name in imported_modules(path)
-                          if name in modules and name != caller)
+    for root, path in caller_files():
+        caller = module_name(path) if root == SRC else None
+        called.update(name for name in imported_modules(path)
+                      if name in modules and name != caller)
     uncalled = sorted(set(modules) - called)
     assert not uncalled, (
         "modules no src/, benchmarks/ or perfbench/ code imports: "
         + ", ".join(uncalled))
+
+
+def referenced_names(tree):
+    """Every name ``tree`` loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_top_level_name_has_a_caller():
+    defined = [
+        (path.relative_to(SRC), node.name)
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for node in parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    referenced = set()
+    for _, path in caller_files():
+        referenced |= referenced_names(parse(path))
+    uncalled = [f"{path}::{name}" for path, name in defined
+                if name not in referenced]
+    assert not uncalled, (
+        "top-level names no src/, benchmarks/ or perfbench/ code references: "
+        + ", ".join(uncalled))
+
+
+def test_every_config_path_is_read_by_the_simulator():
+    from repro.configspace import SCHEMA
+
+    read = set()
+    for package in SIMULATOR_PACKAGES:
+        for path in (SRC / "repro" / package).rglob("*.py"):
+            read.update(node.attr for node in ast.walk(parse(path))
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load))
+    # A property of a config class reads the fields its body names.
+    properties = {}
+    for node in ast.walk(parse(SRC / "repro" / "config.py")):
+        if isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "property"
+                for d in node.decorator_list):
+            properties.setdefault(node.name, set()).update(
+                inner.attr for inner in ast.walk(node)
+                if isinstance(inner, ast.Attribute))
+    grown = True
+    while grown:
+        grown = False
+        for name, fields in properties.items():
+            if name in read and not fields <= read:
+                read |= fields
+                grown = True
+    unread = [spec.path for spec in SCHEMA.fields() if spec.name not in read]
+    assert not unread, (
+        "config paths no gpu/, core/, ssd/, sim/, platforms/ or workloads/ "
+        "code reads: " + ", ".join(unread))

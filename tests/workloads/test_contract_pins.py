@@ -72,7 +72,7 @@ FIG10_FINGERPRINT = (
     "99a0392866006ec02cc670d576c21af63925f7985c54df6595cefcf92794fa3f")
 FIG10_CELL = "ZnG|betw-back"
 FIG10_CELL_KEY = (
-    "801bdc59bc10a67c31a76d946a926ec7d0212e9c2960cd3337dda75569775a50")
+    "b10b4b8b88136e076db7bc687927db5594dccb307e69e55ec46049df1e9c992d")
 
 #: ``content_hash`` of ``workloads --record kv-lookup:zipf=1.1 --scale 0.1``.
 RECORDED_CONTENT_HASH = (

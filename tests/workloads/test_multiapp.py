@@ -28,7 +28,7 @@ class TestBuildMix:
     def test_combined_footprint(self):
         mix = build_mix("betw", "back", TraceKnobs(
             scale=0.1, seed=1, warps_per_sm=4))
-        assert mix.total_footprint_pages == mix.first.footprint_pages + mix.second.footprint_pages
+        assert mix.combined.footprint_pages == mix.first.footprint_pages + mix.second.footprint_pages
 
     def test_specs_accessor(self):
         mix = build_mix("betw", "back", TraceKnobs(

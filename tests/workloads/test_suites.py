@@ -72,10 +72,6 @@ class TestSpecProperties:
         spec = workload_by_name("back")
         assert spec.read_ratio + spec.write_ratio == pytest.approx(1.0)
 
-    def test_is_read_intensive(self):
-        assert workload_by_name("deg").is_read_intensive
-        assert not workload_by_name("back").is_read_intensive
-
 
 class TestTokenGrammar:
     """The registry's token grammar over the Table II catalogue."""

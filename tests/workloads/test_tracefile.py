@@ -275,7 +275,6 @@ class TestReviewRegressions:
         # must not need the trace file on disk (merged shard results are
         # routinely pivoted on another machine).
         from repro.analysis.figures import scenario_suite_from_result
-        from repro.analysis.sensitivity import workload_axis_from_result
 
         path = tmp_path / "kv.trace.json"
         record_trace("kv-lookup", path, KNOBS)
@@ -286,5 +285,3 @@ class TestReviewRegressions:
         path.unlink()
         table = scenario_suite_from_result(result)
         assert f"trace:{path}" in table and "kv-lookup" in table
-        axis = workload_axis_from_result(result, "kv-lookup", "zipf")
-        assert list(axis) == [1.1]
