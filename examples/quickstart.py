@@ -33,7 +33,7 @@ def main() -> None:
     trace = build_cell_trace(cells[0])
     print(f"\nWorkload {cells[0].workload}: warps={len(trace.warps)}  "
           f"memory instructions={trace.total_memory_instructions}  "
-          f"touched pages={trace.touched_pages()}")
+          f"touched pages={len(trace.page_read_counts.keys() | trace.page_write_counts.keys())}")
 
     print("\nRunning platforms...")
     sweep = run_sweep(spec)

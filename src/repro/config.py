@@ -444,7 +444,7 @@ class OptaneConfig:
         763.0, "ns", "Table I: Optane tRP 763 ns.", minimum=0.0)
     read_bandwidth_gbps_total: float = table_field(
         39.0, "GB/s", "Aggregate Optane read bandwidth (~39 GB/s).",
-        minimum=0.0)
+        minimum=0.001)
     access_granularity_bytes: int = table_field(
         256, "bytes", "Optane internal 256 B access granularity.", minimum=1)
 

@@ -50,7 +50,7 @@ class FieldSpec:
     group: str         # top-level sub-config, e.g. "znand"
     name: str          # field name inside its dataclass
     owner: str         # owning dataclass name, e.g. "ZNANDConfig"
-    type: type         # int / float / str / bool
+    type: type         # int / float / str
     default: object    # the Table I default value
     unit: str = ""
     doc: str = ""
@@ -288,17 +288,8 @@ class ConfigSchema:
     @staticmethod
     def _coerce_type(spec: FieldSpec, value: object) -> object:
         kind = spec.type
-        if kind is bool:
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str):
-                lowered = value.strip().lower()
-                if lowered in ("true", "1", "yes", "on"):
-                    return True
-                if lowered in ("false", "0", "no", "off"):
-                    return False
-            raise ConfigValueError(
-                f"{spec.path} expects a bool (true/false), got {value!r}")
+        # No field is a bool, so a bool value is rejected everywhere; a bool
+        # field added later fails on every value until this learns to parse.
         if isinstance(value, bool):
             raise ConfigValueError(
                 f"{spec.path} expects {kind.__name__}, got bool {value!r}")

@@ -11,20 +11,10 @@ the granularity grows by 1 KB.  The paper's sweep found (high, low) =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import PrefetchConfig
 from repro.gpu.cache import ACCESSED, PREFETCHED
-
-
-@dataclass
-class MonitorSnapshot:
-    """State of the monitor at one adjustment point."""
-
-    waste_ratio: float
-    granularity_bytes: int
-    evictions_observed: int
 
 
 class AccessMonitor:
@@ -37,46 +27,33 @@ class AccessMonitor:
         self.unused_counter = 0
         self.total_evictions = 0
         self.total_unused = 0
-        self.adjustments_down = 0
-        self.adjustments_up = 0
-        self.history: list[MonitorSnapshot] = []
 
-    def observe_eviction(self, state: int) -> Optional[MonitorSnapshot]:
+    def observe_eviction(self, state: int) -> None:
         """Account one L2 eviction of a line with tag ``state`` bits.
 
-        Maybe adjusts the prefetch granularity.
+        The last eviction of each window adjusts the prefetch granularity.
         """
         self.evict_counter += 1
         self.total_evictions += 1
         if state & (PREFETCHED | ACCESSED) == PREFETCHED:
             self.unused_counter += 1
             self.total_unused += 1
-        if self.evict_counter < self.config.monitor_window_evictions:
-            return None
-        return self._adjust()
+        if self.evict_counter >= self.config.monitor_window_evictions:
+            self._adjust()
 
-    def _adjust(self) -> MonitorSnapshot:
-        waste_ratio = self.unused_counter / self.evict_counter if self.evict_counter else 0.0
+    def _adjust(self) -> None:
+        waste_ratio = self.unused_counter / self.evict_counter
         if waste_ratio > self.config.high_waste_threshold:
             self.granularity_bytes = max(
                 self.config.min_prefetch_bytes, self.granularity_bytes // 2
             )
-            self.adjustments_down += 1
         elif waste_ratio < self.config.low_waste_threshold:
             self.granularity_bytes = min(
                 self.config.max_prefetch_bytes,
                 self.granularity_bytes + self.config.granularity_step_bytes,
             )
-            self.adjustments_up += 1
-        snapshot = MonitorSnapshot(
-            waste_ratio=waste_ratio,
-            granularity_bytes=self.granularity_bytes,
-            evictions_observed=self.evict_counter,
-        )
-        self.history.append(snapshot)
         self.evict_counter = 0
         self.unused_counter = 0
-        return snapshot
 
     @property
     def overall_waste_ratio(self) -> float:
@@ -90,6 +67,3 @@ class AccessMonitor:
         self.unused_counter = 0
         self.total_evictions = 0
         self.total_unused = 0
-        self.adjustments_down = 0
-        self.adjustments_up = 0
-        self.history.clear()

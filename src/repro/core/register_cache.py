@@ -239,24 +239,6 @@ class FlashRegisterCache:
         return time
 
     # ------------------------------------------------------------------
-    def flush(self, now: float, program_fn: ProgramFn) -> float:
-        """Flush every dirty register (end-of-kernel barrier)."""
-        time = now
-        for group, registers in self._packages.items():
-            package = group if self.scope == "package" else self.package_of_plane(group)
-            while registers:
-                victim_page, victim = registers.popitem(last=False)
-                dest_local = self._destination_plane_local(victim_page, group)
-                moved = self.network.transfer(
-                    package, victim.home_plane, dest_local,
-                    victim.dirty_bytes or self.page_size_bytes, time,
-                )
-                time = max(time, program_fn(victim_page, moved))
-                self.programs_issued += 1
-                self.evictions += 1
-        return time
-
-    # ------------------------------------------------------------------
     @property
     def hit_rate(self) -> float:
         total = self.write_hits + self.write_misses

@@ -1,4 +1,4 @@
-"""GPU substrate: SMs, caches, MMU/TLB, interconnect and DRAM models."""
+"""GPU substrate: SMs, caches, MMU/TLB, interconnect and memory controllers."""
 
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.mshr import MSHR
@@ -7,8 +7,11 @@ from repro.gpu.tlb import TLB
 from repro.gpu.mmu import MMU, PageTable
 from repro.gpu.l2cache import SharedL2Cache
 from repro.gpu.interconnect import Interconnect
-from repro.gpu.dram import DRAMDevice, build_gddr5_subsystem
-from repro.gpu.memory_controller import MemoryControllerArray
+from repro.gpu.memory_controller import (
+    MemoryControllerArray,
+    build_gddr5_controllers,
+    build_optane_controllers,
+)
 from repro.gpu.warp import Instruction, WarpTrace
 from repro.gpu.sm import StreamingMultiprocessor, GPUCore
 
@@ -21,9 +24,9 @@ __all__ = [
     "PageTable",
     "SharedL2Cache",
     "Interconnect",
-    "DRAMDevice",
-    "build_gddr5_subsystem",
     "MemoryControllerArray",
+    "build_gddr5_controllers",
+    "build_optane_controllers",
     "Instruction",
     "WarpTrace",
     "StreamingMultiprocessor",

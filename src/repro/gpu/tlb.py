@@ -44,9 +44,6 @@ class TLB:
         vpn = self.virtual_page(virtual_address)
         return self._entries.pop(vpn, None) is not None
 
-    def flush(self) -> None:
-        self._entries.clear()
-
     @property
     def occupancy(self) -> int:
         return len(self._entries)

@@ -80,13 +80,6 @@ class WarpTrace:
     def append(self, instruction: Instruction) -> None:
         self.instructions.append(instruction)
 
-    def touched_pages(self, page_size: int = 4096) -> set:
-        pages = set()
-        for instruction in self.instructions:
-            for address in instruction.addresses:
-                pages.add(address // page_size)
-        return pages
-
 
 def total_instructions(traces: Iterable[WarpTrace]) -> int:
     return sum(trace.total_instructions for trace in traces)

@@ -7,10 +7,13 @@ Seven platforms plus the pure-GDDR5 reference:
 * ``HybridGPUPlatform`` — prior work: SSD controller + DRAM buffer inside the GPU
 * ``OptanePlatform``  — GPU DRAM replaced by Optane DC PMM behind 6 controllers
 * ``ZnGPlatform``     — ZnG-base / ZnG-rdopt / ZnG-wropt / ZnG (full)
+
+GDDR5, Hetero and Optane share one memory-controller service path,
+``ControllerMemoryPlatform``.
 """
 
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.platforms.gddr5 import GDDR5Platform
+from repro.platforms.gddr5 import ControllerMemoryPlatform, GDDR5Platform
 from repro.platforms.hetero import HeteroPlatform
 from repro.platforms.hybrid_gpu import HybridGPUPlatform
 from repro.platforms.optane_platform import OptanePlatform
@@ -19,6 +22,7 @@ from repro.platforms.zng import ZnGPlatform, ZnGVariant, build_platform, PLATFOR
 __all__ = [
     "GPUSSDPlatform",
     "PlatformResult",
+    "ControllerMemoryPlatform",
     "GDDR5Platform",
     "HeteroPlatform",
     "HybridGPUPlatform",

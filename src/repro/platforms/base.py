@@ -3,8 +3,9 @@
 Every evaluated platform shares the GPU-side path (Fig. 2): SM -> coalescer ->
 L1D -> TLB/MMU -> interconnect -> shared L2 -> *memory side*.  Subclasses
 implement :meth:`_service_l2_miss` and :meth:`_service_write` to describe
-their memory side: GDDR5, host-attached SSD, HybridGPU's embedded
-SSD, Optane, or ZnG's flash controllers.
+their memory side: memory controllers in front of GDDR5 or Optane
+(``platforms.gddr5.ControllerMemoryPlatform``, shared by GDDR5, Hetero and
+Optane), HybridGPU's embedded SSD, or ZnG's flash controllers.
 """
 
 from __future__ import annotations

@@ -1,28 +1,32 @@
-"""The traditional GPU memory subsystem: 6 memory controllers, 12 GDDR5 packages.
+"""GPUs whose memory below the L2 is six memory controllers.
 
-This is the reference point of the motivation figures: Fig. 4c/4d compare it
-against HybridGPU, and Fig. 5a reports the degradation of replacing it with
-raw Z-NAND.  Data is assumed resident in GDDR5 (no page faults).
+``ControllerMemoryPlatform`` is the one service path of GDDR5, Hetero and
+Optane.  ``GDDR5Platform`` is the traditional GPU memory subsystem (6
+controllers, 12 GDDR5 packages) with the data set resident: the reference of
+Figs 4c/4d and of Fig. 5a's degradation with raw Z-NAND.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.config import GPU_FREQ_HZ, PlatformConfig
-from repro.gpu.dram import DRAMSubsystem, build_gddr5_subsystem
+from repro.config import PlatformConfig
+from repro.gpu.memory_controller import MemoryControllerArray, build_gddr5_controllers
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.workloads.trace import WorkloadTrace
 
 
-class GDDR5Platform(GPUSSDPlatform):
-    """GPU with its conventional GDDR5 memory; the data set is resident."""
+class ControllerMemoryPlatform(GPUSSDPlatform):
+    """Serves every L2 miss and every write from a :class:`MemoryControllerArray`.
 
-    name = "GDDR5"
+    A subclass builds the array as ``memory`` in its ``__init__``, and also
+    names it after its technology (``dram``, ``optane``).
+    ``component`` names the latency-breakdown key the controllers charge and
+    the ``<component>_bandwidth_gbps`` extra of the result.
+    """
 
-    def __init__(self, config: Optional[PlatformConfig] = None) -> None:
-        super().__init__(config)
-        self.dram: DRAMSubsystem = build_gddr5_subsystem()
+    component: str
+    memory: MemoryControllerArray
 
     def prepare(self, workload: WorkloadTrace) -> None:
         """Pre-map the touched pages so no page faults occur (data is resident)."""
@@ -40,9 +44,10 @@ class GDDR5Platform(GPUSSDPlatform):
         # differs for a touched page missing from ``resident_pages``, which
         # demand-zero mapping puts in frame 0: a known model defect, kept
         # until a model change fixes it together with the pinned digests.
-        completion = self.dram.access(physical_address or address, self.request_bytes, now)
+        completion = self.memory.access(
+            physical_address or address, self.request_bytes, False, now)
         if completion > now:
-            breakdown["dram"] += completion - now
+            breakdown[self.component] += completion - now
         # Fill the missing line into the L2 for future reuse.
         self.l2.fill(address, completion)
         return completion
@@ -50,14 +55,26 @@ class GDDR5Platform(GPUSSDPlatform):
     def _service_write(
         self, address: int, physical_address: int, now: float, breakdown: Dict[str, float]
     ) -> float:
-        completion = self.dram.access(physical_address or address, self.request_bytes, now)
+        completion = self.memory.access(
+            physical_address or address, self.request_bytes, True, now)
         if completion > now:
-            breakdown["dram"] += completion - now
+            breakdown[self.component] += completion - now
         self.l2.fill(address, completion, dirty=True)
         return completion
 
     def _annotate_result(self, result: PlatformResult) -> None:
         cycles = result.execution.cycles
-        result.extra["dram_bandwidth_gbps"] = (
-            self.dram.achieved_bandwidth_bytes_per_s(cycles) / 1e9 if cycles else 0.0
+        result.extra[f"{self.component}_bandwidth_gbps"] = (
+            self.memory.achieved_bandwidth_bytes_per_s(cycles) / 1e9 if cycles else 0.0
         )
+
+
+class GDDR5Platform(ControllerMemoryPlatform):
+    """GPU with its conventional GDDR5 memory; the data set is resident."""
+
+    name = "GDDR5"
+    component = "dram"
+
+    def __init__(self, config: Optional[PlatformConfig] = None) -> None:
+        super().__init__(config)
+        self.dram = self.memory = build_gddr5_controllers()

@@ -4,29 +4,29 @@ Data initially resides in the SSD (Section V-B).  A GPU access to a
 non-resident page raises a page fault; the MMU's fault handler interrupts the
 host CPU, which reads the page from the NVMe SSD into host DRAM, copies it
 (user/kernel redundant copy) and DMAs it over PCIe into the GPU's GDDR5.
-Once faulted in, accesses are served by GDDR5 at full speed — the cost of
-this platform is the fault path, not steady-state bandwidth.
+Once faulted in, accesses are served by GDDR5 at full speed, through the
+GDDR5 platform's memory controllers — the cost of this platform is the fault
+path, not steady-state bandwidth.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.config import (
-    GPU_FREQ_HZ,
     HostConfig,
     PlatformConfig,
     bandwidth_to_bytes_per_cycle,
     us_to_cycles,
 )
-from repro.gpu.dram import DRAMSubsystem, build_gddr5_subsystem
-from repro.platforms.base import GPUSSDPlatform, PlatformResult
+from repro.platforms.base import PlatformResult
+from repro.platforms.gddr5 import GDDR5Platform
 from repro.sim.engine import BandwidthResource, Resource
 from repro.workloads.trace import WorkloadTrace
 
 
-class HeteroPlatform(GPUSSDPlatform):
+class HeteroPlatform(GDDR5Platform):
     """Discrete GPU + SSD: page faults serviced by the host CPU over PCIe."""
 
     name = "Hetero"
@@ -34,7 +34,6 @@ class HeteroPlatform(GPUSSDPlatform):
     def __init__(self, config: Optional[PlatformConfig] = None) -> None:
         super().__init__(config)
         self.host: HostConfig = self.config.host
-        self.dram: DRAMSubsystem = build_gddr5_subsystem()
         # Host-side resources shared by every page fault.
         self.pcie = BandwidthResource(
             name="pcie",
@@ -82,35 +81,12 @@ class HeteroPlatform(GPUSSDPlatform):
         # DMA the page over PCIe into GPU memory.
         time = self.pcie.transfer(time, page_bytes)
         self.stats.add("page_fault_cycles", time - now)
+        # Each page lands in the frame of its own number, so the shared
+        # service path reaches GDDR5 at the virtual address.
         return virtual_page, time
 
-    # ------------------------------------------------------------------
-    def _service_l2_miss(
-        self,
-        address: int,
-        physical_address: int,
-        pc: int,
-        now: float,
-        breakdown: Dict[str, float],
-    ) -> float:
-        # The fault (if any) already happened during translation; what is left
-        # is a plain GDDR5 access.
-        completion = self.dram.access(physical_address, self.request_bytes, now)
-        if completion > now:
-            breakdown["dram"] += completion - now
-        self.l2.fill(address, completion)
-        return completion
-
-    def _service_write(
-        self, address: int, physical_address: int, now: float, breakdown: Dict[str, float]
-    ) -> float:
-        completion = self.dram.access(physical_address, self.request_bytes, now)
-        if completion > now:
-            breakdown["dram"] += completion - now
-        self.l2.fill(address, completion, dirty=True)
-        return completion
-
     def _annotate_result(self, result: PlatformResult) -> None:
+        """The fault counters; Hetero's record has no ``dram_bandwidth_gbps``."""
         result.extra["page_faults"] = float(self.page_faults_serviced)
         result.extra["mean_fault_cycles"] = (
             self.stats.get("page_fault_cycles") / self.page_faults_serviced

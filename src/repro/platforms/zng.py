@@ -334,10 +334,9 @@ class ZnGPlatform(GPUSSDPlatform):
             monitor = getattr(self.prefetcher, "monitor", None)
             if monitor is not None:
                 result.extra["prefetch_waste_ratio"] = monitor.overall_waste_ratio
-        if self.register_cache is not None:
-            result.extra["register_hit_rate"] = self.register_cache.hit_rate
-            result.extra["register_evictions"] = float(self.register_cache.evictions)
-            result.extra["register_l2_spills"] = float(self.register_cache.l2_spills)
+        result.extra["register_hit_rate"] = self.register_cache.hit_rate
+        result.extra["register_evictions"] = float(self.register_cache.evictions)
+        result.extra["register_l2_spills"] = float(self.register_cache.l2_spills)
         endurance = self.endurance.report()
         result.extra["write_amplification"] = endurance.write_amplification
         result.extra["max_erase_count"] = float(endurance.max_erase_count)

@@ -359,9 +359,6 @@ class SweepResult:
                 return run.result
         return None
 
-    def by_override(self, label: str) -> List[CellRun]:
-        return [run for run in self.runs if run.cell.override_set.label == label]
-
     def table(self, metric: str = "ipc") -> Dict[str, Dict[str, float]]:
         """``{workload: {platform: value}}`` for a result attribute."""
         return {
@@ -374,7 +371,7 @@ class SweepResult:
         """``{workload: {platform: PlatformResult}}`` (the figures' shape).
 
         With more than one override set, later sets overwrite earlier ones in
-        the pivot — use :meth:`by_override` for multi-axis sweeps.
+        the pivot — read ``runs`` for multi-axis sweeps.
         """
         out: Dict[str, Dict[str, PlatformResult]] = {}
         for run in self.runs:

@@ -83,11 +83,6 @@ class Resource:
         self.requests_served += 1
         return start
 
-    def next_free(self) -> float:
-        """Earliest cycle at which at least one port is idle."""
-        free_at = self._free_at
-        return self.last_completion if free_at is None else free_at[0]
-
     def utilization(self, horizon: float) -> float:
         """Fraction of port-cycles spent busy up to ``horizon``.
 
@@ -139,10 +134,6 @@ class BandwidthResource(Resource):
         self.fixed_latency = fixed_latency
         self.bytes_transferred: int = 0
 
-    def transfer_time(self, num_bytes: int) -> float:
-        """Cycles needed to move ``num_bytes`` over this link."""
-        return self.fixed_latency + num_bytes / self.bytes_per_cycle
-
     def transfer(self, when: float, num_bytes: int) -> float:
         """Book the link for a transfer; return the completion cycle."""
         duration = self.fixed_latency + num_bytes / self.bytes_per_cycle
@@ -160,24 +151,12 @@ class ResourcePool:
 
     Requests are routed by an index (address hash, channel id, ...); the pool
     simply owns the resources so platforms can reset and report them together.
-    :meth:`least_loaded_index` / :meth:`acquire_least_loaded` additionally
-    support *dynamic* load-balanced routing for schedulers that are free to
-    pick any member (the current platform paths all stripe by address, which
-    keeps placement deterministic and physically faithful, so these are for
-    dispatcher-style consumers and run O(log n) instead of a linear scan).
     """
 
     def __init__(self, resources: List[Resource]) -> None:
         if not resources:
             raise ValueError("a resource pool needs at least one resource")
         self.resources = resources
-        # Lazily maintained (next_free, index) heap for least_loaded_index.
-        # Entries go stale whenever a resource is acquired (directly or via
-        # the pool); staleness is detected on pop by comparing against the
-        # live next_free(), so routing stays O(log n) amortised instead of a
-        # full O(n) scan per request.  Built on first use: address-striped
-        # pools never pay for it.
-        self._free_heap: Optional[List[tuple]] = None
 
     def __len__(self) -> int:
         return len(self.resources)
@@ -191,9 +170,6 @@ class ResourcePool:
     def reset(self) -> None:
         for resource in self.resources:
             resource.reset()
-        # next_free() moved backwards for every resource, which lazy repair
-        # cannot detect; drop the heap and rebuild it on next use.
-        self._free_heap = None
 
     @property
     def busy_cycles(self) -> float:
@@ -210,38 +186,3 @@ class ResourcePool:
     @property
     def last_completion(self) -> float:
         return max(r.last_completion for r in self.resources)
-
-    def least_loaded_index(self) -> int:
-        """Index of the resource that frees up first (for load balancing).
-
-        Amortised O(log n): the heap top is validated against the resource's
-        live ``next_free()`` and lazily repaired when an acquire made it
-        stale.  Ties resolve to the lowest index, matching the linear scan
-        this replaced.
-
-        Invariant: lazy repair can only see ``next_free()`` moving *forward*
-        (acquires).  Reset pool members through :meth:`ResourcePool.reset`
-        (which drops the heap), never via a member's own ``reset()`` — a
-        direct member reset moves its ``next_free()`` backwards where the
-        heap cannot observe it and later answers may name a busier resource.
-        """
-        resources = self.resources
-        heap = self._free_heap
-        if heap is None:
-            heap = self._free_heap = [
-                (resource.next_free(), index)
-                for index, resource in enumerate(resources)
-            ]
-            heapq.heapify(heap)
-        while True:
-            recorded_free, index = heap[0]
-            actual_free = resources[index].next_free()
-            if actual_free == recorded_free:
-                return index
-            heapq.heapreplace(heap, (actual_free, index))
-
-    def acquire_least_loaded(self, when: float, duration: float) -> tuple:
-        """Book the first-free resource; return ``(index, start_cycle)``."""
-        index = self.least_loaded_index()
-        start = self.resources[index].acquire(when, duration)
-        return index, start

@@ -97,13 +97,6 @@ class FlashGeometry:
         self._decompose_cache[ppn] = location
         return location
 
-    def compose(self, location: FlashLocation) -> int:
-        """Inverse of :meth:`decompose`."""
-        remainder = location.block * self.pages_per_block + location.page
-        remainder = remainder * self.planes_per_die + location.plane
-        remainder = remainder * self.dies_per_channel + location.die
-        return remainder * self.channels + location.channel
-
     # -- plane / block indexing ----------------------------------------------
     def plane_id(self, location: FlashLocation) -> int:
         """Flat plane index (0 .. total_planes-1)."""
@@ -129,7 +122,8 @@ class FlashGeometry:
     def ppn_of(self, plane_id: int, block: int, page: int) -> int:
         """Build a PPN from a flat plane index, block and page.
 
-        Same digits as ``compose(FlashLocation(...))``, without the location.
+        The inverse of :meth:`decompose`, for a location given by its flat
+        plane index.
         Inlined in ZeroOverheadFTL.translate_read.
         """
         channel, rest = divmod(plane_id, self.dies_per_channel * self.planes_per_die)

@@ -78,10 +78,6 @@ class PlaneResources:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def touched(self) -> int:
-        return len(self._resources)
-
 
 class ZNANDArray:
     """The flash backbone with timing, registers and wear state."""

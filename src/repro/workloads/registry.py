@@ -211,8 +211,6 @@ def family_by_name(name: str) -> WorkloadFamily:
 
 def _format_param_value(value: object) -> str:
     """Canonical token text for one coerced parameter value."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

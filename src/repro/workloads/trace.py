@@ -196,5 +196,3 @@ class WorkloadTrace:
             merged.page_write_counts[page] = merged.page_write_counts.get(page, 0) + count
         return merged
 
-    def touched_pages(self) -> int:
-        return len(set(self.page_read_counts) | set(self.page_write_counts))

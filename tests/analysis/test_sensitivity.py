@@ -90,8 +90,9 @@ class TestAxisFromResult:
         axis = sensitivity.axis_from_result(merged, REGISTERS)
         assert list(axis) == sensitivity.axis_values(REGISTERS)
         for value, result in axis.items():
-            assert result is merged.by_override(
-                f"registers_per_plane={value}")[0].result
+            label = f"registers_per_plane={value}"
+            assert [run.result for run in merged.runs
+                    if run.cell.override_set.label == label] == [result]
 
     def test_values_come_back_in_spec_order(self):
         result = run_sweep(get_preset("reg-sweep").spec(

@@ -117,11 +117,14 @@ class TestCoercion:
     def test_int_to_float_normalises(self):
         assert SCHEMA.coerce("znand.read_latency_us", 2) == 2.0
 
-    def test_string_to_bool(self):
+    @pytest.mark.parametrize("value", [True, "true", 1])
+    def test_a_bool_field_rejects_every_value(self, value):
+        """No field is a bool, so a bool field fails loudly instead of
+        parsing its values."""
         flag = FieldSpec(path="x.flag", group="x", name="flag", owner="X",
                          type=bool, default=True)
-        assert coerce_value(flag, "false") is False
-        assert coerce_value(flag, "true") is True
+        with pytest.raises(ConfigValueError, match="x.flag expects bool"):
+            coerce_value(flag, value)
 
     def test_typed_values_pass_through(self):
         assert SCHEMA.coerce("znand.channels", 8) == 8

@@ -59,16 +59,19 @@ class TestAccessMonitor:
     def test_no_adjustment_before_window(self):
         config = PrefetchConfig(monitor_window_evictions=10)
         monitor = AccessMonitor(config)
-        for _ in range(5):
-            snapshot = monitor.observe_eviction(wasted_record())
-            assert snapshot is None
+        for _ in range(9):
+            monitor.observe_eviction(wasted_record())
+            assert monitor.granularity_bytes == config.initial_prefetch_bytes
 
-    def test_window_boundary_returns_snapshot(self):
-        config = PrefetchConfig(monitor_window_evictions=4)
+    def test_granularity_moves_at_the_windows_last_eviction(self):
+        config = PrefetchConfig(monitor_window_evictions=4, high_waste_threshold=0.3)
         monitor = AccessMonitor(config)
-        snapshots = [monitor.observe_eviction(wasted_record()) for _ in range(4)]
-        assert snapshots[-1] is not None
-        assert snapshots[-1].waste_ratio == pytest.approx(1.0)
+        granularities = []
+        for _ in range(8):
+            monitor.observe_eviction(wasted_record())
+            granularities.append(monitor.granularity_bytes)
+        start = config.initial_prefetch_bytes
+        assert granularities == [start] * 3 + [start // 2] * 4 + [start // 4]
 
     def test_overall_waste_ratio(self):
         monitor = AccessMonitor(PrefetchConfig(monitor_window_evictions=1000))

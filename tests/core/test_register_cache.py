@@ -117,21 +117,6 @@ class TestThrashingSpill:
         assert cache.l2_spills >= 1
 
 
-class TestFlush:
-    def test_flush_programs_all_registers(self):
-        cache = make_cache()
-        programmed = []
-
-        def program(page, now):
-            programmed.append(page)
-            return now + 1000.0
-
-        for page in range(5):
-            cache.write(page, target_plane=0, write_bytes=128, now=0.0, program_fn=program)
-        cache.flush(now=0.0, program_fn=program)
-        assert len(programmed) == 5
-
-
 class TestProperties:
     @given(
         pages=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=60)

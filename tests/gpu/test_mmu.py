@@ -55,7 +55,7 @@ class TestMMU:
         mmu = self.make_mmu()
         mmu.page_table.map_page(0, frame=0)
         _, first_latency, _ = mmu.translate(0x10, now=0.0)
-        mmu.tlb.flush()
+        mmu.tlb.invalidate(0x10)
         walk_cache_hits = mmu.walk_cache.hits
         _, second_latency, _ = mmu.translate(0x20, now=10_000.0)
         assert mmu.walk_cache.hits == walk_cache_hits + 1

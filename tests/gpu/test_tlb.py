@@ -32,13 +32,14 @@ class TestTLB:
         assert tlb_lookup(tlb, 0) == 9
         assert tlb.occupancy == 1
 
-    def test_invalidate_and_flush(self):
+    def test_invalidate(self):
         tlb = TLB(entries=4)
         tlb.insert(0, 1)
         tlb.insert(4096, 2)
         assert tlb.invalidate(0)
         assert not tlb.invalidate(0)
-        tlb.flush()
+        assert tlb.occupancy == 1
+        assert tlb.invalidate(4096)
         assert tlb.occupancy == 0
 
     def test_hit_rate(self):

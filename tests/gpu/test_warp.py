@@ -54,10 +54,6 @@ class TestWarpTrace:
         assert trace.read_instructions == 1
         assert trace.total_instructions == 2 + 1 + 1
 
-    def test_touched_pages(self):
-        trace = self.make_trace()
-        assert trace.touched_pages() == {0, 1}
-
 
 class TestAggregates:
     def test_totals(self):

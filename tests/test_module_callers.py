@@ -1,5 +1,5 @@
-"""Every module, top-level name and config path under ``src/repro`` has a
-reader outside the tests.
+"""Every module, top-level name, class method and config path under
+``src/repro`` has a reader outside the tests.
 
 A module or function that only its tests, the examples or its package
 ``__init__`` reach runs in no sweep, report golden or bench, so it cannot
@@ -7,6 +7,10 @@ move a number the repo publishes.  Each module must be imported, and each
 module-level function or class referenced, by ``src/`` code that is not a
 package ``__init__``, or by ``benchmarks/`` or ``perfbench/``.  A helper
 that only a test needs lives in that test, as a reference model.
+
+Each public method and property of a class must be named by that code too,
+or be listed in ``PROBES`` with the test that reads it as a probe: a counter
+or a query that checks code which does run.
 
 Each config path must be read by the simulator (``gpu/``, ``core/``,
 ``ssd/``, ``sim/``, ``platforms/`` or ``workloads/``), directly or through a
@@ -23,6 +27,26 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CALLER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "perfbench")
 SIMULATOR_PACKAGES = ("gpu", "core", "ssd", "sim", "platforms", "workloads")
+
+#: Public methods and properties no ``src/``, ``benchmarks/`` or
+#: ``perfbench/`` code names, each kept because the test named here reads it
+#: to check code that runs.
+PROBES = {
+    "ConfigSchema.undocumented": "tests/configspace/test_schema_drift.py",
+    "DataBlockMappingTable.fits_in_mmu": "tests/core/test_dbmt.py",
+    "EnduranceModel.endurance_gain_from_buffering": "tests/ssd/test_endurance.py",
+    "EnduranceModel.estimate_lifetime_days": "tests/ssd/test_endurance.py",
+    "EnduranceReport.remaining_pe_cycles": "tests/ssd/test_endurance.py",
+    "EnduranceReport.wear_fraction": "tests/ssd/test_endurance.py",
+    "Interconnect.bytes_moved": "tests/platforms/test_output_invariants.py",
+    "Interconnect.packets": "tests/platforms/test_output_invariants.py",
+    "MMU.translations": "tests/platforms/test_output_invariants.py",
+    "MSHR.outstanding": "tests/gpu/test_mshr.py",
+    "Resource.utilization": "tests/sim/test_engine.py",
+    "ResultCache.path_for": "tests/runner/test_manifest.py",
+    "SweepResult.stats_dicts": "tests/runner/test_runner.py",
+    "ZeroOverheadFTL.setup_mapping": "tests/core/test_integrity.py",
+}
 
 
 def parse(path):
@@ -116,6 +140,40 @@ def test_every_top_level_name_has_a_caller():
     assert not uncalled, (
         "top-level names no src/, benchmarks/ or perfbench/ code references: "
         + ", ".join(uncalled))
+
+
+def named_strings(tree):
+    """Every string literal in ``tree``: a name ``getattr`` or a tracer's
+    wrap may look up."""
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_public_method_has_a_caller_or_is_a_probe():
+    defined = {
+        f"{cls.name}.{node.name}": path.relative_to(SRC)
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for cls in ast.walk(parse(path)) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+    named = set()
+    for _, path in caller_files():
+        tree = parse(path)
+        named |= referenced_names(tree) | named_strings(tree)
+    uncalled = {key for key in defined if key.split(".")[1] not in named}
+    unlisted = sorted(f"{defined[key]}::{key}" for key in uncalled - set(PROBES))
+    assert not unlisted, (
+        "public methods no src/, benchmarks/ or perfbench/ code names and "
+        "PROBES does not list: " + ", ".join(unlisted))
+    stale = sorted(set(PROBES) - uncalled)
+    assert not stale, (
+        "PROBES entries that are gone or now have a caller: " + ", ".join(stale))
+    unprobed = sorted(key for key, test in PROBES.items()
+                      if key.split(".")[1] not in (ROOT / test).read_text())
+    assert not unprobed, (
+        "PROBES entries their test does not name: " + ", ".join(unprobed))
 
 
 def test_every_config_path_is_read_by_the_simulator():
