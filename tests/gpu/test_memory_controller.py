@@ -110,6 +110,13 @@ class TestGDDR5Controllers:
         achieved = array.achieved_bandwidth_bytes_per_s(completion)
         assert 0 < achieved <= GDDR5.peak_bandwidth_gbps * 1e9 * 1.01
 
+    def test_channel_contention(self):
+        """Two requests to one controller at once: the second waits out the first."""
+        array = build_gddr5_controllers()
+        first = array.access(0x1000, 128, False, 0.0)
+        second = array.access(0x1000 + 6, 128, True, 0.0)
+        assert second == pytest.approx(2 * first)
+
     @pytest.mark.xfail(strict=True, reason=(
         "model defect, ROADMAP item 1: GDDR5 stripes by address % 6 and every "
         "request address is a multiple of 128 B, so controllers 1, 3 and 5 "
@@ -135,6 +142,18 @@ class TestOptaneControllers:
             ns_to_cycles(190.0 + 8.9) + 256 / per_controller)
         assert array.access(1 << 20, 128, True, 0.0) == (
             ns_to_cycles(763.0) + 256 / per_controller)
+
+    def test_small_write_rounds_to_granule(self):
+        """A 128 B write is padded to Optane's 256 B internal granularity."""
+        array = build_optane_controllers(OptaneConfig())
+        array.access(0, 128, True, 0.0)
+        assert array.bytes_transferred == 256
+
+    def test_each_256_bytes_go_to_the_next_controller(self):
+        array = build_optane_controllers(OptaneConfig())
+        for block in range(8):
+            array.access(block * 256 + 128, 128, False, 0.0)
+        assert [c.requests_served for c in array.channels] == [2, 2, 1, 1, 1, 1]
 
     def test_write_slower_than_read(self):
         array = build_optane_controllers(OptaneConfig())
