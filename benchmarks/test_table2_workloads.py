@@ -23,9 +23,9 @@ TABLE_II = {
     "gram": ("scientific", 0.75, 3),
 }
 
-#: Registered scenario families beyond the paper; they have no read-ratio or
-#: kernel-count knob, so their Table II columns are empty.
-PARAMETRIC = {"embedding-inference", "kv-lookup", "multi-tenant", "stream-join"}
+#: The registered family beyond the paper; it has no read-ratio or
+#: kernel-count knob, so its Table II columns are empty.
+PARAMETRIC = {"kv-lookup"}
 
 
 def _cell(value, spec: str) -> str:

@@ -267,7 +267,7 @@ def _grid_parser() -> argparse.ArgumentParser:
     group.add_argument("--workloads", metavar="W,...",
                        help="workload tokens: an app, a read-write mix, "
                        "kv-lookup:zipf=1.1, trace:file.json or a group "
-                       "(mixes/graph/scientific/scenarios); checked before any "
+                       "(mixes/graph/scientific); checked before any "
                        "cell runs (default: betw-back,bfs1-gaus,pr-gaus)")
     group.add_argument("--set", action="append", metavar="LABEL:PATH=VALUE,...",
                        help="a labelled point of schema-checked config "

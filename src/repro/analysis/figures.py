@@ -100,33 +100,6 @@ def figure_5a_from_result(result) -> Dict[str, float]:
     return degradation
 
 
-def scenario_suite_from_result(
-    result,
-    metric: str = "ipc",
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Pivot a registry-workload sweep into ``{family: {token: {platform: v}}}``.
-
-    The figure-style pivot for the open workload axis: rows group by
-    workload *family* (``kv-lookup``, ``multi-tenant``, Table II apps, ...)
-    with one sub-row per parameterised instance, so a ``scenario-suite`` or
-    ``kv-sweep`` run — including one merged from shard manifests — tabulates
-    without re-running anything.  Mix cells group under their mix token.
-    """
-    from repro.workloads.registry import parse_workload_token, resolve_workload
-
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for run in result:
-        token = run.cell.workload
-        read_app, write_app = parse_workload_token(token)
-        if write_app is None and not token.startswith("trace:"):
-            family = resolve_workload(read_app).family.name
-        else:
-            family = token
-        out.setdefault(family, {}).setdefault(token, {})[run.cell.platform] = (
-            float(getattr(run.result, metric)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Figure 1b — accumulated bandwidth of HybridGPU components vs GDDR5
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ def format_records_table(
     """Render record rows as a text table whose column widths fit the data.
 
     Unlike hardcoded ``{value:8s}`` format specs, widths are computed from
-    the rendered cells (and headers), so long dashed names like
-    ``embedding-inference`` neither truncate nor shear the columns.
+    the rendered cells (and headers), so long tokens like
+    ``kv-lookup:get_ratio=0.3`` neither truncate nor shear the columns.
     ``formats`` maps a column to a format spec for its non-``None`` values;
     ``None`` cells render as ``-``.
     """

@@ -15,9 +15,6 @@ into one output directory:
 ``sensitivity.csv``
     The override-axis pivot, emitted when the sweep carries more than the
     default override set.
-``scenarios.csv``
-    The workload-family grouping
-    (:func:`repro.analysis.figures.scenario_suite_from_result`).
 ``report.html``
     A static HTML report embedding the tables and the spec
     fingerprint/provenance header.
@@ -150,7 +147,6 @@ def report_tables(
     from repro.analysis.figures import (
         figure_10_from_result,
         figure_11_from_result,
-        scenario_suite_from_result,
     )
 
     tables: Dict[str, Tuple[List[str], List[List[object]]]] = {}
@@ -196,18 +192,6 @@ def report_tables(
              "flash_array_read_bandwidth_gbps"],
             sensitivity_rows,
         )
-
-    suite = scenario_suite_from_result(result)
-    scenario_rows = [
-        [family, token, platform, value]
-        for family, tokens in suite.items()
-        for token, cells in tokens.items()
-        for platform, value in cells.items()
-    ]
-    tables["scenarios"] = (
-        ["family", "token", "platform", "ipc"],
-        scenario_rows,
-    )
     return tables
 
 
@@ -259,7 +243,6 @@ _TABLE_TITLES = {
     "fig10": "Figure 10 — normalised IPC",
     "fig11": "Figure 11 — flash-array read bandwidth (GB/s)",
     "sensitivity": "Sensitivity — override-axis pivot",
-    "scenarios": "Scenario suite — grouped by workload family",
 }
 
 

@@ -52,13 +52,11 @@ def table_1_configuration(config: Optional[PlatformConfig] = None) -> Dict[str, 
 
 
 def table_2_workloads() -> List[Dict[str, object]]:
-    """Table II: every registered workload family, not just the paper's 16.
+    """Table II: every registered workload family, the paper's 16 and ``kv-lookup``.
 
-    Rows come from the workload registry, so a newly registered family shows
-    up here (and in ``repro table2``) with no further wiring.  The sixteen
-    Table II applications report their paper-recorded read ratio and kernel
-    count (their family defaults); parametric scenario families without
-    those knobs carry ``None``.
+    Rows come from the workload registry.  The sixteen Table II applications
+    report their paper-recorded read ratio and kernel count (their family
+    defaults); ``kv-lookup``, which has neither knob, carries ``None``.
     """
     from repro.workloads.registry import WORKLOAD_FAMILIES, family_names
 

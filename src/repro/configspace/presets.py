@@ -238,15 +238,6 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             knobs=SENSITIVITY_KNOBS,
         ),
         ExperimentPreset.create(
-            "scenario-suite",
-            "One instance of every parametric scenario family (kv-lookup, "
-            "embedding-inference, stream-join, multi-tenant) across the "
-            "ZnG variants.",
-            platforms=ZNG_VARIANTS,
-            workloads=("scenarios",),
-            knobs=TraceKnobs(scale=0.15),
-        ),
-        ExperimentPreset.create(
             "kv-sweep",
             "kv-lookup Zipf-skew sensitivity (point-read locality, spans "
             "the alpha >= 1 regime) on ZnG.",
@@ -254,14 +245,6 @@ EXPERIMENT_PRESETS: Dict[str, ExperimentPreset] = {
             workloads=tuple(
                 f"kv-lookup:zipf={value}"
                 for value in (0.6, 0.8, 0.99, 1.1, 1.2)),
-        ),
-        ExperimentPreset.create(
-            "multi-tenant",
-            "Phased multi-tenant arrival process across phase counts "
-            "(1 = static baseline) on ZnG-base vs ZnG.",
-            platforms=("ZnG-base", "ZnG"),
-            workloads=("multi-tenant:phases=1", "multi-tenant:phases=2",
-                       "multi-tenant", "multi-tenant:phases=8"),
         ),
         ExperimentPreset.create(
             "table1-sensitivity",

@@ -60,10 +60,3 @@ class AccessMonitor:
         if self.total_evictions == 0:
             return 0.0
         return self.total_unused / self.total_evictions
-
-    def reset(self) -> None:
-        self.granularity_bytes = self.config.initial_prefetch_bytes
-        self.evict_counter = 0
-        self.unused_counter = 0
-        self.total_evictions = 0
-        self.total_unused = 0

@@ -95,8 +95,3 @@ class PredictorTable:
     @property
     def occupancy(self) -> int:
         return len(self.entries)
-
-    def reset(self) -> None:
-        self.entries.clear()
-        self.updates = 0
-        self.evictions = 0

@@ -43,9 +43,6 @@ class NoPrefetch:
     def prefetch_rate(self) -> float:
         return 0.0
 
-    def reset(self) -> None:
-        return None
-
 
 class NextLinePrefetch:
     """Always fetch a fixed window (default 1 KB) around the miss."""
@@ -73,9 +70,6 @@ class NextLinePrefetch:
     def prefetch_rate(self) -> float:
         # Every miss prefetches.
         return 1.0 if self.prefetches else 0.0
-
-    def reset(self) -> None:
-        self.prefetches = 0
 
 
 @dataclass
@@ -133,11 +127,6 @@ class StridePrefetch:
     def prefetch_rate(self) -> float:
         total = self.prefetches + self.demands
         return self.prefetches / total if total else 0.0
-
-    def reset(self) -> None:
-        self._table.clear()
-        self.prefetches = 0
-        self.demands = 0
 
 
 def build_prefetcher(name: str, config: Optional[PrefetchConfig] = None,

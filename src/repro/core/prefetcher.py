@@ -65,9 +65,3 @@ class DynamicReadPrefetcher:
     def prefetch_rate(self) -> float:
         total = self.prefetches_issued + self.demand_fetches
         return self.prefetches_issued / total if total else 0.0
-
-    def reset(self) -> None:
-        self.predictor.reset()
-        self.monitor.reset()
-        self.prefetches_issued = 0
-        self.demand_fetches = 0

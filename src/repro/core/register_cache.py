@@ -243,14 +243,3 @@ class FlashRegisterCache:
     def hit_rate(self) -> float:
         total = self.write_hits + self.write_misses
         return self.write_hits / total if total else 0.0
-
-    def reset(self) -> None:
-        for registers in self._packages.values():
-            registers.clear()
-        self.thrashing_checker.reset()
-        self.write_hits = 0
-        self.write_misses = 0
-        self.evictions = 0
-        self.l2_spills = 0
-        self.programs_issued = 0
-        self.forced_read_flushes = 0

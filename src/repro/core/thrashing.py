@@ -46,10 +46,3 @@ class ThrashingChecker:
         if self.window_accesses == 0:
             return 0.0
         return self.window_evictions / self.window_accesses
-
-    def reset(self) -> None:
-        self.window_accesses = 0
-        self.window_evictions = 0
-        self.thrashing = False
-        self.activations = 0
-        self.deactivations = 0

@@ -61,6 +61,12 @@ def _optional(kind, value):
     return None if value is None else kind(value)
 
 
+def _reason(error: Exception) -> object:
+    """An exception's message, without the quotes ``str()`` puts round a
+    ``KeyError``'s."""
+    return error.args[0] if error.args else error
+
+
 class ManifestError(ValueError):
     """A manifest could not be read, or does not match the current code."""
 
@@ -135,7 +141,8 @@ class ManifestCell:
                 worker_pid=_optional(int, payload.get("worker_pid")),
             )
         except (KeyError, TypeError, ValueError) as error:
-            raise ManifestError(f"malformed manifest cell record: {error}")
+            raise ManifestError(
+                f"malformed manifest cell record: {_reason(error)}")
         if cell.status not in _STATUSES:
             raise ManifestError(
                 f"manifest cell {cell.platform}/{cell.workload} has unknown "
@@ -322,7 +329,8 @@ class RunManifest:
         except (KeyError, TypeError, ValueError) as error:
             if isinstance(error, ManifestError):
                 raise
-            raise ManifestError(f"manifest {source} is malformed: {error}")
+            raise ManifestError(
+                f"manifest {source} is malformed: {_reason(error)}")
         if not 0 <= manifest.shard_index < manifest.shard_count:
             raise ManifestError(
                 f"manifest {source} declares shard "
@@ -336,7 +344,7 @@ class RunManifest:
             spec = SweepSpec.from_descriptor(self.spec_payload)
         except (KeyError, TypeError, ValueError) as error:
             raise ManifestError(
-                f"manifest spec cannot be reconstructed: {error}")
+                f"manifest spec cannot be reconstructed: {_reason(error)}")
         if spec.fingerprint() != self.spec_fingerprint:
             raise ManifestError(
                 "manifest spec fingerprint does not match its reconstruction "

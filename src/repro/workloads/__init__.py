@@ -12,16 +12,13 @@ from repro.workloads.suites import (
 from repro.workloads.multiapp import MultiAppWorkload, build_mix, build_all_mixes
 from repro.workloads.microbench import streaming, pointer_chase, stencil, hammer
 from repro.workloads.registry import (
-    PARAMETRIC_FAMILIES,
     WORKLOAD_FAMILIES,
     TraceKnobs,
     WorkloadFamily,
     build_token_trace,
     family_by_name,
     family_names,
-    family_param,
     parse_workload_token,
-    register_family,
     resolve_workload,
     resolve_workload_tokens,
     workload_fingerprint,
@@ -48,16 +45,13 @@ __all__ = [
     "MultiAppWorkload",
     "build_mix",
     "build_all_mixes",
-    "PARAMETRIC_FAMILIES",
     "WORKLOAD_FAMILIES",
     "TraceKnobs",
     "WorkloadFamily",
     "build_token_trace",
     "family_by_name",
     "family_names",
-    "family_param",
     "parse_workload_token",
-    "register_family",
     "resolve_workload",
     "resolve_workload_tokens",
     "workload_fingerprint",

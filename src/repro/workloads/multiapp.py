@@ -36,8 +36,8 @@ def build_mix(read_app: str, write_app: str,
               knobs: TraceKnobs = TraceKnobs()) -> MultiAppWorkload:
     """Generate one co-run mix, e.g. ``build_mix("betw", "back")``.
 
-    Each half is any registered workload family name — Table II applications
-    as before, parametric families too (``build_mix("kv-lookup", "gaus")``).
+    Each half is any registered workload family name: a Table II
+    application or ``kv-lookup`` (``build_mix("kv-lookup", "gaus")``).
     The read application is generated with ``knobs``; the write application
     with the next seed, placed just above the read application's footprint.
     """

@@ -1,13 +1,11 @@
-"""Pluggable workload subsystem: family registry, parametric generators, replay.
+"""Workload family registry, token grammar and trace replay.
 
-The evaluation's workload axis used to be a closed catalogue — the sixteen
-Table II applications and their twelve co-run mixes.  This module turns it
-into an open registry: every workload is an instance of a registered
-:class:`WorkloadFamily` with typed, documented, bounds-checked parameters
-(declared as :class:`repro.configspace.schema.FieldSpec` records, so family
-parameters get exactly the config schema's coercion and validation engine),
-and any generated trace can be exported to a content-hashed trace file and
-replayed bit-identically (see :mod:`repro.workloads.tracefile`).
+Every workload is an instance of a registered :class:`WorkloadFamily` with
+typed, documented, bounds-checked parameters (declared as
+:class:`repro.configspace.schema.FieldSpec` records, so family parameters get
+exactly the config schema's coercion and validation engine), and any
+generated trace can be exported to a content-hashed trace file and replayed
+bit-identically (see :mod:`repro.workloads.tracefile`).
 
 Token grammar (what ``--workloads`` and :meth:`SweepSpec.create` accept)::
 
@@ -19,7 +17,7 @@ Token grammar (what ``--workloads`` and :meth:`SweepSpec.create` accept)::
                                 registry longest-prefix-first, so family
                                 names may themselves contain dashes
     trace:path/to/file.json     replay a recorded ``repro-trace-v1`` file
-    mixes / graph / scientific / scenarios     group tokens
+    mixes / graph / scientific  group tokens
 
 Tokens are canonicalised (parameters sorted, defaults dropped) so equal
 instances hash — and cache — identically, and :func:`workload_fingerprint`
@@ -32,15 +30,9 @@ Registered families:
 * the sixteen Table II applications, each exposing every
   :class:`~repro.workloads.trace.WorkloadSpec` knob as a parameter
   (``betw:zipf_alpha=1.0`` is a valid workload), and
-* four parametric scenario families — ``kv-lookup``, ``embedding-inference``,
-  ``stream-join`` and ``multi-tenant`` — that open scenarios the paper's
-  catalogue cannot express (point-read keyspaces, embedding-table gathers,
-  scan/probe phase alternation, and the first workload whose behaviour
-  changes *over* the trace).
-
-External code adds a family with :func:`register_family`; everything
-downstream — sweep grids, caching, sharding, manifests, merge — picks it up
-through the token grammar with no further wiring.
+* ``kv-lookup``, Zipf point-reads over a keyspace with a GET/PUT ratio
+  knob, which drives the write path (flash-register writes, log-page
+  programs, helper GC) that the read-heavy Table II mixes leave idle.
 """
 
 from __future__ import annotations
@@ -65,7 +57,7 @@ from repro.workloads.trace import TraceKnobs, WorkloadSpec, WorkloadTrace
 TRACE_TOKEN_PREFIX = "trace:"
 
 #: Group tokens the sweep vocabulary expands (besides family names).
-GROUP_TOKENS = ("mixes", "graph", "scientific", "scenarios")
+GROUP_TOKENS = ("mixes", "graph", "scientific")
 
 
 #: A family builder: fully resolved parameters + trace knobs -> trace.
@@ -393,8 +385,7 @@ def resolve_workload_tokens(tokens: Iterable[str]) -> List[str]:
     """Expand group tokens, canonicalise and validate, preserving order.
 
     ``"mixes"`` expands to the twelve evaluation mixes, ``"graph"`` /
-    ``"scientific"`` to their Table II applications, ``"scenarios"`` to the
-    parametric scenario families at default parameters; any other token goes
+    ``"scientific"`` to their Table II applications; any other token goes
     through :func:`parse_workload_token`.  Every token is validated here —
     *before* any sweep cell runs — so a typo fails in milliseconds with a
     "did you mean" hint, not after N cells.
@@ -407,8 +398,6 @@ def resolve_workload_tokens(tokens: Iterable[str]) -> List[str]:
             expansion = sorted(GRAPH_WORKLOADS)
         elif token == "scientific":
             expansion = sorted(SCIENTIFIC_WORKLOADS)
-        elif token == "scenarios":
-            expansion = [family.name for family in PARAMETRIC_FAMILIES]
         else:
             expansion = [canonicalize_token(token)]
         for name in expansion:
@@ -530,11 +519,13 @@ def _spec_params(family: str, spec: WorkloadSpec) -> Tuple[FieldSpec, ...]:
     )
 
 
-def _catalogue_builder(spec: WorkloadSpec) -> FamilyBuilder:
+def _spec_builder(make_spec: Callable[[Dict[str, object]], WorkloadSpec]) -> FamilyBuilder:
+    """A builder that generates the WorkloadSpec derived from the parameters."""
+
     def build(params: Dict[str, object], knobs: TraceKnobs) -> WorkloadTrace:
         from repro.workloads.generators import generate_workload
 
-        return generate_workload(replace(spec, **params), knobs)
+        return generate_workload(make_spec(params), knobs)
 
     return build
 
@@ -547,91 +538,13 @@ for _name, _spec in ALL_WORKLOADS.items():
                      f"(read ratio {_spec.read_ratio}, "
                      f"{_spec.kernels} kernels)."),
         params=_spec_params(_name, _spec),
-        builder=_catalogue_builder(_spec),
+        builder=_spec_builder(lambda params, spec=_spec: replace(spec, **params)),
     ))
 
 
 # ---------------------------------------------------------------------------
-# Parametric scenario families
+# The key-value family: the write path's parametric workload
 # ---------------------------------------------------------------------------
-
-
-def _simple_builder(make_spec: Callable[[Dict[str, object]], WorkloadSpec]) -> FamilyBuilder:
-    """A builder that derives one WorkloadSpec from the parameters."""
-
-    def build(params: Dict[str, object], knobs: TraceKnobs) -> WorkloadTrace:
-        from repro.workloads.generators import generate_workload
-
-        return generate_workload(make_spec(params), knobs)
-
-    return build
-
-
-def _generate_phased(
-    name: str,
-    phase_specs: List[WorkloadSpec],
-    knobs: TraceKnobs,
-) -> WorkloadTrace:
-    """Concatenate per-warp instruction streams of several phase specs.
-
-    Every phase is generated with the same warp topology (same SM count,
-    warps per SM and scale), then warp ``k`` of the combined trace is phase
-    0's warp ``k`` followed by phase 1's, and so on — so each warp's
-    behaviour *changes over the trace*, which no static
-    :class:`WorkloadSpec` can express.  Phases share one address space (one
-    tenant population shifting behaviour, not isolated processes — co-run
-    isolation is what mixes are for).
-    """
-    from repro.gpu.warp import WarpTrace
-    from repro.workloads.generators import generate_workload
-
-    # Split the per-warp memory-instruction budget across the phases with
-    # the remainder spread over the leading ones, so the declared total is
-    # neither doubled (phases > budget) nor truncated (non-dividing split);
-    # zero-budget phases are skipped.  Per-phase totals remain subject to
-    # the generator's own scale floor, like every static family.
-    total = knobs.memory_instructions_per_warp
-    count = len(phase_specs)
-    budgets = [total // count + (1 if index < total % count else 0)
-               for index in range(count)]
-    if not any(budgets):
-        budgets[0] = 1
-    phase_traces = []
-    for index, (spec, budget) in enumerate(zip(phase_specs, budgets)):
-        if budget == 0:
-            continue
-        seed = None if knobs.seed is None else knobs.seed + 101 * index + 1
-        phase_traces.append(generate_workload(spec, replace(
-            knobs, seed=seed, memory_instructions_per_warp=budget)))
-
-    summary = WorkloadSpec(
-        name=name,
-        suite="phased",
-        read_ratio=sum(s.read_ratio for s in phase_specs) / len(phase_specs),
-        kernels=sum(s.kernels for s in phase_specs),
-        read_reaccess=sum(s.read_reaccess for s in phase_specs) / len(phase_specs),
-        write_redundancy=sum(s.write_redundancy for s in phase_specs) / len(phase_specs),
-        sequential_fraction=sum(s.sequential_fraction for s in phase_specs) / len(phase_specs),
-        compute_per_memory=max(1, round(sum(s.compute_per_memory for s in phase_specs) / len(phase_specs))),
-        footprint_pages=max(s.footprint_pages for s in phase_specs),
-        zipf_alpha=sum(s.zipf_alpha for s in phase_specs) / len(phase_specs),
-    )
-    combined = WorkloadTrace(spec=summary)
-    combined.footprint_pages = max(t.footprint_pages for t in phase_traces)
-    for phase_warps in zip(*(trace.warps for trace in phase_traces)):
-        warp = WarpTrace(warp_id=phase_warps[0].warp_id,
-                         sm_id=phase_warps[0].sm_id)
-        for phase_warp in phase_warps:
-            warp.instructions.extend(phase_warp.instructions)
-        combined.warps.append(warp)
-    for trace in phase_traces:
-        for page, count in trace.page_read_counts.items():
-            combined.page_read_counts[page] = (
-                combined.page_read_counts.get(page, 0) + count)
-        for page, count in trace.page_write_counts.items():
-            combined.page_write_counts[page] = (
-                combined.page_write_counts.get(page, 0) + count)
-    return combined
 
 
 def _kv_lookup_spec(params: Dict[str, object]) -> WorkloadSpec:
@@ -649,150 +562,24 @@ def _kv_lookup_spec(params: Dict[str, object]) -> WorkloadSpec:
     )
 
 
-def _embedding_spec(params: Dict[str, object]) -> WorkloadSpec:
-    rows_per_page = 16  # 256 B embedding rows in 4 KB flash pages
-    footprint = max(
-        16, params["tables"] * params["rows_per_table"] // rows_per_page)
-    return WorkloadSpec(
-        name="embedding-inference",
-        suite="ml",
-        read_ratio=1.0,
-        # One gather site per table: the PC space scales with table count,
-        # which is what the PC-indexed predictor sees in embedding serving.
-        kernels=params["tables"],
-        read_reaccess=max(1.0, params["batch"] / 32.0),
-        write_redundancy=0.0,
-        sequential_fraction=0.1,
-        compute_per_memory=1,
-        footprint_pages=footprint,
-        zipf_alpha=params["skew"],
-    )
-
-
-def _stream_join_builder(params: Dict[str, object], knobs: TraceKnobs) -> WorkloadTrace:
-    footprint = params["footprint_pages"]
-    scan = WorkloadSpec(
-        name="stream-join/scan", suite="stream",
-        read_ratio=0.99, kernels=2, read_reaccess=2.0, write_redundancy=4.0,
-        sequential_fraction=0.95, compute_per_memory=2,
-        footprint_pages=footprint, zipf_alpha=0.6,
-    )
-    probe = WorkloadSpec(
-        name="stream-join/probe", suite="stream",
-        read_ratio=0.85, kernels=4, read_reaccess=12.0, write_redundancy=10.0,
-        sequential_fraction=0.1, compute_per_memory=3,
-        footprint_pages=footprint, zipf_alpha=params["probe_zipf"],
-    )
-    specs = [scan if phase % 2 == 0 else probe
-             for phase in range(params["phases"])]
-    return _generate_phased("stream-join", specs, knobs)
-
-
-def _multi_tenant_builder(params: Dict[str, object], knobs: TraceKnobs) -> WorkloadTrace:
-    footprint = params["footprint_pages"]
-    hot = WorkloadSpec(
-        name="multi-tenant/hot", suite="tenant",
-        read_ratio=params["read_ratio_hot"], kernels=8,
-        read_reaccess=40.0, write_redundancy=60.0,
-        sequential_fraction=0.6, compute_per_memory=4,
-        footprint_pages=footprint, zipf_alpha=params["zipf"],
-    )
-    cold = WorkloadSpec(
-        name="multi-tenant/cold", suite="tenant",
-        read_ratio=params["read_ratio_cold"], kernels=3,
-        read_reaccess=25.0, write_redundancy=120.0,
-        sequential_fraction=0.8, compute_per_memory=6,
-        footprint_pages=footprint, zipf_alpha=params["zipf"],
-    )
-    specs = [hot if phase % 2 == 0 else cold
-             for phase in range(params["phases"])]
-    return _generate_phased("multi-tenant", specs, knobs)
-
-
-PARAMETRIC_FAMILIES: Tuple[WorkloadFamily, ...] = (
-    register_family(WorkloadFamily(
-        name="kv-lookup",
-        suite="parametric",
-        description=("Zipf point-reads over a huge keyspace with a GET/PUT "
-                     "ratio knob (key-value store serving)."),
-        params=(
-            family_param("kv-lookup", "get_ratio", 0.95, "ratio",
-                         "GET share of operations (PUTs are the rest).",
-                         minimum=0.0, maximum=1.0),
-            family_param("kv-lookup", "zipf", 0.99, "alpha",
-                         "Zipf skew of key popularity (YCSB-style).",
-                         minimum=0.0, maximum=4.0),
-            family_param("kv-lookup", "keyspace_pages", 262144, "pages",
-                         "Keyspace footprint in 4 KB pages at scale 1.0.",
-                         minimum=16),
-            family_param("kv-lookup", "reuse", 4.0, "reads/page",
-                         "Mean re-reads per hot page (cacheability floor).",
-                         minimum=1.0),
-        ),
-        builder=_simple_builder(_kv_lookup_spec),
-    )),
-    register_family(WorkloadFamily(
-        name="embedding-inference",
-        suite="parametric",
-        description=("ML embedding-table gathers: many small random reads "
-                     "across tables, batch-size and table-count knobs."),
-        params=(
-            family_param("embedding-inference", "tables", 8, "count",
-                         "Embedding tables (one gather site each).",
-                         minimum=1, maximum=4096),
-            family_param("embedding-inference", "rows_per_table", 16384,
-                         "rows", "Rows per table (256 B each).",
-                         minimum=16),
-            family_param("embedding-inference", "batch", 256, "lookups",
-                         "Lookups per inference batch; drives row reuse.",
-                         minimum=1),
-            family_param("embedding-inference", "skew", 0.85, "alpha",
-                         "Zipf skew of row popularity.",
-                         minimum=0.0, maximum=4.0),
-        ),
-        builder=_simple_builder(_embedding_spec),
-    )),
-    register_family(WorkloadFamily(
-        name="stream-join",
-        suite="parametric",
-        description=("Sequential scan + hash-probe phase alternation "
-                     "(streaming join build/probe pipeline)."),
-        params=(
-            family_param("stream-join", "phases", 2, "count",
-                         "Alternating scan/probe phases along each warp.",
-                         minimum=1, maximum=16),
-            family_param("stream-join", "probe_zipf", 0.8, "alpha",
-                         "Zipf skew of probe-side key popularity.",
-                         minimum=0.0, maximum=4.0),
-            family_param("stream-join", "footprint_pages", 131072, "pages",
-                         "Relation footprint in 4 KB pages at scale 1.0.",
-                         minimum=16),
-        ),
-        builder=_stream_join_builder,
-    )),
-    register_family(WorkloadFamily(
-        name="multi-tenant",
-        suite="parametric",
-        description=("Phased multi-tenant arrival process: WorkloadSpec "
-                     "parameters switch mid-trace (read-heavy <-> "
-                     "write-heavy), the first time-varying workload."),
-        params=(
-            family_param("multi-tenant", "phases", 4, "count",
-                         "Tenant-profile switches along each warp's trace.",
-                         minimum=1, maximum=32),
-            family_param("multi-tenant", "read_ratio_hot", 0.95, "ratio",
-                         "Read ratio of the read-heavy (graph-like) tenant.",
-                         minimum=0.0, maximum=1.0),
-            family_param("multi-tenant", "read_ratio_cold", 0.6, "ratio",
-                         "Read ratio of the write-heavy (HPC-like) tenant.",
-                         minimum=0.0, maximum=1.0),
-            family_param("multi-tenant", "footprint_pages", 131072, "pages",
-                         "Shared tenant footprint in 4 KB pages at scale 1.0.",
-                         minimum=16),
-            family_param("multi-tenant", "zipf", 0.9, "alpha",
-                         "Zipf skew of the shared hot set.",
-                         minimum=0.0, maximum=4.0),
-        ),
-        builder=_multi_tenant_builder,
-    )),
-)
+register_family(WorkloadFamily(
+    name="kv-lookup",
+    suite="parametric",
+    description=("Zipf point-reads over a huge keyspace with a GET/PUT "
+                 "ratio knob (key-value store serving)."),
+    params=(
+        family_param("kv-lookup", "get_ratio", 0.95, "ratio",
+                     "GET share of operations (PUTs are the rest).",
+                     minimum=0.0, maximum=1.0),
+        family_param("kv-lookup", "zipf", 0.99, "alpha",
+                     "Zipf skew of key popularity (YCSB-style).",
+                     minimum=0.0, maximum=4.0),
+        family_param("kv-lookup", "keyspace_pages", 262144, "pages",
+                     "Keyspace footprint in 4 KB pages at scale 1.0.",
+                     minimum=16),
+        family_param("kv-lookup", "reuse", 4.0, "reads/page",
+                     "Mean re-reads per hot page (cacheability floor).",
+                     minimum=1.0),
+    ),
+    builder=_spec_builder(_kv_lookup_spec),
+))

@@ -83,7 +83,7 @@ class TestTable2:
         header, body = lines[2], lines[3:]
         # Full dashed names survive (the old {:8s} column sheared them) and
         # the name column is wide enough for the longest family everywhere.
-        assert any(line.startswith("embedding-inference") for line in body)
+        assert any(line.startswith("kv-lookup ") for line in body)
         longest = max(len(r["workload"]) for r in table_2_workloads())
         assert header[:longest].strip() == "workload"
         names = {r["workload"] for r in table_2_workloads()}

@@ -90,10 +90,3 @@ class TestAccessMonitor:
         monitor.observe_eviction(PREFETCHED | ACCESSED | DIRTY)
         monitor.observe_eviction(DIRTY | PINNED)
         assert monitor.total_unused == 1
-
-    def test_reset(self):
-        monitor = AccessMonitor()
-        monitor.observe_eviction(wasted_record())
-        monitor.reset()
-        assert monitor.total_evictions == 0
-        assert monitor.granularity_bytes == monitor.config.initial_prefetch_bytes

@@ -76,13 +76,6 @@ class TestPredictor:
             predictor.update(0x1000, 0, 1)
         assert predictor.counter(0x2000) == 0
 
-    def test_reset(self):
-        predictor = PredictorTable()
-        predictor.update(0x1000, 0, 1)
-        predictor.reset()
-        assert predictor.occupancy == 0
-        assert predictor.updates == 0
-
     @given(
         pages=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60)
     )

@@ -54,10 +54,3 @@ class TestPrefetcher:
         prefetcher.train(*read())
         prefetcher.train(*read())
         assert prefetcher.on_miss(0x1000) <= 4096
-
-    def test_reset(self):
-        prefetcher = DynamicReadPrefetcher()
-        prefetcher.train(*read())
-        prefetcher.reset()
-        assert prefetcher.predictor.occupancy == 0
-        assert prefetcher.prefetches_issued == 0

@@ -49,10 +49,3 @@ class TestThrashingChecker:
         checker.observe(evicted=True)
         # A new window begins.
         assert checker.window_accesses == 0
-
-    def test_reset(self):
-        checker = ThrashingChecker(RegisterCacheConfig(thrashing_window=2))
-        checker.observe(evicted=True)
-        checker.reset()
-        assert checker.window_accesses == 0
-        assert not checker.thrashing

@@ -58,6 +58,10 @@ BOUNDARY_ERRORS = [
     (["sweep", "--platforms", "Optane", "--workloads", "betw-back", "--no-cache",
       "--scale", "0.05", "--set", "x:optane.read_bandwidth_gbps_total=0"],
      "optane.read_bandwidth_gbps_total must be >= 0.001 (GB/s); got 0.0"),
+    (["sweep", "--workloads", "multi-tenant"], "unknown workload 'multi-tenant'"),
+    (["sweep", "--workloads", "scenarios"], "unknown workload 'scenarios'"),
+    (["sweep", "--preset", "scenario-suite"],
+     "unknown experiment preset 'scenario-suite'"),
 ]
 
 
@@ -464,6 +468,23 @@ class TestShardedSweepCLI:
             "'gpu' does not match the current schema (drifted fields: "
             "['frequency_hz'])"]
 
+    def test_resume_of_an_unknown_workload_prints_no_key_error_quotes(
+            self, capsys, tmp_path):
+        assert main(self.SMOKE + ["--cache-dir", str(tmp_path)]) == 0
+        manifest = tmp_path / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["spec"]["workloads"] = ["multi-tenant"]
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["sweep", "--resume", str(manifest), "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(
+            "manifest spec cannot be reconstructed: unknown workload "
+            "'multi-tenant' (")
+        assert not line.endswith('"')
+
     def test_resume_rejects_no_cache(self, capsys, tmp_path):
         assert main([
             "sweep", "--resume", str(tmp_path / "m.json"), "--no-cache",
@@ -523,8 +544,7 @@ class TestReportCommand:
         out_dir = tmp_path / "artifacts"
         assert main(["report", manifest, "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
-        for name in ("metrics.csv", "fig10.csv", "fig11.csv",
-                     "scenarios.csv", "report.html"):
+        for name in ("metrics.csv", "fig10.csv", "fig11.csv", "report.html"):
             assert (out_dir / name).exists(), name
             assert name in out
 
@@ -657,9 +677,9 @@ class TestWorkloadsCommand:
     def test_list(self, capsys):
         assert main(["workloads", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "kv-lookup" in out and "multi-tenant" in out
+        assert "kv-lookup" in out
         assert "betw" in out  # Table II apps are families too
-        assert "20 families" in out
+        assert "17 families" in out
 
     def test_explain(self, capsys):
         assert main(["workloads", "--explain", "kv-lookup"]) == 0
@@ -746,8 +766,8 @@ class TestParametricSweepCLI:
         assert "kv-lookup:zipf=1.1" in out and "1 cells" in out
 
     def test_sweep_trace_replay_token(self, capsys, tmp_path):
-        trace_path = tmp_path / "mt.trace.json"
-        assert main(["workloads", "--record", "multi-tenant:phases=2",
+        trace_path = tmp_path / "kv.trace.json"
+        assert main(["workloads", "--record", "kv-lookup:get_ratio=0.3",
                      "--out", str(trace_path),
                      "--scale", "0.05", "--warps", "2"]) == 0
         capsys.readouterr()
@@ -799,11 +819,9 @@ class TestParametricSweepCLI:
                      "--no-cache"]) == 2
         assert_rejected(capsys, "expects a float")
 
-    def test_scenario_preset_listed(self, capsys):
+    def test_kv_sweep_preset_listed(self, capsys):
         assert main(["config", "--presets"]) == 0
-        out = capsys.readouterr().out
-        assert "scenario-suite" in out and "kv-sweep" in out
-        assert "multi-tenant" in out
+        assert "kv-sweep" in capsys.readouterr().out
 
     def test_replay_verify_unresolvable_token_exits_1(self, capsys, tmp_path):
         # A hash-valid archive whose recorded family this build no longer

@@ -26,7 +26,6 @@ def test_examples_directory_is_populated():
         "power_and_endurance.py",
         "quickstart.py",
         "report_artifacts.py",
-        "scenario_suite.py",
         "sensitivity_sweep.py",
     ]
 

@@ -36,7 +36,6 @@ RECORD_FLAGS = ["--scale", "0.25", "--seed", "5", "--sms", "8",
                 "--warps", "3", "--mem-insts", "40"]
 
 TRACE_TOKENS = ["betw", "betw-back", "kv-lookup:get_ratio=0.3",
-                "embedding-inference", "stream-join", "multi-tenant",
                 # Zipf alpha exactly 1, the inverse CDF's middle branch.
                 "kv-lookup:zipf=1.0",
                 # Footprints past 2**32 pages: each warp's stream page is a
@@ -52,20 +51,12 @@ TRACE_DIGESTS = {
         "b96320c5d32b49a51b24e8ad0ce7929ee3d9acf0b21c598bf12bbec95b889417",
     "kv-lookup:get_ratio=0.3":
         "1844c1e364061cca0f6e9bc3c1ffdc088dd9ed71b410ab76b3027c24ddf6935f",
-    "embedding-inference":
-        "84b9029aa300f0367ce3dccbd810e9f0290cc1fdfb4960b54971e57f76dd88c0",
-    "stream-join":
-        "93440ac9c4b0a7d186c18b00eaafd1d19a090e4f447b1779e4a714f6d1b4237b",
-    "multi-tenant":
-        "6030fd408ace6aa757ff6d9c981b7bd0889f2a098b661b0c129d8f438fa89d38",
     "kv-lookup:zipf=1.0":
         "04ee7b4ed41736502ad2f585b4199fe17f2910f76e7e95542f290c0e08fa93ef",
     "betw:footprint_pages=34359738368":
         "6900c3179d11dd15d2e33f4dd1ac1919d2ef4bcb4aeebb472e5b706467471649",
     "kv-lookup:keyspace_pages=68719476736":
         "73ec596f23942b0c67b8c624fed1fc1c2d011b4daf5664d4e8d8b68d15786204",
-    "trace:":
-        "f79d31e95785615465b1bda4d79c3556301809d76d0d1a922de15e4e1ddfd703",
 }
 
 FIG10_FINGERPRINT = (
@@ -73,6 +64,9 @@ FIG10_FINGERPRINT = (
 FIG10_CELL = "ZnG|betw-back"
 FIG10_CELL_KEY = (
     "b10b4b8b88136e076db7bc687927db5594dccb307e69e55ec46049df1e9c992d")
+
+#: The token ``test_replayed_trace_digest_is_pinned`` records and replays.
+REPLAY_TOKEN = "betw-back"
 
 #: ``content_hash`` of ``workloads --record kv-lookup:zipf=1.1 --scale 0.1``.
 RECORDED_CONTENT_HASH = (
@@ -109,9 +103,11 @@ def test_generated_trace_digest_is_pinned(token):
 
 
 def test_replayed_trace_digest_is_pinned(tmp_path, capsys):
-    path = tmp_path / "sj.trace.json"
-    record("stream-join:phases=3", path, RECORD_FLAGS)
-    assert trace_digest(token_trace(f"trace:{path}")) == TRACE_DIGESTS["trace:"]
+    # A recorded trace replays to exactly the trace its token generates.
+    path = tmp_path / "replay.trace.json"
+    record(REPLAY_TOKEN, path, RECORD_FLAGS)
+    assert (trace_digest(token_trace(f"trace:{path}"))
+            == TRACE_DIGESTS[REPLAY_TOKEN])
 
 
 def test_fig10_spec_fingerprint_and_cell_key_are_pinned():
@@ -130,14 +126,10 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
 
     for token in TRACE_TOKENS:
         print(f"    {token!r}: {trace_digest(token_trace(token))!r},")
+    fingerprint, key = fig10_keys()
+    print(f"FIG10_FINGERPRINT = {fingerprint!r}")
+    print(f"FIG10_CELL_KEY = {key!r}")
     with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "sj.trace.json"
-        record("stream-join:phases=3", path, RECORD_FLAGS)
-        print(f"    'trace:': "
-              f"{trace_digest(token_trace(f'trace:{path}'))!r},")
-        fingerprint, key = fig10_keys()
-        print(f"FIG10_FINGERPRINT = {fingerprint!r}")
-        print(f"FIG10_CELL_KEY = {key!r}")
         content_hash = record("kv-lookup:zipf=1.1", Path(scratch) / "kv.json",
                               ["--scale", "0.1"])
         print(f"RECORDED_CONTENT_HASH = {content_hash!r}")

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.workloads import registry
 from repro.workloads.registry import (
-    PARAMETRIC_FAMILIES,
     WORKLOAD_FAMILIES,
     TraceKnobs,
     WorkloadFamily,
@@ -20,7 +19,13 @@ from repro.workloads.registry import (
     resolve_workload_tokens,
     workload_fingerprint,
 )
-from repro.workloads.suites import ALL_WORKLOADS, MULTI_APP_MIXES, mix_name
+from repro.workloads.suites import (
+    ALL_WORKLOADS,
+    GRAPH_WORKLOADS,
+    MULTI_APP_MIXES,
+    SCIENTIFIC_WORKLOADS,
+    mix_name,
+)
 
 TINY = TraceKnobs(scale=0.05, seed=7, num_sms=4, warps_per_sm=2,
                   memory_instructions_per_warp=32)
@@ -31,10 +36,10 @@ class TestRegistryContents:
         for name in ALL_WORKLOADS:
             assert name in WORKLOAD_FAMILIES
 
-    def test_four_parametric_scenario_families(self):
-        names = {family.name for family in PARAMETRIC_FAMILIES}
-        assert names == {"kv-lookup", "embedding-inference",
-                         "stream-join", "multi-tenant"}
+    def test_kv_lookup_is_the_one_parametric_family(self):
+        names = {family.name for family in WORKLOAD_FAMILIES.values()
+                 if family.suite == "parametric"}
+        assert names == {"kv-lookup"}
 
     def test_every_family_param_documented(self):
         for family in WORKLOAD_FAMILIES.values():
@@ -77,14 +82,13 @@ class TestTokenParsing:
 
     def test_dashed_family_names_parse_as_single(self):
         # Regression: naive split("-") would break every dashed family name.
-        for name in ("kv-lookup", "embedding-inference", "stream-join",
-                     "multi-tenant"):
-            assert parse_workload_token(name) == (name, None)
+        assert parse_workload_token("kv-lookup") == ("kv-lookup", None)
 
     def test_dashed_family_in_a_mix_longest_match(self):
         assert parse_workload_token("kv-lookup-back") == ("kv-lookup", "back")
-        assert parse_workload_token("stream-join-gaus") == ("stream-join", "gaus")
-        assert parse_workload_token("betw-multi-tenant") == ("betw", "multi-tenant")
+        assert parse_workload_token("betw-kv-lookup") == ("betw", "kv-lookup")
+        assert parse_workload_token("kv-lookup-kv-lookup") == (
+            "kv-lookup", "kv-lookup")
 
     def test_parameterised_token(self):
         assert parse_workload_token("kv-lookup:zipf=1.1") == (
@@ -92,7 +96,7 @@ class TestTokenParsing:
 
     def test_unknown_token_fails_with_hint(self):
         with pytest.raises(KeyError, match="did you mean"):
-            parse_workload_token("strem-join")
+            parse_workload_token("kv-lokup")
 
     def test_malformed_param_suffix(self):
         with pytest.raises(ValueError, match="expected name=value"):
@@ -121,8 +125,9 @@ class TestTokenResolution:
     def test_group_tokens(self):
         assert resolve_workload_tokens(["mixes"]) == [
             mix_name(r, w) for r, w in MULTI_APP_MIXES]
-        assert resolve_workload_tokens(["scenarios"]) == [
-            "kv-lookup", "embedding-inference", "stream-join", "multi-tenant"]
+        assert resolve_workload_tokens(["graph"]) == sorted(GRAPH_WORKLOADS)
+        assert resolve_workload_tokens(["scientific"]) == sorted(
+            SCIENTIFIC_WORKLOADS)
 
     def test_order_preserving_dedupe(self):
         tokens = resolve_workload_tokens(
@@ -207,7 +212,7 @@ class TestTraceKnobs:
 
 class TestBuildTrace:
     @pytest.mark.parametrize("token", [
-        "betw", "betw-back", "kv-lookup:get_ratio=0.3", "multi-tenant:phases=2"])
+        "betw", "betw-back", "kv-lookup:get_ratio=0.3", "bfs1:zipf_alpha=1.0"])
     def test_the_trace_is_named_after_its_token(self, token):
         # A mix keeps its read half's spec and a parametric token its
         # family's; only the label names the cell.
@@ -249,44 +254,11 @@ class TestBuildTrace:
                                   TraceKnobs(scale=0.3, seed=3, warps_per_sm=4))
         assert 0.35 <= trace.measured_read_ratio <= 0.65
 
-    def test_embedding_inference_is_read_only_gathers(self):
-        trace = build_token_trace("embedding-inference", TINY)
-        assert trace.measured_read_ratio == 1.0
-        assert not trace.page_write_counts
-
-    def test_multi_tenant_behaviour_changes_over_the_trace(self):
-        # The defining property of the phased family: the read/write mix of
-        # the first half of each warp differs from the second half.
-        trace = build_token_trace(
-            "multi-tenant:phases=2,read_ratio_hot=1.0,read_ratio_cold=0.0",
-            TraceKnobs(scale=0.5, seed=3, warps_per_sm=2,
-                       memory_instructions_per_warp=64))
-        for warp in trace.warps:
-            half = len(warp.instructions) // 2
-            first = [i for i in warp.instructions[:half] if i.is_memory]
-            second = [i for i in warp.instructions[half:] if i.is_memory]
-            assert all(i.access.is_read for i in first)
-            assert all(i.access.is_write for i in second)
-
-    def test_phase_count_changes_the_trace(self):
-        from repro.workloads.io import trace_to_dict
-
-        two = build_token_trace("multi-tenant:phases=2", TINY)
-        four = build_token_trace("multi-tenant:phases=4", TINY)
-        assert trace_to_dict(two) != trace_to_dict(four)
-
-    def test_stream_join_alternates_scan_and_probe(self):
-        seq = build_token_trace("stream-join:phases=1", TINY)
-        alt = build_token_trace("stream-join:phases=4", TINY)
-        # Phase 0 is the scan profile; adding probe phases must reduce the
-        # measured sequentiality.
-        assert seq.spec.sequential_fraction > alt.spec.sequential_fraction
-
     def test_deterministic_for_fixed_seed(self):
         from repro.workloads.io import trace_to_dict
 
-        assert (trace_to_dict(build_token_trace("stream-join", TINY))
-                == trace_to_dict(build_token_trace("stream-join", TINY)))
+        assert (trace_to_dict(build_token_trace("kv-lookup", TINY))
+                == trace_to_dict(build_token_trace("kv-lookup", TINY)))
 
     def test_high_zipf_alpha_skews_toward_hot_pages(self):
         # Regression for the alpha >= 1 regime: the old inverse-CDF shortcut
@@ -305,7 +277,7 @@ class TestSweepIntegration:
 
         spec = SweepSpec.create(
             platforms=["ZnG-base", "ZnG"],
-            workloads=["kv-lookup:zipf=1.1", "multi-tenant:phases=2"],
+            workloads=["kv-lookup:zipf=1.1", "betw:zipf_alpha=1.0"],
             scale=0.05, warps_per_sm=2)
         runner = SweepRunner(workers=1, cache=tmp_path)
         serial = runner.run(spec)
@@ -328,23 +300,3 @@ class TestSweepIntegration:
             scale=0.05, warps_per_sm=2))
         assert result.runs[0].result.cycles > 0
 
-
-class TestPhasedBudgetSplit:
-    def test_phases_beyond_the_budget_are_skipped_not_doubled(self):
-        # Review regression: phases > memory budget used to give every phase
-        # max(1, ...) instructions, doubling the declared budget.
-        knobs = TraceKnobs(scale=1.0, seed=5, num_sms=2, warps_per_sm=2,
-                           memory_instructions_per_warp=16)
-        sixteen = build_token_trace("multi-tenant:phases=16", knobs)
-        thirty_two = build_token_trace("multi-tenant:phases=32", knobs)
-        assert (thirty_two.total_memory_instructions
-                == sixteen.total_memory_instructions)
-
-    def test_non_dividing_split_keeps_the_declared_total(self):
-        # 3 phases over 30 insts: 10+10+10, not 3 * (30 // 3 rounded down
-        # elsewhere); remainder cases spread over the leading phases.
-        knobs = TraceKnobs(scale=1.0, seed=5, num_sms=2, warps_per_sm=1,
-                           memory_instructions_per_warp=31)
-        trace = build_token_trace("stream-join:phases=3", knobs)
-        per_warp = trace.total_memory_instructions // len(trace.warps)
-        assert per_warp == 31

@@ -85,7 +85,8 @@ class TestTokenGrammar:
 
     def test_resolve_workload_tokens_expands_suites(self):
         assert resolve_workload_tokens(["graph"]) == sorted(GRAPH_WORKLOADS)
-        assert "kv-lookup" in resolve_workload_tokens(["scenarios"])
+        assert resolve_workload_tokens(["scientific"]) == sorted(
+            SCIENTIFIC_WORKLOADS)
 
     def test_workload_by_name_did_you_mean(self):
         with pytest.raises(KeyError, match="did you mean betw"):

@@ -10,7 +10,11 @@ from repro.configspace.fingerprint import fingerprint
 from repro.runner import SweepSpec, run_sweep
 from repro.runner.spec import cell_seed
 from repro.workloads.io import trace_to_dict
-from repro.workloads.registry import TraceKnobs, build_token_trace
+from repro.workloads.registry import (
+    TraceKnobs,
+    build_token_trace,
+    parse_workload_token,
+)
 from repro.workloads.tracefile import (
     TraceFileError,
     read_trace_file,
@@ -73,8 +77,8 @@ class TestRoundTrip:
         assert read_trace_file(path).trace.total_memory_instructions > 0
 
     def test_regenerate_from_meta_matches(self, tmp_path):
-        path = tmp_path / "sj.trace.json"
-        record_trace("stream-join:phases=4", path, KNOBS)
+        path = tmp_path / "kv.trace.json"
+        record_trace("kv-lookup:get_ratio=0.3", path, KNOBS)
         loaded = read_trace_file(path)
         assert (trace_to_dict(regenerate_from_meta(loaded))
                 == trace_to_dict(loaded.trace))
@@ -274,7 +278,7 @@ class TestReviewRegressions:
         # Classification-only token parsing: once results exist, the pivots
         # must not need the trace file on disk (merged shard results are
         # routinely pivoted on another machine).
-        from repro.analysis.figures import scenario_suite_from_result
+        from repro.analysis.reporting import report_tables
 
         path = tmp_path / "kv.trace.json"
         record_trace("kv-lookup", path, KNOBS)
@@ -283,5 +287,7 @@ class TestReviewRegressions:
             workloads=[f"trace:{path}", "kv-lookup:zipf=1.1"],
             **replace(KNOBS, seed=1).sweep_fields()))
         path.unlink()
-        table = scenario_suite_from_result(result)
-        assert f"trace:{path}" in table and "kv-lookup" in table
+        assert parse_workload_token(f"trace:{path}") == (f"trace:{path}", None)
+        _, rows = report_tables(result)["metrics"]
+        assert [row[0] for row in rows] == [f"trace:{path}",
+                                            "kv-lookup:zipf=1.1"]
