@@ -36,6 +36,9 @@ RECORD_FLAGS = ["--scale", "0.25", "--seed", "5", "--sms", "8",
                 "--warps", "3", "--mem-insts", "40"]
 
 TRACE_TOKENS = ["betw", "betw-back", "kv-lookup:get_ratio=0.3",
+                # A write-intensive Table II application, a PUT-only
+                # keyspace and a mix with a parametric read half.
+                "gaus", "kv-lookup:get_ratio=0.0", "kv-lookup-back",
                 # Zipf alpha exactly 1, the inverse CDF's middle branch.
                 "kv-lookup:zipf=1.0",
                 # Footprints past 2**32 pages: each warp's stream page is a
@@ -51,6 +54,12 @@ TRACE_DIGESTS = {
         "b96320c5d32b49a51b24e8ad0ce7929ee3d9acf0b21c598bf12bbec95b889417",
     "kv-lookup:get_ratio=0.3":
         "1844c1e364061cca0f6e9bc3c1ffdc088dd9ed71b410ab76b3027c24ddf6935f",
+    "gaus":
+        "1190fceff6df5c9726f43becbc11e62d2b2c4b5b9954aa759a732d03bb59f5e5",
+    "kv-lookup:get_ratio=0.0":
+        "913187e1a03f280f42c6e136698b01891f0de81fd5bfda57e0599b443358e54f",
+    "kv-lookup-back":
+        "c506898df52eb65e403749ebb97e32eec4bbcf6f31835d8ea7f729c526e4528c",
     "kv-lookup:zipf=1.0":
         "04ee7b4ed41736502ad2f585b4199fe17f2910f76e7e95542f290c0e08fa93ef",
     "betw:footprint_pages=34359738368":

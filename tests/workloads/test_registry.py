@@ -254,6 +254,48 @@ class TestBuildTrace:
                                   TraceKnobs(scale=0.3, seed=3, warps_per_sm=4))
         assert 0.35 <= trace.measured_read_ratio <= 0.65
 
+    def test_kv_lookup_at_get_ratio_one_is_read_only(self):
+        trace = build_token_trace("kv-lookup:get_ratio=1.0", TINY)
+        assert trace.measured_read_ratio == 1.0
+        assert not trace.page_write_counts
+
+    def test_kv_lookup_at_get_ratio_zero_is_write_only(self):
+        trace = build_token_trace("kv-lookup:get_ratio=0.0", TINY)
+        assert trace.measured_read_ratio == 0.0
+        assert not trace.page_read_counts
+        assert trace.page_write_counts
+
+    def test_a_param_change_changes_the_trace(self):
+        from repro.workloads.io import trace_to_dict
+
+        two = build_token_trace("kv-lookup:reuse=2.0", TINY)
+        eight = build_token_trace("kv-lookup:reuse=8.0", TINY)
+        assert trace_to_dict(two) != trace_to_dict(eight)
+
+    def test_sequential_fraction_sets_the_single_line_reads(self):
+        # A sequential read streams one 128 B line; an irregular one
+        # scatters the warp over 2-4 lines.
+        def lines(token):
+            trace = build_token_trace(token, TINY)
+            return {i.addresses.lines for w in trace.warps
+                    for i in w.instructions if i.is_memory}
+
+        assert lines("betw:read_ratio=1.0,sequential_fraction=1.0") == {1}
+        scattered = lines("betw:read_ratio=1.0,sequential_fraction=0.0")
+        assert scattered and scattered <= {2, 3, 4}
+
+    def test_a_mix_runs_its_read_half_then_its_write_half(self):
+        # The co-run's behaviour changes across its warps: the read
+        # application's warps come first, the write application's after.
+        from repro.workloads.multiapp import build_mix
+
+        mix = build_mix("betw:read_ratio=1.0", "back:read_ratio=0.0", TINY)
+        split = len(mix.first.warps)
+        assert 0 < split < len(mix.combined.warps)
+        for index, warp in enumerate(mix.combined.warps):
+            reads = {i.access.is_read for i in warp.instructions if i.is_memory}
+            assert reads == ({True} if index < split else {False})
+
     def test_deterministic_for_fixed_seed(self):
         from repro.workloads.io import trace_to_dict
 
@@ -269,6 +311,18 @@ class TestBuildTrace:
         uniform = build_token_trace("kv-lookup:zipf=0.0", knobs)
         top = max(skewed.page_read_counts.values())
         assert top > max(uniform.page_read_counts.values())
+
+
+class TestDeclaredBudget:
+    @pytest.mark.parametrize("token", ["betw", "kv-lookup", "betw-back"])
+    def test_every_warp_keeps_a_non_dividing_budget(self, token):
+        # 31 memory instructions per warp divide by nothing the generator
+        # splits on; every warp, of either mix half, still issues all 31.
+        knobs = TraceKnobs(scale=1.0, seed=5, num_sms=2, warps_per_sm=1,
+                           memory_instructions_per_warp=31)
+        trace = build_token_trace(token, knobs)
+        assert [w.memory_instructions for w in trace.warps] == (
+            [31] * len(trace.warps))
 
 
 class TestSweepIntegration:
