@@ -55,7 +55,6 @@ class ZeroOverheadFTL:
         self._data_blocks_per_plane = self.geometry.blocks_per_plane - self._op_blocks_per_plane
         self._next_data_block = 0
         self._free_data_blocks: List[int] = []
-        self._next_log_block_per_plane: Dict[int, int] = {}
         self._free_log_blocks_per_plane: Dict[int, List[int]] = {}
 
         # helper-thread GC is attached after construction to avoid a cycle.
@@ -83,9 +82,7 @@ class ZeroOverheadFTL:
         block_in_plane = index // self.geometry.total_planes
         if block_in_plane >= self._data_blocks_per_plane:
             raise RuntimeError("out of physical data blocks")
-        return self.geometry.block_id(
-            self.geometry.decompose(self.geometry.ppn_of(plane, block_in_plane, 0))
-        )
+        return plane * self.geometry.blocks_per_plane + block_in_plane
 
     def release_data_block(self, flat_block_id: int) -> None:
         """Return an erased data block to the free pool (called by the helper GC)."""

@@ -21,14 +21,18 @@ from repro.ssd.znand import ZNANDArray
 class PlaneAllocator:
     """Per-plane write allocation state.
 
-    ``free_blocks`` is a compact ``array('l')``: a plane starts with
-    hundreds of free blocks, and a full-size data set touches hundreds of
-    planes.
+    ``free_blocks`` stays ``None`` until the plane's first block switch,
+    where :meth:`PageMappedFTL._advance_active_block` builds it as a compact
+    ``array('l')`` of every block but block 0.  Nothing reads or appends to
+    the pool before that switch (GC runs only from it), so it holds the
+    same blocks whenever it is built.  A full-size data set touches
+    hundreds of planes, each with hundreds of free blocks, and few of those
+    planes ever fill a block.
     """
 
     active_block: int = 0
     next_page: int = 0
-    free_blocks: "array[int]" = field(default_factory=lambda: array("l"))
+    free_blocks: "Optional[array[int]]" = None
     used_blocks: List[int] = field(default_factory=list)
 
 
@@ -59,18 +63,14 @@ class PageMappedFTL:
     # -- allocation -----------------------------------------------------------
     def _allocator(self, plane_id: int) -> PlaneAllocator:
         if plane_id not in self._allocators:
-            allocator = PlaneAllocator(
-                active_block=0,
-                next_page=0,
-                free_blocks=array("l", range(1, self.blocks_per_plane)),
-                used_blocks=[],
-            )
-            self._allocators[plane_id] = allocator
+            self._allocators[plane_id] = PlaneAllocator()
         return self._allocators[plane_id]
 
     def _advance_active_block(self, plane_id: int, now: float) -> float:
         """Retire a full active block and open a new one, running GC if needed."""
         allocator = self._allocator(plane_id)
+        if allocator.free_blocks is None:
+            allocator.free_blocks = array("l", range(1, self.blocks_per_plane))
         allocator.used_blocks.append(allocator.active_block)
         time = now
         if not allocator.free_blocks or (

@@ -115,10 +115,6 @@ class FlashGeometry:
         planes = self.planes_per_die
         return (channel * dies + die) * planes + rest % planes
 
-    def block_id(self, location: FlashLocation) -> int:
-        """Flat block index (0 .. total_blocks-1)."""
-        return self.plane_id(location) * self.blocks_per_plane + location.block
-
     def ppn_of(self, plane_id: int, block: int, page: int) -> int:
         """Build a PPN from a flat plane index, block and page.
 

@@ -24,6 +24,7 @@ object, so an instruction of a generated trace must not be mutated.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import sys
 from array import array
@@ -348,6 +349,23 @@ class TraceGenerator:
 
     # -- main entry point ---------------------------------------------------------
     def generate(self) -> WorkloadTrace:
+        """Build the trace with the cyclic GC paused.
+
+        A build allocates an ``Instruction``, address pattern and segment
+        tuple per distinct access and a ``WarpTrace`` per warp; none of
+        them can form a cycle, yet the collector would rescan them all
+        dozens of times while the trace grows.  GC comes back on afterwards
+        only if it was on when the build started.
+        """
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._build_trace()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def _build_trace(self) -> WorkloadTrace:
         trace = WorkloadTrace(spec=self.spec)
         footprint = self.footprint_pages
         hot_read_list = self._hot_page_list(

@@ -21,6 +21,12 @@ def make_ftl(pages_per_block=8, blocks=32):
     return ftl, array
 
 
+def block_id(geometry, ppn):
+    """Flat block index of a PPN: its plane times blocks per plane, plus its block."""
+    location = geometry.decompose(ppn)
+    return geometry.plane_id(location) * geometry.blocks_per_plane + location.block
+
+
 def read_from_log(ftl, virtual_page):
     """Translate a read; return ``(ppn, whether the log block served it)``."""
     before = ftl.reads_from_log
@@ -85,7 +91,7 @@ class TestWriteAllocation:
         ftl.map_virtual_block(0)
         ppn, ready, gc_performed = ftl.allocate_write(0, now=0.0)
         geometry = array.geometry
-        assert geometry.block_id(geometry.decompose(ppn)) == ftl.dbmt.lookup(0).plbn
+        assert block_id(geometry, ppn) == ftl.dbmt.lookup(0).plbn
         assert ready == 0.0 and not gc_performed
 
     def test_rewrites_allocate_distinct_log_pages(self):
@@ -104,6 +110,30 @@ class TestWriteAllocation:
             gc_seen = gc_seen or gc_performed
         assert gc_seen
         assert ftl.gc_merges >= 1
+
+
+class TestDataBlockAllocation:
+    def test_data_blocks_stripe_planes_and_decode_to_their_block(self):
+        # The default geometry: every one of its 1,024 planes, two blocks deep.
+        config = ZNANDConfig()
+        array = ZNANDArray(config, network=FlashNetwork(config, "mesh"))
+        ftl = ZeroOverheadFTL(array)
+        geometry = array.geometry
+        planes = geometry.total_planes
+        for index in range(2 * planes):
+            plane, block = index % planes, index // planes
+            assert ftl._allocate_data_block() == block_id(
+                geometry, geometry.ppn_of(plane, block, 0))
+
+    def test_a_released_block_is_reused_first(self):
+        ftl, _ = make_ftl()
+        first = ftl._allocate_data_block()
+        second = ftl._allocate_data_block()
+        ftl.release_data_block(first)
+        assert ftl._allocate_data_block() == first
+        # The next fresh block is the third plane's block 0.
+        assert second == ftl.geometry.blocks_per_plane
+        assert ftl._allocate_data_block() == 2 * ftl.geometry.blocks_per_plane
 
 
 class TestDBMTSize:

@@ -1,5 +1,6 @@
 """Tests for the synthetic trace generators."""
 
+import gc
 import hashlib
 import json
 import pickle
@@ -325,6 +326,47 @@ class TestSharedInstructions:
         assert len({id(i) for i in instructions}) < len(instructions)
         payload = json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(payload.encode()).hexdigest() == UNALIGNED_TRACE_DIGEST
+
+
+class TestGCPause:
+    """``generate`` builds with the cyclic GC off and restores the caller's state."""
+
+    @staticmethod
+    def _generator():
+        return TraceGenerator(workload_by_name("betw"), TraceKnobs(scale=0.05, seed=3))
+
+    def test_gc_is_off_during_the_build_and_on_after_it(self, monkeypatch):
+        seen = []
+        build = TraceGenerator._build_trace
+
+        def spy(generator):
+            seen.append(gc.isenabled())
+            return build(generator)
+
+        monkeypatch.setattr(TraceGenerator, "_build_trace", spy)
+        assert gc.isenabled()
+        trace = self._generator().generate()
+        assert seen == [False]
+        assert gc.isenabled()
+        assert trace.total_memory_instructions > 0
+
+    def test_gc_is_on_again_after_a_failed_build(self, monkeypatch):
+        def fail(generator):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(TraceGenerator, "_build_trace", fail)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="build failed"):
+            self._generator().generate()
+        assert gc.isenabled()
+
+    def test_gc_stays_off_when_the_caller_turned_it_off(self):
+        gc.disable()
+        try:
+            self._generator().generate()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestStatisticsCalibration:
